@@ -28,7 +28,12 @@ from repro.sequence.generator import (
     make_database,
     make_query_with_homologies,
 )
-from repro.service import CircuitOpenError, OrionService, ServiceConfig
+from repro.service import (
+    CircuitOpenError,
+    LatencyHistogram,
+    OrionService,
+    ServiceConfig,
+)
 from repro.util.timers import Stopwatch
 
 #: Below this many cores concurrent-vs-serial throughput is machine noise.
@@ -101,7 +106,7 @@ def test_service_concurrent_beats_serial_run_many(benchmark):
         async def run_service():
             async with service:
                 await service.submit(queries[0])  # warm, symmetrically
-                service.stats.latencies.clear()
+                service.stats.latencies = LatencyHistogram()
                 sw = Stopwatch().start()
                 results = await asyncio.gather(
                     *(service.submit(q) for q in queries)

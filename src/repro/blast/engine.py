@@ -10,6 +10,8 @@ stays a faithful implementation of the paper's Section II-B pipeline.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -40,6 +42,38 @@ from repro.blast.ungapped import extend_seeds_ungapped
 from repro.sequence.alphabet import reverse_complement
 from repro.sequence.records import Database, SequenceRecord
 from repro.util.timers import Stopwatch
+
+
+#: Most recently used query indexes of this process, keyed by content
+#: ``(k, seed-code bytes)``. Orion runs one map task per (fragment × shard),
+#: so a worker sees the same fragment once per shard it serves; the index
+#: depends only on the fragment. Content keys survive the per-query job
+#: pickle, and a :class:`QueryIndex` is immutable after construction, so
+#: concurrent searches may share one.
+_QUERY_INDEXES: "OrderedDict[Tuple[int, bytes], QueryIndex]" = OrderedDict()
+_QUERY_INDEX_LOCK = threading.Lock()
+#: Enough for the fragments (× 2 strands) of the few queries whose tasks
+#: interleave in one worker; each entry holds 17 bytes per query base.
+_QUERY_INDEX_LIMIT = 16
+
+
+def _query_index(seed_codes: np.ndarray, k: int) -> QueryIndex:
+    """The :class:`QueryIndex` over ``seed_codes``, built at most once
+    while it stays among the :data:`_QUERY_INDEX_LIMIT` most recent."""
+    key = (k, seed_codes.tobytes())
+    with _QUERY_INDEX_LOCK:
+        index = _QUERY_INDEXES.get(key)
+        if index is not None:
+            _QUERY_INDEXES.move_to_end(key)
+            return index
+    # Built outside the lock: two threads racing on one new fragment both
+    # build (identical indexes); they never serialize behind each other.
+    index = QueryIndex(seed_codes, k)
+    with _QUERY_INDEX_LOCK:
+        _QUERY_INDEXES[key] = index
+        while len(_QUERY_INDEXES) > _QUERY_INDEX_LIMIT:
+            _QUERY_INDEXES.popitem(last=False)
+    return index
 
 
 @dataclass
@@ -166,7 +200,7 @@ class BlastEngine:
             seed_codes = codes
             if self.params.dust:
                 seed_codes, _ = mask_low_complexity(codes)
-            index = QueryIndex(seed_codes, self.params.k)
+            index = _query_index(seed_codes, self.params.k)
             for subject in database:
                 alignments.extend(
                     self._search_subject(

@@ -221,7 +221,8 @@ class OrionSearch:
         (``None`` = backend default: 4 threads, or one process per core).
     shuffle:
         Shuffle mode for process-backed executors: ``"streaming"``
-        (default — map tasks spill partitioned runs to shared memory and
+        (default — map tasks commit partitioned runs worker-side, inline
+        when they fit in a page and through shared memory otherwise, and
         reduce tasks slow-start as their inputs commit, see
         :class:`repro.mapreduce.runtime.ShuffleService`) or ``"barrier"``
         (driver-side repartition after all maps finish; the simpler debug
@@ -798,17 +799,20 @@ class OrionSearch:
         plan: "QueryPlan",
         mr: JobResult,
         mapreduce_wall: float,
-        executor: Optional[Executor] = None,
         cluster: Optional[ClusterSpec] = None,
     ) -> OrionResult:
         """Turn a plan's raw MapReduce output into an :class:`OrionResult`.
 
         The second half of :meth:`run`: filters the aggregation-stats
         sentinels out of the reduce stream, sample-sorts the alignments into
-        report order (on ``executor``, defaulting to serial), and attaches
-        work-unit records with hardware factors. Deterministic given the
-        same plan and job result, so a service thread may assemble one
-        query's result while another query's tasks are still in flight.
+        report order, and attaches work-unit records with hardware factors.
+        The sort always runs in this thread on the serial executor: a report
+        is a few dozen alignments, so shipping a second job through the
+        worker pool costs more than the sort itself, and serial
+        ``sort_seconds`` are the uncontended measurements the simulator
+        replays. Deterministic given the same plan and job result, so a
+        service thread may assemble one query's result while another
+        query's tasks are still in flight.
         """
         query = plan.query
         agg_stats = AggregationStats()
@@ -819,7 +823,7 @@ class OrionSearch:
             else:
                 aggregated.append(item)
         ordered, sort_seconds = parallel_sort_alignments(
-            aggregated, num_tasks=self.sort_tasks, executor=executor
+            aggregated, num_tasks=self.sort_tasks
         )
         sort_seconds = [d * self.time_scale for d in sort_seconds]
 
@@ -903,9 +907,7 @@ class OrionSearch:
         mr_wall = Stopwatch().start()
         mr = executor.run(plan.job, plan.splits)
         mapreduce_wall = mr_wall.stop()
-        return self.assemble(
-            plan, mr, mapreduce_wall, executor=executor, cluster=cluster
-        )
+        return self.assemble(plan, mr, mapreduce_wall, cluster=cluster)
 
     def run_many(
         self,

@@ -21,8 +21,9 @@ Three executors with identical result semantics (DESIGN.md row 5's
 
 Process-backed executors additionally choose between two shuffles. The
 default **streaming** shuffle is push-based: each map task partitions (and
-combines) its own output worker-side, spills per-partition pickled runs
-into a shared-memory segment (inline fallback when shm is unavailable),
+combines) its own output worker-side, commits the per-partition pickled
+runs — inline on its result when they fit in one page, spilled into a
+shared-memory segment otherwise (inline again when shm is unavailable) —
 and the driver consumes completions as they land so reduce task *p*
 launches the moment every map task has committed its partition-*p* run —
 Hadoop's reduce slowstart. See :class:`ShuffleService`. The **barrier**
@@ -59,6 +60,7 @@ that produced it; only serial, uncontended records are ``simulator_safe``.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import multiprocessing
 import os
 import pickle
@@ -274,11 +276,13 @@ def _fire_faults(
     """Run the injected faults addressed to one task attempt (worker-side).
 
     ``shm_touch=True`` additionally fires a matching ``shm`` fault right
-    here — barrier tasks (and streaming reduce fetches) treat an injected
-    shm ``OSError`` as a plain attempt failure, which the scheduler
-    retries. Streaming *map* tasks instead thread the shm fault into
-    :func:`_spill_map_output`, where a real spill-write ``OSError`` would
-    surface, so the injected fault exercises the inline-bytes degrade.
+    here — barrier tasks treat an injected shm ``OSError`` as a plain
+    attempt failure, which the scheduler retries. Streaming tasks instead
+    thread the shm fault to where a real one would surface: map tasks into
+    :func:`_spill_map_output` (the spill write, exercising the inline-bytes
+    degrade), reduce tasks into :func:`_fetch_partition_runs` (the segment
+    read, failing the attempt like a vanished segment would). A task whose
+    runs travel inline touches no segment and is immune to both.
     """
     if injector is None:
         return
@@ -311,11 +315,19 @@ def _process_reduce_task(
 # streaming shuffle
 # --------------------------------------------------------------------------- #
 
-#: Where one reduce task finds one map task's partition-p run: a
+#: Where one reduce task finds one map task's partition-p run: the pickled
+#: run bytes themselves (sub-page outputs, and the no-shm fallback), or a
 #: ``(segment_name, start, length)`` triple into a shared-memory spill
-#: segment, or the pickled run bytes themselves (inline fallback). An empty
-#: run is length 0 / ``b""`` — never pickled, never attached.
+#: segment. An empty run is ``b""`` / length 0 — never pickled, never
+#: attached.
 _RunLocator = Union[bytes, Tuple[str, int, int]]
+
+#: Map outputs whose pickled runs total at most this many bytes commit
+#: inline. A segment cannot be smaller than one page, and creating one
+#: costs the map task a ``shm_open``/``ftruncate``/``mmap`` cycle, every
+#: reducer an attach and the driver an unlink — all to move bytes that fit
+#: in the result message the task sends anyway.
+_INLINE_RUN_BYTES = mmap.PAGESIZE
 
 
 @dataclass(frozen=True)
@@ -323,12 +335,13 @@ class _RunCommit:
     """One map task's committed shuffle output.
 
     The run format: the map task partitions (and combines) its output
-    worker-side, key-sorts each run, pickles each non-empty run separately
-    and concatenates the blobs into one spill segment — ``offsets[p]`` is
-    the ``(start, length)`` of partition ``p``'s run, so a reduce task
-    attaches the segment and unpickles *only its own slice*. When shared
-    memory is unavailable (or the spill write fails) the pickled runs ride
-    inline in ``inline`` instead and ``segment`` is ``None``.
+    worker-side, key-sorts each run and pickles each non-empty run
+    separately. Runs totalling at most :data:`_INLINE_RUN_BYTES` ride in
+    ``inline`` and ``segment`` is ``None`` — as they do when shared memory
+    is unavailable or the spill write fails. Larger outputs concatenate
+    the blobs into one spill segment — ``offsets[p]`` is the
+    ``(start, length)`` of partition ``p``'s run, so a reduce task attaches
+    the segment and unpickles *only its own slice*.
     """
 
     segment: Optional[str]
@@ -350,17 +363,19 @@ def _spill_map_output(
     spill_name: Optional[str],
     shm_fault: Optional[Callable[[], None]] = None,
 ) -> _RunCommit:
-    """Partition one map task's output and spill it (worker-side).
+    """Partition one map task's output and commit it (worker-side).
 
-    Writes the concatenated per-partition run pickles into the shared
-    segment the driver reserved under ``spill_name``; the worker detaches
-    after writing — the driver's :class:`~repro.mapreduce.shm.SpillSet`
-    owns the unlink, so even a worker that dies right after creating the
-    segment cannot leak it. Any ``OSError`` (``/dev/shm`` exhausted, a
-    stale segment squatting on the name) degrades to shipping the runs
-    inline through the result pipe. ``shm_fault`` is the fault injector's
-    hook into exactly that path: it fires (or not) where the real spill
-    write would fail, so injected shm faults exercise the same degrade.
+    Runs that fit in one page (:data:`_INLINE_RUN_BYTES`) commit inline on
+    the task's result and never touch shared memory. Larger outputs write
+    the concatenated per-partition run pickles into the shared segment the
+    driver reserved under ``spill_name``; the worker detaches after
+    writing — the driver's :class:`~repro.mapreduce.shm.SpillSet` owns the
+    unlink, so even a worker that dies right after creating the segment
+    cannot leak it. Any ``OSError`` (``/dev/shm`` exhausted, a stale
+    segment squatting on the name) degrades to shipping the runs inline
+    through the result pipe. ``shm_fault`` is the fault injector's hook
+    into exactly that path: it fires (or not) where the real spill write
+    would fail, so injected shm faults exercise the same degrade.
     """
     runs = job.partition_pairs(pairs, sort_runs=True)
     blobs = [
@@ -368,7 +383,11 @@ def _spill_map_output(
         for run in runs
     ]
     total = sum(len(b) for b in blobs)
-    if spill_name is not None and shm_mod.HAVE_SHARED_MEMORY and total:
+    if (
+        total > _INLINE_RUN_BYTES
+        and spill_name is not None
+        and shm_mod.HAVE_SHARED_MEMORY
+    ):
         try:
             if shm_fault is not None:
                 shm_fault()
@@ -392,19 +411,36 @@ def _spill_map_output(
 
 def _fetch_partition_runs(
     locators: Sequence[_RunLocator],
+    shm_fault: Optional[Callable[[], None]] = None,
 ) -> Tuple[List[List[Tuple[Any, Any]]], int]:
-    """Pull one partition's runs (split-index order) out of the shuffle."""
+    """Pull one partition's runs (split-index order) out of the shuffle.
+
+    ``shm_fault`` is the fault injector's hook: it fires before each
+    segment read, where a vanished segment would raise.
+    """
     runs: List[List[Tuple[Any, Any]]] = []
     bytes_in = 0
     for loc in locators:
         if isinstance(loc, bytes):
             blob = loc
+        elif loc[2] == 0:
+            blob = b""
         else:
-            name, start, length = loc
-            blob = shm_mod.read_segment_slice(name, start, length) if length else b""
+            if shm_fault is not None:
+                shm_fault()
+            blob = shm_mod.read_segment_slice(*loc)
         bytes_in += len(blob)
         runs.append(pickle.loads(blob) if blob else [])
     return runs, bytes_in
+
+
+def _shm_fault_hook(
+    injector: Optional[FaultInjector], phase: str, index: int, attempt: int
+) -> Optional[Callable[[], None]]:
+    """The injector's shm fault for one attempt, as a deferred call."""
+    if injector is None:
+        return None
+    return lambda: injector.shm_fault(phase, index, attempt)
 
 
 def _streaming_measure_map(
@@ -416,14 +452,12 @@ def _streaming_measure_map(
     injector: Optional[FaultInjector] = None,
 ) -> Tuple[TaskRecord, _RunCommit]:
     _fire_faults(injector, "map", split.index, attempt)
-    shm_fault = (
-        (lambda: injector.shm_fault("map", split.index, attempt))
-        if injector is not None
-        else None
-    )
     sw = Stopwatch().start()
     pairs = job.run_map_task(split)
-    commit = _spill_map_output(job, pairs, spill_name, shm_fault=shm_fault)
+    commit = _spill_map_output(
+        job, pairs, spill_name,
+        shm_fault=_shm_fault_hook(injector, "map", split.index, attempt),
+    )
     dur = sw.stop()
     rec = TaskRecord(
         task_id=f"{job.name}/map/{split.index:05d}",
@@ -445,11 +479,12 @@ def _streaming_measure_reduce(
     attempt: int = 1,
     injector: Optional[FaultInjector] = None,
 ) -> Tuple[List[Any], TaskRecord, int]:
-    # shm faults fire where the run fetch would fail: the attempt errors
-    # out (like a vanished segment would) and the scheduler retries it.
-    _fire_faults(injector, "reduce", partition_index, attempt, shm_touch=True)
+    _fire_faults(injector, "reduce", partition_index, attempt)
     sw = Stopwatch().start()
-    runs, bytes_in = _fetch_partition_runs(locators)
+    runs, bytes_in = _fetch_partition_runs(
+        locators,
+        shm_fault=_shm_fault_hook(injector, "reduce", partition_index, attempt),
+    )
     groups = job.merge_runs(runs)
     out = job.run_reduce_task(groups)
     dur = sw.stop()
@@ -498,10 +533,12 @@ class ShuffleService:
     the winner's), records each map task's :class:`_RunCommit` as it
     lands, and tells the scheduler which reduce partitions became ready:
     partition *p* is ready the moment every map task has committed its
-    partition-*p* run. ``close()`` sweeps every spill segment and is safe
-    to call from ``finally`` while tasks may still be in flight (a reduce
-    task racing the sweep fails its attach, which surfaces through its
-    future like any other task error).
+    partition-*p* run. ``close()`` sweeps every name an attempt could
+    still have created a segment under — attempts that committed inline
+    are struck off as they land — and is safe to call from ``finally``
+    while tasks may still be in flight (a reduce task racing the sweep
+    fails its attach, which surfaces through its future like any other
+    task error).
     """
 
     def __init__(self, job: MapReduceJob, num_splits: int) -> None:
@@ -529,8 +566,13 @@ class ShuffleService:
         if self._spills is not None:
             self._spills.sweep(split_index, attempt)
 
-    def commit(self, split_index: int, commit: _RunCommit) -> List[int]:
+    def commit(self, split_index: int, commit: _RunCommit, attempt: int) -> List[int]:
         """Record one map task's runs; return partitions that became ready.
+
+        ``attempt`` is the winning attempt's number. An inline commit says
+        that attempt created no segment, so its reserved name is dropped
+        here and :meth:`close` has nothing to sweep for it — a job whose
+        every output fits in a page never opens ``/dev/shm`` at all.
 
         Map tasks commit all their runs atomically on completion, so every
         partition's last missing run is supplied by the last map task to
@@ -542,6 +584,8 @@ class ShuffleService:
         """
         assert self._commits[split_index] is None, "map task committed twice"
         self._commits[split_index] = commit
+        if commit.segment is None and self._spills is not None:
+            self._spills.forget(split_index, attempt)
         self._pending -= 1
         if self._pending == 0:
             return list(range(self.num_partitions))
@@ -556,7 +600,7 @@ class ShuffleService:
         return out
 
     def close(self) -> None:
-        """Sweep all spill segments (idempotent)."""
+        """Sweep every spill segment that may exist (idempotent)."""
         if self._spills is not None:
             self._spills.release()
 
@@ -652,7 +696,8 @@ def _run_streaming_schedule(
         if phase != "map":
             return
         _, commit = value
-        for p in service.commit(index, commit):
+        winner = sched.meta("map", index).winner
+        for p in service.commit(index, commit, winner):
             sched.add(
                 "reduce",
                 p,

@@ -345,10 +345,12 @@ class SpillSet:
     its name.
 
     Names are minted lazily — :meth:`name_for` records every name it
-    hands out — and :meth:`release` sweeps all of them. Segments that
-    were never created (inline fallback), already swept, or orphaned by a
-    worker that crashed between create and report are all covered by the
-    same idempotent :func:`sweep_segment` call. Until released, the set
+    hands out — and :meth:`release` sweeps all that remain. An attempt
+    that commits inline (sub-page output, or the no-shm fallback) created
+    nothing and is struck off via :meth:`forget`; names whose fate is
+    unknown — already swept, or orphaned by a worker that crashed between
+    create and report — are all covered by the same idempotent
+    :func:`sweep_segment` call. Until released, the set
     sits in a module registry drained at interpreter exit, mirroring the
     database plane's atexit backstop.
     """
@@ -366,7 +368,7 @@ class SpillSet:
 
     @property
     def names(self) -> Tuple[str, ...]:
-        """Every name minted so far (and not yet individually swept)."""
+        """Every name minted so far and not yet swept or forgotten."""
         return tuple(self._minted)
 
     def _name(self, split_index: int, attempt: int) -> str:
@@ -381,6 +383,15 @@ class SpillSet:
         name = self._name(split_index, attempt)
         self._minted[name] = None
         return name
+
+    def forget(self, split_index: int, attempt: int = 1) -> None:
+        """Strike off an attempt that reported creating no segment.
+
+        Only for attempts that *returned* an inline commit: a failed or
+        lost attempt may have died after creating its segment and must be
+        swept instead.
+        """
+        self._minted.pop(self._name(split_index, attempt), None)
 
     def sweep(self, split_index: int, attempt: int = 1) -> bool:
         """Sweep one attempt's segment now (failed/superseded attempts).

@@ -103,6 +103,10 @@ class Database:
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             raise ValueError(f"duplicate sequence ids in database: {dupes}")
         self._by_id = {r.seq_id: r for r in self.records}
+        # Records are fixed after construction, so the length bookkeeping is
+        # computed once: every query's search space asks for the total.
+        self._lengths = np.array([len(r) for r in self.records], dtype=np.int64)
+        self._total_length = int(self._lengths.sum())
 
     def __len__(self) -> int:
         return len(self.records)
@@ -119,7 +123,7 @@ class Database:
     @property
     def total_length(self) -> int:
         """Total residues across all sequences (the statistics' ``n``)."""
-        return sum(len(r) for r in self.records)
+        return self._total_length
 
     @property
     def num_sequences(self) -> int:
@@ -127,7 +131,7 @@ class Database:
 
     def lengths(self) -> np.ndarray:
         """Per-record lengths, in record order."""
-        return np.array([len(r) for r in self.records], dtype=np.int64)
+        return self._lengths.copy()
 
     def subset(self, seq_ids: Sequence[str], name: Optional[str] = None) -> "Database":
         """A database restricted to the given ids (order preserved)."""

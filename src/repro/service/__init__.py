@@ -16,7 +16,12 @@ from repro.service.errors import (
     ServiceError,
     UnknownDatabaseError,
 )
-from repro.service.service import OrionService, ServiceConfig, ServiceStats
+from repro.service.service import (
+    LatencyHistogram,
+    OrionService,
+    ServiceConfig,
+    ServiceStats,
+)
 
 __all__ = [
     "CLOSED",
@@ -24,6 +29,7 @@ __all__ = [
     "OPEN",
     "CircuitBreaker",
     "CircuitOpenError",
+    "LatencyHistogram",
     "OrionService",
     "QueueFullError",
     "ServiceClosedError",

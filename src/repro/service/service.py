@@ -36,7 +36,7 @@ import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from math import ceil
+from math import ceil, floor, inf, log2
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.core.orion import OrionSearch
@@ -93,14 +93,70 @@ class ServiceConfig:
         )
 
 
+class LatencyHistogram:
+    """Latencies in fixed logarithmic buckets: O(1) record, constant memory.
+
+    An always-on service completes queries for as long as it lives, so its
+    latency record must not grow with them. Bucket edges are
+    ``2 ** (i / BUCKETS_PER_OCTAVE)`` seconds — every bucket is ~9 % wide
+    relative to its value — from ``2 ** MIN_EXPONENT`` (~1 µs) to
+    ``2 ** MAX_EXPONENT`` (~68 min); values outside land in the end
+    buckets. :meth:`quantile` is the nearest-rank order statistic resolved
+    to its bucket: the bucket's geometric midpoint, clamped to the exact
+    minimum and maximum seen.
+    """
+
+    BUCKETS_PER_OCTAVE = 8
+    MIN_EXPONENT = -20
+    MAX_EXPONENT = 12
+
+    def __init__(self) -> None:
+        octaves = self.MAX_EXPONENT - self.MIN_EXPONENT
+        self._counts = [0] * (octaves * self.BUCKETS_PER_OCTAVE)
+        self._total = 0
+        self._min = inf
+        self._max = 0.0
+
+    def __len__(self) -> int:
+        return self._total
+
+    def record(self, seconds: float) -> None:
+        """Count one completed query's latency."""
+        bucket = 0
+        if seconds > 0.0:
+            octave = log2(seconds) - self.MIN_EXPONENT
+            bucket = floor(octave * self.BUCKETS_PER_OCTAVE)
+            bucket = min(len(self._counts) - 1, max(0, bucket))
+        self._counts[bucket] += 1
+        self._min = min(self._min, seconds)
+        self._max = max(self._max, seconds)
+        self._total += 1
+
+    def quantile(self, q: float) -> float:
+        """The ``q``-quantile (0..1) in seconds; 0.0 when nothing is recorded."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        if self._total == 0:
+            return 0.0
+        rank = max(1, ceil(q * self._total))
+        seen = 0
+        for bucket, count in enumerate(self._counts):
+            seen += count
+            if seen >= rank:
+                break
+        exponent = (bucket + 0.5) / self.BUCKETS_PER_OCTAVE + self.MIN_EXPONENT
+        return min(self._max, max(self._min, 2.0 ** exponent))
+
+
 @dataclass
 class ServiceStats:
     """Counters and latencies for one service lifetime.
 
-    ``latencies`` holds admission-to-completion seconds per served query;
-    :meth:`latency_quantile` reports order statistics (p50/p99 in the
-    benchmark and the ``serve`` summary). Rejections are split by cause so
-    overload (queue full) and breaker sheds are tallied separately.
+    ``latencies`` records admission-to-completion seconds per served query
+    in a bounded :class:`LatencyHistogram`; :meth:`latency_quantile`
+    reports its order statistics (p50/p99 in the benchmark and the
+    ``serve`` summary). Rejections are split by cause so overload (queue
+    full) and breaker sheds are tallied separately.
     """
 
     submitted: int = 0
@@ -108,7 +164,7 @@ class ServiceStats:
     failed: int = 0
     rejected_queue_full: int = 0
     rejected_circuit_open: int = 0
-    latencies: List[float] = field(default_factory=list)
+    latencies: LatencyHistogram = field(default_factory=LatencyHistogram)
     #: Sketch-pruning totals across completed queries (see
     #: :mod:`repro.sketch`): shards actually searched, shards skipped, and
     #: (fragment × shard) map tasks never dispatched. All zero when
@@ -131,13 +187,7 @@ class ServiceStats:
 
     def latency_quantile(self, q: float) -> float:
         """The ``q``-quantile (0..1) of completed-query latency, seconds."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1], got {q}")
-        if not self.latencies:
-            return 0.0
-        ordered = sorted(self.latencies)
-        index = min(len(ordered) - 1, max(0, ceil(q * len(ordered)) - 1))
-        return ordered[index]
+        return self.latencies.quantile(q)
 
     @property
     def p50(self) -> float:
@@ -396,7 +446,7 @@ class OrionService:
             else:
                 breaker.record_success()
                 self.stats.completed += 1
-                self.stats.latencies.append(
+                self.stats.latencies.record(
                     self._clock() - admission.admitted_at
                 )
                 # getattr: stub searches in tests return bare objects

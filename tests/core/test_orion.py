@@ -118,6 +118,32 @@ class TestFragmentLengthResolution:
         assert res.num_fragments == 1
 
 
+class _NoIteration(list):
+    """A record list that may be sized and indexed but not walked."""
+
+    def __iter__(self):
+        raise AssertionError("prepare() walked every database record")
+
+
+class TestPrepareCost:
+    def test_prepare_does_not_iterate_the_records(self, small_db, query_with_truth):
+        """Planning a query is O(fragments × shards): the database's total
+        length is bookkeeping computed at construction, not a per-query
+        sum over every record."""
+        query, _ = query_with_truth
+        search = OrionSearch(database=small_db, num_shards=4, fragment_length=20_000)
+        expected = search.prepare(query)
+        records = small_db.records
+        small_db.records = _NoIteration(records)
+        try:
+            plan = search.prepare(query)
+        finally:
+            small_db.records = records
+        assert plan.space == expected.space
+        assert plan.overlap == expected.overlap
+        assert len(plan.splits) == len(expected.splits) > 0
+
+
 class TestRunMany:
     def test_query_set(self, orion, small_db, query_with_truth):
         query, _ = query_with_truth

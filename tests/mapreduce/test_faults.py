@@ -7,6 +7,7 @@ fallback, the targeted task's retry visible in its TaskRecord, and nothing
 left behind in ``/dev/shm``.
 """
 
+import mmap
 import os
 import pickle
 import time
@@ -452,18 +453,24 @@ def _record_for(result, phase, index):
     return matches[0]
 
 
+#: Records per split whose pickled map output exceeds one page, so the
+#: streaming shuffle spills it to a segment — the only place an shm fault
+#: can strike a streaming task.
+_SPILLING_WIDTH = 2000
+
+
 class TestFaultMatrix:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     @pytest.mark.parametrize("shuffle", ["barrier", "streaming"])
     @pytest.mark.parametrize("phase", ["map", "reduce"])
     @pytest.mark.parametrize("kind", ["crash", "hang", "transient", "shm"])
-    def test_one_fault_recovers_in_place(
-        self, kind, phase, shuffle, start_method, serial_output
-    ):
+    def test_one_fault_recovers_in_place(self, kind, phase, shuffle, start_method):
         spec = FaultSpec(
             phase=phase, kind=kind, index=1, attempt=1, hang_seconds=1.5
         )
         policy = fast_policy(task_timeout=0.35 if kind == "hang" else None)
+        splits = make_splits(4, width=_SPILLING_WIDTH if kind == "shm" else 10)
+        expected = sorted(SerialExecutor().run(make_job(), splits).flat_outputs())
         before = _shm_segments()
         executor = ProcessExecutor(
             max_workers=2,
@@ -474,11 +481,15 @@ class TestFaultMatrix:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any serial fallback fails the test
-            result = executor.run(make_job(), make_splits(4))
+            result = executor.run(make_job(), splits)
 
-        assert sorted(result.flat_outputs()) == serial_output
+        assert sorted(result.flat_outputs()) == expected
         assert all(r.executor == "processes" for r in result.records)
         assert all(r.fallback_reason == "" for r in result.records)
+        if (kind, shuffle) == ("shm", "streaming"):
+            assert all(
+                r.shuffle_bytes_out > mmap.PAGESIZE for r in result.map_records()
+            )
 
         target = _record_for(result, phase, 1)
         if (kind, phase, shuffle) == ("shm", "map", "streaming"):
@@ -489,6 +500,29 @@ class TestFaultMatrix:
             assert target.attempts == 2
             assert target.winner == 2
         assert _shm_segments() - before == set()
+
+    @pytest.mark.parametrize("phase", ["map", "reduce"])
+    def test_sub_page_streaming_task_is_immune_to_shm_faults(
+        self, phase, serial_output
+    ):
+        # The fault is armed for every task and every attempt: a task that
+        # touched a segment would burn its whole budget and fall back. Runs
+        # that fit in a page travel inline and never reach a touch point.
+        spec = FaultSpec(phase=phase, kind="shm", index=ANY, attempt=ANY)
+        executor = ProcessExecutor(
+            max_workers=2,
+            shuffle="streaming",
+            retry=fast_policy(),
+            injector=FaultInjector(specs=(spec,)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = executor.run(make_job(), make_splits(4))
+        assert sorted(result.flat_outputs()) == serial_output
+        assert all(r.attempts == 1 for r in result.records)
+        assert all(
+            0 < r.shuffle_bytes_out <= mmap.PAGESIZE for r in result.map_records()
+        )
 
     @pytest.mark.parametrize("shuffle", ["barrier", "streaming"])
     def test_speculative_duplicate_races_an_injected_straggler(

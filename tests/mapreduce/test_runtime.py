@@ -1,5 +1,7 @@
 """Tests for executors: correctness, determinism, task records."""
 
+import mmap
+import os
 import pickle
 import time
 
@@ -54,6 +56,42 @@ def _sleeping_reducer(key, values):
 def _mod4_mapper(split):
     for x in split.payload:
         yield x % 4, x
+
+
+def _blob_mapper(split):
+    # One pair per task whose value is ``payload`` zero bytes: the pickled
+    # run's size is the payload plus a constant.
+    yield 0, bytes(split.payload)
+
+
+def _blob_reducer(key, values):
+    yield key, [len(v) for v in values]
+
+
+def _blob_overhead():
+    """Pickled-run bytes beyond the blob itself (constant from 256 B up)."""
+    run = [(0, bytes(1000))]
+    return len(pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)) - 1000
+
+
+def _log_segment_calls(monkeypatch, path):
+    """Make create/attach_segment append their name to ``path``.
+
+    Worker processes forked after this call inherit the patch; appends
+    from several processes to one ``O_APPEND`` file do not interleave.
+    """
+    for fn_name in ("create_segment", "attach_segment"):
+        original = getattr(shm_mod, fn_name)
+
+        def logged(*args, _original=original, _fn_name=fn_name, **kwargs):
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, f"{_fn_name}\n".encode())
+            finally:
+                os.close(fd)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(shm_mod, fn_name, logged)
 
 
 def _identity_partitioner(key, num_reducers):
@@ -352,6 +390,86 @@ class TestStreamingShuffle:
         stream = ProcessExecutor(max_workers=2, shuffle="streaming").run(job, splits)
         assert dict(stream.flat_outputs()) == expected_totals(4)
         assert sum(r.shuffle_bytes_out for r in stream.map_records()) > 0
+
+    def test_page_rule_is_inclusive(self):
+        """Runs totalling exactly one page commit inline; one byte more
+        spills (the rule is ``total > mmap.PAGESIZE``, no tunable)."""
+        job = MapReduceJob(
+            mapper=_blob_mapper, reducer=_blob_reducer, num_reducers=1, name="b"
+        )
+        fits = mmap.PAGESIZE - _blob_overhead()
+        with shm_mod.SpillSet(2) as spills:
+            inline = runtime_mod._spill_map_output(
+                job, [(0, bytes(fits))], spills.name_for(0)
+            )
+            assert inline.total_bytes == mmap.PAGESIZE
+            assert inline.segment is None and inline.inline is not None
+            assert not shm_mod.segment_exists(spills.name_for(0))
+
+            spilled = runtime_mod._spill_map_output(
+                job, [(0, bytes(fits + 1))], spills.name_for(1)
+            )
+            assert spilled.total_bytes == mmap.PAGESIZE + 1
+            assert spilled.segment == spills.name_for(1) and spilled.inline is None
+            assert shm_mod.segment_exists(spills.name_for(1))
+        assert not shm_mod.segment_exists(spilled.segment)
+
+    def test_sub_page_job_touches_no_segment(self, monkeypatch, tmp_path):
+        """A job whose every map output fits in a page never creates,
+        attaches or sweeps a spill segment — in the workers or the driver."""
+        log = tmp_path / "segment_calls"
+        _log_segment_calls(monkeypatch, str(log))
+
+        def run(splits):
+            with runtime_mod.WorkerPool(
+                max_workers=2, start_method="fork", shuffle="streaming"
+            ) as pool:
+                # Inline job ref: the blob segment WorkerPool publishes per
+                # job is not shuffle traffic.
+                monkeypatch.setattr(
+                    pool, "_publish_job",
+                    lambda blob: (runtime_mod._JobRef("k", None, 0, blob), None),
+                )
+                return pool.run(make_job(3), splits)
+
+        result = run(make_splits(6))
+        assert dict(result.flat_outputs()) == expected_totals(6)
+        assert all(r.executor == "processes" for r in result.records)
+        assert not log.exists() or log.read_text() == ""
+
+        # The same harness does see an above-page job's segments.
+        run(make_splits(2, width=2000))
+        calls = log.read_text().split()
+        assert calls.count("create_segment") == 2  # one per map task
+        # Every segment is fetched by at least one reducer and swept once.
+        assert calls.count("attach_segment") >= 2 + 2
+
+    def test_transport_does_not_change_shuffle_bytes(self, monkeypatch):
+        """``shuffle_bytes_out/in`` count pickled run bytes, whichever way
+        they travelled: spilled and inline runs of one job account alike."""
+        job, splits = make_job(3), make_splits(4, width=2000)
+        spilled = ProcessExecutor(
+            max_workers=2, start_method="fork", shuffle="streaming"
+        ).run(job, splits)
+        monkeypatch.setattr(shm_mod, "HAVE_SHARED_MEMORY", False)
+        inline = ProcessExecutor(
+            max_workers=2, start_method="fork", shuffle="streaming"
+        ).run(job, splits)
+        assert inline.outputs == spilled.outputs
+        for a, b in zip(spilled.records, inline.records):
+            assert a.task_id == b.task_id
+            assert a.shuffle_bytes_out == b.shuffle_bytes_out
+            assert a.shuffle_bytes_in == b.shuffle_bytes_in
+        assert all(
+            r.shuffle_bytes_out > mmap.PAGESIZE for r in spilled.map_records()
+        )
+        expected = [
+            runtime_mod._spill_map_output(
+                job, job.run_map_task(split), None
+            ).total_bytes
+            for split in splits
+        ]
+        assert [r.shuffle_bytes_out for r in spilled.map_records()] == expected
 
     def test_barrier_leaves_shuffle_bytes_zero(self):
         result = ProcessExecutor(max_workers=2, shuffle="barrier").run(

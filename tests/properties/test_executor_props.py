@@ -7,6 +7,7 @@ Hadoop-streaming mode, both strands) and ``parallel_sort_alignments`` and
 require field-identical output, down to the alignment paths.
 """
 
+import mmap
 import os
 
 import numpy as np
@@ -255,6 +256,12 @@ def _word_splits(n=6, lines=8):
     ]
 
 
+#: Lines per split past which an uncombined word-count map output pickles
+#: to more than one page and is spilled to a segment instead of riding
+#: inline (asserted by ``test_streaming_equals_barrier``).
+_SPILLING_LINES = 400
+
+
 def _wc_job(with_combiner=False, reducer=_count_reducer):
     return MapReduceJob(
         mapper=_wc_mapper,
@@ -271,22 +278,31 @@ class TestStreamingShuffleEquivalence:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     @pytest.mark.parametrize("with_combiner", [False, True])
-    def test_streaming_equals_barrier(self, start_method, with_combiner):
+    @pytest.mark.parametrize("lines", [8, _SPILLING_LINES])
+    def test_streaming_equals_barrier(self, start_method, with_combiner, lines):
         before = _orionspill_segments()
-        serial = SerialExecutor().run(_wc_job(with_combiner), _word_splits())
+        splits = _word_splits(lines=lines)
+        serial = SerialExecutor().run(_wc_job(with_combiner), splits)
         streaming = ProcessExecutor(
             max_workers=2, start_method=start_method, shuffle="streaming"
-        ).run(_wc_job(with_combiner), _word_splits())
+        ).run(_wc_job(with_combiner), splits)
         barrier = ProcessExecutor(
             max_workers=2, start_method=start_method, shuffle="barrier"
-        ).run(_wc_job(with_combiner), _word_splits())
+        ).run(_wc_job(with_combiner), splits)
         assert streaming.outputs == barrier.outputs == serial.outputs
         assert streaming.shuffle_keys == serial.shuffle_keys
         assert all(r.executor == "processes" for r in streaming.records)
-        # Every spilled byte must be accounted for on the reduce side.
+        # Every shuffled byte must be accounted for on the reduce side.
         out_bytes = sum(r.shuffle_bytes_out for r in streaming.map_records())
         in_bytes = sum(r.shuffle_bytes_in for r in streaming.reduce_records())
         assert out_bytes == in_bytes > 0
+        # Both transports are covered: combined or short outputs fit in a
+        # page and ride inline, long uncombined ones spill to segments.
+        spilled = [
+            r.shuffle_bytes_out > mmap.PAGESIZE for r in streaming.map_records()
+        ]
+        assert all(spilled) == (lines == _SPILLING_LINES and not with_combiner)
+        assert any(spilled) == all(spilled)
         assert _orionspill_segments() - before == set()
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -308,12 +324,13 @@ class TestStreamingShuffleEquivalence:
         sweep every spill segment and recover via the serial fallback."""
         before = _orionspill_segments()
         job = _wc_job(reducer=_CrashInWorkerReducer(os.getpid()))
+        splits = _word_splits(lines=_SPILLING_LINES)
         ex = ProcessExecutor(
             max_workers=2, start_method=start_method, shuffle="streaming"
         )
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            result = ex.run(job, _word_splits())
-        serial = SerialExecutor().run(_wc_job(), _word_splits())
+            result = ex.run(job, splits)
+        serial = SerialExecutor().run(_wc_job(), splits)
         assert result.outputs == serial.outputs
         assert all(r.executor == "serial" for r in result.records)
         assert _orionspill_segments() - before == set()
@@ -326,6 +343,62 @@ class TestStreamingShuffleEquivalence:
             _wc_job(True), _word_splits()
         )
         assert streaming.outputs == serial.outputs
+
+
+def _straddle_mapper(split):
+    """``payload`` records: ~6 pickled bytes each, so the drawn counts put a
+    task's output well under or well over one page."""
+    for i in range(split.payload):
+        yield i % 7, i
+
+
+def _job_summary(result):
+    return (
+        result.outputs,
+        result.shuffle_keys,
+        [
+            (r.task_id, r.kind, r.input_records, r.output_records)
+            for r in result.records
+        ],
+    )
+
+
+_SUB_PAGE = st.integers(min_value=0, max_value=40)
+_ABOVE_PAGE = st.integers(min_value=1500, max_value=3000)
+
+
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_outputs_straddling_a_page_equal_serial(start_method):
+    """Some map tasks commit inline, some spill, in one job: the mixed
+    transport yields the serial ``JobResult``, byte counts included."""
+    job = MapReduceJob(
+        mapper=_straddle_mapper, reducer=_count_reducer, num_reducers=3, name="s"
+    )
+    before = _orionspill_segments()
+    with WorkerPool(
+        max_workers=2, start_method=start_method, shuffle="streaming"
+    ) as pool:
+
+        @given(
+            st.lists(st.one_of(_SUB_PAGE, _ABOVE_PAGE), max_size=4),
+            _SUB_PAGE, _ABOVE_PAGE, st.randoms(use_true_random=False),
+        )
+        @settings(max_examples=12, deadline=None)
+        def check(sizes, small, large, rng):
+            sizes = sizes + [small, large]
+            rng.shuffle(sizes)
+            splits = [InputSplit(index=i, payload=n) for i, n in enumerate(sizes)]
+            serial = SerialExecutor().run(job, splits)
+            streaming = pool.run(job, splits)
+            assert _job_summary(streaming) == _job_summary(serial)
+            out = [r.shuffle_bytes_out for r in streaming.map_records()]
+            assert [b > mmap.PAGESIZE for b in out] == [n >= 1500 for n in sizes]
+            assert sum(out) == sum(
+                r.shuffle_bytes_in for r in streaming.reduce_records()
+            )
+
+        check()
+    assert _orionspill_segments() - before == set()
 
 
 def test_orion_streaming_shuffle_equals_serial(tiny_db, tiny_query):

@@ -75,6 +75,12 @@ class TestDatabase:
     def test_lengths(self):
         assert self._db().lengths().tolist() == [40, 20, 2]
 
+    def test_lengths_returns_a_private_copy(self):
+        db = self._db()
+        db.lengths()[0] = 0
+        assert db.lengths().tolist() == [40, 20, 2]
+        assert db.total_length == 62
+
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             Database(

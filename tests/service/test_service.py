@@ -7,7 +7,10 @@ tests run the real ``OrionSearch`` over a process pool.
 """
 
 import asyncio
+import math
 import os
+import random
+import sys
 import threading
 
 import pytest
@@ -16,6 +19,7 @@ from repro.core.orion import OrionSearch
 from repro.sequence.generator import make_database
 from repro.service import (
     CircuitOpenError,
+    LatencyHistogram,
     OrionService,
     QueueFullError,
     ServiceClosedError,
@@ -196,6 +200,48 @@ class TestBreakerIntegration:
                 assert result[0] == "ok"
 
         asyncio.run(main())
+
+
+class TestLatencyHistogram:
+    def test_memory_flat_and_quantiles_within_one_bucket(self):
+        """100 k completions: the record does not grow, and p50/p90 land
+        within one bucket (a factor 2**(1/8)) of the exact order statistics."""
+        hist = LatencyHistogram()
+        buckets = len(hist._counts)
+        size = sys.getsizeof(hist._counts)
+        rng = random.Random(2014)
+        samples = [rng.lognormvariate(-2.0, 0.8) for _ in range(100_000)]
+        for seconds in samples:
+            hist.record(seconds)
+        assert len(hist) == 100_000
+        assert len(hist._counts) == buckets
+        assert sys.getsizeof(hist._counts) == size
+        assert set(vars(hist)) == {"_counts", "_total", "_min", "_max"}
+
+        samples.sort()
+        width = 2.0 ** (1.0 / LatencyHistogram.BUCKETS_PER_OCTAVE)
+        for q in (0.5, 0.9, 0.99):
+            exact = samples[math.ceil(q * len(samples)) - 1]
+            assert exact / width <= hist.quantile(q) <= exact * width
+        # Clamped to the exact extremes: never outside what was observed.
+        assert samples[0] <= hist.quantile(0.0) <= samples[0] * width
+        assert samples[-1] / width <= hist.quantile(1.0) <= samples[-1]
+
+    def test_edges(self):
+        hist = LatencyHistogram()
+        assert hist.quantile(0.5) == 0.0  # nothing recorded yet
+        with pytest.raises(ValueError):
+            hist.quantile(1.5)
+        # Out-of-range values are counted in the end buckets and read back
+        # as those buckets: ~1 µs and ~68 min.
+        for seconds in (0.0, 1e-9, 1e6):
+            hist.record(seconds)
+        assert len(hist) == 3
+        assert 0.0 <= hist.quantile(0.5) <= 2.0 ** (LatencyHistogram.MIN_EXPONENT + 1)
+        assert 2.0 ** (LatencyHistogram.MAX_EXPONENT - 1) <= hist.quantile(1.0) <= 1e6
+        one = LatencyHistogram()
+        one.record(0.25)
+        assert one.quantile(0.0) == one.quantile(0.5) == one.quantile(1.0) == 0.25
 
 
 class TestAdmissionValidation:
