@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from repro.blast.gapped import extend_gapped
+from repro.blast.hsp import SeedHits
 from repro.blast.lookup import QueryIndex, kmer_codes, sorted_kmers
 from repro.blast.seeds import find_seeds, thin_seeds, two_hit_filter
 from repro.blast.smith_waterman import smith_waterman_score
 from repro.blast.ungapped import cull_contained, extend_seeds_ungapped
 from repro.sequence.alphabet import random_bases
+from repro.sequence.records import SequenceRecord
 from repro.sketch import KmerSketch, containment
 from repro.sketch.minhash import probe_hashes
 
@@ -41,27 +43,52 @@ def test_query_index_build(benchmark, seqs):
     assert idx.num_words > 0
 
 
+def raw_seeds(idx, subject):
+    """One subject's unthinned hits."""
+    return SeedHits(*idx.lookup(subject), idx.k)
+
+
 def test_seed_lookup(benchmark, seqs):
     query, subject = seqs
     idx = QueryIndex(query, 11)
-    hits = benchmark(find_seeds, idx, subject)
-    assert len(hits) > 0
+    q_pos, _ = benchmark(idx.lookup, subject)
+    assert len(q_pos) > 0
 
 
-def test_seed_lookup_flipped_join(benchmark, seqs):
-    """The Orion fast path: small fragment probing a subject index."""
-    query, subject = seqs
-    fragment = query[20_000:21_600]
-    sindex = sorted_kmers(subject, 11)
+def pooled_shard(subjects, k=11):
+    records = [SequenceRecord(f"s{i}", codes) for i, codes in enumerate(subjects)]
+    return records, {r.seq_id: sorted_kmers(r.codes, k) for r in records}
+
+
+def test_pooled_seeding_many_short_subjects(benchmark, seqs):
+    """One map task of a many-short-subject shard: 125 pre-indexed ~500 bp
+    subjects (a few of them homologous) against one 2.7 kbp fragment."""
+    query, _ = seqs
+    rng = np.random.default_rng(7)
+    fragment = query[20_000:22_700]
+    subjects = [random_bases(rng, int(n)) for n in rng.integers(250, 750, 125)]
+    for i in (3, 60, 110):
+        subjects[i] = np.concatenate([subjects[i], fragment[500 * (i % 4):][:200]])
+    records, cache = pooled_shard(subjects)
     idx = QueryIndex(fragment, 11)
-    hits = benchmark(find_seeds, idx, subject, subject_index=sindex)
-    assert len(hits) > 0
+    found = benchmark(find_seeds, idx, records, cache)
+    assert {3, 60, 110} <= {ordinal for ordinal, _ in found}
+
+
+def test_pooled_seeding_one_long_subject(benchmark, seqs):
+    """One map task of a one-subject shard: a 1.6 kbp fragment against a
+    pre-indexed 120 kbp subject — the subject's k-mers are still the needles."""
+    query, subject = seqs
+    records, cache = pooled_shard([subject])
+    idx = QueryIndex(query[20_000:21_600], 11)
+    found = benchmark(find_seeds, idx, records, cache)
+    assert len(found) == 1 and len(found[0][1]) > 0
 
 
 def test_ungapped_extension(benchmark, seqs):
     query, subject = seqs
     idx = QueryIndex(query, 11)
-    hits = find_seeds(idx, subject)
+    hits = thin_seeds(raw_seeds(idx, subject))
     batch = benchmark(extend_seeds_ungapped, query, subject, hits, 1, -3, 20)
     assert len(batch) > 0
 
@@ -70,7 +97,7 @@ def test_thin_seeds(benchmark, seqs):
     """Phase-i diagonal thinning over the raw (unthinned) seed set."""
     query, subject = seqs
     idx = QueryIndex(query, 11)
-    raw = find_seeds(idx, subject, thin=False)
+    raw = raw_seeds(idx, subject)
     thinned = benchmark(thin_seeds, raw)
     assert 0 < len(thinned) <= len(raw)
 
@@ -79,7 +106,7 @@ def test_two_hit_filter(benchmark, seqs):
     """Two-hit seeding filter (window 40) over the raw seed set."""
     query, subject = seqs
     idx = QueryIndex(query, 11)
-    raw = find_seeds(idx, subject, thin=False)
+    raw = raw_seeds(idx, subject)
     kept = benchmark(two_hit_filter, raw, 40)
     assert len(kept) <= len(raw)
 
@@ -88,7 +115,7 @@ def test_cull_contained(benchmark, seqs):
     """Containment culling over the ungapped extension batch."""
     query, subject = seqs
     idx = QueryIndex(query, 11)
-    hits = find_seeds(idx, subject)
+    hits = thin_seeds(raw_seeds(idx, subject))
     batch = extend_seeds_ungapped(query, subject, hits, 1, -3, 20)
     culled = benchmark(cull_contained, batch)
     assert 0 < len(culled) <= len(batch)

@@ -22,6 +22,7 @@ from repro.blast.hsp import (
     Alignment,
     MINUS_STRAND,
     PLUS_STRAND,
+    SeedHits,
     path_composition,
 )
 from repro.blast.lookup import QueryIndex
@@ -53,7 +54,8 @@ from repro.util.timers import Stopwatch
 _QUERY_INDEXES: "OrderedDict[Tuple[int, bytes], QueryIndex]" = OrderedDict()
 _QUERY_INDEX_LOCK = threading.Lock()
 #: Enough for the fragments (× 2 strands) of the few queries whose tasks
-#: interleave in one worker; each entry holds 17 bytes per query base.
+#: interleave in one worker; each entry holds 16 bytes of sorted index and
+#: 16–32 bytes of presence table per query base.
 _QUERY_INDEX_LIMIT = 16
 
 
@@ -175,9 +177,9 @@ class BlastEngine:
             query coordinates in the reverse-complement frame (see
             :class:`~repro.blast.hsp.Alignment`).
         subject_kmer_cache:
-            Optional subject id → ``sorted_kmers(...)`` pairs. When present
-            for a subject, seeding uses the flipped join (identical results,
-            far less work for small queries) — Orion builds this cache once
+            Optional subject id → ``sorted_kmers(...)`` pairs. Subjects it
+            covers seed from their pre-packed k-mers instead of re-packing
+            their codes (identical results) — Orion builds this cache once
             per database and reuses it across every fragment.
         """
         if strands not in ("plus", "both"):
@@ -201,19 +203,17 @@ class BlastEngine:
             if self.params.dust:
                 seed_codes, _ = mask_low_complexity(codes)
             index = _query_index(seed_codes, self.params.k)
-            for subject in database:
+            # One join seeds the whole database (a shard, for Orion's map
+            # tasks); only subjects owning a hit go any further.
+            subjects = database.records
+            for ordinal, hits in find_seeds(index, subjects, subject_kmer_cache):
                 alignments.extend(
                     self._search_subject(
-                        query.seq_id, codes, index, subject, space, t_u,
+                        query.seq_id, codes, hits, subjects[ordinal], space, t_u,
                         options, counters, strand,
-                        subject_index=(
-                            subject_kmer_cache.get(subject.seq_id)
-                            if subject_kmer_cache is not None
-                            else None
-                        ),
                     )
                 )
-                counters.subjects_scanned += 1
+            counters.subjects_scanned += len(subjects)
         counters.elapsed_seconds = sw.stop()
         counters.alignments_reported = len(alignments)
         alignments.sort(key=Alignment.sort_key)
@@ -233,22 +233,23 @@ class BlastEngine:
         self,
         query_id: str,
         q_codes: np.ndarray,
-        index: QueryIndex,
+        hits: SeedHits,
         subject: SequenceRecord,
         space: SearchSpace,
         t_u: int,
         options: SearchOptions,
         counters: SearchCounters,
         strand: int,
-        subject_index=None,
     ) -> List[Alignment]:
+        """Everything after seeding for one subject's raw (unthinned) hits."""
         p = self.params
-        # Two-hit pairing must see the raw hits — thinning collapses an
-        # exact run to its head, which would hide the run's later hits.
-        thin = p.two_hit_window is None
-        hits = find_seeds(index, subject.codes, thin=thin, subject_index=subject_index)
-        counters.seeds += len(hits)
-        if p.two_hit_window is not None:
+        if p.two_hit_window is None:
+            hits = thin_seeds(hits)
+            counters.seeds += len(hits)
+        else:
+            # Two-hit pairing must see the raw hits — thinning collapses an
+            # exact run to its head, which would hide the run's later hits.
+            counters.seeds += len(hits)
             hits = thin_seeds(two_hit_filter(hits, p.two_hit_window))
         if len(hits) == 0:
             return []

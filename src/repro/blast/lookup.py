@@ -1,9 +1,10 @@
 """k-mer packing and the query lookup index (BLAST phase i substrate).
 
 A k-mer over {A,C,G,T} packs into ``2k`` bits of an int64 (k ≤ 31). The
-query's k-mers are indexed once (sorted codes + positions); scanning a
-subject is then a vectorized sorted-join — no Python-level loop touches
-individual bases, per the HPC guide's "vectorize the hot loop" rule.
+query's k-mers are indexed once (sorted codes + positions, plus a k-mer
+presence filter); scanning subjects is then one vectorized table probe and
+a sorted join over the few needles that pass it — no Python-level loop
+touches individual bases, per the HPC guide's "vectorize the hot loop" rule.
 """
 
 from __future__ import annotations
@@ -53,15 +54,21 @@ def kmer_codes(codes: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     return packed, valid
 
 
+def valid_kmers(codes: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(keys, positions) of a sequence's valid k-mers, in position order."""
+    packed, valid = kmer_codes(codes, k)
+    positions = np.flatnonzero(valid).astype(np.int64)
+    return packed[positions], positions
+
+
 def sorted_kmers(codes: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
     """Sorted (keys, positions) of a sequence's valid k-mers.
 
-    The reusable half of an index: build once per database sequence, join
-    against many query fragments (see :meth:`QueryIndex.lookup_indexed`).
+    The reusable half of an index: build once per database sequence, feed
+    to many query fragments' joins as pre-packed needles (see
+    :meth:`QueryIndex.join`); a query's own index is the same pair.
     """
-    packed, valid = kmer_codes(codes, k)
-    positions = np.flatnonzero(valid).astype(np.int64)
-    keys = packed[positions]
+    keys, positions = valid_kmers(codes, k)
     order = np.argsort(keys, kind="stable")
     return keys[order], positions[order]
 
@@ -141,63 +148,78 @@ def join_sorted(
     return np.repeat(needle_pos[hit], reps), hay_pos[flat]
 
 
+#: Multiplier of the presence filter's multiplicative hash (2^64 / golden
+#: ratio, odd): the product's top bits depend on every bit of the packed
+#: k-mer, so neighbouring codes spread over the whole table.
+_PRESENCE_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _presence_slots(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """Presence-table slot of each packed k-mer: top ``64 - shift`` bits of
+    ``key * _PRESENCE_MULTIPLIER`` (mod 2^64), as int64 index values."""
+    slots = keys.view(np.uint64) * _PRESENCE_MULTIPLIER
+    slots >>= shift
+    return slots.view(np.int64)
+
+
 class QueryIndex:
-    """Sorted k-mer index over one query sequence.
+    """Sorted k-mer index over one query sequence, behind a presence filter.
 
     Build once per query (or per Orion fragment), probe with many subjects.
-    ``lookup`` returns every (query position, subject position) pair whose
-    k-mers match exactly — BLAST phase i for nucleotides, where only exact
-    word matches seed (paper Section II-B, footnote 2).
+    :meth:`join` returns every (needle, query position) pair whose k-mers
+    match exactly — BLAST phase i for nucleotides, where only exact word
+    matches seed (paper Section II-B, footnote 2). The subject side is
+    always the needles, whatever its size: needles first pass a ``2^b``-
+    entry boolean table (``b = bit_length(16 * num_words)``, so at most one
+    slot in 16 is set) marking the slots of this index's k-mers, and only
+    the survivors — every real match plus a few percent of false positives
+    — pay the two ``searchsorted`` probes of :func:`join_sorted`, which is
+    exact and drops the false positives.
     """
 
     def __init__(self, query_codes: np.ndarray, k: int) -> None:
         self.k = int(k)
         self.query_length = int(np.asarray(query_codes).shape[0])
-        packed, valid = kmer_codes(query_codes, k)
-        positions = np.flatnonzero(valid).astype(np.int64)
-        keys = packed[positions]
-        order = np.argsort(keys, kind="stable")
-        self._sorted_keys = keys[order]
-        self._sorted_positions = positions[order]
+        self._sorted_keys, self._sorted_positions = sorted_kmers(query_codes, k)
+        bits = (16 * self.num_words).bit_length()
+        self._presence_shift = np.uint64(64 - bits)
+        self._presence = np.zeros(1 << bits, dtype=bool)
+        self._presence[_presence_slots(self._sorted_keys, self._presence_shift)] = True
 
     @property
     def num_words(self) -> int:
         """Number of indexed (valid) query k-mers."""
         return int(self._sorted_keys.shape[0])
 
-    def lookup(self, subject_codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """All exact k-mer matches against a subject sequence.
+    def join(self, needle_keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """All exact matches of packed needle k-mers against this index.
 
-        Returns ``(q_pos, s_pos)`` int64 arrays of equal length: the
-        subject's k-mers are the join needles against this (sorted) index.
+        Returns ``(needle, q_pos)`` int64 arrays of equal length — indexes
+        into ``needle_keys`` (non-decreasing) and the matching query
+        positions. ``needle_keys`` is any int64 array of valid packed
+        k-mers, in any order: one subject's, or a whole shard's pooled.
         """
-        if self.num_words == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        s_packed, s_valid = kmer_codes(subject_codes, self.k)
-        s_positions = np.flatnonzero(s_valid).astype(np.int64)
-        s_pos, q_pos = join_sorted(
-            s_packed[s_positions], s_positions, self._sorted_keys, self._sorted_positions
+        if self.num_words == 0 or needle_keys.shape[0] == 0:
+            # (An empty index has a one-slot table and a 64-bit shift: it
+            # must never hash a needle.)
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty.copy()
+        survivors = np.flatnonzero(
+            self._presence[_presence_slots(needle_keys, self._presence_shift)]
         )
-        return q_pos, s_pos
-
-    def lookup_indexed(
-        self, subject_keys_sorted: np.ndarray, subject_pos_sorted: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Matches against a pre-indexed subject (see :func:`sorted_kmers`).
-
-        Flips the join direction: this index's (few) k-mers probe the
-        subject's sorted keys — the fast path for Orion's many small
-        fragments against shared database sequences, where re-probing the
-        subject from scratch per (fragment, shard) pair would dominate the
-        whole search.
-        """
-        if self.num_words == 0:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        q_pos, s_pos = join_sorted(
+        return join_sorted(
+            needle_keys[survivors], survivors,
             self._sorted_keys, self._sorted_positions,
-            subject_keys_sorted, subject_pos_sorted,
         )
-        return q_pos, s_pos
+
+    def lookup(self, subject_codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """All exact k-mer matches against one subject sequence.
+
+        Returns ``(q_pos, s_pos)`` int64 arrays of equal length.
+        """
+        keys, positions = valid_kmers(subject_codes, self.k)
+        needle, q_pos = self.join(keys)
+        return q_pos, positions[needle]
 
     def estimated_hits_per_subject_base(self) -> float:
         """Expected seed hits per subject position (workload modelling aid)."""

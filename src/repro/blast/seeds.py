@@ -9,37 +9,58 @@ maximal match while shrinking the extension workload dramatically.
 
 from __future__ import annotations
 
+from typing import List, Mapping, Optional, Sequence, Tuple
+
 import numpy as np
 
 from repro.blast.hsp import SeedHits
-from repro.blast.lookup import QueryIndex
+from repro.blast.lookup import QueryIndex, valid_kmers
+from repro.sequence.records import SequenceRecord
 
 
 def find_seeds(
     index: QueryIndex,
-    subject_codes: np.ndarray,
-    thin: bool = True,
-    subject_index=None,
-) -> SeedHits:
-    """Find k-mer seed hits of the indexed query in ``subject_codes``.
+    subjects: Sequence[SequenceRecord],
+    kmer_cache: Optional[Mapping[str, Tuple[np.ndarray, np.ndarray]]] = None,
+) -> List[Tuple[int, SeedHits]]:
+    """Raw k-mer seed hits of the indexed query in every subject, one join.
 
-    With ``thin=True`` (default), consecutive same-diagonal hits are collapsed
-    to the first hit of each run. Extension results are unchanged because
-    x-drop extension from any seed inside a run reaches the same maximal
-    segment; tests assert this equivalence property.
-
-    ``subject_index`` — a ``(sorted_keys, sorted_positions)`` pair from
-    :func:`repro.blast.lookup.sorted_kmers` — switches to the flipped join
-    (query k-mers probing the subject index); results are identical.
+    The subjects' k-mers are pooled into one needle array — the pre-built
+    ``(keys, positions)`` pair of ``kmer_cache`` (subject id →
+    :func:`repro.blast.lookup.sorted_kmers`) where it has one, packed from
+    the subject's codes otherwise — and go through :meth:`QueryIndex.join`
+    together; the hit list is then cut at subject boundaries. Returns
+    ``(ordinal in subjects, hits)`` for the subjects owning at least one
+    hit, in ``subjects`` order. Hits are unthinned and their order within
+    a subject is unspecified: :func:`thin_seeds` sorts.
     """
-    if subject_index is not None:
-        q_pos, s_pos = index.lookup_indexed(*subject_index)
+    if index.num_words == 0 or not subjects:
+        return []
+    keys_parts: List[np.ndarray] = []
+    pos_parts: List[np.ndarray] = []
+    for subject in subjects:
+        entry = kmer_cache.get(subject.seq_id) if kmer_cache is not None else None
+        if entry is None:
+            entry = valid_kmers(subject.codes, index.k)
+        keys_parts.append(entry[0])
+        pos_parts.append(entry[1])
+    if len(subjects) == 1:  # a one-subject shard joins its plane slices uncopied
+        keys, positions = keys_parts[0], pos_parts[0]
     else:
-        q_pos, s_pos = index.lookup(subject_codes)
-    hits = SeedHits(q_pos, s_pos, index.k)
-    if not thin or len(hits) <= 1:
-        return hits
-    return thin_seeds(hits)
+        keys, positions = np.concatenate(keys_parts), np.concatenate(pos_parts)
+    needle, q_pos = index.join(keys)
+    if needle.shape[0] == 0:
+        return []
+    s_pos = positions[needle]
+    ends = np.cumsum([part.shape[0] for part in keys_parts])
+    cuts = np.searchsorted(needle, ends).tolist()
+    out: List[Tuple[int, SeedHits]] = []
+    lo = 0
+    for ordinal, hi in enumerate(cuts):
+        if hi > lo:
+            out.append((ordinal, SeedHits(q_pos[lo:hi], s_pos[lo:hi], index.k)))
+            lo = hi
+    return out
 
 
 def thin_seeds(hits: SeedHits) -> SeedHits:

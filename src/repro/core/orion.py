@@ -65,6 +65,18 @@ _KMER_STORES: Dict[
 ] = {}
 
 
+class EmptyQueryError(ValueError):
+    """A zero-length query: there is nothing to fragment or to score.
+
+    The caller's mistake, not the search's — :class:`OrionService` turns it
+    away at admission so it never counts against the database's breaker.
+    """
+
+    def __init__(self, query_id: str) -> None:
+        super().__init__(f"query {query_id!r} is empty (zero bases)")
+        self.query_id = query_id
+
+
 @dataclass(frozen=True)
 class _ReduceStats:
     """Aggregation bookkeeping smuggled through the reduce output stream.
@@ -730,8 +742,10 @@ class OrionSearch:
         :meth:`warmup` front-loads that.) Feed the plan to an executor
         (``executor.run(plan.job, plan.splits)``) and hand the raw job
         result to :meth:`assemble`; :meth:`run` is exactly that
-        composition.
+        composition. Raises :class:`EmptyQueryError` for a zero-length query.
         """
+        if len(query) == 0:
+            raise EmptyQueryError(query.seq_id)
         overlap, space = self.overlap_for_query(query)
         frag_len = self._resolve_fragment_length(query, overlap, fragment_length)
         if frag_len <= overlap:

@@ -11,14 +11,18 @@ slow-start (streaming shuffle) while the next query's map tasks fill the
 gaps, so the pool never idles between queries. Per-query results are
 byte-identical to calling ``run()`` alone (property-tested).
 
-Graceful degradation, in admission order:
+Admission checks, in order:
 
 1. **closed?** — a draining/closed service raises
    :class:`~repro.service.errors.ServiceClosedError`;
-2. **bounded queue** — a full admission queue sheds the query with
+2. **valid?** — an unknown database or an empty query
+   (:class:`~repro.core.orion.EmptyQueryError`) is the client's mistake:
+   it takes no queue slot and never reaches the breaker, which records
+   only what the backend did with admitted work;
+3. **bounded queue** — a full admission queue sheds the query with
    :class:`~repro.service.errors.QueueFullError` *before* enqueueing, so
    the event loop never blocks and admitted work is never dropped;
-3. **circuit breaker** — each database has a closed/open/half-open
+4. **circuit breaker** — each database has a closed/open/half-open
    :class:`~repro.service.breaker.CircuitBreaker`; while it is open the
    query is rejected with
    :class:`~repro.service.errors.CircuitOpenError` and the backend is
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 from math import ceil, floor, inf, log2
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
-from repro.core.orion import OrionSearch
+from repro.core.orion import EmptyQueryError, OrionSearch
 from repro.core.results import OrionResult
 from repro.sequence.records import SequenceRecord
 from repro.service.breaker import CircuitBreaker
@@ -156,7 +160,8 @@ class ServiceStats:
     in a bounded :class:`LatencyHistogram`; :meth:`latency_quantile`
     reports its order statistics (p50/p99 in the benchmark and the
     ``serve`` summary). Rejections are split by cause so overload (queue
-    full) and breaker sheds are tallied separately.
+    full) and breaker sheds are tallied separately; empty queries turned
+    away at the door are counted on their own and are not load shedding.
     """
 
     submitted: int = 0
@@ -164,6 +169,7 @@ class ServiceStats:
     failed: int = 0
     rejected_queue_full: int = 0
     rejected_circuit_open: int = 0
+    rejected_empty_query: int = 0
     latencies: LatencyHistogram = field(default_factory=LatencyHistogram)
     #: Sketch-pruning totals across completed queries (see
     #: :mod:`repro.sketch`): shards actually searched, shards skipped, and
@@ -369,8 +375,9 @@ class OrionService:
     ) -> OrionResult:
         """Admit one query and await its result.
 
-        Raises the typed admission errors on overload — see the module
-        docstring for the admission order. Unlike ``run_many``, duplicate
+        Raises the typed admission errors on overload, and
+        :class:`~repro.core.orion.EmptyQueryError` for a zero-length query
+        — see the module docstring for the order. Unlike ``run_many``, duplicate
         ``seq_id`` submissions are fine: every submission resolves to its
         own result object.
         """
@@ -384,6 +391,9 @@ class OrionService:
             database = self._default_database
         if database not in self._searches:
             raise UnknownDatabaseError(database, self.databases)
+        if len(query) == 0:
+            self.stats.rejected_empty_query += 1
+            raise EmptyQueryError(query.seq_id)
         # Shed *before* touching the breaker: a rejected query must not
         # consume a half-open probe slot. full() → put_nowait is race-free
         # on the single-threaded event loop (no await in between).

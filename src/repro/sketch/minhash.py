@@ -42,7 +42,7 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.blast.lookup import kmer_codes
+from repro.blast.lookup import join_sorted, kmer_codes
 
 #: Per-sequence bottom-k sketch size (hashes kept). 256 keeps a whole
 #: human-scale database's sketches under a few MiB while giving multi-
@@ -210,6 +210,21 @@ class ShardSketchIndex:
     def __init__(self, sketches: List[KmerSketch], k: int) -> None:
         self.sketches = list(sketches)
         self.k = int(k)
+        # Every shard's sketch in one hash-sorted (hash, shard) table, so a
+        # fragment probes all shards with one join (see probe()).
+        hashes = [sk.hashes[sk.hashes <= np.uint64(sk.threshold)] for sk in self.sketches]
+        table = np.concatenate(hashes) if hashes else np.empty(0, dtype=np.uint64)
+        shards = np.repeat(np.arange(len(hashes)), [h.shape[0] for h in hashes])
+        order = np.argsort(table, kind="stable")
+        self._table_hashes = table[order]
+        self._table_shards = shards[order]
+        self._thresholds = np.array(
+            [sk.threshold for sk in self.sketches], dtype=np.uint64
+        )
+        self._complete = np.array([sk.complete for sk in self.sketches], dtype=bool)
+        self._empty = np.array(
+            [sk.num_hashes == 0 for sk in self.sketches], dtype=bool
+        )
 
     @property
     def num_shards(self) -> int:
@@ -244,12 +259,27 @@ class ShardSketchIndex:
     def probe(
         self, codes: np.ndarray, min_probe: int = MIN_PROBE_DEFAULT
     ) -> np.ndarray:
-        """Estimated containment of a fragment in every shard (float64 array)."""
+        """Estimated containment of a fragment in every shard (float64 array).
+
+        Bit-equal to :func:`containment` against each shard's sketch, in one
+        pass: the (distinct) probe hashes are joined against the sketch
+        table — a table entry is a member of its shard at or below that
+        shard's threshold, so each match is one *found* probe hash for the
+        entry's shard — and the probe's rank of each threshold is that
+        shard's *below* count.
+        """
         probe = probe_hashes(codes, self.k)
-        return np.array(
-            [containment(probe, sk, min_probe) for sk in self.sketches],
-            dtype=np.float64,
-        )
+        out = np.ones(self.num_shards, dtype=np.float64)
+        if probe.shape[0] == 0 or self.num_shards == 0:
+            return out
+        _, shards = join_sorted(probe, probe, self._table_hashes, self._table_shards)
+        found = np.bincount(shards, minlength=self.num_shards)
+        below = np.searchsorted(probe, self._thresholds, side="right")
+        judged = (self._complete | (below >= min_probe)) & (below > 0)
+        out[judged & self._empty] = 0.0
+        ratio = judged & ~self._empty
+        out[ratio] = found[ratio] / below[ratio]
+        return out
 
 
 def validate_prune_threshold(value: Optional[float]) -> Optional[float]:

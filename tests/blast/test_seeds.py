@@ -4,8 +4,9 @@ import numpy as np
 
 from repro.blast.hsp import SeedHits
 from repro.blast.lookup import QueryIndex
-from repro.blast.seeds import find_seeds, seeds_per_diagonal, thin_seeds
+from repro.blast.seeds import seeds_per_diagonal, thin_seeds
 from repro.sequence.alphabet import encode, random_bases
+from tests.conftest import seeds_of
 
 
 class TestThinSeeds:
@@ -13,8 +14,8 @@ class TestThinSeeds:
         # q == s: a 6-mer exact match with k=3 yields 4 seeds on diagonal 0
         q = encode("ACGTGC")
         idx = QueryIndex(q, 3)
-        raw = find_seeds(idx, q, thin=False)
-        thinned = find_seeds(idx, q, thin=True)
+        raw = seeds_of(idx, q, thin=False)
+        thinned = seeds_of(idx, q, thin=True)
         diag0_raw = (raw.diagonals == 0).sum()
         diag0_thin = (thinned.diagonals == 0).sum()
         assert diag0_raw == 4
@@ -25,7 +26,7 @@ class TestThinSeeds:
         q = encode("AAAATTTTGGGG")
         s = encode("AAAACCCCGGGG")
         idx = QueryIndex(q, 4)
-        thinned = find_seeds(idx, s, thin=True)
+        thinned = seeds_of(idx, s, thin=True)
         # diagonal 0 has two runs (AAAA at 0, GGGG at 8)
         d0 = thinned.take(thinned.diagonals == 0)
         assert sorted(d0.q_pos.tolist()) == [0, 8]
@@ -39,8 +40,8 @@ class TestThinSeeds:
         q = random_bases(rng, 300)
         s = np.concatenate([q[50:120], random_bases(rng, 100)])
         idx = QueryIndex(q, 8)
-        raw = find_seeds(idx, s, thin=False)
-        thinned = find_seeds(idx, s, thin=True)
+        raw = seeds_of(idx, s, thin=False)
+        thinned = seeds_of(idx, s, thin=True)
         raw_set = set(zip(raw.q_pos.tolist(), raw.s_pos.tolist()))
         thin_set = set(zip(thinned.q_pos.tolist(), thinned.s_pos.tolist()))
         assert thin_set <= raw_set
@@ -55,7 +56,7 @@ class TestFindSeeds:
         q = random_bases(rng, 500)
         s = np.concatenate([random_bases(rng, 100), q[200:260], random_bases(rng, 100)])
         idx = QueryIndex(q, 11)
-        hits = find_seeds(idx, s)
+        hits = seeds_of(idx, s)
         diags = hits.diagonals
         assert (diags == (100 - 200)).any()
 
@@ -65,13 +66,13 @@ class TestFindSeeds:
         q = random_bases(rng, 1000)
         s = random_bases(rng, 1000)
         idx = QueryIndex(q, 8)
-        raw = find_seeds(idx, s, thin=False)
+        raw = seeds_of(idx, s, thin=False)
         expected = 1000 * 1000 / 4**8
         assert 0 <= len(raw) < 12 * expected + 20
 
     def test_seeds_per_diagonal(self):
         q = encode("AAAA")
         idx = QueryIndex(q, 3)
-        hits = find_seeds(idx, q, thin=False)
+        hits = seeds_of(idx, q, thin=False)
         counts = seeds_per_diagonal(hits)
         assert counts.sum() == len(hits)

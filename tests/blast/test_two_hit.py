@@ -9,9 +9,10 @@ from repro.blast.engine import BlastEngine
 from repro.blast.hsp import SeedHits
 from repro.blast.lookup import QueryIndex
 from repro.blast.params import BlastParams
-from repro.blast.seeds import find_seeds, two_hit_filter
+from repro.blast.seeds import two_hit_filter
 from repro.sequence.alphabet import random_bases
 from repro.sequence.records import Database, SequenceRecord
+from tests.conftest import seeds_of
 
 
 def hits_from(pairs, k=11):
@@ -101,13 +102,13 @@ class TestTwoHitDuplicates:
     @given(seed=st.integers(0, 31), window=st.integers(5, 60))
     @settings(max_examples=30, deadline=None)
     def test_unthinned_seeds_match_brute_force(self, seed, window):
-        """``find_seeds(thin=False)`` feeding the filter: the raw lookup
+        """Unthinned ``find_seeds`` hits feeding the filter: the raw lookup
         stream honours the same non-identical pairing contract."""
         rng = np.random.default_rng(seed)
         shared = random_bases(rng, 60)
         q_codes = np.concatenate([random_bases(rng, 300), shared])
         s_codes = np.concatenate([shared, random_bases(rng, 300)])
-        hits = find_seeds(QueryIndex(q_codes, 8), s_codes, thin=False)
+        hits = seeds_of(QueryIndex(q_codes, 8), s_codes, thin=False)
         pairs = list(zip(hits.q_pos.tolist(), hits.s_pos.tolist()))
         out = two_hit_filter(hits, window)
         kept = sorted(zip(out.q_pos.tolist(), out.s_pos.tolist()))

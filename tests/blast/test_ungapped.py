@@ -5,7 +5,6 @@ import pytest
 
 from repro.blast.hsp import SeedHits
 from repro.blast.lookup import QueryIndex
-from repro.blast.seeds import find_seeds
 from repro.blast.ungapped import (
     UngappedBatch,
     _extend_direction,
@@ -13,6 +12,7 @@ from repro.blast.ungapped import (
     extend_seeds_ungapped,
 )
 from repro.sequence.alphabet import encode, random_bases
+from tests.conftest import seeds_of
 
 
 def scalar_extend(q, s, q0, s0, direction, reward, penalty, x_drop):
@@ -91,7 +91,7 @@ class TestExtendSeedsUngapped:
         q = random_bases(rng, 600)
         s = np.concatenate([random_bases(rng, 50), q[100:400], random_bases(rng, 50)])
         idx = QueryIndex(q, 11)
-        hits = find_seeds(idx, s)
+        hits = seeds_of(idx, s)
         batch = extend_seeds_ungapped(q, s, hits, 1, -3, 20)
         assert len(batch) >= 1
         best = int(np.argmax(batch.score))
@@ -105,7 +105,7 @@ class TestExtendSeedsUngapped:
         q = random_bases(rng, 800)
         s = np.concatenate([q[200:500], random_bases(rng, 300)])
         idx = QueryIndex(q, 8)
-        hits = find_seeds(idx, s)
+        hits = seeds_of(idx, s)
         a = extend_seeds_ungapped(q, s, hits, 1, -3, 20, chunk_size=7)
         b = extend_seeds_ungapped(q, s, hits, 1, -3, 20, chunk_size=10_000)
         key = lambda x: sorted(
@@ -121,7 +121,7 @@ class TestExtendSeedsUngapped:
     def test_score_includes_seed(self):
         q = encode("ACGTACGTACG")  # 11-mer
         idx = QueryIndex(q, 11)
-        hits = find_seeds(idx, q)
+        hits = seeds_of(idx, q)
         batch = extend_seeds_ungapped(q, q, hits, 1, -3, 20)
         assert batch.score.max() == 11
 

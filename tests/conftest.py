@@ -9,12 +9,15 @@ from __future__ import annotations
 import pytest
 
 from repro.blast.engine import BlastEngine
+from repro.blast.hsp import SeedHits
+from repro.blast.seeds import find_seeds, thin_seeds
 from repro.sequence.generator import (
     HomologySpec,
     make_database,
     make_query_with_homologies,
 )
 from repro.sequence.mutate import MutationModel
+from repro.sequence.records import SequenceRecord
 
 
 @pytest.fixture(scope="session")
@@ -57,3 +60,10 @@ def alignment_keys(alignments):
         (a.subject_id, a.strand, a.q_start, a.q_end, a.s_start, a.s_end, a.score)
         for a in alignments
     )
+
+
+def seeds_of(index, subject_codes, thin=True):
+    """One subject's seed hits through the pooled :func:`find_seeds`."""
+    found = find_seeds(index, [SequenceRecord("s", subject_codes)])
+    hits = found[0][1] if found else SeedHits.empty(index.k)
+    return thin_seeds(hits) if thin else hits

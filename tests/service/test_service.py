@@ -15,8 +15,9 @@ import threading
 
 import pytest
 
-from repro.core.orion import OrionSearch
+from repro.core.orion import EmptyQueryError, OrionSearch
 from repro.sequence.generator import make_database
+from repro.sequence.records import SequenceRecord
 from repro.service import (
     CircuitOpenError,
     LatencyHistogram,
@@ -48,6 +49,9 @@ def _orion_segments():
 
 class _FakeQuery:
     seq_id = "fake"
+
+    def __len__(self):
+        return 1
 
 
 class _BlockingSearch:
@@ -267,6 +271,41 @@ class TestAdmissionValidation:
                 await service.start()  # a drained service cannot restart
 
         asyncio.run(main())
+
+    def test_empty_queries_never_reach_the_breaker(self):
+        """Regression: five empty submissions used to die in
+        ``effective_lengths``, count as backend failures and open the
+        breaker, so the next *valid* query got ``CircuitOpenError``."""
+        db = make_database(seed=31, num_sequences=3, mean_length=1200, name="emptyq")
+        good = db.records[0].slice(100, 700, seq_id="good")
+        empty = SequenceRecord(seq_id="nothing", codes=good.codes[:0])
+        search = OrionSearch(db, num_shards=2, fragment_length=400)
+        expected = _canonical(search.run(good).alignments)
+        assert expected
+
+        async def main():
+            config = ServiceConfig(max_inflight=1, queue_depth=2, breaker_failures=5)
+            async with OrionService(search, config) as service:
+                for _ in range(5):
+                    with pytest.raises(EmptyQueryError, match="nothing"):
+                        await service.submit(empty)
+                result = await service.submit(good)
+                return result, service.stats, service.breaker_for("emptyq")
+
+        result, stats, breaker = asyncio.run(main())
+        assert _canonical(result.alignments) == expected
+        assert stats.rejected_empty_query == 5
+        assert (stats.submitted, stats.completed, stats.failed) == (1, 1, 0)
+        assert stats.rejected == 0
+        assert breaker.state == "closed" and breaker.times_opened == 0
+
+    def test_prepare_names_the_empty_query(self):
+        db = make_database(seed=31, num_sequences=2, mean_length=600, name="emptyq")
+        empty = SequenceRecord(seq_id="nothing", codes=db.records[0].codes[:0])
+        with pytest.raises(ValueError, match="'nothing' is empty") as caught:
+            OrionSearch(db, num_shards=1).prepare(empty)
+        assert isinstance(caught.value, EmptyQueryError)
+        assert caught.value.query_id == "nothing"
 
     def test_config_validated(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ sampling statistical behaviour.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.blast.lookup import kmer_codes
 from repro.sequence.alphabet import random_bases
@@ -270,6 +272,59 @@ class TestShardSketchIndex:
         for sa, sb in zip(a.sketches, b.sketches):
             assert np.array_equal(sa.hashes, sb.hashes)
             assert sa.threshold == sb.threshold
+
+
+    @given(
+        seed=st.integers(0, 2**16),
+        sizes=st.lists(st.sampled_from([0, 1, 8, 40, 256]), min_size=1, max_size=6),
+        probe_len=st.sampled_from([0, 5, 30, 200, 900]),
+        min_probe=st.sampled_from([0, 1, 16, 64]),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_one_pass_probe_is_bit_equal_to_scalar_containment(
+        self, seed, sizes, probe_len, min_probe
+    ):
+        """``probe`` answers every shard from one table lookup; the scalar
+        :func:`containment` is the reference, to the last float bit. Shards
+        mix empty, complete and truncated sketches (with overlapping key
+        sets, so one hash sits in several shards); the probe overlaps them."""
+        rng = np.random.default_rng(seed)
+        base = random_bases(rng, 1500)
+
+        def piece():
+            lo = int(rng.integers(0, 1400))
+            return base[lo : lo + int(rng.integers(0, 300))]
+
+        sketches = []
+        for size in sizes:
+            if size == 0:
+                sketches.append(merge_sketches([]))  # empty and complete
+            else:
+                member = np.concatenate([piece(), random_bases(rng, 60), piece()])
+                sketches.append(KmerSketch.from_codes(member, K, size))
+        # A truncated sketch whose threshold admits nothing it holds.
+        sketches.append(KmerSketch.from_parts(np.empty(0, dtype=np.uint64), 2**40))
+        index = ShardSketchIndex(sketches, K)
+        lo = int(rng.integers(0, 600))
+        codes = base[lo : lo + probe_len]
+        got = index.probe(codes, min_probe=min_probe)
+        probe = probe_hashes(codes, K)
+        want = np.array(
+            [containment(probe, sk, min_probe) for sk in sketches], dtype=np.float64
+        )
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_pass_probe_on_real_shards(self):
+        from repro.mpiblast.formatdb import shard_database
+        from repro.sequence.generator import make_database
+
+        db = make_database(12, num_sequences=40, mean_length=900)
+        index = ShardSketchIndex.build(shard_database(db, 8), K, size=64)
+        for rec in list(db)[:6]:
+            frag = rec.codes[100:700]
+            want = [containment(probe_hashes(frag, K), sk) for sk in index.sketches]
+            assert index.probe(frag).tolist() == want
 
 
 class TestValidation:
