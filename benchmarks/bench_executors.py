@@ -20,7 +20,6 @@ from benchmarks.conftest import run_once
 from repro.blast.hsp import Alignment
 from repro.core.orion import OrionSearch
 from repro.core.sortmr import parallel_sort_alignments
-from repro.mapreduce.runtime import ProcessExecutor
 from repro.sequence.generator import (
     HomologySpec,
     make_database,
@@ -174,70 +173,3 @@ def test_sort_phase_shuffle_cost_under_processes(benchmark):
         f"dispatch was only {out['process_dispatch_frac']:.0%} of its wall"
     )
 
-
-def test_streaming_shuffle_cuts_dispatch_share(benchmark):
-    """Trajectory entry: barrier vs streaming shuffle on the 4-worker config.
-
-    Same shuffle-bound sort workload as above; the *only* variable is the
-    shuffle. Under the barrier shuffle every reduce input round-trips
-    through the driver after all maps finish — unpickled, repartitioned,
-    and re-pickled on the driver's clock. Under the streaming shuffle map
-    tasks partition and spill their runs to shared memory worker-side and
-    reduce tasks start as soon as their inputs commit, so that driver-side
-    shuffle/pickle time (dispatch = wall − Σ measured task seconds) is the
-    cost the new path is meant to remove. Shape criterion: the streaming
-    dispatch share comes in below the barrier share on the same machine,
-    with byte-identical sort output.
-    """
-    alignments = _synthetic_alignments(40_000)
-    reference = [a.sort_key() for a in parallel_sort_alignments(alignments)[0]]
-
-    def _measure(shuffle):
-        best_wall, best_tasks = float("inf"), []
-        for _ in range(3):
-            sw = Stopwatch().start()
-            out, tasks = parallel_sort_alignments(
-                alignments,
-                num_tasks=8,
-                executor=ProcessExecutor(max_workers=4, shuffle=shuffle),
-            )
-            wall = sw.stop()
-            assert [a.sort_key() for a in out] == reference
-            if wall < best_wall:
-                best_wall, best_tasks = wall, tasks
-        return best_wall, best_tasks
-
-    def experiment():
-        for shuffle in ("barrier", "streaming"):  # warm both paths
-            parallel_sort_alignments(
-                alignments,
-                num_tasks=8,
-                executor=ProcessExecutor(max_workers=4, shuffle=shuffle),
-            )
-        barrier_wall, barrier_tasks = _measure("barrier")
-        streaming_wall, streaming_tasks = _measure("streaming")
-        return {
-            "alignments": len(alignments),
-            "workers": 4,
-            "barrier_sort_wall_s": barrier_wall,
-            "streaming_sort_wall_s": streaming_wall,
-            "barrier_dispatch_frac": (barrier_wall - sum(barrier_tasks))
-            / max(barrier_wall, 1e-9),
-            "streaming_dispatch_frac": (streaming_wall - sum(streaming_tasks))
-            / max(streaming_wall, 1e-9),
-        }
-
-    out = run_once(benchmark, experiment)
-    benchmark.extra_info.update(out)
-    print(
-        f"\nshuffles on {out['alignments']} alignments, {out['workers']} workers: "
-        f"barrier {out['barrier_sort_wall_s']:.3f}s "
-        f"({out['barrier_dispatch_frac']:.0%} dispatch), streaming "
-        f"{out['streaming_sort_wall_s']:.3f}s "
-        f"({out['streaming_dispatch_frac']:.0%} dispatch)"
-    )
-    assert out["streaming_dispatch_frac"] < out["barrier_dispatch_frac"], (
-        "streaming shuffle should shrink the driver-side shuffle/pickle "
-        f"share: barrier {out['barrier_dispatch_frac']:.0%} vs streaming "
-        f"{out['streaming_dispatch_frac']:.0%}"
-    )

@@ -26,7 +26,7 @@ import warnings
 from benchmarks.conftest import run_once
 from repro.mapreduce.faults import FaultInjector, FaultSpec, RetryPolicy
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.runtime import ProcessExecutor, SerialExecutor
+from repro.mapreduce.runtime import SerialExecutor, WorkerPool
 from repro.mapreduce.types import InputSplit
 from repro.util.timers import Stopwatch
 
@@ -72,25 +72,24 @@ def test_crash_recovery_cost(benchmark):
     policy = RetryPolicy(backoff_base=0.001, backoff_jitter=0.0)
 
     def experiment():
-        retry_executor = ProcessExecutor(
-            max_workers=_WORKERS,
-            retry=policy,
-            injector=_crash_at_half(),
-        )
+        # Each run pays its own pool startup, as a one-shot job would.
         with Stopwatch() as retry_watch:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # a serial fallback fails the run
-                retried = retry_executor.run(_job(), _splits())
+                with WorkerPool(
+                    max_workers=_WORKERS, retry=policy, injector=_crash_at_half()
+                ) as pool:
+                    retried = pool.run(_job(), _splits())
 
-        rerun_executor = ProcessExecutor(
-            max_workers=_WORKERS,
-            retry=RetryPolicy(max_attempts=1),
-            injector=_crash_at_half(),
-        )
         with Stopwatch() as rerun_watch:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)  # expected fallback
-                rerun = rerun_executor.run(_job(), _splits())
+                with WorkerPool(
+                    max_workers=_WORKERS,
+                    retry=RetryPolicy(max_attempts=1),
+                    injector=_crash_at_half(),
+                ) as pool:
+                    rerun = pool.run(_job(), _splits())
 
         assert sorted(retried.flat_outputs()) == expected
         assert sorted(rerun.flat_outputs()) == expected

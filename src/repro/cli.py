@@ -36,7 +36,7 @@ from repro.blast.formatter import format_tabular
 from repro.blast.params import BlastParams
 from repro.core.orion import OrionSearch
 from repro.core.overlap import overlap_length
-from repro.mapreduce.runtime import EXECUTOR_KINDS, SHUFFLE_KINDS
+from repro.mapreduce.runtime import EXECUTOR_KINDS
 from repro.mpiblast.runner import MpiBlastRunner
 from repro.sequence.fasta import read_fasta, write_fasta
 from repro.sequence.generator import (
@@ -122,7 +122,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
             strands=args.strands,
             executor=executor,
             num_workers=args.workers,
-            shuffle=args.shuffle,
             shared_db=args.shared_db,
             retries=args.retries,
             task_timeout=args.task_timeout,
@@ -198,7 +197,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         strands=args.strands,
         executor=args.executor,
         num_workers=args.workers,
-        shuffle=args.shuffle,
         shared_db=args.shared_db,
         retries=args.retries,
         prune_threshold=_prune_threshold_from(args),
@@ -380,16 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         "4 threads, or one process per core)",
     )
     p.add_argument(
-        "--shuffle",
-        choices=SHUFFLE_KINDS,
-        default="streaming",
-        help="shuffle mode for --executor processes: streaming (default; "
-        "map tasks spill partitioned runs to shared memory and reduce "
-        "tasks start as soon as their inputs commit) or barrier (debug "
-        "path; driver-side repartition after all maps finish); results "
-        "are identical either way",
-    )
-    p.add_argument(
         "--shared-db",
         action=argparse.BooleanOptionalAction,
         default=None,
@@ -470,13 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to keep one process pool busy across queries)",
     )
     p.add_argument("--workers", type=int, default=None, help="worker pool size")
-    p.add_argument(
-        "--shuffle",
-        choices=SHUFFLE_KINDS,
-        default="streaming",
-        help="shuffle mode (streaming default; reduce slowstart is what "
-        "lets one query's reduces overlap the next query's maps)",
-    )
     p.add_argument(
         "--shared-db", action=argparse.BooleanOptionalAction, default=None,
         help="shared-memory database plane (default: auto)",

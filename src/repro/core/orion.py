@@ -38,7 +38,6 @@ from repro.mapreduce.faults import FaultInjector, RetryPolicy
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import (
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     WorkerPool,
     resolve_executor,
@@ -226,21 +225,19 @@ class OrionSearch:
         ``"processes"``, or any :class:`repro.mapreduce.runtime.Executor`
         instance. The serial default keeps per-task durations valid as
         simulator measurements; ``"processes"`` actually runs the
-        (fragment × shard) map tasks in parallel across cores. Alignments
+        (fragment × shard) map tasks in parallel across cores, on one
+        persistent :class:`~repro.mapreduce.runtime.WorkerPool` shared by
+        every :meth:`run` / :meth:`run_many` call — workers keep attached
+        database views and k-mer caches warm between queries. Alignments
         are identical for every backend (property-tested).
     num_workers:
         Pool size for the ``"threads"``/``"processes"`` executors
         (``None`` = backend default: 4 threads, or one process per core).
     shuffle:
-        Shuffle mode for process-backed executors: ``"streaming"``
-        (default — map tasks commit partitioned runs worker-side, inline
-        when they fit in a page and through shared memory otherwise, and
-        reduce tasks slow-start as their inputs commit, see
-        :class:`repro.mapreduce.runtime.ShuffleService`) or ``"barrier"``
-        (driver-side repartition after all maps finish; the simpler debug
-        path). Alignments are identical either way (property-tested);
-        in-process backends have no cross-process movement to stream and
-        ignore it.
+        Accepts only ``"streaming"`` — the worker pool's one shuffle — and
+        raises :class:`ValueError` for anything else. It exists only for
+        ``benchmarks/ledger/workloads.py::build_search``, which still
+        passes it, and goes once that caller drops it.
     shared_db:
         Ship the database to process workers through a shared-memory data
         plane (2-bit codes + prebuilt k-mer indexes, one copy per machine,
@@ -252,12 +249,6 @@ class OrionSearch:
         the in-process arrays directly and ignore this. Call
         :meth:`close` (or use the search as a context manager) to release
         the segments promptly; an ``atexit`` backstop reclaims stragglers.
-    reuse_pool:
-        Keep one persistent worker pool alive across :meth:`run` /
-        :meth:`run_many` calls when the executor is process-backed
-        (default). Workers then keep attached database views and k-mer
-        caches warm between queries. ``False`` restores the old
-        pool-per-job behaviour.
     retries:
         Attempt budget per map/reduce task on process-backed executors
         (CLI ``--retries``): a failed, crashed or timed-out task is
@@ -315,7 +306,6 @@ class OrionSearch:
         num_workers: Optional[int] = None,
         shuffle: str = "streaming",
         shared_db: Optional[bool] = None,
-        reuse_pool: bool = True,
         retries: int = 3,
         task_timeout: Optional[float] = None,
         speculative_tasks: bool = False,
@@ -332,6 +322,8 @@ class OrionSearch:
             raise ValueError(f"strands must be 'plus' or 'both', got {strands!r}")
         if fragment_length is not None:
             check_positive("fragment_length", fragment_length)
+        if shuffle != "streaming":
+            raise ValueError(f"shuffle must be 'streaming', got {shuffle!r}")
         self.database = database
         self.engine = BlastEngine(params)
         self.params = self.engine.params
@@ -361,17 +353,14 @@ class OrionSearch:
         self.executor: Executor = resolve_executor(
             executor,
             num_workers,
-            shuffle=shuffle,
             retry=self.retry_policy,
             injector=fault_injector,
         )
         self.shared_db = shared_db
-        self.reuse_pool = bool(reuse_pool)
-        # Guards lazy creation of the worker pool and the shared plane:
-        # the always-on service calls run() from one thread per in-flight
-        # query, and exactly one pool/plane must ever exist per search.
+        # Guards lazy creation of the shared plane and the sketch index: the
+        # always-on service calls run() from one thread per in-flight query,
+        # and exactly one plane lease must ever exist per search.
         self._setup_lock = threading.Lock()
-        self._pool: Optional[WorkerPool] = None
         self._lease: Optional[shm_mod.PlaneLease] = None
         self._shm_handle: Optional[shm_mod.SharedDatabaseHandle] = None
         self._db_view: Optional[shm_mod.SharedDatabaseView] = None
@@ -537,54 +526,28 @@ class OrionSearch:
     def warmup(self) -> None:
         """Eagerly build what ``run`` would build lazily (thread-safety).
 
-        For a process-backed search with a persistent pool this publishes
-        the shared database plane and starts every worker process *now*.
-        Lazy creation is fine single-threaded, but a concurrent driver
-        (the service) would otherwise fork the first workers while sibling
-        query threads are mid-flight — and forking a multi-threaded
-        process can hand the child a lock another thread held at that
-        instant, deadlocking it. :meth:`OrionService.start` calls this
-        from its quiescent startup moment. No-op for non-process
-        executors and for ``reuse_pool=False`` (whose per-run pools
-        cannot be prewarmed).
+        For a process-backed search this publishes the shared database
+        plane and starts every worker process *now*. Lazy creation is fine
+        single-threaded, but a concurrent driver (the service) would
+        otherwise fork the first workers while sibling query threads are
+        mid-flight — and forking a multi-threaded process can hand the
+        child a lock another thread held at that instant, deadlocking it.
+        :meth:`OrionService.start` calls this from its quiescent startup
+        moment. No-op for in-process executors.
         """
-        if isinstance(self.executor, ProcessExecutor):
+        if isinstance(self.executor, WorkerPool):
             self._ensure_plane()
-            prewarm = getattr(self._mr_executor(), "prewarm", None)
-            if callable(prewarm):
-                prewarm()
+            self.executor.prewarm()
         if self.prune_threshold is not None:
             self._ensure_sketch_index()
 
-    def _mr_executor(self) -> Executor:
-        """The executor jobs actually run on.
-
-        A process-backed configuration with ``reuse_pool`` gets one
-        persistent :class:`WorkerPool` (created lazily under the setup
-        lock — concurrent queries share one pool — and shut down by
-        :meth:`close`); everything else uses the configured executor as-is.
-        """
-        if self.reuse_pool and isinstance(self.executor, ProcessExecutor):
-            with self._setup_lock:
-                if self._pool is None:
-                    self._pool = WorkerPool(
-                        max_workers=self.executor.max_workers,
-                        start_method=self.executor.start_method,
-                        shuffle=self.executor.shuffle,
-                        retry=self.executor.retry,
-                        injector=self.executor.injector,
-                    )
-                return self._pool
-        return self.executor
-
     def __getstate__(self):
-        """Pickle for worker shipment: no executor/pool (workers run tasks,
-        they never dispatch), no plane object (the picklable handle travels
+        """Pickle for worker shipment: no executor (workers run tasks, they
+        never dispatch), no plane object (the picklable handle travels
         instead), and — when the plane is active — no database or shards:
         workers rebuild both zero-copy from the attached plane view."""
         state = self.__dict__.copy()
         state["executor"] = None
-        state["_pool"] = None
         state["_lease"] = None  # leases are per-process claims, never shipped
         state["_db_view"] = None
         state["_sketch_index"] = None  # driver-side; workers never prepare()
@@ -610,19 +573,20 @@ class OrionSearch:
     def close(self) -> None:
         """Release the worker pool and the plane lease (idempotent).
 
-        The next :meth:`run` transparently rebuilds both; use the search as
-        a context manager for prompt cleanup in many-query scripts. If this
-        process held the plane's last live lease, releasing it unlinks the
-        segments machine-wide (see :class:`shm.PlaneLease`).
+        The next :meth:`run` transparently rebuilds both (a
+        :class:`WorkerPool` passed in as ``executor`` is shut down too and
+        restarts the same way); use the search as a context manager for
+        prompt cleanup in many-query scripts. If this process held the
+        plane's last live lease, releasing it unlinks the segments
+        machine-wide (see :class:`shm.PlaneLease`).
         """
         with self._setup_lock:
-            pool, self._pool = self._pool, None
             lease, self._lease = self._lease, None
             self._shm_handle = None
             self._plane_mode = ""
             self._plane_fallback_reason = None
-        if pool is not None:
-            pool.shutdown()
+        if isinstance(self.executor, WorkerPool):
+            self.executor.shutdown()
         if lease is not None:
             lease.release()
 
@@ -917,9 +881,8 @@ class OrionSearch:
         # re-hashing the database in-process.
         self._ensure_plane()
         plan = self.prepare(query, fragment_length)
-        executor = self._mr_executor()
         mr_wall = Stopwatch().start()
-        mr = executor.run(plan.job, plan.splits)
+        mr = self.executor.run(plan.job, plan.splits)
         mapreduce_wall = mr_wall.stop()
         return self.assemble(plan, mr, mapreduce_wall, cluster=cluster)
 
@@ -935,7 +898,7 @@ class OrionSearch:
         :func:`simulate_query_set` offers the combined-job makespan.
 
         With a process-backed executor the whole set runs on one persistent
-        worker pool (see ``reuse_pool``): workers stay alive between
+        worker pool (see ``executor``): workers stay alive between
         queries, keeping their attached shared-database views and
         shard-scoped k-mer caches warm, so per-query cost approaches pure
         search time after the first query. Call :meth:`close` (or use the

@@ -16,7 +16,7 @@ from typing import List, Sequence, Tuple, Union
 from repro.blast.hsp import Alignment
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.partitioner import make_range_partitioner
-from repro.mapreduce.runtime import Executor, resolve_executor
+from repro.mapreduce.runtime import Executor, one_shot_executor
 from repro.mapreduce.types import InputSplit
 from repro.util.rng import derive_rng
 
@@ -70,7 +70,6 @@ def parallel_sort_alignments(
     num_tasks: int = 4,
     seed=0,
     executor: Union[str, Executor, None] = None,
-    shuffle: str = "streaming",
 ) -> Tuple[List[Alignment], List[float]]:
     """Sample-sort alignments into report order (ascending E-value).
 
@@ -80,8 +79,8 @@ def parallel_sort_alignments(
     (``executor`` defaults to serial, whose durations feed the simulator).
     On heavily skewed key distributions fewer than ``num_tasks`` reduce
     tasks may run (splitters are deduplicated; see :func:`choose_splitters`).
-    ``shuffle`` selects the process-backed shuffle mode when ``executor``
-    is a name; an executor *instance* keeps its own configured mode.
+    A worker pool built here from the name ``"processes"`` is shut down
+    before returning; an executor *instance* is left running.
     """
     alignments = list(alignments)
     if not alignments:
@@ -105,7 +104,8 @@ def parallel_sort_alignments(
         InputSplit(index=i, payload=alignments[j : j + chunk])
         for i, j in enumerate(range(0, len(alignments), chunk))
     ]
-    result = resolve_executor(executor, shuffle=shuffle).run(job, splits)
+    with one_shot_executor(executor) as runner:
+        result = runner.run(job, splits)
     ordered = result.flat_outputs()
     durations = [r.duration for r in result.reduce_records()]
     return ordered, durations

@@ -19,7 +19,6 @@ from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import (
     EXECUTOR_KINDS,
     Executor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadedExecutor,
     WorkerPool,
@@ -54,7 +53,6 @@ __all__ = [
     "MapReduceJob",
     "EXECUTOR_KINDS",
     "Executor",
-    "ProcessExecutor",
     "SerialExecutor",
     "ThreadedExecutor",
     "WorkerPool",

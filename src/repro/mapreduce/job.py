@@ -49,11 +49,12 @@ class MapReduceJob:
     name:
         Label used in task ids and logs.
     setup:
-        Optional per-worker initializer. The :class:`ProcessExecutor` calls
-        it once in every worker process after unpickling the job, before any
-        task runs — the place to build expensive per-process caches (Orion
-        warms its subject k-mer index here). In-process executors never call
-        it: the caller's own objects are already live.
+        Optional per-worker initializer. The
+        :class:`~repro.mapreduce.runtime.WorkerPool` calls it once in every
+        worker process after unpickling the job, before any of its tasks
+        runs — the place to build expensive per-process caches (Orion warms
+        its subject k-mer index here). In-process executors never call it:
+        the caller's own objects are already live.
     """
 
     mapper: Mapper
@@ -89,10 +90,10 @@ class MapReduceJob:
     ) -> List[List[Tuple[Any, Any]]]:
         """Partition one task's map output into per-reducer runs.
 
-        This is the map-side half of the shuffle: the streaming shuffle
-        calls it *inside* the map task (worker-side) and spills the runs to
-        shared memory; the barrier shuffle calls it driver-side for every
-        task. ``sort_runs`` additionally key-sorts each run (Hadoop's
+        This is the map-side half of the shuffle: the worker pool's
+        streaming shuffle calls it *inside* the map task (worker-side) and
+        spills the runs to shared memory; the in-process executors'
+        :meth:`shuffle` calls it driver-side for every task. ``sort_runs`` additionally key-sorts each run (Hadoop's
         map-side sort). The sort is stable, so values at equal keys keep
         map-output order — :func:`group_by_key` over concatenated runs
         yields identical groups whether or not runs were pre-sorted.
@@ -117,8 +118,8 @@ class MapReduceJob:
         """Reduce-side merge: concatenate one partition's runs and group.
 
         ``runs`` must arrive in split-index order — concatenation then
-        reproduces exactly the pair order the barrier shuffle feeds
-        :func:`group_by_key` (per task in split order, per pair in
+        reproduces exactly the pair order the driver-side :meth:`shuffle`
+        feeds :func:`group_by_key` (per task in split order, per pair in
         map-output order), so both shuffles are deterministic and
         equivalent by construction.
         """
@@ -130,7 +131,7 @@ class MapReduceJob:
     def shuffle(
         self, map_outputs: Sequence[Sequence[Tuple[Any, Any]]]
     ) -> List[List[Tuple[Any, List[Any]]]]:
-        """Partition and group all map output (the barrier shuffle).
+        """Partition and group all map output (the driver-side shuffle).
 
         Returns, per reducer partition, a key-sorted list of
         ``(key, [values...])`` groups.

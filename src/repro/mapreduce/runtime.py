@@ -11,28 +11,27 @@ Three executors with identical result semantics (DESIGN.md row 5's
   flagged *contended*: concurrent threads share the GIL, so durations are
   inflated by interference and must never be fed to the simulator as if they
   were serial measurements.
-* :class:`ProcessExecutor` — a process pool; map and reduce tasks run on
-  separate cores, which is the point of the paper's fine-grained work units.
-  The job is pickled once per worker (not per task) and an optional
-  per-worker :attr:`~repro.mapreduce.job.MapReduceJob.setup` hook lets the
-  job build expensive caches once per process. Jobs that close over
-  unpicklable state (lambdas, local closures) fall back to serial execution
-  with a warning.
+* :class:`WorkerPool` — a process pool that persists across jobs; map and
+  reduce tasks run on separate cores, which is the point of the paper's
+  fine-grained work units. Each job is loaded once per worker (not per
+  task) and an optional per-worker
+  :attr:`~repro.mapreduce.job.MapReduceJob.setup` hook lets the job build
+  expensive caches once per process. Jobs that close over unpicklable
+  state (lambdas, local closures) fall back to serial execution with a
+  warning.
 
-Process-backed executors additionally choose between two shuffles. The
-default **streaming** shuffle is push-based: each map task partitions (and
+The in-process executors shuffle driver-side
+(:meth:`~repro.mapreduce.job.MapReduceJob.shuffle`); the serial one is the
+oracle everything else is property-tested against. The process pool's
+shuffle is **streaming** and push-based: each map task partitions (and
 combines) its own output worker-side, commits the per-partition pickled
 runs — inline on its result when they fit in one page, spilled into a
 shared-memory segment otherwise (inline again when shm is unavailable) —
 and the driver consumes completions as they land so reduce task *p*
 launches the moment every map task has committed its partition-*p* run —
-Hadoop's reduce slowstart. See :class:`ShuffleService`. The **barrier**
-shuffle (``shuffle="barrier"``) collects every map output back into the
-driver, repartitions there, and only then dispatches reduce tasks; it is
-kept as the simpler debug path and as the driver-side reference the
-streaming shuffle is property-tested against.
+Hadoop's reduce slowstart. See :class:`ShuffleService`.
 
-Process-backed executors are fault tolerant (DESIGN.md §4.6): every map and
+The process pool is fault tolerant (DESIGN.md §4.6): every map and
 reduce task runs as a sequence of *attempts* under a
 :class:`~repro.mapreduce.faults.RetryPolicy` driven by the
 :class:`~repro.mapreduce.scheduler.TaskScheduler`. A failed attempt
@@ -43,7 +42,7 @@ committed results, including streaming-shuffle spill runs already sitting
 in shared memory, are kept. Optional Hadoop-style speculative execution
 duplicates the slowest straggler near the end of a phase (first commit
 wins). All of it is exercised deterministically by threading a
-:class:`~repro.mapreduce.faults.FaultInjector` through the executors. The
+:class:`~repro.mapreduce.faults.FaultInjector` through the pool. The
 whole-job serial fallback remains only as the last resort after a task
 exhausts its attempt budget.
 
@@ -68,8 +67,9 @@ import threading
 import warnings
 from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Any, Callable, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.faults import FaultInjector, RetryPolicy, TaskFailedError
@@ -80,12 +80,6 @@ from repro.util.timers import Stopwatch
 
 #: The executor kinds :func:`resolve_executor` (and the CLI) accept.
 EXECUTOR_KINDS = ("serial", "threads", "processes")
-
-#: The shuffle modes process-backed executors (and the CLI) accept.
-#: ``streaming`` is the default — it wins on dispatch share (see
-#: ``benchmarks/bench_executors.py``) and produces byte-identical results;
-#: ``barrier`` remains the documented debug/reference path.
-SHUFFLE_KINDS = ("barrier", "streaming")
 
 
 def _payload_records(payload: Any) -> int:
@@ -245,73 +239,6 @@ class ThreadedExecutor:
 
 
 # --------------------------------------------------------------------------- #
-# process pool
-# --------------------------------------------------------------------------- #
-
-#: The job the current worker process executes, installed by
-#: :func:`_process_worker_init`. Module-level so task functions stay
-#: picklable references under both fork and spawn start methods.
-_WORKER_JOB: Optional[MapReduceJob] = None
-
-
-def _process_worker_init(job_bytes: bytes) -> None:
-    """Per-worker initializer: unpickle the job once, then run its setup hook.
-
-    This is where e.g. Orion builds the subject k-mer cache — once per
-    process instead of pickling it with every task.
-    """
-    global _WORKER_JOB
-    _WORKER_JOB = pickle.loads(job_bytes)
-    if _WORKER_JOB.setup is not None:
-        _WORKER_JOB.setup()
-
-
-def _fire_faults(
-    injector: Optional[FaultInjector],
-    phase: str,
-    index: int,
-    attempt: int,
-    shm_touch: bool = False,
-) -> None:
-    """Run the injected faults addressed to one task attempt (worker-side).
-
-    ``shm_touch=True`` additionally fires a matching ``shm`` fault right
-    here — barrier tasks treat an injected shm ``OSError`` as a plain
-    attempt failure, which the scheduler retries. Streaming tasks instead
-    thread the shm fault to where a real one would surface: map tasks into
-    :func:`_spill_map_output` (the spill write, exercising the inline-bytes
-    degrade), reduce tasks into :func:`_fetch_partition_runs` (the segment
-    read, failing the attempt like a vanished segment would). A task whose
-    runs travel inline touches no segment and is immune to both.
-    """
-    if injector is None:
-        return
-    injector.fire(phase, index, attempt)
-    if shm_touch:
-        injector.shm_fault(phase, index, attempt)
-
-
-def _process_map_task(
-    item: Tuple[InputSplit, int, Optional[FaultInjector]]
-) -> Tuple[List[Tuple[Any, Any]], TaskRecord]:
-    assert _WORKER_JOB is not None, "worker initializer did not run"
-    split, attempt, injector = item
-    _fire_faults(injector, "map", split.index, attempt, shm_touch=True)
-    return _measure_map(_WORKER_JOB, split, executor=ProcessExecutor.kind)
-
-
-def _process_reduce_task(
-    item: Tuple[int, Sequence[Tuple[Any, List[Any]]], int, Optional[FaultInjector]]
-) -> Tuple[List[Any], TaskRecord]:
-    assert _WORKER_JOB is not None, "worker initializer did not run"
-    partition_index, groups, attempt, injector = item
-    _fire_faults(injector, "reduce", partition_index, attempt, shm_touch=True)
-    return _measure_reduce(
-        _WORKER_JOB, partition_index, groups, executor=ProcessExecutor.kind
-    )
-
-
-# --------------------------------------------------------------------------- #
 # streaming shuffle
 # --------------------------------------------------------------------------- #
 
@@ -322,12 +249,13 @@ def _process_reduce_task(
 #: attached.
 _RunLocator = Union[bytes, Tuple[str, int, int]]
 
-#: Map outputs whose pickled runs total at most this many bytes commit
-#: inline. A segment cannot be smaller than one page, and creating one
-#: costs the map task a ``shm_open``/``ftruncate``/``mmap`` cycle, every
-#: reducer an attach and the driver an unlink — all to move bytes that fit
-#: in the result message the task sends anyway.
-_INLINE_RUN_BYTES = mmap.PAGESIZE
+#: The page rule: a map output whose pickled runs total at most this many
+#: bytes commits inline, and so does a job blob this small. A segment
+#: cannot be smaller than one page, and creating one costs a
+#: ``shm_open``/``ftruncate``/``mmap`` cycle, every reader an attach and the
+#: driver an unlink — all to move bytes that fit in the message the task
+#: exchanges anyway.
+_INLINE_BYTES = mmap.PAGESIZE
 
 
 @dataclass(frozen=True)
@@ -336,7 +264,7 @@ class _RunCommit:
 
     The run format: the map task partitions (and combines) its output
     worker-side, key-sorts each run and pickles each non-empty run
-    separately. Runs totalling at most :data:`_INLINE_RUN_BYTES` ride in
+    separately. Runs totalling at most :data:`_INLINE_BYTES` ride in
     ``inline`` and ``segment`` is ``None`` — as they do when shared memory
     is unavailable or the spill write fails. Larger outputs concatenate
     the blobs into one spill segment — ``offsets[p]`` is the
@@ -365,7 +293,7 @@ def _spill_map_output(
 ) -> _RunCommit:
     """Partition one map task's output and commit it (worker-side).
 
-    Runs that fit in one page (:data:`_INLINE_RUN_BYTES`) commit inline on
+    Runs that fit in one page (:data:`_INLINE_BYTES`) commit inline on
     the task's result and never touch shared memory. Larger outputs write
     the concatenated per-partition run pickles into the shared segment the
     driver reserved under ``spill_name``; the worker detaches after
@@ -384,7 +312,7 @@ def _spill_map_output(
     ]
     total = sum(len(b) for b in blobs)
     if (
-        total > _INLINE_RUN_BYTES
+        total > _INLINE_BYTES
         and spill_name is not None
         and shm_mod.HAVE_SHARED_MEMORY
     ):
@@ -434,92 +362,23 @@ def _fetch_partition_runs(
     return runs, bytes_in
 
 
-def _shm_fault_hook(
+def _fire_faults(
     injector: Optional[FaultInjector], phase: str, index: int, attempt: int
 ) -> Optional[Callable[[], None]]:
-    """The injector's shm fault for one attempt, as a deferred call."""
+    """Fire one task attempt's injected faults (worker-side).
+
+    Crash, hang and transient faults fire right here, at task entry. The
+    returned deferred call is the attempt's ``shm`` fault, threaded to
+    where a real one would surface: map tasks pass it to
+    :func:`_spill_map_output` (the spill write, exercising the
+    inline-bytes degrade), reduce tasks to :func:`_fetch_partition_runs`
+    (the segment read, failing the attempt like a vanished segment would).
+    A task whose runs travel inline touches no segment and is immune.
+    """
     if injector is None:
         return None
+    injector.fire(phase, index, attempt)
     return lambda: injector.shm_fault(phase, index, attempt)
-
-
-def _streaming_measure_map(
-    job: MapReduceJob,
-    split: InputSplit,
-    spill_name: Optional[str],
-    executor: str,
-    attempt: int = 1,
-    injector: Optional[FaultInjector] = None,
-) -> Tuple[TaskRecord, _RunCommit]:
-    _fire_faults(injector, "map", split.index, attempt)
-    sw = Stopwatch().start()
-    pairs = job.run_map_task(split)
-    commit = _spill_map_output(
-        job, pairs, spill_name,
-        shm_fault=_shm_fault_hook(injector, "map", split.index, attempt),
-    )
-    dur = sw.stop()
-    rec = TaskRecord(
-        task_id=f"{job.name}/map/{split.index:05d}",
-        kind=TaskKind.MAP,
-        duration=dur,
-        input_records=_payload_records(split.payload),
-        output_records=len(pairs),
-        executor=executor,
-        shuffle_bytes_out=commit.total_bytes,
-    )
-    return rec, commit
-
-
-def _streaming_measure_reduce(
-    job: MapReduceJob,
-    partition_index: int,
-    locators: Sequence[_RunLocator],
-    executor: str,
-    attempt: int = 1,
-    injector: Optional[FaultInjector] = None,
-) -> Tuple[List[Any], TaskRecord, int]:
-    _fire_faults(injector, "reduce", partition_index, attempt)
-    sw = Stopwatch().start()
-    runs, bytes_in = _fetch_partition_runs(
-        locators,
-        shm_fault=_shm_fault_hook(injector, "reduce", partition_index, attempt),
-    )
-    groups = job.merge_runs(runs)
-    out = job.run_reduce_task(groups)
-    dur = sw.stop()
-    rec = TaskRecord(
-        task_id=f"{job.name}/reduce/{partition_index:05d}",
-        kind=TaskKind.REDUCE,
-        duration=dur,
-        input_records=sum(len(v) for _, v in groups),
-        output_records=len(out),
-        executor=executor,
-        shuffle_bytes_in=bytes_in,
-    )
-    return out, rec, len(groups)
-
-
-def _process_streaming_map_task(
-    item: Tuple[InputSplit, Optional[str], int, Optional[FaultInjector]]
-) -> Tuple[TaskRecord, _RunCommit]:
-    assert _WORKER_JOB is not None, "worker initializer did not run"
-    split, spill_name, attempt, injector = item
-    return _streaming_measure_map(
-        _WORKER_JOB, split, spill_name, executor=ProcessExecutor.kind,
-        attempt=attempt, injector=injector,
-    )
-
-
-def _process_streaming_reduce_task(
-    item: Tuple[int, List[_RunLocator], int, Optional[FaultInjector]]
-) -> Tuple[List[Any], TaskRecord, int]:
-    assert _WORKER_JOB is not None, "worker initializer did not run"
-    partition_index, locators, attempt, injector = item
-    return _streaming_measure_reduce(
-        _WORKER_JOB, partition_index, locators, executor=ProcessExecutor.kind,
-        attempt=attempt, injector=injector,
-    )
 
 
 class ShuffleService:
@@ -617,278 +476,12 @@ def _stamp_meta(rec: TaskRecord, meta: TaskMeta) -> TaskRecord:
     )
 
 
-def _run_barrier_schedule(
-    job: MapReduceJob,
-    splits: Sequence[InputSplit],
-    submit_map: Callable[[InputSplit, int], "Future[Tuple[List[Tuple[Any, Any]], TaskRecord]]"],
-    submit_reduce: Callable[[int, Sequence[Tuple[Any, List[Any]]], int], "Future[Tuple[List[Any], TaskRecord]]"],
-    policy: RetryPolicy,
-    respawn: Callable[[], None],
-) -> JobResult:
-    """The barrier-shuffle schedule shared by ProcessExecutor and WorkerPool.
-
-    One :class:`~repro.mapreduce.scheduler.TaskScheduler` per phase (the
-    barrier *is* the phase boundary): every map task must commit before the
-    driver-side shuffle, then every reduce task runs. Each phase gets the
-    full retry/speculation treatment; results are gathered by split /
-    partition index, so retries and speculative duplicates cannot reorder
-    anything.
-    """
-    sched = TaskScheduler(policy, respawn=respawn, job_id=job.name)
-    for split in splits:
-        sched.add("map", split.index, lambda a, s=split: submit_map(s, a))
-    sched.run()
-    map_outputs: List[List[Tuple[Any, Any]]] = []
-    records: List[TaskRecord] = []
-    for split in splits:
-        pairs, rec = sched.result("map", split.index)
-        map_outputs.append(pairs)
-        records.append(_stamp_meta(rec, sched.meta("map", split.index)))
-
-    partitions = job.shuffle(map_outputs)
-    sched = TaskScheduler(policy, respawn=respawn, job_id=job.name)
-    for p, groups in enumerate(partitions):
-        sched.add("reduce", p, lambda a, p=p, g=groups: submit_reduce(p, g, a))
-    sched.run()
-    outputs: List[List[Any]] = []
-    for p in range(len(partitions)):
-        out, rec = sched.result("reduce", p)
-        outputs.append(out)
-        records.append(_stamp_meta(rec, sched.meta("reduce", p)))
-    return _assemble(job, partitions, outputs, records)
-
-
-def _run_streaming_schedule(
-    job: MapReduceJob,
-    splits: Sequence[InputSplit],
-    submit_map: Callable[[InputSplit, Optional[str], int], "Future[Tuple[TaskRecord, _RunCommit]]"],
-    submit_reduce: Callable[[int, List[_RunLocator], int], "Future[Tuple[List[Any], TaskRecord, int]]"],
-    policy: RetryPolicy,
-    respawn: Callable[[], None],
-) -> JobResult:
-    """The streaming-shuffle schedule shared by ProcessExecutor and WorkerPool.
-
-    One :class:`~repro.mapreduce.scheduler.TaskScheduler` drives both
-    phases: map completions are consumed in *completion* order and reduce
-    task *p* is added the instant :class:`ShuffleService` reports its last
-    input run committed — reduce dispatch overlaps the tail of the map
-    phase instead of waiting behind a barrier plus a driver-side serial
-    shuffle. Each map attempt spills under its own attempt-scoped segment
-    name; dead attempts (failed, lost with the pool, superseded by a
-    faster duplicate) have their spill swept promptly through the
-    scheduler's ``on_attempt_dead`` hook, and ``service.close()`` sweeps
-    whatever remains — the scheduler drains straggler attempts before
-    returning, so the sweep cannot race a write. Determinism is unaffected
-    by any of this reordering: runs are concatenated in split-index order
-    inside each reduce task and results are assembled by partition index.
-    """
-    service = ShuffleService(job, len(splits))
-
-    def attempt_dead(phase: str, index: int, attempt: int) -> None:
-        if phase == "map":
-            service.sweep_attempt(index, attempt)
-
-    sched = TaskScheduler(
-        policy, respawn=respawn, on_attempt_dead=attempt_dead, job_id=job.name
-    )
-
-    def on_map_complete(phase: str, index: int, value: Any) -> None:
-        if phase != "map":
-            return
-        _, commit = value
-        winner = sched.meta("map", index).winner
-        for p in service.commit(index, commit, winner):
-            sched.add(
-                "reduce",
-                p,
-                lambda a, p=p: submit_reduce(p, service.locators(p), a),
-            )
-
-    try:
-        for split in splits:
-            sched.add(
-                "map",
-                split.index,
-                lambda a, s=split: submit_map(s, service.spill_name(s.index, a), a),
-            )
-        sched.run(on_map_complete)
-
-        records: List[TaskRecord] = []
-        for split in splits:
-            rec, _ = sched.result("map", split.index)
-            records.append(_stamp_meta(rec, sched.meta("map", split.index)))
-        outputs: List[List[Any]] = []
-        shuffle_keys = 0
-        for p in range(job.num_reducers):
-            out, rec, distinct_keys = sched.result("reduce", p)
-            outputs.append(out)
-            records.append(_stamp_meta(rec, sched.meta("reduce", p)))
-            # Partitions hold disjoint key sets (one partitioner assignment
-            # per key), so the per-partition counts sum to the job total.
-            shuffle_keys += distinct_keys
-        return JobResult(outputs=outputs, records=records, shuffle_keys=shuffle_keys)
-    finally:
-        service.close()
-
-
-class ProcessExecutor:
-    """Run map and reduce tasks on a :class:`ProcessPoolExecutor`.
-
-    The job (mapper, reducer, partitioner, combiner, setup hook) is pickled
-    *once* and shipped to each worker through the pool initializer — task
-    dispatch only moves split payloads and results, and an optional
-    ``job.setup`` hook builds per-process caches before the first task.
-    Because dispatch relies only on module-level functions plus that
-    initializer, it is safe under every multiprocessing start method,
-    including ``spawn``.
-
-    Jobs that cannot be pickled (closures over local state) fall back to a
-    :class:`SerialExecutor` run with a :class:`RuntimeWarning`; the records
-    of such a run are tagged ``executor="serial"`` — truthfully, since that
-    is what actually produced the measurements.
-
-    Parameters
-    ----------
-    max_workers:
-        Pool size; defaults to ``os.cpu_count()``.
-    start_method:
-        Optional multiprocessing start method (``"fork"``, ``"spawn"``,
-        ``"forkserver"``); ``None`` uses the platform default.
-    shuffle:
-        ``"streaming"`` (default) or ``"barrier"`` — see the module
-        docstring and :class:`ShuffleService`.
-    retry:
-        The :class:`~repro.mapreduce.faults.RetryPolicy` in force;
-        defaults to bounded retries with backoff.
-        ``RetryPolicy(max_attempts=1)`` reproduces the pre-fault-tolerance
-        behaviour (any failure goes straight to the serial fallback).
-    injector:
-        Optional :class:`~repro.mapreduce.faults.FaultInjector` threaded
-        into every task attempt (tests/benchmarks only).
-    """
-
-    kind = "processes"
-
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        start_method: Optional[str] = None,
-        shuffle: str = "streaming",
-        retry: Optional[RetryPolicy] = None,
-        injector: Optional[FaultInjector] = None,
-    ) -> None:
-        if max_workers is None:
-            max_workers = os.cpu_count() or 1
-        if max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        if shuffle not in SHUFFLE_KINDS:
-            raise ValueError(
-                f"unknown shuffle {shuffle!r}; expected one of {SHUFFLE_KINDS}"
-            )
-        self.max_workers = max_workers
-        self.start_method = start_method
-        self.shuffle = shuffle
-        self.retry = retry if retry is not None else RetryPolicy()
-        self.injector = injector
-
-    # ------------------------------------------------------------------ #
-
-    def _fallback(
-        self,
-        job: MapReduceJob,
-        splits: Sequence[InputSplit],
-        why: str,
-        cause: Optional[BaseException] = None,
-    ) -> JobResult:
-        return _serial_fallback("ProcessExecutor", job, splits, why, cause=cause)
-
-    def run(self, job: MapReduceJob, splits: Sequence[InputSplit]) -> JobResult:
-        try:
-            job_bytes = pickle.dumps(job)
-        except Exception as exc:  # PicklingError/AttributeError/TypeError
-            return self._fallback(job, splits, f"job is not picklable ({exc})")
-        if not splits or self.max_workers == 1:
-            # Nothing to parallelize — don't pay pool startup.
-            return SerialExecutor().run(job, splits)
-        try:
-            return self._run_pool(job, job_bytes, splits)
-        except Exception as exc:
-            # Only exhausted attempt budgets (TaskFailedError) and errors
-            # the scheduler cannot retry (unpicklable payloads/outputs)
-            # reach here; the serial retry either succeeds or raises with
-            # this original error chained.
-            return self._fallback(
-                job,
-                splits,
-                f"process pool failed ({type(exc).__name__}: {exc})",
-                cause=exc,
-            )
-
-    def _run_pool(
-        self, job: MapReduceJob, job_bytes: bytes, splits: Sequence[InputSplit]
-    ) -> JobResult:
-        ctx = multiprocessing.get_context(self.start_method)
-        # The one pool serves both phases, so size it for whichever phase is
-        # wider — capping at len(splits) alone silently serializes reduce
-        # tasks whenever num_reducers > len(splits).
-        tasks_in_flight = max(1, len(splits), job.num_reducers)
-        workers = min(self.max_workers, tasks_in_flight)
-
-        def make_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=ctx,
-                initializer=_process_worker_init,
-                initargs=(job_bytes,),
-            )
-
-        # One-slot holder so the submit closures always target the live
-        # pool: respawn swaps in a fresh pool after a worker crash broke
-        # the old one (a broken ProcessPoolExecutor can never run again).
-        pool_ref: List[ProcessPoolExecutor] = [make_pool()]
-
-        def respawn() -> None:
-            pool_ref[0].shutdown(wait=False, cancel_futures=True)
-            pool_ref[0] = make_pool()
-
-        injector = self.injector
-        try:
-            if self.shuffle == "streaming":
-                return _run_streaming_schedule(
-                    job,
-                    splits,
-                    lambda split, name, attempt: pool_ref[0].submit(
-                        _process_streaming_map_task, (split, name, attempt, injector)
-                    ),
-                    lambda p, locators, attempt: pool_ref[0].submit(
-                        _process_streaming_reduce_task, (p, locators, attempt, injector)
-                    ),
-                    self.retry,
-                    respawn,
-                )
-            return _run_barrier_schedule(
-                job,
-                splits,
-                lambda split, attempt: pool_ref[0].submit(
-                    _process_map_task, (split, attempt, injector)
-                ),
-                lambda p, groups, attempt: pool_ref[0].submit(
-                    _process_reduce_task, (p, groups, attempt, injector)
-                ),
-                self.retry,
-                respawn,
-            )
-        finally:
-            pool_ref[0].shutdown(wait=True)
-
-
 # --------------------------------------------------------------------------- #
-# persistent worker pool
+# the process pool
 # --------------------------------------------------------------------------- #
 
 
 def _serial_fallback(
-    kind: str,
     job: MapReduceJob,
     splits: Sequence[InputSplit],
     why: str,
@@ -896,8 +489,8 @@ def _serial_fallback(
 ) -> JobResult:
     """Last resort after retries are exhausted: rerun the whole job serially.
 
-    Streaming spill segments are already swept before this runs — the task
-    scheduler drains straggler attempts and the streaming schedule's
+    Spill segments are already swept before this runs — the task scheduler
+    drains straggler attempts and :meth:`WorkerPool._run_pool`'s
     ``finally`` releases the spill set on the way out, so an abandoned
     parallel attempt leaves nothing in ``/dev/shm``.
 
@@ -909,7 +502,7 @@ def _serial_fallback(
     the original failure as ``__cause__``.
     """
     warnings.warn(
-        f"{kind} falling back to serial execution for job {job.name!r}: {why}",
+        f"WorkerPool falling back to serial execution for job {job.name!r}: {why}",
         RuntimeWarning,
         stacklevel=4,
     )
@@ -917,7 +510,7 @@ def _serial_fallback(
         result = SerialExecutor().run(job, splits)
     except Exception as serial_exc:
         detail = (
-            f"{kind} serial fallback for job {job.name!r} also failed "
+            f"WorkerPool serial fallback for job {job.name!r} also failed "
             f"({type(serial_exc).__name__}: {serial_exc})"
         )
         if isinstance(cause, TaskFailedError):
@@ -936,10 +529,12 @@ def _serial_fallback(
 class _JobRef:
     """Where a pool worker fetches one job's pickle from.
 
-    The blob travels once per machine: through a shared-memory segment when
-    available (workers copy it out on first use), inline in the task tuple
-    otherwise. ``key`` identifies the job in the per-worker cache so a job's
-    bytes are loaded (and its setup hook run) at most once per worker.
+    A blob that fits in one page (:data:`_INLINE_BYTES`) rides inline in
+    every task item, as does any blob when shared memory is unavailable.
+    A larger blob travels once per machine through a shared-memory segment
+    (``inline`` is ``None``; workers copy it out on first use). ``key``
+    identifies the job in the per-worker cache so a job's bytes are loaded
+    (and its setup hook run) at most once per worker.
     """
 
     key: str
@@ -974,42 +569,51 @@ def _pool_load_job(ref: _JobRef) -> MapReduceJob:
     return job
 
 
-def _pool_map_task(
-    item: Tuple[_JobRef, InputSplit, int, Optional[FaultInjector]]
-) -> Tuple[List[Tuple[Any, Any]], TaskRecord]:
-    ref, split, attempt, injector = item
-    _fire_faults(injector, "map", split.index, attempt, shm_touch=True)
-    return _measure_map(_pool_load_job(ref), split, executor=WorkerPool.kind)
-
-
-def _pool_reduce_task(
-    item: Tuple[_JobRef, int, Sequence[Tuple[Any, List[Any]]], int, Optional[FaultInjector]]
-) -> Tuple[List[Any], TaskRecord]:
-    ref, partition_index, groups, attempt, injector = item
-    _fire_faults(injector, "reduce", partition_index, attempt, shm_touch=True)
-    return _measure_reduce(
-        _pool_load_job(ref), partition_index, groups, executor=WorkerPool.kind
-    )
-
-
 def _pool_streaming_map_task(
     item: Tuple[_JobRef, InputSplit, Optional[str], int, Optional[FaultInjector]]
 ) -> Tuple[TaskRecord, _RunCommit]:
+    """Worker entry point: run one map attempt and commit its shuffle runs."""
     ref, split, spill_name, attempt, injector = item
-    return _streaming_measure_map(
-        _pool_load_job(ref), split, spill_name, executor=WorkerPool.kind,
-        attempt=attempt, injector=injector,
+    job = _pool_load_job(ref)
+    shm_fault = _fire_faults(injector, "map", split.index, attempt)
+    sw = Stopwatch().start()
+    pairs = job.run_map_task(split)
+    commit = _spill_map_output(job, pairs, spill_name, shm_fault=shm_fault)
+    dur = sw.stop()
+    rec = TaskRecord(
+        task_id=f"{job.name}/map/{split.index:05d}",
+        kind=TaskKind.MAP,
+        duration=dur,
+        input_records=_payload_records(split.payload),
+        output_records=len(pairs),
+        executor=WorkerPool.kind,
+        shuffle_bytes_out=commit.total_bytes,
     )
+    return rec, commit
 
 
 def _pool_streaming_reduce_task(
     item: Tuple[_JobRef, int, List[_RunLocator], int, Optional[FaultInjector]]
 ) -> Tuple[List[Any], TaskRecord, int]:
+    """Worker entry point: fetch one partition's runs, merge and reduce them."""
     ref, partition_index, locators, attempt, injector = item
-    return _streaming_measure_reduce(
-        _pool_load_job(ref), partition_index, locators, executor=WorkerPool.kind,
-        attempt=attempt, injector=injector,
+    job = _pool_load_job(ref)
+    shm_fault = _fire_faults(injector, "reduce", partition_index, attempt)
+    sw = Stopwatch().start()
+    runs, bytes_in = _fetch_partition_runs(locators, shm_fault=shm_fault)
+    groups = job.merge_runs(runs)
+    out = job.run_reduce_task(groups)
+    dur = sw.stop()
+    rec = TaskRecord(
+        task_id=f"{job.name}/reduce/{partition_index:05d}",
+        kind=TaskKind.REDUCE,
+        duration=dur,
+        input_records=sum(len(v) for _, v in groups),
+        output_records=len(out),
+        executor=WorkerPool.kind,
+        shuffle_bytes_in=bytes_in,
     )
+    return out, rec, len(groups)
 
 
 def _prewarm_noop() -> None:
@@ -1018,28 +622,33 @@ def _prewarm_noop() -> None:
 
 
 class WorkerPool:
-    """A persistent process pool reused across MapReduce jobs.
+    """Run map and reduce tasks on a process pool that persists across jobs.
 
-    :class:`ProcessExecutor` tears its pool down after every job, so a
-    many-query workload pays worker startup (and per-worker warmup) once
-    per query — exactly the overhead the paper's fine-grained work units
-    must amortize. A ``WorkerPool`` keeps one ``ProcessPoolExecutor`` alive
-    across :meth:`run` calls: workers persist, their module-level caches
-    (attached shared-database views, warmed k-mer indexes, cached jobs)
-    stay warm, and each new job ships its pickle once per machine through a
-    shared-memory segment (inline fallback when shm is unavailable).
+    One ``ProcessPoolExecutor``, started lazily at the first :meth:`run`,
+    stays alive across runs, so a many-query workload pays worker startup
+    (and per-worker warmup) once, not once per query — exactly the overhead
+    the paper's fine-grained work units must amortize. Workers keep their
+    module-level caches (attached shared-database views, warmed k-mer
+    indexes, cached jobs) warm between jobs. Each job's pickle is loaded
+    once per worker, where an optional ``job.setup`` hook builds
+    per-process caches before the first task; see :class:`_JobRef` for how
+    the blob travels. Task dispatch relies only on module-level functions,
+    so it is safe under every multiprocessing start method, ``spawn``
+    included. A one-shot caller uses the pool as a context manager (or
+    calls :meth:`shutdown`) so no worker outlives its job; an unclosed
+    pool's workers are reclaimed at interpreter exit.
 
-    Semantics match :class:`ProcessExecutor` exactly: identical results and
-    record order for any job, task records tagged ``executor="processes"``,
-    serial fallback (with a :class:`RuntimeWarning`) for unpicklable jobs,
-    and the same fault-tolerant task scheduling — a broken pool (crashed
+    Results and record order are identical to :class:`SerialExecutor`'s
+    for any job; task records are tagged ``executor="processes"``. Jobs
+    that cannot be pickled (closures over local state) fall back to a
+    serial run with a :class:`RuntimeWarning`, its records tagged
+    ``executor="serial"`` — truthfully, since that is what produced the
+    measurements. Scheduling is fault tolerant: a broken pool (crashed
     worker) is respawned in place and only the uncommitted tasks
     re-dispatched; whole-job serial fallback happens only once a task
     exhausts its :class:`~repro.mapreduce.faults.RetryPolicy` budget, and
     then the broken pool is discarded so the next :meth:`run` starts
-    fresh. Call :meth:`shutdown` (or use the pool as a context manager)
-    when done; an unclosed pool's workers are reclaimed at interpreter
-    exit.
+    fresh.
 
     :meth:`run` may be called from several threads at once (the always-on
     service drives one thread per in-flight query): every job's map and
@@ -1054,6 +663,23 @@ class WorkerPool:
     matter how many jobs observe it, and a job that falls back to serial
     only discards the shared pool when the pool is actually broken —
     never out from under a healthy concurrent job.
+
+    Parameters
+    ----------
+    max_workers:
+        Pool size; defaults to ``os.cpu_count()``. One worker runs every
+        job serially in the caller, without starting a pool.
+    start_method:
+        Optional multiprocessing start method (``"fork"``, ``"spawn"``,
+        ``"forkserver"``); ``None`` uses the platform default.
+    retry:
+        The :class:`~repro.mapreduce.faults.RetryPolicy` in force;
+        defaults to bounded retries with backoff.
+        ``RetryPolicy(max_attempts=1)`` reproduces the pre-fault-tolerance
+        behaviour (any failure goes straight to the serial fallback).
+    injector:
+        Optional :class:`~repro.mapreduce.faults.FaultInjector` threaded
+        into every task attempt (tests/benchmarks only).
     """
 
     kind = "processes"
@@ -1062,7 +688,6 @@ class WorkerPool:
         self,
         max_workers: Optional[int] = None,
         start_method: Optional[str] = None,
-        shuffle: str = "streaming",
         retry: Optional[RetryPolicy] = None,
         injector: Optional[FaultInjector] = None,
     ) -> None:
@@ -1070,13 +695,8 @@ class WorkerPool:
             max_workers = os.cpu_count() or 1
         if max_workers <= 0:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
-        if shuffle not in SHUFFLE_KINDS:
-            raise ValueError(
-                f"unknown shuffle {shuffle!r}; expected one of {SHUFFLE_KINDS}"
-            )
         self.max_workers = max_workers
         self.start_method = start_method
-        self.shuffle = shuffle
         self.retry = retry if retry is not None else RetryPolicy()
         self.injector = injector
         self._pool: Optional[ProcessPoolExecutor] = None
@@ -1125,8 +745,11 @@ class WorkerPool:
 
         Best-effort: it leans on ``_spawn_process``/``_processes`` (stable
         since 3.9, same vintage as the ``_broken`` probe above) and simply
-        stays lazy if a future CPython moves them.
+        stays lazy if a future CPython moves them. A one-worker pool starts
+        nothing: :meth:`run` executes its jobs serially in the caller.
         """
+        if self.max_workers == 1:
+            return
         pool = self._ensure_pool()
         spawn = getattr(pool, "_spawn_process", None)
         processes = getattr(pool, "_processes", None)
@@ -1153,7 +776,7 @@ class WorkerPool:
         # per-instance counter key defeated the cache on every run, and two
         # pools in one process could mint colliding keys for different jobs.
         key = hashlib.sha256(job_bytes).hexdigest()
-        if shm_mod.HAVE_SHARED_MEMORY:
+        if len(job_bytes) > _INLINE_BYTES and shm_mod.HAVE_SHARED_MEMORY:
             try:
                 seg = shm_mod.publish_bytes(job_bytes)
             except OSError as exc:  # e.g. /dev/shm exhausted: ship inline
@@ -1171,9 +794,7 @@ class WorkerPool:
         try:
             job_bytes = pickle.dumps(job)
         except Exception as exc:  # PicklingError/AttributeError/TypeError
-            return _serial_fallback(
-                "WorkerPool", job, splits, f"job is not picklable ({exc})"
-            )
+            return _serial_fallback(job, splits, f"job is not picklable ({exc})")
         if not splits or self.max_workers == 1:
             # Nothing to parallelize — don't pay pool startup.
             return SerialExecutor().run(job, splits)
@@ -1195,7 +816,7 @@ class WorkerPool:
                 alone = self._active_runs == 1
             self._discard_pool(only_if_broken=not alone)
             return _serial_fallback(
-                "WorkerPool", job, splits,
+                job, splits,
                 f"process pool failed ({type(exc).__name__}: {exc})",
                 cause=exc,
             )
@@ -1223,34 +844,79 @@ class WorkerPool:
     def _run_pool(
         self, job: MapReduceJob, ref: _JobRef, splits: Sequence[InputSplit]
     ) -> JobResult:
-        # Submit closures go through _ensure_pool so they track respawns.
+        """Run one job's map and reduce attempts under the streaming shuffle.
+
+        One :class:`~repro.mapreduce.scheduler.TaskScheduler` drives both
+        phases: map completions are consumed in *completion* order and
+        reduce task *p* is added the instant :class:`ShuffleService`
+        reports its last input run committed — reduce dispatch overlaps
+        the tail of the map phase instead of waiting behind a barrier.
+        Each map attempt spills under its own attempt-scoped segment name;
+        dead attempts (failed, lost with the pool, superseded by a faster
+        duplicate) have their spill swept promptly through the scheduler's
+        ``on_attempt_dead`` hook, and ``service.close()`` sweeps whatever
+        remains — the scheduler drains straggler attempts before returning,
+        so the sweep cannot race a write. Determinism is unaffected by any
+        of this reordering: runs are concatenated in split-index order
+        inside each reduce task and results are assembled by partition
+        index. Submits go through :meth:`_ensure_pool` so they track
+        respawns.
+        """
         self._ensure_pool()
         injector = self.injector
-        if self.shuffle == "streaming":
-            return _run_streaming_schedule(
-                job,
-                splits,
-                lambda split, name, attempt: self._ensure_pool().submit(
-                    _pool_streaming_map_task, (ref, split, name, attempt, injector)
-                ),
-                lambda p, locators, attempt: self._ensure_pool().submit(
-                    _pool_streaming_reduce_task, (ref, p, locators, attempt, injector)
-                ),
-                self.retry,
-                self._respawn,
+        service = ShuffleService(job, len(splits))
+
+        def submit_map(split: InputSplit, attempt: int) -> "Future[Any]":
+            name = service.spill_name(split.index, attempt)
+            return self._ensure_pool().submit(
+                _pool_streaming_map_task, (ref, split, name, attempt, injector)
             )
-        return _run_barrier_schedule(
-            job,
-            splits,
-            lambda split, attempt: self._ensure_pool().submit(
-                _pool_map_task, (ref, split, attempt, injector)
-            ),
-            lambda p, groups, attempt: self._ensure_pool().submit(
-                _pool_reduce_task, (ref, p, groups, attempt, injector)
-            ),
-            self.retry,
-            self._respawn,
+
+        def submit_reduce(p: int, attempt: int) -> "Future[Any]":
+            return self._ensure_pool().submit(
+                _pool_streaming_reduce_task,
+                (ref, p, service.locators(p), attempt, injector),
+            )
+
+        def attempt_dead(phase: str, index: int, attempt: int) -> None:
+            if phase == "map":
+                service.sweep_attempt(index, attempt)
+
+        sched = TaskScheduler(
+            self.retry, respawn=self._respawn, on_attempt_dead=attempt_dead,
+            job_id=job.name,
         )
+
+        def on_map_complete(phase: str, index: int, value: Any) -> None:
+            if phase != "map":
+                return
+            _, commit = value
+            winner = sched.meta("map", index).winner
+            for p in service.commit(index, commit, winner):
+                sched.add("reduce", p, lambda a, p=p: submit_reduce(p, a))
+
+        try:
+            for split in splits:
+                sched.add("map", split.index, lambda a, s=split: submit_map(s, a))
+            sched.run(on_map_complete)
+
+            records: List[TaskRecord] = []
+            for split in splits:
+                rec, _ = sched.result("map", split.index)
+                records.append(_stamp_meta(rec, sched.meta("map", split.index)))
+            outputs: List[List[Any]] = []
+            shuffle_keys = 0
+            for p in range(job.num_reducers):
+                out, rec, distinct_keys = sched.result("reduce", p)
+                outputs.append(out)
+                records.append(_stamp_meta(rec, sched.meta("reduce", p)))
+                # Partitions hold disjoint key sets (one partitioner
+                # assignment per key), so the per-partition counts sum to
+                # the job total.
+                shuffle_keys += distinct_keys
+            return JobResult(outputs=outputs, records=records, shuffle_keys=shuffle_keys)
+        finally:
+            service.close()
 
     # ------------------------------------------------------------------ #
 
@@ -1297,7 +963,6 @@ class WorkerPool:
 def resolve_executor(
     spec: Union[str, Executor, None],
     max_workers: Optional[int] = None,
-    shuffle: str = "streaming",
     retry: Optional[RetryPolicy] = None,
     injector: Optional[FaultInjector] = None,
 ) -> Executor:
@@ -1305,23 +970,21 @@ def resolve_executor(
 
     ``None`` and ``"serial"`` give a :class:`SerialExecutor` (the default
     everywhere — its measurements feed the cluster simulator); ``"threads"``
-    and ``"processes"`` build the corresponding pool with ``max_workers``
-    workers; ``"sanitizer"`` builds the race-detecting
+    builds a :class:`ThreadedExecutor` and ``"processes"`` a
+    :class:`WorkerPool`, each with ``max_workers`` workers; ``"sanitizer"``
+    builds the race-detecting
     :class:`repro.analysis.sanitizer.SanitizerExecutor`; an object with a
-    ``run`` method passes through unchanged. ``shuffle`` selects the
-    process-backed shuffle mode, ``retry`` the fault-tolerance policy and
-    ``injector`` an optional fault plan (in-process executors run tasks in
-    the driver, where a failure is already surfaced directly, so they
-    ignore all three).
+    ``run`` method passes through unchanged. ``retry`` is the
+    fault-tolerance policy and ``injector`` an optional fault plan
+    (in-process executors run tasks in the driver, where a failure is
+    already surfaced directly, so they ignore both).
     """
     if spec is None or spec == "serial":
         return SerialExecutor()
     if spec == "threads":
         return ThreadedExecutor(max_workers=max_workers or 4)
     if spec == "processes":
-        return ProcessExecutor(
-            max_workers=max_workers, shuffle=shuffle, retry=retry, injector=injector
-        )
+        return WorkerPool(max_workers=max_workers, retry=retry, injector=injector)
     if spec == "sanitizer":
         # Imported lazily: repro.analysis depends on this module.
         from repro.analysis.sanitizer import SanitizerExecutor
@@ -1335,3 +998,19 @@ def resolve_executor(
     if hasattr(spec, "run"):
         return spec
     raise TypeError(f"executor must be a name or an Executor, got {type(spec).__name__}")
+
+
+@contextmanager
+def one_shot_executor(spec: Union[str, Executor, None]) -> Iterator[Executor]:
+    """Resolve ``spec`` for a single job; a pool resolved here is shut down.
+
+    For callers that run one job and return: an executor *instance* passes
+    through untouched (its owner manages it), while a :class:`WorkerPool`
+    built from a name has every worker stopped before the block exits.
+    """
+    executor = resolve_executor(spec)
+    try:
+        yield executor
+    finally:
+        if executor is not spec and isinstance(executor, WorkerPool):
+            executor.shutdown()

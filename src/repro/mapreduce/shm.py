@@ -1,9 +1,9 @@
 """Zero-copy shared-memory data plane for process workers.
 
-The :class:`~repro.mapreduce.runtime.ProcessExecutor` ships the pickled
-database to *every* worker, so per-worker warmup memory and time scale with
-``num_workers`` — exactly the overhead the paper's fine-grained design must
-keep small (Section V). This module places the database's 2-bit sequence
+Pickling the database into the job ships a private copy to *every*
+:class:`~repro.mapreduce.runtime.WorkerPool` worker, so per-worker warmup
+memory and time scale with ``num_workers`` — exactly the overhead the
+paper's fine-grained design must keep small (Section V). This module places the database's 2-bit sequence
 codes and its per-sequence sorted k-mer arrays into POSIX shared-memory
 segments (``multiprocessing.shared_memory``): one copy per machine, with
 workers attaching zero-copy NumPy views instead of unpickling a private

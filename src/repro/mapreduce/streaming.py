@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, List, Tuple, Union
 
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.runtime import Executor, resolve_executor
+from repro.mapreduce.runtime import Executor, one_shot_executor
 from repro.mapreduce.types import InputSplit, JobResult
 
 #: A streaming mapper maps one input line to zero or more output lines, each
@@ -71,7 +71,9 @@ def run_streaming_job(
     the reducer output lines (partition order) plus the usual
     :class:`JobResult` with task records. ``executor`` selects the backend
     (default serial); process execution requires the user mapper/reducer to
-    be picklable, otherwise it falls back to serial with a warning.
+    be picklable, otherwise it falls back to serial with a warning. A
+    worker pool built here from the name ``"processes"`` is shut down
+    before returning.
     """
     if lines_per_split <= 0:
         raise ValueError(f"lines_per_split must be positive, got {lines_per_split}")
@@ -90,5 +92,6 @@ def run_streaming_job(
         num_reducers=num_reducers,
         name=name,
     )
-    result = resolve_executor(executor).run(job, splits)
+    with one_shot_executor(executor) as runner:
+        result = runner.run(job, splits)
     return result.flat_outputs(), result

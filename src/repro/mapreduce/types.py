@@ -49,10 +49,10 @@ class TaskRecord:
 
     ``shuffle_bytes_out`` (map tasks) and ``shuffle_bytes_in`` (reduce
     tasks) count the pickled intermediate bytes this task pushed into /
-    pulled out of the shuffle. The streaming shuffle populates them so
-    benchmarks can report moved bytes alongside wall time; the barrier
-    shuffle leaves them 0 (its data movement happens driver-side, outside
-    any task).
+    pulled out of the shuffle. The worker pool's streaming shuffle
+    populates them so benchmarks can report moved bytes alongside wall
+    time; the serial and threaded executors leave them 0 (their shuffle
+    happens driver-side, outside any task).
 
     ``attempts`` / ``winner`` / ``speculative`` are the fault-tolerance
     trail stamped by the task scheduler: how many attempts the task

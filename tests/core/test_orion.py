@@ -176,6 +176,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             OrionSearch(database=small_db, aggregation_mode="magic")
 
+    def test_shuffle_accepts_only_streaming(self, small_db):
+        OrionSearch(database=small_db, num_shards=2, shuffle="streaming")
+        with pytest.raises(ValueError, match="streaming"):
+            OrionSearch(database=small_db, num_shards=2, shuffle="barrier")
+
 
 class TestPersistentPool:
     def _queries(self, small_db, query_with_truth):
@@ -205,29 +210,6 @@ class TestPersistentPool:
             results = search.run_many(self._queries(small_db, query_with_truth))
             assert len(results) == 2
             assert len(created) == 1
-        finally:
-            search.close()
-
-    def test_reuse_pool_false_escape_hatch(
-        self, small_db, query_with_truth, monkeypatch
-    ):
-        from repro.mapreduce import runtime as runtime_mod
-
-        created = []
-        real_pool = runtime_mod.ProcessPoolExecutor
-
-        def counting_pool(*args, **kwargs):
-            created.append(1)
-            return real_pool(*args, **kwargs)
-
-        monkeypatch.setattr(runtime_mod, "ProcessPoolExecutor", counting_pool)
-        search = OrionSearch(
-            database=small_db, num_shards=4, fragment_length=9000,
-            executor="processes", num_workers=2, reuse_pool=False,
-        )
-        try:
-            search.run_many(self._queries(small_db, query_with_truth))
-            assert len(created) >= 2  # a fresh pool per job, as before
         finally:
             search.close()
 
@@ -261,9 +243,9 @@ class TestPersistentPool:
             executor="processes", num_workers=2,
         ) as search:
             search.run(query)
-            pool = search._pool
-            assert pool is not None
-        assert search._pool is None and search._lease is None
+            pool = search.executor
+            assert pool.started
+        assert search.executor is pool and search._lease is None
         assert not pool.started
 
 

@@ -1,8 +1,8 @@
 """Fault-tolerance tests: injector, retry policy, scheduler, fault matrix.
 
 The matrix at the bottom is the load-bearing part: every fault kind is
-injected into every phase under every start method and shuffle, and the job
-must recover *in place* — byte-identical output, no whole-job serial
+injected into every phase under every start method on the worker pool, and
+the job must recover *in place* — byte-identical output, no whole-job serial
 fallback, the targeted task's retry visible in its TaskRecord, and nothing
 left behind in ``/dev/shm``.
 """
@@ -25,13 +25,14 @@ from repro.mapreduce.faults import (
     TransientTaskError,
 )
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.runtime import ProcessExecutor, SerialExecutor, WorkerPool
+from repro.mapreduce.runtime import SerialExecutor, WorkerPool
 from repro.mapreduce.scheduler import TaskScheduler
 from repro.mapreduce.types import TaskKind
 from tests.mapreduce.test_runtime import (
     _sum_reducer,
     make_job,
     make_splits,
+    run_pool,
 )
 
 
@@ -217,13 +218,12 @@ class TestRetryPolicy:
         # straight to the serial-fallback ladder, even a transient one a
         # retry would have absorbed.
         spec = FaultSpec(phase="map", kind="transient", index=1, attempt=1)
-        ex = ProcessExecutor(
-            max_workers=2,
-            retry=fast_policy(max_attempts=1),
-            injector=FaultInjector(specs=(spec,)),
-        )
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            result = ex.run(make_job(), make_splits(4))
+            result = run_pool(
+                make_job(), make_splits(4),
+                retry=fast_policy(max_attempts=1),
+                injector=FaultInjector(specs=(spec,)),
+            )
         assert all(r.executor == "serial" for r in result.records)
 
 
@@ -432,7 +432,7 @@ class TestTaskScheduler:
 
 
 # --------------------------------------------------------------------------- #
-# the fault matrix: every kind x phase x start method x shuffle recovers
+# the fault matrix: every kind x phase x start method recovers
 # --------------------------------------------------------------------------- #
 
 
@@ -455,16 +455,33 @@ def _record_for(result, phase, index):
 
 #: Records per split whose pickled map output exceeds one page, so the
 #: streaming shuffle spills it to a segment — the only place an shm fault
-#: can strike a streaming task.
+#: can strike a task.
 _SPILLING_WIDTH = 2000
 
 
+def run_faulted(job, splits, lifecycle, injector, **kwargs):
+    """Run ``job`` under ``injector`` on a fresh two-worker WorkerPool.
+
+    ``lifecycle="cold"`` arms the injector from the start, so the fault
+    strikes the job that starts the pool. ``"warm"`` first serves the same
+    job cleanly and only then arms the injector: the fault strikes live
+    workers that already hold the job in their cache — the state a reused
+    pool is in for every query after the first.
+    """
+    kwargs.setdefault("max_workers", 2)
+    with WorkerPool(**kwargs) as pool:
+        if lifecycle == "warm":
+            assert pool.run(job, splits).flat_outputs()
+        pool.injector = injector
+        return pool.run(job, splits)
+
+
 class TestFaultMatrix:
+    @pytest.mark.parametrize("lifecycle", ["cold", "warm"])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    @pytest.mark.parametrize("shuffle", ["barrier", "streaming"])
     @pytest.mark.parametrize("phase", ["map", "reduce"])
     @pytest.mark.parametrize("kind", ["crash", "hang", "transient", "shm"])
-    def test_one_fault_recovers_in_place(self, kind, phase, shuffle, start_method):
+    def test_one_fault_recovers_in_place(self, kind, phase, start_method, lifecycle):
         spec = FaultSpec(
             phase=phase, kind=kind, index=1, attempt=1, hang_seconds=1.5
         )
@@ -472,27 +489,24 @@ class TestFaultMatrix:
         splits = make_splits(4, width=_SPILLING_WIDTH if kind == "shm" else 10)
         expected = sorted(SerialExecutor().run(make_job(), splits).flat_outputs())
         before = _shm_segments()
-        executor = ProcessExecutor(
-            max_workers=2,
-            start_method=start_method,
-            shuffle=shuffle,
-            retry=policy,
-            injector=FaultInjector(specs=(spec,)),
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # any serial fallback fails the test
-            result = executor.run(make_job(), splits)
+            result = run_faulted(
+                make_job(), splits, lifecycle, FaultInjector(specs=(spec,)),
+                start_method=start_method,
+                retry=policy,
+            )
 
         assert sorted(result.flat_outputs()) == expected
         assert all(r.executor == "processes" for r in result.records)
         assert all(r.fallback_reason == "" for r in result.records)
-        if (kind, shuffle) == ("shm", "streaming"):
+        if kind == "shm":
             assert all(
                 r.shuffle_bytes_out > mmap.PAGESIZE for r in result.map_records()
             )
 
         target = _record_for(result, phase, 1)
-        if (kind, phase, shuffle) == ("shm", "map", "streaming"):
+        if (kind, phase) == ("shm", "map"):
             # A failed spill write degrades to the inline-bytes path inside
             # the same attempt; nothing retries.
             assert all(r.attempts == 1 for r in result.records)
@@ -502,32 +516,27 @@ class TestFaultMatrix:
         assert _shm_segments() - before == set()
 
     @pytest.mark.parametrize("phase", ["map", "reduce"])
-    def test_sub_page_streaming_task_is_immune_to_shm_faults(
+    def test_sub_page_task_is_immune_to_shm_faults(
         self, phase, serial_output
     ):
         # The fault is armed for every task and every attempt: a task that
         # touched a segment would burn its whole budget and fall back. Runs
         # that fit in a page travel inline and never reach a touch point.
         spec = FaultSpec(phase=phase, kind="shm", index=ANY, attempt=ANY)
-        executor = ProcessExecutor(
-            max_workers=2,
-            shuffle="streaming",
-            retry=fast_policy(),
-            injector=FaultInjector(specs=(spec,)),
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = executor.run(make_job(), make_splits(4))
+            result = run_pool(
+                make_job(), make_splits(4),
+                retry=fast_policy(),
+                injector=FaultInjector(specs=(spec,)),
+            )
         assert sorted(result.flat_outputs()) == serial_output
         assert all(r.attempts == 1 for r in result.records)
         assert all(
             0 < r.shuffle_bytes_out <= mmap.PAGESIZE for r in result.map_records()
         )
 
-    @pytest.mark.parametrize("shuffle", ["barrier", "streaming"])
-    def test_speculative_duplicate_races_an_injected_straggler(
-        self, shuffle, serial_output
-    ):
+    def test_speculative_duplicate_races_an_injected_straggler(self, serial_output):
         # No deadline here: speculation alone must rescue the hung task.
         spec = FaultSpec(
             phase="map", kind="hang", index=1, attempt=1, hang_seconds=1.5
@@ -535,15 +544,14 @@ class TestFaultMatrix:
         policy = fast_policy(
             speculative=True, speculative_fraction=0.5, speculative_multiplier=1.5
         )
-        executor = ProcessExecutor(
-            max_workers=4,
-            shuffle=shuffle,
-            retry=policy,
-            injector=FaultInjector(specs=(spec,)),
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            result = executor.run(make_job(), make_splits(4))
+            result = run_pool(
+                make_job(), make_splits(4),
+                max_workers=4,
+                retry=policy,
+                injector=FaultInjector(specs=(spec,)),
+            )
         assert sorted(result.flat_outputs()) == serial_output
         target = _record_for(result, "map", 1)
         assert target.speculative
@@ -552,13 +560,11 @@ class TestFaultMatrix:
 
 
 class TestWorkerPoolFaults:
-    @pytest.mark.parametrize("shuffle", ["barrier", "streaming"])
-    def test_crash_respawns_and_the_pool_stays_usable(self, shuffle, serial_output):
+    def test_crash_respawns_and_the_pool_stays_usable(self, serial_output):
         spec = FaultSpec(phase="map", kind="crash", index=1, attempt=1)
         before = _shm_segments()
         pool = WorkerPool(
             max_workers=2,
-            shuffle=shuffle,
             retry=fast_policy(),
             injector=FaultInjector(specs=(spec,)),
         )
@@ -590,15 +596,14 @@ class TestAcceptanceSingleCrash:
         # The delay lets the crasher's ms-fast wave-mates commit first, so
         # precisely one task is in flight when the pool breaks.
         spec = FaultSpec(phase="map", kind="crash", index=1, attempt=1, delay=0.3)
-        executor = ProcessExecutor(
-            max_workers=4,
-            shuffle="streaming",
-            retry=fast_policy(),
-            injector=FaultInjector(specs=(spec,)),
-        )
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a fallback warning fails the test
-            result = executor.run(make_job(), make_splits(4))
+            result = run_pool(
+                make_job(), make_splits(4),
+                max_workers=4,
+                retry=fast_policy(),
+                injector=FaultInjector(specs=(spec,)),
+            )
 
         assert sorted(result.flat_outputs()) == serial_output
         assert all(r.executor == "processes" for r in result.records)
@@ -621,31 +626,28 @@ class TestFallbackLadder:
         # attempt=ANY: the fault outlives every retry, so the budget spends
         # out and the job reruns serially — correctly, with forensics.
         spec = FaultSpec(phase="map", kind="transient", index=1, attempt=ANY)
-        executor = ProcessExecutor(
-            max_workers=2,
-            retry=fast_policy(max_attempts=2),
-            injector=FaultInjector(specs=(spec,)),
-        )
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            result = executor.run(make_job(), make_splits(4))
+            result = run_pool(
+                make_job(), make_splits(4),
+                retry=fast_policy(max_attempts=2),
+                injector=FaultInjector(specs=(spec,)),
+            )
         assert sorted(result.flat_outputs()) == serial_output
         assert all(r.executor == "serial" for r in result.records)
         assert all("TaskFailedError" in r.fallback_reason for r in result.records)
 
-    @pytest.mark.parametrize("shuffle", ["barrier", "streaming"])
+    @pytest.mark.parametrize("lifecycle", ["cold", "warm"])
     def test_exhaustion_sweeps_spills_before_serial_rerun(
-        self, shuffle, serial_output
+        self, lifecycle, serial_output
     ):
         spec = FaultSpec(phase="reduce", kind="transient", index=0, attempt=ANY)
         before = _shm_segments()
-        executor = ProcessExecutor(
-            max_workers=2,
-            shuffle=shuffle,
-            retry=fast_policy(max_attempts=2),
-            injector=FaultInjector(specs=(spec,)),
-        )
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            result = executor.run(make_job(), make_splits(4))
+            result = run_faulted(
+                make_job(), make_splits(4), lifecycle,
+                FaultInjector(specs=(spec,)),
+                retry=fast_policy(max_attempts=2),
+            )
         assert sorted(result.flat_outputs()) == serial_output
         assert _shm_segments() - before == set()
 
@@ -653,10 +655,9 @@ class TestFallbackLadder:
         job = MapReduceJob(
             mapper=_poison_mapper, reducer=_sum_reducer, num_reducers=2, name="t"
         )
-        executor = ProcessExecutor(max_workers=2, retry=fast_policy(max_attempts=2))
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             with pytest.raises(RuntimeError, match="also failed") as ei:
-                executor.run(job, make_splits(2))
+                run_pool(job, make_splits(2), retry=fast_policy(max_attempts=2))
         # The raised error names the failing task and chains the original.
         assert "original failure was map task" in str(ei.value)
         assert isinstance(ei.value.__cause__, TaskFailedError)

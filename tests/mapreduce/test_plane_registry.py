@@ -21,7 +21,7 @@ import pytest
 from repro.core.orion import OrionSearch
 from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.faults import FaultInjector, FaultSpec
-from repro.mapreduce.runtime import ProcessExecutor
+from repro.mapreduce.runtime import WorkerPool
 from repro.mapreduce.shm import (
     PLANE_PREFIX,
     PLANE_SLOTS,
@@ -46,12 +46,17 @@ pytestmark = pytest.mark.skipif(
 K = 9
 
 
-def _plane_segments():
-    """Names of live registry-managed plane segments (Linux probe)."""
+def _shm_names(prefix):
+    """Names of live ``/dev/shm`` entries with ``prefix`` (Linux probe)."""
     try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith(PLANE_PREFIX)}
+        return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
+
+
+def _plane_segments():
+    """Names of live registry-managed plane segments."""
+    return _shm_names(PLANE_PREFIX)
 
 
 @pytest.fixture
@@ -356,7 +361,7 @@ def _search_script(start_method):
         f"""\
         import sys
         from repro.core.orion import OrionSearch
-        from repro.mapreduce.runtime import ProcessExecutor
+        from repro.mapreduce.runtime import WorkerPool
         from repro.sequence.generator import (
             HomologySpec, make_database, make_query_with_homologies,
         )
@@ -367,7 +372,7 @@ def _search_script(start_method):
         )
         search = OrionSearch(
             db, num_shards=4,
-            executor=ProcessExecutor(max_workers=2, start_method={start_method!r}),
+            executor=WorkerPool(max_workers=2, start_method={start_method!r}),
         )
         search.warmup()  # plane published, workers forked/spawned
         print("READY " + search._shm_handle.registry_segment, flush=True)
@@ -383,7 +388,8 @@ class TestCreatorCrashMatrix:
 
     The acceptance matrix: the survivor (this test process) keeps searching
     with byte-identical results, and once the survivor releases — or a reap
-    runs — ``/dev/shm`` is empty again.
+    runs — ``/dev/shm`` is empty again. The killed creator leaves no job
+    blob behind either: its sub-page job rides inline in the task items.
     """
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -394,6 +400,7 @@ class TestCreatorCrashMatrix:
         )
         serial = OrionSearch(db, num_shards=4, executor="serial").run(query)
         serial_keys = [str(a) for a in serial.alignments]
+        blobs_before = _shm_names("psm_")
 
         creator = subprocess.Popen(
             [sys.executable, "-c", _search_script(start_method)],
@@ -411,7 +418,7 @@ class TestCreatorCrashMatrix:
         # then SIGKILL the creator's whole process group (workers included).
         survivor = OrionSearch(
             db, num_shards=4,
-            executor=ProcessExecutor(max_workers=2, start_method=start_method),
+            executor=WorkerPool(max_workers=2, start_method=start_method),
         )
         try:
             survivor._ensure_plane()
@@ -427,6 +434,7 @@ class TestCreatorCrashMatrix:
         # The survivor was the last live leaseholder: its exit swept the
         # plane, dead creator's slot notwithstanding.
         assert not shm_mod.segment_exists(registry_name)
+        assert _shm_names("psm_") - blobs_before == set()
 
     def test_crash_before_registry_publish_is_reaped(self, db):
         """A creator killed between publishing data segments and writing the

@@ -1,6 +1,8 @@
 """Tests for executors: correctness, determinism, task records."""
 
+import functools
 import mmap
+import multiprocessing
 import os
 import pickle
 import time
@@ -12,9 +14,9 @@ from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import (
     EXECUTOR_KINDS,
-    ProcessExecutor,
     SerialExecutor,
     ThreadedExecutor,
+    WorkerPool,
     resolve_executor,
 )
 from repro.mapreduce.types import InputSplit, TaskKind
@@ -94,6 +96,12 @@ def _log_segment_calls(monkeypatch, path):
         monkeypatch.setattr(shm_mod, fn_name, logged)
 
 
+def _padded_mapper(padding, split):
+    # ``padding`` rides in the job pickle, pushing the blob past one page.
+    for x in split.payload:
+        yield x % 5, x
+
+
 def _identity_partitioner(key, num_reducers):
     # One key per partition: every reduce task sleeps exactly once, making
     # the number of reduce waves directly readable from the wall clock.
@@ -111,6 +119,13 @@ def make_splits(n=6, width=10):
         InputSplit(index=i, payload=list(range(i * width, (i + 1) * width)))
         for i in range(n)
     ]
+
+
+def run_pool(job, splits, **kwargs):
+    """Run one job on a fresh two-worker WorkerPool, shut down on return."""
+    kwargs.setdefault("max_workers", 2)
+    with WorkerPool(**kwargs) as pool:
+        return pool.run(job, splits)
 
 
 def expected_totals(n=6, width=10):
@@ -229,17 +244,17 @@ class TestThreadedExecutor:
         assert not any(r.simulator_safe for r in result.reduce_records())
 
 
-class TestProcessExecutor:
+class TestProcessPool:
     def test_matches_serial(self):
         job = make_job(3)
         splits = make_splits(8)
         serial = SerialExecutor().run(job, splits)
-        proc = ProcessExecutor(max_workers=2).run(job, splits)
+        proc = run_pool(job, splits)
         assert serial.outputs == proc.outputs
         assert serial.shuffle_keys == proc.shuffle_keys
 
     def test_records_tagged(self):
-        result = ProcessExecutor(max_workers=2).run(make_job(2), make_splits(4))
+        result = run_pool(make_job(2), make_splits(4))
         assert len(result.map_records()) == 4
         assert len(result.reduce_records()) == 2
         assert all(r.executor == "processes" for r in result.records)
@@ -248,7 +263,7 @@ class TestProcessExecutor:
     def test_deterministic_record_order(self):
         """Map records come back in split order, reduce in partition order,
         regardless of which worker ran what."""
-        result = ProcessExecutor(max_workers=2).run(make_job(3), make_splits(6))
+        result = run_pool(make_job(3), make_splits(6))
         assert [r.task_id for r in result.map_records()] == [
             f"t/map/{i:05d}" for i in range(6)
         ]
@@ -266,14 +281,14 @@ class TestProcessExecutor:
 
         job = MapReduceJob(mapper=closure_mapper, reducer=_sum_reducer, name="c")
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            result = ProcessExecutor(max_workers=2).run(job, make_splits(3))
+            result = run_pool(job, make_splits(3))
         assert dict(result.flat_outputs()) == expected_totals(3)
         # The fallback truthfully tags its records as serial measurements.
         assert all(r.executor == "serial" for r in result.records)
         assert captured  # the closure really ran, in this process
 
     def test_setup_hook_runs_per_worker(self):
-        """The per-worker initializer runs before any task in that process
+        """The per-worker setup hook runs before any task in that process
         (Orion warms its k-mer cache there); in-process executors skip it."""
         _SETUP_STATE["offset"] = 0
         job = MapReduceJob(
@@ -284,7 +299,7 @@ class TestProcessExecutor:
             setup=_install_offset,
         )
         splits = make_splits(2, width=5)
-        proc = ProcessExecutor(max_workers=2).run(job, splits)
+        proc = run_pool(job, splits)
         offsets = dict(proc.flat_outputs())
         base = SerialExecutor().run(make_job(2), splits)
         assert sum(offsets.values()) == sum(dict(base.flat_outputs()).values()) + 1000 * 10
@@ -292,42 +307,50 @@ class TestProcessExecutor:
         assert _SETUP_STATE["offset"] == 0
 
     def test_empty_splits(self):
-        result = ProcessExecutor(max_workers=2).run(make_job(), [])
+        result = run_pool(make_job(), [])
         assert result.flat_outputs() == []
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
-            ProcessExecutor(max_workers=0)
+            WorkerPool(max_workers=0)
 
-    def test_job_pickles_once_per_worker_not_per_task(self):
-        """Dispatch ships splits, not the job: a job much larger than any
-        split still runs tasks whose arguments are just the splits."""
-        job = make_job()
-        blob = pickle.dumps(job)
-        assert len(blob) < 10_000  # sanity: module-refs, not code objects
-        # The real assertion is architectural: _process_map_task's item is
-        # (split, attempt, injector) — no job; it travels via the pool
-        # initializer.
-        import inspect
-
-        params = inspect.signature(runtime_mod._process_map_task).parameters
-        (item_param,) = params.values()
-        annotation = str(item_param.annotation)
-        assert "MapReduceJob" not in annotation
-        assert "InputSplit" in annotation
-
-    def test_pool_sized_for_reduce_phase(self, monkeypatch):
-        """Regression: one pool serves both phases, so it must be sized by
-        ``max(len(splits), num_reducers)`` — sizing by splits alone
-        silently serializes reduce phases wider than the map phase."""
-        sizes = []
+    def test_job_travels_by_the_page_rule(self, monkeypatch):
+        """Dispatch ships a job ref, never the job object: a blob of at
+        most one page rides inline in each task item, a larger one goes
+        once through a segment and the item carries only its name."""
+        submitted = []
         real_pool = runtime_mod.ProcessPoolExecutor
 
-        def recording_pool(*args, **kwargs):
-            sizes.append(kwargs["max_workers"])
-            return real_pool(*args, **kwargs)
+        class RecordingPool(real_pool):
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args[0])
+                return super().submit(fn, *args, **kwargs)
 
-        monkeypatch.setattr(runtime_mod, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(runtime_mod, "ProcessPoolExecutor", RecordingPool)
+        small = make_job()
+        large = MapReduceJob(
+            mapper=functools.partial(_padded_mapper, bytes(2 * mmap.PAGESIZE)),
+            reducer=_sum_reducer, num_reducers=2, name="t",
+        )
+        assert len(pickle.dumps(small)) <= mmap.PAGESIZE < len(pickle.dumps(large))
+        for job in (small, large):
+            submitted.clear()
+            result = run_pool(job, make_splits(3))
+            assert dict(result.flat_outputs()) == expected_totals(3)
+            refs = {item[0] for item in submitted}
+            assert len(submitted) == 3 + 2 and len(refs) == 1
+            (ref,) = refs
+            assert not any(isinstance(part, MapReduceJob) for part in submitted[0])
+            if job is small:
+                assert ref.segment is None and ref.inline == pickle.dumps(small)
+            else:
+                assert ref.segment is not None and ref.inline is None
+                assert ref.size == len(pickle.dumps(large))
+
+    def test_pool_sized_for_reduce_phase(self):
+        """Regression: one pool serves both phases, so a reduce phase wider
+        than the map phase must still run in one wave — sizing the pool by
+        splits alone silently serializes it."""
         job = MapReduceJob(
             mapper=_mod4_mapper,
             reducer=_sleeping_reducer,
@@ -336,9 +359,8 @@ class TestProcessExecutor:
             name="w",
         )
         start = time.monotonic()
-        result = ProcessExecutor(max_workers=8).run(job, make_splits(2))
+        result = run_pool(job, make_splits(2), max_workers=8)
         wall = time.monotonic() - start
-        assert sizes == [4]
         totals = dict(result.flat_outputs())
         assert totals == {k: sum(x for x in range(20) if x % 4 == k) for k in range(4)}
         # Each partition holds exactly one key, so all four reduce tasks
@@ -352,16 +374,14 @@ class TestStreamingShuffle:
         job = make_job(3)
         splits = make_splits(8)
         serial = SerialExecutor().run(job, splits)
-        stream = ProcessExecutor(max_workers=2, shuffle="streaming").run(job, splits)
+        stream = run_pool(job, splits)
         assert stream.outputs == serial.outputs
         assert stream.shuffle_keys == serial.shuffle_keys
 
     def test_record_order_and_shuffle_bytes(self):
         """Records stay in split/partition order despite as_completed
         scheduling, and map spill bytes balance reduce fetch bytes."""
-        result = ProcessExecutor(max_workers=2, shuffle="streaming").run(
-            make_job(3), make_splits(6)
-        )
+        result = run_pool(make_job(3), make_splits(6))
         assert [r.task_id for r in result.map_records()] == [
             f"t/map/{i:05d}" for i in range(6)
         ]
@@ -378,7 +398,7 @@ class TestStreamingShuffle:
         job = make_job(8)  # only 5 distinct keys exist
         splits = make_splits(1)
         serial = SerialExecutor().run(job, splits)
-        stream = ProcessExecutor(max_workers=2, shuffle="streaming").run(job, splits)
+        stream = run_pool(job, splits)
         assert stream.outputs == serial.outputs
 
     def test_inline_fallback_without_shm(self, monkeypatch):
@@ -387,7 +407,7 @@ class TestStreamingShuffle:
         monkeypatch.setattr(shm_mod, "HAVE_SHARED_MEMORY", False)
         job = make_job(2)
         splits = make_splits(4)
-        stream = ProcessExecutor(max_workers=2, shuffle="streaming").run(job, splits)
+        stream = run_pool(job, splits)
         assert dict(stream.flat_outputs()) == expected_totals(4)
         assert sum(r.shuffle_bytes_out for r in stream.map_records()) > 0
 
@@ -421,16 +441,7 @@ class TestStreamingShuffle:
         _log_segment_calls(monkeypatch, str(log))
 
         def run(splits):
-            with runtime_mod.WorkerPool(
-                max_workers=2, start_method="fork", shuffle="streaming"
-            ) as pool:
-                # Inline job ref: the blob segment WorkerPool publishes per
-                # job is not shuffle traffic.
-                monkeypatch.setattr(
-                    pool, "_publish_job",
-                    lambda blob: (runtime_mod._JobRef("k", None, 0, blob), None),
-                )
-                return pool.run(make_job(3), splits)
+            return run_pool(make_job(3), splits, start_method="fork")
 
         result = run(make_splits(6))
         assert dict(result.flat_outputs()) == expected_totals(6)
@@ -448,13 +459,9 @@ class TestStreamingShuffle:
         """``shuffle_bytes_out/in`` count pickled run bytes, whichever way
         they travelled: spilled and inline runs of one job account alike."""
         job, splits = make_job(3), make_splits(4, width=2000)
-        spilled = ProcessExecutor(
-            max_workers=2, start_method="fork", shuffle="streaming"
-        ).run(job, splits)
+        spilled = run_pool(job, splits, start_method="fork")
         monkeypatch.setattr(shm_mod, "HAVE_SHARED_MEMORY", False)
-        inline = ProcessExecutor(
-            max_workers=2, start_method="fork", shuffle="streaming"
-        ).run(job, splits)
+        inline = run_pool(job, splits, start_method="fork")
         assert inline.outputs == spilled.outputs
         for a, b in zip(spilled.records, inline.records):
             assert a.task_id == b.task_id
@@ -471,18 +478,6 @@ class TestStreamingShuffle:
         ]
         assert [r.shuffle_bytes_out for r in spilled.map_records()] == expected
 
-    def test_barrier_leaves_shuffle_bytes_zero(self):
-        result = ProcessExecutor(max_workers=2, shuffle="barrier").run(
-            make_job(2), make_splits(4)
-        )
-        assert all(r.shuffle_bytes_out == 0 for r in result.map_records())
-        assert all(r.shuffle_bytes_in == 0 for r in result.reduce_records())
-
-    def test_unknown_shuffle_rejected(self):
-        with pytest.raises(ValueError):
-            ProcessExecutor(max_workers=2, shuffle="wat")
-        with pytest.raises(ValueError):
-            runtime_mod.WorkerPool(max_workers=2, shuffle="wat")
 
 
 class TestResolveExecutor:
@@ -493,10 +488,10 @@ class TestResolveExecutor:
         assert resolve_executor("processes", 2).max_workers == 2
         assert set(EXECUTOR_KINDS) == {"serial", "threads", "processes"}
 
-    def test_shuffle_passthrough(self):
-        assert resolve_executor("processes", 2).shuffle == "streaming"
-        assert resolve_executor("processes", 2, shuffle="barrier").shuffle == "barrier"
-        assert set(runtime_mod.SHUFFLE_KINDS) == {"barrier", "streaming"}
+    def test_processes_is_a_lazy_worker_pool(self):
+        pool = resolve_executor("processes", 2)
+        assert isinstance(pool, WorkerPool)
+        assert not pool.started  # no worker starts before the first run
 
     def test_instance_passthrough(self):
         ex = ThreadedExecutor(2)
@@ -509,6 +504,78 @@ class TestResolveExecutor:
     def test_bad_type(self):
         with pytest.raises(TypeError):
             resolve_executor(42)
+
+
+def _upper_line_mapper(line):
+    for word in line.split():
+        yield f"{word.upper()}\t1"
+
+
+def _count_line_reducer(key, values):
+    yield f"{key}\t{len(values)}"
+
+
+@pytest.fixture(params=["fork", "spawn"])
+def default_start_method(request):
+    """Make ``request.param`` the default start method for one test, so
+    pools built from the name ``"processes"`` use it."""
+    previous = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method(request.param, force=True)
+    yield request.param
+    multiprocessing.set_start_method(previous, force=True)
+
+
+class TestOneShotLifetime:
+    """Callers that resolve ``"processes"`` for one job shut the pool down
+    before returning: no worker outlives the call."""
+
+    def test_parallel_sort_leaves_no_worker(self, default_start_method):
+        from repro.blast.hsp import Alignment
+        from repro.core.sortmr import parallel_sort_alignments
+
+        alns = [
+            Alignment(
+                query_id="q", subject_id=f"s{i % 4}", q_start=0, q_end=10,
+                s_start=0, s_end=10, score=10 + (i * 7) % 50,
+                evalue=((i * 13) % 17) / 10, bits=float(i),
+            )
+            for i in range(60)
+        ]
+        before = set(multiprocessing.active_children())
+        serial, _ = parallel_sort_alignments(alns, num_tasks=4)
+        proc, _ = parallel_sort_alignments(alns, num_tasks=4, executor="processes")
+        assert proc == serial
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_streaming_job_leaves_no_worker(self, default_start_method):
+        from repro.mapreduce.streaming import run_streaming_job
+
+        lines = [f"orion blast seed {i % 3}" for i in range(12)]
+        before = set(multiprocessing.active_children())
+        serial, _ = run_streaming_job(
+            lines, _upper_line_mapper, _count_line_reducer, num_reducers=2,
+            lines_per_split=3,
+        )
+        proc, result = run_streaming_job(
+            lines, _upper_line_mapper, _count_line_reducer, num_reducers=2,
+            lines_per_split=3, executor="processes",
+        )
+        assert proc == serial
+        assert all(r.executor == "processes" for r in result.records)
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_unpicklable_job_still_falls_back(self):
+        from repro.mapreduce.streaming import run_streaming_job
+
+        before = set(multiprocessing.active_children())
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            out, result = run_streaming_job(
+                ["a b", "b"], lambda line: [f"{w}\t1" for w in line.split()],
+                _count_line_reducer, lines_per_split=1, executor="processes",
+            )
+        assert sorted(out) == ["a\t1", "b\t2"]
+        assert all(r.executor == "serial" for r in result.records)
+        assert set(multiprocessing.active_children()) - before == set()
 
 
 class TestTaskRecordScaling:

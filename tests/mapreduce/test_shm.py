@@ -5,10 +5,13 @@ whatever happens — normal release, forgotten release at interpreter exit,
 or a worker process crashing mid-task — no orphan segment may survive.
 """
 
+import functools
+import mmap
+import multiprocessing
 import os
+import pickle
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from repro.mapreduce.shm import (
 )
 from repro.mapreduce.types import InputSplit
 from repro.sequence.generator import make_database
+from tests.mapreduce.test_runtime import _padded_mapper
 
 pytestmark = pytest.mark.skipif(
     not shm_mod.HAVE_SHARED_MEMORY, reason="platform lacks POSIX shared memory"
@@ -82,6 +86,13 @@ class _CrashInWorkerMapper:
 
 def make_job(mapper=_mod5_mapper, n_red=2):
     return MapReduceJob(mapper=mapper, reducer=_sum_reducer, num_reducers=n_red, name="t")
+
+
+def make_above_page_job():
+    """A job whose pickle outgrows one page, so its blob ships via shm."""
+    job = make_job(functools.partial(_padded_mapper, bytes(2 * mmap.PAGESIZE)))
+    assert len(pickle.dumps(job)) > mmap.PAGESIZE
+    return job
 
 
 # Worker-side observable for the setup-runs-once test: the offset a setup
@@ -363,8 +374,11 @@ class TestWorkerPool:
 
         monkeypatch.setattr(shm_mod, "publish_bytes", spying_publish)
         with WorkerPool(max_workers=2) as pool:
+            result = pool.run(make_above_page_job(), make_splits())
+            assert dict(result.flat_outputs()) == _expected_totals()
+            # A sub-page job rides inline: no blob segment at all.
             pool.run(make_job(), make_splits())
-        assert published, "job blob was not shipped via shared memory"
+        assert len(published) == 1, "job blob was not shipped via shared memory"
         assert not any(segment_exists(n) for n in published)
 
     def test_unpicklable_job_falls_back_to_serial(self):
@@ -386,6 +400,15 @@ class TestWorkerPool:
         result = pool.run(make_job(), make_splits())
         assert not pool.started
         assert all(r.executor == "serial" for r in result.records)
+
+    def test_single_worker_prewarm_starts_nothing(self):
+        """``run`` never uses a one-worker pool's process, so ``prewarm``
+        must not fork one either."""
+        before = set(multiprocessing.active_children())
+        pool = WorkerPool(max_workers=1)
+        pool.prewarm()
+        assert not pool.started
+        assert set(multiprocessing.active_children()) - before == set()
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_worker_crash_recovers_and_leaks_nothing(self, start_method):

@@ -20,7 +20,7 @@ from repro.core.orion import OrionSearch
 from repro.core.sortmr import parallel_sort_alignments
 from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.runtime import ProcessExecutor, SerialExecutor, WorkerPool
+from repro.mapreduce.runtime import SerialExecutor, WorkerPool
 from repro.mapreduce.types import InputSplit
 from repro.sequence.generator import (
     HomologySpec,
@@ -67,7 +67,6 @@ def run_orion(
     use_streaming=False,
     strands="plus",
     shared_db=None,
-    shuffle="barrier",
     prune_threshold=None,
 ):
     search = OrionSearch(
@@ -78,7 +77,6 @@ def run_orion(
         use_streaming=use_streaming,
         executor=executor,
         num_workers=2,
-        shuffle=shuffle,
         shared_db=shared_db,
         prune_threshold=prune_threshold,
     )
@@ -200,7 +198,7 @@ def test_serial_records_simulator_safe_processes_not(tiny_db, tiny_query):
 
 
 # --------------------------------------------------------------------------- #
-# streaming shuffle == barrier shuffle
+# the worker pool's streaming shuffle == the serial oracle
 # --------------------------------------------------------------------------- #
 
 
@@ -258,7 +256,7 @@ def _word_splits(n=6, lines=8):
 
 #: Lines per split past which an uncombined word-count map output pickles
 #: to more than one page and is spilled to a segment instead of riding
-#: inline (asserted by ``test_streaming_equals_barrier``).
+#: inline (asserted by ``test_streaming_equals_serial``).
 _SPILLING_LINES = 400
 
 
@@ -279,17 +277,13 @@ class TestStreamingShuffleEquivalence:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     @pytest.mark.parametrize("with_combiner", [False, True])
     @pytest.mark.parametrize("lines", [8, _SPILLING_LINES])
-    def test_streaming_equals_barrier(self, start_method, with_combiner, lines):
+    def test_streaming_equals_serial(self, start_method, with_combiner, lines):
         before = _orionspill_segments()
         splits = _word_splits(lines=lines)
         serial = SerialExecutor().run(_wc_job(with_combiner), splits)
-        streaming = ProcessExecutor(
-            max_workers=2, start_method=start_method, shuffle="streaming"
-        ).run(_wc_job(with_combiner), splits)
-        barrier = ProcessExecutor(
-            max_workers=2, start_method=start_method, shuffle="barrier"
-        ).run(_wc_job(with_combiner), splits)
-        assert streaming.outputs == barrier.outputs == serial.outputs
+        with WorkerPool(max_workers=2, start_method=start_method) as pool:
+            streaming = pool.run(_wc_job(with_combiner), splits)
+        assert streaming.outputs == serial.outputs
         assert streaming.shuffle_keys == serial.shuffle_keys
         assert all(r.executor == "processes" for r in streaming.records)
         # Every shuffled byte must be accounted for on the reduce side.
@@ -309,9 +303,7 @@ class TestStreamingShuffleEquivalence:
     def test_worker_pool_streaming_repeat_runs(self, start_method):
         before = _orionspill_segments()
         serial = SerialExecutor().run(_wc_job(True), _word_splits())
-        with WorkerPool(
-            max_workers=2, start_method=start_method, shuffle="streaming"
-        ) as pool:
+        with WorkerPool(max_workers=2, start_method=start_method) as pool:
             r1 = pool.run(_wc_job(True), _word_splits())
             r2 = pool.run(_wc_job(True), _word_splits())
         assert r1.outputs == r2.outputs == serial.outputs
@@ -325,11 +317,9 @@ class TestStreamingShuffleEquivalence:
         before = _orionspill_segments()
         job = _wc_job(reducer=_CrashInWorkerReducer(os.getpid()))
         splits = _word_splits(lines=_SPILLING_LINES)
-        ex = ProcessExecutor(
-            max_workers=2, start_method=start_method, shuffle="streaming"
-        )
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            result = ex.run(job, splits)
+        with WorkerPool(max_workers=2, start_method=start_method) as pool:
+            with pytest.warns(RuntimeWarning, match="falling back to serial"):
+                result = pool.run(job, splits)
         serial = SerialExecutor().run(_wc_job(), splits)
         assert result.outputs == serial.outputs
         assert all(r.executor == "serial" for r in result.records)
@@ -339,9 +329,8 @@ class TestStreamingShuffleEquivalence:
         """Inline-fallback locators (no shared memory at all) stay exact."""
         monkeypatch.setattr(shm_mod, "HAVE_SHARED_MEMORY", False)
         serial = SerialExecutor().run(_wc_job(True), _word_splits())
-        streaming = ProcessExecutor(max_workers=2, shuffle="streaming").run(
-            _wc_job(True), _word_splits()
-        )
+        with WorkerPool(max_workers=2) as pool:
+            streaming = pool.run(_wc_job(True), _word_splits())
         assert streaming.outputs == serial.outputs
 
 
@@ -375,9 +364,7 @@ def test_outputs_straddling_a_page_equal_serial(start_method):
         mapper=_straddle_mapper, reducer=_count_reducer, num_reducers=3, name="s"
     )
     before = _orionspill_segments()
-    with WorkerPool(
-        max_workers=2, start_method=start_method, shuffle="streaming"
-    ) as pool:
+    with WorkerPool(max_workers=2, start_method=start_method) as pool:
 
         @given(
             st.lists(st.one_of(_SUB_PAGE, _ABOVE_PAGE), max_size=4),
@@ -406,7 +393,7 @@ def test_orion_streaming_shuffle_equals_serial(tiny_db, tiny_query):
     to the serial run, and sweeps its spill segments."""
     before = _orionspill_segments()
     serial = run_orion(tiny_db, tiny_query, "serial")
-    streaming = run_orion(tiny_db, tiny_query, "processes", shuffle="streaming")
+    streaming = run_orion(tiny_db, tiny_query, "processes")
     assert canonical(streaming.alignments) == canonical(serial.alignments)
     assert streaming.executor_kind == "processes"
     assert streaming.merged_pairs == serial.merged_pairs

@@ -365,7 +365,7 @@ class TestServiceEquivalence:
         assert service.stats.rejected == 0
         # Drained shutdown released the plane and the pool: no new segments.
         assert service.state == "closed"
-        assert search._pool is None and search._lease is None
+        assert not search.executor.started and search._lease is None
         assert _orion_segments() - before == set()
 
     def test_start_prewarms_plane_and_workers(self, small_db):
@@ -383,14 +383,12 @@ class TestServiceEquivalence:
         async def main():
             async with service:
                 assert search._lease is not None
-                pool = search._pool
-                assert pool is not None
-                inner = pool._pool  # the ProcessPoolExecutor itself exists...
+                inner = search.executor._pool  # the ProcessPoolExecutor exists...
                 assert inner is not None
                 assert len(inner._processes) == 2  # ...with live workers
 
         asyncio.run(main())
-        assert search._pool is None and search._lease is None
+        assert not search.executor.started and search._lease is None
 
     def test_drain_waits_for_inflight_work(self):
         async def main():
