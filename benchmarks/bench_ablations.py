@@ -22,7 +22,7 @@ from repro.bench.datasets import drosophila_like, human_query
 from repro.blast.engine import BlastEngine
 from repro.blast.params import BlastParams
 from repro.cluster.simulator import simulate_phase
-from repro.cluster.tasks import SimTask
+from repro.cluster.tasks import SimTask, unit_tasks
 from repro.cluster.topology import ClusterSpec
 from repro.core.orion import OrionSearch
 
@@ -128,19 +128,13 @@ def test_ablation_scheduling_policy(benchmark, workload):
     dataset, query, serial = workload
 
     def run():
-        orion = OrionSearch(
+        return OrionSearch(
             database=dataset.database, num_shards=16, fragment_length=1600,
-            cache_model=dataset.cache_model, unit_scale=dataset.unit_scale,
-            db_unit_scale=dataset.db_scale, scan_model=dataset.scan_model,
         ).run(query)
-        return orion
 
     orion = run_once(benchmark, run)
     cluster = ClusterSpec(nodes=4, cores_per_node=16)
-    tasks = [
-        SimTask(task_id=r.unit.task_id, duration=r.sim_seconds)
-        for r in orion.map_records
-    ]
+    tasks = unit_tasks(orion.map_records, dataset.hardware)
     fifo = simulate_phase(tasks, cluster, policy="fifo").end_time
     lpt = simulate_phase(tasks, cluster, policy="lpt").end_time
     fine_gap = fifo / lpt

@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Per-database fragment-length calibration (Section III-D / Fig. 11).
 
-Sweeps candidate fragment lengths for one query/database pairing, shows the
-U-shaped cost curve, and demonstrates the per-database memoization the
-paper prescribes ("this kind of calibration can be done once for each
-database and then used with the optimal fragment size").
+Sweeps candidate fragment lengths for one query/database pairing, replays
+each measured search on a simulated 256-core cluster, shows the U-shaped
+cost curve, and then reuses the sweet spot the way the paper prescribes
+("this kind of calibration can be done once for each database and then used
+with the optimal fragment size"): by passing it to later searches
+explicitly. Calibration itself keeps no state.
 
 Run:  python examples/calibration_sweep.py
 """
@@ -12,7 +14,6 @@ Run:  python examples/calibration_sweep.py
 from repro.bench.datasets import drosophila_like, human_query
 from repro.cluster import ClusterSpec
 from repro.core import OrionSearch, calibrate_fragment_length
-from repro.core.calibrate import cached_fragment_length
 from repro.util.textio import render_table
 
 
@@ -20,17 +21,10 @@ def main() -> None:
     dataset = drosophila_like()
     query, _ = human_query(dataset, length=14_500, seed=31)  # the paper's 14.5 Mbp case
     cluster = ClusterSpec(nodes=16, cores_per_node=16)
-    orion = OrionSearch(
-        database=dataset.database,
-        num_shards=64,
-        cache_model=dataset.cache_model,
-        unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale,
-        scan_model=dataset.scan_model,
-    )
+    orion = OrionSearch(database=dataset.database, num_shards=64)
 
     calib = calibrate_fragment_length(
-        orion, query, cluster,
+        orion, query, cluster, dataset.hardware,
         fragment_lengths=[400, 800, 1600, 3200, 7200, 14_500],
     )
     print(
@@ -47,9 +41,11 @@ def main() -> None:
     print(f"\nsweet spot: {calib.best_fragment_length} bp "
           f"(models {calib.best_fragment_length / 1000:.1f} Mbp; paper found 1.6 Mbp)")
 
-    # The memoized result is reused for similarly-sized queries on this DB.
-    cached = cached_fragment_length(dataset.database.name, 13_000)
-    print(f"cached sweet spot for a 13 kbp query on {dataset.database.name}: {cached} bp")
+    # Reuse the sweet spot for a similarly-sized query on this database.
+    other, _ = human_query(dataset, length=13_000, seed=32)
+    tuned = orion.run(other, fragment_length=calib.best_fragment_length)
+    print(f"13 kbp query on {dataset.database.name} at the sweet spot: "
+          f"{tuned.num_fragments} fragments, {len(tuned.alignments)} alignments")
 
 
 if __name__ == "__main__":

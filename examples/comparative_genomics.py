@@ -13,8 +13,8 @@ Run:  python examples/comparative_genomics.py
 from repro.bench.datasets import drosophila_like, human_query
 from repro.blast import BlastEngine
 from repro.cluster import ClusterSpec
-from repro.core import OrionSearch
-from repro.mpiblast import MpiBlastRunner
+from repro.core import OrionSearch, replay_orion
+from repro.mpiblast import MpiBlastRunner, replay_mpiblast
 from repro.util.textio import render_table
 
 
@@ -36,24 +36,18 @@ def main() -> None:
 
     serial = BlastEngine().search(query, dataset.database)
 
-    mpi_runner = MpiBlastRunner(
-        cache_model=dataset.cache_model,
-        unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale,
-        scan_model=dataset.scan_model,
+    mpi = MpiBlastRunner(hardware=dataset.hardware).run(
+        [query], dataset.database, num_shards=64
     )
-    mpi = mpi_runner.run([query], dataset.database, num_shards=64, cluster=cluster)
+    mpi_seconds = replay_mpiblast(mpi.records, cluster, dataset.hardware)[0]
 
     orion = OrionSearch(
         database=dataset.database,
         num_shards=64,
         fragment_length=1600,  # the calibrated 1.6 Mbp sweet spot (Fig. 11)
-        cache_model=dataset.cache_model,
-        unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale,
-        scan_model=dataset.scan_model,
     )
-    res = orion.run(query, cluster=cluster)
+    res = orion.run(query)
+    orion_seconds = replay_orion([res], cluster, dataset.hardware).makespan
 
     exact_mpi = keyset(mpi.alignments[query.seq_id]) == keyset(serial.alignments)
     exact_orion = keyset(res.alignments) == keyset(serial.alignments)
@@ -64,15 +58,15 @@ def main() -> None:
             [
                 ["serial BLAST", 1, "-", len(serial.alignments), True],
                 ["mpiBLAST (64 shards)", len(mpi.records),
-                 round(mpi.makespan_seconds, 1), len(mpi.alignments[query.seq_id]), exact_mpi],
+                 round(mpi_seconds, 1), len(mpi.alignments[query.seq_id]), exact_mpi],
                 [f"Orion ({res.num_fragments} frags x 64 shards)", res.num_work_units,
-                 round(res.makespan_seconds, 1), len(res.alignments), exact_orion],
+                 round(orion_seconds, 1), len(res.alignments), exact_orion],
             ],
             title="human-vs-Drosophila comparative genomics, 256 cores",
         )
     )
     print(f"\nOrion speedup over mpiBLAST: "
-          f"{mpi.makespan_seconds / res.makespan_seconds:.1f}x")
+          f"{mpi_seconds / orion_seconds:.1f}x")
 
     recovered = sum(
         1

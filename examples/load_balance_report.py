@@ -13,9 +13,10 @@ Run:  python examples/load_balance_report.py
 import numpy as np
 
 from repro.bench.datasets import drosophila_like, human_query_set
-from repro.cluster import ClusterSpec, coefficient_of_variation, load_imbalance
-from repro.core import OrionSearch
-from repro.mpiblast import MpiBlastRunner
+from repro.cluster import ClusterSpec, coefficient_of_variation, load_imbalance, simulated_seconds
+from repro.core import OrionSearch, replay_orion
+from repro.core.results import orion_phases
+from repro.mpiblast import MpiBlastRunner, replay_mpiblast
 from repro.util.textio import render_table
 
 
@@ -32,22 +33,18 @@ def main() -> None:
     # Short and very long queries together: the imbalance-provoking mix.
     queries = human_query_set(dataset, [1_000, 2_000, 5_000, 30_000, 71_000], seed=41)
 
-    mpi_runner = MpiBlastRunner(
-        cache_model=dataset.cache_model, unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale, scan_model=dataset.scan_model,
-    )
-    mpi = mpi_runner.run(queries, dataset.database, num_shards=64, cluster=cluster)
+    hardware = dataset.hardware
+    mpi = MpiBlastRunner(hardware=hardware).run(queries, dataset.database, num_shards=64)
+    mpi_makespan, mpi_busy, _ = replay_mpiblast(mpi.records, cluster, hardware)
 
-    orion = OrionSearch(
-        database=dataset.database, num_shards=64, fragment_length=1600,
-        cache_model=dataset.cache_model, unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale, scan_model=dataset.scan_model,
-    )
+    orion = OrionSearch(database=dataset.database, num_shards=64, fragment_length=1600)
     results = [orion.run(q) for q in queries]
-    sched = orion.simulate_query_set(results, cluster)
+    sched = replay_orion(results, cluster, hardware)
 
-    mpi_durations = mpi.unit_durations()
-    orion_durations = np.concatenate([r.task_durations() for r in results])
+    mpi_durations = np.array(simulated_seconds(mpi.records, hardware))
+    orion_durations = np.array(
+        [t.duration for phase in orion_phases(results, hardware) for t in phase]
+    )
 
     print("work-unit duration distributions (simulated seconds):")
     print(f"  mpiBLAST {histogram_line(mpi_durations)}")
@@ -62,10 +59,10 @@ def main() -> None:
                 ["coefficient of variation",
                  round(coefficient_of_variation(mpi_durations), 2),
                  round(coefficient_of_variation(orion_durations), 2)],
-                ["makespan on 256 cores (s)", round(mpi.makespan_seconds, 1),
+                ["makespan on 256 cores (s)", round(mpi_makespan, 1),
                  round(sched.makespan, 1)],
                 ["worker busy-time imbalance (max/mean)",
-                 round(load_imbalance(mpi.worker_busy_seconds), 2),
+                 round(load_imbalance(mpi_busy), 2),
                  round(load_imbalance(sched.per_slot_busy() + 1e-9), 2)],
             ],
             title="Table III-style load balance comparison",

@@ -10,8 +10,8 @@ Run:  python examples/long_query_scaling.py
 """
 
 from repro.bench.datasets import drosophila_like, human_query
-from repro.cluster import ClusterSpec, speedup_curve
-from repro.core import OrionSearch
+from repro.cluster import ClusterSpec, simulated_seconds, speedup_curve
+from repro.core import OrionSearch, replay_orion
 from repro.util.textio import render_table
 
 
@@ -22,22 +22,21 @@ def main() -> None:
         database=dataset.database,
         num_shards=64,
         fragment_length=1600,
-        cache_model=dataset.cache_model,
-        unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale,
-        scan_model=dataset.scan_model,
     )
     print(f"searching {len(query):,} bp (models 60 Mbp) ...")
     result = orion.run(query)
     print(
         f"{result.num_fragments} fragments x {result.num_shards} shards = "
         f"{result.num_work_units} work units; "
-        f"total simulated work {sum(r.sim_seconds for r in result.map_records):,.0f}s\n"
+        f"total simulated work "
+        f"{sum(simulated_seconds(result.map_records, dataset.hardware)):,.0f}s\n"
     )
 
     core_counts = [64, 128, 256, 512, 1024]
     makespans = [
-        orion.simulate(result, ClusterSpec(nodes=c // 16, cores_per_node=16)).makespan
+        replay_orion(
+            [result], ClusterSpec(nodes=c // 16, cores_per_node=16), dataset.hardware
+        ).makespan
         for c in core_counts
     ]
     rows = speedup_curve(core_counts, makespans)

@@ -10,8 +10,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro.blast import BlastEngine, format_tabular
-from repro.cluster import ClusterSpec
-from repro.core import OrionSearch
+from repro.cluster import ClusterSpec, HardwareModel
+from repro.core import OrionSearch, replay_orion
 from repro.sequence import HomologySpec, make_database, make_query_with_homologies
 
 
@@ -33,12 +33,14 @@ def main() -> None:
 
     # Orion: fragment the query, shard the database, search, aggregate.
     orion = OrionSearch(database=database, num_shards=8, fragment_length=25_000)
-    result = orion.run(query, cluster=ClusterSpec(nodes=4, cores_per_node=16))
+    result = orion.run(query)
+    # Replay the measured work units on a modelled 64-core Hadoop cluster.
+    schedule = replay_orion([result], ClusterSpec(nodes=4, cores_per_node=16), HardwareModel())
 
     print(
         f"\nOrion: {result.num_fragments} fragments x {result.num_shards} shards = "
         f"{result.num_work_units} work units, overlap L = {result.overlap} bp "
-        f"(Eq. 1), simulated makespan {result.makespan_seconds:.1f}s"
+        f"(Eq. 1), simulated makespan {schedule.makespan:.1f}s"
     )
     print(f"\ntop alignments ({len(result.alignments)} total):")
     print(format_tabular(result.alignments[:8]))

@@ -7,22 +7,24 @@ by every experiment:
 ==============  ===============================  ======================
 quantity        paper                            this reproduction
 ==============  ===============================  ======================
-query length    L Mbp                            L kbp  (``unit_scale`` 1000)
+query length    L Mbp                            L kbp  (``query_scale`` 1000)
 Drosophila DB   122.65 Mbp / 1170 sequences      ~1.2 Mbp / 256 sequences
 mouse DB        ~2.6 Gbp                         ~2.6 Mbp
 NT DB           ~50 Gbp                          ~5.2 Mbp
 cache knee      1 Mbp query                      1 kbp query (same knee in
-                                                 paper units via unit_scale)
+                                                 paper units via query_scale)
 task time       seconds on Gordon                cache·scan + measured extras
 ==============  ===============================  ======================
 
-Simulated work-unit durations are ``cache_factor · scan_seconds + measured
-extras``, where the scan term uses the paper-derived constant 0.68 s/Mbp²
-(:class:`repro.cluster.hardware.ScanCostModel` — from Table III's 2.10 s
-mean map task). This keeps per-unit durations at the paper's magnitude, so
-framework-overhead constants (Hadoop setup, per-task dispatch) are
-realistically proportioned, while measured seconds still carry the
-alignment-processing variation of the actual search.
+Each dataset carries one :class:`~repro.cluster.hardware.HardwareModel`
+holding its scales and models; replays turn measured records into
+simulated durations ``cache_factor · scan_seconds + measured extras``
+through it, where the scan term uses the paper-derived constant
+0.68 s/Mbp² (:class:`repro.cluster.hardware.ScanCostModel` — from
+Table III's 2.10 s mean map task). This keeps per-unit durations at the
+paper's magnitude, so framework-overhead constants (Hadoop setup, per-task
+dispatch) are realistically proportioned, while measured seconds still
+carry the alignment-processing variation of the actual search.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from repro.cluster.hardware import CacheModel, DPMemoryModel, ScanCostModel
+from repro.cluster.hardware import CacheModel, DPMemoryModel, HardwareModel, ScanCostModel
 from repro.sequence.generator import (
     HomologySpec,
     PlantedHomology,
@@ -44,20 +46,27 @@ from repro.util.validation import check_positive
 
 @dataclass(frozen=True)
 class DatasetSpec:
-    """One experiment substrate: database + hardware models + scales."""
+    """One experiment substrate: a database and the hardware model replaying it."""
 
     name: str
     database: Database
-    unit_scale: float  # our query bp -> paper bp
-    db_scale: float  # our db bp -> paper bp
-    cache_model: CacheModel
-    memory_model: DPMemoryModel
-    scan_model: ScanCostModel = ScanCostModel()
+    hardware: HardwareModel
     description: str = ""
 
     @property
     def paper_db_length(self) -> float:
-        return self.database.total_length * self.db_scale
+        return self.database.total_length * self.hardware.db_scale
+
+
+def _paper_hardware(query_scale: float, db_scale: float) -> HardwareModel:
+    """Every dataset's models: 1 Mbp cache knee, Table III scan cost, Gordon memory."""
+    return HardwareModel(
+        cache=CacheModel(threshold=1_000_000.0),
+        scan=ScanCostModel(),
+        memory=DPMemoryModel(),
+        query_scale=query_scale,
+        db_scale=db_scale,
+    )
 
 
 def drosophila_like(seed: int = 2014) -> DatasetSpec:
@@ -80,10 +89,7 @@ def drosophila_like(seed: int = 2014) -> DatasetSpec:
     return DatasetSpec(
         name="drosophila_like",
         database=db,
-        unit_scale=1000.0,
-        db_scale=100.0,
-        cache_model=CacheModel(threshold=1_000_000.0),
-        memory_model=DPMemoryModel(),
+        hardware=_paper_hardware(query_scale=1000.0, db_scale=100.0),
         description="Drosophila melanogaster stand-in (paper: 118 MB, 1170 seqs)",
     )
 
@@ -100,10 +106,7 @@ def mouse_like(seed: int = 2777) -> DatasetSpec:
     return DatasetSpec(
         name="mouse_like",
         database=db,
-        unit_scale=1000.0,
-        db_scale=1000.0,
-        cache_model=CacheModel(threshold=1_000_000.0),
-        memory_model=DPMemoryModel(),
+        hardware=_paper_hardware(query_scale=1000.0, db_scale=1000.0),
         description="Mouse genome stand-in (paper: 2.77 GB)",
     )
 
@@ -125,10 +128,7 @@ def nt_like(seed: int = 5650) -> DatasetSpec:
     return DatasetSpec(
         name="nt_like",
         database=db,
-        unit_scale=100.0,
-        db_scale=10_000.0,
-        cache_model=CacheModel(threshold=1_000_000.0),
-        memory_model=DPMemoryModel(),
+        hardware=_paper_hardware(query_scale=100.0, db_scale=10_000.0),
         description="NT database stand-in (paper: 56.5 GB)",
     )
 

@@ -17,7 +17,6 @@ from typing import List, Optional
 from repro.bench.datasets import DatasetSpec, drosophila_like, human_query
 from repro.bench.recorder import ExperimentReport
 from repro.blast.engine import BlastEngine
-from repro.cluster.topology import ClusterSpec
 from repro.core.orion import OrionSearch
 from repro.mpiblast.runner import MpiBlastRunner
 from repro.util.textio import render_table
@@ -60,9 +59,7 @@ def run_accuracy(
         exact = 1.0 if got == serial_keys else matched / len(serial_keys)
         return exact
 
-    mpi = MpiBlastRunner().run(
-        [query], dataset.database, num_shards=16, cluster=ClusterSpec(nodes=4)
-    )
+    mpi = MpiBlastRunner().run([query], dataset.database, num_shards=16)
     mpi_acc = accuracy(mpi.alignments[query.seq_id])
 
     rows = [["serial BLAST", "-", len(serial.alignments), 1.0]]

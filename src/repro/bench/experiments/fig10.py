@@ -22,9 +22,10 @@ from typing import List, Optional
 from repro.bench.datasets import FIG10_LENGTHS, DatasetSpec, drosophila_like, human_query
 from repro.bench.recorder import ExperimentReport
 from repro.bench.shapes import crossover_point
-from repro.blastplus.runner import BlastPlusRunner
+from repro.blastplus.runner import BlastPlusRunner, replay_blastplus
 from repro.cluster.topology import ClusterSpec
 from repro.core.orion import OrionSearch
+from repro.core.results import replay_orion
 from repro.util.textio import render_series
 
 FIG10_THREADS = 16
@@ -54,15 +55,12 @@ def run_fig10(
     dataset = dataset or drosophila_like()
     lengths = lengths or list(FIG10_LENGTHS)
     node = ClusterSpec(nodes=1, cores_per_node=FIG10_THREADS)
+    hardware = dataset.hardware
 
     orion = OrionSearch(
         database=dataset.database,
         num_shards=FIG10_THREADS,
         fragment_length=FIG10_FRAGMENT,
-        cache_model=dataset.cache_model,
-        unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale,
-        scan_model=dataset.scan_model,
     )
 
     orion_times = []
@@ -70,22 +68,19 @@ def run_fig10(
     for i, length in enumerate(lengths):
         q, _ = human_query(dataset, length, seed + i)
         queries.append(q)
-        orion_times.append(orion.run(q, cluster=node).schedule.makespan)
+        orion_times.append(replay_orion([orion.run(q)], node, hardware).makespan)
 
-    bp_runner = BlastPlusRunner(
-        cache_model=dataset.cache_model,
-        unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale,
-        scan_model=dataset.scan_model,
-        chunk_size=BLASTPLUS_CHUNK,
-        chunk_overlap=BLASTPLUS_OVERLAP,
-    )
+    bp_runner = BlastPlusRunner(chunk_size=BLASTPLUS_CHUNK, chunk_overlap=BLASTPLUS_OVERLAP)
     blastplus_times = [
-        bp_runner.run(q, dataset.database, threads=FIG10_THREADS).makespan_seconds
+        replay_blastplus(
+            bp_runner.run(q, dataset.database, threads=FIG10_THREADS).records,
+            node,
+            hardware,
+        ).makespan
         for q in queries
     ]
 
-    paper_mbp = [l * dataset.unit_scale / 1e6 for l in lengths]
+    paper_mbp = [l * hardware.query_scale / 1e6 for l in lengths]
     cross = crossover_point(paper_mbp, blastplus_times, orion_times)
     gap = blastplus_times[-1] / orion_times[-1]
 

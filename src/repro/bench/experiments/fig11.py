@@ -19,6 +19,7 @@ from repro.bench.recorder import ExperimentReport
 from repro.bench.shapes import u_shape_minimum
 from repro.cluster.topology import ClusterSpec
 from repro.core.orion import OrionSearch
+from repro.core.results import replay_orion
 from repro.util.textio import render_series
 
 FIG11_QUERY_LENGTH = 14_500  # ours == paper 14.5 Mbp
@@ -45,21 +46,15 @@ def run_fig11(
 ) -> Fig11Result:
     dataset = dataset or drosophila_like()
     query, _ = human_query(dataset, FIG11_QUERY_LENGTH, seed)
-    orion = OrionSearch(
-        database=dataset.database,
-        num_shards=FIG11_SHARDS,
-        cache_model=dataset.cache_model,
-        unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale,
-        scan_model=dataset.scan_model,
-    )
+    hardware = dataset.hardware
+    orion = OrionSearch(database=dataset.database, num_shards=FIG11_SHARDS)
 
-    raw = [orion.run(query, fragment_length=f, cluster=FIG11_CLUSTER) for f in sweep]
-    makespans = [res.schedule.makespan for res in raw]
+    raw = [orion.run(query, fragment_length=f) for f in sweep]
+    makespans = [replay_orion([res], FIG11_CLUSTER, hardware).makespan for res in raw]
     units = [res.num_work_units for res in raw]
 
     sweet, interior = u_shape_minimum(list(sweep), makespans)
-    paper_mbp = [f * dataset.unit_scale / 1e6 for f in sweep]
+    paper_mbp = [f * hardware.query_scale / 1e6 for f in sweep]
     table = render_series(
         "fragment (paper Mbp)",
         ["time (sim s)", "work units"],
@@ -72,7 +67,7 @@ def run_fig11(
         title="Sensitivity of Orion to fragment length",
         table_text=table,
         metrics={
-            "sweet_spot_paper_mbp": sweet * dataset.unit_scale / 1e6,
+            "sweet_spot_paper_mbp": sweet * hardware.query_scale / 1e6,
             "paper_sweet_spot_mbp": 1.6,
             "interior_minimum": interior,
         },

@@ -17,7 +17,7 @@ from typing import List, Optional
 from repro.bench.datasets import FIG3_LENGTHS, DatasetSpec, drosophila_like, human_query
 from repro.bench.recorder import ExperimentReport
 from repro.cluster.topology import ClusterSpec
-from repro.mpiblast.runner import MpiBlastRunner
+from repro.mpiblast.runner import MpiBlastRunner, replay_mpiblast
 from repro.util.textio import render_series
 
 #: Paper configuration: 4 Gordon nodes (64 cores), 64 shards.
@@ -44,20 +44,15 @@ def run_fig3(
     """Regenerate the Fig. 3 curve."""
     dataset = dataset or drosophila_like()
     lengths = lengths or list(FIG3_LENGTHS)
-    knee_ours = dataset.cache_model.threshold / dataset.unit_scale  # e.g. 1000 bp
+    hardware = dataset.hardware
+    knee_ours = hardware.cache.threshold / hardware.query_scale  # e.g. 1000 bp
 
-    runner = MpiBlastRunner(
-        cache_model=dataset.cache_model,
-        memory_model=None,  # Fig. 3 sweeps past the DP ceiling deliberately
-        unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale,
-        scan_model=dataset.scan_model,
-    )
+    runner = MpiBlastRunner()  # no memory ceiling: Fig. 3 sweeps past it deliberately
     makespans = []
     for i, length in enumerate(lengths):
         query, _ = human_query(dataset, length, seed + i)
-        res = runner.run([query], dataset.database, FIG3_SHARDS, FIG3_CLUSTER)
-        makespans.append(res.makespan_seconds)
+        res = runner.run([query], dataset.database, FIG3_SHARDS)
+        makespans.append(replay_mpiblast(res.records, FIG3_CLUSTER, hardware)[0])
 
     flat = [m for l, m in zip(lengths, makespans) if l <= knee_ours]
     beyond = [(l, m) for l, m in zip(lengths, makespans) if l > knee_ours]
@@ -67,7 +62,7 @@ def run_fig3(
     length_growth = (beyond[-1][0] / knee_ours) if beyond else 1.0
     superlinearity = blowup / length_growth if length_growth else 1.0
 
-    paper_mbp = [l * dataset.unit_scale / 1e6 for l in lengths]
+    paper_mbp = [l * hardware.query_scale / 1e6 for l in lengths]
     table = render_series(
         "query (paper Mbp)",
         ["mpiBLAST time (sim s)"],

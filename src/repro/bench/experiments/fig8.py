@@ -21,9 +21,11 @@ from repro.bench.datasets import FIG8_LENGTHS, DatasetSpec, drosophila_like, hum
 from repro.bench.recorder import ExperimentReport
 from repro.bench.shapes import geometric_mean_ratio
 from repro.cluster.metrics import coefficient_of_variation
+from repro.cluster.tasks import simulated_seconds
 from repro.cluster.topology import ClusterSpec
 from repro.core.orion import OrionSearch
-from repro.mpiblast.runner import MpiBlastRunner
+from repro.core.results import orion_phases, replay_orion
+from repro.mpiblast.runner import MpiBlastRunner, replay_mpiblast
 from repro.util.textio import render_series, render_table
 
 DEFAULT_CORE_COUNTS = (64, 128, 256, 512, 1024)
@@ -52,55 +54,45 @@ def run_fig8(
     dataset = dataset or drosophila_like()
     lengths = lengths or list(FIG8_LENGTHS)
     queries = human_query_set(dataset, lengths, seed=seed)
+    hardware = dataset.hardware
 
     # --- Orion: one real run per query (fine-grained work units) ---------
     orion = OrionSearch(
         database=dataset.database,
         num_shards=FIG8_SHARDS,
         fragment_length=FIG8_FRAGMENT,
-        cache_model=dataset.cache_model,
-        unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale,
-        scan_model=dataset.scan_model,
     )
     orion_results = [orion.run(q) for q in queries]
 
     # --- mpiBLAST: whole-query work units, same shards, same models ------
-    mpi_runner = MpiBlastRunner(
-        cache_model=dataset.cache_model,
-        memory_model=dataset.memory_model,
-        unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale,
-        scan_model=dataset.scan_model,
-    )
-    mpi_run = mpi_runner.run(
-        queries, dataset.database, FIG8_SHARDS,
-        ClusterSpec.gordon(4),  # the run cluster is irrelevant: we re-simulate
+    mpi_run = MpiBlastRunner(hardware=hardware).run(
+        queries, dataset.database, FIG8_SHARDS
     )
 
     orion_spans: List[float] = []
     mpi_spans: List[float] = []
     for cores in core_counts:
         cluster = ClusterSpec(nodes=cores // 16, cores_per_node=16)
-        orion_spans.append(orion.simulate_query_set(orion_results, cluster).makespan)
-        span, _, _ = mpi_runner.simulate_schedule(mpi_run.records, cluster)
-        mpi_spans.append(span)
+        orion_spans.append(replay_orion(orion_results, cluster, hardware).makespan)
+        mpi_spans.append(replay_mpiblast(mpi_run.records, cluster, hardware)[0])
 
     mean_speedup = geometric_mean_ratio(mpi_spans, orion_spans)
 
     # Longest query in isolation (the paper's 23× observation).
     longest_idx = int(np.argmax(lengths))
     iso_cluster = ClusterSpec(nodes=16, cores_per_node=16)
-    orion_long = orion.simulate(orion_results[longest_idx], iso_cluster).makespan
+    orion_long = replay_orion([orion_results[longest_idx]], iso_cluster, hardware).makespan
     long_records = [
         r for r in mpi_run.records if r.unit.query_id == queries[longest_idx].seq_id
     ]
-    mpi_long, _, _ = mpi_runner.simulate_schedule(long_records, iso_cluster)
+    mpi_long = replay_mpiblast(long_records, iso_cluster, hardware)[0]
     longest_speedup = mpi_long / orion_long
 
     # --- Table III: per-task durations at 256 cores ----------------------
-    mpi_durations = mpi_run.unit_durations()
-    orion_durations = np.concatenate([r.task_durations() for r in orion_results])
+    mpi_durations = np.array(simulated_seconds(mpi_run.records, hardware))
+    orion_durations = np.array(
+        [t.duration for phase in orion_phases(orion_results, hardware) for t in phase]
+    )
     table3 = {
         "mpiblast_mean_s": float(mpi_durations.mean()),
         "mpiblast_std_s": float(mpi_durations.std()),

@@ -18,6 +18,7 @@ from repro.bench.recorder import ExperimentReport
 from repro.cluster.metrics import speedup_curve
 from repro.cluster.topology import ClusterSpec
 from repro.core.orion import OrionSearch
+from repro.core.results import replay_orion
 from repro.util.textio import render_series
 
 DEFAULT_CORE_COUNTS = (64, 128, 256, 512, 1024)
@@ -50,10 +51,6 @@ def run_fig9(
         database=dataset.database,
         num_shards=FIG9_SHARDS,
         fragment_length=FIG9_FRAGMENT,
-        cache_model=dataset.cache_model,
-        unit_scale=dataset.unit_scale,
-        db_unit_scale=dataset.db_scale,
-        scan_model=dataset.scan_model,
     )
     results = [orion.run(q) for q in queries]
     units = sum(r.num_work_units for r in results)
@@ -61,7 +58,7 @@ def run_fig9(
     makespans = []
     for cores in core_counts:
         cluster = ClusterSpec(nodes=cores // 16, cores_per_node=16)
-        makespans.append(orion.simulate_query_set(results, cluster).makespan)
+        makespans.append(replay_orion(results, cluster, dataset.hardware).makespan)
     rows = speedup_curve(list(core_counts), makespans)
     speedups = [r[1] for r in rows]
     efficiencies = [r[2] for r in rows]

@@ -23,7 +23,8 @@ from repro.bench.datasets import human_query, mouse_like, nt_like
 from repro.bench.recorder import ExperimentReport
 from repro.cluster.topology import ClusterSpec
 from repro.core.orion import OrionSearch
-from repro.mpiblast.runner import MpiBlastRunner
+from repro.core.results import replay_orion
+from repro.mpiblast.runner import MpiBlastRunner, replay_mpiblast
 from repro.util.textio import render_table
 
 LARGEDB_CLUSTER = ClusterSpec(nodes=16, cores_per_node=16)  # 256 cores
@@ -61,25 +62,14 @@ def run_largedb(seed: int = 77) -> LargeDbResult:
         dataset = factory()
         query, _ = human_query(dataset, qlen, seed, seq_id=f"{name}.query")
 
+        hardware = dataset.hardware
         orion = OrionSearch(
-            database=dataset.database,
-            num_shards=shards,
-            fragment_length=fragment,
-            cache_model=dataset.cache_model,
-            unit_scale=dataset.unit_scale,
-            db_unit_scale=dataset.db_scale,
-            scan_model=dataset.scan_model,
+            database=dataset.database, num_shards=shards, fragment_length=fragment
         )
-        orion_sec = orion.run(query, cluster=LARGEDB_CLUSTER).schedule.makespan
+        orion_sec = replay_orion([orion.run(query)], LARGEDB_CLUSTER, hardware).makespan
 
-        mpi = MpiBlastRunner(
-            cache_model=dataset.cache_model,
-            unit_scale=dataset.unit_scale,
-            db_unit_scale=dataset.db_scale,
-            scan_model=dataset.scan_model,
-        )
-        mpi_run = mpi.run([query], dataset.database, shards, LARGEDB_CLUSTER)
-        mpi_sec = mpi_run.makespan_seconds
+        mpi_run = MpiBlastRunner().run([query], dataset.database, shards)
+        mpi_sec = replay_mpiblast(mpi_run.records, LARGEDB_CLUSTER, hardware)[0]
 
         factor = mpi_sec / orion_sec
         cases.append(
@@ -91,7 +81,7 @@ def run_largedb(seed: int = 77) -> LargeDbResult:
         rows.append(
             [
                 name,
-                f"{qlen * dataset.unit_scale / 1000:.0f} kbp",
+                f"{qlen * hardware.query_scale / 1000:.0f} kbp",
                 round(mpi_sec, 1),
                 round(orion_sec, 1),
                 round(factor, 1),

@@ -1,33 +1,11 @@
-"""Experiment bookkeeping: time-scale calibration and report rendering."""
+"""Experiment bookkeeping: report rendering."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List
 
-from repro.units import WorkUnitRecord
 from repro.util.textio import render_table
-
-#: Target mean Orion map-task duration (the paper's Table III reports 2.10 s).
-TARGET_MAP_TASK_SECONDS = 2.10
-
-
-def calibrate_time_scale(
-    records: Sequence[WorkUnitRecord],
-    target_mean_seconds: float = TARGET_MAP_TASK_SECONDS,
-) -> float:
-    """Measured→simulated time multiplier landing mean task time on target.
-
-    Calibrated once per experiment from Orion's (cache-factor-free) measured
-    durations, then applied to *every* runner in that experiment — a single
-    constant that cancels in all relative results (DESIGN.md §2).
-    """
-    if not records:
-        raise ValueError("cannot calibrate from zero records")
-    mean = sum(r.measured_seconds for r in records) / len(records)
-    if mean <= 0:
-        raise ValueError("measured durations are all zero")
-    return target_mean_seconds / mean
 
 
 @dataclass

@@ -10,7 +10,7 @@ BLAST+ needs its overlap to exceed any alignment it wants to keep intact).
 """
 
 from repro.blastplus.splitter import QueryChunk, merge_chunk_alignments, split_query
-from repro.blastplus.runner import BlastPlusResult, BlastPlusRunner
+from repro.blastplus.runner import BlastPlusResult, BlastPlusRunner, replay_blastplus
 
 __all__ = [
     "QueryChunk",
@@ -18,4 +18,5 @@ __all__ = [
     "merge_chunk_alignments",
     "BlastPlusResult",
     "BlastPlusRunner",
+    "replay_blastplus",
 ]

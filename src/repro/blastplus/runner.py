@@ -6,20 +6,25 @@ across ``threads`` slices that are searched concurrently (a barrier closes
 each chunk). This gives BLAST+ intra-query cache relief and single-node
 thread parallelism — but chunk barriers idle threads at every chunk tail,
 and one node is the ceiling, which is what Fig. 10 shows against Orion.
+
+The runner measures every (chunk × slice) unit; :func:`replay_blastplus`
+replays the records on one node, one barrier-separated phase per chunk,
+with durations from a :class:`~repro.cluster.hardware.HardwareModel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from itertools import groupby
+from typing import List, Optional, Sequence
 
 from repro.blast.engine import BlastEngine
 from repro.blast.hsp import Alignment
 from repro.blast.params import BlastParams
 from repro.blastplus.splitter import merge_chunk_alignments, split_query
-from repro.cluster.hardware import CacheModel, ScanCostModel
+from repro.cluster.hardware import HardwareModel
 from repro.cluster.simulator import Schedule, simulate_phases
-from repro.cluster.tasks import SimTask
+from repro.cluster.tasks import unit_tasks
 from repro.cluster.topology import ClusterSpec, ExecutionProfile
 from repro.mpiblast.formatdb import shard_database
 from repro.sequence.records import Database, SequenceRecord
@@ -36,57 +41,30 @@ DEFAULT_OVERLAP = 1000
 
 @dataclass
 class BlastPlusResult:
-    """Merged alignments plus the simulated single-node timing."""
+    """Merged alignments plus the measured (chunk × slice) records."""
 
     alignments: List[Alignment]
     records: List[WorkUnitRecord]
-    schedule: Schedule
     num_chunks: int
     threads: int
-
-    @property
-    def makespan_seconds(self) -> float:
-        return self.schedule.makespan
 
 
 class BlastPlusRunner:
     """Single-node BLAST+ with query splitting and multithreading.
 
-    Parameters mirror :class:`repro.mpiblast.runner.MpiBlastRunner` where
-    they overlap; ``chunk_size``/``chunk_overlap`` control query splitting.
+    ``chunk_size``/``chunk_overlap`` control query splitting.
     """
 
     def __init__(
         self,
         params: Optional[BlastParams] = None,
-        cache_model: Optional[CacheModel] = None,
-        unit_scale: float = 1.0,
-        time_scale: float = 1.0,
-        db_unit_scale: Optional[float] = None,
-        scan_model: Optional[ScanCostModel] = None,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         chunk_overlap: int = DEFAULT_OVERLAP,
-        profile: Optional[ExecutionProfile] = None,
     ) -> None:
-        check_positive("unit_scale", unit_scale)
-        check_positive("time_scale", time_scale)
         check_positive("chunk_size", chunk_size)
         self.engine = BlastEngine(params)
-        self.cache_model = cache_model
-        self.unit_scale = float(unit_scale)
-        self.time_scale = float(time_scale)
-        self.db_unit_scale = (
-            float(db_unit_scale) if db_unit_scale is not None else self.unit_scale
-        )
-        self.scan_model = scan_model
         self.chunk_size = int(chunk_size)
         self.chunk_overlap = int(chunk_overlap)
-        self.profile = profile or ExecutionProfile.multithread()
-
-    def _cache_factor(self, length: int) -> float:
-        if self.cache_model is None:
-            return 1.0
-        return self.cache_model.factor(length * self.unit_scale)
 
     def run(
         self,
@@ -103,12 +81,9 @@ class BlastPlusRunner:
         )
 
         records: List[WorkUnitRecord] = []
-        phases: List[List[SimTask]] = []
         per_chunk: List = []
         for chunk in chunks:
-            factor = self._cache_factor(chunk.length)
             chunk_alns: List[Alignment] = []
-            phase: List[SimTask] = []
             for sl in slices:
                 res = self.engine.search(chunk.record, sl.database, stats_space=space)
                 unit = WorkUnit(
@@ -116,35 +91,37 @@ class BlastPlusRunner:
                     shard_index=sl.index,
                     fragment_index=chunk.index,
                     query_span=chunk.length,
+                    subject_span=sl.total_length,
                 )
-                measured = res.counters.elapsed_seconds
-                if self.scan_model is None:
-                    sim = measured * factor * self.time_scale
-                else:
-                    scan = self.scan_model.seconds(
-                        chunk.length * self.unit_scale,
-                        sl.total_length * self.db_unit_scale,
+                records.append(
+                    WorkUnitRecord(
+                        unit=unit,
+                        measured_seconds=res.counters.elapsed_seconds,
+                        alignments=len(res.alignments),
                     )
-                    sim = factor * scan + measured * self.time_scale
-                rec = WorkUnitRecord(
-                    unit=unit,
-                    measured_seconds=measured,
-                    sim_seconds=sim,
-                    alignments=len(res.alignments),
                 )
-                records.append(rec)
-                phase.append(SimTask(task_id=unit.task_id, duration=rec.sim_seconds))
                 chunk_alns.extend(res.alignments)
-            phases.append(phase)
             per_chunk.append((chunk, chunk_alns))
 
         merged = merge_chunk_alignments(per_chunk, query.seq_id)
-        node = ClusterSpec(nodes=1, cores_per_node=threads, name="blastplus-node")
-        schedule = simulate_phases(phases, node, profile=self.profile)
         return BlastPlusResult(
             alignments=merged,
             records=records,
-            schedule=schedule,
             num_chunks=len(chunks),
             threads=threads,
         )
+
+
+def replay_blastplus(
+    records: Sequence[WorkUnitRecord], cluster: ClusterSpec, hardware: HardwareModel
+) -> Schedule:
+    """Replay measured BLAST+ units on ``cluster`` (one node, one slot per thread).
+
+    Consecutive records of one chunk form one phase; a barrier closes each
+    chunk, and the multithread profile's small overheads apply.
+    """
+    phases = [
+        unit_tasks(list(chunk), hardware)
+        for _, chunk in groupby(records, key=lambda r: r.unit.fragment_index)
+    ]
+    return simulate_phases(phases, cluster, ExecutionProfile.multithread())

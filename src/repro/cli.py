@@ -147,10 +147,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
                         file=sys.stderr,
                     )
             else:  # mpiblast
-                from repro.cluster.topology import ClusterSpec
-
                 runner = MpiBlastRunner(params=params)
-                out = runner.run([query], db, args.shards, ClusterSpec(nodes=4))
+                out = runner.run([query], db, args.shards)
                 alignments = out.alignments[query.seq_id]
             if args.max_alignments:
                 alignments = alignments[: args.max_alignments]

@@ -1,20 +1,23 @@
 """Cluster simulation substrate (the stand-in for the Gordon system).
 
 The paper measures on 64 nodes × 16 cores of the Gordon supercomputer. We
-replay *measured* per-task durations (from :mod:`repro.mapreduce` executors)
-through a deterministic discrete-event scheduler over a modelled cluster —
-makespan, speedup and load-balance numbers then come out the same way the
-paper computes them, at any core count (DESIGN.md §2).
+replay *measured* work-unit records (from the Orion, mpiBLAST and BLAST+
+runners) through a deterministic discrete-event scheduler over a modelled
+cluster — makespan, speedup and load-balance numbers then come out the same
+way the paper computes them, at any core count (DESIGN.md §2). Simulation is
+a separate step: runners record measurements only, and a replay takes
+``(records, cluster, hardware)``.
 
-:mod:`repro.cluster.hardware` carries the two hardware effects the paper's
-results depend on but a scaled-down Python run cannot produce natively: the
-cache-miss slowdown of BLAST on long queries (their Fig. 3 motivation) and
-the quadratic dynamic-programming memory that makes mpiBLAST fail past
-96 Mbp queries.
+:class:`~repro.cluster.hardware.HardwareModel` is the one place measured
+seconds become simulated seconds. It carries the hardware effects the
+paper's results depend on but a scaled-down Python run cannot produce
+natively: the cache-miss slowdown of BLAST on long queries (their Fig. 3
+motivation), the paper-scale scan cost, and the quadratic
+dynamic-programming memory that makes mpiBLAST fail past 96 Mbp queries.
 """
 
 from repro.cluster.topology import ClusterSpec, ExecutionProfile
-from repro.cluster.tasks import SimTask, records_to_tasks
+from repro.cluster.tasks import SimTask, simulated_seconds, unit_tasks
 from repro.cluster.policies import order_tasks
 from repro.cluster.simulator import (
     NodeFailure,
@@ -26,7 +29,9 @@ from repro.cluster.simulator import (
 from repro.cluster.hardware import (
     CacheModel,
     DPMemoryModel,
+    HardwareModel,
     OutOfMemoryError,
+    ScanCostModel,
 )
 from repro.cluster.metrics import (
     coefficient_of_variation,
@@ -39,7 +44,8 @@ __all__ = [
     "ClusterSpec",
     "ExecutionProfile",
     "SimTask",
-    "records_to_tasks",
+    "simulated_seconds",
+    "unit_tasks",
     "order_tasks",
     "NodeFailure",
     "Schedule",
@@ -48,7 +54,9 @@ __all__ = [
     "simulate_phases",
     "CacheModel",
     "DPMemoryModel",
+    "HardwareModel",
     "OutOfMemoryError",
+    "ScanCostModel",
     "coefficient_of_variation",
     "load_imbalance",
     "parallel_efficiency",

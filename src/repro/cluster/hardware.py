@@ -1,14 +1,18 @@
-"""Hardware models: cache degradation for long queries and DP memory.
+"""Hardware models: cache degradation, scan cost and DP memory.
 
-Two published effects drive the paper's headline numbers but cannot emerge
+Published effects drive the paper's headline numbers but cannot emerge
 natively from a 1000×-scaled-down pure-Python run (DESIGN.md §2), so they are
-modelled explicitly and applied only in *simulated* time:
+modelled explicitly. :class:`HardwareModel` bundles them with the scale map
+and is the one place measured seconds become simulated seconds; every
+system's replay goes through it:
 
 * **CacheModel** — BLAST's lookup-table working set grows with query length;
   past the last-level cache it thrashes, which is the documented reason
   BLAST/mpiBLAST degrade superlinearly beyond ~1 Mbp queries (the paper's
   Fig. 3, citing the BLAST+ paper [6]). We model a multiplicative slowdown
   that is 1.0 below a working-set threshold and polynomial above it.
+* **ScanCostModel** — the paper-scale database-scan term a scaled-down
+  search under-represents.
 * **DPMemoryModel** — gapped dynamic programming over a very long query and
   a long database sequence allocates Θ(m·n) cells; the paper reports
   mpiBLAST aborting with a request for ≈2178 GB past 96 Mbp queries. The
@@ -21,6 +25,7 @@ modelled explicitly and applied only in *simulated* time:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.util.validation import check_positive
 
@@ -66,9 +71,8 @@ class ScanCostModel:
     At paper scale a work unit's duration is dominated by streaming the
     subject against the query's lookup table — time ∝ query·subject area.
     Our 1000×-scaled searches underweight that term relative to alignment
-    processing (planted homologies are real-sized), so simulated durations
-    are ``cache_factor · scan_seconds + measured_extras`` with the scan term
-    restored by this model (DESIGN.md §2).
+    processing (planted homologies are real-sized), so
+    :meth:`HardwareModel.seconds` restores it (DESIGN.md §2).
 
     The default constant comes from the paper's own Table III: Orion map
     tasks average 2.10 s for a 1.6 Mbp fragment × (122.65/64 = 1.92) Mbp
@@ -131,3 +135,53 @@ class DPMemoryModel:
         """Longest query that still fits (the paper's ~96 Mbp ceiling)."""
         check_positive("longest_subject", longest_subject)
         return int(self.node_memory_bytes / (self.bytes_per_cell * longest_subject))
+
+
+@dataclass(frozen=True)
+class HardwareModel:
+    """Maps measured work-unit seconds to simulated seconds on paper hardware.
+
+    ``query_scale`` and ``db_scale`` convert our bases to paper bases for
+    the query and database sides (scaled experiments model a 71 kbp query as
+    the paper's 71 Mbp contig, see :mod:`repro.bench.datasets`). ``memory``
+    is read only by the mpiBLAST runner's DP-memory ceiling
+    (:meth:`check_memory`). The default model is the identity: simulated
+    seconds equal measured seconds.
+    """
+
+    cache: Optional[CacheModel] = None
+    scan: Optional[ScanCostModel] = None
+    memory: Optional[DPMemoryModel] = None
+    query_scale: float = 1.0
+    db_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        check_positive("query_scale", self.query_scale)
+        check_positive("db_scale", self.db_scale)
+
+    def seconds(self, measured: float, query_bases: int, subject_bases: int) -> float:
+        """Simulated seconds of one work unit.
+
+        ``measured · cache_factor`` without a scan model; with one,
+        ``cache_factor · scan_seconds + measured`` — the paper-scale scan
+        term plus the measured alignment-processing extras. The cache factor
+        is evaluated at the unit's own query span, so fragments and chunks
+        below the knee run at factor 1 while whole long queries do not.
+        """
+        factor = 1.0
+        if self.cache is not None:
+            factor = self.cache.factor(query_bases * self.query_scale)
+        if self.scan is None:
+            return measured * factor
+        scan = self.scan.seconds(
+            query_bases * self.query_scale, subject_bases * self.db_scale
+        )
+        return factor * scan + measured
+
+    def check_memory(self, query_bases: int, longest_subject: int) -> None:
+        """Raise :class:`OutOfMemoryError` when the modelled DP cannot fit."""
+        if self.memory is None:
+            return
+        self.memory.check(
+            int(query_bases * self.query_scale), int(longest_subject * self.db_scale)
+        )

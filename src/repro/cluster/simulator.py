@@ -190,7 +190,7 @@ def simulate_phases(
             phase_ends.append(clock)
             continue
         sched = simulate_phase(
-            phase_tasks, cluster, profile=profile, policy=policy,
+            phase_tasks, cluster, profile, policy=policy,
             start_time=clock, failures=failures,
         )
         all_scheduled.extend(sched.scheduled)

@@ -1,19 +1,21 @@
-"""Simulation task types and conversion from measured MapReduce records."""
+"""Simulation task types and conversion from measured work-unit records."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from typing import List, Sequence
 
-from repro.mapreduce.types import TaskKind, TaskRecord
+from repro.cluster.hardware import HardwareModel
+from repro.mapreduce.types import TaskKind
+from repro.units import WorkUnitRecord
 
 
 @dataclass(frozen=True)
 class SimTask:
     """One schedulable unit of simulated work.
 
-    ``duration`` is simulated seconds — usually a measured duration, possibly
-    rescaled by a hardware model before simulation.
+    ``duration`` is simulated seconds: a measured duration, usually mapped
+    through a :class:`~repro.cluster.hardware.HardwareModel` first.
     """
 
     task_id: str
@@ -27,28 +29,34 @@ class SimTask:
             raise ValueError("task_id must be non-empty")
 
 
-def records_to_tasks(
-    records: Iterable[TaskRecord],
-    kind: Optional[TaskKind] = None,
-    scale: Optional[Callable[[TaskRecord], float]] = None,
-) -> List[SimTask]:
-    """Turn measured task records into simulation tasks.
+def simulated_seconds(
+    records: Sequence[WorkUnitRecord], hardware: HardwareModel
+) -> List[float]:
+    """Each record's simulated duration under ``hardware``.
 
-    Parameters
-    ----------
-    kind:
-        Keep only records of this kind (``None`` keeps all).
-    scale:
-        Optional per-record duration multiplier — the hook through which
-        hardware models (cache penalties) enter simulated time. The factor is
-        computed from the record so callers can key it on task identity.
+    Every replay goes through here, so it is where measurement discipline is
+    enforced: a record taken under contention (process workers, concurrent
+    threads) raises :class:`ValueError` instead of entering simulated time.
     """
-    tasks: List[SimTask] = []
+    durations: List[float] = []
     for rec in records:
-        if kind is not None and rec.kind is not kind:
-            continue
-        factor = 1.0 if scale is None else float(scale(rec))
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor} for {rec.task_id}")
-        tasks.append(SimTask(task_id=rec.task_id, duration=rec.duration * factor, kind=rec.kind))
-    return tasks
+        if not rec.simulator_safe:
+            raise ValueError(
+                f"{rec.unit.task_id} was measured under contention; replay only "
+                f"serial or uncontended measurements (executor='serial')"
+            )
+        unit = rec.unit
+        durations.append(
+            hardware.seconds(rec.measured_seconds, unit.query_span, unit.subject_span)
+        )
+    return durations
+
+
+def unit_tasks(
+    records: Sequence[WorkUnitRecord], hardware: HardwareModel
+) -> List[SimTask]:
+    """One map-phase :class:`SimTask` per record, in record order."""
+    return [
+        SimTask(task_id=rec.unit.task_id, duration=d)
+        for rec, d in zip(records, simulated_seconds(records, hardware))
+    ]

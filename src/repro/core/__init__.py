@@ -12,15 +12,17 @@ inter-query, intra-database *and intra-query* parallelism:
 * :mod:`repro.core.aggregator` — the reduce phase: dedupe, merge, rescore,
   E-filter (Section III-B / IV-C);
 * :mod:`repro.core.sortmr` — parallel sample-sort of results (Section IV-D);
-* :mod:`repro.core.calibrate` — per-database fragment-length calibration
+* :mod:`repro.core.calibrate` — fragment-length calibration sweeps
   (Section III-D / Fig. 11);
+* :mod:`repro.core.results` — result types and :func:`replay_orion`, the
+  Hadoop-cluster replay of measured results;
 * :mod:`repro.core.orion` — :class:`OrionSearch`, the top-level API.
 """
 
 from repro.core.overlap import overlap_length, shortest_significant_alignment
 from repro.core.fragmenter import QueryFragment, fragment_query, suggest_fragment_length
 from repro.core.boundary import options_for_fragment
-from repro.core.results import FragmentAlignment, OrionResult
+from repro.core.results import FragmentAlignment, OrionResult, replay_orion
 from repro.core.merge import try_merge_pair
 from repro.core.aggregator import aggregate_subject_alignments
 from repro.core.sortmr import parallel_sort_alignments
@@ -36,6 +38,7 @@ __all__ = [
     "options_for_fragment",
     "FragmentAlignment",
     "OrionResult",
+    "replay_orion",
     "try_merge_pair",
     "aggregate_subject_alignments",
     "parallel_sort_alignments",

@@ -4,16 +4,19 @@ The ideal fragment length balances opposing pressures: longer fragments mean
 fewer boundary crossings and less aggregation work, shorter fragments mean
 more work units (parallelism) and better cache behaviour. The paper
 calibrates *once per database* and reuses the sweet spot. This module sweeps
-candidate lengths, simulates each on the target cluster, and memoizes the
-winner per (database, query-length-bucket).
+candidate lengths, replays each measured search on the target cluster, and
+returns the sweep. It keeps no state: a caller reuses the sweet spot by
+passing ``fragment_length=calib.best_fragment_length`` to later searches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
+from repro.cluster.hardware import HardwareModel
 from repro.cluster.topology import ClusterSpec
+from repro.core.results import replay_orion
 from repro.sequence.records import SequenceRecord
 
 
@@ -47,18 +50,6 @@ class CalibrationResult:
         return self.best.fragment_length
 
 
-#: Per-database memoized sweet spots, keyed by (db name, query-length bucket).
-_CALIBRATION_CACHE: Dict[Tuple[str, int], int] = {}
-
-
-def _length_bucket(query_length: int) -> int:
-    """Queries within a 2× band share a calibration (per-database reuse)."""
-    bucket = 1
-    while bucket * 2 <= query_length:
-        bucket *= 2
-    return bucket
-
-
 def default_sweep_lengths(query_length: int, overlap: int, count: int = 8) -> List[int]:
     """Geometric sweep from ~4·overlap up to the whole query."""
     lo = max(4 * overlap, 1000)
@@ -71,55 +62,39 @@ def default_sweep_lengths(query_length: int, overlap: int, count: int = 8) -> Li
 
 
 def calibrate_fragment_length(
-    orion,  # OrionSearch; untyped to avoid an import cycle
+    search,  # OrionSearch; untyped to avoid an import cycle
     query: SequenceRecord,
     cluster: ClusterSpec,
+    hardware: HardwareModel,
     fragment_lengths: Optional[Sequence[int]] = None,
-    use_cache: bool = True,
 ) -> CalibrationResult:
-    """Sweep fragment lengths for a query/cluster; memoize the sweet spot.
+    """Sweep fragment lengths for a query on a modelled cluster.
 
-    Each candidate runs a full Orion search (real work, measured durations)
-    and is simulated on ``cluster``; the sweep curve is the paper's Fig. 11.
-    Results are cached per (database, query-length bucket) so later searches
-    can fetch the tuned length via :func:`cached_fragment_length`.
+    Each candidate runs a full search (real work, measured durations) that
+    is replayed on ``cluster`` under ``hardware``; the sweep curve is the
+    paper's Fig. 11.
     """
-    overlap, _ = orion.overlap_for_query(query)
+    overlap, _ = search.overlap_for_query(query)
     if fragment_lengths is None:
         fragment_lengths = default_sweep_lengths(len(query), overlap)
     if not fragment_lengths:
         raise ValueError("no candidate fragment lengths to sweep")
     points: List[SweepPoint] = []
     for frag_len in fragment_lengths:
-        result = orion.run(query, cluster=cluster, fragment_length=frag_len)
-        assert result.schedule is not None
+        result = search.run(query, fragment_length=frag_len)
         points.append(
             SweepPoint(
                 fragment_length=frag_len,
                 num_fragments=result.num_fragments,
                 num_work_units=result.num_work_units,
-                makespan_seconds=result.schedule.makespan,
+                makespan_seconds=replay_orion([result], cluster, hardware).makespan,
                 total_work_seconds=result.total_measured_seconds(),
                 merged_pairs=result.merged_pairs,
             )
         )
-    calib = CalibrationResult(
-        database_name=orion.database.name,
+    return CalibrationResult(
+        database_name=search.database.name,
         query_length=len(query),
         cluster_slots=cluster.total_slots,
         points=points,
     )
-    if use_cache:
-        key = (orion.database.name, _length_bucket(len(query)))
-        _CALIBRATION_CACHE[key] = calib.best_fragment_length
-    return calib
-
-
-def cached_fragment_length(database_name: str, query_length: int) -> Optional[int]:
-    """The memoized sweet spot for this database/query-length bucket, if any."""
-    return _CALIBRATION_CACHE.get((database_name, _length_bucket(query_length)))
-
-
-def clear_calibration_cache() -> None:
-    """Reset memoized calibrations (used by tests)."""
-    _CALIBRATION_CACHE.clear()

@@ -23,10 +23,6 @@ from repro.blast.engine import BlastEngine
 from repro.blast.hsp import Alignment, PLUS_STRAND
 from repro.blast.params import BlastParams
 from repro.blast.statistics import SearchSpace
-from repro.cluster.hardware import CacheModel, ScanCostModel
-from repro.cluster.simulator import Schedule, simulate_phases
-from repro.cluster.tasks import SimTask
-from repro.cluster.topology import ClusterSpec, ExecutionProfile
 from repro.core.aggregator import AggregationStats, aggregate_subject_alignments
 from repro.core.boundary import options_for_fragment
 from repro.core.fragmenter import QueryFragment, fragment_query, suggest_fragment_length
@@ -42,7 +38,7 @@ from repro.mapreduce.runtime import (
     WorkerPool,
     resolve_executor,
 )
-from repro.mapreduce.types import InputSplit, JobResult, TaskKind
+from repro.mapreduce.types import InputSplit, JobResult
 from repro.mpiblast.formatdb import DatabaseShard, shard_database
 from repro.sequence.alphabet import reverse_complement
 from repro.sketch import ShardSketchIndex, validate_prune_threshold
@@ -198,17 +194,9 @@ class OrionSearch:
         Database shards (intra-database parallelism).
     fragment_length:
         Fixed fragment length; ``None`` derives a heuristic per query (see
-        :func:`repro.core.fragmenter.suggest_fragment_length`) — run
-        :mod:`repro.core.calibrate` for the tuned value.
-    cache_model / unit_scale:
-        Hardware model for simulated durations; fragments below the cache
-        threshold get factor 1.0 — Orion's key advantage on long queries.
-    time_scale:
-        Constant measured→simulated seconds multiplier (see
-        :class:`repro.mpiblast.runner.MpiBlastRunner`); applied to map,
-        reduce and sort task durations alike.
-    profile:
-        Simulation overhead profile; defaults to Hadoop's.
+        :func:`repro.core.fragmenter.suggest_fragment_length`). Sweep
+        :func:`repro.core.calibrate.calibrate_fragment_length` for a tuned
+        value and pass it here (or to :meth:`run`) explicitly.
     speculative:
         Enable speculative gapped extension at boundaries (paper III-B1).
         Disabling it is an ablation that *loses* boundary alignments.
@@ -224,7 +212,8 @@ class OrionSearch:
         MapReduce backend: ``"serial"`` (default), ``"threads"``,
         ``"processes"``, or any :class:`repro.mapreduce.runtime.Executor`
         instance. The serial default keeps per-task durations valid as
-        simulator measurements; ``"processes"`` actually runs the
+        simulator measurements (:func:`repro.core.results.replay_orion`
+        refuses contended ones); ``"processes"`` actually runs the
         (fragment × shard) map tasks in parallel across cores, on one
         persistent :class:`~repro.mapreduce.runtime.WorkerPool` shared by
         every :meth:`run` / :meth:`run_many` call — workers keep attached
@@ -289,12 +278,6 @@ class OrionSearch:
         params: Optional[BlastParams] = None,
         num_shards: int = 16,
         fragment_length: Optional[int] = None,
-        cache_model: Optional[CacheModel] = None,
-        unit_scale: float = 1.0,
-        time_scale: float = 1.0,
-        db_unit_scale: Optional[float] = None,
-        scan_model: Optional[ScanCostModel] = None,
-        profile: Optional[ExecutionProfile] = None,
         speculative: bool = True,
         drop_left_overlap: bool = True,
         strands: str = "plus",
@@ -314,8 +297,6 @@ class OrionSearch:
     ) -> None:
         check_positive("num_shards", num_shards)
         check_positive("retries", retries)
-        check_positive("unit_scale", unit_scale)
-        check_positive("time_scale", time_scale)
         check_positive("num_reducers", num_reducers)
         check_positive("sort_tasks", sort_tasks)
         if strands not in ("plus", "both"):
@@ -330,14 +311,6 @@ class OrionSearch:
         self._num_shards = num_shards
         self.shards: List[DatabaseShard] = shard_database(database, num_shards)
         self.fragment_length = fragment_length
-        self.cache_model = cache_model
-        self.unit_scale = float(unit_scale)
-        self.time_scale = float(time_scale)
-        self.db_unit_scale = (
-            float(db_unit_scale) if db_unit_scale is not None else self.unit_scale
-        )
-        self.scan_model = scan_model
-        self.profile = profile or ExecutionProfile.hadoop()
         self.speculative = speculative
         self.drop_left_overlap = drop_left_overlap
         self.strands = strands
@@ -604,11 +577,6 @@ class OrionSearch:
             # gone; the atexit plane registry is the backstop then.
             pass
 
-    def _cache_factor(self, fragment_bases: int) -> float:
-        if self.cache_model is None:
-            return 1.0
-        return self.cache_model.factor(fragment_bases * self.unit_scale)
-
     def _resolve_fragment_length(
         self, query: SequenceRecord, overlap: int, override: Optional[int]
     ) -> int:
@@ -616,13 +584,6 @@ class OrionSearch:
             return override
         if self.fragment_length is not None:
             return self.fragment_length
-        # Per-database memoized calibration (paper Section III-D): reuse the
-        # sweet spot found by repro.core.calibrate for this length bucket.
-        from repro.core.calibrate import cached_fragment_length
-
-        cached = cached_fragment_length(self.database.name, len(query))
-        if cached is not None and cached > overlap:
-            return cached
         return suggest_fragment_length(
             query_length=len(query),
             overlap=overlap,
@@ -777,13 +738,12 @@ class OrionSearch:
         plan: "QueryPlan",
         mr: JobResult,
         mapreduce_wall: float,
-        cluster: Optional[ClusterSpec] = None,
     ) -> OrionResult:
         """Turn a plan's raw MapReduce output into an :class:`OrionResult`.
 
         The second half of :meth:`run`: filters the aggregation-stats
         sentinels out of the reduce stream, sample-sorts the alignments into
-        report order, and attaches work-unit records with hardware factors.
+        report order, and attaches the measured work-unit records.
         The sort always runs in this thread on the serial executor: a report
         is a few dozen alignments, so shipping a second job through the
         worker pool costs more than the sort itself, and serial
@@ -803,44 +763,30 @@ class OrionSearch:
         ordered, sort_seconds = parallel_sort_alignments(
             aggregated, num_tasks=self.sort_tasks
         )
-        sort_seconds = [d * self.time_scale for d in sort_seconds]
-
-        # Work-unit records with hardware factors (fragment-length keyed).
-        map_recs = mr.map_records()
         records: List[WorkUnitRecord] = []
-        for split, rec in zip(plan.splits, map_recs):
+        for split, rec in zip(plan.splits, mr.map_records()):
             fragment, shard_index = split.payload
-            shard = self.shards[shard_index]
             unit = WorkUnit(
                 query_id=query.seq_id,
-                shard_index=shard.index,
+                shard_index=shard_index,
                 fragment_index=fragment.index,
                 query_span=fragment.length,
+                subject_span=self.shards[shard_index].total_length,
             )
-            factor = self._cache_factor(fragment.length)
-            if self.scan_model is None:
-                sim = rec.duration * factor * self.time_scale
-            else:
-                scan = self.scan_model.seconds(
-                    fragment.length * self.unit_scale,
-                    shard.total_length * self.db_unit_scale,
-                )
-                sim = factor * scan + rec.duration * self.time_scale
             records.append(
                 WorkUnitRecord(
                     unit=unit,
                     measured_seconds=rec.duration,
-                    sim_seconds=sim,
                     alignments=rec.output_records,
+                    simulator_safe=rec.simulator_safe,
                 )
             )
-        reduce_seconds = [r.duration * self.time_scale for r in mr.reduce_records()]
 
-        result = OrionResult(
+        return OrionResult(
             query_id=query.seq_id,
             alignments=ordered,
             map_records=records,
-            reduce_seconds=reduce_seconds,
+            reduce_seconds=[r.duration for r in mr.reduce_records()],
             sort_seconds=sort_seconds,
             fragment_length=plan.fragment_length,
             overlap=plan.overlap,
@@ -849,6 +795,7 @@ class OrionSearch:
             merged_pairs=agg_stats.merged_pairs,
             dropped_partials=agg_stats.dropped_partials,
             executor_kind=self.executor.kind,
+            simulator_safe=all(r.simulator_safe for r in mr.records),
             mapreduce_wall_seconds=mapreduce_wall,
             shards_searched=plan.shards_searched,
             shards_pruned=plan.shards_pruned,
@@ -858,17 +805,13 @@ class OrionSearch:
             plane_fallback=1 if self._plane_mode == "fallback" else 0,
             plane_fallback_reason=self._plane_fallback_reason,
         )
-        if cluster is not None:
-            result.schedule = self.simulate(result, cluster)
-        return result
 
     def run(
         self,
         query: SequenceRecord,
-        cluster: Optional[ClusterSpec] = None,
         fragment_length: Optional[int] = None,
     ) -> OrionResult:
-        """Search one query; optionally simulate the schedule on a cluster.
+        """Search one query; returns measured records only.
 
         ``prepare → execute → assemble``, decoupled so the always-on
         service (:mod:`repro.service`) can interleave many queries' task
@@ -884,18 +827,15 @@ class OrionSearch:
         mr_wall = Stopwatch().start()
         mr = self.executor.run(plan.job, plan.splits)
         mapreduce_wall = mr_wall.stop()
-        return self.assemble(plan, mr, mapreduce_wall, cluster=cluster)
+        return self.assemble(plan, mr, mapreduce_wall)
 
     def run_many(
-        self,
-        queries: Sequence[SequenceRecord],
-        cluster: Optional[ClusterSpec] = None,
+        self, queries: Sequence[SequenceRecord]
     ) -> Dict[str, OrionResult]:
         """Search a query set (inter-query level of Fig. 1).
 
-        Work units from all queries form one pool — with a cluster given,
-        each result carries its own schedule and
-        :func:`simulate_query_set` offers the combined-job makespan.
+        :func:`repro.core.results.replay_orion` replays the results as one
+        combined job on a modelled cluster.
 
         With a process-backed executor the whole set runs on one persistent
         worker pool (see ``executor``): workers stay alive between
@@ -919,57 +859,4 @@ class OrionSearch:
                 f"are keyed by seq_id, so duplicates would be silently "
                 f"dropped — rename the queries or submit them individually"
             )
-        results = {q.seq_id: self.run(q, cluster=None) for q in queries}
-        if cluster is not None:
-            for res in results.values():
-                res.schedule = self.simulate(res, cluster)
-        return results
-
-    # ------------------------------------------------------------------ #
-    # simulation
-    # ------------------------------------------------------------------ #
-
-    def simulate(self, result: OrionResult, cluster: ClusterSpec) -> Schedule:
-        """Replay one result's tasks on a modelled cluster (Hadoop phases)."""
-        map_tasks = [
-            SimTask(task_id=r.unit.task_id, duration=r.sim_seconds, kind=TaskKind.MAP)
-            for r in result.map_records
-        ]
-        reduce_tasks = [
-            SimTask(task_id=f"reduce/{i:03d}", duration=d, kind=TaskKind.REDUCE)
-            for i, d in enumerate(result.reduce_seconds)
-        ]
-        sort_tasks = [
-            SimTask(task_id=f"sort/{i:03d}", duration=d, kind=TaskKind.REDUCE)
-            for i, d in enumerate(result.sort_seconds)
-        ]
-        return simulate_phases(
-            [map_tasks, reduce_tasks, sort_tasks], cluster, profile=self.profile
-        )
-
-    def simulate_query_set(
-        self, results: Sequence[OrionResult], cluster: ClusterSpec
-    ) -> Schedule:
-        """Simulate all queries' work as one Hadoop job (paper's Fig. 8 setup)."""
-        map_tasks = [
-            SimTask(task_id=r.unit.task_id, duration=r.sim_seconds, kind=TaskKind.MAP)
-            for res in results
-            for r in res.map_records
-        ]
-        reduce_tasks = [
-            SimTask(
-                task_id=f"{res.query_id}/reduce/{i:03d}", duration=d, kind=TaskKind.REDUCE
-            )
-            for res in results
-            for i, d in enumerate(res.reduce_seconds)
-        ]
-        sort_tasks = [
-            SimTask(
-                task_id=f"{res.query_id}/sort/{i:03d}", duration=d, kind=TaskKind.REDUCE
-            )
-            for res in results
-            for i, d in enumerate(res.sort_seconds)
-        ]
-        return simulate_phases(
-            [map_tasks, reduce_tasks, sort_tasks], cluster, profile=self.profile
-        )
+        return {q.seq_id: self.run(q) for q in queries}

@@ -3,18 +3,21 @@
 Map tasks emit :class:`FragmentAlignment` — an alignment already translated
 to **global query coordinates**, still carrying its fragment provenance and
 partial flags. The reduce phase consumes them; :class:`OrionResult` is what
-:class:`repro.core.orion.OrionSearch` hands back to callers.
+:class:`repro.core.orion.OrionSearch` hands back to callers, and
+:func:`replay_orion` replays results on a modelled Hadoop cluster.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.blast.hsp import Alignment
-from repro.cluster.simulator import Schedule
+from repro.cluster.hardware import HardwareModel
+from repro.cluster.simulator import Schedule, simulate_phases
+from repro.cluster.tasks import SimTask, unit_tasks
+from repro.cluster.topology import ClusterSpec, ExecutionProfile
+from repro.mapreduce.types import TaskKind
 from repro.units import WorkUnitRecord
 
 
@@ -60,8 +63,9 @@ class OrionResult:
     """Output of one Orion search.
 
     ``alignments`` is the final, globally sorted report (ascending E-value),
-    exactly what serial BLAST would print. Timing/bookkeeping fields expose
-    the fine-grained work units so experiments can simulate any cluster.
+    exactly what serial BLAST would print. Timing fields are measured
+    seconds only; :func:`replay_orion` turns them into a simulated schedule
+    on any cluster under any hardware model.
     """
 
     query_id: str
@@ -75,10 +79,11 @@ class OrionResult:
     num_shards: int
     merged_pairs: int = 0
     dropped_partials: int = 0
-    schedule: Optional[Schedule] = None
-    #: Which executor backend ran the MapReduce phases ("serial" durations
-    #: are the only simulator-safe measurements).
+    #: Which executor backend ran the MapReduce phases.
     executor_kind: str = "serial"
+    #: Whether every map and reduce duration is a serial or uncontended
+    #: measurement; :func:`replay_orion` refuses a result where it is not.
+    simulator_safe: bool = True
     #: Real wall-clock of the map+shuffle+reduce job on this machine —
     #: the number the executor benchmark tracks (parallel backends should
     #: shrink it while leaving ``alignments`` bit-identical).
@@ -108,59 +113,6 @@ class OrionResult:
     def num_work_units(self) -> int:
         return len(self.map_records)
 
-    @property
-    def makespan_seconds(self) -> Optional[float]:
-        """Simulated makespan when a cluster was supplied to ``run``."""
-        return self.schedule.makespan if self.schedule is not None else None
-
-    def task_durations(self) -> np.ndarray:
-        """Simulated map+reduce task durations (the paper's Table III data)."""
-        durations = [r.sim_seconds for r in self.map_records]
-        durations.extend(self.reduce_seconds)
-        durations.extend(self.sort_seconds)
-        return np.array(durations, dtype=np.float64)
-
-    def rescaled(self, factor: float) -> "OrionResult":
-        """Copy with all *simulated* durations multiplied by ``factor``.
-
-        Used by experiments that calibrate the measured→simulated time scale
-        after running (the schedule, if any, is dropped — re-simulate).
-        """
-        if factor <= 0:
-            raise ValueError(f"factor must be positive, got {factor}")
-        records = [
-            WorkUnitRecord(
-                unit=r.unit,
-                measured_seconds=r.measured_seconds,
-                sim_seconds=r.sim_seconds * factor,
-                alignments=r.alignments,
-            )
-            for r in self.map_records
-        ]
-        return OrionResult(
-            query_id=self.query_id,
-            alignments=self.alignments,
-            map_records=records,
-            reduce_seconds=[d * factor for d in self.reduce_seconds],
-            sort_seconds=[d * factor for d in self.sort_seconds],
-            fragment_length=self.fragment_length,
-            overlap=self.overlap,
-            num_fragments=self.num_fragments,
-            num_shards=self.num_shards,
-            merged_pairs=self.merged_pairs,
-            dropped_partials=self.dropped_partials,
-            schedule=None,
-            executor_kind=self.executor_kind,
-            mapreduce_wall_seconds=self.mapreduce_wall_seconds,
-            shards_searched=self.shards_searched,
-            shards_pruned=self.shards_pruned,
-            pruned_map_tasks=self.pruned_map_tasks,
-            plane_created=self.plane_created,
-            plane_attached=self.plane_attached,
-            plane_fallback=self.plane_fallback,
-            plane_fallback_reason=self.plane_fallback_reason,
-        )
-
     def total_measured_seconds(self) -> float:
         """Total real compute across all phases (work, not makespan)."""
         return (
@@ -168,3 +120,44 @@ class OrionResult:
             + sum(self.reduce_seconds)
             + sum(self.sort_seconds)
         )
+
+
+def orion_phases(
+    results: Sequence[OrionResult], hardware: HardwareModel
+) -> List[List[SimTask]]:
+    """The map, reduce and sort phases of a query set as one Hadoop job.
+
+    Map durations come from ``hardware``; reduce and sort durations are
+    replayed as measured (they are not (query × shard) work units).
+    """
+    for res in results:
+        if not res.simulator_safe:
+            raise ValueError(
+                f"query {res.query_id!r} ran on executor {res.executor_kind!r} "
+                f"under contention; replay only serial or uncontended results"
+            )
+    maps = unit_tasks([r for res in results for r in res.map_records], hardware)
+    reduces = [
+        SimTask(task_id=f"{res.query_id}/reduce/{i:03d}", duration=d, kind=TaskKind.REDUCE)
+        for res in results
+        for i, d in enumerate(res.reduce_seconds)
+    ]
+    sorts = [
+        SimTask(task_id=f"{res.query_id}/sort/{i:03d}", duration=d, kind=TaskKind.REDUCE)
+        for res in results
+        for i, d in enumerate(res.sort_seconds)
+    ]
+    return [maps, reduces, sorts]
+
+
+def replay_orion(
+    results: Sequence[OrionResult], cluster: ClusterSpec, hardware: HardwareModel
+) -> Schedule:
+    """Replay measured Orion results on ``cluster`` with Hadoop's overheads.
+
+    All queries' work units form one job (the paper's Fig. 8 setup); pass a
+    one-member list to replay a single query.
+    """
+    return simulate_phases(
+        orion_phases(results, hardware), cluster, ExecutionProfile.hadoop()
+    )

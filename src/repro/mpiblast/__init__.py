@@ -15,7 +15,7 @@ memory") raises :class:`repro.cluster.hardware.OutOfMemoryError`.
 
 from repro.mpiblast.formatdb import DatabaseShard, shard_database
 from repro.mpiblast.scheduler import MasterScheduler, WorkAssignment
-from repro.mpiblast.runner import MpiBlastResult, MpiBlastRunner
+from repro.mpiblast.runner import MpiBlastResult, MpiBlastRunner, replay_mpiblast
 
 __all__ = [
     "DatabaseShard",
@@ -24,4 +24,5 @@ __all__ = [
     "WorkAssignment",
     "MpiBlastResult",
     "MpiBlastRunner",
+    "replay_mpiblast",
 ]

@@ -1,30 +1,33 @@
-"""The mpiBLAST baseline runner: execute, merge, and simulate scheduling.
+"""The mpiBLAST baseline runner: execute and merge, then replay the schedule.
 
 Work units are (whole query, shard) pairs — the coarsest decomposition in
 Fig. 1's middle level. Each unit runs the shared BLAST engine for real (so
-results are exact and durations are measured); the master–worker schedule is
-then simulated on the requested cluster with mpiBLAST's execution profile.
+results are exact and durations are measured); :func:`replay_mpiblast` then
+replays the measured records on a modelled cluster with mpiBLAST's greedy
+master and MPI overheads.
 
-Two modelled hardware effects apply (DESIGN.md §2):
+Two modelled hardware effects apply (DESIGN.md §2), both read from one
+:class:`~repro.cluster.hardware.HardwareModel`:
 
-* per-unit simulated durations are scaled by the cache model evaluated at
-  the *whole query's* (paper-unit) length — mpiBLAST always searches the
-  full query, which is precisely why it degrades on long queries;
-* the DP memory model rejects queries whose worst-pair dynamic program
-  exceeds node memory, reproducing the paper's >96 Mbp hard failure.
+* in the replay, the cache model is evaluated at each unit's *whole-query*
+  span — mpiBLAST always searches the full query, which is precisely why it
+  degrades on long queries;
+* in the run, the DP memory model rejects queries whose worst-pair dynamic
+  program exceeds node memory, reproducing the paper's >96 Mbp hard failure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.blast.engine import BlastEngine
 from repro.blast.hsp import Alignment
 from repro.blast.params import BlastParams
-from repro.cluster.hardware import CacheModel, DPMemoryModel, ScanCostModel
+from repro.cluster.hardware import HardwareModel
+from repro.cluster.tasks import simulated_seconds
 from repro.cluster.topology import ClusterSpec, ExecutionProfile
 from repro.mpiblast.formatdb import shard_database
 from repro.mpiblast.scheduler import MasterScheduler, WorkAssignment, makespan, per_worker_busy
@@ -32,33 +35,31 @@ from repro.sequence.records import Database, SequenceRecord
 from repro.units import WorkUnit, WorkUnitRecord
 from repro.util.validation import check_positive
 
+#: Ranks reserved for the master (mpiBLAST dedicates one).
+MASTER_RANKS = 1
+
 
 @dataclass
 class MpiBlastResult:
-    """Everything one mpiBLAST run produces.
+    """Everything one mpiBLAST run measures.
 
     ``alignments`` maps query id → merged, report-sorted alignments; they are
     bitwise what a serial whole-database search reports (sharding is
-    lossless — an integration test asserts equality). Timing fields are
-    simulated seconds on the modelled cluster.
+    lossless — an integration test asserts equality). ``records`` are the
+    measured work units :func:`replay_mpiblast` schedules.
     """
 
     alignments: Dict[str, List[Alignment]]
     records: List[WorkUnitRecord]
-    assignments: List[WorkAssignment]
-    cluster: ClusterSpec
     num_shards: int
-    makespan_seconds: float
-    worker_busy_seconds: np.ndarray
-    total_measured_seconds: float
 
     def all_alignments(self) -> List[Alignment]:
         """Every query's alignments, flattened in sorted query-id order."""
         return [a for _, alns in sorted(self.alignments.items()) for a in alns]
 
-    def unit_durations(self) -> np.ndarray:
-        """Simulated per-work-unit durations (Table III's raw data)."""
-        return np.array([r.sim_seconds for r in self.records], dtype=np.float64)
+    @property
+    def total_measured_seconds(self) -> float:
+        return float(sum(r.measured_seconds for r in self.records))
 
 
 class MpiBlastRunner:
@@ -68,121 +69,40 @@ class MpiBlastRunner:
     ----------
     params:
         BLAST parameters shared with every other runner.
-    cache_model / memory_model:
-        Hardware models (``None`` disables the effect).
-    unit_scale:
-        Conversion from real base pairs to paper-equivalent base pairs for
-        the hardware models (scaled experiments set e.g. ``1000.0`` so a
-        71 kbp synthetic query models the paper's 71 Mbp contig).
-    time_scale:
-        Constant multiplier from measured seconds to simulated seconds.
-        Scaled experiments use it to put work-unit durations at the paper's
-        magnitude (where framework overheads are realistic); it cancels in
-        every relative comparison.
-    db_unit_scale:
-        Paper-bp conversion for *database* sequence lengths (the memory
-        model's subject side); defaults to ``unit_scale``. Experiments scale
-        queries and databases by different factors (see
-        :mod:`repro.bench.datasets`).
-    scan_model:
-        Optional :class:`~repro.cluster.hardware.ScanCostModel`. When given,
-        a unit's simulated duration is ``cache_factor · scan_seconds +
-        measured · time_scale`` — the paper-scale scan term plus measured
-        alignment-processing extras. Without it, durations are pure measured
-        seconds times the factors.
-    profile:
-        Framework overheads; defaults to the MPI profile.
-    master_ranks:
-        Ranks reserved for the master (mpiBLAST dedicates one).
-    shard_load_seconds:
-        One-time per-worker shard load cost (shared-storage copy).
+    hardware:
+        Read only for its DP memory ceiling (``hardware.memory`` with the
+        model's scales); the default has none. Simulated durations come
+        from the model passed to :func:`replay_mpiblast`.
     """
 
     def __init__(
         self,
         params: Optional[BlastParams] = None,
-        cache_model: Optional[CacheModel] = None,
-        memory_model: Optional[DPMemoryModel] = None,
-        unit_scale: float = 1.0,
-        time_scale: float = 1.0,
-        db_unit_scale: Optional[float] = None,
-        scan_model: Optional[ScanCostModel] = None,
-        profile: Optional[ExecutionProfile] = None,
-        master_ranks: int = 1,
-        shard_load_seconds: float = 0.0,
+        hardware: HardwareModel = HardwareModel(),
     ) -> None:
-        check_positive("unit_scale", unit_scale)
-        check_positive("time_scale", time_scale)
-        if db_unit_scale is not None:
-            check_positive("db_unit_scale", db_unit_scale)
-        if master_ranks < 0:
-            raise ValueError(f"master_ranks must be >= 0, got {master_ranks}")
         self.engine = BlastEngine(params)
-        self.cache_model = cache_model
-        self.memory_model = memory_model
-        self.unit_scale = float(unit_scale)
-        self.time_scale = float(time_scale)
-        self.db_unit_scale = float(db_unit_scale) if db_unit_scale is not None else self.unit_scale
-        self.scan_model = scan_model
-        self.profile = profile or ExecutionProfile.mpi()
-        self.master_ranks = master_ranks
-        self.shard_load_seconds = shard_load_seconds
-
-    # ------------------------------------------------------------------ #
+        self.hardware = hardware
 
     def check_memory(self, query: SequenceRecord, database: Database) -> None:
         """Raise OutOfMemoryError when the modelled DP cannot fit (paper §V-C)."""
-        if self.memory_model is None:
-            return
-        longest = int(database.lengths().max())
-        self.memory_model.check(
-            int(len(query) * self.unit_scale), int(longest * self.db_unit_scale)
-        )
-
-    def _cache_factor(self, query: SequenceRecord) -> float:
-        if self.cache_model is None:
-            return 1.0
-        return self.cache_model.factor(len(query) * self.unit_scale)
-
-    # ------------------------------------------------------------------ #
-
-    def simulate_schedule(
-        self, records: Sequence[WorkUnitRecord], cluster: ClusterSpec
-    ):
-        """Master–worker schedule of existing records on a cluster.
-
-        Returns ``(makespan_seconds, worker_busy, assignments)``; lets
-        experiments sweep core counts without re-running any search.
-        """
-        num_workers = max(1, cluster.total_slots - self.master_ranks)
-        scheduler = MasterScheduler(
-            num_workers=num_workers, shard_load_seconds=self.shard_load_seconds
-        )
-        assignments = scheduler.schedule(list(records))
-        span = (
-            self.profile.job_setup_seconds
-            + makespan(assignments)
-            + len(records) * self.profile.per_task_overhead_seconds / max(1, num_workers)
-            + self.profile.job_teardown_seconds
-        )
-        busy = np.array(per_worker_busy(assignments, num_workers), dtype=np.float64)
-        return span, busy, assignments
+        self.hardware.check_memory(len(query), int(database.lengths().max()))
 
     def run(
         self,
         queries: Sequence[SequenceRecord],
         database: Database,
         num_shards: int,
-        cluster: ClusterSpec,
         enforce_memory: bool = True,
         queries_per_segment: int = 1,
     ) -> MpiBlastResult:
-        """Search every query against every shard; merge; simulate.
+        """Search every query against every shard; merge; record.
 
         ``queries_per_segment`` batches queries into segments (mpiBLAST's
         query segmentation - Fig. 1's coarsest granularity): one work unit
-        searches a whole segment against one shard. Larger segments mean
-        fewer, coarser units - the load-balance ablation knob.
+        searches a whole segment against one shard, and its query span is
+        the segment's combined length (the lookup table covers the whole
+        segment). Larger segments mean fewer, coarser units - the
+        load-balance ablation knob.
         """
         if not queries:
             raise ValueError("query set must be non-empty")
@@ -208,7 +128,6 @@ class MpiBlastRunner:
                 )
                 for q in segment
             }
-            factors = {q.seq_id: self._cache_factor(q) for q in segment}
             seg_span = sum(len(q) for q in segment)
             seg_id = (
                 segment[0].seq_id
@@ -217,7 +136,6 @@ class MpiBlastRunner:
             )
             for shard in shards:
                 measured = 0.0
-                sim = 0.0
                 n_alignments = 0
                 for query in segment:
                     res = self.engine.search(
@@ -226,44 +144,43 @@ class MpiBlastRunner:
                     merged[query.seq_id].extend(res.alignments)
                     n_alignments += len(res.alignments)
                     measured += res.counters.elapsed_seconds
-                    if self.scan_model is None:
-                        sim += (
-                            res.counters.elapsed_seconds
-                            * factors[query.seq_id]
-                            * self.time_scale
-                        )
-                    else:
-                        scan = self.scan_model.seconds(
-                            len(query) * self.unit_scale,
-                            shard.total_length * self.db_unit_scale,
-                        )
-                        sim += (
-                            factors[query.seq_id] * scan
-                            + res.counters.elapsed_seconds * self.time_scale
-                        )
                 records.append(
                     WorkUnitRecord(
                         unit=WorkUnit(
                             query_id=seg_id,
                             shard_index=shard.index,
                             query_span=seg_span,
+                            subject_span=shard.total_length,
                         ),
                         measured_seconds=measured,
-                        sim_seconds=sim,
                         alignments=n_alignments,
                     )
                 )
         for qid in merged:
             merged[qid].sort(key=Alignment.sort_key)
 
-        span, busy, assignments = self.simulate_schedule(records, cluster)
-        return MpiBlastResult(
-            alignments=merged,
-            records=records,
-            assignments=assignments,
-            cluster=cluster,
-            num_shards=len(shards),
-            makespan_seconds=span,
-            worker_busy_seconds=busy,
-            total_measured_seconds=float(sum(r.measured_seconds for r in records)),
-        )
+        return MpiBlastResult(alignments=merged, records=records, num_shards=len(shards))
+
+
+def replay_mpiblast(
+    records: Sequence[WorkUnitRecord], cluster: ClusterSpec, hardware: HardwareModel
+) -> Tuple[float, np.ndarray, List[WorkAssignment]]:
+    """Replay measured mpiBLAST units with its greedy master on ``cluster``.
+
+    Returns ``(makespan_seconds, worker_busy, assignments)``: the master
+    ranks sit out, every unit pays MPI's dispatch cost, and the job pays
+    ``mpirun`` setup and teardown.
+    """
+    profile = ExecutionProfile.mpi()
+    num_workers = max(1, cluster.total_slots - MASTER_RANKS)
+    assignments = MasterScheduler(num_workers=num_workers).schedule(
+        records, simulated_seconds(records, hardware)
+    )
+    span = (
+        profile.job_setup_seconds
+        + makespan(assignments)
+        + len(records) * profile.per_task_overhead_seconds / max(1, num_workers)
+        + profile.job_teardown_seconds
+    )
+    busy = np.array(per_worker_busy(assignments, num_workers), dtype=np.float64)
+    return span, busy, assignments

@@ -7,7 +7,7 @@ queries), so one enormous query-vs-shard unit can hold the whole job hostage
 no matter how cleverly units are dealt out.
 
 This module computes the assignment deterministically given per-unit
-durations (what the discrete-event simulator does), and additionally tracks
+simulated durations (what the discrete-event simulator does), and additionally tracks
 shard→worker affinity: a worker that has already loaded a shard prefers more
 units on that shard, modelling mpiBLAST's attempt to avoid re-reading shards
 from shared storage.
@@ -56,14 +56,21 @@ class MasterScheduler:
         if self.shard_load_seconds < 0:
             raise ValueError("shard_load_seconds must be non-negative")
 
-    def schedule(self, records: Sequence[WorkUnitRecord]) -> List[WorkAssignment]:
+    def schedule(
+        self, records: Sequence[WorkUnitRecord], durations: Sequence[float]
+    ) -> List[WorkAssignment]:
         """Assign all units; returns assignments in completion order.
 
+        ``durations[i]`` is the simulated duration of ``records[i]``.
         Deterministic: ties in worker availability break by worker index;
         among pending units a worker prefers the first whose shard it has
         already loaded, else the first pending unit (FIFO).
         """
-        pending: List[WorkUnitRecord] = list(records)
+        if len(durations) != len(records):
+            raise ValueError(
+                f"{len(records)} records but {len(durations)} durations"
+            )
+        pending: List[Tuple[WorkUnitRecord, float]] = list(zip(records, durations))
         loaded: Dict[int, Set[int]] = {w: set() for w in range(self.num_workers)}
         heap: List[Tuple[float, int]] = [(0.0, w) for w in range(self.num_workers)]
         heapq.heapify(heap)
@@ -71,16 +78,16 @@ class MasterScheduler:
         while pending:
             free_at, worker = heapq.heappop(heap)
             pick_idx = 0
-            for i, rec in enumerate(pending):
+            for i, (rec, _) in enumerate(pending):
                 if rec.unit.shard_index in loaded[worker]:
                     pick_idx = i
                     break
-            rec = pending.pop(pick_idx)
+            rec, duration = pending.pop(pick_idx)
             load = 0.0
             if rec.unit.shard_index not in loaded[worker]:
                 load = self.shard_load_seconds
                 loaded[worker].add(rec.unit.shard_index)
-            end = free_at + load + rec.sim_seconds
+            end = free_at + load + duration
             out.append(
                 WorkAssignment(
                     record=rec, worker=worker, start=free_at, end=end,

@@ -1,10 +1,11 @@
 """Work-unit records shared by every runner (serial, mpiBLAST, BLAST+, Orion).
 
 A *work unit* is one engine invocation — a (query-or-fragment, database-shard)
-pair. Runners execute units for real (measured seconds), then hand the same
-records to the cluster simulator with hardware-model factors applied
-(simulated seconds). Keeping both numbers on the record makes every
-experiment's time accounting auditable.
+pair. Runners execute units for real and record only what they measured:
+wall-clock seconds and the query and subject spans the unit searched.
+Simulated seconds are never stored; :class:`repro.cluster.hardware.HardwareModel`
+derives them from a record when a replay asks, so one record can be replayed
+under any hardware model.
 """
 
 from __future__ import annotations
@@ -12,25 +13,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.mapreduce.types import TaskKind, TaskRecord
-
 
 @dataclass(frozen=True)
 class WorkUnit:
-    """Identity of one unit of search work."""
+    """Identity and extent of one unit of search work."""
 
     query_id: str
     shard_index: int
     fragment_index: Optional[int] = None  # None for unfragmented runners
     query_span: int = 0  # bases of query (or fragment) searched
+    subject_span: int = 0  # bases of the database shard searched
 
     def __post_init__(self) -> None:
         if self.shard_index < 0:
             raise ValueError(f"shard_index must be >= 0, got {self.shard_index}")
         if self.fragment_index is not None and self.fragment_index < 0:
             raise ValueError(f"fragment_index must be >= 0, got {self.fragment_index}")
-        if self.query_span < 0:
-            raise ValueError(f"query_span must be >= 0, got {self.query_span}")
+        if self.query_span < 0 or self.subject_span < 0:
+            raise ValueError(f"spans must be >= 0, got {self.query_span}, {self.subject_span}")
 
     @property
     def task_id(self) -> str:
@@ -40,42 +40,23 @@ class WorkUnit:
 
 @dataclass(frozen=True)
 class WorkUnitRecord:
-    """Execution record of one work unit.
+    """Measured execution record of one work unit.
 
-    ``measured_seconds`` is real wall-clock on the executing machine;
-    ``sim_seconds`` is what enters the cluster simulation (measured ×
-    hardware factor). ``alignments`` counts the unit's reported alignments.
+    ``measured_seconds`` is real wall-clock on the executing machine and
+    ``alignments`` counts the unit's reported alignments.
+    ``simulator_safe`` is false when the measurement was taken under
+    contention (process workers, or concurrent threads under the GIL); a
+    replay refuses such records (see
+    :attr:`repro.mapreduce.types.TaskRecord.simulator_safe`).
     """
 
     unit: WorkUnit
     measured_seconds: float
-    sim_seconds: float
     alignments: int = 0
+    simulator_safe: bool = True
 
     def __post_init__(self) -> None:
-        if self.measured_seconds < 0 or self.sim_seconds < 0:
-            raise ValueError(f"negative durations in {self}")
+        if self.measured_seconds < 0:
+            raise ValueError(f"negative duration in {self}")
         if self.alignments < 0:
             raise ValueError(f"negative alignment count in {self}")
-
-    def rescaled(self, factor: float) -> "WorkUnitRecord":
-        """Copy with the simulated duration multiplied by ``factor``."""
-        if factor <= 0:
-            raise ValueError(f"factor must be positive, got {factor}")
-        return WorkUnitRecord(
-            unit=self.unit,
-            measured_seconds=self.measured_seconds,
-            sim_seconds=self.sim_seconds * factor,
-            alignments=self.alignments,
-        )
-
-    def to_task_record(self, kind: TaskKind = TaskKind.MAP) -> TaskRecord:
-        """Simulation-facing view (simulated duration)."""
-        return TaskRecord(
-            task_id=self.unit.task_id,
-            kind=kind,
-            duration=self.sim_seconds,
-            # One work unit is one (fragment, shard) record by definition.
-            input_records=1,  # orionlint: disable=ORL007
-            output_records=self.alignments,
-        )

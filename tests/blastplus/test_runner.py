@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.blastplus.runner import BlastPlusRunner
-from repro.cluster.hardware import CacheModel
+from repro.blastplus.runner import BlastPlusRunner, replay_blastplus
+from repro.cluster.hardware import HardwareModel
+from repro.cluster.topology import ClusterSpec
 from tests.conftest import alignment_keys
 
 
@@ -35,17 +36,38 @@ class TestCorrectness:
         assert evs == sorted(evs)
 
 
+def replay_on_node(result):
+    node = ClusterSpec(nodes=1, cores_per_node=result.threads)
+    return replay_blastplus(result.records, node, HardwareModel())
+
+
 class TestExecutionModel:
     def test_chunk_barriers_serialize_phases(self, small_db, query_with_truth):
         query, _ = query_with_truth
         runner = BlastPlusRunner(chunk_size=20_000, chunk_overlap=3000)
         res = runner.run(query, small_db, threads=2)
+        schedule = replay_on_node(res)
         # number of simulated phases == chunks; phase ends are monotone
-        assert len(res.schedule.phase_ends) == res.num_chunks
-        assert res.schedule.phase_ends == sorted(res.schedule.phase_ends)
+        assert len(schedule.phase_ends) == res.num_chunks
+        assert schedule.phase_ends == sorted(schedule.phase_ends)
 
     def test_single_node_ceiling(self, bp_result):
-        assert bp_result.schedule.cluster.nodes == 1
+        assert replay_on_node(bp_result).cluster.nodes == 1
+
+    def test_replay_runs_each_chunk_after_the_previous(self, bp_result):
+        """One phase per chunk: no unit of chunk i+1 starts before every
+        unit of chunk i has finished."""
+        schedule = replay_on_node(bp_result)
+        chunk_of = {r.unit.task_id: r.unit.fragment_index for r in bp_result.records}
+        ends = {}
+        for s in schedule.scheduled:
+            c = chunk_of[s.task.task_id]
+            ends[c] = max(ends.get(c, 0.0), s.end)
+        for s in schedule.scheduled:
+            c = chunk_of[s.task.task_id]
+            if c > 0:
+                assert s.start >= ends[c - 1]
+        assert all(r.unit.query_span <= 20_000 for r in bp_result.records)
 
     def test_small_query_single_chunk(self, small_db):
         from repro.sequence.records import SequenceRecord
@@ -53,16 +75,6 @@ class TestExecutionModel:
         q = small_db.records[0].slice(0, 2000, seq_id="tiny")
         res = BlastPlusRunner(chunk_size=50_000, chunk_overlap=1000).run(q, small_db, threads=2)
         assert res.num_chunks == 1
-
-    def test_cache_model_applies_per_chunk(self, small_db, query_with_truth):
-        """Chunks below the cache threshold stay factor-1 even when the
-        whole query is far above it — BLAST+'s query-splitting rationale."""
-        query, _ = query_with_truth
-        cache = CacheModel(threshold=30_000.0)
-        runner = BlastPlusRunner(chunk_size=20_000, chunk_overlap=3000, cache_model=cache)
-        res = runner.run(query, small_db, threads=2)
-        for rec in res.records:
-            assert rec.sim_seconds == rec.measured_seconds
 
     def test_validation(self, small_db, query_with_truth):
         query, _ = query_with_truth

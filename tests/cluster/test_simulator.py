@@ -40,7 +40,7 @@ class TestSimulatePhase:
     def test_per_task_overhead_applied(self):
         profile = ExecutionProfile(per_task_overhead_seconds=0.5)
         sched = simulate_phase(
-            tasks_of([1, 1]), ClusterSpec(nodes=1, cores_per_node=1), profile=profile
+            tasks_of([1, 1]), ClusterSpec(nodes=1, cores_per_node=1), profile
         )
         assert sched.end_time == pytest.approx(3.0)
 
@@ -118,13 +118,13 @@ class TestSimulatePhases:
     def test_setup_teardown_in_makespan(self):
         profile = ExecutionProfile(job_setup_seconds=5, job_teardown_seconds=2)
         sched = simulate_phases(
-            [tasks_of([1])], ClusterSpec(nodes=1, cores_per_node=1), profile=profile
+            [tasks_of([1])], ClusterSpec(nodes=1, cores_per_node=1), profile
         )
         assert sched.makespan == pytest.approx(8.0)
 
     def test_empty_job_pays_constants(self):
         profile = ExecutionProfile(job_setup_seconds=5, job_teardown_seconds=2)
-        sched = simulate_phases([[]], ClusterSpec(nodes=1, cores_per_node=1), profile=profile)
+        sched = simulate_phases([[]], ClusterSpec(nodes=1, cores_per_node=1), profile)
         assert sched.makespan == pytest.approx(7.0)
 
     def test_phase_ends_recorded(self):

@@ -2,35 +2,35 @@
 
 import pytest
 
+from repro.cluster.hardware import HardwareModel
 from repro.cluster.policies import order_tasks
-from repro.cluster.tasks import SimTask, records_to_tasks
-from repro.mapreduce.types import TaskKind, TaskRecord
+from repro.cluster.tasks import SimTask, simulated_seconds, unit_tasks
+from repro.units import WorkUnit, WorkUnitRecord
 
 
-def recs():
+def recs(safe=True):
     return [
-        TaskRecord(task_id="m0", kind=TaskKind.MAP, duration=1.0),
-        TaskRecord(task_id="m1", kind=TaskKind.MAP, duration=2.0),
-        TaskRecord(task_id="r0", kind=TaskKind.REDUCE, duration=3.0),
+        WorkUnitRecord(
+            unit=WorkUnit("q", shard, fragment_index=0, query_span=1000, subject_span=500),
+            measured_seconds=float(shard + 1),
+            simulator_safe=safe or shard != 1,
+        )
+        for shard in range(3)
     ]
 
 
 class TestRecordsToTasks:
     def test_all_records(self):
-        tasks = records_to_tasks(recs())
-        assert [t.task_id for t in tasks] == ["m0", "m1", "r0"]
+        tasks = unit_tasks(recs(), HardwareModel())
+        assert [t.task_id for t in tasks] == [
+            "q/frag0000/shard000", "q/frag0000/shard001", "q/frag0000/shard002",
+        ]
+        assert [t.duration for t in tasks] == [1.0, 2.0, 3.0]
 
-    def test_kind_filter(self):
-        tasks = records_to_tasks(recs(), kind=TaskKind.MAP)
-        assert [t.task_id for t in tasks] == ["m0", "m1"]
-
-    def test_scale_hook(self):
-        tasks = records_to_tasks(recs(), scale=lambda r: 2.0 if r.kind is TaskKind.MAP else 1.0)
-        assert [t.duration for t in tasks] == [2.0, 4.0, 3.0]
-
-    def test_bad_scale_rejected(self):
-        with pytest.raises(ValueError):
-            records_to_tasks(recs(), scale=lambda r: 0.0)
+    def test_contended_record_refused(self):
+        """DESIGN §4.3: contended measurements never enter simulated time."""
+        with pytest.raises(ValueError, match="frag0000/shard001.*contention"):
+            simulated_seconds(recs(safe=False), HardwareModel())
 
     def test_simtask_validation(self):
         with pytest.raises(ValueError):

@@ -2,21 +2,10 @@
 
 import pytest
 
+from repro.cluster.hardware import HardwareModel
 from repro.cluster.topology import ClusterSpec
-from repro.core.calibrate import (
-    calibrate_fragment_length,
-    cached_fragment_length,
-    clear_calibration_cache,
-    default_sweep_lengths,
-)
+from repro.core.calibrate import calibrate_fragment_length, default_sweep_lengths
 from repro.core.orion import OrionSearch
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    clear_calibration_cache()
-    yield
-    clear_calibration_cache()
 
 
 class TestDefaultSweepLengths:
@@ -33,35 +22,43 @@ class TestDefaultSweepLengths:
 
 
 class TestCalibration:
-    def test_sweep_and_cache(self, small_db, query_with_truth):
+    def test_sweep_replays_each_length(self, small_db, query_with_truth):
         query, _ = query_with_truth
         orion = OrionSearch(database=small_db, num_shards=4)
         cluster = ClusterSpec(nodes=2, cores_per_node=4)
         calib = calibrate_fragment_length(
-            orion, query, cluster, fragment_lengths=[8000, 20_000, 60_000]
+            orion, query, cluster, HardwareModel(), fragment_lengths=[8000, 20_000, 60_000]
         )
         assert len(calib.points) == 3
         assert calib.best_fragment_length in {8000, 20_000, 60_000}
         assert all(p.makespan_seconds > 0 for p in calib.points)
-        # memoized for this (database, length-bucket)
-        assert cached_fragment_length(small_db.name, len(query)) == calib.best_fragment_length
+        assert calib.cluster_slots == 8
 
-    def test_cache_buckets_by_length(self, small_db, query_with_truth):
+    def test_calibration_leaves_live_planning_unchanged(self, small_db, query_with_truth):
+        """Regression: calibration used to memoize its sweet spot in a
+        process-global cache that prepare() read, silently changing the
+        fragments of every later search of that database."""
         query, _ = query_with_truth
         orion = OrionSearch(database=small_db, num_shards=4)
-        cluster = ClusterSpec(nodes=1, cores_per_node=4)
-        calibrate_fragment_length(orion, query, cluster, fragment_lengths=[20_000])
-        # same bucket (within 2x): hit
-        assert cached_fragment_length(small_db.name, len(query) + 10) is not None
-        # far smaller query: different bucket -> miss
-        assert cached_fragment_length(small_db.name, 100) is None
+        before = orion.prepare(query).fragment_length
+        calib = calibrate_fragment_length(
+            orion, query, ClusterSpec(nodes=1, cores_per_node=4), HardwareModel(),
+            fragment_lengths=[7000, 20_000],
+        )
+        assert calib.best_fragment_length != before
+        assert orion.prepare(query).fragment_length == before
+        fresh = OrionSearch(database=small_db, num_shards=4)
+        assert fresh.prepare(query).fragment_length == before
+        # reusing the sweet spot is the caller's explicit choice
+        tuned = fresh.run(query, fragment_length=calib.best_fragment_length)
+        assert tuned.fragment_length == calib.best_fragment_length
 
     def test_empty_sweep_rejected(self, small_db, query_with_truth):
         query, _ = query_with_truth
         orion = OrionSearch(database=small_db, num_shards=4)
         with pytest.raises(ValueError):
             calibrate_fragment_length(
-                orion, query, ClusterSpec(nodes=1), fragment_lengths=[]
+                orion, query, ClusterSpec(nodes=1), HardwareModel(), fragment_lengths=[]
             )
 
     def test_points_record_parallelism_tradeoff(self, small_db, query_with_truth):
@@ -69,8 +66,8 @@ class TestCalibration:
         query, _ = query_with_truth
         orion = OrionSearch(database=small_db, num_shards=4)
         calib = calibrate_fragment_length(
-            orion, query, ClusterSpec(nodes=1, cores_per_node=4),
-            fragment_lengths=[8000, 30_000], use_cache=False,
+            orion, query, ClusterSpec(nodes=1, cores_per_node=4), HardwareModel(),
+            fragment_lengths=[8000, 30_000],
         )
         units = {p.fragment_length: p.num_work_units for p in calib.points}
         assert units[8000] > units[30_000]

@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.cluster.hardware import CacheModel
-from repro.cluster.topology import ClusterSpec
+from repro.cluster.hardware import HardwareModel
+from repro.cluster.topology import ClusterSpec, ExecutionProfile
 from repro.core.orion import OrionSearch
+from repro.core.results import orion_phases, replay_orion
 from tests.conftest import alignment_keys
 
 
@@ -16,7 +17,7 @@ def orion(small_db):
 @pytest.fixture(scope="module")
 def orion_result(orion, query_with_truth):
     query, _ = query_with_truth
-    return orion.run(query, cluster=ClusterSpec(nodes=2, cores_per_node=4))
+    return orion.run(query)
 
 
 class TestAccuracy:
@@ -65,39 +66,83 @@ class TestWorkUnits:
         assert all(r.measured_seconds > 0 for r in orion_result.map_records)
 
     def test_task_durations_cover_phases(self, orion_result):
-        durations = orion_result.task_durations()
-        expected = (
-            orion_result.num_work_units
-            + len(orion_result.reduce_seconds)
-            + len(orion_result.sort_seconds)
-        )
-        assert durations.shape[0] == expected
+        phases = orion_phases([orion_result], HardwareModel())
+        assert [len(p) for p in phases] == [
+            orion_result.num_work_units,
+            len(orion_result.reduce_seconds),
+            len(orion_result.sort_seconds),
+        ]
+
+    def test_records_carry_fragment_and_shard_spans(self, orion, orion_result):
+        for r in orion_result.map_records:
+            assert r.unit.query_span <= 9000
+            assert r.unit.subject_span == orion.shards[r.unit.shard_index].total_length
 
 
 class TestSimulation:
-    def test_schedule_attached(self, orion_result):
-        assert orion_result.schedule is not None
-        assert orion_result.makespan_seconds > 0
+    def test_replay_one_result_is_a_one_member_set(self, orion_result):
+        cluster = ClusterSpec(nodes=2, cores_per_node=4)
+        sched = replay_orion([orion_result], cluster, HardwareModel())
+        assert sched.makespan > 0
+        # identity model: map tasks replay their measured seconds
+        maps = [s for s in sched.scheduled if "/shard" in s.task.task_id]
+        assert [s.task.duration for s in maps] == [
+            r.measured_seconds for r in orion_result.map_records
+        ]
 
-    def test_more_cores_never_slower(self, orion, orion_result):
-        small = orion.simulate(orion_result, ClusterSpec(nodes=1, cores_per_node=4))
-        big = orion.simulate(orion_result, ClusterSpec(nodes=8, cores_per_node=4))
+    def test_more_cores_never_slower(self, orion_result):
+        hw = HardwareModel()
+        small = replay_orion([orion_result], ClusterSpec(nodes=1, cores_per_node=4), hw)
+        big = replay_orion([orion_result], ClusterSpec(nodes=8, cores_per_node=4), hw)
         assert big.makespan <= small.makespan + 1e-9
 
-    def test_hadoop_setup_in_makespan(self, orion, orion_result):
-        sched = orion.simulate(orion_result, ClusterSpec(nodes=64, cores_per_node=16))
-        # with 1024 slots the job is dominated by the Hadoop constants
-        assert sched.makespan >= orion.profile.job_setup_seconds
-
-    def test_cache_model_spares_small_fragments(self, small_db, query_with_truth):
-        query, _ = query_with_truth
-        cached = OrionSearch(
-            database=small_db, num_shards=4, fragment_length=9000,
-            cache_model=CacheModel(threshold=20_000.0),
+    def test_hadoop_setup_in_makespan(self, orion_result):
+        sched = replay_orion(
+            [orion_result], ClusterSpec(nodes=64, cores_per_node=16), HardwareModel()
         )
-        res = cached.run(query)
-        for r in res.map_records:
-            assert r.sim_seconds == r.measured_seconds  # fragments below threshold
+        # with 1024 slots the job is dominated by the Hadoop constants
+        assert sched.makespan >= ExecutionProfile.hadoop().job_setup_seconds
+
+
+class TestMeasurementDiscipline:
+    """DESIGN §4.3: only serial or uncontended durations are replayed."""
+
+    def test_serial_result_accepted(self, orion_result):
+        assert orion_result.simulator_safe
+        replay_orion([orion_result], ClusterSpec(nodes=1), HardwareModel())
+
+    def test_uncontended_threads_result_accepted(self, small_db, query_with_truth):
+        query, _ = query_with_truth
+        search = OrionSearch(
+            database=small_db, num_shards=4, fragment_length=9000,
+            executor="threads", num_workers=1,
+        )
+        res = search.run(query)
+        assert res.simulator_safe
+        replay_orion([res], ClusterSpec(nodes=1), HardwareModel())
+
+    def test_contended_threads_result_refused(self, small_db, query_with_truth):
+        query, _ = query_with_truth
+        search = OrionSearch(
+            database=small_db, num_shards=4, fragment_length=9000,
+            executor="threads", num_workers=2,
+        )
+        res = search.run(query)
+        with pytest.raises(ValueError, match="contention"):
+            replay_orion([res], ClusterSpec(nodes=1), HardwareModel())
+
+    def test_processes_result_refused(self, small_db, query_with_truth, serial_result):
+        query, _ = query_with_truth
+        with OrionSearch(
+            database=small_db, num_shards=4, fragment_length=9000,
+            executor="processes", num_workers=2,
+        ) as search:
+            res = search.run(query)
+        assert alignment_keys(res.alignments) == alignment_keys(serial_result.alignments)
+        assert not res.simulator_safe
+        assert not any(r.simulator_safe for r in res.map_records)
+        with pytest.raises(ValueError, match="contention"):
+            replay_orion([res], ClusterSpec(nodes=1), HardwareModel())
 
 
 class TestFragmentLengthResolution:
@@ -148,10 +193,14 @@ class TestRunMany:
     def test_query_set(self, orion, small_db, query_with_truth):
         query, _ = query_with_truth
         second = small_db.records[1].slice(0, 3000, seq_id="q2")
-        results = orion.run_many([query, second], cluster=ClusterSpec(nodes=2, cores_per_node=2))
+        results = orion.run_many([query, second])
         assert set(results) == {query.seq_id, "q2"}
-        combined = orion.simulate_query_set(list(results.values()), ClusterSpec(nodes=2, cores_per_node=2))
+        cluster = ClusterSpec(nodes=2, cores_per_node=2)
+        combined = replay_orion(list(results.values()), cluster, HardwareModel())
         assert combined.makespan > 0
+        assert len(combined.scheduled) == sum(
+            len(p) for p in orion_phases(list(results.values()), HardwareModel())
+        )
 
     def test_duplicate_seq_ids_rejected(self, orion, small_db, query_with_truth):
         """Results are keyed by seq_id — a silent dict collision used to

@@ -113,10 +113,6 @@ class TestPrepare:
         assert res.pruned_map_tasks > 0
         assert res.num_work_units == len(res.map_records)
         assert res.shards_searched + res.shards_pruned == 8
-        rescaled = res.rescaled(2.0)
-        assert rescaled.pruned_map_tasks == res.pruned_map_tasks
-        assert rescaled.shards_searched == res.shards_searched
-        assert rescaled.shards_pruned == res.shards_pruned
 
     def test_invalid_threshold_rejected(self, db):
         with pytest.raises(ValueError, match="prune_threshold"):

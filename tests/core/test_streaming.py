@@ -102,26 +102,3 @@ class TestStreamingOrion:
         assert alignment_keys(stream.run(query).alignments) == alignment_keys(
             obj.run(query).alignments
         )
-
-
-class TestAutoCalibrationIntegration:
-    def test_cached_sweet_spot_used(self, small_db, query_with_truth):
-        from repro.cluster.topology import ClusterSpec
-        from repro.core.calibrate import (
-            calibrate_fragment_length,
-            clear_calibration_cache,
-        )
-
-        clear_calibration_cache()
-        try:
-            query, _ = query_with_truth
-            orion = OrionSearch(database=small_db, num_shards=4)
-            before = orion.run(query)  # heuristic fragment length
-            calibrate_fragment_length(
-                orion, query, ClusterSpec(nodes=1, cores_per_node=4),
-                fragment_lengths=[7000, 20_000],
-            )
-            after = orion.run(query)
-            assert after.fragment_length in (7000, 20_000)
-        finally:
-            clear_calibration_cache()

@@ -13,7 +13,6 @@ on workloads with planted ground truth.
 import pytest
 
 from repro.blast.engine import BlastEngine
-from repro.cluster.topology import ClusterSpec
 from repro.core.orion import OrionSearch
 from repro.mpiblast.runner import MpiBlastRunner
 from repro.sequence.generator import HomologySpec, make_database, make_query_with_homologies
@@ -46,9 +45,7 @@ class TestEqualityChain:
         engine = BlastEngine()
         serial = alignment_keys(engine.search(query, db).alignments)
 
-        mpi = MpiBlastRunner().run(
-            [query], db, num_shards=5, cluster=ClusterSpec(nodes=2, cores_per_node=4)
-        )
+        mpi = MpiBlastRunner().run([query], db, num_shards=5)
         assert alignment_keys(mpi.alignments[query.seq_id]) == serial
 
         for frag_len in (8000, 15_000):

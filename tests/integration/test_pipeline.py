@@ -67,7 +67,7 @@ class TestSimulatedFailureRecovery:
         orion = OrionSearch(database=small_db, num_shards=4, fragment_length=12_000)
         res = orion.run(query)
         tasks = [
-            SimTask(task_id=r.unit.task_id, duration=max(r.sim_seconds, 1e-4))
+            SimTask(task_id=r.unit.task_id, duration=max(r.measured_seconds, 1e-4))
             for r in res.map_records
         ]
         cluster = ClusterSpec(nodes=4, cores_per_node=2)

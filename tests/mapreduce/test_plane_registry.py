@@ -505,7 +505,7 @@ class TestSearchFallback:
             search.close()
             holder.release()
 
-    def test_result_counters_round_trip_rescaled(self, db):
+    def test_fresh_plane_stamps_created(self, db):
         query, _ = make_query_with_homologies(
             11, 600, db, [HomologySpec(length=120)]
         )
@@ -514,6 +514,5 @@ class TestSearchFallback:
         ) as search:
             res = search.run(query)
             assert res.plane_created == 1
-            scaled = res.rescaled(2.0)
-            assert scaled.plane_created == 1
-            assert scaled.plane_fallback_reason is None
+            assert res.plane_attached == 0 and res.plane_fallback == 0
+            assert res.plane_fallback_reason is None

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.cluster.hardware import CacheModel, DPMemoryModel, OutOfMemoryError
-from repro.cluster.topology import ClusterSpec
-from repro.mpiblast.runner import MpiBlastRunner
+from repro.cluster.hardware import CacheModel, DPMemoryModel, HardwareModel, OutOfMemoryError
+from repro.cluster.topology import ClusterSpec, ExecutionProfile
+from repro.mpiblast.runner import MpiBlastRunner, replay_mpiblast
 from tests.conftest import alignment_keys
 
 
@@ -12,7 +12,7 @@ from tests.conftest import alignment_keys
 def mpi_result(small_db, query_with_truth):
     query, _ = query_with_truth
     runner = MpiBlastRunner()
-    return runner.run([query], small_db, num_shards=4, cluster=ClusterSpec(nodes=2, cores_per_node=4))
+    return runner.run([query], small_db, num_shards=4)
 
 
 class TestCorrectness:
@@ -33,14 +33,15 @@ class TestCorrectness:
         assert len(mpi_result.records) == 4  # 1 query x 4 shards
 
     def test_makespan_positive(self, mpi_result):
-        assert mpi_result.makespan_seconds > 0
-        assert mpi_result.worker_busy_seconds.sum() > 0
+        span, busy, _ = replay_mpiblast(
+            mpi_result.records, ClusterSpec(nodes=2, cores_per_node=4), HardwareModel()
+        )
+        assert span > 0
+        assert busy.sum() > 0
 
     def test_all_alignments_sorted_by_query_id(self):
         """Regression (ORL004 fix): flattening must follow sorted query-id
         order, not the alignments dict's incidental insertion order."""
-        import numpy as np
-
         from repro.blast.hsp import Alignment
         from repro.mpiblast.runner import MpiBlastResult
 
@@ -53,12 +54,7 @@ class TestCorrectness:
         result = MpiBlastResult(
             alignments={"q2": [aln("q2")], "q1": [aln("q1"), aln("q1")]},
             records=[],
-            assignments=[],
-            cluster=ClusterSpec(nodes=1),
             num_shards=1,
-            makespan_seconds=0.0,
-            worker_busy_seconds=np.zeros(1),
-            total_measured_seconds=0.0,
         )
         assert [a.query_id for a in result.all_alignments()] == ["q1", "q1", "q2"]
 
@@ -68,52 +64,50 @@ class TestMemoryModel:
         query, _ = query_with_truth
         longest = int(small_db.lengths().max())
         model = DPMemoryModel(node_memory_bytes=1, bytes_per_cell=1.0)
-        runner = MpiBlastRunner(memory_model=model)
+        runner = MpiBlastRunner(hardware=HardwareModel(memory=model))
         with pytest.raises(OutOfMemoryError, match="dynamic programming"):
-            runner.run([query], small_db, num_shards=2, cluster=ClusterSpec(nodes=1))
+            runner.run([query], small_db, num_shards=2)
 
     def test_enforcement_can_be_disabled(self, small_db, query_with_truth):
         query, _ = query_with_truth
         model = DPMemoryModel(node_memory_bytes=1, bytes_per_cell=1.0)
-        runner = MpiBlastRunner(memory_model=model)
-        res = runner.run(
-            [query], small_db, num_shards=2, cluster=ClusterSpec(nodes=1),
-            enforce_memory=False,
-        )
+        runner = MpiBlastRunner(hardware=HardwareModel(memory=model))
+        res = runner.run([query], small_db, num_shards=2, enforce_memory=False)
         assert len(res.records) == 2
 
-    def test_unit_scale_converts_to_paper_units(self, small_db, query_with_truth):
-        """With unit_scale, a small synthetic query models a paper-size one."""
-        query, _ = query_with_truth  # 60 kbp, modelling 60 Mbp at scale 1000
-        longest = int(small_db.lengths().max())
-        model = DPMemoryModel(node_memory_bytes=64 * 1024**3, bytes_per_cell=0.25)
-        ok = MpiBlastRunner(memory_model=model, unit_scale=1.0)
-        ok.check_memory(query, small_db)  # raw size: fine
-        scaled = MpiBlastRunner(memory_model=model, unit_scale=5000.0)
-        with pytest.raises(OutOfMemoryError):
-            scaled.check_memory(query, small_db)
 
-
-class TestCacheModel:
-    def test_cache_factor_inflates_sim_time_only(self, small_db, query_with_truth):
+class TestReplay:
+    def test_records_carry_whole_query_and_shard_spans(self, mpi_result, query_with_truth):
         query, _ = query_with_truth
-        cache = CacheModel(threshold=1000.0, exponent=1.0)  # query len 60k >> 1k
-        runner = MpiBlastRunner(cache_model=cache)
-        res = runner.run([query], small_db, num_shards=2, cluster=ClusterSpec(nodes=1))
-        for rec in res.records:
-            assert rec.sim_seconds == pytest.approx(rec.measured_seconds * 60.0, rel=0.01)
+        assert all(r.unit.query_span == len(query) for r in mpi_result.records)
+        assert all(r.unit.subject_span > 0 for r in mpi_result.records)
 
-    def test_no_cache_model_identity(self, mpi_result):
-        for rec in mpi_result.records:
-            assert rec.sim_seconds == rec.measured_seconds
+    def test_replay_schedules_every_unit_with_mpi_overheads(self, mpi_result):
+        cluster = ClusterSpec(nodes=1, cores_per_node=3)  # 2 workers + master
+        span, busy, assignments = replay_mpiblast(mpi_result.records, cluster, HardwareModel())
+        assert len(assignments) == len(mpi_result.records)
+        assert busy.shape == (2,)
+        profile = ExecutionProfile.mpi()
+        assert span >= profile.job_setup_seconds + profile.job_teardown_seconds + max(
+            r.measured_seconds for r in mpi_result.records
+        )
+
+    def test_cache_inflates_every_whole_query_unit(self, mpi_result):
+        cluster = ClusterSpec(nodes=1, cores_per_node=4)
+        plain = replay_mpiblast(mpi_result.records, cluster, HardwareModel())[0]
+        cached = replay_mpiblast(
+            mpi_result.records, cluster,
+            HardwareModel(cache=CacheModel(threshold=1000.0, exponent=1.0)),
+        )[0]
+        assert cached > plain
 
 
 class TestValidation:
     def test_empty_queries_rejected(self, small_db):
         with pytest.raises(ValueError):
-            MpiBlastRunner().run([], small_db, num_shards=2, cluster=ClusterSpec(nodes=1))
+            MpiBlastRunner().run([], small_db, num_shards=2)
 
     def test_duplicate_query_ids_rejected(self, small_db, query_with_truth):
         query, _ = query_with_truth
         with pytest.raises(ValueError, match="duplicate"):
-            MpiBlastRunner().run([query, query], small_db, num_shards=2, cluster=ClusterSpec(nodes=1))
+            MpiBlastRunner().run([query, query], small_db, num_shards=2)

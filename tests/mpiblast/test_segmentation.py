@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.cluster.topology import ClusterSpec
 from repro.mpiblast.runner import MpiBlastRunner
 from tests.conftest import alignment_keys
 
@@ -17,10 +16,9 @@ def query_pair(small_db):
 class TestQuerySegmentation:
     def test_results_independent_of_segmentation(self, small_db, query_pair):
         """Batching queries into segments changes scheduling, not results."""
-        cluster = ClusterSpec(nodes=2, cores_per_node=4)
-        fine = MpiBlastRunner().run(query_pair, small_db, 4, cluster)
+        fine = MpiBlastRunner().run(query_pair, small_db, 4)
         coarse = MpiBlastRunner().run(
-            query_pair, small_db, 4, cluster, queries_per_segment=2
+            query_pair, small_db, 4, queries_per_segment=2
         )
         for q in query_pair:
             assert alignment_keys(coarse.alignments[q.seq_id]) == alignment_keys(
@@ -28,19 +26,17 @@ class TestQuerySegmentation:
             )
 
     def test_unit_counts(self, small_db, query_pair):
-        cluster = ClusterSpec(nodes=1, cores_per_node=4)
-        fine = MpiBlastRunner().run(query_pair, small_db, 4, cluster)
+        fine = MpiBlastRunner().run(query_pair, small_db, 4)
         coarse = MpiBlastRunner().run(
-            query_pair, small_db, 4, cluster, queries_per_segment=2
+            query_pair, small_db, 4, queries_per_segment=2
         )
         assert len(fine.records) == 2 * 4
         assert len(coarse.records) == 1 * 4
 
     def test_segment_units_carry_combined_work(self, small_db, query_pair):
-        cluster = ClusterSpec(nodes=1, cores_per_node=4)
-        fine = MpiBlastRunner().run(query_pair, small_db, 4, cluster)
+        fine = MpiBlastRunner().run(query_pair, small_db, 4)
         coarse = MpiBlastRunner().run(
-            query_pair, small_db, 4, cluster, queries_per_segment=2
+            query_pair, small_db, 4, queries_per_segment=2
         )
         assert coarse.records[0].unit.query_span == sum(len(q) for q in query_pair)
         # total measured work is conserved (same searches, different grouping)
@@ -49,15 +45,13 @@ class TestQuerySegmentation:
         )
 
     def test_segment_ids_label_batches(self, small_db, query_pair):
-        cluster = ClusterSpec(nodes=1, cores_per_node=4)
         coarse = MpiBlastRunner().run(
-            query_pair, small_db, 4, cluster, queries_per_segment=2
+            query_pair, small_db, 4, queries_per_segment=2
         )
         assert all("segment000[2q]" in r.unit.task_id for r in coarse.records)
 
     def test_validation(self, small_db, query_pair):
         with pytest.raises(ValueError):
             MpiBlastRunner().run(
-                query_pair, small_db, 4, ClusterSpec(nodes=1),
-                queries_per_segment=0,
+                query_pair, small_db, 4, queries_per_segment=0
             )
