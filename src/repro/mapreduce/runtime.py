@@ -723,6 +723,10 @@ class WorkerPool:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._pool is None:
+                # Workers forked before the tracker exists each start a
+                # private one when they attach a job blob segment; those
+                # report the driver's segments as leaked at exit.
+                shm_mod.ensure_resource_tracker()
                 ctx = multiprocessing.get_context(self.start_method)
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers, mp_context=ctx

@@ -279,12 +279,14 @@ def ensure_resource_tracker() -> None:
     """Start this process's resource tracker if it is not already running.
 
     Forked pool workers inherit the tracker fd only if the tracker exists
-    at fork time. The streaming shuffle's first shm activity is a *worker*
-    creating a spill segment — without this pre-start, each forked worker
-    would lazily spawn its own private tracker, whose registrations the
-    driver's sweep can never balance (harmless but noisy ``ENOENT``
-    warnings at worker exit). The driver calls this before forking workers
-    (``spawn`` children receive the fd via preparation data regardless).
+    at fork time. A pool's first shm activity may be a *worker* — creating
+    a spill segment, or attaching an above-page job blob — and without
+    this pre-start each forked worker would lazily spawn its own private
+    tracker, whose registrations the driver's sweep can never balance
+    (noisy ``ENOENT`` and "leaked shared_memory objects" warnings at
+    worker exit). ``WorkerPool`` calls this before it builds its process
+    pool (``spawn`` children receive the fd via preparation data
+    regardless).
     """
     if not HAVE_SHARED_MEMORY:  # pragma: no cover - platform without shm
         return
@@ -356,7 +358,6 @@ class SpillSet:
     """
 
     def __init__(self, num_segments: int) -> None:
-        ensure_resource_tracker()
         token = f"{os.getpid()}_{next(_SPILL_COUNTER)}"
         self.set_id = f"orionspill_{token}"
         self.num_segments = num_segments
@@ -677,9 +678,10 @@ class SharedDatabasePlane:
         ``sketch_size`` controls the per-sequence bottom-k sketches that
         ride in the optional fourth segment (``None`` — the default — uses
         :data:`repro.sketch.SKETCH_SIZE_DEFAULT`; ``0`` omits the segment
-        entirely). Sketching is a cheap pass over the sorted k-mer keys
-        already sitting in the k-mer segment, so publishing sketches adds
-        a fraction of the plane's build cost and a few KiB per sequence.
+        entirely). Each sketch is one sort, one neighbour scan and one
+        partition over the k-mer keys already sitting in the k-mer
+        segment, so publishing sketches adds a fraction of the plane's
+        build cost and a few KiB per sequence.
         """
         _require_shm()
         handle, segments = _publish_database_segments(
@@ -831,8 +833,9 @@ def _publish_database_segments(
                 pos_arr[kmer_offsets[i] : kmer_offsets[i + 1]],
             )
             if sketch_size > 0:
-                # Sketch straight off the keys just written — they are
-                # already sorted, so the distinct pass is a cheap scan.
+                # Sketch straight off the keys just written: one sort and
+                # one neighbour scan (no hash table), a fraction of the
+                # index build above.
                 sketches.append(
                     KmerSketch.from_kmer_keys(
                         keys_arr[kmer_offsets[i] : kmer_offsets[i + 1]],

@@ -73,12 +73,31 @@ def hash_codes(keys: np.ndarray) -> np.ndarray:
     so sketches built in different processes (or sessions sharing a plane)
     agree bit-for-bit. Vectorized: three shift-xor-multiply rounds over the
     whole array, wrapping modulo 2^64.
+
+    The mixer is a **bijection** on uint64, so distinct keys always hash to
+    distinct values: adding a constant mod 2^64 is invertible, so is
+    ``x ^ (x >> s)`` for any ``s >= 1`` (the top ``s`` bits pass through
+    unchanged and recover the next ``s``, and so on down), and multiplying
+    by an odd constant is invertible mod 2^64. Sketch code therefore never
+    deduplicates hashes — only keys.
     """
     x = np.asarray(keys).astype(np.uint64)
     x = x + np.uint64(0x9E3779B97F4A7C15)
     x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return x ^ (x >> np.uint64(31))
+
+
+def distinct_sorted(sorted_keys: np.ndarray) -> np.ndarray:
+    """The distinct values of a sorted array, in order (a new array).
+
+    One ``np.not_equal`` pass over neighbours. numpy's own unique-values
+    routine would sort again or, for integers, build a hash table; both
+    ignore that the input is already ordered.
+    """
+    keep = np.ones(sorted_keys.shape[0], dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=keep[1:])
+    return sorted_keys[keep]
 
 
 @dataclass(frozen=True)
@@ -109,18 +128,20 @@ class KmerSketch:
 
     @classmethod
     def from_kmer_keys(cls, keys: np.ndarray, size: int) -> "KmerSketch":
-        """Sketch a set of packed k-mer codes (sorted or not, duplicates ok)."""
+        """Sketch a set of packed k-mer codes (sorted or not, duplicates ok).
+
+        One sort of the keys, a neighbour scan for the distinct ones, then
+        a partition for the ``size`` smallest hashes. Hashing is a
+        bijection (:func:`hash_codes`), so distinct keys give distinct
+        hashes and only the kept ones need sorting.
+        """
         if size <= 0:
             raise ValueError(f"sketch size must be positive, got {size}")
-        distinct = np.unique(np.asarray(keys, dtype=np.int64))
-        hashes = np.sort(hash_codes(distinct))
-        # Hash collisions between distinct keys only shrink the sketch by
-        # the collided duplicates — membership below the threshold stays
-        # exact, which is the property the probe depends on.
-        hashes = np.unique(hashes)
+        distinct = distinct_sorted(np.sort(np.asarray(keys, dtype=np.int64)))
+        hashes = hash_codes(distinct)
         if hashes.shape[0] <= size:
-            return cls(hashes=hashes, threshold=COMPLETE_THRESHOLD)
-        kept = hashes[:size]
+            return cls(hashes=np.sort(hashes), threshold=COMPLETE_THRESHOLD)
+        kept = np.sort(np.partition(hashes, size - 1)[:size])
         return cls(hashes=kept, threshold=int(kept[-1]))
 
     @classmethod
@@ -144,7 +165,7 @@ def merge_sketches(parts: Sequence[KmerSketch]) -> KmerSketch:
     set's hashes up to its own threshold, so the union's membership is
     exact up to the smallest one. Entries above that bound are dropped
     (they are not guaranteed complete for the union). The merge *copies*
-    (``unique``/``concatenate``), so merged sketches never alias shared-
+    (``concatenate``/``sort``), so merged sketches never alias shared-
     memory segments and survive the plane's teardown.
     """
     if not parts:
@@ -152,7 +173,7 @@ def merge_sketches(parts: Sequence[KmerSketch]) -> KmerSketch:
             hashes=np.empty(0, dtype=np.uint64), threshold=COMPLETE_THRESHOLD
         )
     threshold = min(p.threshold for p in parts)
-    merged = np.unique(np.concatenate([p.hashes for p in parts]))
+    merged = distinct_sorted(np.sort(np.concatenate([p.hashes for p in parts])))
     merged = merged[merged <= np.uint64(threshold)]
     return KmerSketch(hashes=merged, threshold=threshold)
 
@@ -162,7 +183,7 @@ def probe_hashes(codes: np.ndarray, k: int) -> np.ndarray:
     :func:`containment` (build once per fragment, test against every
     shard's sketch)."""
     packed, valid = kmer_codes(codes, k)
-    return np.sort(hash_codes(np.unique(packed[valid])))
+    return np.sort(hash_codes(distinct_sorted(np.sort(packed[valid]))))
 
 
 def containment(

@@ -469,6 +469,44 @@ class TestWorkerPool:
         assert r1.outputs == r2.outputs
         assert _POOL_SETUP["offset"] == 0, "setup must run in workers only"
 
+    def test_prewarmed_fork_workers_share_the_driver_tracker(self, tmp_path):
+        """A pool forked before any shm activity must still hand its workers
+        the driver's resource tracker: otherwise each worker that attaches
+        an above-page job blob starts a private tracker, which at exit
+        reports the driver's (already destroyed) segments as leaked."""
+        script = tmp_path / "prewarmed.py"
+        script.write_text(
+            "import functools, mmap\n"
+            "from repro.mapreduce.job import MapReduceJob\n"
+            "from repro.mapreduce.runtime import WorkerPool\n"
+            "from repro.mapreduce.types import InputSplit\n"
+            "def mapper(padding, split):\n"
+            "    for x in split.payload:\n"
+            "        yield x % 5, x\n"
+            "def reducer(key, values):\n"
+            "    yield key, sum(values)\n"
+            "if __name__ == '__main__':\n"
+            "    pool = WorkerPool(max_workers=2, start_method='fork')\n"
+            "    pool.prewarm()\n"
+            "    splits = [InputSplit(index=i, payload=list(range(i * 10, i * 10 + 10)))\n"
+            "              for i in range(6)]\n"
+            "    for j in range(3):\n"
+            "        padding = bytes(2 * mmap.PAGESIZE + j)  # a fresh blob per job\n"
+            "        job = MapReduceJob(mapper=functools.partial(mapper, padding),\n"
+            "                           reducer=reducer, num_reducers=2, name='t')\n"
+            "        pool.run(job, splits)\n"
+            "    pool.shutdown()\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(shm_mod.__file__), "..", "..")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        out = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert "resource_tracker" not in out.stderr
+
 
 # --------------------------------------------------------------------------- #
 # streaming-shuffle spill sets
