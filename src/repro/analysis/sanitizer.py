@@ -192,7 +192,7 @@ class SanitizerExecutor:
             records.append(rec)
             state = self._compare(rec.task_id, state, self._snapshot(job, splits))
 
-        partitions = job.shuffle(map_outputs)
+        partitions = job.shuffle(map_outputs, splits)
         state = self._compare(
             f"{job.name}/shuffle", state, self._snapshot(job, splits)
         )

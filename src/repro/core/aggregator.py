@@ -5,10 +5,12 @@ parallelize across database sequences (Section IV-C). Per key:
 
 1. **dedupe** — alignments wholly inside an overlap are reported by both
    neighbouring fragments; identical locations collapse;
-2. **cluster** — partial (boundary-touching) alignments that are mutually
-   close on both query and subject axes form candidate groups for one
-   underlying cross-boundary alignment (chains across ≥3 fragments included);
-3. **resolve** each interesting cluster:
+2. **cluster** — alignments that are mutually close on both query and
+   subject axes form candidate groups for one underlying cross-boundary
+   alignment (chains across ≥3 fragments included);
+3. **resolve** each cluster holding boundary work — a partial
+   (boundary-touching) member, or members found by two fragments; any
+   other cluster reports its members as the map found them:
 
    * ``mode="research"`` (default): re-run the full BLAST engine on a padded
      local window around the cluster. Inside the window the engine sees the
@@ -207,7 +209,6 @@ def aggregate_subject_alignments(
     stats = AggregationStats(input_alignments=len(items))
     if not items:
         return [], stats
-    p = engine.params
 
     work, stats.deduped = _dedupe_locations(list(items))
     if mode == "splice":
@@ -230,30 +231,26 @@ def _aggregate_research(
 ) -> List[Alignment]:
     p = engine.params
     finals: List[Alignment] = []
-    clusters = _cluster(work, CLUSTER_TOLERANCE)
-    for idx_group in clusters:
+    for idx_group in _cluster(work, CLUSTER_TOLERANCE):
         members = [work[i] for i in idx_group]
-        interesting = len(members) > 1 or any(m.is_partial for m in members)
-        if not interesting:
-            aln = members[0].alignment
-            if aln.evalue <= p.evalue_threshold:
-                finals.append(aln)
-            else:
+        fragments = {m.fragment_index for m in members}
+        if len(fragments) == 1 and not any(m.is_partial for m in members):
+            # One fragment found every member and none touches its edges: it
+            # saw every seed, anchor and extension serial BLAST saw here.
+            resolved = [m.alignment for m in members]
+        else:
+            first = members[0].alignment
+            resolved = _research_cluster(
+                members, q_codes, s_codes,
+                first.subject_id, first.strand, first.query_id,
+                engine, space,
+            )
+            stats.clusters_resolved += 1
+            stats.merged_pairs += max(0, len(members) - len(resolved))
+            if not resolved:
                 stats.dropped_partials += 1
-            continue
-        first = members[0].alignment
-        resolved = _research_cluster(
-            members, q_codes, s_codes,
-            first.subject_id, first.strand, first.query_id,
-            engine, space,
-        )
-        stats.clusters_resolved += 1
-        if len(resolved) < len(members):
-            stats.merged_pairs += len(members) - len(resolved)
         kept = [a for a in resolved if a.evalue <= p.evalue_threshold]
         stats.dropped_partials += len(resolved) - len(kept)
-        if not resolved:
-            stats.dropped_partials += 1
         finals.extend(kept)
     return finals
 

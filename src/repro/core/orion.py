@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.blast.engine import BlastEngine
-from repro.blast.hsp import Alignment, PLUS_STRAND
+from repro.blast.hsp import MINUS_STRAND, PLUS_STRAND, Alignment
 from repro.blast.params import BlastParams
 from repro.blast.statistics import SearchSpace
 from repro.core.aggregator import AggregationStats, aggregate_subject_alignments
@@ -29,9 +29,11 @@ from repro.core.fragmenter import QueryFragment, fragment_query, suggest_fragmen
 from repro.core.overlap import overlap_length
 from repro.core.results import FragmentAlignment, OrionResult
 from repro.core.sortmr import parallel_sort_alignments
+from repro.core.streaming import shuffle_key_to_text
 from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.faults import FaultInjector, RetryPolicy
 from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.partitioner import hash_partitioner
 from repro.mapreduce.runtime import (
     Executor,
     SerialExecutor,
@@ -317,6 +319,10 @@ class OrionSearch:
         self.num_reducers = num_reducers
         self.sort_tasks = sort_tasks
         self.use_streaming = use_streaming
+        # Per shard, the reduce partitions its (subject, strand) keys hash to
+        # in the form the mapper emits them; prepare() declares them on the
+        # shard's splits, so each reducer waits only for the tasks that feed it.
+        self._shard_partitions = [self._partitions_of(shard) for shard in self.shards]
         self.retry_policy = RetryPolicy(
             max_attempts=retries,
             task_timeout=task_timeout,
@@ -577,6 +583,13 @@ class OrionSearch:
             # gone; the atexit plane registry is the backstop then.
             pass
 
+    def _partitions_of(self, shard: DatabaseShard) -> Tuple[int, ...]:
+        strands = (PLUS_STRAND, MINUS_STRAND) if self.strands == "both" else (PLUS_STRAND,)
+        keys: List[object] = [(rec.seq_id, st) for rec in shard.database for st in strands]
+        if self.use_streaming:
+            keys = [shuffle_key_to_text(key) for key in keys]
+        return tuple(sorted({hash_partitioner(key, self.num_reducers) for key in keys}))
+
     def _resolve_fragment_length(
         self, query: SequenceRecord, overlap: int, override: Optional[int]
     ) -> int:
@@ -687,7 +700,8 @@ class OrionSearch:
         # tasks only move a fragment descriptor.
         pairs = self._plan_pairs(fragments)
         splits = [
-            InputSplit(index=i, payload=pair) for i, pair in enumerate(pairs)
+            InputSplit(index=i, payload=pair, partitions=self._shard_partitions[pair[1]])
+            for i, pair in enumerate(pairs)
         ]
         searched = {shard_index for _, shard_index in pairs}
         return QueryPlan(

@@ -31,6 +31,14 @@ Reducer = Callable[[Any, List[Any]], Iterable[Any]]
 Combiner = Callable[[Any, List[Any]], Iterable[Any]]
 
 
+class UndeclaredPartitionError(ValueError):
+    """A map task's output reached a partition its split did not declare.
+
+    That partition's reducer may already have read its inputs, so the pairs
+    would be lost; the map task fails instead.
+    """
+
+
 @dataclass
 class MapReduceJob:
     """One MapReduce program.
@@ -86,7 +94,10 @@ class MapReduceJob:
         return combined
 
     def partition_pairs(
-        self, pairs: Sequence[Tuple[Any, Any]], sort_runs: bool = False
+        self,
+        pairs: Sequence[Tuple[Any, Any]],
+        sort_runs: bool = False,
+        split: Optional[InputSplit] = None,
     ) -> List[List[Tuple[Any, Any]]]:
         """Partition one task's map output into per-reducer runs.
 
@@ -97,6 +108,9 @@ class MapReduceJob:
         map-side sort). The sort is stable, so values at equal keys keep
         map-output order — :func:`group_by_key` over concatenated runs
         yields identical groups whether or not runs were pre-sorted.
+        ``split`` is the split the pairs came from: a non-empty run
+        outside its declared ``partitions`` raises
+        :class:`UndeclaredPartitionError`.
         """
         runs: List[List[Tuple[Any, Any]]] = [[] for _ in range(self.num_reducers)]
         for key, value in pairs:
@@ -107,6 +121,13 @@ class MapReduceJob:
                     f"(num_reducers={self.num_reducers})"
                 )
             runs[p].append((key, value))
+        if split is not None and split.partitions is not None:
+            stray = [p for p, run in enumerate(runs) if run and p not in split.partitions]
+            if stray:
+                raise UndeclaredPartitionError(
+                    f"job {self.name!r} split {split.index}: map output reached "
+                    f"partition(s) {stray}, declared {list(split.partitions)}"
+                )
         if sort_runs:
             for run in runs:
                 run.sort(key=lambda kv: kv[0])
@@ -129,16 +150,22 @@ class MapReduceJob:
         return group_by_key(merged)
 
     def shuffle(
-        self, map_outputs: Sequence[Sequence[Tuple[Any, Any]]]
+        self,
+        map_outputs: Sequence[Sequence[Tuple[Any, Any]]],
+        splits: Optional[Sequence[InputSplit]] = None,
     ) -> List[List[Tuple[Any, List[Any]]]]:
         """Partition and group all map output (the driver-side shuffle).
 
         Returns, per reducer partition, a key-sorted list of
-        ``(key, [values...])`` groups.
+        ``(key, [values...])`` groups. ``splits``, when given, are the
+        splits behind ``map_outputs`` (same order), whose declared
+        partitions :meth:`partition_pairs` enforces.
         """
         partitions: List[List[Tuple[Any, Any]]] = [[] for _ in range(self.num_reducers)]
-        for task_output in map_outputs:
-            for run, partition in zip(self.partition_pairs(task_output), partitions):
+        for i, task_output in enumerate(map_outputs):
+            split = splits[i] if splits is not None else None
+            runs = self.partition_pairs(task_output, split=split)
+            for run, partition in zip(runs, partitions):
                 partition.extend(run)
         return [group_by_key(part) for part in partitions]
 

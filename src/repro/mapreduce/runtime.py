@@ -28,8 +28,9 @@ combines) its own output worker-side, commits the per-partition pickled
 runs — inline on its result when they fit in one page, spilled into a
 shared-memory segment otherwise (inline again when shm is unavailable) —
 and the driver consumes completions as they land so reduce task *p*
-launches the moment every map task has committed its partition-*p* run —
-Hadoop's reduce slowstart. See :class:`ShuffleService`.
+launches the moment every map task that can write partition *p* has
+committed — Hadoop's reduce slowstart, per partition. See
+:class:`ShuffleService`.
 
 The process pool is fault tolerant (DESIGN.md §4.6): every map and
 reduce task runs as a sequence of *attempts* under a
@@ -174,7 +175,7 @@ class SerialExecutor:
             pairs, rec = _measure_map(job, split, executor=self.kind)
             map_outputs.append(pairs)
             records.append(rec)
-        partitions = job.shuffle(map_outputs)
+        partitions = job.shuffle(map_outputs, splits)
         outputs: List[List[Any]] = []
         for p, groups in enumerate(partitions):
             out, rec = _measure_reduce(job, p, groups, executor=self.kind)
@@ -222,7 +223,7 @@ class ThreadedExecutor:
             map_outputs = [pairs for pairs, _ in map_results]
             records: List[TaskRecord] = [rec for _, rec in map_results]
 
-            partitions = job.shuffle(map_outputs)
+            partitions = job.shuffle(map_outputs, splits)
             reduce_contended = min(self.max_workers, len(partitions)) > 1
             reduce_results = list(
                 pool.map(
@@ -290,6 +291,7 @@ def _spill_map_output(
     pairs: Sequence[Tuple[Any, Any]],
     spill_name: Optional[str],
     shm_fault: Optional[Callable[[], None]] = None,
+    split: Optional[InputSplit] = None,
 ) -> _RunCommit:
     """Partition one map task's output and commit it (worker-side).
 
@@ -304,8 +306,10 @@ def _spill_map_output(
     through the result pipe. ``shm_fault`` is the fault injector's hook
     into exactly that path: it fires (or not) where the real spill write
     would fail, so injected shm faults exercise the same degrade.
+    ``split`` is the split behind ``pairs``; its declared partitions are
+    enforced where the runs are cut.
     """
-    runs = job.partition_pairs(pairs, sort_runs=True)
+    runs = job.partition_pairs(pairs, sort_runs=True, split=split)
     blobs = [
         pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL) if run else b""
         for run in runs
@@ -390,20 +394,36 @@ class ShuffleService:
     possible: two attempts of one map task never collide on a name, and a
     dead attempt's run is swept via :meth:`sweep_attempt` without touching
     the winner's), records each map task's :class:`_RunCommit` as it
-    lands, and tells the scheduler which reduce partitions became ready:
-    partition *p* is ready the moment every map task has committed its
-    partition-*p* run. ``close()`` sweeps every name an attempt could
-    still have created a segment under — attempts that committed inline
-    are struck off as they land — and is safe to call from ``finally``
-    while tasks may still be in flight (a reduce task racing the sweep
-    fails its attach, which surfaces through its future like any other
-    task error).
+    lands, and tells the scheduler which reduce partitions became ready.
+    Partition *p*'s *feeders* are the splits whose declared
+    ``partitions`` include *p* (a split declaring ``None`` feeds every
+    partition): *p* is ready the moment its last feeder commits, and a
+    partition no split feeds is ready at the job's last commit. The
+    guard in :meth:`~repro.mapreduce.job.MapReduceJob.partition_pairs`
+    makes a run outside a declaration fail its map task, so a reducer
+    never starts before a run it needs. ``close()`` sweeps every name an
+    attempt could still have created a segment under — attempts that
+    committed inline are struck off as they land — and is safe to call
+    from ``finally`` while tasks may still be in flight (a reduce task
+    racing the sweep fails its attach, which surfaces through its future
+    like any other task error).
     """
 
-    def __init__(self, job: MapReduceJob, num_splits: int) -> None:
+    def __init__(self, job: MapReduceJob, splits: Sequence[InputSplit]) -> None:
         self.num_partitions = job.num_reducers
+        num_splits = len(splits)
         self._commits: List[Optional[_RunCommit]] = [None] * num_splits
         self._pending = num_splits
+        # Per split the partitions it feeds; per partition its feeders in
+        # split-index order, and how many of them have yet to commit.
+        self._feeds: List[List[int]] = [[] for _ in range(num_splits)]
+        self._feeders: List[List[int]] = [[] for _ in range(self.num_partitions)]
+        for split in sorted(splits, key=lambda s: s.index):
+            for p in range(self.num_partitions):
+                if split.partitions is None or p in split.partitions:
+                    self._feeds[split.index].append(p)
+                    self._feeders[p].append(split.index)
+        self._waiting = [len(f) for f in self._feeders]
         self._spills: Optional[shm_mod.SpillSet] = (
             shm_mod.SpillSet(num_splits) if shm_mod.HAVE_SHARED_MEMORY else None
         )
@@ -433,28 +453,30 @@ class ShuffleService:
         here and :meth:`close` has nothing to sweep for it — a job whose
         every output fits in a page never opens ``/dev/shm`` at all.
 
-        Map tasks commit all their runs atomically on completion, so every
-        partition's last missing run is supplied by the last map task to
-        finish — the returned list is empty until then, and the full
-        partition range exactly once. The per-partition phrasing is the
-        scheduling contract, not the implementation: a finer-grained
-        committer (incremental spills) would slot in here without touching
-        the scheduler.
+        Map tasks commit all their runs atomically on completion, so a
+        partition is ready when its last feeder commits; over the job every
+        partition is returned exactly once, in ascending order per call.
         """
         assert self._commits[split_index] is None, "map task committed twice"
         self._commits[split_index] = commit
         if commit.segment is None and self._spills is not None:
             self._spills.forget(split_index, attempt)
+        ready: List[int] = []
+        for p in self._feeds[split_index]:
+            self._waiting[p] -= 1
+            if self._waiting[p] == 0:
+                ready.append(p)
         self._pending -= 1
         if self._pending == 0:
-            return list(range(self.num_partitions))
-        return []
+            ready.extend(p for p, f in enumerate(self._feeders) if not f)
+        return sorted(ready)
 
     def locators(self, partition_index: int) -> List[_RunLocator]:
-        """Partition *p*'s run locators, in split-index order."""
+        """Partition *p*'s run locators: its feeders', in split-index order."""
         out: List[_RunLocator] = []
-        for commit in self._commits:
-            assert commit is not None, "partition scheduled before all runs committed"
+        for split_index in self._feeders[partition_index]:
+            commit = self._commits[split_index]
+            assert commit is not None, "partition scheduled before its runs committed"
             out.append(commit.locator(partition_index))
         return out
 
@@ -578,7 +600,7 @@ def _pool_streaming_map_task(
     shm_fault = _fire_faults(injector, "map", split.index, attempt)
     sw = Stopwatch().start()
     pairs = job.run_map_task(split)
-    commit = _spill_map_output(job, pairs, spill_name, shm_fault=shm_fault)
+    commit = _spill_map_output(job, pairs, spill_name, shm_fault=shm_fault, split=split)
     dur = sw.stop()
     rec = TaskRecord(
         task_id=f"{job.name}/map/{split.index:05d}",
@@ -853,8 +875,11 @@ class WorkerPool:
         One :class:`~repro.mapreduce.scheduler.TaskScheduler` drives both
         phases: map completions are consumed in *completion* order and
         reduce task *p* is added the instant :class:`ShuffleService`
-        reports its last input run committed — reduce dispatch overlaps
-        the tail of the map phase instead of waiting behind a barrier.
+        reports its last feeder committed. Only splits that declare their
+        ``partitions`` narrow the feeders: when they do, a reducer whose
+        inputs are done runs while other partitions' map tasks are still
+        in flight; when every split declares ``None`` (or every partition),
+        all reducers become ready together at the last map commit.
         Each map attempt spills under its own attempt-scoped segment name;
         dead attempts (failed, lost with the pool, superseded by a faster
         duplicate) have their spill swept promptly through the scheduler's
@@ -868,7 +893,7 @@ class WorkerPool:
         """
         self._ensure_pool()
         injector = self.injector
-        service = ShuffleService(job, len(splits))
+        service = ShuffleService(job, splits)
 
         def submit_map(split: InputSplit, attempt: int) -> "Future[Any]":
             name = service.spill_name(split.index, attempt)

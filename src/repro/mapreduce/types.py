@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, List
+from typing import Any, List, Optional, Tuple
 
 
 class TaskKind(enum.Enum):
@@ -20,17 +20,25 @@ class InputSplit:
 
     ``payload`` is arbitrary — for Orion it is a (fragment, shard) work
     descriptor. ``size_hint`` feeds storage/locality modelling.
+    ``partitions`` declares the reduce partitions this split's map output
+    may reach; ``None`` means any. A reducer waits only for the splits
+    that declare its partition (DESIGN.md §4.5), and a map task whose
+    output strays outside its declaration fails with
+    :class:`~repro.mapreduce.job.UndeclaredPartitionError`.
     """
 
     index: int
     payload: Any
     size_hint: int = 0
+    partitions: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"split index must be non-negative, got {self.index}")
         if self.size_hint < 0:
             raise ValueError(f"size_hint must be non-negative, got {self.size_hint}")
+        if self.partitions is not None and any(p < 0 for p in self.partitions):
+            raise ValueError(f"partitions must be non-negative, got {self.partitions}")
 
 
 @dataclass(frozen=True)
@@ -104,26 +112,6 @@ class TaskRecord:
         taken under whole-machine load the simulator does not model.
         """
         return not self.contended and self.executor in ("serial", "threads")
-
-    def scaled(self, factor: float) -> "TaskRecord":
-        """Copy with duration multiplied (hardware-model application)."""
-        if factor <= 0:
-            raise ValueError(f"scale factor must be positive, got {factor}")
-        return TaskRecord(
-            task_id=self.task_id,
-            kind=self.kind,
-            duration=self.duration * factor,
-            input_records=self.input_records,
-            output_records=self.output_records,
-            executor=self.executor,
-            contended=self.contended,
-            shuffle_bytes_in=self.shuffle_bytes_in,
-            shuffle_bytes_out=self.shuffle_bytes_out,
-            attempts=self.attempts,
-            winner=self.winner,
-            speculative=self.speculative,
-            fallback_reason=self.fallback_reason,
-        )
 
 
 @dataclass

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.blast.hsp import OP_DIAG, Alignment
+from repro.core import aggregator as aggregator_mod
 from repro.core.aggregator import (
+    CLUSTER_TOLERANCE,
     AggregationStats,
     _cluster,
     _cull_contained,
@@ -140,6 +142,57 @@ class TestAggregateResearchMode:
         assert len(finals) == 1
         assert finals[0] is aln  # untouched
         assert stats.clusters_resolved == 0
+
+    def test_non_partial_cluster_passes_through_unsearched(self, engine, monkeypatch):
+        """Nearby alignments one fragment found, none touching its edges —
+        one divergent homology reported as several HSPs — come back as the
+        map found them, E-filtered like a singleton; nothing is re-searched."""
+        q, s, space = self._context(engine)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a cluster without partials was re-searched")
+
+        monkeypatch.setattr(aggregator_mod, "_research_cluster", fail)
+        first = mk(500, 900, 200, 600, score=400, evalue=1e-80)
+        second = mk(1000, 1400, 700, 1100, score=400, evalue=1e-80)
+        weak = mk(1450, 1462, 1150, 1162, score=12, evalue=50.0)
+        items = [frag(first, 2), frag(second, 2), frag(weak, 2)]
+        assert len(_cluster(items, CLUSTER_TOLERANCE)) == 1
+        finals, stats = aggregate_subject_alignments(items, q, s, engine, space)
+        assert len(finals) == 2
+        assert {id(a) for a in finals} == {id(first), id(second)}
+        assert stats.clusters_resolved == 0
+        assert stats.merged_pairs == 0
+        assert stats.dropped_partials == 1
+
+    @pytest.mark.parametrize(
+        "second_fragment, second_left",
+        [(0, True), (1, False)],
+        ids=["one-partial-member", "two-fragments"],
+    )
+    def test_boundary_cluster_is_researched(
+        self, engine, monkeypatch, second_fragment, second_left
+    ):
+        """A cluster holding a partial is re-searched, and so is one found
+        by two fragments: an extension crossed their shared edge but peaked
+        short of the margin on both sides."""
+        q, s, space = self._context(engine)
+        calls = []
+        research = aggregator_mod._research_cluster
+
+        def spy(members, *args):
+            calls.append(len(members))
+            return research(members, *args)
+
+        monkeypatch.setattr(aggregator_mod, "_research_cluster", spy)
+        first = mk(500, 900, 200, 600, score=400, evalue=1e-80)
+        second = mk(1000, 1400, 700, 1100, score=400, evalue=1e-80)
+        items = [frag(first, 0), frag(second, second_fragment, left=second_left)]
+        finals, stats = aggregate_subject_alignments(items, q, s, engine, space)
+        assert calls == [2]
+        assert stats.clusters_resolved == 1
+        # The window holds one 1000 bp homology: the re-search reports it whole.
+        assert len(finals) == 1 and stats.merged_pairs == 1
 
     def test_failing_evalue_singleton_dropped(self, engine):
         q, s, space = self._context(engine)

@@ -347,3 +347,99 @@ class TestShardScopedCache:
         first = s1._kmer_cache_for_shard(s1.shards[0])
         second = s2._kmer_cache_for_shard(s2.shards[0])
         assert first is second  # the module-level store itself
+
+
+def _canonical(alignments):
+    """Alignments as comparable tuples: every field, traceback bytes included."""
+    out = []
+    for aln in alignments:
+        fields = dict(vars(aln))
+        path = fields.pop("path")
+        fields["path"] = None if path is None else path.tobytes()
+        out.append(tuple(sorted(fields.items())))
+    return out
+
+
+class TestDeclaredPartitions:
+    """Each (fragment, shard) split declares the reduce partitions of its
+    shard's keys, so a reducer starts once the splits feeding it commit."""
+
+    @pytest.mark.parametrize("use_streaming", [False, True], ids=["objects", "text"])
+    def test_splits_declare_their_shards_key_partitions(
+        self, small_db, query_with_truth, use_streaming
+    ):
+        from repro.core.streaming import shuffle_key_to_text
+        from repro.mapreduce.partitioner import hash_partitioner
+
+        query, _ = query_with_truth
+        search = OrionSearch(
+            small_db, num_shards=4, fragment_length=9000, strands="both",
+            num_reducers=5, use_streaming=use_streaming,
+        )
+        encode = shuffle_key_to_text if use_streaming else (lambda key: key)
+        for split in search.prepare(query).splits:
+            _, shard_index = split.payload
+            expected = {
+                hash_partitioner(encode((rec.seq_id, strand)), 5)
+                for rec in search.shards[shard_index].database
+                for strand in (1, -1)
+            }
+            assert split.partitions == tuple(sorted(expected))
+
+    @pytest.mark.parametrize("num_reducers", [1, 3, 8])
+    def test_processes_equal_serial_on_both_strands(
+        self, small_db, query_with_truth, num_reducers
+    ):
+        query, _ = query_with_truth
+        results = {}
+        for executor in ("serial", "processes"):
+            with OrionSearch(
+                small_db, num_shards=4, fragment_length=9000, strands="both",
+                num_reducers=num_reducers, executor=executor, num_workers=2,
+            ) as search:
+                results[executor] = search.run(query)
+        assert _canonical(results["processes"].alignments) == _canonical(
+            results["serial"].alignments
+        )
+        assert results["processes"].merged_pairs == results["serial"].merged_pairs
+
+
+class TestDivergentPlants:
+    """Distant-homolog plants come back from BLAST as several nearby HSPs.
+    One sits inside a fragment, one straddles an overlap; Orion must equal
+    a plain whole-query search on both."""
+
+    FRAGMENT = 6000
+
+    @pytest.mark.parametrize("seed", [25, 27, 39])
+    def test_equals_plain_search(self, small_db, engine, seed):
+        import numpy as np
+
+        from repro.core.fragmenter import fragment_query
+        from repro.sequence.alphabet import random_bases
+        from repro.sequence.mutate import MutationModel, apply_mutations
+        from repro.sequence.records import SequenceRecord
+
+        rng = np.random.default_rng(seed)
+        codes = random_bases(rng, 24_000)
+        search = OrionSearch(small_db, num_shards=4, fragment_length=self.FRAGMENT)
+        placeholder = SequenceRecord("divergent", codes)
+        overlap, _ = search.overlap_for_query(placeholder)
+        fragments = fragment_query(placeholder, self.FRAGMENT, overlap)
+        donors = [r for r in small_db.records if len(r) >= 2000]
+        plants = (
+            (fragments[1].offset + overlap // 2, donors[1]),  # across an overlap
+            (fragments[2].offset + self.FRAGMENT // 2, donors[4]),  # inside one
+        )
+        for centre, donor in plants:
+            piece = apply_mutations(
+                rng, donor.codes[500:1300], MutationModel.distant_homolog()
+            )
+            start = centre - piece.size // 2
+            codes[start : start + piece.size] = piece
+        query = SequenceRecord("divergent", codes)
+
+        expected = engine.search(query, small_db).alignments
+        for _, donor in plants:
+            assert sum(a.subject_id == donor.seq_id for a in expected) >= 2
+        assert _canonical(search.run(query).alignments) == _canonical(expected)

@@ -485,7 +485,13 @@ class TestFaultMatrix:
         spec = FaultSpec(
             phase=phase, kind=kind, index=1, attempt=1, hang_seconds=1.5
         )
-        policy = fast_policy(task_timeout=0.35 if kind == "hang" else None)
+        if kind == "hang":
+            # Deadlines run from submit, so while spawned workers boot (about
+            # 1 s on a loaded 2-vCPU box) attempts of unfaulted tasks time
+            # out too; eight attempts outlast a boot of ~2.5 s.
+            policy = fast_policy(task_timeout=0.35, max_attempts=8)
+        else:
+            policy = fast_policy()
         splits = make_splits(4, width=_SPILLING_WIDTH if kind == "shm" else 10)
         expected = sorted(SerialExecutor().run(make_job(), splits).flat_outputs())
         before = _shm_segments()
@@ -510,6 +516,12 @@ class TestFaultMatrix:
             # A failed spill write degrades to the inline-bytes path inside
             # the same attempt; nothing retries.
             assert all(r.attempts == 1 for r in result.records)
+        elif kind == "hang":
+            # The hung first attempt never wins, but on a cold spawn worker
+            # the replacement can outlive the deadline too and be replaced
+            # in turn, so only a lower bound on the winner is exact.
+            assert target.winner >= 2
+            assert target.attempts >= target.winner
         else:
             assert target.attempts == 2
             assert target.winner == 2

@@ -401,6 +401,7 @@ class TestCreatorCrashMatrix:
         serial = OrionSearch(db, num_shards=4, executor="serial").run(query)
         serial_keys = [str(a) for a in serial.alignments]
         blobs_before = _shm_names("psm_")
+        semaphores_before = _shm_names("sem.mp-")
 
         creator = subprocess.Popen(
             [sys.executable, "-c", _search_script(start_method)],
@@ -425,6 +426,11 @@ class TestCreatorCrashMatrix:
             assert survivor._shm_handle.registry_segment == registry_name
             assert survivor._plane_mode == "attached"
             _kill_holder(creator)
+            # A spawn-method pool names its queue semaphores in /dev/shm and
+            # leaves the unlink to its resource tracker, which died in the
+            # same process group: the only new ones are the creator's.
+            for name in _shm_names("sem.mp-") - semaphores_before:
+                os.unlink(os.path.join("/dev/shm", name))
 
             res = survivor.run(query)
             assert [str(a) for a in res.alignments] == serial_keys

@@ -11,7 +11,8 @@ import pytest
 
 from repro.mapreduce import runtime as runtime_mod
 from repro.mapreduce import shm as shm_mod
-from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.faults import RetryPolicy, TaskFailedError
+from repro.mapreduce.job import MapReduceJob, UndeclaredPartitionError
 from repro.mapreduce.runtime import (
     EXECUTOR_KINDS,
     SerialExecutor,
@@ -479,6 +480,142 @@ class TestStreamingShuffle:
         assert [r.shuffle_bytes_out for r in spilled.map_records()] == expected
 
 
+def _inline_commit(split_index, num_partitions, fed):
+    """A sub-page commit whose partition-p run names its split and p."""
+    blobs = tuple(
+        pickle.dumps([(p, split_index)]) if p in fed else b""
+        for p in range(num_partitions)
+    )
+    return runtime_mod._RunCommit(
+        segment=None, offsets=(), inline=blobs, total_bytes=sum(map(len, blobs))
+    )
+
+
+#: How long the declared-partition pool test's slow map task sleeps.
+_SLOW_MAP = 1.0
+
+
+def _slow_first_mapper(split):
+    # Split 0 alone feeds partition 1 and commits last; the rest feed 0.
+    if split.index == 0:
+        time.sleep(_SLOW_MAP)
+        yield 1, time.monotonic()
+    else:
+        yield 0, split.index
+
+
+def _stamp_reducer(key, values):
+    yield key, time.monotonic(), values
+
+
+def _stray_mapper(split):
+    yield 1, split.index
+
+
+class TestDeclaredPartitions:
+    """Splits that declare their partitions let each reducer start at its
+    own feeders' last commit (ShuffleService); a run outside a declaration
+    fails the map task under every executor."""
+
+    def _service(self, splits, n_red=3):
+        return runtime_mod.ShuffleService(make_job(n_red), splits)
+
+    def test_partition_ready_at_its_last_feeders_commit(self):
+        splits = [
+            InputSplit(0, None, partitions=(0,)),
+            InputSplit(1, None, partitions=(0, 1)),
+            InputSplit(2, None, partitions=(1,)),
+        ]
+        service = self._service(splits)
+        try:
+            assert service.commit(1, _inline_commit(1, 3, (0, 1)), 1) == []
+            assert service.commit(0, _inline_commit(0, 3, (0,)), 1) == [0]
+            # Partition 2 is declared by no split: ready at the last commit.
+            assert service.commit(2, _inline_commit(2, 3, (1,)), 1) == [1, 2]
+        finally:
+            service.close()
+
+    def test_undeclared_split_feeds_every_partition(self):
+        splits = [InputSplit(0, None), InputSplit(1, None, partitions=(0,))]
+        service = self._service(splits)
+        try:
+            assert service.commit(0, _inline_commit(0, 3, (0, 1, 2)), 1) == [1, 2]
+            assert service.commit(1, _inline_commit(1, 3, (0,)), 1) == [0]
+        finally:
+            service.close()
+
+    def test_locators_come_in_split_index_order(self):
+        splits = [
+            InputSplit(2, None, partitions=(0,)),
+            InputSplit(0, None, partitions=(0, 1)),
+            InputSplit(1, None, partitions=(1,)),
+        ]
+        service = self._service(splits)
+        try:
+            service.commit(2, _inline_commit(2, 3, (0,)), 1)
+            service.commit(1, _inline_commit(1, 3, (1,)), 1)
+            service.commit(0, _inline_commit(0, 3, (0, 1)), 1)
+            runs = [
+                [pickle.loads(loc) for loc in service.locators(p)] for p in range(3)
+            ]
+        finally:
+            service.close()
+        assert runs[0] == [[(0, 0)], [(0, 2)]]
+        assert runs[1] == [[(1, 0)], [(1, 1)]]
+        assert runs[2] == []
+
+    def test_reduce_starts_before_a_delayed_final_map_commits(self):
+        job = MapReduceJob(
+            mapper=_slow_first_mapper, reducer=_stamp_reducer, num_reducers=2,
+            partitioner=_identity_partitioner, name="declared",
+        )
+        splits = [InputSplit(0, None, partitions=(1,))] + [
+            InputSplit(i, None, partitions=(0,)) for i in range(1, 4)
+        ]
+        result = run_pool(job, splits, start_method="fork")
+        (fast_key, fast_reduced_at, fast_values), = result.outputs[0]
+        (slow_key, _, slow_values), = result.outputs[1]
+        assert (fast_key, fast_values) == (0, [1, 2, 3])
+        assert slow_key == 1
+        slow_map_done = slow_values[0]
+        assert fast_reduced_at < slow_map_done
+
+    def test_undeclared_partitions_get_empty_reduces(self):
+        job = MapReduceJob(
+            mapper=_mod4_mapper, reducer=_sum_reducer, num_reducers=4,
+            partitioner=_identity_partitioner, name="narrow",
+        )
+        splits = [
+            InputSplit(i, [4 * j + i % 2 for j in range(5)], partitions=(i % 2,))
+            for i in range(4)
+        ]
+        serial = SerialExecutor().run(job, splits)
+        assert serial.outputs[2:] == [[], []]
+        assert run_pool(job, splits).outputs == serial.outputs
+
+    def test_stray_run_raises_under_serial(self):
+        job = MapReduceJob(
+            mapper=_stray_mapper, reducer=_sum_reducer, num_reducers=2,
+            partitioner=_identity_partitioner, name="stray",
+        )
+        splits = [InputSplit(i, None, partitions=(0,)) for i in range(3)]
+        with pytest.raises(UndeclaredPartitionError, match=r"partition\(s\) \[1\]"):
+            SerialExecutor().run(job, splits)
+
+    def test_stray_run_raises_under_worker_pool(self):
+        job = MapReduceJob(
+            mapper=_stray_mapper, reducer=_sum_reducer, num_reducers=2,
+            partitioner=_identity_partitioner, name="stray",
+        )
+        splits = [InputSplit(i, None, partitions=(0,)) for i in range(3)]
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            with pytest.raises(RuntimeError, match="UndeclaredPartitionError") as info:
+                run_pool(job, splits, retry=RetryPolicy(max_attempts=1))
+        # The pool's own attempt failed on the guard, not on anything else.
+        cause = info.value.__cause__
+        assert isinstance(cause, TaskFailedError) and cause.phase == "map"
+        assert "UndeclaredPartitionError" in str(cause)
+
 
 class TestResolveExecutor:
     def test_names(self):
@@ -579,31 +716,6 @@ class TestOneShotLifetime:
 
 
 class TestTaskRecordScaling:
-    def test_scaled(self):
-        from repro.mapreduce.types import TaskRecord
-
-        rec = TaskRecord(task_id="x", kind=TaskKind.MAP, duration=2.0)
-        assert rec.scaled(3.0).duration == 6.0
-
-    def test_scaled_preserves_executor_tags(self):
-        from repro.mapreduce.types import TaskRecord
-
-        rec = TaskRecord(
-            task_id="x", kind=TaskKind.MAP, duration=2.0,
-            executor="threads", contended=True,
-        )
-        scaled = rec.scaled(2.0)
-        assert scaled.executor == "threads"
-        assert scaled.contended
-        assert not scaled.simulator_safe
-
-    def test_scale_positive(self):
-        from repro.mapreduce.types import TaskRecord
-
-        rec = TaskRecord(task_id="x", kind=TaskKind.MAP, duration=2.0)
-        with pytest.raises(ValueError):
-            rec.scaled(0.0)
-
     def test_negative_duration_rejected(self):
         from repro.mapreduce.types import TaskRecord
 
