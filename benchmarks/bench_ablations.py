@@ -4,8 +4,6 @@ Not paper artifacts — these quantify the *mechanisms*:
 
 * speculative extension (Section III-B1): disabling it must lose
   boundary-crossing alignments (accuracy ablation);
-* aggregation mode: the default local re-search vs the paper-literal
-  splice/bridge pipeline (both near-serial; research is exact);
 * two-hit seeding: large cut in extension work, tiny sensitivity cost;
 * map-side left-overlap drop (Section III-B1's optimization): less shuffle
   volume, identical results;
@@ -58,27 +56,6 @@ def test_ablation_speculative_extension(benchmark, workload):
     assert set(keyset(off.alignments)) <= set(keyset(serial.alignments))
     benchmark.extra_info["alignments_with_speculation"] = len(on.alignments)
     benchmark.extra_info["alignments_without"] = len(off.alignments)
-
-
-def test_ablation_aggregation_mode(benchmark, workload):
-    """Paper-literal splice vs default re-search aggregation."""
-    dataset, query, serial = workload
-
-    def run():
-        research = OrionSearch(database=dataset.database, num_shards=16,
-                               fragment_length=1600).run(query)
-        splice = OrionSearch(database=dataset.database, num_shards=16,
-                             fragment_length=1600,
-                             aggregation_mode="splice").run(query)
-        return research, splice
-
-    research, splice = run_once(benchmark, run)
-    serial_keys = set(keyset(serial.alignments))
-    assert set(keyset(research.alignments)) == serial_keys  # exact
-    # splice: near-exact — small symmetric difference at worst
-    diff = serial_keys ^ set(keyset(splice.alignments))
-    assert len(diff) <= max(2, len(serial_keys) // 5)
-    benchmark.extra_info["splice_symmetric_difference"] = len(diff)
 
 
 def test_ablation_two_hit_seeding(benchmark, workload):

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -364,40 +364,3 @@ def _dedupe(alignments: List[Alignment]) -> List[Alignment]:
     # by descending score, and report order must keep that ranking.
     return list(seen.values())  # orionlint: disable=ORL004
 
-
-def rescore_alignment(
-    aln: Alignment,
-    q_codes: np.ndarray,
-    s_codes: np.ndarray,
-    engine: BlastEngine,
-    space: SearchSpace,
-) -> Alignment:
-    """Recompute score/statistics/composition of an alignment from its path.
-
-    Used by Orion's aggregation after merging partial alignments: the merged
-    path is rescored against the *original* sequences so the reported numbers
-    match what serial BLAST would have printed.
-    """
-    if aln.path is None:
-        raise ValueError("rescoring requires an alignment path")
-    from repro.blast.hsp import score_path  # local import to avoid cycle at module load
-
-    p = engine.params
-    score = score_path(
-        aln.path, q_codes, s_codes, aln.q_start, aln.s_start,
-        p.reward, p.penalty, p.gap_open, p.gap_extend,
-    )
-    matches, mismatches, opens, gap_cols = path_composition(
-        aln.path, q_codes, s_codes, aln.q_start, aln.s_start
-    )
-    stat_score = max(0, score)
-    return replace(
-        aln,
-        score=score,
-        evalue=evalue(engine.ka, stat_score, space),
-        bits=bit_score(engine.ka, stat_score),
-        matches=matches,
-        mismatches=mismatches,
-        gap_opens=opens,
-        gap_columns=gap_cols,
-    )

@@ -4,9 +4,8 @@ The paper's map tasks emit parsed BLAST reports — subject id, offsets,
 E-value, match/mismatch/gap counts — onto shared storage for the reduce
 phase. :func:`format_tabular` emits the classic 12-column ``-outfmt 6``
 layout (1-based inclusive coordinates at this boundary only);
-:func:`parse_tabular` reads it back, so results can round-trip through the
-MapReduce storage layer as plain text exactly as the Hadoop-streaming
-implementation did.
+:func:`parse_tabular` reads it back, so results round-trip as plain text
+the way the paper's Hadoop-streaming implementation staged them.
 """
 
 from __future__ import annotations

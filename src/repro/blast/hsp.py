@@ -294,7 +294,7 @@ def path_composition(path: np.ndarray, q_codes: np.ndarray, s_codes: np.ndarray,
 def score_path(path: np.ndarray, q_codes: np.ndarray, s_codes: np.ndarray,
                q_start: int, s_start: int, reward: int, penalty: int,
                gap_open: int, gap_extend: int) -> int:
-    """Recompute the raw score of an alignment path (used after merging).
+    """Recompute the raw score of an alignment path from the sequences.
 
     Adjacent OP_QGAP and OP_SGAP runs are treated as separate gaps, matching
     the DP's affine model.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from repro.blast.engine import BlastEngine
 from repro.blast.formatter import format_tabular
@@ -44,7 +44,39 @@ from repro.sequence.generator import (
     make_database,
     make_query_with_homologies,
 )
-from repro.sequence.records import Database
+from repro.sequence.records import Database, SequenceRecord
+
+
+class _InputError(Exception):
+    """An unusable input file: reported as one ``error:`` line, exit 2."""
+
+
+def _load_inputs(
+    db_path: str, query_path: Optional[str] = None
+) -> Tuple[Database, List[SequenceRecord]]:
+    """Read the database and, if a path is given, the query set.
+
+    A missing or unreadable file, malformed FASTA, a database with duplicate
+    ids, and a query set that is empty or holds a zero-length record all
+    raise :class:`_InputError` before any search starts.
+    """
+    path = db_path
+    try:
+        db = Database(read_fasta(db_path), name="db")
+        if query_path is None:
+            return db, []
+        path = query_path
+        queries = read_fasta(query_path)
+    except OSError as exc:
+        raise _InputError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise _InputError(f"{path}: {exc}") from exc
+    if not queries:
+        raise _InputError(f"{query_path}: query file contains no sequences")
+    for query in queries:
+        if len(query) == 0:
+            raise _InputError(f"{query_path}: query {query.seq_id!r} is empty (zero bases)")
+    return db, queries
 
 
 def _cmd_make_db(args: argparse.Namespace) -> int:
@@ -60,7 +92,7 @@ def _cmd_make_db(args: argparse.Namespace) -> int:
 
 
 def _cmd_make_query(args: argparse.Namespace) -> int:
-    db = Database(read_fasta(args.db), name="db")
+    db, _ = _load_inputs(args.db)
     specs = [HomologySpec(length=args.homology_length)] * args.homologies
     query, truth = make_query_with_homologies(
         args.seed, args.length, db, specs, seq_id=args.name
@@ -95,11 +127,7 @@ def _params_from(args: argparse.Namespace) -> BlastParams:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    db = Database(read_fasta(args.db), name="db")
-    queries = read_fasta(args.query)
-    if not queries:
-        print("error: query file contains no sequences", file=sys.stderr)
-        return 2
+    db, queries = _load_inputs(args.db, args.query)
     params = _params_from(args)
 
     # One OrionSearch serves the whole query set: with a process-backed
@@ -182,11 +210,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service import OrionService, ServiceConfig
 
-    db = Database(read_fasta(args.db), name="db")
-    queries = read_fasta(args.query)
-    if not queries:
-        print("error: query file contains no sequences", file=sys.stderr)
-        return 2
+    db, queries = _load_inputs(args.db, args.query)
     search = OrionSearch(
         database=db,
         params=_params_from(args),
@@ -542,7 +566,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

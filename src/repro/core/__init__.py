@@ -7,10 +7,8 @@ inter-query, intra-database *and intra-query* parallelism:
 * :mod:`repro.core.fragmenter` — equal-sized overlapping query fragments;
 * :mod:`repro.core.boundary` — boundary-aware search options per fragment
   (partial flagging + speculative gapped extension, Section III-B1);
-* :mod:`repro.core.merge` — splicing partial alignments across fragment
-  boundaries;
-* :mod:`repro.core.aggregator` — the reduce phase: dedupe, merge, rescore,
-  E-filter (Section III-B / IV-C);
+* :mod:`repro.core.aggregator` — the reduce phase: dedupe, cluster, re-search
+  boundary clusters, E-filter (Section III-B / IV-C);
 * :mod:`repro.core.sortmr` — parallel sample-sort of results (Section IV-D);
 * :mod:`repro.core.calibrate` — fragment-length calibration sweeps
   (Section III-D / Fig. 11);
@@ -23,7 +21,6 @@ from repro.core.overlap import overlap_length, shortest_significant_alignment
 from repro.core.fragmenter import QueryFragment, fragment_query, suggest_fragment_length
 from repro.core.boundary import options_for_fragment
 from repro.core.results import FragmentAlignment, OrionResult, replay_orion
-from repro.core.merge import try_merge_pair
 from repro.core.aggregator import aggregate_subject_alignments
 from repro.core.sortmr import parallel_sort_alignments
 from repro.core.calibrate import CalibrationResult, calibrate_fragment_length
@@ -39,7 +36,6 @@ __all__ = [
     "FragmentAlignment",
     "OrionResult",
     "replay_orion",
-    "try_merge_pair",
     "aggregate_subject_alignments",
     "parallel_sort_alignments",
     "CalibrationResult",

@@ -9,22 +9,16 @@ parallelize across database sequences (Section IV-C). Per key:
    subject axes form candidate groups for one underlying cross-boundary
    alignment (chains across ≥3 fragments included);
 3. **resolve** each cluster holding boundary work — a partial
-   (boundary-touching) member, or members found by two fragments; any
-   other cluster reports its members as the map found them:
-
-   * ``mode="research"`` (default): re-run the full BLAST engine on a padded
-     local window around the cluster. Inside the window the engine sees the
-     same seeds, anchors and thresholds serial BLAST saw, so the resolved
-     alignments are *bitwise serial* — including subtle x-drop segmentation
-     behaviour that pure path splicing cannot reconstruct (the window is a
-     few kbp, so this costs microseconds per boundary);
-   * ``mode="splice"``: the paper's literal mechanism — splice/bridge merge
-     (:func:`repro.core.merge.try_merge_pair`), x-drop re-segmentation,
-     peak trimming, rescoring. Near-exact; kept as an ablation.
-
-4. **cull + filter** — contained duplicates drop, the E threshold applies,
-   and unmerged partials that fail it are discarded (they were only ever
-   merge candidates).
+   (boundary-touching) member, or members found by two fragments — by
+   re-running the full BLAST engine on a padded local window around the
+   cluster. Inside the window the engine sees the same seeds, anchors and
+   thresholds serial BLAST saw, so the resolved alignments are *bitwise
+   serial* — including subtle x-drop segmentation behaviour that splicing
+   the partial paths together cannot reconstruct (the window is a few kbp,
+   so this costs microseconds per boundary). Any other cluster reports its
+   members as the map found them;
+4. **filter** — the E threshold applies, and partials that fail it are
+   discarded (they were only ever merge candidates).
 """
 
 from __future__ import annotations
@@ -34,10 +28,9 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.blast.engine import BlastEngine, rescore_alignment
+from repro.blast.engine import BlastEngine
 from repro.blast.hsp import Alignment
 from repro.blast.statistics import SearchSpace
-from repro.core.merge import split_alignment_at_drops, trim_path_to_peaks, try_merge_pair
 from repro.core.results import FragmentAlignment
 from repro.sequence.records import Database, SequenceRecord
 
@@ -197,24 +190,18 @@ def aggregate_subject_alignments(
     s_codes: np.ndarray,
     engine: BlastEngine,
     space: SearchSpace,
-    mode: str = "research",
 ) -> Tuple[List[Alignment], AggregationStats]:
     """Aggregate all fragment alignments for one (subject, strand) key.
 
     ``q_codes`` must be in the strand frame the alignments use (the reverse
     complement for minus-strand keys); ``s_codes`` is the subject sequence.
     """
-    if mode not in ("research", "splice"):
-        raise ValueError(f"mode must be 'research' or 'splice', got {mode!r}")
     stats = AggregationStats(input_alignments=len(items))
     if not items:
         return [], stats
 
     work, stats.deduped = _dedupe_locations(list(items))
-    if mode == "splice":
-        finals = _aggregate_splice(work, q_codes, s_codes, engine, space, stats)
-    else:
-        finals = _aggregate_research(work, q_codes, s_codes, engine, space, stats)
+    finals = _aggregate_research(work, q_codes, s_codes, engine, space, stats)
 
     finals.sort(key=Alignment.sort_key)
     stats.reported = len(finals)
@@ -254,101 +241,3 @@ def _aggregate_research(
         finals.extend(kept)
     return finals
 
-
-def _aggregate_splice(
-    work: List[FragmentAlignment],
-    q_codes: np.ndarray,
-    s_codes: np.ndarray,
-    engine: BlastEngine,
-    space: SearchSpace,
-    stats: AggregationStats,
-) -> List[Alignment]:
-    """The paper-literal pipeline: merge → re-segment → trim → rescore."""
-    p = engine.params
-    merged_any = True
-    while merged_any:
-        merged_any = False
-        for i in range(len(work)):
-            for j in range(i + 1, len(work)):
-                if not (work[i].is_partial or work[j].is_partial):
-                    continue
-                cand = try_merge_pair(
-                    work[i].alignment, work[j].alignment,
-                    q_codes=q_codes, s_codes=s_codes,
-                    reward=p.reward, penalty=p.penalty,
-                    gap_open=p.gap_open, gap_extend=p.gap_extend,
-                )
-                if cand is None:
-                    continue
-                merged = FragmentAlignment(
-                    alignment=cand,
-                    fragment_index=min(work[i].fragment_index, work[j].fragment_index),
-                    partial_left=work[i].partial_left or work[j].partial_left,
-                    partial_right=work[i].partial_right or work[j].partial_right,
-                    merged=True,
-                )
-                rest = [work[x] for x in range(len(work)) if x not in (i, j)]
-                work = rest + [merged]
-                work.sort(key=lambda it: (it.alignment.q_start, it.alignment.s_start))
-                stats.merged_pairs += 1
-                merged_any = True
-                break
-            if merged_any:
-                break
-
-    finals: List[Alignment] = []
-    leftovers: List[Alignment] = []  # unmerged partials, cull candidates
-    for item in work:
-        needs_resegmentation = item.merged or item.alignment.speculative
-        if item.alignment.path is None or not needs_resegmentation:
-            # Straight from the engine's normal (peak-relative) extension:
-            # its segmentation and endpoints are already serial BLAST's.
-            if item.alignment.evalue <= p.evalue_threshold:
-                if item.is_partial and not item.merged:
-                    leftovers.append(item.alignment)
-                else:
-                    finals.append(item.alignment)
-            else:
-                stats.dropped_partials += 1
-            continue
-        pieces = split_alignment_at_drops(
-            item.alignment, q_codes, s_codes,
-            p.reward, p.penalty, p.gap_open, p.gap_extend, p.x_drop_gapped,
-        )
-        kept_any = False
-        for piece in pieces:
-            aln = trim_path_to_peaks(
-                piece, q_codes, s_codes,
-                p.reward, p.penalty, p.gap_open, p.gap_extend,
-            )
-            if aln.path is not None and aln.path.size == 0:
-                continue
-            aln = rescore_alignment(aln, q_codes, s_codes, engine, space)
-            if aln.evalue > p.evalue_threshold:
-                continue
-            finals.append(aln)
-            kept_any = True
-        if not kept_any:
-            stats.dropped_partials += 1
-
-    # Unmerged partials that survived the E test are kept unless they are
-    # boundary-truncated copies of a merged alignment (contained in a higher
-    # scorer). Serial-reported contained alignments from distinct seeds are
-    # never partial-flagged and pass through `finals` untouched.
-    for aln in leftovers:
-        truncated_copy = any(
-            k.score >= aln.score
-            and k.q_start <= aln.q_start
-            and aln.q_end <= k.q_end
-            and k.s_start <= aln.s_start
-            and aln.s_end <= k.s_end
-            and not (
-                k.q_interval == aln.q_interval and k.s_interval == aln.s_interval
-            )
-            for k in finals
-        )
-        if truncated_copy:
-            stats.dropped_partials += 1
-        else:
-            finals.append(aln)
-    return finals

@@ -29,7 +29,6 @@ from repro.core.fragmenter import QueryFragment, fragment_query, suggest_fragmen
 from repro.core.overlap import overlap_length
 from repro.core.results import FragmentAlignment, OrionResult
 from repro.core.sortmr import parallel_sort_alignments
-from repro.core.streaming import shuffle_key_to_text
 from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.faults import FaultInjector, RetryPolicy
 from repro.mapreduce.job import MapReduceJob
@@ -130,20 +129,7 @@ class _OrionMapper:
     def __call__(self, split: InputSplit):
         fragment, shard_index = split.payload
         shard = self.search.shards[shard_index]
-        out = self.search._map_fragment_shard(self.query, fragment, shard, self.space)
-        if not self.search.use_streaming:
-            return out
-        # Hadoop-streaming fidelity: everything crossing the shuffle is
-        # tab-separated text (paper Section IV-B).
-        from repro.core.streaming import (
-            encode_fragment_alignment,
-            shuffle_key_to_text,
-        )
-
-        return [
-            (shuffle_key_to_text(key), encode_fragment_alignment(fa))
-            for key, fa in out
-        ]
+        return self.search._map_fragment_shard(self.query, fragment, shard, self.space)
 
 
 class _OrionReducer:
@@ -163,20 +149,11 @@ class _OrionReducer:
 
     def __call__(self, key, values):
         search = self.search
-        if search.use_streaming:
-            from repro.core.streaming import (
-                decode_fragment_alignment,
-                text_to_shuffle_key,
-            )
-
-            key = text_to_shuffle_key(key)
-            values = [decode_fragment_alignment(v) for v in values]
         subject_id, strand = key
         q_codes = self.q_codes_plus if strand == PLUS_STRAND else self.q_codes_minus
         s_codes = search.database[subject_id].codes
         finals, stats = aggregate_subject_alignments(
-            values, q_codes, s_codes, search.engine, self.space,
-            mode=search.aggregation_mode,
+            values, q_codes, s_codes, search.engine, self.space
         )
         yield from finals
         yield _ReduceStats(stats)
@@ -184,6 +161,11 @@ class _OrionReducer:
 
 class OrionSearch:
     """Fine-grained parallel BLAST over a fixed database.
+
+    Map tasks emit ``(subject_id, strand)`` → :class:`FragmentAlignment`
+    records, and each reduce key is resolved by
+    :func:`repro.core.aggregator.aggregate_subject_alignments`, which
+    re-searches boundary clusters so the report equals serial BLAST's.
 
     Parameters
     ----------
@@ -285,8 +267,6 @@ class OrionSearch:
         strands: str = "plus",
         num_reducers: int = 8,
         sort_tasks: int = 4,
-        aggregation_mode: str = "research",
-        use_streaming: bool = False,
         executor: Union[str, Executor, None] = "serial",
         num_workers: Optional[int] = None,
         shuffle: str = "streaming",
@@ -318,10 +298,9 @@ class OrionSearch:
         self.strands = strands
         self.num_reducers = num_reducers
         self.sort_tasks = sort_tasks
-        self.use_streaming = use_streaming
-        # Per shard, the reduce partitions its (subject, strand) keys hash to
-        # in the form the mapper emits them; prepare() declares them on the
-        # shard's splits, so each reducer waits only for the tasks that feed it.
+        # Per shard, the reduce partitions its (subject, strand) keys hash to;
+        # prepare() declares them on the shard's splits, so each reducer
+        # waits only for the tasks that feed it.
         self._shard_partitions = [self._partitions_of(shard) for shard in self.shards]
         self.retry_policy = RetryPolicy(
             max_attempts=retries,
@@ -355,11 +334,6 @@ class OrionSearch:
             self.params.k,
             shm_mod.database_fingerprint(database),
         )
-        if aggregation_mode not in ("research", "splice"):
-            raise ValueError(
-                f"aggregation_mode must be 'research' or 'splice', got {aggregation_mode!r}"
-            )
-        self.aggregation_mode = aggregation_mode
 
     # ------------------------------------------------------------------ #
 
@@ -585,9 +559,7 @@ class OrionSearch:
 
     def _partitions_of(self, shard: DatabaseShard) -> Tuple[int, ...]:
         strands = (PLUS_STRAND, MINUS_STRAND) if self.strands == "both" else (PLUS_STRAND,)
-        keys: List[object] = [(rec.seq_id, st) for rec in shard.database for st in strands]
-        if self.use_streaming:
-            keys = [shuffle_key_to_text(key) for key in keys]
+        keys = [(rec.seq_id, st) for rec in shard.database for st in strands]
         return tuple(sorted({hash_partitioner(key, self.num_reducers) for key in keys}))
 
     def _resolve_fragment_length(

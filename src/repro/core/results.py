@@ -42,7 +42,6 @@ class FragmentAlignment:
     fragment_index: int
     partial_left: bool = False
     partial_right: bool = False
-    merged: bool = False  # produced by splicing/bridging during aggregation
 
     def __post_init__(self) -> None:
         if self.fragment_index < 0:

@@ -6,7 +6,7 @@ database sequence id; reduce tasks aggregate and sort. This package provides
 that framework for real: input splits, mappers, combiners, partitioners, a
 sorted shuffle, reducers, pluggable executors that *measure* per-task
 durations (consumed later by :mod:`repro.cluster`'s simulator), and a
-block-oriented shared-storage model standing in for HDFS.
+shared-memory database plane that workers attach to instead of copying.
 """
 
 from repro.mapreduce.types import InputSplit, JobResult, TaskKind, TaskRecord
@@ -39,8 +39,6 @@ from repro.mapreduce.shm import (
     list_planes,
     reap_orphan_planes,
 )
-from repro.mapreduce.storage import BlockStore, StoredFile
-from repro.mapreduce.streaming import run_streaming_job
 
 __all__ = [
     "InputSplit",
@@ -70,7 +68,4 @@ __all__ = [
     "attach_view",
     "list_planes",
     "reap_orphan_planes",
-    "BlockStore",
-    "StoredFile",
-    "run_streaming_job",
 ]

@@ -86,9 +86,9 @@ EXECUTOR_KINDS = ("serial", "threads", "processes")
 def _payload_records(payload: Any) -> int:
     """How many input records a split payload carries.
 
-    A ``list`` payload is a batch of records (sortmr chunks, streaming line
-    groups); anything else — e.g. Orion's ``(fragment, shard)`` descriptor
-    tuple — is one logical record.
+    A ``list`` payload is a batch of records (e.g. sortmr chunks); anything
+    else — e.g. Orion's ``(fragment, shard)`` descriptor tuple — is one
+    logical record.
     """
     if isinstance(payload, list):
         return len(payload)
@@ -149,7 +149,7 @@ def _assemble(
 
 
 class Executor(Protocol):
-    """What OrionSearch, sortmr and the streaming runner plug in.
+    """What OrionSearch and sortmr plug in.
 
     ``kind`` names the backend (``"serial"``, ``"threads"``,
     ``"processes"``) and is stamped onto every task record the executor

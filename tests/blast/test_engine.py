@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.blast.engine import BlastEngine, rescore_alignment
+from repro.blast.engine import BlastEngine
 from repro.blast.hsp import MINUS_STRAND, PLUS_STRAND
 from repro.blast.params import BlastParams, SearchOptions
 from repro.sequence.alphabet import reverse_complement
@@ -142,25 +142,3 @@ class TestBoundaryOptions:
 
         per_subject = Counter(a.subject_id for a in res.alignments)
         assert all(v <= 1 for v in per_subject.values())
-
-
-class TestRescoreAlignment:
-    def test_rescore_is_identity_on_engine_output(
-        self, engine, small_db, serial_result, query_with_truth
-    ):
-        query, _ = query_with_truth
-        aln = serial_result.alignments[0]
-        out = rescore_alignment(
-            aln, query.codes, small_db[aln.subject_id].codes, engine, serial_result.space
-        )
-        assert out.score == aln.score
-        assert out.evalue == pytest.approx(aln.evalue)
-        assert out.matches == aln.matches
-
-    def test_requires_path(self, engine, serial_result, small_db, query_with_truth):
-        from dataclasses import replace
-
-        query, _ = query_with_truth
-        aln = replace(serial_result.alignments[0], path=None)
-        with pytest.raises(ValueError, match="path"):
-            rescore_alignment(aln, query.codes, small_db[aln.subject_id].codes, engine, serial_result.space)

@@ -10,7 +10,9 @@ from repro.blast.hsp import (
     Alignment,
     SeedHits,
     UngappedHSP,
+    cigar_to_path,
     path_composition,
+    path_to_cigar,
     score_path,
 )
 from repro.sequence.alphabet import encode
@@ -141,3 +143,24 @@ class TestScorePath:
 
     def test_empty(self):
         assert score_path(np.zeros(0, dtype=np.uint8), encode("A"), encode("A"), 0, 0, 1, -3, 5, 2) == 0
+
+
+class TestCigar:
+    def test_round_trip(self):
+        path = np.array([OP_DIAG] * 5 + [OP_QGAP] * 2 + [OP_DIAG] * 3 + [OP_SGAP], dtype=np.uint8)
+        cigar = path_to_cigar(path)
+        assert cigar == "5M2D3M1I"
+        assert np.array_equal(cigar_to_path(cigar), path)
+
+    def test_empty(self):
+        assert path_to_cigar(np.zeros(0, dtype=np.uint8)) == ""
+        assert cigar_to_path("").size == 0
+
+    def test_long_runs_compact(self):
+        path = np.full(10_000, OP_DIAG, dtype=np.uint8)
+        assert path_to_cigar(path) == "10000M"
+
+    @pytest.mark.parametrize("bad", ["M", "3X", "12", "3M4"])
+    def test_malformed_rejected(self, bad):
+        with pytest.raises(ValueError):
+            cigar_to_path(bad)

@@ -206,11 +206,6 @@ class TestAggregateResearchMode:
         finals, stats = aggregate_subject_alignments([], q, s, engine, space)
         assert finals == [] and stats.input_alignments == 0
 
-    def test_invalid_mode_rejected(self, engine):
-        q, s, space = self._context(engine)
-        with pytest.raises(ValueError):
-            aggregate_subject_alignments([], q, s, engine, space, mode="magic")
-
 
 class TestAggregationStats:
     def test_merge(self):

@@ -222,8 +222,6 @@ class TestValidation:
             OrionSearch(database=small_db, num_shards=0)
         with pytest.raises(ValueError):
             OrionSearch(database=small_db, strands="minus")
-        with pytest.raises(ValueError):
-            OrionSearch(database=small_db, aggregation_mode="magic")
 
     def test_shuffle_accepts_only_streaming(self, small_db):
         OrionSearch(database=small_db, num_shards=2, shuffle="streaming")
@@ -364,23 +362,18 @@ class TestDeclaredPartitions:
     """Each (fragment, shard) split declares the reduce partitions of its
     shard's keys, so a reducer starts once the splits feeding it commit."""
 
-    @pytest.mark.parametrize("use_streaming", [False, True], ids=["objects", "text"])
-    def test_splits_declare_their_shards_key_partitions(
-        self, small_db, query_with_truth, use_streaming
-    ):
-        from repro.core.streaming import shuffle_key_to_text
+    def test_splits_declare_their_shards_key_partitions(self, small_db, query_with_truth):
         from repro.mapreduce.partitioner import hash_partitioner
 
         query, _ = query_with_truth
         search = OrionSearch(
             small_db, num_shards=4, fragment_length=9000, strands="both",
-            num_reducers=5, use_streaming=use_streaming,
+            num_reducers=5,
         )
-        encode = shuffle_key_to_text if use_streaming else (lambda key: key)
         for split in search.prepare(query).splits:
             _, shard_index = split.payload
             expected = {
-                hash_partitioner(encode((rec.seq_id, strand)), 5)
+                hash_partitioner((rec.seq_id, strand), 5)
                 for rec in search.shards[shard_index].database
                 for strand in (1, -1)
             }

@@ -1,20 +1,16 @@
-"""Cross-substrate integration: FASTA round trips, streaming, failures.
+"""Cross-substrate integration: FASTA round trips and failures.
 
 Exercises the seams between packages: the sequence layer feeding the
-engine, the tabular format feeding the streaming MapReduce path, and the
-simulator consuming real runner records.
+engine, and the simulator consuming real runner records.
 """
 
 import pytest
 
 from repro.blast.engine import BlastEngine
-from repro.blast.formatter import format_tabular_row, parse_tabular
 from repro.cluster.simulator import NodeFailure, simulate_phase
 from repro.cluster.tasks import SimTask
 from repro.cluster.topology import ClusterSpec
 from repro.core.orion import OrionSearch
-from repro.mapreduce.storage import BlockStore
-from repro.mapreduce.streaming import run_streaming_job
 from repro.sequence.fasta import read_fasta_str, write_fasta_str
 
 
@@ -28,35 +24,6 @@ class TestFastaThroughEngine:
         from tests.conftest import alignment_keys
 
         assert alignment_keys(res.alignments) == alignment_keys(serial_result.alignments)
-
-
-class TestTabularThroughStorage:
-    def test_map_output_round_trips_via_block_store(self, serial_result):
-        """The paper stages parsed BLAST output on HDFS between phases."""
-        store = BlockStore(num_nodes=4)
-        text = "\n".join(format_tabular_row(a) for a in serial_result.alignments)
-        store.write_text("results/part-00000", text)
-        rows = parse_tabular(store.read_text("results/part-00000"))
-        assert len(rows) == len(serial_result.alignments)
-        assert rows[0]["qseqid"] == serial_result.query_id
-
-
-class TestStreamingAggregationShape:
-    def test_tabular_streaming_job_groups_by_subject(self, serial_result):
-        """Hadoop-streaming style: key = subject id (the paper's reduce key),
-        value = the tabular row; the reducer counts alignments per subject."""
-        lines = [format_tabular_row(a) for a in serial_result.alignments]
-
-        def mapper(line):
-            yield f"{line.split(chr(9))[1]}\t{line}"
-
-        def reducer(subject, rows):
-            yield f"{subject}\t{len(rows)}"
-
-        out, result = run_streaming_job(lines, mapper, reducer, num_reducers=3)
-        total = sum(int(line.split("\t")[1]) for line in out)
-        assert total == len(serial_result.alignments)
-        assert result.shuffle_keys == len({a.subject_id for a in serial_result.alignments})
 
 
 class TestSimulatedFailureRecovery:

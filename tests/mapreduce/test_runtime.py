@@ -18,6 +18,7 @@ from repro.mapreduce.runtime import (
     SerialExecutor,
     ThreadedExecutor,
     WorkerPool,
+    one_shot_executor,
     resolve_executor,
 )
 from repro.mapreduce.types import InputSplit, TaskKind
@@ -643,15 +644,6 @@ class TestResolveExecutor:
             resolve_executor(42)
 
 
-def _upper_line_mapper(line):
-    for word in line.split():
-        yield f"{word.upper()}\t1"
-
-
-def _count_line_reducer(key, values):
-    yield f"{key}\t{len(values)}"
-
-
 @pytest.fixture(params=["fork", "spawn"])
 def default_start_method(request):
     """Make ``request.param`` the default start method for one test, so
@@ -684,33 +676,26 @@ class TestOneShotLifetime:
         assert proc == serial
         assert set(multiprocessing.active_children()) - before == set()
 
-    def test_streaming_job_leaves_no_worker(self, default_start_method):
-        from repro.mapreduce.streaming import run_streaming_job
-
-        lines = [f"orion blast seed {i % 3}" for i in range(12)]
+    def test_one_job_leaves_no_worker(self, default_start_method):
         before = set(multiprocessing.active_children())
-        serial, _ = run_streaming_job(
-            lines, _upper_line_mapper, _count_line_reducer, num_reducers=2,
-            lines_per_split=3,
-        )
-        proc, result = run_streaming_job(
-            lines, _upper_line_mapper, _count_line_reducer, num_reducers=2,
-            lines_per_split=3, executor="processes",
-        )
-        assert proc == serial
+        with one_shot_executor("processes") as runner:
+            result = runner.run(make_job(), make_splits())
+        assert dict(result.flat_outputs()) == expected_totals()
         assert all(r.executor == "processes" for r in result.records)
         assert set(multiprocessing.active_children()) - before == set()
 
-    def test_unpicklable_job_still_falls_back(self):
-        from repro.mapreduce.streaming import run_streaming_job
-
+    def test_unpicklable_job_still_falls_back(self, default_start_method):
+        job = MapReduceJob(
+            mapper=lambda split: ((x % 5, x) for x in split.payload),
+            reducer=_sum_reducer,
+            num_reducers=2,
+            name="closure",
+        )
         before = set(multiprocessing.active_children())
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            out, result = run_streaming_job(
-                ["a b", "b"], lambda line: [f"{w}\t1" for w in line.split()],
-                _count_line_reducer, lines_per_split=1, executor="processes",
-            )
-        assert sorted(out) == ["a\t1", "b\t2"]
+            with one_shot_executor("processes") as runner:
+                result = runner.run(job, make_splits())
+        assert dict(result.flat_outputs()) == expected_totals()
         assert all(r.executor == "serial" for r in result.records)
         assert set(multiprocessing.active_children()) - before == set()
 

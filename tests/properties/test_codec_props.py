@@ -1,4 +1,4 @@
-"""Property-based tests for the text codecs (CIGAR, tabular, streaming)."""
+"""Property-based tests for the text codecs (CIGAR, tabular)."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,13 +12,6 @@ from repro.blast.hsp import (
     Alignment,
     cigar_to_path,
     path_to_cigar,
-)
-from repro.core.results import FragmentAlignment
-from repro.core.streaming import (
-    decode_fragment_alignment,
-    encode_fragment_alignment,
-    shuffle_key_to_text,
-    text_to_shuffle_key,
 )
 
 paths = st.lists(
@@ -49,24 +42,18 @@ class TestCigarProperties:
 
 
 @st.composite
-def alignments(draw, with_path=True):
+def alignments(draw):
+    """Pathless alignments: the tabular format carries no path."""
     q_start = draw(st.integers(0, 10_000))
     s_start = draw(st.integers(0, 10_000))
-    if with_path:
-        path = draw(paths.filter(lambda p: p.size > 0))
-        q_span = int(np.count_nonzero(path != OP_QGAP))
-        s_span = int(np.count_nonzero(path != OP_SGAP))
-    else:
-        path = None
-        q_span = draw(st.integers(1, 100))
-        s_span = q_span
+    span = draw(st.integers(1, 100))
     return Alignment(
         query_id=draw(st.text(alphabet="abcz.0-9", min_size=1, max_size=12)),
         subject_id=draw(st.text(alphabet="abcz.0-9", min_size=1, max_size=12)),
         q_start=q_start,
-        q_end=q_start + q_span,
+        q_end=q_start + span,
         s_start=s_start,
-        s_end=s_start + s_span,
+        s_end=s_start + span,
         score=draw(st.integers(0, 10_000)),
         evalue=draw(st.floats(min_value=0.0, max_value=100.0, allow_nan=False)),
         bits=draw(st.floats(min_value=0.0, max_value=5000.0, allow_nan=False)),
@@ -74,35 +61,11 @@ def alignments(draw, with_path=True):
         mismatches=0,
         strand=draw(st.sampled_from([1, -1])),
         speculative=draw(st.booleans()),
-        path=path,
     )
 
 
-class TestStreamingCodecProperties:
-    @given(alignments(), st.integers(0, 500), st.booleans(), st.booleans())
-    @settings(max_examples=80)
-    def test_fragment_alignment_round_trip(self, aln, frag_idx, pl, pr):
-        fa = FragmentAlignment(
-            alignment=aln, fragment_index=frag_idx, partial_left=pl, partial_right=pr
-        )
-        back = decode_fragment_alignment(encode_fragment_alignment(fa))
-        a, b = fa.alignment, back.alignment
-        assert (a.query_id, a.subject_id, a.strand) == (b.query_id, b.subject_id, b.strand)
-        assert (a.q_start, a.q_end, a.s_start, a.s_end) == (b.q_start, b.q_end, b.s_start, b.s_end)
-        assert (a.score, a.evalue, a.bits, a.speculative) == (b.score, b.evalue, b.bits, b.speculative)
-        assert (back.fragment_index, back.partial_left, back.partial_right) == (frag_idx, pl, pr)
-        if a.path is None:
-            assert b.path is None
-        else:
-            assert np.array_equal(a.path, b.path)
-
-    @given(st.text(alphabet="abc|.0-9", min_size=1, max_size=20), st.sampled_from([1, -1]))
-    def test_shuffle_key_round_trip(self, subject, strand):
-        assert text_to_shuffle_key(shuffle_key_to_text((subject, strand))) == (subject, strand)
-
-
 class TestTabularProperties:
-    @given(alignments(with_path=False))
+    @given(alignments())
     @settings(max_examples=60)
     def test_tabular_round_trip_fields(self, aln):
         row = parse_tabular(format_tabular_row(aln))[0]

@@ -1,17 +1,14 @@
-"""Property-based tests for Orion's fragmentation, sorting and merging."""
+"""Property-based tests for Orion's fragmentation and sorting."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.blast.hsp import Alignment, OP_DIAG
+from repro.blast.hsp import Alignment
 from repro.core.fragmenter import fragment_query
-from repro.core.merge import trim_path_to_peaks, try_merge_pair
 from repro.core.sortmr import parallel_sort_alignments
 from repro.sequence.alphabet import random_bases
 from repro.sequence.records import SequenceRecord
-
-P = dict(reward=1, penalty=-3, gap_open=5, gap_extend=2)
 
 
 @st.composite
@@ -88,56 +85,3 @@ class TestSampleSortProperties:
         out, _ = parallel_sort_alignments(alns, num_tasks=num_tasks)
         assert [a.sort_key() for a in out] == sorted(a.sort_key() for a in alns)
         assert len(out) == len(alns)
-
-
-class TestMergeProperties:
-    @given(
-        st.integers(min_value=5, max_value=60),
-        st.integers(min_value=5, max_value=60),
-        st.integers(min_value=1, max_value=50),
-        st.integers(0, 2**31),
-    )
-    @settings(max_examples=60)
-    def test_splice_merge_consumption_consistent(self, len_a, len_b, gap, seed):
-        """Whenever a merge succeeds, the merged path consumes exactly the
-        merged intervals."""
-        rng = np.random.default_rng(seed)
-        start_b = gap  # b starts 'gap' after a's start (may overlap a)
-        total = max(len_a, start_b + len_b)
-        seq = random_bases(rng, total + 10)
-        a = Alignment(
-            query_id="q", subject_id="s", q_start=0, q_end=len_a, s_start=0,
-            s_end=len_a, score=len_a, evalue=1e-9, bits=1.0,
-            path=np.full(len_a, OP_DIAG, dtype=np.uint8),
-        )
-        b = Alignment(
-            query_id="q", subject_id="s", q_start=start_b, q_end=start_b + len_b,
-            s_start=start_b, s_end=start_b + len_b, score=len_b, evalue=1e-9, bits=1.0,
-            path=np.full(len_b, OP_DIAG, dtype=np.uint8),
-        )
-        merged = try_merge_pair(a, b, q_codes=seq, s_codes=seq, **P)
-        if merged is not None:
-            from repro.blast.hsp import OP_QGAP, OP_SGAP
-
-            q_span = int(np.count_nonzero(merged.path != OP_QGAP))
-            s_span = int(np.count_nonzero(merged.path != OP_SGAP))
-            assert q_span == merged.q_end - merged.q_start
-            assert s_span == merged.s_end - merged.s_start
-            assert merged.q_start == min(a.q_start, b.q_start)
-            assert merged.q_end == max(a.q_end, b.q_end)
-
-    @given(st.integers(min_value=1, max_value=80), st.integers(0, 2**31))
-    @settings(max_examples=60)
-    def test_trim_idempotent(self, n, seed):
-        rng = np.random.default_rng(seed)
-        q = random_bases(rng, n)
-        s = random_bases(rng, n)
-        a = Alignment(
-            query_id="q", subject_id="s", q_start=0, q_end=n, s_start=0, s_end=n,
-            score=0, evalue=1e-9, bits=1.0, path=np.full(n, OP_DIAG, dtype=np.uint8),
-        )
-        once = trim_path_to_peaks(a, q, s, **P)
-        twice = trim_path_to_peaks(once, q, s, **P)
-        assert (once.q_start, once.q_end, once.s_start, once.s_end) == (
-            twice.q_start, twice.q_end, twice.s_start, twice.s_end,
-        )

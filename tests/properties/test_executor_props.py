@@ -2,9 +2,9 @@
 
 The paper's 100%-accuracy claim must survive the executor swap — parallel
 backends change *when* work runs, never *what* it produces. These tests push
-all three executors end to end through ``OrionSearch.run`` (object mode,
-Hadoop-streaming mode, both strands) and ``parallel_sort_alignments`` and
-require field-identical output, down to the alignment paths.
+all three executors end to end through ``OrionSearch.run`` (both strands)
+and ``parallel_sort_alignments`` and require field-identical output, down
+to the alignment paths.
 """
 
 import mmap
@@ -64,7 +64,6 @@ def run_orion(
     db,
     query,
     executor,
-    use_streaming=False,
     strands="plus",
     shared_db=None,
     prune_threshold=None,
@@ -74,7 +73,6 @@ def run_orion(
         num_shards=4,
         fragment_length=6000,
         strands=strands,
-        use_streaming=use_streaming,
         executor=executor,
         num_workers=2,
         shared_db=shared_db,
@@ -86,18 +84,17 @@ def run_orion(
         search.close()
 
 
-@pytest.mark.parametrize("use_streaming", [False, True])
 @pytest.mark.parametrize("strands", ["plus", "both"])
 class TestOrionExecutorEquivalence:
-    def test_threads_equal_serial(self, tiny_db, tiny_query, use_streaming, strands):
-        serial = run_orion(tiny_db, tiny_query, "serial", use_streaming, strands)
-        threaded = run_orion(tiny_db, tiny_query, "threads", use_streaming, strands)
+    def test_threads_equal_serial(self, tiny_db, tiny_query, strands):
+        serial = run_orion(tiny_db, tiny_query, "serial", strands)
+        threaded = run_orion(tiny_db, tiny_query, "threads", strands)
         assert canonical(threaded.alignments) == canonical(serial.alignments)
         assert len(serial.alignments) > 0
 
-    def test_processes_equal_serial(self, tiny_db, tiny_query, use_streaming, strands):
-        serial = run_orion(tiny_db, tiny_query, "serial", use_streaming, strands)
-        proc = run_orion(tiny_db, tiny_query, "processes", use_streaming, strands)
+    def test_processes_equal_serial(self, tiny_db, tiny_query, strands):
+        serial = run_orion(tiny_db, tiny_query, "serial", strands)
+        proc = run_orion(tiny_db, tiny_query, "processes", strands)
         assert canonical(proc.alignments) == canonical(serial.alignments)
         assert proc.executor_kind == "processes"
         # Aggregation stats travel through the reduce output stream, so they
@@ -105,26 +102,20 @@ class TestOrionExecutorEquivalence:
         assert proc.merged_pairs == serial.merged_pairs
         assert proc.dropped_partials == serial.dropped_partials
 
-    def test_processes_shm_equal_serial(self, tiny_db, tiny_query, use_streaming, strands):
+    def test_processes_shm_equal_serial(self, tiny_db, tiny_query, strands):
         """The zero-copy shared-database plane must be invisible in the
         output: serial == processes+shm, field-identical."""
         pytest.importorskip("multiprocessing.shared_memory")
-        serial = run_orion(tiny_db, tiny_query, "serial", use_streaming, strands)
-        shm = run_orion(
-            tiny_db, tiny_query, "processes", use_streaming, strands, shared_db=True
-        )
+        serial = run_orion(tiny_db, tiny_query, "serial", strands)
+        shm = run_orion(tiny_db, tiny_query, "processes", strands, shared_db=True)
         assert canonical(shm.alignments) == canonical(serial.alignments)
         assert shm.executor_kind == "processes"
         assert shm.merged_pairs == serial.merged_pairs
 
-    def test_processes_pickled_db_equal_serial(
-        self, tiny_db, tiny_query, use_streaming, strands
-    ):
+    def test_processes_pickled_db_equal_serial(self, tiny_db, tiny_query, strands):
         """--no-shared-db path: the pickled-database fallback stays exact."""
-        serial = run_orion(tiny_db, tiny_query, "serial", use_streaming, strands)
-        pickled = run_orion(
-            tiny_db, tiny_query, "processes", use_streaming, strands, shared_db=False
-        )
+        serial = run_orion(tiny_db, tiny_query, "serial", strands)
+        pickled = run_orion(tiny_db, tiny_query, "processes", strands, shared_db=False)
         assert canonical(pickled.alignments) == canonical(serial.alignments)
 
 

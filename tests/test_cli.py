@@ -99,6 +99,65 @@ class TestSearch:
         assert capsys.readouterr().out == base
 
 
+def _bad_input(kind, tmp_path, db_file, query_file):
+    """(db, query) paths where exactly one input is unusable in ``kind``'s way."""
+    db, query = str(db_file), str(query_file)
+    if kind == "headerless_fasta":
+        query = str(tmp_path / "headerless.fa")
+        (tmp_path / "headerless.fa").write_text("ACGTACGT\n>q1\nACGTACGT\n")
+    elif kind == "zero_length_query":
+        query = str(tmp_path / "zero.fa")
+        (tmp_path / "zero.fa").write_text(">empty\n>q1\nACGTACGTACGT\n")
+    elif kind == "duplicate_db_ids":
+        db = str(tmp_path / "dup.fa")
+        text = db_file.read_text()
+        first_record = text.split(">")[1]
+        (tmp_path / "dup.fa").write_text(text + ">" + first_record)
+    elif kind == "missing_query":
+        query = str(tmp_path / "absent.fa")
+    elif kind == "missing_db":
+        db = str(tmp_path / "absent.fa")
+    return db, query
+
+
+def _assert_one_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.strip()]
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+class TestBadInput:
+    """Unusable input files end in one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("command", ["search", "serve"])
+    @pytest.mark.parametrize(
+        "kind",
+        ["headerless_fasta", "zero_length_query", "duplicate_db_ids",
+         "missing_query", "missing_db"],
+    )
+    def test_search_commands(self, kind, command, tmp_path, db_file, query_file, capsys):
+        db, query = _bad_input(kind, tmp_path, db_file, query_file)
+        capsys.readouterr()
+        assert main([command, "--db", db, "--query", query]) == 2
+        _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("kind", ["duplicate_db_ids", "missing_db"])
+    def test_make_query(self, kind, tmp_path, db_file, query_file, capsys):
+        db, _ = _bad_input(kind, tmp_path, db_file, query_file)
+        capsys.readouterr()
+        out = tmp_path / "q_out.fa"
+        assert main(["make-query", "--db", db, "--out", str(out)]) == 2
+        _assert_one_error_line(capsys)
+        assert not out.exists()
+
+    def test_headerless_database(self, tmp_path, query_file, capsys):
+        db = tmp_path / "headerless_db.fa"
+        db.write_text("ACGT\n")
+        assert main(["search", "--db", str(db), "--query", str(query_file)]) == 2
+        _assert_one_error_line(capsys)
+
+
 class TestOverlap:
     def test_prints_equation_one(self, capsys):
         assert main(["overlap", "--query-length", "1000000",
