@@ -1,7 +1,7 @@
 """ORL003/ORL004 — cross-run and cross-executor determinism rules.
 
 The cluster simulator replays measured task records, and the executor
-equivalence property (serial == threads == processes, bit-identical
+equivalence property (serial == processes, bit-identical
 alignments) is the repo's core correctness claim. Both break the moment any
 task draws from global randomness or lets ``set`` iteration order leak into
 its output.
@@ -161,7 +161,7 @@ class UnorderedIterationRule(Rule):
     severity = Severity.WARNING
     invariant = (
         "task output must be a pure function of input, not of hash seeds "
-        "or insertion history: serial == threads == processes"
+        "or insertion history: serial == processes"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Tuple[int, int, str]]:

@@ -35,8 +35,8 @@ class MutableDefaultRule(Rule):
     """ORL005: no mutable default arguments.
 
     A mutable default is one object shared by every call — in a task
-    callable it is shared state smuggled past ORL002, mutated concurrently
-    under the thread executor and divergently under processes.
+    callable it is shared state smuggled past ORL002, mutated cumulatively
+    under the serial executor and divergently under processes.
     """
 
     rule_id = "ORL005"

@@ -1,7 +1,7 @@
 """ORL001/ORL002 — invariants on callables handed to :class:`MapReduceJob`.
 
 The process-pool executor ships the whole job to workers by pickle, and the
-thread executor runs every task against one shared job object. Both demand
+serial executor runs every task against one shared job object. Both demand
 the Hadoop contract the paper's design assumes: task callables are
 *module-level* (hence picklable by reference) and *pure* with respect to
 shared state (anything they mutate outside their own scope diverges across
@@ -183,11 +183,11 @@ class TaskCallableMutationRule(Rule):
     """ORL002: task callables must not mutate captured or global state.
 
     A mapper/reducer that appends to a closed-over list or updates a global
-    dict produces different results per executor: thread tasks race on the
-    shared object, process tasks mutate a worker-local copy that silently
-    vanishes (the PR-1 reducer-stats bug). Route such state through the
-    reduce output stream instead (see ``_ReduceStats`` in
-    :mod:`repro.core.orion`).
+    dict produces different results per executor: serial tasks see each
+    other's writes on the shared object, process tasks mutate a
+    worker-local copy that silently vanishes (how reducer stats were once
+    lost). Route such state through the reduce output stream instead (see
+    ``_ReduceStats`` in :mod:`repro.core.orion`).
     """
 
     rule_id = "ORL002"
@@ -195,7 +195,7 @@ class TaskCallableMutationRule(Rule):
     severity = Severity.ERROR
     invariant = (
         "map/reduce tasks must be pure w.r.t. shared state: closure/global "
-        "mutation is lost under processes and races under threads"
+        "mutation is lost under processes and leaks between serial tasks"
     )
 
     def check(self, ctx: FileContext) -> Iterator[Tuple[int, int, str]]:

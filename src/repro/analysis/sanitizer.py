@@ -1,14 +1,14 @@
 """A TSan-lite for the MapReduce layer: detect cross-task state mutation.
 
-The thread executor runs every task against one shared job object; any task
+The serial executor runs every task against one shared job object; any task
 that mutates job state (mapper/reducer attributes, captured containers,
-split payloads) races with its neighbours there and silently diverges under
-the process executor (each worker mutates its own copy). The AST rules
+split payloads) leaks into the tasks after it there and silently diverges
+under the process executor (each worker mutates its own copy). The AST rules
 catch the statically visible shapes; :class:`SanitizerExecutor` catches the
 rest at runtime.
 
-It executes tasks one at a time — a deterministic serialization of the
-threaded backend's shared-memory semantics — and fingerprints the job's
+It executes tasks one at a time against that one shared job object — the
+serial executor's semantics — and fingerprints the job's
 *shipped* state (its pickle, the exact bytes the process executor sends to
 workers) plus every split payload between tasks. Any fingerprint change is
 attributed to the task that just ran and reported as a
@@ -116,8 +116,8 @@ class SanitizerExecutor:
     """Executor that detects cross-task shared-state mutation.
 
     Drop-in for any :class:`~repro.mapreduce.runtime.Executor` slot. Runs
-    tasks sequentially (a deterministic serialization of the threaded
-    backend) and compares state fingerprints after every task. Results are
+    tasks sequentially against one shared job object and compares state
+    fingerprints after every task. Results are
     identical to :class:`~repro.mapreduce.runtime.SerialExecutor`'s; task
     records are tagged ``executor="sanitizer"`` so they are never mistaken
     for simulator-safe measurements.

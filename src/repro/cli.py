@@ -48,7 +48,7 @@ from repro.sequence.records import Database, SequenceRecord
 
 
 class _InputError(Exception):
-    """An unusable input file: reported as one ``error:`` line, exit 2."""
+    """An unusable input file or option value: one ``error:`` line, exit 2."""
 
 
 def _load_inputs(
@@ -142,20 +142,23 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
             sanitizer = SanitizerExecutor(on_mutation="record")
             executor = sanitizer
-        orion = OrionSearch(
-            database=db,
-            params=params,
-            num_shards=args.shards,
-            fragment_length=args.fragment_length,
-            strands=args.strands,
-            executor=executor,
-            num_workers=args.workers,
-            shared_db=args.shared_db,
-            retries=args.retries,
-            task_timeout=args.task_timeout,
-            speculative_tasks=args.speculative,
-            prune_threshold=_prune_threshold_from(args),
-        )
+        try:
+            orion = OrionSearch(
+                database=db,
+                params=params,
+                num_shards=args.shards,
+                fragment_length=args.fragment_length,
+                strands=args.strands,
+                executor=executor,
+                num_workers=args.workers,
+                shared_db=args.shared_db,
+                retries=args.retries,
+                task_timeout=args.task_timeout,
+                speculative_tasks=args.speculative,
+                prune_threshold=_prune_threshold_from(args),
+            )
+        except ValueError as exc:
+            raise _InputError(str(exc)) from exc
 
     all_alignments = []
     try:
@@ -211,26 +214,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.service import OrionService, ServiceConfig
 
     db, queries = _load_inputs(args.db, args.query)
-    search = OrionSearch(
-        database=db,
-        params=_params_from(args),
-        num_shards=args.shards,
-        fragment_length=args.fragment_length,
-        strands=args.strands,
-        executor=args.executor,
-        num_workers=args.workers,
-        shared_db=args.shared_db,
-        retries=args.retries,
-        prune_threshold=_prune_threshold_from(args),
-    )
-    config = ServiceConfig(
-        max_inflight=args.max_inflight,
-        queue_depth=args.queue_depth,
-        breaker_failures=args.breaker_failures,
-        breaker_reset_seconds=args.breaker_reset_seconds,
-        breaker_probes=args.breaker_probes,
-        prune_threshold=_prune_threshold_from(args),
-    )
+    try:
+        config = ServiceConfig(
+            max_inflight=args.max_inflight,
+            queue_depth=args.queue_depth,
+            breaker_failures=args.breaker_failures,
+            breaker_reset_seconds=args.breaker_reset_seconds,
+            breaker_probes=args.breaker_probes,
+            prune_threshold=_prune_threshold_from(args),
+        )
+        search = OrionSearch(
+            database=db,
+            params=_params_from(args),
+            num_shards=args.shards,
+            fragment_length=args.fragment_length,
+            strands=args.strands,
+            executor=args.executor,
+            num_workers=args.workers,
+            shared_db=args.shared_db,
+            retries=args.retries,
+            prune_threshold=_prune_threshold_from(args),
+        )
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
 
     service = OrionService(search, config)
 
@@ -396,8 +402,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=None,
-        help="worker count for --executor threads/processes (default: "
-        "4 threads, or one process per core)",
+        help="worker count for --executor processes (default: one process "
+        "per core)",
     )
     p.add_argument(
         "--shared-db",

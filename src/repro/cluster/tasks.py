@@ -35,15 +35,15 @@ def simulated_seconds(
     """Each record's simulated duration under ``hardware``.
 
     Every replay goes through here, so it is where measurement discipline is
-    enforced: a record taken under contention (process workers, concurrent
-    threads) raises :class:`ValueError` instead of entering simulated time.
+    enforced: a record taken under contention (process workers) raises
+    :class:`ValueError` instead of entering simulated time.
     """
     durations: List[float] = []
     for rec in records:
         if not rec.simulator_safe:
             raise ValueError(
                 f"{rec.unit.task_id} was measured under contention; replay only "
-                f"serial or uncontended measurements (executor='serial')"
+                f"serial measurements (executor='serial')"
             )
         unit = rec.unit
         durations.append(

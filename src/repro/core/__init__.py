@@ -9,7 +9,6 @@ inter-query, intra-database *and intra-query* parallelism:
   (partial flagging + speculative gapped extension, Section III-B1);
 * :mod:`repro.core.aggregator` — the reduce phase: dedupe, cluster, re-search
   boundary clusters, E-filter (Section III-B / IV-C);
-* :mod:`repro.core.sortmr` — parallel sample-sort of results (Section IV-D);
 * :mod:`repro.core.calibrate` — fragment-length calibration sweeps
   (Section III-D / Fig. 11);
 * :mod:`repro.core.results` — result types and :func:`replay_orion`, the
@@ -22,7 +21,6 @@ from repro.core.fragmenter import QueryFragment, fragment_query, suggest_fragmen
 from repro.core.boundary import options_for_fragment
 from repro.core.results import FragmentAlignment, OrionResult, replay_orion
 from repro.core.aggregator import aggregate_subject_alignments
-from repro.core.sortmr import parallel_sort_alignments
 from repro.core.calibrate import CalibrationResult, calibrate_fragment_length
 from repro.core.orion import OrionSearch
 
@@ -37,7 +35,6 @@ __all__ = [
     "OrionResult",
     "replay_orion",
     "aggregate_subject_alignments",
-    "parallel_sort_alignments",
     "CalibrationResult",
     "calibrate_fragment_length",
     "OrionSearch",

@@ -91,23 +91,6 @@ def _dedupe_locations(items: List[FragmentAlignment]) -> Tuple[List[FragmentAlig
     return kept, len(items) - len(kept)
 
 
-def _cull_contained(alignments: List[Alignment]) -> List[Alignment]:
-    """Drop alignments whose q and s intervals sit inside a higher scorer."""
-    ordered = sorted(alignments, key=lambda a: (-a.score, a.q_start, a.s_start))
-    kept: List[Alignment] = []
-    for aln in ordered:
-        contained = any(
-            k.q_start <= aln.q_start
-            and aln.q_end <= k.q_end
-            and k.s_start <= aln.s_start
-            and aln.s_end <= k.s_end
-            for k in kept
-        )
-        if not contained:
-            kept.append(aln)
-    return kept
-
-
 def _near(lo1: int, hi1: int, lo2: int, hi2: int, tol: int) -> bool:
     """Intervals overlap or lie within ``tol`` of each other."""
     return lo1 <= hi2 + tol and lo2 <= hi1 + tol

@@ -4,7 +4,7 @@ Implements the paper's architecture (Fig. 4) end to end on this package's
 substrates: the query is fragmented with the Eq.-1 overlap, the database is
 sharded with mpiBLAST's own sharder, (fragment × shard) map tasks run the
 boundary-aware BLAST engine, a keyed reduce aggregates partial alignments,
-and a final sample-sort job orders the report. Results are exactly serial
+and one in-process sort orders the report. Results are exactly serial
 BLAST's (the 100%-accuracy claim; integration-tested), while the work units
 are small and uniform — the source of Orion's parallelism and load balance.
 """
@@ -28,7 +28,6 @@ from repro.core.boundary import options_for_fragment
 from repro.core.fragmenter import QueryFragment, fragment_query, suggest_fragment_length
 from repro.core.overlap import overlap_length
 from repro.core.results import FragmentAlignment, OrionResult
-from repro.core.sortmr import parallel_sort_alignments
 from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.faults import FaultInjector, RetryPolicy
 from repro.mapreduce.job import MapReduceJob
@@ -59,6 +58,19 @@ from repro.util.validation import check_positive
 _KMER_STORES: Dict[
     Tuple[str, int, str], Dict[str, Tuple[np.ndarray, np.ndarray]]
 ] = {}
+
+
+def parallel_sort_alignments(alignments: Sequence[Alignment]) -> List[Alignment]:
+    """Order alignments into the report: :meth:`Alignment.sort_key` order.
+
+    The paper sorts results with a Hadoop sample-sort job (Section IV-D). A
+    report is a few dozen alignments, so they are sorted in one local call;
+    :func:`repro.core.results.orion_phases` replays the paper's sort
+    reducers from this call's measured duration. :meth:`OrionSearch.assemble`
+    calls it through this module's namespace, where the perf ledger's shim
+    rebinds it.
+    """
+    return sorted(alignments, key=Alignment.sort_key)
 
 
 class EmptyQueryError(ValueError):
@@ -190,22 +202,22 @@ class OrionSearch:
         dedup optimization — reduce-side dedup is the correctness backstop.
     strands:
         ``"plus"`` or ``"both"``.
-    num_reducers / sort_tasks:
-        Reduce-phase and sort-phase parallelism.
+    num_reducers:
+        Reduce-phase parallelism.
     executor:
-        MapReduce backend: ``"serial"`` (default), ``"threads"``,
-        ``"processes"``, or any :class:`repro.mapreduce.runtime.Executor`
-        instance. The serial default keeps per-task durations valid as
-        simulator measurements (:func:`repro.core.results.replay_orion`
-        refuses contended ones); ``"processes"`` actually runs the
-        (fragment × shard) map tasks in parallel across cores, on one
-        persistent :class:`~repro.mapreduce.runtime.WorkerPool` shared by
-        every :meth:`run` / :meth:`run_many` call — workers keep attached
-        database views and k-mer caches warm between queries. Alignments
-        are identical for every backend (property-tested).
+        MapReduce backend: ``"serial"`` (default), ``"processes"``, or any
+        :class:`repro.mapreduce.runtime.Executor` instance. The serial
+        default keeps per-task durations valid as simulator measurements
+        (:func:`repro.core.results.replay_orion` refuses process-backed
+        ones); ``"processes"`` actually runs the (fragment × shard) map
+        tasks in parallel across cores, on one persistent
+        :class:`~repro.mapreduce.runtime.WorkerPool` shared by every
+        :meth:`run` / :meth:`run_many` call — workers keep attached database
+        views and k-mer caches warm between queries. Alignments are
+        identical for every backend (property-tested).
     num_workers:
-        Pool size for the ``"threads"``/``"processes"`` executors
-        (``None`` = backend default: 4 threads, or one process per core).
+        Pool size for the ``"processes"`` executor (``None`` = one process
+        per core).
     shuffle:
         Accepts only ``"streaming"`` — the worker pool's one shuffle — and
         raises :class:`ValueError` for anything else. It exists only for
@@ -218,7 +230,7 @@ class OrionSearch:
         every worker. ``None`` (default) enables it automatically for
         process-backed executors when the platform supports it; ``True``
         insists (degrading with a warning if shared memory is missing);
-        ``False`` forces the pickled path. Serial/threads backends read
+        ``False`` forces the pickled path. In-process backends read
         the in-process arrays directly and ignore this. Call
         :meth:`close` (or use the search as a context manager) to release
         the segments promptly; an ``atexit`` backstop reclaims stragglers.
@@ -266,7 +278,6 @@ class OrionSearch:
         drop_left_overlap: bool = True,
         strands: str = "plus",
         num_reducers: int = 8,
-        sort_tasks: int = 4,
         executor: Union[str, Executor, None] = "serial",
         num_workers: Optional[int] = None,
         shuffle: str = "streaming",
@@ -280,7 +291,6 @@ class OrionSearch:
         check_positive("num_shards", num_shards)
         check_positive("retries", retries)
         check_positive("num_reducers", num_reducers)
-        check_positive("sort_tasks", sort_tasks)
         if strands not in ("plus", "both"):
             raise ValueError(f"strands must be 'plus' or 'both', got {strands!r}")
         if fragment_length is not None:
@@ -297,7 +307,6 @@ class OrionSearch:
         self.drop_left_overlap = drop_left_overlap
         self.strands = strands
         self.num_reducers = num_reducers
-        self.sort_tasks = sort_tasks
         # Per shard, the reduce partitions its (subject, strand) keys hash to;
         # prepare() declares them on the shard's splits, so each reducer
         # waits only for the tasks that feed it.
@@ -728,14 +737,11 @@ class OrionSearch:
         """Turn a plan's raw MapReduce output into an :class:`OrionResult`.
 
         The second half of :meth:`run`: filters the aggregation-stats
-        sentinels out of the reduce stream, sample-sorts the alignments into
-        report order, and attaches the measured work-unit records.
-        The sort always runs in this thread on the serial executor: a report
-        is a few dozen alignments, so shipping a second job through the
-        worker pool costs more than the sort itself, and serial
-        ``sort_seconds`` are the uncontended measurements the simulator
-        replays. Deterministic given the same plan and job result, so a
-        service thread may assemble one query's result while another
+        sentinels out of the reduce stream, sorts the alignments into report
+        order in this thread (timed as ``sort_seconds``; see
+        :func:`parallel_sort_alignments`), and attaches the measured
+        work-unit records. Deterministic given the same plan and job result,
+        so a service thread may assemble one query's result while another
         query's tasks are still in flight.
         """
         query = plan.query
@@ -746,9 +752,9 @@ class OrionSearch:
                 agg_stats.merge(item.stats)
             else:
                 aggregated.append(item)
-        ordered, sort_seconds = parallel_sort_alignments(
-            aggregated, num_tasks=self.sort_tasks
-        )
+        sort_watch = Stopwatch().start()
+        ordered = parallel_sort_alignments(aggregated)
+        sort_seconds = sort_watch.stop()
         records: List[WorkUnitRecord] = []
         for split, rec in zip(plan.splits, mr.map_records()):
             fragment, shard_index = split.payload

@@ -10,17 +10,12 @@ shared-memory database plane that workers attach to instead of copying.
 """
 
 from repro.mapreduce.types import InputSplit, JobResult, TaskKind, TaskRecord
-from repro.mapreduce.partitioner import (
-    RangePartitioner,
-    hash_partitioner,
-    make_range_partitioner,
-)
+from repro.mapreduce.partitioner import hash_partitioner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import (
     EXECUTOR_KINDS,
     Executor,
     SerialExecutor,
-    ThreadedExecutor,
     WorkerPool,
     resolve_executor,
 )
@@ -45,14 +40,11 @@ __all__ = [
     "JobResult",
     "TaskKind",
     "TaskRecord",
-    "RangePartitioner",
     "hash_partitioner",
-    "make_range_partitioner",
     "MapReduceJob",
     "EXECUTOR_KINDS",
     "Executor",
     "SerialExecutor",
-    "ThreadedExecutor",
     "WorkerPool",
     "resolve_executor",
     "HAVE_SHARED_MEMORY",

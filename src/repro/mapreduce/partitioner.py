@@ -9,9 +9,7 @@ rendering of the key.
 from __future__ import annotations
 
 import zlib
-from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Any, Callable, List, Sequence, Tuple
+from typing import Any, Callable
 
 Partitioner = Callable[[Any, int], int]
 
@@ -33,37 +31,3 @@ def hash_partitioner(key: Any, num_partitions: int) -> int:
     if num_partitions <= 0:
         raise ValueError(f"num_partitions must be positive, got {num_partitions}")
     return zlib.crc32(_key_bytes(key)) % num_partitions
-
-
-@dataclass(frozen=True)
-class RangePartitioner:
-    """Range partitioner over sorted splitter values.
-
-    A class (not a closure) so jobs carrying it stay picklable for the
-    process-pool executor.
-    """
-
-    splitters: Tuple[Any, ...]
-
-    def __call__(self, key: Any, num_partitions: int) -> int:
-        if num_partitions != len(self.splitters) + 1:
-            raise ValueError(
-                f"range partitioner built for {len(self.splitters) + 1} partitions, "
-                f"job configured {num_partitions}"
-            )
-        return bisect_right(self.splitters, key)
-
-
-def make_range_partitioner(splitters: Sequence[Any]) -> Partitioner:
-    """Range partitioner from sorted splitter values.
-
-    Keys below ``splitters[0]`` go to partition 0, keys in
-    ``[splitters[i-1], splitters[i])`` to partition i, and so on — the
-    foundation of Orion's parallel sample-sort of results (Section IV-D):
-    each reducer sorts a disjoint key range, so concatenating reducer outputs
-    yields a globally sorted sequence.
-    """
-    split_list: List[Any] = list(splitters)
-    if any(split_list[i] > split_list[i + 1] for i in range(len(split_list) - 1)):
-        raise ValueError("splitters must be sorted ascending")
-    return RangePartitioner(splitters=tuple(split_list))

@@ -1,16 +1,11 @@
 """Executors: run a MapReduce job and measure per-task durations.
 
-Three executors with identical result semantics (DESIGN.md row 5's
+Two executors with identical result semantics (DESIGN.md row 5's
 "pluggable executors"):
 
 * :class:`SerialExecutor` — runs every task in this thread. Its per-task
   wall-clock durations are the *measurements* the cluster simulator replays
   onto modelled clusters (DESIGN.md §2: measured work, simulated scheduling).
-* :class:`ThreadedExecutor` — a thread pool, for overlap of any releasing-GIL
-  NumPy work and as a concurrency correctness check. Its task records are
-  flagged *contended*: concurrent threads share the GIL, so durations are
-  inflated by interference and must never be fed to the simulator as if they
-  were serial measurements.
 * :class:`WorkerPool` — a process pool that persists across jobs; map and
   reduce tasks run on separate cores, which is the point of the paper's
   fine-grained work units. Each job is loaded once per worker (not per
@@ -20,9 +15,9 @@ Three executors with identical result semantics (DESIGN.md row 5's
   state (lambdas, local closures) fall back to serial execution with a
   warning.
 
-The in-process executors shuffle driver-side
-(:meth:`~repro.mapreduce.job.MapReduceJob.shuffle`); the serial one is the
-oracle everything else is property-tested against. The process pool's
+The serial executor shuffles in the calling process
+(:meth:`~repro.mapreduce.job.MapReduceJob.shuffle`) and is the oracle
+everything else is property-tested against. The process pool's
 shuffle is **streaming** and push-based: each map task partitions (and
 combines) its own output worker-side, commits the per-partition pickled
 runs — inline on its result when they fit in one page, spilled into a
@@ -54,7 +49,7 @@ shuffle/result assembly, so results are deterministic end to end — tasks
 are pure functions of their split, so retried and speculative attempts
 cannot change the output either. Every
 :class:`~repro.mapreduce.types.TaskRecord` is tagged with the executor kind
-that produced it; only serial, uncontended records are ``simulator_safe``.
+that produced it; only serial records are ``simulator_safe``.
 """
 
 from __future__ import annotations
@@ -67,10 +62,9 @@ import pickle
 import threading
 import warnings
 from collections import OrderedDict
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Iterator, List, Optional, Protocol, Sequence, Tuple, Union
+from typing import Any, Callable, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.faults import FaultInjector, RetryPolicy, TaskFailedError
@@ -80,13 +74,13 @@ from repro.mapreduce.types import InputSplit, JobResult, TaskKind, TaskRecord
 from repro.util.timers import Stopwatch
 
 #: The executor kinds :func:`resolve_executor` (and the CLI) accept.
-EXECUTOR_KINDS = ("serial", "threads", "processes")
+EXECUTOR_KINDS = ("serial", "processes")
 
 
 def _payload_records(payload: Any) -> int:
     """How many input records a split payload carries.
 
-    A ``list`` payload is a batch of records (e.g. sortmr chunks); anything
+    A ``list`` payload is a batch of records; anything
     else — e.g. Orion's ``(fragment, shard)`` descriptor tuple — is one
     logical record.
     """
@@ -99,7 +93,6 @@ def _measure_map(
     job: MapReduceJob,
     split: InputSplit,
     executor: str = "serial",
-    contended: bool = False,
 ) -> Tuple[List[Tuple[Any, Any]], TaskRecord]:
     sw = Stopwatch().start()
     pairs = job.run_map_task(split)
@@ -111,7 +104,6 @@ def _measure_map(
         input_records=_payload_records(split.payload),
         output_records=len(pairs),
         executor=executor,
-        contended=contended,
     )
     return pairs, rec
 
@@ -121,7 +113,6 @@ def _measure_reduce(
     partition_index: int,
     groups: Sequence[Tuple[Any, List[Any]]],
     executor: str = "serial",
-    contended: bool = False,
 ) -> Tuple[List[Any], TaskRecord]:
     sw = Stopwatch().start()
     out = job.run_reduce_task(groups)
@@ -133,7 +124,6 @@ def _measure_reduce(
         input_records=sum(len(v) for _, v in groups),
         output_records=len(out),
         executor=executor,
-        contended=contended,
     )
     return out, rec
 
@@ -149,12 +139,12 @@ def _assemble(
 
 
 class Executor(Protocol):
-    """What OrionSearch and sortmr plug in.
+    """What OrionSearch plugs in.
 
-    ``kind`` names the backend (``"serial"``, ``"threads"``,
-    ``"processes"``) and is stamped onto every task record the executor
-    produces, so downstream consumers (the cluster simulator above all) can
-    tell trustworthy serial measurements from contended ones.
+    ``kind`` names the backend (``"serial"``, ``"processes"``) and is
+    stamped onto every task record the executor produces, so downstream
+    consumers (the cluster simulator above all) can tell trustworthy serial
+    measurements from ones taken under machine load.
     """
 
     kind: str
@@ -181,61 +171,6 @@ class SerialExecutor:
             out, rec = _measure_reduce(job, p, groups, executor=self.kind)
             outputs.append(out)
             records.append(rec)
-        return _assemble(job, partitions, outputs, records)
-
-
-class ThreadedExecutor:
-    """Run map and reduce tasks on one shared thread pool.
-
-    Output ordering is normalized after the barrier (map outputs indexed by
-    split, reducer outputs by partition), so results are deterministic
-    regardless of thread interleaving.
-
-    One pool serves both phases — creating a second pool for the reduce
-    phase would pay thread startup/teardown twice per job for nothing. Task
-    records are flagged ``contended=True`` only when their *phase* actually
-    ran tasks concurrently — ``min(max_workers, phase task count) > 1`` —
-    because CPU-bound Python tasks running concurrently under the GIL
-    inflate each other's wall-clock. A single map split (or single reduce
-    partition) on a wide pool runs alone between the phase barriers, so its
-    duration is a valid uncontended measurement and must not be excluded
-    from ``simulator_safe`` filtering by a blanket ``max_workers > 1`` flag.
-    """
-
-    kind = "threads"
-
-    def __init__(self, max_workers: int = 4) -> None:
-        if max_workers <= 0:
-            raise ValueError(f"max_workers must be positive, got {max_workers}")
-        self.max_workers = max_workers
-
-    def run(self, job: MapReduceJob, splits: Sequence[InputSplit]) -> JobResult:
-        map_contended = min(self.max_workers, len(splits)) > 1
-        with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            map_results = list(
-                pool.map(
-                    lambda s: _measure_map(
-                        job, s, executor=self.kind, contended=map_contended
-                    ),
-                    splits,
-                )
-            )
-            map_outputs = [pairs for pairs, _ in map_results]
-            records: List[TaskRecord] = [rec for _, rec in map_results]
-
-            partitions = job.shuffle(map_outputs, splits)
-            reduce_contended = min(self.max_workers, len(partitions)) > 1
-            reduce_results = list(
-                pool.map(
-                    lambda item: _measure_reduce(
-                        job, item[0], item[1], executor=self.kind,
-                        contended=reduce_contended,
-                    ),
-                    enumerate(partitions),
-                )
-            )
-        outputs = [out for out, _ in reduce_results]
-        records.extend(rec for _, rec in reduce_results)
         return _assemble(job, partitions, outputs, records)
 
 
@@ -998,9 +933,9 @@ def resolve_executor(
     """Turn an executor spec (name or instance) into an executor.
 
     ``None`` and ``"serial"`` give a :class:`SerialExecutor` (the default
-    everywhere — its measurements feed the cluster simulator); ``"threads"``
-    builds a :class:`ThreadedExecutor` and ``"processes"`` a
-    :class:`WorkerPool`, each with ``max_workers`` workers; ``"sanitizer"``
+    everywhere — its measurements feed the cluster simulator);
+    ``"processes"`` builds a :class:`WorkerPool` with ``max_workers``
+    workers; ``"sanitizer"``
     builds the race-detecting
     :class:`repro.analysis.sanitizer.SanitizerExecutor`; an object with a
     ``run`` method passes through unchanged. ``retry`` is the
@@ -1010,8 +945,6 @@ def resolve_executor(
     """
     if spec is None or spec == "serial":
         return SerialExecutor()
-    if spec == "threads":
-        return ThreadedExecutor(max_workers=max_workers or 4)
     if spec == "processes":
         return WorkerPool(max_workers=max_workers, retry=retry, injector=injector)
     if spec == "sanitizer":
@@ -1027,19 +960,3 @@ def resolve_executor(
     if hasattr(spec, "run"):
         return spec
     raise TypeError(f"executor must be a name or an Executor, got {type(spec).__name__}")
-
-
-@contextmanager
-def one_shot_executor(spec: Union[str, Executor, None]) -> Iterator[Executor]:
-    """Resolve ``spec`` for a single job; a pool resolved here is shut down.
-
-    For callers that run one job and return: an executor *instance* passes
-    through untouched (its owner manages it), while a :class:`WorkerPool`
-    built from a name has every worker stopped before the block exits.
-    """
-    executor = resolve_executor(spec)
-    try:
-        yield executor
-    finally:
-        if executor is not spec and isinstance(executor, WorkerPool):
-            executor.shutdown()

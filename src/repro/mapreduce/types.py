@@ -50,17 +50,16 @@ class TaskRecord:
     type is the contract between :mod:`repro.mapreduce` and
     :mod:`repro.cluster`.
 
-    ``executor`` names the backend that produced the measurement and
-    ``contended`` flags durations taken while other tasks shared the same
-    interpreter (thread pools under the GIL). Only serial, uncontended
-    measurements are valid simulator inputs — see :attr:`simulator_safe`.
+    ``executor`` names the backend that produced the measurement. Only
+    serial measurements are valid simulator inputs — see
+    :attr:`simulator_safe`.
 
     ``shuffle_bytes_out`` (map tasks) and ``shuffle_bytes_in`` (reduce
     tasks) count the pickled intermediate bytes this task pushed into /
     pulled out of the shuffle. The worker pool's streaming shuffle
     populates them so benchmarks can report moved bytes alongside wall
-    time; the serial and threaded executors leave them 0 (their shuffle
-    happens driver-side, outside any task).
+    time; the serial executor leaves them 0 (its shuffle happens in the
+    calling process, outside any task).
 
     ``attempts`` / ``winner`` / ``speculative`` are the fault-tolerance
     trail stamped by the task scheduler: how many attempts the task
@@ -79,7 +78,6 @@ class TaskRecord:
     input_records: int = 0
     output_records: int = 0
     executor: str = "serial"
-    contended: bool = False
     shuffle_bytes_in: int = 0
     shuffle_bytes_out: int = 0
     attempts: int = 1
@@ -104,14 +102,10 @@ class TaskRecord:
     def simulator_safe(self) -> bool:
         """Whether this duration may be replayed as a serial measurement.
 
-        True for serial measurements and for thread-pool measurements whose
-        phase had only one task in flight (``contended=False``): a pool
-        that degenerates to one task at a time executes in-process with no
-        GIL interference, so its wall-clock is a serial measurement.
-        Process-backed records stay excluded — their durations are real but
+        Process-backed records are excluded: their durations are real but
         taken under whole-machine load the simulator does not model.
         """
-        return not self.contended and self.executor in ("serial", "threads")
+        return self.executor == "serial"
 
 
 @dataclass

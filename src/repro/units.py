@@ -45,7 +45,7 @@ class WorkUnitRecord:
     ``measured_seconds`` is real wall-clock on the executing machine and
     ``alignments`` counts the unit's reported alignments.
     ``simulator_safe`` is false when the measurement was taken under
-    contention (process workers, or concurrent threads under the GIL); a
+    contention (process workers); a
     replay refuses such records (see
     :attr:`repro.mapreduce.types.TaskRecord.simulator_safe`).
     """

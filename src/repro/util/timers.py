@@ -8,8 +8,7 @@ so the two notions of time stay clearly separated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Optional
 
 
 class Stopwatch:
@@ -60,31 +59,6 @@ class Stopwatch:
     def __exit__(self, *exc) -> None:
         if self.running:
             self.stop()
-
-
-@dataclass
-class TimerRegistry:
-    """Accumulates named durations, e.g. per-phase breakdowns of a search."""
-
-    totals: Dict[str, float] = field(default_factory=dict)
-    counts: Dict[str, int] = field(default_factory=dict)
-
-    def add(self, name: str, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"negative duration for {name!r}: {seconds}")
-        self.totals[name] = self.totals.get(name, 0.0) + seconds
-        self.counts[name] = self.counts.get(name, 0) + 1
-
-    def mean(self, name: str) -> float:
-        return self.totals[name] / self.counts[name]
-
-    def report_lines(self) -> List[str]:
-        width = max((len(n) for n in self.totals), default=0)
-        return [
-            f"{name.ljust(width)}  total={format_seconds(self.totals[name])}"
-            f"  n={self.counts[name]}  mean={format_seconds(self.mean(name))}"
-            for name in sorted(self.totals)
-        ]
 
 
 def format_seconds(seconds: float) -> str:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from repro.blast.gapped import extend_gapped
-from repro.blast.hsp import OP_DIAG, score_path
+from repro.blast.hsp import OP_DIAG
 from repro.sequence.alphabet import encode, random_bases
+from tests.conftest import score_path
 
 PARAMS = dict(reward=1, penalty=-3, gap_open=5, gap_extend=2)
 

@@ -13,9 +13,9 @@ from repro.blast.hsp import (
     cigar_to_path,
     path_composition,
     path_to_cigar,
-    score_path,
 )
 from repro.sequence.alphabet import encode
+from tests.conftest import score_path
 
 
 class TestSeedHits:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.blast.hsp import score_path
 from repro.blast.smith_waterman import smith_waterman, smith_waterman_score
 from repro.sequence.alphabet import encode, random_bases
+from tests.conftest import score_path
 
 PARAMS = dict(reward=1, penalty=-3, gap_open=5, gap_extend=2)
 

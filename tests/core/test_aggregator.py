@@ -9,7 +9,6 @@ from repro.core.aggregator import (
     CLUSTER_TOLERANCE,
     AggregationStats,
     _cluster,
-    _cull_contained,
     _dedupe_locations,
     aggregate_subject_alignments,
 )
@@ -49,16 +48,6 @@ class TestDedupeLocations:
         items = [frag(mk(0, 10, 0, 10)), frag(mk(20, 30, 20, 30))]
         kept, removed = _dedupe_locations(items)
         assert len(kept) == 2 and removed == 0
-
-
-class TestCullContained:
-    def test_contained_lower_scorer_dropped(self):
-        out = _cull_contained([mk(0, 50, 0, 50, score=40), mk(10, 20, 10, 20, score=5)])
-        assert len(out) == 1
-
-    def test_partial_overlap_kept(self):
-        out = _cull_contained([mk(0, 30, 0, 30, score=20), mk(20, 50, 20, 50, score=20)])
-        assert len(out) == 2
 
 
 class TestCluster:

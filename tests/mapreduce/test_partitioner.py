@@ -1,8 +1,8 @@
-"""Tests for hash and range partitioners."""
+"""Tests for the hash partitioner."""
 
 import pytest
 
-from repro.mapreduce.partitioner import hash_partitioner, make_range_partitioner
+from repro.mapreduce.partitioner import hash_partitioner
 
 
 class TestHashPartitioner:
@@ -30,45 +30,3 @@ class TestHashPartitioner:
     def test_unsupported_key_type(self):
         with pytest.raises(TypeError):
             hash_partitioner(["list"], 4)
-
-
-class TestRangePartitioner:
-    def test_ranges(self):
-        part = make_range_partitioner([10, 20])
-        assert part(5, 3) == 0
-        assert part(10, 3) == 1
-        assert part(15, 3) == 1
-        assert part(25, 3) == 2
-
-    def test_tuple_splitters(self):
-        part = make_range_partitioner([(1.0, "m")])
-        assert part((0.5, "a"), 2) == 0
-        assert part((2.0, "z"), 2) == 1
-
-    def test_wrong_partition_count_rejected(self):
-        part = make_range_partitioner([10])
-        with pytest.raises(ValueError, match="built for 2"):
-            part(5, 3)
-
-    def test_unsorted_splitters_rejected(self):
-        with pytest.raises(ValueError):
-            make_range_partitioner([20, 10])
-
-    def test_empty_splitters_single_partition(self):
-        part = make_range_partitioner([])
-        assert part("anything", 1) == 0
-
-    def test_globally_sorted_property(self):
-        """Concatenating sorted partitions yields the fully sorted list."""
-        import numpy as np
-
-        rng = np.random.default_rng(0)
-        keys = rng.integers(0, 1000, size=500).tolist()
-        splitters = sorted(keys)[100::150][:3]
-        part = make_range_partitioner(splitters)
-        n = len(splitters) + 1
-        buckets = [[] for _ in range(n)]
-        for k in keys:
-            buckets[part(k, n)].append(k)
-        merged = [k for b in buckets for k in sorted(b)]
-        assert merged == sorted(keys)

@@ -16,9 +16,7 @@ from repro.mapreduce.job import MapReduceJob, UndeclaredPartitionError
 from repro.mapreduce.runtime import (
     EXECUTOR_KINDS,
     SerialExecutor,
-    ThreadedExecutor,
     WorkerPool,
-    one_shot_executor,
     resolve_executor,
 )
 from repro.mapreduce.types import InputSplit, TaskKind
@@ -163,12 +161,11 @@ class TestSerialExecutor:
         """Serial measurements are the simulator's contract."""
         result = SerialExecutor().run(make_job(), make_splits())
         assert all(r.executor == "serial" for r in result.records)
-        assert all(not r.contended for r in result.records)
         assert all(r.simulator_safe for r in result.records)
 
     def test_map_input_records_counts_list_payload(self):
         """Regression: input_records must report the split payload size, not
-        a hardcoded 1 (sortmr/streaming splits are record batches)."""
+        a hardcoded 1 (streaming splits are record batches)."""
         result = SerialExecutor().run(make_job(), make_splits(n=3, width=7))
         assert [r.input_records for r in result.map_records()] == [7, 7, 7]
 
@@ -182,68 +179,6 @@ class TestSerialExecutor:
         job = MapReduceJob(mapper=descriptor_mapper, reducer=_sum_reducer, name="d")
         result = SerialExecutor().run(job, [InputSplit(index=0, payload=("k", 3))])
         assert result.map_records()[0].input_records == 1
-
-
-class TestThreadedExecutor:
-    def test_matches_serial(self):
-        job = make_job(3)
-        splits = make_splits(8)
-        serial = SerialExecutor().run(job, splits)
-        threaded = ThreadedExecutor(max_workers=4).run(job, splits)
-        assert serial.outputs == threaded.outputs
-        assert serial.shuffle_keys == threaded.shuffle_keys
-
-    def test_worker_count_validated(self):
-        with pytest.raises(ValueError):
-            ThreadedExecutor(max_workers=0)
-
-    def test_record_counts(self):
-        result = ThreadedExecutor(2).run(make_job(2), make_splits(5))
-        assert len(result.map_records()) == 5
-        assert len(result.reduce_records()) == 2
-
-    def test_single_pool_for_both_phases(self, monkeypatch):
-        """Regression: one thread pool must serve map and reduce; a second
-        pool per job pays startup/teardown twice for nothing."""
-        created = []
-        real_pool = runtime_mod.ThreadPoolExecutor
-
-        def counting_pool(*args, **kwargs):
-            created.append(1)
-            return real_pool(*args, **kwargs)
-
-        monkeypatch.setattr(runtime_mod, "ThreadPoolExecutor", counting_pool)
-        ThreadedExecutor(3).run(make_job(2), make_splits(4))
-        assert len(created) == 1
-
-    def test_records_tagged_contended(self):
-        """GIL-shared timings must never read as serial measurements."""
-        result = ThreadedExecutor(4).run(make_job(2), make_splits(5))
-        assert all(r.executor == "threads" for r in result.records)
-        assert all(r.contended for r in result.records)
-        assert not any(r.simulator_safe for r in result.records)
-
-    def test_single_worker_not_contended(self):
-        result = ThreadedExecutor(1).run(make_job(2), make_splits(3))
-        assert all(not r.contended for r in result.records)
-
-    def test_contended_computed_per_phase(self):
-        """Regression: a phase with one task in flight is uncontended even
-        on a wide pool — a blanket ``max_workers > 1`` flag wrongly
-        excluded those valid durations from ``simulator_safe``."""
-        result = ThreadedExecutor(4).run(make_job(1), make_splits(5))
-        assert all(r.contended for r in result.map_records())
-        (reduce_rec,) = result.reduce_records()
-        assert not reduce_rec.contended
-        assert reduce_rec.simulator_safe
-
-    def test_single_split_map_phase_not_contended(self):
-        result = ThreadedExecutor(4).run(make_job(3), make_splits(1))
-        (map_rec,) = result.map_records()
-        assert not map_rec.contended
-        assert map_rec.simulator_safe
-        assert all(r.contended for r in result.reduce_records())
-        assert not any(r.simulator_safe for r in result.reduce_records())
 
 
 class TestProcessPool:
@@ -622,9 +557,8 @@ class TestResolveExecutor:
     def test_names(self):
         assert resolve_executor(None).kind == "serial"
         assert resolve_executor("serial").kind == "serial"
-        assert resolve_executor("threads", 3).max_workers == 3
         assert resolve_executor("processes", 2).max_workers == 2
-        assert set(EXECUTOR_KINDS) == {"serial", "threads", "processes"}
+        assert set(EXECUTOR_KINDS) == {"serial", "processes"}
 
     def test_processes_is_a_lazy_worker_pool(self):
         pool = resolve_executor("processes", 2)
@@ -632,7 +566,7 @@ class TestResolveExecutor:
         assert not pool.started  # no worker starts before the first run
 
     def test_instance_passthrough(self):
-        ex = ThreadedExecutor(2)
+        ex = SerialExecutor()
         assert resolve_executor(ex) is ex
 
     def test_unknown_name(self):
@@ -644,47 +578,20 @@ class TestResolveExecutor:
             resolve_executor(42)
 
 
-@pytest.fixture(params=["fork", "spawn"])
-def default_start_method(request):
-    """Make ``request.param`` the default start method for one test, so
-    pools built from the name ``"processes"`` use it."""
-    previous = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method(request.param, force=True)
-    yield request.param
-    multiprocessing.set_start_method(previous, force=True)
-
-
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
 class TestOneShotLifetime:
-    """Callers that resolve ``"processes"`` for one job shut the pool down
-    before returning: no worker outlives the call."""
+    """A pool built for one job and shut down on the way out leaves no
+    worker behind, whether the job ran on the pool or fell back."""
 
-    def test_parallel_sort_leaves_no_worker(self, default_start_method):
-        from repro.blast.hsp import Alignment
-        from repro.core.sortmr import parallel_sort_alignments
-
-        alns = [
-            Alignment(
-                query_id="q", subject_id=f"s{i % 4}", q_start=0, q_end=10,
-                s_start=0, s_end=10, score=10 + (i * 7) % 50,
-                evalue=((i * 13) % 17) / 10, bits=float(i),
-            )
-            for i in range(60)
-        ]
+    def test_one_job_leaves_no_worker(self, start_method):
         before = set(multiprocessing.active_children())
-        serial, _ = parallel_sort_alignments(alns, num_tasks=4)
-        proc, _ = parallel_sort_alignments(alns, num_tasks=4, executor="processes")
-        assert proc == serial
-        assert set(multiprocessing.active_children()) - before == set()
-
-    def test_one_job_leaves_no_worker(self, default_start_method):
-        before = set(multiprocessing.active_children())
-        with one_shot_executor("processes") as runner:
-            result = runner.run(make_job(), make_splits())
+        with WorkerPool(max_workers=2, start_method=start_method) as pool:
+            result = pool.run(make_job(), make_splits())
         assert dict(result.flat_outputs()) == expected_totals()
         assert all(r.executor == "processes" for r in result.records)
         assert set(multiprocessing.active_children()) - before == set()
 
-    def test_unpicklable_job_still_falls_back(self, default_start_method):
+    def test_unpicklable_job_still_falls_back(self, start_method):
         job = MapReduceJob(
             mapper=lambda split: ((x % 5, x) for x in split.payload),
             reducer=_sum_reducer,
@@ -693,8 +600,8 @@ class TestOneShotLifetime:
         )
         before = set(multiprocessing.active_children())
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            with one_shot_executor("processes") as runner:
-                result = runner.run(job, make_splits())
+            with WorkerPool(max_workers=2, start_method=start_method) as pool:
+                result = pool.run(job, make_splits())
         assert dict(result.flat_outputs()) == expected_totals()
         assert all(r.executor == "serial" for r in result.records)
         assert set(multiprocessing.active_children()) - before == set()

@@ -15,8 +15,8 @@ from repro.blast.lookup import QueryIndex, kmer_codes
 from repro.blast.smith_waterman import smith_waterman_score
 from repro.blast.ungapped import _extend_direction
 from repro.blast.gapped import extend_gapped
-from repro.blast.hsp import score_path
 from repro.sequence.alphabet import decode, encode
+from tests.conftest import score_path
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=120)
 short_dna = st.text(alphabet="ACGT", min_size=1, max_size=40)

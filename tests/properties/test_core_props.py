@@ -1,12 +1,10 @@
-"""Property-based tests for Orion's fragmentation and sorting."""
+"""Property-based tests for Orion's fragmentation."""
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.blast.hsp import Alignment
 from repro.core.fragmenter import fragment_query
-from repro.core.sortmr import parallel_sort_alignments
 from repro.sequence.alphabet import random_bases
 from repro.sequence.records import SequenceRecord
 
@@ -58,30 +56,3 @@ class TestFragmentationInvariants:
         query = SequenceRecord(seq_id="q", codes=random_bases(rng, n))
         frags = fragment_query(query, frag_len, overlap)
         assert len(frags) == 1
-
-
-def _aln(evalue, score, subject):
-    return Alignment(
-        query_id="q", subject_id=subject, q_start=0, q_end=5, s_start=0, s_end=5,
-        score=score, evalue=evalue, bits=float(score),
-    )
-
-
-class TestSampleSortProperties:
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(min_value=1e-30, max_value=10.0, allow_nan=False),
-                st.integers(min_value=1, max_value=1000),
-                st.sampled_from(["s1", "s2", "s3"]),
-            ),
-            max_size=80,
-        ),
-        st.integers(min_value=1, max_value=9),
-    )
-    @settings(max_examples=60)
-    def test_equals_global_sort(self, rows, num_tasks):
-        alns = [_aln(e, sc, sub) for e, sc, sub in rows]
-        out, _ = parallel_sort_alignments(alns, num_tasks=num_tasks)
-        assert [a.sort_key() for a in out] == sorted(a.sort_key() for a in alns)
-        assert len(out) == len(alns)

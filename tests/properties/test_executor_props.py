@@ -1,23 +1,19 @@
-"""Executor-equivalence properties: serial == threaded == process.
+"""Executor-equivalence properties: serial == process.
 
 The paper's 100%-accuracy claim must survive the executor swap — parallel
 backends change *when* work runs, never *what* it produces. These tests push
-all three executors end to end through ``OrionSearch.run`` (both strands)
-and ``parallel_sort_alignments`` and require field-identical output, down
-to the alignment paths.
+both executors end to end through ``OrionSearch.run`` (both strands) and
+require field-identical output, down to the alignment paths.
 """
 
 import mmap
 import os
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blast.hsp import Alignment
 from repro.core.orion import OrionSearch
-from repro.core.sortmr import parallel_sort_alignments
 from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import SerialExecutor, WorkerPool
@@ -86,12 +82,6 @@ def run_orion(
 
 @pytest.mark.parametrize("strands", ["plus", "both"])
 class TestOrionExecutorEquivalence:
-    def test_threads_equal_serial(self, tiny_db, tiny_query, strands):
-        serial = run_orion(tiny_db, tiny_query, "serial", strands)
-        threaded = run_orion(tiny_db, tiny_query, "threads", strands)
-        assert canonical(threaded.alignments) == canonical(serial.alignments)
-        assert len(serial.alignments) > 0
-
     def test_processes_equal_serial(self, tiny_db, tiny_query, strands):
         serial = run_orion(tiny_db, tiny_query, "serial", strands)
         proc = run_orion(tiny_db, tiny_query, "processes", strands)
@@ -138,13 +128,6 @@ class TestPruningEquivalence:
         assert zero.pruned_map_tasks == 0
         assert zero.shards_pruned == 0
         assert len(base.alignments) > 0
-
-    def test_threads_threshold_zero_identical(self, tiny_db, tiny_query, strands):
-        base = run_orion(tiny_db, tiny_query, "serial", strands=strands)
-        zero = run_orion(
-            tiny_db, tiny_query, "threads", strands=strands, prune_threshold=0.0
-        )
-        assert canonical(zero.alignments) == canonical(base.alignments)
 
     def test_processes_shm_threshold_zero_identical(
         self, tiny_db, tiny_query, strands
@@ -421,53 +404,3 @@ def test_orion_service_concurrent_equals_serial(tiny_db, tiny_query):
         assert result.executor_kind == "processes"
     assert service.stats.completed == 3
     assert _orionspill_segments() - before == set()
-
-
-# --------------------------------------------------------------------------- #
-# parallel_sort_alignments
-# --------------------------------------------------------------------------- #
-
-
-def _aln(evalue, score, subject):
-    return Alignment(
-        query_id="q", subject_id=subject, q_start=0, q_end=10, s_start=0, s_end=10,
-        score=score, evalue=evalue, bits=float(score),
-    )
-
-
-@st.composite
-def alignment_lists(draw):
-    n = draw(st.integers(min_value=0, max_value=60))
-    # Small value pools force heavy duplicate/skew cases.
-    evalues = draw(
-        st.lists(
-            st.sampled_from([1e-20, 1e-9, 1e-5, 0.1, 1.0]), min_size=n, max_size=n
-        )
-    )
-    scores = draw(
-        st.lists(st.integers(min_value=10, max_value=14), min_size=n, max_size=n)
-    )
-    return [
-        _aln(e, s, f"s{i % 3}") for i, (e, s) in enumerate(zip(evalues, scores))
-    ]
-
-
-@given(alignment_lists(), st.integers(min_value=1, max_value=8))
-@settings(max_examples=60, deadline=None)
-def test_sort_threads_equal_serial(alns, num_tasks):
-    serial, _ = parallel_sort_alignments(alns, num_tasks=num_tasks)
-    threaded, _ = parallel_sort_alignments(alns, num_tasks=num_tasks, executor="threads")
-    assert canonical(threaded) == canonical(serial)
-    assert [a.sort_key() for a in serial] == sorted(a.sort_key() for a in alns)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_sort_processes_equal_serial(seed):
-    rng = np.random.default_rng(seed)
-    alns = [
-        _aln(float(rng.uniform(1e-20, 2.0)), int(rng.integers(10, 200)), f"s{i % 4}")
-        for i in range(80)
-    ]
-    serial, _ = parallel_sort_alignments(alns, num_tasks=5)
-    proc, _ = parallel_sort_alignments(alns, num_tasks=5, executor="processes")
-    assert canonical(proc) == canonical(serial)

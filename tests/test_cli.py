@@ -128,7 +128,7 @@ def _assert_one_error_line(capsys):
 
 
 class TestBadInput:
-    """Unusable input files end in one ``error:`` line and exit 2."""
+    """Unusable input files and option values end in one ``error:`` line, exit 2."""
 
     @pytest.mark.parametrize("command", ["search", "serve"])
     @pytest.mark.parametrize(
@@ -140,6 +140,25 @@ class TestBadInput:
         db, query = _bad_input(kind, tmp_path, db_file, query_file)
         capsys.readouterr()
         assert main([command, "--db", db, "--query", query]) == 2
+        _assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [
+            ("search", ["--executor", "processes", "--workers", "0"]),
+            ("search", ["--shards", "0"]),
+            ("search", ["--retries", "0"]),
+            ("search", ["--fragment-length", "0"]),
+            ("search", ["--task-timeout", "-1"]),
+            ("serve", ["--workers", "0"]),
+            ("serve", ["--shards", "0"]),
+            ("serve", ["--max-inflight", "0"]),
+        ],
+    )
+    def test_bad_option_value(self, command, option, db_file, query_file, capsys):
+        capsys.readouterr()
+        argv = [command, "--db", str(db_file), "--query", str(query_file), *option]
+        assert main(argv) == 2
         _assert_one_error_line(capsys)
 
     @pytest.mark.parametrize("kind", ["duplicate_db_ids", "missing_db"])

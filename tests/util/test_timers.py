@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from repro.util.timers import Stopwatch, TimerRegistry, format_seconds
+from repro.util.timers import Stopwatch, format_seconds
 
 
 class TestStopwatch:
@@ -68,24 +68,3 @@ class TestFormatSeconds:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             format_seconds(-1)
-
-
-class TestTimerRegistry:
-    def test_add_and_mean(self):
-        reg = TimerRegistry()
-        reg.add("seed", 1.0)
-        reg.add("seed", 3.0)
-        assert reg.totals["seed"] == 4.0
-        assert reg.mean("seed") == 2.0
-
-    def test_report_lines(self):
-        reg = TimerRegistry()
-        reg.add("a", 1.0)
-        reg.add("bb", 2.0)
-        lines = reg.report_lines()
-        assert len(lines) == 2
-        assert lines[0].startswith("a ")
-
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            TimerRegistry().add("x", -0.1)
