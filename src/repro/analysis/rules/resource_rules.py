@@ -11,11 +11,11 @@ every raw ``SharedMemory`` call through helpers whose failure paths pair
 the call with ``close``/``unlink``; ORL008 keeps it that way.
 
 Plane *leases* (ORL010) have the same shape one level up: a
-``PlaneRegistry.attach_or_create`` call claims a slot in the machine-wide
-lease registry, and a scope that acquires a lease and raises before
-releasing it leaves a stale slot that only the orphan reaper will ever
-reclaim — correctness survives, but the plane outlives its holders until
-the next reap. Both rules share one scope-accounting engine and differ
+``PlaneRegistry.attach_or_create`` call takes a shared ``flock`` on the
+plane's holders file, and a scope that acquires a lease and raises before
+releasing it keeps the plane held until the process exits — correctness
+survives (the atexit drain, or after a crash the orphan reaper, reclaims
+it), but the plane outlives its last real user. Both rules share one scope-accounting engine and differ
 only in what counts as an acquisition and what counts as a release.
 """
 
@@ -151,11 +151,12 @@ class SharedMemoryLifecycleRule(Rule):
 class PlaneLeaseLifecycleRule(SharedMemoryLifecycleRule):
     """ORL010: a plane lease acquisition needs a paired release/reap.
 
-    ``PlaneRegistry.attach_or_create(...)`` claims a lease slot in the
-    machine-wide plane registry. A scope that acquires one and can raise
-    before releasing leaves a stale slot behind — harmless eventually (the
-    orphan reaper validates liveness), but it delays the plane's unlink
-    until the next reap and wastes a slot until then. Accepted shapes
+    ``PlaneRegistry.attach_or_create(...)`` takes a lease: a shared
+    ``flock`` on the plane's holders file. A scope that acquires one and
+    can raise before releasing keeps holding the plane — harmless
+    eventually (the lock dies with the process, and the atexit drain or
+    the orphan reaper unlinks), but it pins the plane's segments until
+    then. Accepted shapes
     mirror ORL008: the lease as a ``with`` context, or a ``finally`` in
     the same scope calling ``release``/``close``/``destroy`` or one of the
     reap entry points. Long-lived owners that hand the lease to an object
@@ -167,9 +168,9 @@ class PlaneLeaseLifecycleRule(SharedMemoryLifecycleRule):
     title = "plane lease acquired without paired release/reap"
     severity = Severity.ERROR
     invariant = (
-        "every plane lease claimed in a scope must have a release path "
-        "that runs on failure too, or the slot stays stale until the "
-        "next orphan reap"
+        "every plane lease taken in a scope must have a release path "
+        "that runs on failure too, or the plane stays held until the "
+        "process exits"
     )
 
     #: Calls (bare name or attribute) that acquire a lease.

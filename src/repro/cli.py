@@ -301,18 +301,13 @@ def _cmd_plane_ls(args: argparse.Namespace) -> int:
         return 0
     for status in planes:
         state = "healthy" if status.healthy else "UNHEALTHY"
-        holders = (
-            ",".join(str(pid) for pid in status.live_pids)
-            if status.live_pids
-            else "none (reapable)"
-        )
+        holders = "held" if status.held else "none (reapable)"
         db = status.db_name if status.db_name is not None else "?"
         k = status.k if status.k is not None else "?"
         print(
             f"{status.digest}  {state}  db={db} k={k} "
             f"gen={status.generation}  segments={status.num_segments} "
-            f"({status.total_bytes / 1e6:.1f} MB)  holders={holders} "
-            f"stale_slots={status.stale_slots}"
+            f"({status.total_bytes / 1e6:.1f} MB)  holders={holders}"
         )
         if status.detail:
             print(f"  {status.detail}")
@@ -562,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ls.set_defaults(func=_cmd_plane_ls)
     p_reap = plane_sub.add_parser(
-        "reap", help="unlink every plane with no live leaseholder"
+        "reap", help="unlink every plane no lease holds"
     )
     p_reap.set_defaults(func=_cmd_plane_reap)
 

@@ -412,12 +412,12 @@ class OrionSearch:
         share a single set of segments, and a crashed previous session's
         orphans are reaped on the way in. Degrades to the in-process
         database path — never fails the query — when the plane is corrupt
-        while other holders pin it, all lease slots are taken, or shm is
-        unusable; the reason is stamped onto every subsequent result.
+        while other holders pin it, or shm (or ``flock``) is unusable; the
+        reason is stamped onto every subsequent result.
 
         Thread-safe: concurrent :meth:`run` calls race to first use and
-        exactly one lease may be held per search (a loser's duplicate
-        would double-count the slot table).
+        exactly one lease is held per search (a loser's duplicate would
+        leak a hold that ``close`` never releases).
         """
         if self._lease is not None or not self._shared_db_enabled():
             return
@@ -433,7 +433,6 @@ class OrionSearch:
                 )
             except (
                 shm_mod.PlaneCorruptError,
-                shm_mod.PlaneBusyError,
                 shm_mod.SharedMemoryUnavailable,
                 OSError,
             ) as exc:
@@ -538,8 +537,9 @@ class OrionSearch:
         The next :meth:`run` transparently rebuilds both (a
         :class:`WorkerPool` passed in as ``executor`` is shut down too and
         restarts the same way); use the search as a context manager for
-        prompt cleanup in many-query scripts. If this process held the
-        plane's last live lease, releasing it unlinks the segments
+        prompt cleanup in many-query scripts. The pool goes first, so no
+        forked worker still shares the lease's lock when it is released.
+        If this was the plane's last lease, releasing it unlinks the segments
         machine-wide (see :class:`shm.PlaneLease`).
         """
         with self._setup_lock:
@@ -575,6 +575,7 @@ class OrionSearch:
         self, query: SequenceRecord, overlap: int, override: Optional[int]
     ) -> int:
         if override is not None:
+            check_positive("fragment_length", override)
             return override
         if self.fragment_length is not None:
             return self.fragment_length
@@ -661,7 +662,9 @@ class OrionSearch:
         :meth:`warmup` front-loads that.) Feed the plan to an executor
         (``executor.run(plan.job, plan.splits)``) and hand the raw job
         result to :meth:`assemble`; :meth:`run` is exactly that
-        composition. Raises :class:`EmptyQueryError` for a zero-length query.
+        composition. Raises :class:`EmptyQueryError` for a zero-length query
+        and ``ValueError`` for a ``fragment_length`` override that is not
+        positive.
         """
         if len(query) == 0:
             raise EmptyQueryError(query.seq_id)

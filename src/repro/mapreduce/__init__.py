@@ -21,13 +21,11 @@ from repro.mapreduce.runtime import (
 )
 from repro.mapreduce.shm import (
     HAVE_SHARED_MEMORY,
-    PlaneBusyError,
     PlaneCorruptError,
     PlaneLease,
     PlaneRegistry,
     PlaneStatus,
     SharedDatabaseHandle,
-    SharedDatabasePlane,
     SharedDatabaseView,
     attach_cached_view,
     attach_view,
@@ -48,13 +46,11 @@ __all__ = [
     "WorkerPool",
     "resolve_executor",
     "HAVE_SHARED_MEMORY",
-    "PlaneBusyError",
     "PlaneCorruptError",
     "PlaneLease",
     "PlaneRegistry",
     "PlaneStatus",
     "SharedDatabaseHandle",
-    "SharedDatabasePlane",
     "SharedDatabaseView",
     "attach_cached_view",
     "attach_view",

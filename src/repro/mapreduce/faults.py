@@ -38,11 +38,11 @@ from repro.util.rng import RngStream
 FAULT_KINDS = ("crash", "hang", "transient", "shm")
 
 #: Fault kinds valid for the ``plane`` pseudo-phase: lifecycle faults the
-#: plane registry consults at its attach/create/publish/claim points.
-PLANE_FAULT_KINDS = ("crash", "corrupt-segment", "stale-lease")
+#: plane registry consults at its attach/create/publish points.
+PLANE_FAULT_KINDS = ("crash", "corrupt-segment")
 
 #: Lifecycle points the plane registry fires (see FaultSpec ``point``).
-PLANE_FAULT_POINTS = ("attach", "create", "publish", "claim")
+PLANE_FAULT_POINTS = ("attach", "create", "publish")
 
 #: Matches any task index / attempt number in a :class:`FaultSpec`.
 ANY = -1
@@ -119,15 +119,13 @@ class FaultSpec:
     ----------------------
     ``phase="plane"`` addresses the plane registry rather than a task:
     ``point`` selects one of its lifecycle points (``attach``, ``create``,
-    ``publish``, ``claim``; ``None`` wildcards), and ``kind`` must be one
-    of :data:`PLANE_FAULT_KINDS` — ``crash`` (``os._exit(13)`` at the
-    point, simulating a SIGKILLed holder; at ``publish`` the data segments
-    exist but the registry does not, the nastiest orphan shape),
+    ``publish``; ``None`` wildcards), and ``kind`` must be one of
+    :data:`PLANE_FAULT_KINDS` — ``crash`` (``os._exit(13)`` at the point,
+    simulating a SIGKILLed holder; at ``publish`` the data segments exist
+    but the registry does not, the nastiest orphan shape) or
     ``corrupt-segment`` (scribble a data segment head just before
-    verification, which must then raise ``PlaneCorruptError``) or
-    ``stale-lease`` (record a live pid with a dead process's start time,
-    which liveness validation must reject). ``index``/``attempt`` are
-    ignored for plane faults.
+    verification, which must then raise ``PlaneCorruptError``).
+    ``index``/``attempt`` are ignored for plane faults.
     """
 
     phase: str
@@ -266,9 +264,9 @@ class FaultInjector:
         """Execute the plane fault for ``point``; returns the spec fired.
 
         Called by :class:`repro.mapreduce.shm.PlaneRegistry` at its
-        lifecycle points. ``crash`` kills the process here; the other kinds
-        are enacted registry-side (corruption and lease scribbling need the
-        registry's own segment handles), so the spec is returned for it.
+        lifecycle points. ``crash`` kills the process here; ``corrupt-segment``
+        is enacted registry-side (the scribble needs the registry's own
+        segment handles), so the spec is returned for it.
         """
         spec = self.plane_fault(point)
         if spec is None:

@@ -9,49 +9,38 @@ segments (``multiprocessing.shared_memory``): one copy per machine, with
 workers attaching zero-copy NumPy views instead of unpickling a private
 copy.
 
-Lifecycle (create → attach → detach → unlink)
----------------------------------------------
-* The *creator* process builds a :class:`SharedDatabasePlane` (segments +
-  a picklable :class:`SharedDatabaseHandle`). The plane is reference
-  counted: :meth:`~SharedDatabasePlane.acquire` /
-  :meth:`~SharedDatabasePlane.release` let several consumers (a search
-  object, a benchmark, a pool) share one plane; the segments are unlinked
-  when the count reaches zero.
-* *Workers* attach through :func:`attach_view` (or the per-process-cached
-  :func:`attach_cached_view`) and get a :class:`SharedDatabaseView`, whose
-  arrays alias the shared buffers. Attaching re-registers the name with the
-  process tree's (single, shared) resource tracker — an idempotent set-add,
-  balanced by the one unregister the creator's ``unlink`` performs.
-* Only the creator process ever unlinks. A module-level registry plus an
-  ``atexit`` hook destroys any plane the creator forgot to release, so
-  normal interpreter exit never leaks ``/dev/shm`` segments; if the creator
-  is killed outright, the stdlib resource tracker (which still holds the
-  creator-side registration) reclaims them.
+Lifecycle
+---------
+:class:`PlaneRegistry` is the one way to get a plane.
+:meth:`PlaneRegistry.attach_or_create` names the plane's segments after a
+digest of the database fingerprint, word size, sketch size and layout
+version, so every session on a machine that searches the same database
+meets at the same segments — several service replicas, a benchmark and a
+notebook share one copy. The first caller publishes; the rest verify
+(layout version gate, per-segment size checks, a checksum over the handle
+blob and every segment's head) and attach, or get a typed
+:class:`PlaneCorruptError` so they can fall back to the in-process path.
+Every caller gets a :class:`PlaneLease`.
 
-Cross-process lifecycle (the plane registry)
---------------------------------------------
-:class:`SharedDatabasePlane` above is *process-local*: its refcount lives in
-the creating process and a SIGKILLed creator leaks ``/dev/shm`` forever.
-:class:`PlaneRegistry` replaces that for machine-level sharing: planes get
-deterministic, fingerprint-derived segment names plus a small *lease
-registry* segment (magic, layout version, database fingerprint, generation,
-and a fixed slot table of ``(pid, process-start-time, nonce)`` leases, all
-mutated under a per-plane file lock). Independent sessions — several
-service replicas, a benchmark and a notebook — call
-:meth:`PlaneRegistry.attach_or_create` and share one set of segments; the
-**last live leaseholder** unlinks. Attachers verify integrity first (layout
-version gate, per-segment size checks, a checksum over the handle blob and
-every segment's head) and raise typed :class:`PlaneCorruptError` /
-:class:`PlaneBusyError` so callers can fall back to the in-process path.
-Crashed holders are defeated by lease validation (pid liveness plus process
-start time, so a recycled pid cannot impersonate a dead holder) and by
-:func:`reap_orphan_planes`, which sweeps every plane with no live lease —
-wired into plane creation, ``OrionService.start`` and the ``plane`` CLI.
+The kernel tracks who holds a plane. A lease is a shared ``flock`` on the
+plane's ``<tempdir>/orionplane_<digest>.holders`` file, and the kernel
+drops it when its holder dies, SIGKILL included. "Does anyone still hold
+the plane?" is therefore one non-blocking exclusive lock attempt, made
+under the plane's ``.lock`` mutex. The last lease to release unlinks
+every segment; :func:`reap_orphan_planes` sweeps every plane no lease
+holds (crashed holders, half-published creates) and runs at plane
+creation, ``OrionService.start`` and the ``plane reap`` CLI. A forked
+child closes its inherited lease fds at fork, so pool workers never pin
+the driver's plane.
 
-Registry-managed segments are deliberately *invisible to the stdlib
-resource tracker*: a tracker is per process tree, so session B's tracker
-would unlink segments session A still serves the moment B exits. The
-reaper, the lease table and the atexit lease drain replace that backstop.
+*Workers* attach through :func:`attach_view` (or the per-process-cached
+:func:`attach_cached_view`) and get a :class:`SharedDatabaseView`, whose
+arrays alias the shared buffers.
+
+Plane segments are deliberately *invisible to the stdlib resource
+tracker*: a tracker is per process tree, so session B's tracker would
+unlink segments session A still serves the moment B exits. The leases,
+the reaper and the atexit lease drain replace that backstop.
 
 Every raw ``SharedMemory`` create/attach in this repository lives in this
 module's :func:`create_segment`/:func:`attach_segment` helpers (and the
@@ -70,7 +59,7 @@ import pickle
 import struct
 import tempfile
 import threading
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -87,6 +76,11 @@ try:
 except ImportError:  # pragma: no cover - platform without POSIX shm
     _shm_module = None  # type: ignore[assignment]
     HAVE_SHARED_MEMORY = False
+
+try:
+    import fcntl
+except ImportError:  # pragma: no cover - non-POSIX platform
+    fcntl = None  # type: ignore[assignment]
 
 
 class SharedMemoryUnavailable(RuntimeError):
@@ -209,8 +203,8 @@ def untrack_segment(seg: "_shm_module.SharedMemory") -> None:
 
     Called once right after :func:`create_segment` for registry-managed
     segments: the create registered the name, this unregisters it, and from
-    then on no tracker in any session knows the segment exists — the lease
-    table and :func:`reap_orphan_planes` own reclamation.
+    then on no tracker in any session knows the segment exists — the
+    leases and :func:`reap_orphan_planes` own reclamation.
     """
     from multiprocessing import resource_tracker
 
@@ -317,7 +311,7 @@ def sweep_segment(name: str) -> bool:
 
 #: Spill sets created (and not yet released) by this process; drained by the
 #: atexit hook below so an abandoned streaming-shuffle job never leaks its
-#: intermediate runs — the same discipline as ``_LIVE_PLANES``.
+#: intermediate runs — the same discipline as ``_LIVE_LEASES``.
 _LIVE_SPILL_SETS: Dict[str, "SpillSet"] = {}
 _SPILL_COUNTER = itertools.count()
 
@@ -460,10 +454,7 @@ class SharedDatabaseHandle:
     sketch_offsets: Tuple[int, ...] = (0,)
     sketch_thresholds: Tuple[int, ...] = ()
     sketch_size: int = 0
-    #: Name of the lease-registry segment when this plane is managed by
-    #: :class:`PlaneRegistry` (``None`` for process-local planes). Attaches
-    #: of registry-managed segments bypass the resource tracker — the lease
-    #: table plus :func:`reap_orphan_planes` own reclamation instead.
+    #: Name of the plane's registry segment (set on every published plane).
     registry_segment: Optional[str] = None
 
     @property
@@ -618,151 +609,6 @@ def _wrap_array(seg: "_shm_module.SharedMemory", dtype: type, length: int) -> np
     return arr
 
 
-#: Planes created (and not yet destroyed) by this process; the atexit hook
-#: below destroys leftovers so normal exit never leaks /dev/shm segments.
-_LIVE_PLANES: Dict[str, "SharedDatabasePlane"] = {}
-_PLANE_COUNTER = itertools.count()
-
-
-def _cleanup_live_planes() -> None:
-    # Destruction order is immaterial (planes are independent); the list()
-    # only guards against mutation while iterating.
-    for plane in list(_LIVE_PLANES.values()):  # orionlint: disable=ORL004
-        plane.destroy()
-
-
-atexit.register(_cleanup_live_planes)
-
-
-class SharedDatabasePlane:
-    """Creator-side owner of one shared database plane.
-
-    Build with :meth:`create`; hand :attr:`handle` to workers; call
-    :meth:`release` when done. The plane is reference counted (it starts at
-    one reference): :meth:`acquire` lets additional consumers share it and
-    the segments are unlinked when the last one releases. :meth:`destroy`
-    (and the module ``atexit`` hook) force-release regardless of count.
-
-    Only the creating process ever unlinks: a forked worker that inherits
-    this object (and the module registry) closes its copies on exit but
-    must never remove segments the parent still serves.
-    """
-
-    def __init__(
-        self,
-        handle: SharedDatabaseHandle,
-        segments: Sequence["_shm_module.SharedMemory"],
-    ) -> None:
-        self.handle = handle
-        self._segments = list(segments)
-        self._creator_pid = os.getpid()
-        self._lock = threading.Lock()
-        self._refcount = 1
-        self._destroyed = False
-        _LIVE_PLANES[handle.plane_id] = self
-
-    # -- construction --------------------------------------------------- #
-
-    @classmethod
-    def create(
-        cls, database: "Database", k: int, sketch_size: Optional[int] = None
-    ) -> "SharedDatabasePlane":
-        """Build a plane for ``database`` and word size ``k``.
-
-        Two passes keep peak extra memory at one sequence's index, not the
-        whole database's: valid k-mer counts first size the segments
-        exactly, then each sequence's sorted index is built straight into
-        its slice of the shared buffers (see
-        :func:`repro.blast.lookup.sorted_kmers_into`).
-
-        ``sketch_size`` controls the per-sequence bottom-k sketches that
-        ride in the optional fourth segment (``None`` — the default — uses
-        :data:`repro.sketch.SKETCH_SIZE_DEFAULT`; ``0`` omits the segment
-        entirely). Each sketch is one sort, one neighbour scan and one
-        partition over the k-mer keys already sitting in the k-mer
-        segment, so publishing sketches adds a fraction of the plane's
-        build cost and a few KiB per sequence.
-        """
-        _require_shm()
-        handle, segments = _publish_database_segments(
-            database,
-            k,
-            sketch_size,
-            plane_id=f"plane-{os.getpid()}-{next(_PLANE_COUNTER)}",
-        )
-        return cls(handle, segments)
-
-    # -- refcounted lifecycle ------------------------------------------- #
-
-    @property
-    def refcount(self) -> int:
-        with self._lock:
-            return self._refcount
-
-    @property
-    def destroyed(self) -> bool:
-        return self._destroyed
-
-    def acquire(self) -> "SharedDatabasePlane":
-        """Register one more consumer of this plane."""
-        with self._lock:
-            if self._destroyed:
-                raise SharedMemoryUnavailable(
-                    f"plane {self.handle.plane_id} is already destroyed"
-                )
-            self._refcount += 1
-        return self
-
-    def release(self) -> None:
-        """Drop one consumer; unlink the segments when none remain.
-
-        Over-releasing raises: an extra ``release()`` means some consumer's
-        accounting is wrong, and silently letting the count go negative is
-        how a plane gets destroyed while other consumers still hold it.
-        (``destroy()`` stays idempotent — it is the force path.)
-        """
-        with self._lock:
-            if self._destroyed:
-                raise RuntimeError(
-                    f"plane {self.handle.plane_id} over-released: it is "
-                    f"already destroyed (refcount would go negative)"
-                )
-            self._refcount -= 1
-            should_destroy = self._refcount <= 0
-        if should_destroy:
-            self.destroy()
-
-    def destroy(self) -> None:
-        """Force-release: close, and unlink iff this is the creator process."""
-        with self._lock:
-            if self._destroyed:
-                return
-            self._destroyed = True
-            self._refcount = 0
-        _LIVE_PLANES.pop(self.handle.plane_id, None)
-        owner = os.getpid() == self._creator_pid
-        for seg in self._segments:
-            if owner:
-                destroy_segment(seg)
-            else:  # inherited copy in a forked child: detach only
-                try:
-                    seg.close()
-                except BufferError:  # orionlint: disable=ORL006
-                    # Views may still alias the mapping; it dies with us.
-                    pass
-        self._segments = []
-
-    def view(self) -> SharedDatabaseView:
-        """A creator-side zero-copy view of this plane (fresh attachment)."""
-        return attach_view(self.handle)
-
-    def __enter__(self) -> "SharedDatabasePlane":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()
-
-
 def _prefix_sums(sizes: Iterable[int]) -> Tuple[int, ...]:
     out = [0]
     for size in sizes:
@@ -771,33 +617,25 @@ def _prefix_sums(sizes: Iterable[int]) -> Tuple[int, ...]:
 
 
 def _publish_database_segments(
-    database: "Database",
-    k: int,
-    sketch_size: Optional[int],
-    plane_id: str,
-    segment_names: Optional[Dict[str, str]] = None,
-    registry_segment: Optional[str] = None,
+    database: "Database", k: int, sketch_size: int, digest: str, generation: int
 ) -> Tuple[SharedDatabaseHandle, List["_shm_module.SharedMemory"]]:
-    """Build one plane's data segments and its handle (shared create path).
+    """Build one plane's data segments and its handle.
 
     Two passes keep peak extra memory at one sequence's index, not the
     whole database's: valid k-mer counts first size the segments exactly,
     then each sequence's sorted index is built straight into its slice of
     the shared buffers (:func:`repro.blast.lookup.sorted_kmers_into`).
-
-    ``segment_names`` pins deterministic names per segment kind (``codes``,
-    ``keys``, ``positions``, ``sketches``) — the registry path, where the
-    names must be derivable from the database fingerprint so independent
-    sessions meet at the same segments; ``None`` lets the platform pick
-    (the process-local :meth:`SharedDatabasePlane.create` path). On any
+    ``sketch_size=0`` omits the sketch segment. Segment names derive from
+    ``digest`` so independent sessions meet at the same segments. On any
     failure every created segment is destroyed before re-raising.
     """
     from repro.blast.lookup import count_valid_kmers, sorted_kmers_into
-    from repro.sketch import SKETCH_SIZE_DEFAULT, KmerSketch
+    from repro.sketch import KmerSketch
 
-    if sketch_size is None:
-        sketch_size = SKETCH_SIZE_DEFAULT
-    names = segment_names or {}
+    names = {
+        kind: f"{PLANE_PREFIX}{digest}_{kind}"
+        for kind in ("codes", "keys", "positions", "sketches")
+    }
     records = list(database)
     seq_ids = tuple(r.seq_id for r in records)
     descriptions = tuple(r.description for r in records)
@@ -807,11 +645,11 @@ def _publish_database_segments(
     segments: List["_shm_module.SharedMemory"] = []
     ok = False
     try:
-        codes_seg = create_segment(codes_offsets[-1], name=names.get("codes"))
+        codes_seg = create_segment(codes_offsets[-1], name=names["codes"])
         segments.append(codes_seg)
-        keys_seg = create_segment(kmer_offsets[-1] * 8, name=names.get("keys"))
+        keys_seg = create_segment(kmer_offsets[-1] * 8, name=names["keys"])
         segments.append(keys_seg)
-        pos_seg = create_segment(kmer_offsets[-1] * 8, name=names.get("positions"))
+        pos_seg = create_segment(kmer_offsets[-1] * 8, name=names["positions"])
         segments.append(pos_seg)
 
         codes_arr: np.ndarray = np.ndarray(
@@ -850,7 +688,7 @@ def _publish_database_segments(
             sketch_offsets = _prefix_sums(s.num_hashes for s in sketches)
             sketch_thresholds = tuple(s.threshold for s in sketches)
             sketch_seg = create_segment(
-                sketch_offsets[-1] * 8, name=names.get("sketches")
+                sketch_offsets[-1] * 8, name=names["sketches"]
             )
             segments.append(sketch_seg)
             sketch_segment = sketch_seg.name
@@ -864,7 +702,7 @@ def _publish_database_segments(
         del codes_arr, keys_arr, pos_arr
 
         handle = SharedDatabaseHandle(
-            plane_id=plane_id,
+            plane_id=f"plane-{digest}-g{generation}",
             db_name=database.name,
             k=int(k),
             seq_ids=seq_ids,
@@ -878,7 +716,7 @@ def _publish_database_segments(
             sketch_offsets=sketch_offsets,
             sketch_thresholds=sketch_thresholds,
             sketch_size=sketch_size,
-            registry_segment=registry_segment,
+            registry_segment=_registry_name(digest),
         )
         ok = True
         return handle, segments
@@ -897,21 +735,16 @@ def attach_view(handle: SharedDatabaseHandle) -> SharedDatabaseView:
     """Attach a fresh zero-copy view of a plane (see also
     :func:`attach_cached_view` for the once-per-process variant).
 
-    Registry-managed planes (``handle.registry_segment`` set) attach
-    *untracked*: lease-table liveness plus the reaper own reclamation, and
-    a tracker registration here would let this process tree unlink
-    segments other sessions still serve (see the module docstring).
+    Segments attach *untracked*: the leases and the reaper own
+    reclamation, and a tracker registration here would let this process
+    tree unlink segments other sessions still serve (see the module
+    docstring).
     """
-    attach = (
-        attach_segment_untracked
-        if handle.registry_segment is not None
-        else attach_segment
-    )
     segments: List["_shm_module.SharedMemory"] = []
     ok = False
     try:
         for name in handle.segment_names:
-            segments.append(attach(name))
+            segments.append(attach_segment_untracked(name))
         view = SharedDatabaseView(handle, segments)
         ok = True
         return view
@@ -947,20 +780,17 @@ def detach_cached_views() -> None:
 # the plane registry — crash-safe, cross-process plane lifecycle
 # --------------------------------------------------------------------------- #
 
-#: Bump whenever the registry header/slot layout below changes shape: an
+#: Bump whenever the registry header layout below changes shape: an
 #: attacher seeing a different version must treat the plane as unusable
 #: (PlaneCorruptError) rather than misread its bytes.
-PLANE_LAYOUT_VERSION = 1
+PLANE_LAYOUT_VERSION = 2
 
 #: First 8 bytes of every registry segment.
 PLANE_MAGIC = b"ORIONPLN"
 
-#: Fixed lease-slot table size — the most processes that can concurrently
-#: hold one plane on one machine (service replicas × sessions; generous).
-PLANE_SLOTS = 64
-
-#: Every registry-managed segment name starts with this; the reaper and the
-#: CI leak sweep key off it.
+#: Every registry-managed segment name (and the per-plane ``.lock`` and
+#: ``.holders`` files in the temp directory) starts with this; the reaper
+#: and the CI leak sweeps key off it.
 PLANE_PREFIX = "orionplane_"
 
 #: How many leading bytes of each data segment the integrity checksum
@@ -971,14 +801,11 @@ PLANE_PREFIX = "orionplane_"
 _PLANE_HEAD_BYTES = 4096
 
 # Registry segment layout:
-#   header  : magic 8s | layout_version u32 | num_slots u32 | generation u64
-#             | fingerprint 40s (sha1 hex, ascii) | meta_sha 32s | blob_len u64
-#   slots   : PLANE_SLOTS × (pid i64 | process_start_time u64 | nonce u64)
-#   blob    : pickled SharedDatabaseHandle (blob_len bytes)
-_REG_HEADER = struct.Struct("<8sIIQ40s32sQ")
-_REG_SLOT = struct.Struct("<qQQ")
-_REG_SLOTS_OFFSET = _REG_HEADER.size
-_REG_BLOB_OFFSET = _REG_SLOTS_OFFSET + PLANE_SLOTS * _REG_SLOT.size
+#   header : magic 8s | layout_version u32 | generation u64
+#            | fingerprint 40s (sha1 hex, ascii) | meta_sha 32s | blob_len u64
+#   blob   : pickled SharedDatabaseHandle (blob_len bytes)
+_REG_HEADER = struct.Struct("<8sIQ40s32sQ")
+_REG_BLOB_OFFSET = _REG_HEADER.size
 
 
 class PlaneCorruptError(RuntimeError):
@@ -988,12 +815,8 @@ class PlaneCorruptError(RuntimeError):
     version mismatch, fingerprint mismatch, truncated/undersized segments,
     an unreadable handle blob, or a head-checksum mismatch. Callers degrade
     to the in-process database path (``fallback_reason`` stamped on the
-    result) — the reaper rebuilds the plane once no live lease pins it.
+    result) — the plane is rebuilt once no lease holds it.
     """
-
-
-class PlaneBusyError(RuntimeError):
-    """Every lease slot of a plane is held by a live process."""
 
 
 def database_fingerprint(database: "Database") -> str:
@@ -1017,7 +840,7 @@ def database_fingerprint(database: "Database") -> str:
 
 
 def plane_digest(fingerprint: str, k: int, sketch_size: int) -> str:
-    """The short digest that names one plane's segments and lock file.
+    """The short digest that names one plane's segments and lock files.
 
     Derived from everything that shapes the plane's bytes — database
     fingerprint, word size, sketch size, and the layout version (so a code
@@ -1031,24 +854,23 @@ def _registry_name(digest: str) -> str:
     return f"{PLANE_PREFIX}{digest}_reg"
 
 
+def _plane_file(digest: str, suffix: str) -> str:
+    """``<tempdir>/orionplane_<digest>.<suffix>`` (``lock`` or ``holders``)."""
+    return os.path.join(tempfile.gettempdir(), f"{PLANE_PREFIX}{digest}.{suffix}")
+
+
 @contextmanager
 def _plane_lock(digest: str) -> Iterator[None]:
-    """Exclusive per-plane advisory file lock (create/attach/reap/release).
+    """Exclusive per-plane mutex (create/attach/reap/release/list).
 
-    An ``fcntl.flock`` on a digest-named file in the temp directory: the
-    slot table and the create/verify/sweep sequences mutate under it, so
-    racing attachers serialize (one creates, the rest attach) and a reaper
-    can never sweep a plane mid-publish. Platforms without ``fcntl`` fall
-    back to unlocked operation — single-process use stays correct via the
-    module locks; cross-session racing is a POSIX feature anyway.
+    An ``flock`` on the plane's ``.lock`` file: racing attachers serialize
+    (one creates, the rest attach), a reaper can never sweep a plane
+    mid-publish, and taking a lease never races the holders test. The file
+    is never unlinked — unlinking a mutex file races its waiters.
     """
-    try:
-        import fcntl
-    except ImportError:  # pragma: no cover - non-POSIX platform
-        yield
-        return
-    path = os.path.join(tempfile.gettempdir(), f"{PLANE_PREFIX}{digest}.lock")
-    fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o666)
+    fd = os.open(
+        _plane_file(digest, "lock"), os.O_CREAT | os.O_RDWR | os.O_CLOEXEC, 0o666
+    )
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
         yield
@@ -1056,61 +878,49 @@ def _plane_lock(digest: str) -> Iterator[None]:
         os.close(fd)  # closing the fd releases the flock
 
 
-def process_start_time(pid: int) -> int:
-    """The kernel's start time (clock ticks) for ``pid``; 0 when unknown.
+def _hold(digest: str) -> int:
+    """Take a lease: a shared ``flock`` on the plane's holders file.
 
-    Read from ``/proc/<pid>/stat`` field 22. Paired with the pid in each
-    lease slot it defeats pid reuse: a recycled pid has a different start
-    time, so a dead holder's lease can never be mistaken for live. On
-    platforms without procfs every lease records 0 and liveness falls back
-    to the pid alone.
+    Caller holds the plane lock, so this never blocks (the one exclusive
+    taker, :func:`_plane_held`, runs under the same lock). The returned fd
+    carries the lease; ``O_CLOEXEC`` keeps exec'd children (spawn and
+    forkserver pools, subprocesses) from inheriting it.
+    """
+    fd = os.open(
+        _plane_file(digest, "holders"), os.O_CREAT | os.O_RDWR | os.O_CLOEXEC, 0o666
+    )
+    try:
+        fcntl.flock(fd, fcntl.LOCK_SH)
+    except BaseException:
+        os.close(fd)
+        raise
+    return fd
+
+
+def _plane_held(digest: str) -> bool:
+    """Whether any lease still holds the plane (caller holds the plane lock).
+
+    An exclusive non-blocking ``flock`` on the holders file succeeds only
+    when no lease's shared lock is left. The kernel drops a lock when its
+    holder dies, SIGKILL included, so a crashed holder never pins a plane
+    and a recycled pid cannot impersonate one.
     """
     try:
-        with open(f"/proc/{pid}/stat", "rb") as fh:
-            data = fh.read().decode("ascii", "replace")
-    except OSError:
-        return 0
-    try:
-        # The comm field may contain spaces/parens; split after its closer.
-        return int(data.rsplit(") ", 1)[1].split()[19])
-    except (IndexError, ValueError):
-        return 0
-
-
-def _pid_alive(pid: int) -> bool:
-    if pid <= 0:
+        fd = os.open(_plane_file(digest, "holders"), os.O_RDWR | os.O_CLOEXEC)
+    except FileNotFoundError:
         return False
     try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - other-user process
-        return True  # exists, just not ours to signal
-    return True
-
-
-def _lease_live(pid: int, start_time: int) -> bool:
-    """Whether a recorded ``(pid, start_time)`` lease names a live holder."""
-    if not _pid_alive(pid):
-        return False
-    if start_time == 0:
-        return True  # recorded without procfs: pid liveness is all we have
-    current = process_start_time(pid)
-    # A readable but different start time means the pid was recycled; an
-    # unreadable one (procfs race at exit) errs toward live — the reaper
-    # rechecks on its next pass.
-    return current == 0 or current == start_time
-
-
-def _new_nonce() -> int:
-    """A nonzero random lease nonce (os.urandom: no seeding, no state)."""
-    return int.from_bytes(os.urandom(8), "little") | 1
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return True
+    finally:
+        os.close(fd)
+    return False
 
 
 @dataclass(frozen=True)
 class _RegistryHeader:
     layout_version: int
-    num_slots: int
     generation: int
     fingerprint: str
     meta_sha: bytes
@@ -1122,10 +932,10 @@ def _read_header(reg: "_shm_module.SharedMemory") -> _RegistryHeader:
     if reg.size < _REG_BLOB_OFFSET:
         raise PlaneCorruptError(
             f"registry segment {reg.name} is {reg.size} bytes — smaller than "
-            f"the {_REG_BLOB_OFFSET}-byte header+slot table"
+            f"the {_REG_BLOB_OFFSET}-byte header"
         )
-    magic, version, num_slots, generation, fp, meta_sha, blob_len = (
-        _REG_HEADER.unpack_from(reg.buf, 0)
+    magic, version, generation, fp, meta_sha, blob_len = _REG_HEADER.unpack_from(
+        reg.buf, 0
     )
     if magic != PLANE_MAGIC:
         raise PlaneCorruptError(
@@ -1136,11 +946,6 @@ def _read_header(reg: "_shm_module.SharedMemory") -> _RegistryHeader:
             f"registry segment {reg.name} has layout version {version}, "
             f"this build reads {PLANE_LAYOUT_VERSION}"
         )
-    if num_slots != PLANE_SLOTS:
-        raise PlaneCorruptError(
-            f"registry segment {reg.name} declares {num_slots} lease slots, "
-            f"expected {PLANE_SLOTS}"
-        )
     if blob_len <= 0 or reg.size < _REG_BLOB_OFFSET + blob_len:
         raise PlaneCorruptError(
             f"registry segment {reg.name} handle blob is truncated "
@@ -1148,34 +953,11 @@ def _read_header(reg: "_shm_module.SharedMemory") -> _RegistryHeader:
         )
     return _RegistryHeader(
         layout_version=version,
-        num_slots=num_slots,
         generation=generation,
         fingerprint=fp.decode("ascii", "replace").rstrip("\x00"),
         meta_sha=meta_sha,
         blob_len=blob_len,
     )
-
-
-def _read_slot(reg: "_shm_module.SharedMemory", slot: int) -> Tuple[int, int, int]:
-    return _REG_SLOT.unpack_from(reg.buf, _REG_SLOTS_OFFSET + slot * _REG_SLOT.size)
-
-
-def _write_slot(
-    reg: "_shm_module.SharedMemory", slot: int, pid: int, start_time: int, nonce: int
-) -> None:
-    _REG_SLOT.pack_into(
-        reg.buf, _REG_SLOTS_OFFSET + slot * _REG_SLOT.size, pid, start_time, nonce
-    )
-
-
-def _live_slot_pids(reg: "_shm_module.SharedMemory") -> List[int]:
-    """Pids of every slot whose recorded lease passes liveness validation."""
-    pids: List[int] = []
-    for slot in range(PLANE_SLOTS):
-        pid, start_time, nonce = _read_slot(reg, slot)
-        if nonce != 0 and _lease_live(pid, start_time):
-            pids.append(pid)
-    return pids
 
 
 def _meta_sha(blob: bytes, heads: Iterable[bytes]) -> bytes:
@@ -1230,8 +1012,8 @@ def _verify_plane(handle: SharedDatabaseHandle, meta_sha: bytes, blob: bytes) ->
         )
 
 
-#: Leases held (and not yet released) by this process, keyed by nonce;
-#: drained at interpreter exit like ``_LIVE_PLANES``/``_LIVE_SPILL_SETS``.
+#: Leases held (and not yet released) by this process, keyed by their
+#: holders fd; drained at interpreter exit like ``_LIVE_SPILL_SETS``.
 _LIVE_LEASES: Dict[int, "PlaneLease"] = {}
 
 
@@ -1245,70 +1027,75 @@ def _cleanup_live_leases() -> None:
 atexit.register(_cleanup_live_leases)
 
 
+def _drop_inherited_leases() -> None:
+    """At-fork hook, child side: close every lease fd inherited from the parent.
+
+    A ``flock`` belongs to the open file description, which ``fork``
+    shares, so until the child closes its copy the parent's lease stays
+    locked even after the parent releases it. Closing (never ``LOCK_UN``,
+    which would drop the parent's lock too) and marking the leases released
+    fixes that. A residual window remains: the child holds the lock for the
+    few milliseconds before this hook runs, so a parent release that races
+    a fork is not "last" and leaves the plane to the next
+    :func:`reap_orphan_planes` — the outcome a SIGKILLed holder gets.
+    ``OrionSearch.close`` shuts its pool down before it releases, so the
+    search never races its own forks.
+    """
+    for lease in list(_LIVE_LEASES.values()):  # orionlint: disable=ORL004
+        lease._abandon()
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_drop_inherited_leases)
+
+
 class PlaneLease:
-    """One process's claim on a registry-managed plane.
+    """One process's hold on a registry-managed plane.
 
     Returned by :meth:`PlaneRegistry.attach_or_create`; holds the plane's
-    :class:`SharedDatabaseHandle` plus this process's slot claim.
-    :meth:`release` clears the slot under the plane lock and — when no
-    other *live* lease remains — unlinks every segment: the
-    last-live-leaseholder-unlinks rule that replaces creator-only unlink.
-    Idempotent, atexit-drained, and fork-safe: a forked child inheriting
-    this object must not clear the parent's slot, so release in a
-    different pid only detaches.
+    :class:`SharedDatabaseHandle` plus the fd of a shared ``flock`` on the
+    plane's holders file. :meth:`release` closes that fd under the plane
+    lock and, when no other lease holds the plane, unlinks every segment:
+    the last leaseholder unlinks. Idempotent and atexit-drained; a forked
+    child's copies are closed at fork (:func:`_drop_inherited_leases`).
     """
 
     def __init__(
         self,
         handle: SharedDatabaseHandle,
         digest: str,
-        slot: int,
-        nonce: int,
+        fd: int,
         created: bool,
         generation: int,
     ) -> None:
         self.handle = handle
         self.digest = digest
-        self.slot = slot
-        self.nonce = nonce
         #: Whether this lease published the plane (vs. attached to one).
         self.created = created
         self.generation = generation
-        self._owner_pid = os.getpid()
+        self._fd = fd
         self._released = False
-        _LIVE_LEASES[nonce] = self
+        _LIVE_LEASES[fd] = self
 
     @property
     def released(self) -> bool:
         return self._released
 
-    def release(self) -> None:
-        """Drop this claim; unlink the plane if no live leaseholder remains."""
+    def _abandon(self) -> None:
+        """Close the holders fd without the last-holder test (never unlinks)."""
         if self._released:
             return
         self._released = True
-        _LIVE_LEASES.pop(self.nonce, None)
-        if os.getpid() != self._owner_pid:
-            return  # forked copy: the parent's slot is not ours to clear
-        if not HAVE_SHARED_MEMORY:  # pragma: no cover - platform without shm
+        _LIVE_LEASES.pop(self._fd, None)
+        os.close(self._fd)
+
+    def release(self) -> None:
+        """Drop this hold; unlink the plane if no other lease holds it."""
+        if self._released:
             return
-        last = False
         with _plane_lock(self.digest):
-            try:
-                reg = attach_segment_untracked(_registry_name(self.digest))
-            except (FileNotFoundError, OSError):
-                return  # registry already reaped; nothing left to clear
-            try:
-                if reg.size >= _REG_BLOB_OFFSET:
-                    pid, _start, nonce = _read_slot(reg, self.slot)
-                    if pid == self._owner_pid and nonce == self.nonce:
-                        _write_slot(reg, self.slot, 0, 0, 0)
-                        last = not _live_slot_pids(reg)
-                    # else: the registry was rebuilt since (our generation
-                    # is gone) — the new plane's holders own its lifecycle.
-            finally:
-                reg.close()
-            if last:
+            self._abandon()
+            if not _plane_held(self.digest):
                 _sweep_plane_segments(self.digest, extra=self.handle.segment_names)
 
     def __enter__(self) -> "PlaneLease":
@@ -1319,13 +1106,17 @@ class PlaneLease:
 
 
 def _sweep_plane_segments(digest: str, extra: Iterable[str] = ()) -> List[str]:
-    """Unlink every segment of one plane (registry included); names removed.
+    """Unlink one plane's holders file and segments; the segment names removed.
 
-    Caller holds the plane lock. The ``/dev/shm`` scan catches segments the
-    handle no longer names (a half-published create that died before
-    writing its registry); ``extra`` covers platforms where the scan is
-    unavailable.
+    Caller holds the plane lock and has seen no lease hold the plane. The
+    holders file goes first, so a sweep cut short leaves segments the next
+    reap finds, never a holders file without them. The ``/dev/shm`` scan
+    catches segments the handle no longer names (a half-published create
+    that died before writing its registry); ``extra`` covers platforms
+    where the scan is unavailable.
     """
+    with suppress(FileNotFoundError):
+        os.unlink(_plane_file(digest, "holders"))
     names = {_registry_name(digest)}
     names.update(extra)
     try:
@@ -1370,40 +1161,24 @@ def _plane_digests_on_machine() -> List[str]:
 
 
 def reap_orphan_planes() -> List[str]:
-    """Sweep every plane with no live leaseholder; the names reclaimed.
+    """Sweep every plane no lease holds; the segment names reclaimed.
 
-    The crash backstop: a SIGKILLed holder never clears its slot, and
+    The crash backstop: a SIGKILLed last holder never runs its release, and
     untracked segments are invisible to the stdlib resource tracker, so
-    orphans persist until someone validates the lease table. Wired into
-    plane creation, ``OrionService.start`` and ``python -m repro plane
-    reap``. A plane whose registry is unreadable (bad magic, truncated) has
-    an untrustworthy slot table *and* is unusable — it is reaped too. Safe
-    against racing creators: each plane is judged under its own file lock,
-    and creators publish entirely inside that lock.
+    orphans persist until someone sweeps them. Wired into plane creation,
+    ``OrionService.start`` and ``python -m repro plane reap``. A held plane
+    is never swept, corrupt or not. Safe against racing creators: each
+    plane is judged under its own plane lock, and creators publish
+    entirely inside that lock.
     """
-    if not HAVE_SHARED_MEMORY:  # pragma: no cover - platform without shm
+    if not HAVE_SHARED_MEMORY or fcntl is None:  # pragma: no cover
         return []
     removed: List[str] = []
     for digest in _plane_digests_on_machine():
         with _plane_lock(digest):
-            if _has_live_lease(digest):
-                continue
-            removed.extend(_sweep_plane_segments(digest))
+            if not _plane_held(digest):
+                removed.extend(_sweep_plane_segments(digest))
     return removed
-
-
-def _has_live_lease(digest: str) -> bool:
-    """Whether any validated-live lease pins this plane (lock held)."""
-    try:
-        reg = attach_segment_untracked(_registry_name(digest))
-    except (FileNotFoundError, OSError):
-        return False  # no registry at all: data segments are orphans
-    try:
-        if reg.size < _REG_BLOB_OFFSET or bytes(reg.buf[:8]) != PLANE_MAGIC:
-            return False  # unreadable slot table cannot vouch for anyone
-        return bool(_live_slot_pids(reg))
-    finally:
-        reg.close()
 
 
 @dataclass(frozen=True)
@@ -1416,19 +1191,18 @@ class PlaneStatus:
     generation: int
     num_segments: int
     total_bytes: int
-    live_pids: Tuple[int, ...]
-    stale_slots: int
+    held: bool
     healthy: bool
     detail: str = ""
 
     @property
     def reapable(self) -> bool:
-        return not self.live_pids
+        return not self.held
 
 
 def list_planes() -> List[PlaneStatus]:
     """Inspect every registry-managed plane on this machine (read-only)."""
-    if not HAVE_SHARED_MEMORY:  # pragma: no cover - platform without shm
+    if not HAVE_SHARED_MEMORY or fcntl is None:  # pragma: no cover
         return []
     statuses: List[PlaneStatus] = []
     for digest in _plane_digests_on_machine():
@@ -1445,11 +1219,11 @@ def list_planes() -> List[PlaneStatus]:
                 total_bytes += os.stat(os.path.join("/dev/shm", entry)).st_size
             except OSError:
                 continue
+        with _plane_lock(digest):
+            held = _plane_held(digest)
         db_name: Optional[str] = None
         k: Optional[int] = None
         generation = 0
-        live_pids: Tuple[int, ...] = ()
-        stale_slots = 0
         healthy = False
         detail = ""
         try:
@@ -1460,16 +1234,6 @@ def list_planes() -> List[PlaneStatus]:
             try:
                 header = _read_header(reg)
                 generation = header.generation
-                live: List[int] = []
-                for slot in range(PLANE_SLOTS):
-                    pid, start_time, nonce = _read_slot(reg, slot)
-                    if nonce == 0:
-                        continue
-                    if _lease_live(pid, start_time):
-                        live.append(pid)
-                    else:
-                        stale_slots += 1
-                live_pids = tuple(live)
                 blob = bytes(
                     reg.buf[_REG_BLOB_OFFSET : _REG_BLOB_OFFSET + header.blob_len]
                 )
@@ -1492,8 +1256,7 @@ def list_planes() -> List[PlaneStatus]:
                 generation=generation,
                 num_segments=len(entries),
                 total_bytes=total_bytes,
-                live_pids=live_pids,
-                stale_slots=stale_slots,
+                held=held,
                 healthy=healthy,
                 detail=detail,
             )
@@ -1524,18 +1287,22 @@ class PlaneRegistry:
         """Share (or publish) the machine-wide plane for ``database``.
 
         Raises :class:`PlaneCorruptError` when the existing plane fails
-        verification *and* live leaseholders pin it (rebuilding would yank
-        it from under them — the caller falls back to the in-process
-        path); a corrupt plane nobody holds is reaped and rebuilt with a
-        bumped generation. Raises :class:`PlaneBusyError` when all
-        :data:`PLANE_SLOTS` lease slots are held by live processes.
+        verification *and* another lease holds it (rebuilding would yank
+        it from under that holder — the caller falls back to the
+        in-process path); a corrupt plane nobody holds is swept and rebuilt
+        with a bumped generation. Raises :class:`SharedMemoryUnavailable`
+        on platforms without POSIX shared memory or ``fcntl.flock``.
 
         ``injector`` is a :class:`repro.mapreduce.faults.FaultInjector`
         consulted at the lifecycle points (``attach``, ``create``,
-        ``publish``, ``claim``) — the fault-matrix tests drive crashes,
-        segment corruption and stale leases through it.
+        ``publish``) — the fault-matrix tests drive crashes and segment
+        corruption through it.
         """
         _require_shm()
+        if fcntl is None:  # pragma: no cover - non-POSIX platform
+            raise SharedMemoryUnavailable(
+                "plane leases need fcntl.flock, which this platform lacks"
+            )
         if sketch_size is None:
             from repro.sketch import SKETCH_SIZE_DEFAULT
 
@@ -1558,8 +1325,8 @@ class PlaneRegistry:
                     try:
                         return cls._attach_locked(reg, fingerprint, digest, injector)
                     except PlaneCorruptError:
-                        if _live_slot_pids(reg) if reg.size >= _REG_BLOB_OFFSET else []:
-                            raise  # live holders pin the corrupt plane
+                        if _plane_held(digest):
+                            raise  # another holder pins the corrupt plane
                         generation = cls._generation_best_effort(reg) + 1
                 finally:
                     reg.close()
@@ -1576,7 +1343,7 @@ class PlaneRegistry:
         """The old generation if the header is readable enough; else 0."""
         if reg.size < _REG_HEADER.size:
             return 0
-        magic, _v, _n, generation, _fp, _sha, _bl = _REG_HEADER.unpack_from(reg.buf, 0)
+        magic, _v, generation, _fp, _sha, _bl = _REG_HEADER.unpack_from(reg.buf, 0)
         return int(generation) if magic == PLANE_MAGIC else 0
 
     @classmethod
@@ -1610,14 +1377,8 @@ class PlaneRegistry:
                 f"plane {digest} registry blob is not a SharedDatabaseHandle"
             )
         _verify_plane(handle, header.meta_sha, blob)
-        slot, nonce = cls._claim_slot(reg, injector)
         return PlaneLease(
-            handle=handle,
-            digest=digest,
-            slot=slot,
-            nonce=nonce,
-            created=False,
-            generation=header.generation,
+            handle, digest, _hold(digest), created=False, generation=header.generation
         )
 
     @staticmethod
@@ -1644,54 +1405,6 @@ class PlaneRegistry:
             seg.close()
 
     @classmethod
-    def _claim_slot(
-        cls, reg: "_shm_module.SharedMemory", injector: Optional[object]
-    ) -> Tuple[int, int]:
-        """Claim the first free-or-stale slot; raises PlaneBusyError."""
-        my_pid = os.getpid()
-        my_start = process_start_time(my_pid)
-        claimed: Optional[Tuple[int, int]] = None
-        for slot in range(PLANE_SLOTS):
-            pid, start_time, nonce = _read_slot(reg, slot)
-            if nonce != 0 and _lease_live(pid, start_time):
-                continue  # held by a validated-live process
-            # Free, or stale (dead pid / recycled pid): claim it. Stale
-            # reclamation here is what makes slot exhaustion a statement
-            # about *live* processes only.
-            new_nonce = _new_nonce()
-            _write_slot(reg, slot, my_pid, my_start, new_nonce)
-            claimed = (slot, new_nonce)
-            break
-        if claimed is None:
-            raise PlaneBusyError(
-                f"all {PLANE_SLOTS} lease slots of plane {reg.name} are held "
-                f"by live processes"
-            )
-        if injector is not None:
-            spec = injector.fire_plane("claim")
-            if spec is not None and spec.kind == "stale-lease":
-                cls._inject_stale_lease(reg, claimed[0])
-        return claimed
-
-    @staticmethod
-    def _inject_stale_lease(reg: "_shm_module.SharedMemory", skip_slot: int) -> None:
-        """Injected ``stale-lease`` fault: a live pid with a wrong start time.
-
-        Simulates pid reuse — the recorded pid is alive (it is ours) but
-        its start time belongs to a long-dead process, so liveness
-        validation must reject it and release/reap must not count it.
-        """
-        my_pid = os.getpid()
-        wrong_start = max(1, process_start_time(my_pid) - 12345)
-        for slot in range(PLANE_SLOTS):
-            if slot == skip_slot:
-                continue
-            _pid, _start, nonce = _read_slot(reg, slot)
-            if nonce == 0:
-                _write_slot(reg, slot, my_pid, wrong_start, _new_nonce())
-                return
-
-    @classmethod
     def _create_locked(
         cls,
         database: "Database",
@@ -1704,17 +1417,8 @@ class PlaneRegistry:
     ) -> PlaneLease:
         if injector is not None:
             injector.fire_plane("create")  # kill-creator-before-segments
-        names = {
-            kind: f"{PLANE_PREFIX}{digest}_{kind}"
-            for kind in ("codes", "keys", "positions", "sketches")
-        }
         handle, segments = _publish_database_segments(
-            database,
-            k,
-            sketch_size,
-            plane_id=f"plane-{digest}-g{generation}",
-            segment_names=names,
-            registry_segment=_registry_name(digest),
+            database, k, sketch_size, digest, generation
         )
         reg: Optional["_shm_module.SharedMemory"] = None
         ok = False
@@ -1739,22 +1443,14 @@ class PlaneRegistry:
                 0,
                 PLANE_MAGIC,
                 PLANE_LAYOUT_VERSION,
-                PLANE_SLOTS,
                 generation,
                 fingerprint.encode("ascii"),
                 meta_sha,
                 len(blob),
             )
             reg.buf[_REG_BLOB_OFFSET : _REG_BLOB_OFFSET + len(blob)] = blob
-            nonce = _new_nonce()
-            _write_slot(reg, 0, os.getpid(), process_start_time(os.getpid()), nonce)
             lease = PlaneLease(
-                handle=handle,
-                digest=digest,
-                slot=0,
-                nonce=nonce,
-                created=True,
-                generation=generation,
+                handle, digest, _hold(digest), created=True, generation=generation
             )
             ok = True
             return lease

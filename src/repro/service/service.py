@@ -15,10 +15,11 @@ Admission checks, in order:
 
 1. **closed?** — a draining/closed service raises
    :class:`~repro.service.errors.ServiceClosedError`;
-2. **valid?** — an unknown database or an empty query
-   (:class:`~repro.core.orion.EmptyQueryError`) is the client's mistake:
-   it takes no queue slot and never reaches the breaker, which records
-   only what the backend did with admitted work;
+2. **valid?** — an unknown database, an empty query
+   (:class:`~repro.core.orion.EmptyQueryError`) or a ``fragment_length``
+   that is not positive (``ValueError``) is the client's mistake: it takes
+   no queue slot and never reaches the breaker, which records only what
+   the backend did with admitted work;
 3. **bounded queue** — a full admission queue sheds the query with
    :class:`~repro.service.errors.QueueFullError` *before* enqueueing, so
    the event loop never blocks and admitted work is never dropped;
@@ -54,6 +55,7 @@ from repro.service.errors import (
     UnknownDatabaseError,
 )
 from repro.sketch import validate_prune_threshold
+from repro.util.validation import check_positive
 
 
 @dataclass(frozen=True)
@@ -375,8 +377,9 @@ class OrionService:
     ) -> OrionResult:
         """Admit one query and await its result.
 
-        Raises the typed admission errors on overload, and
+        Raises the typed admission errors on overload,
         :class:`~repro.core.orion.EmptyQueryError` for a zero-length query
+        and ``ValueError`` for a ``fragment_length`` that is not positive
         — see the module docstring for the order. Unlike ``run_many``, duplicate
         ``seq_id`` submissions are fine: every submission resolves to its
         own result object.
@@ -394,6 +397,8 @@ class OrionService:
         if len(query) == 0:
             self.stats.rejected_empty_query += 1
             raise EmptyQueryError(query.seq_id)
+        if fragment_length is not None:
+            check_positive("fragment_length", fragment_length)
         # Shed *before* touching the breaker: a rejected query must not
         # consume a half-open probe slot. full() → put_nowait is race-free
         # on the single-threaded event loop (no await in between).

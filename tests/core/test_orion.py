@@ -147,6 +147,17 @@ class TestFragmentLengthResolution:
         res = orion.run(query)
         assert res.fragment_length > res.overlap
 
+    @pytest.mark.parametrize("bad", [0, -5])
+    def test_override_must_be_positive(self, orion, query_with_truth, bad):
+        """``prepare`` used to widen any override at or below the overlap
+        to twice the overlap, so 0 or -5 silently planned a flood of tiny
+        fragments instead of failing like the constructor argument does."""
+        query, _ = query_with_truth
+        with pytest.raises(ValueError, match="fragment_length"):
+            orion.prepare(query, fragment_length=bad)
+        with pytest.raises(ValueError, match="fragment_length"):
+            orion.run(query, fragment_length=bad)
+
     def test_small_query_single_fragment(self, orion, small_db):
         tiny = small_db.records[0].slice(0, 2000, seq_id="tiny")
         res = orion.run(tiny)

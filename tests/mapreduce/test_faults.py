@@ -75,7 +75,7 @@ class TestFaultSpec:
     def test_plane_phase_validates_kind_and_point(self):
         spec = FaultSpec(phase="plane", kind="corrupt-segment", point="attach")
         assert spec.point == "attach"
-        FaultSpec(phase="plane", kind="stale-lease")  # point=None wildcards
+        FaultSpec(phase="plane", kind="crash")  # point=None wildcards
         with pytest.raises(ValueError, match="plane fault kind"):
             FaultSpec(phase="plane", kind="transient")
         with pytest.raises(ValueError, match="plane fault point"):
@@ -87,9 +87,9 @@ class TestFaultSpec:
         from repro.mapreduce.faults import FaultInjector
 
         inj = FaultInjector(
-            specs=(FaultSpec(phase="plane", kind="stale-lease", point="claim"),)
+            specs=(FaultSpec(phase="plane", kind="crash", point="publish"),)
         )
-        assert inj.plane_fault("claim") is not None
+        assert inj.plane_fault("publish") is not None
         assert inj.plane_fault("attach") is None
         # Plane specs never leak into task addressing, and vice versa.
         assert inj.fault_for("map", 0, 1) is None

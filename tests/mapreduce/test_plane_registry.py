@@ -1,17 +1,21 @@
-"""Crash-safe cross-process plane lifecycle tests (the lease registry).
+"""Crash-safe cross-process plane lifecycle tests (the plane registry).
 
 Covers the registry's whole contract directly against ``/dev/shm``:
-sessions share one plane per database fingerprint, the last *live*
-leaseholder's release unlinks every segment, SIGKILLed holders (creator
-included, under fork and spawn) leave orphans the reaper reclaims, corrupt
-planes are detected — never silently searched — and the search degrades to
-the in-process database path with the reason stamped on the result.
+sessions share one plane per database fingerprint, the last leaseholder's
+release unlinks every segment, a lease is a kernel-held ``flock`` that dies
+with its holder and never passes to a forked child, SIGKILLed holders
+(creator included, under fork and spawn) leave orphans the reaper reclaims,
+corrupt planes are detected — never silently searched — and the search
+degrades to the in-process database path with the reason stamped on the
+result.
 """
 
+import glob
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 import warnings
 
@@ -24,8 +28,6 @@ from repro.mapreduce.faults import FaultInjector, FaultSpec
 from repro.mapreduce.runtime import WorkerPool
 from repro.mapreduce.shm import (
     PLANE_PREFIX,
-    PLANE_SLOTS,
-    PlaneBusyError,
     PlaneCorruptError,
     PlaneRegistry,
     attach_segment_untracked,
@@ -59,6 +61,12 @@ def _plane_segments():
     return _shm_names(PLANE_PREFIX)
 
 
+def _holders_files():
+    """Lease holders files in the temp directory (one per unswept plane)."""
+    pattern = os.path.join(tempfile.gettempdir(), f"{PLANE_PREFIX}*.holders")
+    return set(glob.glob(pattern))
+
+
 @pytest.fixture
 def db():
     return make_database(101, num_sequences=5, mean_length=400)
@@ -66,10 +74,10 @@ def db():
 
 @pytest.fixture(autouse=True)
 def _no_leaked_planes():
-    """Every test leaves /dev/shm exactly as it found it."""
-    before = _plane_segments()
+    """Every test leaves /dev/shm and the temp directory as it found them."""
+    before = _plane_segments() | _holders_files()
     yield
-    leaked = _plane_segments() - before
+    leaked = (_plane_segments() | _holders_files()) - before
     if leaked:  # clean up, then fail loudly
         reap_orphan_planes()
     assert not leaked, f"test leaked plane segments: {sorted(leaked)}"
@@ -143,7 +151,6 @@ class TestLeaseLifecycle:
             with PlaneRegistry.attach_or_create(db, K) as second:
                 assert not second.created
                 assert second.handle.segment_names == first.handle.segment_names
-                assert second.slot != first.slot
                 view = attach_view(second.handle)
                 try:
                     rec = next(iter(db))
@@ -159,6 +166,19 @@ class TestLeaseLifecycle:
         first.release()
         assert names <= _plane_segments()
         second.release()
+        assert not names & _plane_segments()
+
+    def test_two_leases_in_one_process_are_two_holders(self, db):
+        """flock locks belong to open file descriptions, so two leases in
+        one process conflict like two processes: dropping one is not last."""
+        first = PlaneRegistry.attach_or_create(db, K)
+        second = PlaneRegistry.attach_or_create(db, K)
+        names = set(first.handle.segment_names) | {first.handle.registry_segment}
+        # The attacher releases first this time; the creator still holds.
+        second.release()
+        assert names <= _plane_segments()
+        assert {s.digest: s for s in list_planes()}[first.digest].held
+        first.release()
         assert not names & _plane_segments()
 
     def test_release_is_idempotent(self, db):
@@ -185,25 +205,36 @@ class TestLeaseLifecycle:
             assert status.db_name == db.name
             assert status.k == K
             assert status.generation == 1
-            assert os.getpid() in status.live_pids
+            assert status.held
             assert not status.reapable
             assert status.num_segments == 5  # registry + 4 data segments
 
-    def test_forked_child_release_does_not_clear_parent_slot(self, db):
+    def test_forked_child_does_not_pin_the_plane(self, db):
+        """A forked child shares the lease's open file description; the
+        at-fork hook closes the child's copy, so the parent's release is
+        still the last one while the child lives on."""
         lease = PlaneRegistry.attach_or_create(db, K)
-        try:
-            pid = os.fork()
-            if pid == 0:  # child: inherits the lease object, must not own it
-                lease.release()
+        names = set(lease.handle.segment_names) | {lease.handle.registry_segment}
+        started_r, started_w = os.pipe()
+        exit_r, exit_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: inherits the lease object and its fd
+            try:
+                os.write(started_w, b"started")
+                os.read(exit_r, 1)  # stay alive until the parent is done
+                lease.release()  # not the child's lease: a no-op
+            finally:
                 os._exit(0)
-            _, status = os.waitpid(pid, 0)
-            assert os.waitstatus_to_exitcode(status) == 0
-            # The parent's slot survived the child's release: the plane is
-            # still held and a fresh attach still shares it.
-            with PlaneRegistry.attach_or_create(db, K) as again:
-                assert not again.created
-        finally:
+        try:
+            assert os.read(started_r, 16) == b"started"
             lease.release()
+            assert not names & _plane_segments()
+        finally:
+            os.write(exit_w, b"x")
+            _, status = os.waitpid(pid, 0)
+            for fd in (started_r, started_w, exit_r, exit_w):
+                os.close(fd)
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 # --------------------------------------------------------------------------- #
@@ -241,75 +272,16 @@ class TestIntegrity:
             seg.buf[:32] = b"\xff" * 32
         finally:
             seg.close()
-        # Simulate a crashed holder: mark the lease dead without releasing
-        # (so the segments survive), and keep the reaper out of the way to
-        # force the attach path itself to handle the corrupt orphan.
+        # Simulate a crashed holder: drop the lock without the last-holder
+        # sweep (so the segments survive), and keep the reaper out of the
+        # way to force the attach path itself to handle the corrupt orphan.
         digest = lease.digest
-        reg = attach_segment_untracked(lease.handle.registry_segment)
-        try:
-            shm_mod._write_slot(reg, lease.slot, 0, 0, 0)
-        finally:
-            reg.close()
-        lease._released = True  # the slot is gone; plain release would no-op
-        shm_mod._LIVE_LEASES.pop(lease.nonce, None)
+        lease._abandon()
         monkeypatch.setattr(shm_mod, "reap_orphan_planes", lambda: [])
         with PlaneRegistry.attach_or_create(db, K) as rebuilt:
             assert rebuilt.created
             assert rebuilt.generation == 2
             assert rebuilt.digest == digest
-
-    def test_stale_slot_of_dead_pid_is_reclaimed(self, db, monkeypatch):
-        proc, created, _ = _spawn_holder()
-        assert created
-        _kill_holder(proc)
-        monkeypatch.setattr(shm_mod, "reap_orphan_planes", lambda: [])
-        with PlaneRegistry.attach_or_create(db, K) as lease:
-            assert not lease.created  # healthy plane: attached, not rebuilt
-            assert lease.slot == 0  # the dead creator's slot, reclaimed
-
-    def test_slot_exhaustion_raises_busy(self, db):
-        lease = PlaneRegistry.attach_or_create(db, K)
-        reg = attach_segment_untracked(lease.handle.registry_segment)
-        me = os.getpid()
-        start = shm_mod.process_start_time(me)
-        try:
-            for slot in range(PLANE_SLOTS):
-                if slot != lease.slot:
-                    shm_mod._write_slot(reg, slot, me, start, slot + 2)
-            with pytest.raises(PlaneBusyError, match="lease slots"):
-                PlaneRegistry.attach_or_create(db, K)
-            for slot in range(PLANE_SLOTS):  # hand the slots back
-                if slot != lease.slot:
-                    shm_mod._write_slot(reg, slot, 0, 0, 0)
-        finally:
-            reg.close()
-        lease.release()
-
-    def test_injected_stale_lease_is_not_counted_live(self, db):
-        creator = PlaneRegistry.attach_or_create(db, K)
-        inj = FaultInjector(
-            specs=(FaultSpec(phase="plane", kind="stale-lease", point="claim"),)
-        )
-        lease = PlaneRegistry.attach_or_create(db, K, injector=inj)
-        assert not lease.created  # the claim point only fires on attach
-        names = set(lease.handle.segment_names) | {lease.handle.registry_segment}
-        creator.release()
-        reg = attach_segment_untracked(lease.handle.registry_segment)
-        try:
-            # The injector wrote an extra slot: our pid, a wrong start time.
-            slots = [
-                shm_mod._read_slot(reg, s)
-                for s in range(PLANE_SLOTS)
-                if shm_mod._read_slot(reg, s)[2] != 0
-            ]
-            assert len(slots) == 2
-            assert shm_mod._live_slot_pids(reg) == [os.getpid()]
-        finally:
-            reg.close()
-        # Pid-reuse defence: despite the poisoned slot naming a live pid,
-        # this release is the last *live* lease and must sweep everything.
-        lease.release()
-        assert not names & _plane_segments()
 
 
 # --------------------------------------------------------------------------- #
@@ -342,6 +314,16 @@ class TestCrossProcess:
             assert lease.created
             status = {s.digest: s for s in list_planes()}[lease.digest]
             assert status.healthy
+
+    def test_list_planes_sees_a_sigkilled_holder_go(self, db):
+        proc, _, registry_name = _spawn_holder()
+        digest = registry_name[len(PLANE_PREFIX) : -len("_reg")]
+        try:
+            assert {s.digest: s for s in list_planes()}[digest].held
+        finally:
+            _kill_holder(proc)
+        assert {s.digest: s for s in list_planes()}[digest].reapable
+        assert registry_name in reap_orphan_planes()
 
     def test_racing_attachers_create_exactly_once(self, db):
         procs = [_spawn_holder() for _ in range(3)]
@@ -437,8 +419,8 @@ class TestCreatorCrashMatrix:
             assert res.plane_attached == 1
         finally:
             survivor.close()
-        # The survivor was the last live leaseholder: its exit swept the
-        # plane, dead creator's slot notwithstanding.
+        # The survivor was the last leaseholder: the kernel dropped the dead
+        # creator's lock, so the survivor's close swept the plane.
         assert not shm_mod.segment_exists(registry_name)
         assert _shm_names("psm_") - blobs_before == set()
 

@@ -3,6 +3,8 @@
 The leak tests assert the lifecycle invariant directly against ``/dev/shm``:
 whatever happens — normal release, forgotten release at interpreter exit,
 or a worker process crashing mid-task — no orphan segment may survive.
+Planes come from :class:`~repro.mapreduce.shm.PlaneRegistry`, the only
+plane lifecycle; ``test_plane_registry.py`` covers the leases themselves.
 """
 
 import functools
@@ -22,7 +24,8 @@ from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import SerialExecutor, WorkerPool
 from repro.mapreduce.shm import (
-    SharedDatabasePlane,
+    PLANE_PREFIX,
+    PlaneRegistry,
     SharedMemoryUnavailable,
     attach_cached_view,
     attach_view,
@@ -44,12 +47,17 @@ pytestmark = pytest.mark.skipif(
 K = 9
 
 
-def _psm_segments():
-    """Names of live POSIX shm segments (Linux probe; empty set elsewhere)."""
+def _shm_names(prefix):
+    """Names of live ``/dev/shm`` entries with ``prefix`` (Linux probe)."""
     try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+        return {n for n in os.listdir("/dev/shm") if n.startswith(prefix)}
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
+
+
+def _psm_segments():
+    """Names of live platform-named POSIX shm segments."""
+    return _shm_names("psm_")
 
 
 @pytest.fixture
@@ -155,8 +163,8 @@ class TestSegments:
 
 class TestPlane:
     def test_view_roundtrips_codes_and_kmers(self, db):
-        with SharedDatabasePlane.create(db, K) as plane:
-            view = attach_view(plane.handle)
+        with PlaneRegistry.attach_or_create(db, K) as lease:
+            view = attach_view(lease.handle)
             rebuilt = view.database()
             assert rebuilt.name == db.name
             for rec, back in zip(db, rebuilt):
@@ -169,70 +177,39 @@ class TestPlane:
             view.close()
 
     def test_views_are_read_only(self, db):
-        with SharedDatabasePlane.create(db, K) as plane:
-            view = attach_view(plane.handle)
+        with PlaneRegistry.attach_or_create(db, K) as lease:
+            view = attach_view(lease.handle)
             codes = view.codes(db.records[0].seq_id)
             with pytest.raises(ValueError):
                 codes[0] = 1
             view.close()
 
-    def test_refcount_unlinks_on_last_release(self, db):
-        plane = SharedDatabasePlane.create(db, K)
-        names = plane.handle.segment_names
-        plane.acquire()
-        plane.release()
-        assert all(segment_exists(n) for n in names)
-        assert not plane.destroyed
-        plane.release()
-        assert plane.destroyed
-        assert not any(segment_exists(n) for n in names)
-
-    def test_acquire_after_destroy_raises(self, db):
-        plane = SharedDatabasePlane.create(db, K)
-        plane.destroy()
-        with pytest.raises(SharedMemoryUnavailable):
-            plane.acquire()
-
-    def test_over_release_raises_instead_of_going_negative(self, db):
-        """Releasing more times than acquired must raise, not silently drive
-        the refcount negative (a double-release bug in one consumer would
-        otherwise destroy a plane other consumers still hold)."""
-        plane = SharedDatabasePlane.create(db, K)
-        plane.release()  # balances create; destroys the plane
-        assert plane.destroyed
-        with pytest.raises(RuntimeError, match="over-released"):
-            plane.release()
-
     def test_handle_pickles_small(self, db):
         import pickle
 
-        plane = SharedDatabasePlane.create(db, K)
-        try:
-            blob = pickle.dumps(plane.handle)
+        with PlaneRegistry.attach_or_create(db, K) as lease:
+            blob = pickle.dumps(lease.handle)
             # The whole point: the handle is metadata, not the database.
             assert len(blob) < 4096
-            assert pickle.loads(blob) == plane.handle
-        finally:
-            plane.release()
+            assert pickle.loads(blob) == lease.handle
 
     def test_cached_view_attaches_once_per_process(self, db):
-        plane = SharedDatabasePlane.create(db, K)
-        try:
-            v1 = attach_cached_view(plane.handle)
-            v2 = attach_cached_view(plane.handle)
-            assert v1 is v2
-        finally:
-            detach_cached_views()
-            plane.release()
+        with PlaneRegistry.attach_or_create(db, K) as lease:
+            try:
+                v1 = attach_cached_view(lease.handle)
+                v2 = attach_cached_view(lease.handle)
+                assert v1 is v2
+            finally:
+                detach_cached_views()
 
     def test_cleanup_hook_reclaims_unreleased_planes(self, db):
-        plane = SharedDatabasePlane.create(db, K)
-        names = plane.handle.segment_names
-        assert plane.handle.plane_id in shm_mod._LIVE_PLANES
-        shm_mod._cleanup_live_planes()
-        assert plane.destroyed
+        lease = PlaneRegistry.attach_or_create(db, K)
+        names = lease.handle.segment_names + (lease.handle.registry_segment,)
+        assert lease in shm_mod._LIVE_LEASES.values()
+        shm_mod._cleanup_live_leases()
+        assert lease.released
         assert not any(segment_exists(n) for n in names)
-        assert plane.handle.plane_id not in shm_mod._LIVE_PLANES
+        assert lease not in shm_mod._LIVE_LEASES.values()
 
 
 class TestPlaneSketches:
@@ -241,29 +218,29 @@ class TestPlaneSketches:
     def test_view_sketches_match_in_process(self, db):
         from repro.sketch import KmerSketch
 
-        with SharedDatabasePlane.create(db, K) as plane:
-            assert plane.handle.has_sketches
-            view = attach_view(plane.handle)
+        with PlaneRegistry.attach_or_create(db, K) as lease:
+            assert lease.handle.has_sketches
+            view = attach_view(lease.handle)
             assert view.has_sketches
             for rec in db:
                 got = view.sequence_sketch(rec.seq_id)
-                ref = KmerSketch.from_codes(rec.codes, K, plane.handle.sketch_size)
+                ref = KmerSketch.from_codes(rec.codes, K, lease.handle.sketch_size)
                 assert np.array_equal(got.hashes, ref.hashes)
                 assert got.threshold == ref.threshold
             view.close()
 
     def test_sketch_segment_in_segment_names(self, db):
-        with SharedDatabasePlane.create(db, K) as plane:
-            assert plane.handle.sketch_segment is not None
-            assert plane.handle.sketch_segment in plane.handle.segment_names
-            assert len(plane.handle.segment_names) == 4
+        with PlaneRegistry.attach_or_create(db, K) as lease:
+            assert lease.handle.sketch_segment is not None
+            assert lease.handle.sketch_segment in lease.handle.segment_names
+            assert len(lease.handle.segment_names) == 4
 
     def test_sketch_size_zero_omits_segment(self, db):
-        with SharedDatabasePlane.create(db, K, sketch_size=0) as plane:
-            assert not plane.handle.has_sketches
-            assert plane.handle.sketch_segment is None
-            assert len(plane.handle.segment_names) == 3
-            view = attach_view(plane.handle)
+        with PlaneRegistry.attach_or_create(db, K, sketch_size=0) as lease:
+            assert not lease.handle.has_sketches
+            assert lease.handle.sketch_segment is None
+            assert len(lease.handle.segment_names) == 3
+            view = attach_view(lease.handle)
             assert not view.has_sketches
             with pytest.raises(SharedMemoryUnavailable):
                 view.sequence_sketch(next(iter(db)).seq_id)
@@ -272,11 +249,11 @@ class TestPlaneSketches:
     def test_handle_with_sketches_pickles(self, db):
         import pickle
 
-        with SharedDatabasePlane.create(db, K) as plane:
-            back = pickle.loads(pickle.dumps(plane.handle))
-            assert back == plane.handle
+        with PlaneRegistry.attach_or_create(db, K) as lease:
+            back = pickle.loads(pickle.dumps(lease.handle))
+            assert back == lease.handle
             assert back.has_sketches
-            assert back.sketch_thresholds == plane.handle.sketch_thresholds
+            assert back.sketch_thresholds == lease.handle.sketch_thresholds
 
     def test_old_style_handle_defaults_to_no_sketches(self, db):
         """Handles pickled before the sketch segment existed (or built
@@ -297,26 +274,27 @@ class TestPlaneSketches:
         assert len(handle.segment_names) == 3
 
     def test_no_segments_leak(self, db):
-        before = _psm_segments()
-        plane = SharedDatabasePlane.create(db, K)
-        assert len(_psm_segments() - before) == 4
-        plane.release()
-        assert _psm_segments() <= before
+        before = _shm_names(PLANE_PREFIX)
+        lease = PlaneRegistry.attach_or_create(db, K)
+        assert len(_shm_names(PLANE_PREFIX) - before) == 5  # 4 data + registry
+        lease.release()
+        assert _shm_names(PLANE_PREFIX) <= before
 
 
 class TestLeakOnExit:
     def test_no_orphan_segments_after_normal_interpreter_exit(self, db, tmp_path):
-        """A script that builds a plane and *forgets* to release it must
-        still leave /dev/shm clean: the atexit registry is the backstop."""
+        """A script that leases a plane and *forgets* to release it must
+        still leave /dev/shm clean: the atexit lease drain is the backstop."""
         script = tmp_path / "leaky.py"
         script.write_text(
             "import sys\n"
-            "from repro.mapreduce.shm import SharedDatabasePlane\n"
+            "from repro.mapreduce.shm import PlaneRegistry\n"
             "from repro.sequence.generator import make_database\n"
             "db = make_database(7, num_sequences=3, mean_length=300)\n"
-            "plane = SharedDatabasePlane.create(db, 9)\n"
-            "print('\\n'.join(plane.handle.segment_names))\n"
-            "# exits without release/destroy\n"
+            "lease = PlaneRegistry.attach_or_create(db, 9)\n"
+            "print('\\n'.join(lease.handle.segment_names))\n"
+            "print(lease.handle.registry_segment)\n"
+            "# exits without release\n"
         )
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(shm_mod.__file__), "..", "..")
@@ -326,7 +304,7 @@ class TestLeakOnExit:
             capture_output=True, text=True, env=env, check=True,
         )
         names = [n for n in out.stdout.splitlines() if n]
-        assert len(names) == 4  # codes + kmer keys + kmer positions + sketches
+        assert len(names) == 5  # codes, kmer keys, kmer positions, sketches, registry
         assert not any(segment_exists(n) for n in names)
         assert "Traceback" not in out.stderr
 

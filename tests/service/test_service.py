@@ -275,7 +275,9 @@ class TestAdmissionValidation:
     def test_empty_queries_never_reach_the_breaker(self):
         """Regression: five empty submissions used to die in
         ``effective_lengths``, count as backend failures and open the
-        breaker, so the next *valid* query got ``CircuitOpenError``."""
+        breaker, so the next *valid* query got ``CircuitOpenError``. A
+        ``fragment_length`` that is not positive is the same kind of client
+        mistake: rejected before the queue, never a backend failure."""
         db = make_database(seed=31, num_sequences=3, mean_length=1200, name="emptyq")
         good = db.records[0].slice(100, 700, seq_id="good")
         empty = SequenceRecord(seq_id="nothing", codes=good.codes[:0])
@@ -289,6 +291,9 @@ class TestAdmissionValidation:
                 for _ in range(5):
                     with pytest.raises(EmptyQueryError, match="nothing"):
                         await service.submit(empty)
+                for bad in (0, -5) * 3:
+                    with pytest.raises(ValueError, match="fragment_length"):
+                        await service.submit(good, fragment_length=bad)
                 result = await service.submit(good)
                 return result, service.stats, service.breaker_for("emptyq")
 

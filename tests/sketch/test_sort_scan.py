@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blast.lookup import kmer_codes
-from repro.mapreduce.shm import SharedDatabasePlane, read_segment_slice
+from repro.mapreduce.shm import PlaneRegistry, attach_segment_untracked
 from repro.sequence.alphabet import UNKNOWN_CODE, random_bases
 from repro.sequence.generator import make_database
 from repro.sequence.records import Database, SequenceRecord
@@ -231,9 +231,13 @@ GOLDEN = {
 def test_golden_plane_sketches():
     db = golden_database()
     for (k, size), want in GOLDEN.items():
-        with SharedDatabasePlane.create(db, k, sketch_size=size) as plane:
-            h = plane.handle
-            raw = read_segment_slice(h.sketch_segment, 0, h.total_sketch_hashes * 8)
+        with PlaneRegistry.attach_or_create(db, k, sketch_size=size) as lease:
+            h = lease.handle
+            seg = attach_segment_untracked(h.sketch_segment)
+            try:
+                raw = bytes(seg.buf[: h.total_sketch_hashes * 8])
+            finally:
+                seg.close()
             got = (
                 hashlib.sha256(raw).hexdigest(),
                 hashlib.sha256(repr(h.sketch_offsets).encode()).hexdigest(),

@@ -223,6 +223,7 @@ class TestPlane:
             out = capsys.readouterr().out
             assert "clidb" in out
             assert "healthy" in out
+            assert "holders=held" in out
             assert main(["plane", "reap"]) == 0
             assert "nothing to reap" in capsys.readouterr().out
 
