@@ -12,7 +12,7 @@ the call with ``close``/``unlink``; ORL008 keeps it that way.
 
 Plane *leases* (ORL010) have the same shape one level up: a
 ``PlaneRegistry.attach_or_create`` call takes a shared ``flock`` on the
-plane's holders file, and a scope that acquires a lease and raises before
+plane's registry segment, and a scope that acquires a lease and raises before
 releasing it keeps the plane held until the process exits — correctness
 survives (the atexit drain, or after a crash the orphan reaper, reclaims
 it), but the plane outlives its last real user. Both rules share one scope-accounting engine and differ
@@ -152,7 +152,7 @@ class PlaneLeaseLifecycleRule(SharedMemoryLifecycleRule):
     """ORL010: a plane lease acquisition needs a paired release/reap.
 
     ``PlaneRegistry.attach_or_create(...)`` takes a lease: a shared
-    ``flock`` on the plane's holders file. A scope that acquires one and
+    ``flock`` on the plane's registry segment. A scope that acquires one and
     can raise before releasing keeps holding the plane — harmless
     eventually (the lock dies with the process, and the atexit drain or
     the orphan reaper unlinks), but it pins the plane's segments until

@@ -23,15 +23,15 @@ blob and every segment's head) and attach, or get a typed
 Every caller gets a :class:`PlaneLease`.
 
 The kernel tracks who holds a plane. A lease is a shared ``flock`` on the
-plane's ``<tempdir>/orionplane_<digest>.holders`` file, and the kernel
-drops it when its holder dies, SIGKILL included. "Does anyone still hold
-the plane?" is therefore one non-blocking exclusive lock attempt, made
-under the plane's ``.lock`` mutex. The last lease to release unlinks
-every segment; :func:`reap_orphan_planes` sweeps every plane no lease
-holds (crashed holders, half-published creates) and runs at plane
-creation, ``OrionService.start`` and the ``plane reap`` CLI. A forked
-child closes its inherited lease fds at fork, so pool workers never pin
-the driver's plane.
+plane's registry segment, the ``/dev/shm`` file that exists exactly as
+long as the plane does, and the kernel drops it when its holder dies,
+SIGKILL included. "Does anyone still hold the plane?" is therefore one
+non-blocking exclusive lock attempt on that file. The last lease to
+release unlinks every segment; :func:`reap_orphan_planes` sweeps every
+plane no lease holds (crashed holders, half-published creates) and runs
+at plane creation, ``OrionService.start`` and the ``plane reap`` CLI. A
+forked child closes its inherited lease fds at fork, so pool workers
+never pin the driver's plane.
 
 *Workers* attach through :func:`attach_view` (or the per-process-cached
 :func:`attach_cached_view`) and get a :class:`SharedDatabaseView`, whose
@@ -59,7 +59,7 @@ import pickle
 import struct
 import tempfile
 import threading
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -788,10 +788,14 @@ PLANE_LAYOUT_VERSION = 2
 #: First 8 bytes of every registry segment.
 PLANE_MAGIC = b"ORIONPLN"
 
-#: Every registry-managed segment name (and the per-plane ``.lock`` and
-#: ``.holders`` files in the temp directory) starts with this; the reaper
-#: and the CI leak sweeps key off it.
+#: Every registry-managed segment name (and the per-plane ``.lock`` file
+#: in the temp directory) starts with this; the reaper and the CI leak
+#: sweeps key off it.
 PLANE_PREFIX = "orionplane_"
+
+#: Where POSIX shared-memory segments appear as files (Linux tmpfs). The
+#: reaper scans it, and a lease is an ``flock`` on a registry file in it.
+_SHM_DIR = "/dev/shm"
 
 #: How many leading bytes of each data segment the integrity checksum
 #: covers. Full-content checksums would cost a pass over gigabytes on every
@@ -854,22 +858,20 @@ def _registry_name(digest: str) -> str:
     return f"{PLANE_PREFIX}{digest}_reg"
 
 
-def _plane_file(digest: str, suffix: str) -> str:
-    """``<tempdir>/orionplane_<digest>.<suffix>`` (``lock`` or ``holders``)."""
-    return os.path.join(tempfile.gettempdir(), f"{PLANE_PREFIX}{digest}.{suffix}")
-
-
 @contextmanager
 def _plane_lock(digest: str) -> Iterator[None]:
-    """Exclusive per-plane mutex (create/attach/reap/release/list).
+    """Exclusive per-plane mutex (create/attach/reap/release).
 
-    An ``flock`` on the plane's ``.lock`` file: racing attachers serialize
-    (one creates, the rest attach), a reaper can never sweep a plane
-    mid-publish, and taking a lease never races the holders test. The file
-    is never unlinked — unlinking a mutex file races its waiters.
+    An ``flock`` on ``<tempdir>/orionplane_<digest>.lock``: racing
+    attachers serialize (one creates, the rest attach), a reaper can never
+    sweep a plane mid-publish, and taking a lease never races the
+    last-holder test. The file is never unlinked — unlinking a mutex file
+    races its waiters.
     """
     fd = os.open(
-        _plane_file(digest, "lock"), os.O_CREAT | os.O_RDWR | os.O_CLOEXEC, 0o666
+        os.path.join(tempfile.gettempdir(), f"{PLANE_PREFIX}{digest}.lock"),
+        os.O_CREAT | os.O_RDWR | os.O_CLOEXEC,
+        0o666,
     )
     try:
         fcntl.flock(fd, fcntl.LOCK_EX)
@@ -878,17 +880,28 @@ def _plane_lock(digest: str) -> Iterator[None]:
         os.close(fd)  # closing the fd releases the flock
 
 
-def _hold(digest: str) -> int:
-    """Take a lease: a shared ``flock`` on the plane's holders file.
+def _open_registry_file(digest: str) -> int:
+    """A fresh fd on the plane's registry segment file (FileNotFoundError if none).
 
-    Caller holds the plane lock, so this never blocks (the one exclusive
-    taker, :func:`_plane_held`, runs under the same lock). The returned fd
-    carries the lease; ``O_CLOEXEC`` keeps exec'd children (spawn and
-    forkserver pools, subprocesses) from inheriting it.
+    Each call opens a new file description, and ``flock`` conflicts
+    between descriptions, so two leases in one process are two holders.
+    ``O_CLOEXEC`` keeps exec'd children (spawn and forkserver pools,
+    subprocesses) from inheriting a lease.
     """
-    fd = os.open(
-        _plane_file(digest, "holders"), os.O_CREAT | os.O_RDWR | os.O_CLOEXEC, 0o666
+    return os.open(
+        os.path.join(_SHM_DIR, _registry_name(digest)), os.O_RDONLY | os.O_CLOEXEC
     )
+
+
+def _hold(digest: str) -> int:
+    """Take a lease: a shared ``flock`` on the plane's registry segment.
+
+    Caller holds the plane lock and has just attached or published the
+    registry, so the file exists and this never blocks (the one exclusive
+    taker, :func:`_plane_held`, never waits). The returned fd carries the
+    lease.
+    """
+    fd = _open_registry_file(digest)
     try:
         fcntl.flock(fd, fcntl.LOCK_SH)
     except BaseException:
@@ -898,16 +911,18 @@ def _hold(digest: str) -> int:
 
 
 def _plane_held(digest: str) -> bool:
-    """Whether any lease still holds the plane (caller holds the plane lock).
+    """Whether any lease, in any process on this machine, still holds the plane.
 
-    An exclusive non-blocking ``flock`` on the holders file succeeds only
-    when no lease's shared lock is left. The kernel drops a lock when its
-    holder dies, SIGKILL included, so a crashed holder never pins a plane
-    and a recycled pid cannot impersonate one.
+    An exclusive non-blocking ``flock`` on the registry segment succeeds
+    only when no lease's shared lock is left. The kernel drops a lock when
+    its holder dies, SIGKILL included, so a crashed holder never pins a
+    plane and a recycled pid cannot impersonate one. A half-published plane
+    has no registry yet, so it counts as unheld; so does one whose registry
+    this user cannot open (its sweep then fails to attach and skips it).
     """
     try:
-        fd = os.open(_plane_file(digest, "holders"), os.O_RDWR | os.O_CLOEXEC)
-    except FileNotFoundError:
+        fd = _open_registry_file(digest)
+    except OSError:
         return False
     try:
         fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
@@ -1013,7 +1028,7 @@ def _verify_plane(handle: SharedDatabaseHandle, meta_sha: bytes, blob: bytes) ->
 
 
 #: Leases held (and not yet released) by this process, keyed by their
-#: holders fd; drained at interpreter exit like ``_LIVE_SPILL_SETS``.
+#: lease fd; drained at interpreter exit like ``_LIVE_SPILL_SETS``.
 _LIVE_LEASES: Dict[int, "PlaneLease"] = {}
 
 
@@ -1035,11 +1050,12 @@ def _drop_inherited_leases() -> None:
     locked even after the parent releases it. Closing (never ``LOCK_UN``,
     which would drop the parent's lock too) and marking the leases released
     fixes that. A residual window remains: the child holds the lock for the
-    few milliseconds before this hook runs, so a parent release that races
-    a fork is not "last" and leaves the plane to the next
-    :func:`reap_orphan_planes` — the outcome a SIGKILLed holder gets.
-    ``OrionSearch.close`` shuts its pool down before it releases, so the
-    search never races its own forks.
+    few milliseconds before this hook runs, so a release that races *any*
+    fork in the process (a pool starting or respawning a crashed worker,
+    another search's pool in a multi-database service) is not "last". That
+    plane stays in ``/dev/shm`` until the next plane creation, service
+    start or ``plane reap`` sweeps it — the outcome a SIGKILLed holder gets.
+    ``OrionSearch.close`` shuts its own pool down before it releases.
     """
     for lease in list(_LIVE_LEASES.values()):  # orionlint: disable=ORL004
         lease._abandon()
@@ -1054,7 +1070,7 @@ class PlaneLease:
 
     Returned by :meth:`PlaneRegistry.attach_or_create`; holds the plane's
     :class:`SharedDatabaseHandle` plus the fd of a shared ``flock`` on the
-    plane's holders file. :meth:`release` closes that fd under the plane
+    plane's registry segment. :meth:`release` closes that fd under the plane
     lock and, when no other lease holds the plane, unlinks every segment:
     the last leaseholder unlinks. Idempotent and atexit-drained; a forked
     child's copies are closed at fork (:func:`_drop_inherited_leases`).
@@ -1082,7 +1098,7 @@ class PlaneLease:
         return self._released
 
     def _abandon(self) -> None:
-        """Close the holders fd without the last-holder test (never unlinks)."""
+        """Close the lease fd without the last-holder test (never unlinks)."""
         if self._released:
             return
         self._released = True
@@ -1096,7 +1112,7 @@ class PlaneLease:
         with _plane_lock(self.digest):
             self._abandon()
             if not _plane_held(self.digest):
-                _sweep_plane_segments(self.digest, extra=self.handle.segment_names)
+                _sweep_plane_segments(self.digest)
 
     def __enter__(self) -> "PlaneLease":
         return self
@@ -1105,32 +1121,18 @@ class PlaneLease:
         self.release()
 
 
-def _sweep_plane_segments(digest: str, extra: Iterable[str] = ()) -> List[str]:
-    """Unlink one plane's holders file and segments; the segment names removed.
+def _sweep_plane_segments(digest: str) -> List[str]:
+    """Unlink one plane's segments; the segment names removed.
 
     Caller holds the plane lock and has seen no lease hold the plane. The
-    holders file goes first, so a sweep cut short leaves segments the next
-    reap finds, never a holders file without them. The ``/dev/shm`` scan
-    catches segments the handle no longer names (a half-published create
-    that died before writing its registry); ``extra`` covers platforms
-    where the scan is unavailable.
+    ``/dev/shm`` scan (which every plane has: ``attach_or_create`` refuses
+    without it) also catches segments no registry names, left by a
+    half-published create that died before writing its registry.
     """
-    with suppress(FileNotFoundError):
-        os.unlink(_plane_file(digest, "holders"))
-    names = {_registry_name(digest)}
-    names.update(extra)
-    try:
-        names.update(
-            entry
-            for entry in os.listdir("/dev/shm")
-            if entry.startswith(f"{PLANE_PREFIX}{digest}_")
-        )
-    except OSError:  # orionlint: disable=ORL006 # pragma: no cover
-        # No scannable /dev/shm on this platform: ``extra`` and the
-        # registry name still cover every segment a healthy handle names.
-        pass
+    prefix = f"{PLANE_PREFIX}{digest}_"
+    names = sorted(entry for entry in os.listdir(_SHM_DIR) if entry.startswith(prefix))
     removed: List[str] = []
-    for name in sorted(names):
+    for name in names:
         try:
             seg = attach_segment_untracked(name)
         except (FileNotFoundError, OSError):
@@ -1149,7 +1151,7 @@ def _sweep_plane_segments(digest: str, extra: Iterable[str] = ()) -> List[str]:
 def _plane_digests_on_machine() -> List[str]:
     """Digests of every registry-managed plane with segments in /dev/shm."""
     try:
-        entries = sorted(os.listdir("/dev/shm"))
+        entries = sorted(os.listdir(_SHM_DIR))
     except OSError:  # pragma: no cover - no /dev/shm on this platform
         return []
     digests = {
@@ -1201,7 +1203,11 @@ class PlaneStatus:
 
 
 def list_planes() -> List[PlaneStatus]:
-    """Inspect every registry-managed plane on this machine (read-only)."""
+    """Inspect every registry-managed plane on this machine (read-only).
+
+    Takes no plane lock, so it never waits behind a create or publish; a
+    ``held`` reading may be momentarily stale.
+    """
     if not HAVE_SHARED_MEMORY or fcntl is None:  # pragma: no cover
         return []
     statuses: List[PlaneStatus] = []
@@ -1209,18 +1215,17 @@ def list_planes() -> List[PlaneStatus]:
         prefix = f"{PLANE_PREFIX}{digest}_"
         try:
             entries = sorted(
-                entry for entry in os.listdir("/dev/shm") if entry.startswith(prefix)
+                entry for entry in os.listdir(_SHM_DIR) if entry.startswith(prefix)
             )
         except OSError:  # pragma: no cover - no /dev/shm on this platform
             entries = []
         total_bytes = 0
         for entry in entries:
             try:
-                total_bytes += os.stat(os.path.join("/dev/shm", entry)).st_size
+                total_bytes += os.stat(os.path.join(_SHM_DIR, entry)).st_size
             except OSError:
                 continue
-        with _plane_lock(digest):
-            held = _plane_held(digest)
+        held = _plane_held(digest)
         db_name: Optional[str] = None
         k: Optional[int] = None
         generation = 0
@@ -1291,7 +1296,8 @@ class PlaneRegistry:
         it from under that holder — the caller falls back to the
         in-process path); a corrupt plane nobody holds is swept and rebuilt
         with a bumped generation. Raises :class:`SharedMemoryUnavailable`
-        on platforms without POSIX shared memory or ``fcntl.flock``.
+        on platforms without POSIX shared memory, ``fcntl.flock`` or a
+        ``/dev/shm`` directory to lock registry segments in.
 
         ``injector`` is a :class:`repro.mapreduce.faults.FaultInjector`
         consulted at the lifecycle points (``attach``, ``create``,
@@ -1299,9 +1305,10 @@ class PlaneRegistry:
         corruption through it.
         """
         _require_shm()
-        if fcntl is None:  # pragma: no cover - non-POSIX platform
+        if fcntl is None or not os.path.isdir(_SHM_DIR):  # pragma: no cover
             raise SharedMemoryUnavailable(
-                "plane leases need fcntl.flock, which this platform lacks"
+                f"plane leases need fcntl.flock and {_SHM_DIR}, "
+                f"which this platform lacks"
             )
         if sketch_size is None:
             from repro.sketch import SKETCH_SIZE_DEFAULT

@@ -10,12 +10,10 @@ degrades to the in-process database path with the reason stamped on the
 result.
 """
 
-import glob
 import os
 import signal
 import subprocess
 import sys
-import tempfile
 import textwrap
 import warnings
 
@@ -61,12 +59,6 @@ def _plane_segments():
     return _shm_names(PLANE_PREFIX)
 
 
-def _holders_files():
-    """Lease holders files in the temp directory (one per unswept plane)."""
-    pattern = os.path.join(tempfile.gettempdir(), f"{PLANE_PREFIX}*.holders")
-    return set(glob.glob(pattern))
-
-
 @pytest.fixture
 def db():
     return make_database(101, num_sequences=5, mean_length=400)
@@ -74,10 +66,10 @@ def db():
 
 @pytest.fixture(autouse=True)
 def _no_leaked_planes():
-    """Every test leaves /dev/shm and the temp directory as it found them."""
-    before = _plane_segments() | _holders_files()
+    """Every test leaves /dev/shm as it found it."""
+    before = _plane_segments()
     yield
-    leaked = (_plane_segments() | _holders_files()) - before
+    leaked = _plane_segments() - before
     if leaked:  # clean up, then fail loudly
         reap_orphan_planes()
     assert not leaked, f"test leaked plane segments: {sorted(leaked)}"
@@ -109,13 +101,13 @@ _HOLDER_SCRIPT = textwrap.dedent(
 )
 
 
-def _spawn_holder():
+def _spawn_holder(**env):
     proc = subprocess.Popen(
         [sys.executable, "-c", _HOLDER_SCRIPT],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
-        env=_subprocess_env(),
+        env={**_subprocess_env(), **env},
         start_new_session=True,  # killpg must never reach the test runner
     )
     ready = proc.stdout.readline().split()
@@ -324,6 +316,20 @@ class TestCrossProcess:
             _kill_holder(proc)
         assert {s.digest: s for s in list_planes()}[digest].reapable
         assert registry_name in reap_orphan_planes()
+
+    def test_holder_with_another_temp_dir_is_seen_held(self, db, tmp_path):
+        """Leases live on the registry segment in /dev/shm, not in a
+        per-process temp directory, so a holder whose TMPDIR differs from
+        ours still pins its plane against our reaper."""
+        proc, _, registry_name = _spawn_holder(TMPDIR=str(tmp_path))
+        digest = registry_name[len(PLANE_PREFIX) : -len("_reg")]
+        try:
+            assert registry_name not in reap_orphan_planes()
+            assert shm_mod.segment_exists(registry_name)
+            assert {s.digest: s for s in list_planes()}[digest].held
+        finally:
+            _release_holder(proc)
+        assert not shm_mod.segment_exists(registry_name)
 
     def test_racing_attachers_create_exactly_once(self, db):
         procs = [_spawn_holder() for _ in range(3)]
