@@ -1,14 +1,18 @@
 """ORL008/ORL010 — acquired machine resources need a paired release path.
 
-A ``multiprocessing.shared_memory.SharedMemory`` object owns two distinct
-resources: the process-local mapping (released by ``close()``) and the
-named ``/dev/shm`` segment itself (released by ``unlink()``). Neither is
-tied to garbage collection in any useful way — a code path that creates or
-attaches a segment and then raises leaks the mapping for the process
-lifetime and, on the create side, the segment for the *machine* lifetime.
-The shared-database plane (:mod:`repro.mapreduce.shm`) therefore funnels
-every raw ``SharedMemory`` call through helpers whose failure paths pair
-the call with ``close``/``unlink``; ORL008 keeps it that way.
+Every shared-memory segment the program creates follows
+:mod:`repro.mapreduce.shm`'s one rule: it is a plain ``/dev/shm`` file with
+an owner file whose ``flock`` a live process holds, and one reaper,
+``reap_orphan_planes``, sweeps whatever no lock holds. A
+``multiprocessing.shared_memory.SharedMemory`` object sits outside that
+rule. It owns two resources — the process-local mapping (released by
+``close()``) and the named segment itself (released by ``unlink()``) — and
+no owner lock, so the reaper never learns its name and nothing reclaims it
+after a SIGKILL. A code path that creates or attaches one and then raises
+leaks the mapping for the process lifetime and, on the create side, the
+segment for the *machine* lifetime. The program creates none; ORL008
+requires any ``SharedMemory`` call that does appear to pair with
+``close``/``unlink`` on its failure paths.
 
 Plane *leases* (ORL010) have the same shape one level up: a
 ``PlaneRegistry.attach_or_create`` call takes a shared ``flock`` on the
@@ -31,9 +35,10 @@ from repro.analysis.findings import Severity
 class SharedMemoryLifecycleRule(Rule):
     """ORL008: SharedMemory create/attach needs a paired close/unlink.
 
-    An acquisition call is accepted when it is the context expression of a
-    ``with`` statement, or when its enclosing function (or module
-    toplevel) contains a ``try``/``finally`` whose ``finally`` calls a
+    Such a segment has no owner lock, so the one reaper cannot reclaim it
+    (see the module docstring). An acquisition call is accepted when it
+    is the context expression of a ``with`` statement, or when its
+    enclosing function (or module toplevel) contains a ``try``/``finally`` whose ``finally`` calls a
     release method — the shapes under which an exception between acquire
     and release cannot leak the segment. Anything else is an unpaired
     acquisition. Subclasses redefine what acquires and what releases; the

@@ -53,10 +53,6 @@ class DatasetSpec:
     hardware: HardwareModel
     description: str = ""
 
-    @property
-    def paper_db_length(self) -> float:
-        return self.database.total_length * self.hardware.db_scale
-
 
 def _paper_hardware(query_scale: float, db_scale: float) -> HardwareModel:
     """Every dataset's models: 1 Mbp cache knee, Table III scan cost, Gordon memory."""

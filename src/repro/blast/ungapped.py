@@ -16,7 +16,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.blast.hsp import SeedHits, UngappedHSP
+from repro.blast.hsp import SeedHits
 from repro.sequence.alphabet import ALPHABET_SIZE
 
 #: First extension window; doubles for seeds still alive at the window edge.
@@ -58,18 +58,6 @@ class UngappedBatch:
             self.s_end[mask_or_index],
             self.score[mask_or_index],
         )
-
-    def to_hsps(self) -> List[UngappedHSP]:
-        return [
-            UngappedHSP(
-                q_start=int(self.q_start[i]),
-                q_end=int(self.q_end[i]),
-                s_start=int(self.s_start[i]),
-                s_end=int(self.s_end[i]),
-                score=int(self.score[i]),
-            )
-            for i in range(len(self))
-        ]
 
     @classmethod
     def empty(cls) -> "UngappedBatch":

@@ -17,9 +17,10 @@ Commands
 ``overlap``
     Print the Eq.-1 fragment overlap for a query/database size pairing.
 ``plane``
-    Inspect (``plane ls``) or reclaim (``plane reap``) the machine's
-    shared database planes — the lease-registry ``/dev/shm`` segments
-    sessions and service replicas share (``repro.mapreduce.shm``).
+    Inspect (``plane ls``) the machine's shared database planes — the
+    lease-registry ``/dev/shm`` segments sessions and service replicas
+    share — or reclaim (``plane reap``) every plane and pool run no lock
+    holds (``repro.mapreduce.shm``).
 ``experiment``
     Regenerate one of the paper's tables/figures (fig3, fig8, table3,
     fig9, fig10, fig11, largedb, accuracy).
@@ -322,7 +323,7 @@ def _cmd_plane_reap(args: argparse.Namespace) -> int:
         for name in removed:
             print(f"reaped {name}")
     else:
-        print("nothing to reap: no orphaned plane segments")
+        print("nothing to reap: no orphaned segments")
     return 0
 
 
@@ -557,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ls.set_defaults(func=_cmd_plane_ls)
     p_reap = plane_sub.add_parser(
-        "reap", help="unlink every plane no lease holds"
+        "reap", help="unlink every plane and pool run no lock holds"
     )
     p_reap.set_defaults(func=_cmd_plane_reap)
 

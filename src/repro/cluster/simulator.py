@@ -81,10 +81,6 @@ class Schedule:
         busy = self.per_slot_busy()
         return busy.reshape(self.cluster.nodes, self.cluster.cores_per_node).sum(axis=1)
 
-    def task_durations(self) -> np.ndarray:
-        """Durations of completed task attempts (the paper's Table III data)."""
-        return np.array([s.end - s.start for s in self.completed_tasks()], dtype=np.float64)
-
 
 def simulate_phase(
     tasks: Sequence[SimTask],

@@ -130,7 +130,7 @@ class _OrionMapper:
     Holds the search, the query and the precomputed search space so the job
     can be shipped whole to worker processes (closures cannot be pickled).
     The pickle of ``search`` deliberately omits the subject k-mer cache —
-    each worker rebuilds it once via the job's setup hook.
+    each worker builds it lazily, only for the shards its tasks touch.
     """
 
     def __init__(self, search: "OrionSearch", query: SequenceRecord, space: SearchSpace):
@@ -396,8 +396,8 @@ class OrionSearch:
         if not shm_mod.HAVE_SHARED_MEMORY:  # pragma: no cover - platform
             if self.shared_db:
                 warnings.warn(
-                    "shared_db requested but multiprocessing.shared_memory is "
-                    "unavailable; falling back to pickling the database",
+                    "shared_db requested but /dev/shm is unavailable; "
+                    "falling back to pickling the database",
                     RuntimeWarning,
                     stacklevel=3,
                 )

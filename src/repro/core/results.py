@@ -56,11 +56,6 @@ class FragmentAlignment:
     def is_partial(self) -> bool:
         return self.partial_left or self.partial_right
 
-    @property
-    def shuffle_key(self):
-        """The reduce key: (subject id, strand) — paper Section IV-C."""
-        return (self.alignment.subject_id, self.alignment.strand)
-
 
 @dataclass
 class OrionResult:

@@ -56,13 +56,6 @@ class MapReduceJob:
         Optional map-side pre-aggregation, applied per map task.
     name:
         Label used in task ids and logs.
-    setup:
-        Optional per-worker initializer. The
-        :class:`~repro.mapreduce.runtime.WorkerPool` calls it once in every
-        worker process after unpickling the job, before any of its tasks
-        runs — the place to build expensive per-process caches (Orion warms
-        its subject k-mer index here). In-process executors never call it:
-        the caller's own objects are already live.
     """
 
     mapper: Mapper
@@ -71,7 +64,6 @@ class MapReduceJob:
     partitioner: Partitioner = hash_partitioner
     combiner: Optional[Combiner] = None
     name: str = "job"
-    setup: Optional[Callable[[], None]] = None
 
     def __post_init__(self) -> None:
         if self.num_reducers <= 0:

@@ -9,11 +9,8 @@ Two executors with identical result semantics (DESIGN.md row 5's
 * :class:`WorkerPool` — a process pool that persists across jobs; map and
   reduce tasks run on separate cores, which is the point of the paper's
   fine-grained work units. Each job is loaded once per worker (not per
-  task) and an optional per-worker
-  :attr:`~repro.mapreduce.job.MapReduceJob.setup` hook lets the job build
-  expensive caches once per process. Jobs that close over unpicklable
-  state (lambdas, local closures) fall back to serial execution with a
-  warning.
+  task). Jobs that close over unpicklable state (lambdas, local closures)
+  fall back to serial execution with a warning.
 
 The serial executor shuffles in the calling process
 (:meth:`~repro.mapreduce.job.MapReduceJob.shuffle`) and is the oracle
@@ -187,10 +184,9 @@ _RunLocator = Union[bytes, Tuple[str, int, int]]
 
 #: The page rule: a map output whose pickled runs total at most this many
 #: bytes commits inline, and so does a job blob this small. A segment
-#: cannot be smaller than one page, and creating one costs a
-#: ``shm_open``/``ftruncate``/``mmap`` cycle, every reader an attach and the
-#: driver an unlink — all to move bytes that fit in the message the task
-#: exchanges anyway.
+#: occupies at least one page, and creating one costs an open and a write,
+#: every reader an open and a ``pread``, and the driver an unlink — all to
+#: move bytes that fit in the message the task exchanges anyway.
 _INLINE_BYTES = mmap.PAGESIZE
 
 
@@ -233,11 +229,11 @@ def _spill_map_output(
     Runs that fit in one page (:data:`_INLINE_BYTES`) commit inline on
     the task's result and never touch shared memory. Larger outputs write
     the concatenated per-partition run pickles into the shared segment the
-    driver reserved under ``spill_name``; the worker detaches after
-    writing — the driver's :class:`~repro.mapreduce.shm.SpillSet` owns the
-    unlink, so even a worker that dies right after creating the segment
-    cannot leak it. Any ``OSError`` (``/dev/shm`` exhausted, a stale
-    segment squatting on the name) degrades to shipping the runs inline
+    driver reserved under ``spill_name`` — the driver's
+    :class:`~repro.mapreduce.shm.SpillSet` owns the unlink, so even a
+    worker that dies right after creating the segment cannot leak it. Any
+    ``OSError`` (``/dev/shm`` exhausted, a stale segment squatting on the
+    name) degrades to shipping the runs inline
     through the result pipe. ``shm_fault`` is the fault injector's hook
     into exactly that path: it fires (or not) where the real spill write
     would fail, so injected shm faults exercise the same degrade.
@@ -258,17 +254,15 @@ def _spill_map_output(
         try:
             if shm_fault is not None:
                 shm_fault()
-            seg = shm_mod.create_segment(total, name=spill_name)
+            shm_mod.write_segment(spill_name, blobs)
         except OSError:  # orionlint: disable=ORL006
             pass  # deliberate degrade: the inline commit below loses nothing
         else:
             offsets: List[Tuple[int, int]] = []
             pos = 0
             for blob in blobs:
-                seg.buf[pos : pos + len(blob)] = blob
                 offsets.append((pos, len(blob)))
                 pos += len(blob)
-            seg.close()
             return _RunCommit(
                 segment=spill_name, offsets=tuple(offsets), inline=None,
                 total_bytes=total,
@@ -295,7 +289,7 @@ def _fetch_partition_runs(
         else:
             if shm_fault is not None:
                 shm_fault()
-            blob = shm_mod.read_segment_slice(*loc)
+            blob = shm_mod.read_segment(*loc)
         bytes_in += len(blob)
         runs.append(pickle.loads(blob) if blob else [])
     return runs, bytes_in
@@ -323,12 +317,12 @@ def _fire_faults(
 class ShuffleService:
     """Driver-side bookkeeping for the push-based streaming shuffle.
 
-    Reserves one spill-segment name per map task *attempt* (see
-    :class:`~repro.mapreduce.shm.SpillSet` — driver-chosen, attempt-scoped
-    names are what make both post-crash sweeping and per-task retries
-    possible: two attempts of one map task never collide on a name, and a
-    dead attempt's run is swept via :meth:`sweep_attempt` without touching
-    the winner's), records each map task's :class:`_RunCommit` as it
+    Reserves one spill-segment name per map task *attempt* from the run's
+    ``spills`` (see :class:`~repro.mapreduce.shm.SpillSet` — driver-chosen,
+    attempt-scoped names are what make both post-crash sweeping and
+    per-task retries possible: two attempts of one map task never collide
+    on a name, and a dead attempt's run is swept via :meth:`sweep_attempt`
+    without touching the winner's), records each map task's :class:`_RunCommit` as it
     lands, and tells the scheduler which reduce partitions became ready.
     Partition *p*'s *feeders* are the splits whose declared
     ``partitions`` include *p* (a split declaring ``None`` feeds every
@@ -336,15 +330,18 @@ class ShuffleService:
     partition no split feeds is ready at the job's last commit. The
     guard in :meth:`~repro.mapreduce.job.MapReduceJob.partition_pairs`
     makes a run outside a declaration fail its map task, so a reducer
-    never starts before a run it needs. ``close()`` sweeps every name an
-    attempt could still have created a segment under — attempts that
-    committed inline are struck off as they land — and is safe to call
-    from ``finally`` while tasks may still be in flight (a reduce task
-    racing the sweep fails its attach, which surfaces through its future
-    like any other task error).
+    never starts before a run it needs. Attempts that committed inline are
+    struck off ``spills`` as they land, so its release sweeps only names
+    an attempt could still have created a segment under. Without
+    ``spills`` every run travels inline.
     """
 
-    def __init__(self, job: MapReduceJob, splits: Sequence[InputSplit]) -> None:
+    def __init__(
+        self,
+        job: MapReduceJob,
+        splits: Sequence[InputSplit],
+        spills: Optional[shm_mod.SpillSet] = None,
+    ) -> None:
         self.num_partitions = job.num_reducers
         num_splits = len(splits)
         self._commits: List[Optional[_RunCommit]] = [None] * num_splits
@@ -359,9 +356,7 @@ class ShuffleService:
                     self._feeds[split.index].append(p)
                     self._feeders[p].append(split.index)
         self._waiting = [len(f) for f in self._feeders]
-        self._spills: Optional[shm_mod.SpillSet] = (
-            shm_mod.SpillSet(num_splits) if shm_mod.HAVE_SHARED_MEMORY else None
-        )
+        self._spills = spills
 
     def spill_name(self, split_index: int, attempt: int = 1) -> Optional[str]:
         """The segment name reserved for one map attempt (None → inline)."""
@@ -385,8 +380,8 @@ class ShuffleService:
 
         ``attempt`` is the winning attempt's number. An inline commit says
         that attempt created no segment, so its reserved name is dropped
-        here and :meth:`close` has nothing to sweep for it — a job whose
-        every output fits in a page never opens ``/dev/shm`` at all.
+        here and the release has nothing to sweep for it — a job whose
+        every output fits in a page writes no spill at all.
 
         Map tasks commit all their runs atomically on completion, so a
         partition is ready when its last feeder commits; over the job every
@@ -415,11 +410,6 @@ class ShuffleService:
             out.append(commit.locator(partition_index))
         return out
 
-    def close(self) -> None:
-        """Sweep every spill segment that may exist (idempotent)."""
-        if self._spills is not None:
-            self._spills.release()
-
 
 def _stamp_meta(rec: TaskRecord, meta: TaskMeta) -> TaskRecord:
     """Stamp a task's attempt trail onto its record (driver-side)."""
@@ -446,10 +436,10 @@ def _serial_fallback(
 ) -> JobResult:
     """Last resort after retries are exhausted: rerun the whole job serially.
 
-    Spill segments are already swept before this runs — the task scheduler
-    drains straggler attempts and :meth:`WorkerPool._run_pool`'s
-    ``finally`` releases the spill set on the way out, so an abandoned
-    parallel attempt leaves nothing in ``/dev/shm``.
+    The run's segments are already swept before this runs — the task
+    scheduler drains straggler attempts and :meth:`WorkerPool._run_pool`'s
+    ``finally`` releases the run's spill set, job blob included, on the way
+    out, so an abandoned parallel attempt leaves nothing in ``/dev/shm``.
 
     On success, every record of the serial rerun is stamped with
     ``fallback_reason`` so operators can see why the job went serial. If
@@ -488,10 +478,10 @@ class _JobRef:
 
     A blob that fits in one page (:data:`_INLINE_BYTES`) rides inline in
     every task item, as does any blob when shared memory is unavailable.
-    A larger blob travels once per machine through a shared-memory segment
-    (``inline`` is ``None``; workers copy it out on first use). ``key``
-    identifies the job in the per-worker cache so a job's bytes are loaded
-    (and its setup hook run) at most once per worker.
+    A larger blob travels once per machine through a segment the run's
+    :class:`~repro.mapreduce.shm.SpillSet` owns (``inline`` is ``None``;
+    workers copy it out on first use). ``key`` identifies the job in the
+    per-worker cache so a job's bytes are loaded at most once per worker.
     """
 
     key: str
@@ -507,7 +497,7 @@ _POOL_JOB_LIMIT = 8
 
 
 def _pool_load_job(ref: _JobRef) -> MapReduceJob:
-    """Fetch/cache the job for ``ref`` in this worker, running setup once."""
+    """Fetch/cache the job for ``ref`` in this worker."""
     job = _POOL_JOBS.get(ref.key)
     if job is not None:
         _POOL_JOBS.move_to_end(ref.key)
@@ -516,10 +506,8 @@ def _pool_load_job(ref: _JobRef) -> MapReduceJob:
         blob = ref.inline
     else:
         assert ref.segment is not None, "job ref carries neither segment nor bytes"
-        blob = shm_mod.read_bytes(ref.segment, ref.size)
+        blob = shm_mod.read_segment(ref.segment, 0, ref.size)
     job = pickle.loads(blob)
-    if job.setup is not None:
-        job.setup()
     _POOL_JOBS[ref.key] = job
     while len(_POOL_JOBS) > _POOL_JOB_LIMIT:
         _POOL_JOBS.popitem(last=False)
@@ -587,11 +575,9 @@ class WorkerPool:
     the paper's fine-grained work units must amortize. Workers keep their
     module-level caches (attached shared-database views, warmed k-mer
     indexes, cached jobs) warm between jobs. Each job's pickle is loaded
-    once per worker, where an optional ``job.setup`` hook builds
-    per-process caches before the first task; see :class:`_JobRef` for how
-    the blob travels. Task dispatch relies only on module-level functions,
-    so it is safe under every multiprocessing start method, ``spawn``
-    included. A one-shot caller uses the pool as a context manager (or
+    once per worker; see :class:`_JobRef` for how the blob travels. Task
+    dispatch relies only on module-level functions, so it is safe under
+    every multiprocessing start method, ``spawn`` included. A one-shot caller uses the pool as a context manager (or
     calls :meth:`shutdown`) so no worker outlives its job; an unclosed
     pool's workers are reclaimed at interpreter exit.
 
@@ -680,10 +666,6 @@ class WorkerPool:
     def _ensure_pool(self) -> ProcessPoolExecutor:
         with self._lock:
             if self._pool is None:
-                # Workers forked before the tracker exists each start a
-                # private one when they attach a job blob segment; those
-                # report the driver's segments as leaked at exit.
-                shm_mod.ensure_resource_tracker()
                 ctx = multiprocessing.get_context(self.start_method)
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.max_workers, mp_context=ctx
@@ -698,8 +680,8 @@ class WorkerPool:
         ``run`` on sibling threads) the first submits therefore fork while
         other threads are mid-flight — and a fork of a multi-threaded
         process can inherit a lock some other thread held at that instant
-        (resource tracker, allocator), deadlocking the child before it ever
-        picks up a task. Call this from a quiescent moment — before the
+        (an allocator's, a logging handler's), deadlocking the child before
+        it ever picks up a task. Call this from a quiescent moment — before the
         pool is shared across threads — so every worker is born while no
         sibling thread is running. (A post-crash respawn still starts
         workers lazily; that path only follows a worker loss.)
@@ -728,28 +710,37 @@ class WorkerPool:
         else:  # pragma: no cover - internals moved: reach it via submit
             pool.submit(_prewarm_noop).result()
 
-    def _publish_job(
+    def _open_run(
         self, job_bytes: bytes
-    ) -> Tuple[_JobRef, Optional["shm_mod._shm_module.SharedMemory"]]:
+    ) -> Tuple[_JobRef, Optional[shm_mod.SpillSet]]:
+        """Open the run's segment owner and ship its job blob through it.
+
+        The :class:`~repro.mapreduce.shm.SpillSet` holds the run's anchor
+        lock, so its job blob and spills are reaped whatever kills this
+        driver. Without ``/dev/shm``, or when it fails (e.g. exhausted),
+        the job and the runs ride inline.
+        """
         # Content-addressed: re-submitting the same job (a pickled-identical
-        # blob) hits the per-worker LRU, so its setup hook runs once per
-        # worker for the whole pool lifetime — not once per run. A
-        # per-instance counter key defeated the cache on every run, and two
-        # pools in one process could mint colliding keys for different jobs.
+        # blob) hits the per-worker LRU for the whole pool lifetime — not
+        # once per run. A per-instance counter key defeated the cache on
+        # every run, and two pools in one process could mint colliding keys
+        # for different jobs.
         key = hashlib.sha256(job_bytes).hexdigest()
-        if len(job_bytes) > _INLINE_BYTES and shm_mod.HAVE_SHARED_MEMORY:
+        spills: Optional[shm_mod.SpillSet] = None
+        if shm_mod.HAVE_SHARED_MEMORY:
             try:
-                seg = shm_mod.publish_bytes(job_bytes)
-            except OSError as exc:  # e.g. /dev/shm exhausted: ship inline
+                spills = shm_mod.SpillSet()
+                if len(job_bytes) > _INLINE_BYTES:
+                    name = spills.publish_job(job_bytes)
+                    return _JobRef(key, name, len(job_bytes), None), spills
+            except OSError as exc:
                 warnings.warn(
                     f"WorkerPool could not publish job blob via shared "
                     f"memory ({exc}); shipping inline per task",
                     RuntimeWarning,
-                    stacklevel=3,
+                    stacklevel=4,
                 )
-            else:
-                return _JobRef(key, seg.name, len(job_bytes), None), seg
-        return _JobRef(key, None, 0, job_bytes), None
+        return _JobRef(key, None, 0, job_bytes), spills
 
     def run(self, job: MapReduceJob, splits: Sequence[InputSplit]) -> JobResult:
         try:
@@ -759,11 +750,10 @@ class WorkerPool:
         if not splits or self.max_workers == 1:
             # Nothing to parallelize — don't pay pool startup.
             return SerialExecutor().run(job, splits)
-        ref, seg = self._publish_job(job_bytes)
         with self._lock:
             self._active_runs += 1
         try:
-            return self._run_pool(job, ref, splits)
+            return self._run_pool(job, job_bytes, splits)
         except Exception as exc:
             # The scheduler already retried and respawned; reaching here
             # means a task exhausted its budget (or hit an unretryable
@@ -784,10 +774,6 @@ class WorkerPool:
         finally:
             with self._lock:
                 self._active_runs -= 1
-            if seg is not None:
-                # Workers that loaded the job keep their copy; the blob
-                # segment itself must not outlive the run.
-                shm_mod.destroy_segment(seg)
 
     def _respawn(self) -> None:
         """Replace a broken pool in place (the scheduler's respawn hook).
@@ -803,7 +789,7 @@ class WorkerPool:
         self._ensure_pool()
 
     def _run_pool(
-        self, job: MapReduceJob, ref: _JobRef, splits: Sequence[InputSplit]
+        self, job: MapReduceJob, job_bytes: bytes, splits: Sequence[InputSplit]
     ) -> JobResult:
         """Run one job's map and reduce attempts under the streaming shuffle.
 
@@ -818,9 +804,10 @@ class WorkerPool:
         Each map attempt spills under its own attempt-scoped segment name;
         dead attempts (failed, lost with the pool, superseded by a faster
         duplicate) have their spill swept promptly through the scheduler's
-        ``on_attempt_dead`` hook, and ``service.close()`` sweeps whatever
-        remains — the scheduler drains straggler attempts before returning,
-        so the sweep cannot race a write. Determinism is unaffected by any
+        ``on_attempt_dead`` hook, and releasing the run's spill set sweeps
+        whatever remains, job blob included — the scheduler drains
+        straggler attempts before returning, so the sweep cannot race a
+        write. Determinism is unaffected by any
         of this reordering: runs are concatenated in split-index order
         inside each reduce task and results are assembled by partition
         index. Submits go through :meth:`_ensure_pool` so they track
@@ -828,7 +815,8 @@ class WorkerPool:
         """
         self._ensure_pool()
         injector = self.injector
-        service = ShuffleService(job, splits)
+        ref, spills = self._open_run(job_bytes)
+        service = ShuffleService(job, splits, spills)
 
         def submit_map(split: InputSplit, attempt: int) -> "Future[Any]":
             name = service.spill_name(split.index, attempt)
@@ -880,7 +868,8 @@ class WorkerPool:
                 shuffle_keys += distinct_keys
             return JobResult(outputs=outputs, records=records, shuffle_keys=shuffle_keys)
         finally:
-            service.close()
+            if spills is not None:
+                spills.release()
 
     # ------------------------------------------------------------------ #
 

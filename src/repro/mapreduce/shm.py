@@ -4,13 +4,45 @@ Pickling the database into the job ships a private copy to *every*
 :class:`~repro.mapreduce.runtime.WorkerPool` worker, so per-worker warmup
 memory and time scale with ``num_workers`` — exactly the overhead the
 paper's fine-grained design must keep small (Section V). This module places the database's 2-bit sequence
-codes and its per-sequence sorted k-mer arrays into POSIX shared-memory
-segments (``multiprocessing.shared_memory``): one copy per machine, with
-workers attaching zero-copy NumPy views instead of unpickling a private
-copy.
+codes and its per-sequence sorted k-mer arrays into shared-memory
+segments: one copy per machine, with workers attaching zero-copy NumPy
+views instead of unpickling a private copy. The same segments carry each
+pool run's above-page job blob and its streaming-shuffle spills.
 
-Lifecycle
----------
+Segments
+--------
+A segment is a plain file in ``/dev/shm`` (Linux tmpfs) that this module
+opens, ``mmap``s or ``pread``s, and unlinks itself: :func:`create_segment`,
+:func:`attach_segment`, :func:`write_segment`, :func:`read_segment`,
+:func:`sweep_segment`. Without a ``/dev/shm`` directory
+(:data:`HAVE_SHARED_MEMORY` false) every segment kind takes its
+fallback: planes the in-process database, job blobs and spills the
+inline bytes of the task message.
+
+One owner rule
+--------------
+Every segment has an owner file whose ``flock`` a live process holds, and
+one reaper, :func:`reap_orphan_planes`, unlinks whatever no lock holds. The
+kernel drops a lock when its holder dies, SIGKILL included, so a crashed
+owner never pins its segments and a recycled pid cannot impersonate one.
+There are two kinds of owner:
+
+* A **plane**'s owner is its registry segment ``orionplane_<digest>_reg``;
+  every :class:`PlaneLease` is a shared ``flock`` on it. The last lease to
+  release unlinks the plane.
+* A **pool run**'s owner is its anchor ``orionspill_<pid>_<token>_<n>``,
+  which :class:`SpillSet` creates and share-locks for the run's lifetime;
+  the run's job blob and spills are named under it and unlinked with it.
+
+The reaper runs at plane creation, ``OrionService.start`` and the ``plane
+reap`` CLI. Plane create, attach, release and reaping serialize on one
+machine-wide mutex, an exclusive ``flock`` on the ``/dev/shm`` directory
+itself, so processes with different ``TMPDIR``s serialize too. A forked
+child closes every inherited lock fd at fork, so pool workers never pin
+the driver's plane or run.
+
+Lifecycle of a plane
+--------------------
 :class:`PlaneRegistry` is the one way to get a plane.
 :meth:`PlaneRegistry.attach_or_create` names the plane's segments after a
 digest of the database fingerprint, word size, sketch size and layout
@@ -20,33 +52,10 @@ notebook share one copy. The first caller publishes; the rest verify
 (layout version gate, per-segment size checks, a checksum over the handle
 blob and every segment's head) and attach, or get a typed
 :class:`PlaneCorruptError` so they can fall back to the in-process path.
-Every caller gets a :class:`PlaneLease`.
-
-The kernel tracks who holds a plane. A lease is a shared ``flock`` on the
-plane's registry segment, the ``/dev/shm`` file that exists exactly as
-long as the plane does, and the kernel drops it when its holder dies,
-SIGKILL included. "Does anyone still hold the plane?" is therefore one
-non-blocking exclusive lock attempt on that file. The last lease to
-release unlinks every segment; :func:`reap_orphan_planes` sweeps every
-plane no lease holds (crashed holders, half-published creates) and runs
-at plane creation, ``OrionService.start`` and the ``plane reap`` CLI. A
-forked child closes its inherited lease fds at fork, so pool workers
-never pin the driver's plane.
-
-*Workers* attach through :func:`attach_view` (or the per-process-cached
-:func:`attach_cached_view`) and get a :class:`SharedDatabaseView`, whose
-arrays alias the shared buffers.
-
-Plane segments are deliberately *invisible to the stdlib resource
-tracker*: a tracker is per process tree, so session B's tracker would
-unlink segments session A still serves the moment B exits. The leases,
-the reaper and the atexit lease drain replace that backstop.
-
-Every raw ``SharedMemory`` create/attach in this repository lives in this
-module's :func:`create_segment`/:func:`attach_segment` helpers (and the
-untracked variants below), which pair the call with ``close``/``unlink``
-on their failure paths — the invariant orionlint rule ORL008 enforces at
-every other call site.
+Every caller gets a :class:`PlaneLease`. *Workers* attach through
+:func:`attach_view` (or the per-process-cached :func:`attach_cached_view`)
+and get a :class:`SharedDatabaseView`, whose arrays alias the shared
+buffers.
 """
 
 from __future__ import annotations
@@ -54,14 +63,24 @@ from __future__ import annotations
 import atexit
 import hashlib
 import itertools
+import mmap
 import os
 import pickle
 import struct
-import tempfile
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -70,17 +89,15 @@ if TYPE_CHECKING:  # import would be cycle-free but is kept lazy at runtime
     from repro.sketch import KmerSketch
 
 try:
-    from multiprocessing import shared_memory as _shm_module
-
-    HAVE_SHARED_MEMORY = True
-except ImportError:  # pragma: no cover - platform without POSIX shm
-    _shm_module = None  # type: ignore[assignment]
-    HAVE_SHARED_MEMORY = False
-
-try:
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None  # type: ignore[assignment]
+
+#: Where segments live as plain files (Linux tmpfs).
+_SHM_DIR = "/dev/shm"
+
+#: Whether this platform has a ``/dev/shm`` to put segments in.
+HAVE_SHARED_MEMORY = fcntl is not None and os.path.isdir(_SHM_DIR)
 
 
 class SharedMemoryUnavailable(RuntimeError):
@@ -89,134 +106,117 @@ class SharedMemoryUnavailable(RuntimeError):
 
 def _require_shm() -> None:
     if not HAVE_SHARED_MEMORY:  # pragma: no cover - platform without shm
-        raise SharedMemoryUnavailable(
-            "multiprocessing.shared_memory is unavailable on this platform"
-        )
+        raise SharedMemoryUnavailable(f"{_SHM_DIR} is unavailable on this platform")
 
 
 # --------------------------------------------------------------------------- #
-# segment helpers — the only raw SharedMemory call sites in the repo
+# segment primitives
 # --------------------------------------------------------------------------- #
 
 
-def create_segment(
-    size: int, data: Optional[bytes] = None, name: Optional[str] = None
-) -> "_shm_module.SharedMemory":
-    """Create one shared segment of at least ``size`` bytes (min 1).
+def _path(name: str) -> str:
+    return os.path.join(_SHM_DIR, name)
 
-    ``data``, when given, is copied in before the segment is returned.
-    ``name`` pins the segment name (the streaming shuffle's spill
-    segments are named by the *driver* so it can sweep them even if the
-    creating worker dies before reporting); ``None`` lets the platform
-    pick one. If anything fails after creation the segment is closed *and
-    unlinked* in the paired ``finally`` — a half-initialized segment must
-    never outlive this call.
+
+class Segment:
+    """One segment file mapped read-write into this process.
+
+    ``buf`` is a memoryview of the mapping. :meth:`close` unmaps; it raises
+    ``BufferError`` while NumPy arrays still alias ``buf``. Unlinking the
+    file is its owner's business (:func:`sweep_segment`).
     """
-    _require_shm()
-    seg = _shm_module.SharedMemory(name=name, create=True, size=max(1, int(size)))
+
+    def __init__(self, name: str, size: Optional[int] = None) -> None:
+        """Map segment ``name``; with ``size``, create it exclusively first."""
+        flags = os.O_RDWR | os.O_CLOEXEC
+        if size is not None:
+            flags |= os.O_CREAT | os.O_EXCL
+        fd = os.open(_path(name), flags, 0o600)
+        try:
+            if size is not None:
+                os.ftruncate(fd, max(1, size))
+            self._mmap = mmap.mmap(fd, 0)
+        except BaseException:
+            if size is not None:
+                os.unlink(_path(name))
+            raise
+        finally:
+            os.close(fd)  # the mapping keeps its own reference
+        self.name = name
+        self.size = len(self._mmap)
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        """Unmap (idempotent); the file stays until someone unlinks it."""
+        self.buf.release()
+        self._mmap.close()
+
+
+def create_segment(name: str, size: int) -> Segment:
+    """Create segment ``name`` of ``size`` bytes (min 1) and map it.
+
+    ``FileExistsError`` if the name is taken. The caller owns the paired
+    :func:`destroy_segment` on its failure paths.
+    """
+    return Segment(name, size)
+
+
+def attach_segment(name: str) -> Segment:
+    """Map an existing segment; the caller owns the paired ``close()``."""
+    return Segment(name)
+
+
+def write_segment(name: str, chunks: Iterable[bytes]) -> None:
+    """Create segment ``name`` holding ``chunks`` back to back.
+
+    ``FileExistsError`` if the name is taken. A failed write (``ENOSPC`` on
+    a full ``/dev/shm``) unlinks the partial file before re-raising, so the
+    caller can degrade to inline bytes with nothing left behind.
+    """
+    fd = os.open(_path(name), os.O_CREAT | os.O_EXCL | os.O_WRONLY | os.O_CLOEXEC, 0o600)
     ok = False
     try:
-        if data is not None:
-            seg.buf[: len(data)] = data
+        for chunk in chunks:
+            view = memoryview(chunk)
+            while view:
+                view = view[os.write(fd, view) :]
         ok = True
-        return seg
     finally:
+        os.close(fd)
         if not ok:
-            seg.close()
-            seg.unlink()
+            sweep_segment(name)
 
 
-def attach_segment(name: str) -> "_shm_module.SharedMemory":
-    """Attach to an existing segment by name, without taking ownership.
+def read_segment(name: str, start: int = 0, length: Optional[int] = None) -> bytes:
+    """Copy ``length`` bytes at ``start`` out of segment ``name``.
 
-    The ``SharedMemory`` constructor registers the name with the resource
-    tracker for creators and attachers alike, but the tracker is a single
-    process shared by the whole tree and its cache is a *set* — an attach
-    re-registering the name is idempotent, balanced by the one unregister
-    the creator's ``unlink`` performs. Do **not** unregister here: that
-    would strip the shared registration, making later unregisters fail
-    and forfeiting the tracker's crash backstop (cf. bpo-38119).
-
-    The caller owns the paired ``close()`` (views close in their
-    ``finally``/``close`` paths; the creator additionally unlinks).
+    ``length=None`` reads to the end. The streaming shuffle's reduce tasks
+    use this to pull exactly their partition's run out of a map task's
+    spill, without touching the other partitions' bytes.
     """
-    _require_shm()
-    return _shm_module.SharedMemory(name=name)  # orionlint: disable=ORL008
-
-
-#: Serializes the brief resource-tracker monkeypatch the untracked helpers
-#: apply. A concurrent *tracked* attach in another thread during the window
-#: would merely skip its (idempotent, backstop-only) registration.
-_TRACKER_PATCH_LOCK = threading.Lock()
-
-
-def _noop_track(name: str, rtype: str) -> None:  # pragma: no cover - trivial
-    return None
-
-
-def attach_segment_untracked(name: str) -> "_shm_module.SharedMemory":
-    """Attach to a registry-managed segment without tracker registration.
-
-    The stdlib resource tracker is per process *tree*; registering a
-    cross-session segment here would hand this tree's tracker license to
-    unlink it at our exit, yanking the plane out from under every other
-    session still serving it. ``SharedMemory.__init__`` offers no opt-out
-    on this Python, so ``register`` is swapped for a no-op for the duration
-    of the constructor. The caller owns the paired ``close()`` (and, for
-    last-leaseholder teardown, :func:`_unlink_untracked`).
-    """
-    _require_shm()
-    from multiprocessing import resource_tracker
-
-    with _TRACKER_PATCH_LOCK:
-        original = resource_tracker.register
-        resource_tracker.register = _noop_track
-        try:
-            return _shm_module.SharedMemory(name=name)  # orionlint: disable=ORL008
-        finally:
-            resource_tracker.register = original
-
-
-def _unlink_untracked(seg: "_shm_module.SharedMemory") -> None:
-    """Unlink a registry-managed segment without a tracker unregister.
-
-    ``SharedMemory.unlink`` unconditionally unregisters the name; for a
-    segment this process never registered (untracked attach, or a create
-    already balanced by :func:`untrack_segment`) that would make the
-    tracker process print a spurious ``KeyError`` traceback.
-    """
-    from multiprocessing import resource_tracker
-
-    with _TRACKER_PATCH_LOCK:
-        original = resource_tracker.unregister
-        resource_tracker.unregister = _noop_track
-        try:
-            seg.unlink()
-        except FileNotFoundError:
-            return  # already unlinked (sweeps are idempotent)
-        finally:
-            resource_tracker.unregister = original
-
-
-def untrack_segment(seg: "_shm_module.SharedMemory") -> None:
-    """Balance a freshly *created* segment's tracker registration.
-
-    Called once right after :func:`create_segment` for registry-managed
-    segments: the create registered the name, this unregisters it, and from
-    then on no tracker in any session knows the segment exists — the
-    leases and :func:`reap_orphan_planes` own reclamation.
-    """
-    from multiprocessing import resource_tracker
-
+    fd = os.open(_path(name), os.O_RDONLY | os.O_CLOEXEC)
     try:
-        resource_tracker.unregister(seg._name, "shared_memory")
-    except Exception:  # orionlint: disable=ORL006
-        # The tracker may already be gone (interpreter teardown) — losing
-        # the unregister is harmless; the registration is backstop-only.
-        pass
+        if length is None:
+            length = os.fstat(fd).st_size - start
+        return os.pread(fd, length, start)
+    finally:
+        os.close(fd)
 
 
-def destroy_segment(seg: "_shm_module.SharedMemory") -> None:
+def sweep_segment(name: str) -> bool:
+    """Unlink segment ``name`` if it exists; ``True`` when one was removed.
+
+    Idempotent by design, so cleanup paths can sweep every name they
+    *might* have caused to exist.
+    """
+    try:
+        os.unlink(_path(name))
+    except FileNotFoundError:
+        return False
+    return True
+
+
+def destroy_segment(seg: Segment) -> None:
     """Close and unlink a segment this process created (idempotent)."""
     try:
         seg.close()
@@ -224,94 +224,161 @@ def destroy_segment(seg: "_shm_module.SharedMemory") -> None:
         # Live NumPy views still alias the buffer; the mapping stays until
         # they die, but the name must still vanish from /dev/shm below.
         pass
-    try:
-        seg.unlink()
-    except FileNotFoundError:
-        return  # already unlinked (idempotent release paths)
+    sweep_segment(seg.name)
 
 
 def segment_exists(name: str) -> bool:
     """Whether a segment with ``name`` is currently linked (test/leak probe)."""
-    _require_shm()
-    try:
-        seg = attach_segment(name)
-    except FileNotFoundError:
-        return False
-    seg.close()
-    return True
+    return os.path.exists(_path(name))
 
 
-def publish_bytes(data: bytes) -> "_shm_module.SharedMemory":
-    """Copy ``data`` into a fresh segment (caller owns close+unlink)."""
-    return create_segment(len(data), data)
+# --------------------------------------------------------------------------- #
+# owners: lock fds, the machine mutex, the reaper
+# --------------------------------------------------------------------------- #
+
+#: Every fd of this process whose ``flock`` carries ownership (leases, run
+#: anchors, the machine mutex, a reaper's probe). ``flock`` belongs to the
+#: open file description, which ``fork`` shares, so a forked child must
+#: close its copies or it would keep the parent's locks held.
+_LOCK_FDS: Set[int] = set()
+
+#: Held across opening a lock fd and recording it, and across ``fork``, so
+#: a child never inherits a lock fd it does not know to close.
+_FORK_GUARD = threading.Lock()
 
 
-def read_bytes(name: str, size: int) -> bytes:
-    """Copy ``size`` bytes out of segment ``name``, then detach."""
-    seg = attach_segment(name)
-    try:
-        return bytes(seg.buf[:size])
-    finally:
-        seg.close()
+def _open_lock_fd(path: str, flags: int = os.O_RDONLY) -> int:
+    """Open a file whose ``flock`` will carry ownership (see :data:`_LOCK_FDS`)."""
+    with _FORK_GUARD:
+        fd = os.open(path, flags | os.O_CLOEXEC, 0o600)
+        _LOCK_FDS.add(fd)
+    return fd
 
 
-def read_segment_slice(name: str, start: int, length: int) -> bytes:
-    """Copy ``[start, start+length)`` out of segment ``name``, then detach.
+def _close_lock_fd(fd: int) -> None:
+    _LOCK_FDS.discard(fd)
+    os.close(fd)
 
-    The streaming shuffle's reduce tasks use this to pull exactly their
-    partition's run out of a map task's spill segment, without touching
-    (or unpickling) the other partitions' bytes.
+
+@contextmanager
+def _machine_lock() -> Iterator[None]:
+    """The machine-wide mutex: plane create/attach/release and reaping.
+
+    An exclusive ``flock`` on the ``/dev/shm`` directory itself. Every
+    process on the machine meets at it whatever its ``TMPDIR``, and it
+    creates no file. Racing attachers serialize (one creates, the rest
+    attach), a reaper never sweeps a plane mid-publish, and taking a lease
+    never races the last-holder test. Never nest it: a second ``flock``
+    from this process on a fresh fd waits on the first forever.
     """
-    seg = attach_segment(name)
+    fd = _open_lock_fd(_SHM_DIR)
     try:
-        return bytes(seg.buf[start : start + length])
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
     finally:
-        seg.close()
+        _close_lock_fd(fd)  # closing the fd releases the flock
 
 
-def ensure_resource_tracker() -> None:
-    """Start this process's resource tracker if it is not already running.
+def _owner_held(owner: str) -> bool:
+    """Whether a live process holds owner file ``owner``'s lock (a probe).
 
-    Forked pool workers inherit the tracker fd only if the tracker exists
-    at fork time. A pool's first shm activity may be a *worker* — creating
-    a spill segment, or attaching an above-page job blob — and without
-    this pre-start each forked worker would lazily spawn its own private
-    tracker, whose registrations the driver's sweep can never balance
-    (noisy ``ENOENT`` and "leaked shared_memory objects" warnings at
-    worker exit). ``WorkerPool`` calls this before it builds its process
-    pool (``spawn`` children receive the fd via preparation data
-    regardless).
+    An exclusive non-blocking ``flock`` succeeds only when no shared lock
+    is left. A missing owner file holds nothing (a half-published plane or
+    run); so does one this user cannot open (its sweep then fails and
+    skips it).
+    """
+    try:
+        fd = _open_lock_fd(_path(owner))
+    except OSError:
+        return False
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return True
+    finally:
+        _close_lock_fd(fd)
+    return False
+
+
+def _sweep_unowned(owner: str, names: Iterable[str]) -> List[str]:
+    """Unlink ``names`` unless owner file ``owner`` is held; the names removed.
+
+    The owner's exclusive lock is held across the sweep and the owner file
+    goes last, so an owner that locks a fresh anchor meanwhile finds it
+    unlinked and starts over (:func:`_create_anchor`). A missing owner file
+    holds nothing; one this user cannot open is not ours to judge.
+    """
+    fd: Optional[int]
+    try:
+        fd = _open_lock_fd(_path(owner))
+    except FileNotFoundError:
+        fd = None
+    except OSError:
+        return []
+    try:
+        if fd is not None:
+            try:
+                fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                return []
+        ordered = sorted(names, key=lambda name: name == owner)
+        return [name for name in ordered if sweep_segment(name)]
+    finally:
+        if fd is not None:
+            _close_lock_fd(fd)
+
+
+def _owner_of(entry: str) -> Optional[str]:
+    """The owner file whose lock keeps ``/dev/shm`` entry ``entry`` alive."""
+    if entry.startswith(PLANE_PREFIX):
+        return _registry_name(entry[len(PLANE_PREFIX) :].split("_", 1)[0])
+    if entry.startswith(SPILL_PREFIX):
+        return "_".join(entry.split("_", 4)[:4])
+    return None  # not this program's
+
+
+def _owned_entries() -> Dict[str, List[str]]:
+    """This program's ``/dev/shm`` entries, grouped by owner file."""
+    groups: Dict[str, List[str]] = {}
+    for entry in sorted(os.listdir(_SHM_DIR)):
+        owner = _owner_of(entry)
+        if owner is not None:
+            groups.setdefault(owner, []).append(entry)
+    return groups
+
+
+def reap_orphan_planes() -> List[str]:
+    """Sweep every plane and pool run no lock holds; the names reclaimed.
+
+    The crash backstop: a SIGKILLed last holder never runs its release,
+    so its segments persist until someone sweeps them. Wired into plane
+    creation, ``OrionService.start`` and ``python -m repro plane reap``. A
+    held plane is never swept, corrupt or not, and neither is a live run.
     """
     if not HAVE_SHARED_MEMORY:  # pragma: no cover - platform without shm
-        return
-    from multiprocessing import resource_tracker
+        return []
+    with _machine_lock():
+        return _reap_locked()
 
-    resource_tracker.ensure_running()
 
-
-def sweep_segment(name: str) -> bool:
-    """Unlink segment ``name`` if it exists; ``True`` when one was removed.
-
-    The reclamation primitive for driver-chosen segment names: attach (so
-    the mapping can be closed), then close + unlink. A missing segment is
-    not an error — sweeping is idempotent by design, so cleanup paths can
-    sweep every name they *might* have caused to exist.
-    """
-    try:
-        seg = attach_segment(name)
-    except FileNotFoundError:
-        return False
-    destroy_segment(seg)
-    return True
+def _reap_locked() -> List[str]:
+    """:func:`reap_orphan_planes` for a caller already holding the mutex."""
+    removed: List[str] = []
+    for owner, names in _owned_entries().items():
+        removed.extend(_sweep_unowned(owner, names))
+    return removed
 
 
 # --------------------------------------------------------------------------- #
-# spill-segment sets (streaming-shuffle intermediate data)
+# pool runs: the job blob and streaming-shuffle spills
 # --------------------------------------------------------------------------- #
 
-#: Spill sets created (and not yet released) by this process; drained by the
-#: atexit hook below so an abandoned streaming-shuffle job never leaks its
-#: intermediate runs — the same discipline as ``_LIVE_LEASES``.
+#: Every pool run's anchor, job blob and spill segment name starts with this.
+SPILL_PREFIX = "orionspill_"
+
+#: Runs opened (and not yet released) by this process; drained by the
+#: atexit hook below so an abandoned run never outlives the interpreter —
+#: the same discipline as ``_LIVE_LEASES``.
 _LIVE_SPILL_SETS: Dict[str, "SpillSet"] = {}
 _SPILL_COUNTER = itertools.count()
 
@@ -326,13 +393,44 @@ def _cleanup_live_spill_sets() -> None:
 atexit.register(_cleanup_live_spill_sets)
 
 
-class SpillSet:
-    """Driver-side owner of one streaming-shuffle job's spill segments.
+def _create_anchor() -> Tuple[str, int]:
+    """Create and share-lock a fresh run anchor; its name and lock fd.
 
-    The driver mints one deterministic name per map task *attempt*
-    (``orionspill_{pid}_{job#}_{split:05d}_a{attempt:02d}``); workers
-    create segments *under those names* via :func:`create_segment` and
-    detach after writing, so ownership of every possible segment rests
+    The name carries the pid, a random token and a per-process counter.
+    The token keeps names apart across PID namespaces that share one
+    ``/dev/shm`` (two containers of a pod, each driver PID 1). A reaper
+    that judged the fresh anchor unheld before our lock landed has unlinked
+    it (holding its exclusive lock until then), so after locking, the
+    locked inode must still be linked — nobody renames an anchor, so then
+    the path still names it; otherwise start over under a new name.
+    """
+    while True:
+        set_id = f"{SPILL_PREFIX}{os.getpid()}_{os.urandom(4).hex()}_{next(_SPILL_COUNTER)}"
+        fd = _open_lock_fd(_path(set_id), os.O_CREAT | os.O_EXCL | os.O_RDONLY)
+        ok = False
+        try:
+            fcntl.flock(fd, fcntl.LOCK_SH)
+            ok = os.fstat(fd).st_nlink > 0
+        finally:
+            if not ok:
+                _close_lock_fd(fd)
+        if ok:
+            return set_id, fd
+
+
+class SpillSet:
+    """The owner of one pool run's segments: its job blob and its spills.
+
+    Creating the set creates the run's anchor (:func:`_create_anchor`) and
+    holds a shared ``flock`` on it until :meth:`release`. Every segment of
+    the run is named under the anchor's ``set_id``: the job blob as
+    ``{set_id}_job`` (:meth:`publish_job`) and each map task *attempt*'s
+    spill as ``{set_id}_{split:05d}_a{attempt:02d}``. So whatever kills
+    the driver, :func:`reap_orphan_planes` sweeps the whole run once the
+    lock is free.
+
+    Workers create spills *under the names the driver minted* via
+    :func:`write_segment`, so ownership of every possible segment rests
     with the driver from the start. Attempt-scoped names are what make
     per-task retries and speculative duplicates safe: two attempts of the
     same map task never collide on a segment name, the losing attempt's
@@ -341,20 +439,17 @@ class SpillSet:
     its name.
 
     Names are minted lazily — :meth:`name_for` records every name it
-    hands out — and :meth:`release` sweeps all that remain. An attempt
-    that commits inline (sub-page output, or the no-shm fallback) created
-    nothing and is struck off via :meth:`forget`; names whose fate is
-    unknown — already swept, or orphaned by a worker that crashed between
-    create and report — are all covered by the same idempotent
-    :func:`sweep_segment` call. Until released, the set
-    sits in a module registry drained at interpreter exit, mirroring the
-    database plane's atexit backstop.
+    hands out — and :meth:`release` sweeps all that remain, then the
+    anchor. An attempt that commits inline (sub-page output, or the no-shm
+    fallback) created nothing and is struck off via :meth:`forget`; names
+    whose fate is unknown — already swept, or orphaned by a worker that
+    crashed between create and report — are all covered by the same
+    idempotent :func:`sweep_segment` call. Until released, the set sits in
+    a module registry drained at interpreter exit.
     """
 
-    def __init__(self, num_segments: int) -> None:
-        token = f"{os.getpid()}_{next(_SPILL_COUNTER)}"
-        self.set_id = f"orionspill_{token}"
-        self.num_segments = num_segments
+    def __init__(self) -> None:
+        self.set_id, self._fd = _create_anchor()
         # Insertion-ordered so release() sweeps in minting order (determinism
         # for tests; sweeping itself is order-independent).
         self._minted: Dict[str, None] = {}
@@ -379,6 +474,13 @@ class SpillSet:
         self._minted[name] = None
         return name
 
+    def publish_job(self, data: bytes) -> str:
+        """Write the run's job blob under the anchor; its segment name."""
+        name = f"{self.set_id}_job"
+        self._minted[name] = None
+        write_segment(name, (data,))
+        return name
+
     def forget(self, split_index: int, attempt: int = 1) -> None:
         """Strike off an attempt that reported creating no segment.
 
@@ -398,15 +500,23 @@ class SpillSet:
         self._minted.pop(name, None)
         return sweep_segment(name)
 
-    def release(self) -> None:
-        """Sweep every minted segment of this set (idempotent)."""
+    def _abandon(self) -> None:
+        """Close the anchor's lock fd without sweeping (a forked child's copy)."""
         if self._released:
             return
         self._released = True
         _LIVE_SPILL_SETS.pop(self.set_id, None)
+        _close_lock_fd(self._fd)
+
+    def release(self) -> None:
+        """Sweep every minted segment, then the anchor (idempotent)."""
+        if self._released:
+            return
         for name in self._minted:
             sweep_segment(name)
         self._minted = {}
+        sweep_segment(self.set_id)
+        self._abandon()
 
     def __enter__(self) -> "SpillSet":
         return self
@@ -497,7 +607,7 @@ class SharedDatabaseView:
     def __init__(
         self,
         handle: SharedDatabaseHandle,
-        segments: Sequence["_shm_module.SharedMemory"],
+        segments: Sequence[Segment],
     ) -> None:
         self.handle = handle
         self._segments = list(segments)
@@ -603,7 +713,7 @@ class SharedDatabaseView:
         self._segments = []
 
 
-def _wrap_array(seg: "_shm_module.SharedMemory", dtype: type, length: int) -> np.ndarray:
+def _wrap_array(seg: Segment, dtype: type, length: int) -> np.ndarray:
     arr: np.ndarray = np.ndarray((length,), dtype=dtype, buffer=seg.buf)
     arr.setflags(write=False)
     return arr
@@ -618,7 +728,7 @@ def _prefix_sums(sizes: Iterable[int]) -> Tuple[int, ...]:
 
 def _publish_database_segments(
     database: "Database", k: int, sketch_size: int, digest: str, generation: int
-) -> Tuple[SharedDatabaseHandle, List["_shm_module.SharedMemory"]]:
+) -> Tuple[SharedDatabaseHandle, List[Segment]]:
     """Build one plane's data segments and its handle.
 
     Two passes keep peak extra memory at one sequence's index, not the
@@ -642,14 +752,14 @@ def _publish_database_segments(
     codes_offsets = _prefix_sums(len(r) for r in records)
     kmer_offsets = _prefix_sums(count_valid_kmers(r.codes, k) for r in records)
 
-    segments: List["_shm_module.SharedMemory"] = []
+    segments: List[Segment] = []
     ok = False
     try:
-        codes_seg = create_segment(codes_offsets[-1], name=names["codes"])
+        codes_seg = create_segment(names["codes"], codes_offsets[-1])
         segments.append(codes_seg)
-        keys_seg = create_segment(kmer_offsets[-1] * 8, name=names["keys"])
+        keys_seg = create_segment(names["keys"], kmer_offsets[-1] * 8)
         segments.append(keys_seg)
-        pos_seg = create_segment(kmer_offsets[-1] * 8, name=names["positions"])
+        pos_seg = create_segment(names["positions"], kmer_offsets[-1] * 8)
         segments.append(pos_seg)
 
         codes_arr: np.ndarray = np.ndarray(
@@ -687,9 +797,7 @@ def _publish_database_segments(
         if sketch_size > 0:
             sketch_offsets = _prefix_sums(s.num_hashes for s in sketches)
             sketch_thresholds = tuple(s.threshold for s in sketches)
-            sketch_seg = create_segment(
-                sketch_offsets[-1] * 8, name=names["sketches"]
-            )
+            sketch_seg = create_segment(names["sketches"], sketch_offsets[-1] * 8)
             segments.append(sketch_seg)
             sketch_segment = sketch_seg.name
             sketch_arr: np.ndarray = np.ndarray(
@@ -734,17 +842,12 @@ def _publish_database_segments(
 def attach_view(handle: SharedDatabaseHandle) -> SharedDatabaseView:
     """Attach a fresh zero-copy view of a plane (see also
     :func:`attach_cached_view` for the once-per-process variant).
-
-    Segments attach *untracked*: the leases and the reaper own
-    reclamation, and a tracker registration here would let this process
-    tree unlink segments other sessions still serve (see the module
-    docstring).
     """
-    segments: List["_shm_module.SharedMemory"] = []
+    segments: List[Segment] = []
     ok = False
     try:
         for name in handle.segment_names:
-            segments.append(attach_segment_untracked(name))
+            segments.append(attach_segment(name))
         view = SharedDatabaseView(handle, segments)
         ok = True
         return view
@@ -788,14 +891,9 @@ PLANE_LAYOUT_VERSION = 2
 #: First 8 bytes of every registry segment.
 PLANE_MAGIC = b"ORIONPLN"
 
-#: Every registry-managed segment name (and the per-plane ``.lock`` file
-#: in the temp directory) starts with this; the reaper and the CI leak
+#: Every plane segment name starts with this; the reaper and the CI leak
 #: sweeps key off it.
 PLANE_PREFIX = "orionplane_"
-
-#: Where POSIX shared-memory segments appear as files (Linux tmpfs). The
-#: reaper scans it, and a lease is an ``flock`` on a registry file in it.
-_SHM_DIR = "/dev/shm"
 
 #: How many leading bytes of each data segment the integrity checksum
 #: covers. Full-content checksums would cost a pass over gigabytes on every
@@ -844,7 +942,7 @@ def database_fingerprint(database: "Database") -> str:
 
 
 def plane_digest(fingerprint: str, k: int, sketch_size: int) -> str:
-    """The short digest that names one plane's segments and lock files.
+    """The short digest that names one plane's segments.
 
     Derived from everything that shapes the plane's bytes — database
     fingerprint, word size, sketch size, and the layout version (so a code
@@ -858,79 +956,15 @@ def _registry_name(digest: str) -> str:
     return f"{PLANE_PREFIX}{digest}_reg"
 
 
-@contextmanager
-def _plane_lock(digest: str) -> Iterator[None]:
-    """Exclusive per-plane mutex (create/attach/reap/release).
+def _sweep_plane(digest: str) -> List[str]:
+    """Unlink one plane's segments unless a lease holds it; the names removed.
 
-    An ``flock`` on ``<tempdir>/orionplane_<digest>.lock``: racing
-    attachers serialize (one creates, the rest attach), a reaper can never
-    sweep a plane mid-publish, and taking a lease never races the
-    last-holder test. The file is never unlinked — unlinking a mutex file
-    races its waiters.
+    Caller holds the machine mutex. The ``/dev/shm`` scan also catches
+    segments no registry names, left by a half-published create that died
+    before writing its registry.
     """
-    fd = os.open(
-        os.path.join(tempfile.gettempdir(), f"{PLANE_PREFIX}{digest}.lock"),
-        os.O_CREAT | os.O_RDWR | os.O_CLOEXEC,
-        0o666,
-    )
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX)
-        yield
-    finally:
-        os.close(fd)  # closing the fd releases the flock
-
-
-def _open_registry_file(digest: str) -> int:
-    """A fresh fd on the plane's registry segment file (FileNotFoundError if none).
-
-    Each call opens a new file description, and ``flock`` conflicts
-    between descriptions, so two leases in one process are two holders.
-    ``O_CLOEXEC`` keeps exec'd children (spawn and forkserver pools,
-    subprocesses) from inheriting a lease.
-    """
-    return os.open(
-        os.path.join(_SHM_DIR, _registry_name(digest)), os.O_RDONLY | os.O_CLOEXEC
-    )
-
-
-def _hold(digest: str) -> int:
-    """Take a lease: a shared ``flock`` on the plane's registry segment.
-
-    Caller holds the plane lock and has just attached or published the
-    registry, so the file exists and this never blocks (the one exclusive
-    taker, :func:`_plane_held`, never waits). The returned fd carries the
-    lease.
-    """
-    fd = _open_registry_file(digest)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_SH)
-    except BaseException:
-        os.close(fd)
-        raise
-    return fd
-
-
-def _plane_held(digest: str) -> bool:
-    """Whether any lease, in any process on this machine, still holds the plane.
-
-    An exclusive non-blocking ``flock`` on the registry segment succeeds
-    only when no lease's shared lock is left. The kernel drops a lock when
-    its holder dies, SIGKILL included, so a crashed holder never pins a
-    plane and a recycled pid cannot impersonate one. A half-published plane
-    has no registry yet, so it counts as unheld; so does one whose registry
-    this user cannot open (its sweep then fails to attach and skips it).
-    """
-    try:
-        fd = _open_registry_file(digest)
-    except OSError:
-        return False
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except BlockingIOError:
-        return True
-    finally:
-        os.close(fd)
-    return False
+    owner = _registry_name(digest)
+    return _sweep_unowned(owner, _owned_entries().get(owner, ()))
 
 
 @dataclass(frozen=True)
@@ -942,29 +976,25 @@ class _RegistryHeader:
     blob_len: int
 
 
-def _read_header(reg: "_shm_module.SharedMemory") -> _RegistryHeader:
-    """Parse and gate a registry segment's header (raises PlaneCorruptError)."""
-    if reg.size < _REG_BLOB_OFFSET:
+def _read_header(name: str, reg: bytes) -> _RegistryHeader:
+    """Parse and gate registry segment ``name``'s header (raises PlaneCorruptError)."""
+    if len(reg) < _REG_BLOB_OFFSET:
         raise PlaneCorruptError(
-            f"registry segment {reg.name} is {reg.size} bytes — smaller than "
+            f"registry segment {name} is {len(reg)} bytes — smaller than "
             f"the {_REG_BLOB_OFFSET}-byte header"
         )
-    magic, version, generation, fp, meta_sha, blob_len = _REG_HEADER.unpack_from(
-        reg.buf, 0
-    )
+    magic, version, generation, fp, meta_sha, blob_len = _REG_HEADER.unpack_from(reg, 0)
     if magic != PLANE_MAGIC:
-        raise PlaneCorruptError(
-            f"registry segment {reg.name} has bad magic {magic!r}"
-        )
+        raise PlaneCorruptError(f"registry segment {name} has bad magic {magic!r}")
     if version != PLANE_LAYOUT_VERSION:
         raise PlaneCorruptError(
-            f"registry segment {reg.name} has layout version {version}, "
+            f"registry segment {name} has layout version {version}, "
             f"this build reads {PLANE_LAYOUT_VERSION}"
         )
-    if blob_len <= 0 or reg.size < _REG_BLOB_OFFSET + blob_len:
+    if blob_len <= 0 or len(reg) < _REG_BLOB_OFFSET + blob_len:
         raise PlaneCorruptError(
-            f"registry segment {reg.name} handle blob is truncated "
-            f"({blob_len} bytes declared, {reg.size} total)"
+            f"registry segment {name} handle blob is truncated "
+            f"({blob_len} bytes declared, {len(reg)} total)"
         )
     return _RegistryHeader(
         layout_version=version,
@@ -973,6 +1003,10 @@ def _read_header(reg: "_shm_module.SharedMemory") -> _RegistryHeader:
         meta_sha=meta_sha,
         blob_len=blob_len,
     )
+
+
+def _registry_blob(reg: bytes, header: _RegistryHeader) -> bytes:
+    return reg[_REG_BLOB_OFFSET : _REG_BLOB_OFFSET + header.blob_len]
 
 
 def _meta_sha(blob: bytes, heads: Iterable[bytes]) -> bytes:
@@ -998,29 +1032,24 @@ def _expected_segment_sizes(handle: SharedDatabaseHandle) -> Dict[str, int]:
 def _verify_plane(handle: SharedDatabaseHandle, meta_sha: bytes, blob: bytes) -> None:
     """Integrity-check a plane's data segments against the registry record.
 
-    Per-segment existence and size floors (a shm segment may round up to
-    page size, never down), then the head checksum over the handle blob and
-    every segment's first :data:`_PLANE_HEAD_BYTES`. Raises
+    Per-segment existence and size floors, then the head checksum over the
+    handle blob and every segment's first :data:`_PLANE_HEAD_BYTES`. Raises
     :class:`PlaneCorruptError`; never mutates anything.
     """
     expected = _expected_segment_sizes(handle)
-    h = hashlib.sha256()
-    h.update(blob)
+    heads: List[bytes] = []
     for name in handle.segment_names:
         try:
-            seg = attach_segment_untracked(name)
+            size = os.stat(_path(name)).st_size
+            heads.append(read_segment(name, 0, _PLANE_HEAD_BYTES))
         except FileNotFoundError:
             raise PlaneCorruptError(f"plane data segment {name} is missing") from None
-        try:
-            if seg.size < expected[name]:
-                raise PlaneCorruptError(
-                    f"plane data segment {name} is {seg.size} bytes, "
-                    f"expected at least {expected[name]}"
-                )
-            h.update(bytes(seg.buf[:_PLANE_HEAD_BYTES]))
-        finally:
-            seg.close()
-    if h.digest() != meta_sha:
+        if size < expected[name]:
+            raise PlaneCorruptError(
+                f"plane data segment {name} is {size} bytes, "
+                f"expected at least {expected[name]}"
+            )
+    if _meta_sha(blob, heads) != meta_sha:
         raise PlaneCorruptError(
             f"plane {handle.plane_id} failed its header/metadata checksum — "
             f"a segment's leading bytes differ from what the publisher recorded"
@@ -1042,27 +1071,23 @@ def _cleanup_live_leases() -> None:
 atexit.register(_cleanup_live_leases)
 
 
-def _drop_inherited_leases() -> None:
-    """At-fork hook, child side: close every lease fd inherited from the parent.
+def _hold(digest: str) -> int:
+    """Take a lease: a shared ``flock`` on the plane's registry segment.
 
-    A ``flock`` belongs to the open file description, which ``fork``
-    shares, so until the child closes its copy the parent's lease stays
-    locked even after the parent releases it. Closing (never ``LOCK_UN``,
-    which would drop the parent's lock too) and marking the leases released
-    fixes that. A residual window remains: the child holds the lock for the
-    few milliseconds before this hook runs, so a release that races *any*
-    fork in the process (a pool starting or respawning a crashed worker,
-    another search's pool in a multi-database service) is not "last". That
-    plane stays in ``/dev/shm`` until the next plane creation, service
-    start or ``plane reap`` sweeps it — the outcome a SIGKILLed holder gets.
-    ``OrionSearch.close`` shuts its own pool down before it releases.
+    Caller holds the machine mutex and has just attached or published the
+    registry, so the file exists and this never blocks for long (the
+    exclusive takers, :func:`_owner_held` and :func:`_sweep_unowned`,
+    never wait). Each call opens a new file description, and ``flock``
+    conflicts between descriptions, so two leases in one process are two
+    holders. The returned fd carries the lease.
     """
-    for lease in list(_LIVE_LEASES.values()):  # orionlint: disable=ORL004
-        lease._abandon()
-
-
-if hasattr(os, "register_at_fork"):  # POSIX
-    os.register_at_fork(after_in_child=_drop_inherited_leases)
+    fd = _open_lock_fd(_path(_registry_name(digest)))
+    try:
+        fcntl.flock(fd, fcntl.LOCK_SH)
+    except BaseException:
+        _close_lock_fd(fd)
+        raise
+    return fd
 
 
 class PlaneLease:
@@ -1070,10 +1095,10 @@ class PlaneLease:
 
     Returned by :meth:`PlaneRegistry.attach_or_create`; holds the plane's
     :class:`SharedDatabaseHandle` plus the fd of a shared ``flock`` on the
-    plane's registry segment. :meth:`release` closes that fd under the plane
-    lock and, when no other lease holds the plane, unlinks every segment:
-    the last leaseholder unlinks. Idempotent and atexit-drained; a forked
-    child's copies are closed at fork (:func:`_drop_inherited_leases`).
+    plane's registry segment. :meth:`release` closes that fd under the
+    machine mutex and, when no other lease holds the plane, unlinks every
+    segment: the last leaseholder unlinks. Idempotent and atexit-drained; a
+    forked child's copies are closed at fork (:func:`_drop_inherited_locks`).
     """
 
     def __init__(
@@ -1103,16 +1128,15 @@ class PlaneLease:
             return
         self._released = True
         _LIVE_LEASES.pop(self._fd, None)
-        os.close(self._fd)
+        _close_lock_fd(self._fd)
 
     def release(self) -> None:
         """Drop this hold; unlink the plane if no other lease holds it."""
         if self._released:
             return
-        with _plane_lock(self.digest):
+        with _machine_lock():
             self._abandon()
-            if not _plane_held(self.digest):
-                _sweep_plane_segments(self.digest)
+            _sweep_plane(self.digest)
 
     def __enter__(self) -> "PlaneLease":
         return self
@@ -1121,66 +1145,37 @@ class PlaneLease:
         self.release()
 
 
-def _sweep_plane_segments(digest: str) -> List[str]:
-    """Unlink one plane's segments; the segment names removed.
+def _drop_inherited_locks() -> None:
+    """At-fork hook, child side: close every lock fd inherited from the parent.
 
-    Caller holds the plane lock and has seen no lease hold the plane. The
-    ``/dev/shm`` scan (which every plane has: ``attach_or_create`` refuses
-    without it) also catches segments no registry names, left by a
-    half-published create that died before writing its registry.
+    A ``flock`` belongs to the open file description, which ``fork``
+    shares, so until the child closes its copy the parent's lease, run
+    anchor or mutex stays locked even after the parent lets go. Closing
+    (never ``LOCK_UN``, which would drop the parent's lock too) and marking
+    the child's copies released fixes that. A residual window remains: the
+    child holds the locks for the few milliseconds before this hook runs,
+    so a lease release that races *any* fork in the process (a pool
+    starting or respawning a crashed worker, another search's pool in a
+    multi-database service) is not "last". That plane stays in
+    ``/dev/shm`` until the next plane creation, service start or ``plane
+    reap`` sweeps it — the outcome a SIGKILLed holder gets.
+    ``OrionSearch.close`` shuts its own pool down before it releases.
     """
-    prefix = f"{PLANE_PREFIX}{digest}_"
-    names = sorted(entry for entry in os.listdir(_SHM_DIR) if entry.startswith(prefix))
-    removed: List[str] = []
-    for name in names:
-        try:
-            seg = attach_segment_untracked(name)
-        except (FileNotFoundError, OSError):
-            continue
-        try:
-            seg.close()
-        except BufferError:  # orionlint: disable=ORL006 # pragma: no cover
-            # A local view still aliases the mapping; it dies with the
-            # process — the name must still vanish below.
-            pass
-        _unlink_untracked(seg)
-        removed.append(name)
-    return removed
+    _FORK_GUARD.release()
+    for lease in list(_LIVE_LEASES.values()):  # orionlint: disable=ORL004
+        lease._abandon()
+    for spill_set in list(_LIVE_SPILL_SETS.values()):  # orionlint: disable=ORL004
+        spill_set._abandon()
+    for fd in list(_LOCK_FDS):  # orionlint: disable=ORL004
+        _close_lock_fd(fd)  # mutex or probe fds of the parent's other threads
 
 
-def _plane_digests_on_machine() -> List[str]:
-    """Digests of every registry-managed plane with segments in /dev/shm."""
-    try:
-        entries = sorted(os.listdir(_SHM_DIR))
-    except OSError:  # pragma: no cover - no /dev/shm on this platform
-        return []
-    digests = {
-        entry[len(PLANE_PREFIX) :].rsplit("_", 1)[0]
-        for entry in entries
-        if entry.startswith(PLANE_PREFIX) and "_" in entry[len(PLANE_PREFIX) :]
-    }
-    return sorted(digests)
-
-
-def reap_orphan_planes() -> List[str]:
-    """Sweep every plane no lease holds; the segment names reclaimed.
-
-    The crash backstop: a SIGKILLed last holder never runs its release, and
-    untracked segments are invisible to the stdlib resource tracker, so
-    orphans persist until someone sweeps them. Wired into plane creation,
-    ``OrionService.start`` and ``python -m repro plane reap``. A held plane
-    is never swept, corrupt or not. Safe against racing creators: each
-    plane is judged under its own plane lock, and creators publish
-    entirely inside that lock.
-    """
-    if not HAVE_SHARED_MEMORY or fcntl is None:  # pragma: no cover
-        return []
-    removed: List[str] = []
-    for digest in _plane_digests_on_machine():
-        with _plane_lock(digest):
-            if not _plane_held(digest):
-                removed.extend(_sweep_plane_segments(digest))
-    return removed
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(
+        before=_FORK_GUARD.acquire,
+        after_in_parent=_FORK_GUARD.release,
+        after_in_child=_drop_inherited_locks,
+    )
 
 
 @dataclass(frozen=True)
@@ -1205,43 +1200,36 @@ class PlaneStatus:
 def list_planes() -> List[PlaneStatus]:
     """Inspect every registry-managed plane on this machine (read-only).
 
-    Takes no plane lock, so it never waits behind a create or publish; a
+    Takes no mutex, so it never waits behind a create or publish; a
     ``held`` reading may be momentarily stale.
     """
-    if not HAVE_SHARED_MEMORY or fcntl is None:  # pragma: no cover
+    if not HAVE_SHARED_MEMORY:  # pragma: no cover - platform without shm
         return []
     statuses: List[PlaneStatus] = []
-    for digest in _plane_digests_on_machine():
-        prefix = f"{PLANE_PREFIX}{digest}_"
-        try:
-            entries = sorted(
-                entry for entry in os.listdir(_SHM_DIR) if entry.startswith(prefix)
-            )
-        except OSError:  # pragma: no cover - no /dev/shm on this platform
-            entries = []
+    for owner, entries in _owned_entries().items():
+        if not owner.startswith(PLANE_PREFIX):
+            continue
         total_bytes = 0
         for entry in entries:
             try:
-                total_bytes += os.stat(os.path.join(_SHM_DIR, entry)).st_size
+                total_bytes += os.stat(_path(entry)).st_size
             except OSError:
                 continue
-        held = _plane_held(digest)
+        held = _owner_held(owner)
         db_name: Optional[str] = None
         k: Optional[int] = None
         generation = 0
         healthy = False
         detail = ""
         try:
-            reg = attach_segment_untracked(_registry_name(digest))
-        except (FileNotFoundError, OSError):
+            reg = read_segment(owner)
+        except OSError:
             detail = "no registry segment (half-published or mid-reap)"
         else:
             try:
-                header = _read_header(reg)
+                header = _read_header(owner, reg)
                 generation = header.generation
-                blob = bytes(
-                    reg.buf[_REG_BLOB_OFFSET : _REG_BLOB_OFFSET + header.blob_len]
-                )
+                blob = _registry_blob(reg, header)
                 handle = pickle.loads(blob)
                 db_name = handle.db_name
                 k = handle.k
@@ -1251,11 +1239,9 @@ def list_planes() -> List[PlaneStatus]:
                 detail = str(exc)
             except Exception as exc:  # unreadable blob and friends
                 detail = f"unreadable registry: {exc}"
-            finally:
-                reg.close()
         statuses.append(
             PlaneStatus(
-                digest=digest,
+                digest=owner[len(PLANE_PREFIX) : -len("_reg")],
                 db_name=db_name,
                 k=k,
                 generation=generation,
@@ -1274,11 +1260,11 @@ class PlaneRegistry:
 
     :meth:`attach_or_create` is the one entry point: it derives the plane
     digest from the database fingerprint (word size, sketch size and
-    layout version included), reaps orphans, then — under the plane's file
-    lock — attaches to a healthy existing plane or publishes a fresh one,
-    returning a :class:`PlaneLease` either way. All methods are
-    classmethods; the registry's state *is* ``/dev/shm`` plus the lock
-    files, never this process.
+    layout version included), then — under the machine mutex — reaps
+    orphans and attaches to a healthy existing plane or publishes a fresh
+    one, returning a :class:`PlaneLease` either way. All methods are
+    classmethods; the registry's state *is* ``/dev/shm``, never this
+    process.
     """
 
     @classmethod
@@ -1296,8 +1282,7 @@ class PlaneRegistry:
         it from under that holder — the caller falls back to the
         in-process path); a corrupt plane nobody holds is swept and rebuilt
         with a bumped generation. Raises :class:`SharedMemoryUnavailable`
-        on platforms without POSIX shared memory, ``fcntl.flock`` or a
-        ``/dev/shm`` directory to lock registry segments in.
+        on platforms without ``fcntl.flock`` or a ``/dev/shm`` directory.
 
         ``injector`` is a :class:`repro.mapreduce.faults.FaultInjector`
         consulted at the lifecycle points (``attach``, ``create``,
@@ -1305,74 +1290,60 @@ class PlaneRegistry:
         corruption through it.
         """
         _require_shm()
-        if fcntl is None or not os.path.isdir(_SHM_DIR):  # pragma: no cover
-            raise SharedMemoryUnavailable(
-                f"plane leases need fcntl.flock and {_SHM_DIR}, "
-                f"which this platform lacks"
-            )
         if sketch_size is None:
             from repro.sketch import SKETCH_SIZE_DEFAULT
 
             sketch_size = SKETCH_SIZE_DEFAULT
-        # Reap first, outside the target plane's lock: creation is the
-        # natural moment to reclaim crashed sessions' planes, and taking
-        # other planes' locks while holding ours could deadlock a racing
-        # reaper.
-        reap_orphan_planes()
         fingerprint = database_fingerprint(database)
         digest = plane_digest(fingerprint, k, sketch_size)
-        with _plane_lock(digest):
+        registry = _registry_name(digest)
+        with _machine_lock():
+            # Creation is the natural moment to reclaim crashed sessions'
+            # planes and runs; the mutex is already ours, so reap directly.
+            _reap_locked()
             generation = 1
-            try:
-                reg = attach_segment_untracked(_registry_name(digest))
-            except FileNotFoundError:
-                reg = None
-            if reg is not None:
+            if segment_exists(registry):
                 try:
-                    try:
-                        return cls._attach_locked(reg, fingerprint, digest, injector)
-                    except PlaneCorruptError:
-                        if _plane_held(digest):
-                            raise  # another holder pins the corrupt plane
-                        generation = cls._generation_best_effort(reg) + 1
-                finally:
-                    reg.close()
-                # Corrupt and unheld: rebuild in place (lock still held).
-                _sweep_plane_segments(digest)
+                    return cls._attach_locked(fingerprint, digest, injector)
+                except PlaneCorruptError:
+                    if _owner_held(registry):
+                        raise  # another holder pins the corrupt plane
+                    generation = cls._generation_best_effort(registry) + 1
+                # Corrupt and unheld: rebuild in place (mutex still held).
+                _sweep_plane(digest)
             return cls._create_locked(
                 database, k, sketch_size, fingerprint, digest, generation, injector
             )
 
-    # -- internals (plane lock held) ------------------------------------ #
+    # -- internals (machine mutex held) ---------------------------------- #
 
     @staticmethod
-    def _generation_best_effort(reg: "_shm_module.SharedMemory") -> int:
+    def _generation_best_effort(registry: str) -> int:
         """The old generation if the header is readable enough; else 0."""
-        if reg.size < _REG_HEADER.size:
+        reg = read_segment(registry)
+        if len(reg) < _REG_HEADER.size:
             return 0
-        magic, _v, generation, _fp, _sha, _bl = _REG_HEADER.unpack_from(reg.buf, 0)
+        magic, _v, generation, _fp, _sha, _bl = _REG_HEADER.unpack_from(reg, 0)
         return int(generation) if magic == PLANE_MAGIC else 0
 
     @classmethod
     def _attach_locked(
-        cls,
-        reg: "_shm_module.SharedMemory",
-        fingerprint: str,
-        digest: str,
-        injector: Optional[object],
+        cls, fingerprint: str, digest: str, injector: Optional[object]
     ) -> PlaneLease:
+        registry = _registry_name(digest)
         if injector is not None:
             spec = injector.fire_plane("attach")
             if spec is not None and spec.kind == "corrupt-segment":
-                cls._corrupt_for_injection(reg)
-        header = _read_header(reg)
+                cls._corrupt_for_injection(registry)
+        reg = read_segment(registry)
+        header = _read_header(registry, reg)
         if header.fingerprint != fingerprint:
             raise PlaneCorruptError(
                 f"plane {digest} was published for database fingerprint "
                 f"{header.fingerprint[:12]}…, not {fingerprint[:12]}… — "
                 f"digest collision or scribbled registry"
             )
-        blob = bytes(reg.buf[_REG_BLOB_OFFSET : _REG_BLOB_OFFSET + header.blob_len])
+        blob = _registry_blob(reg, header)
         try:
             handle = pickle.loads(blob)
         except Exception as exc:
@@ -1389,23 +1360,21 @@ class PlaneRegistry:
         )
 
     @staticmethod
-    def _corrupt_for_injection(reg: "_shm_module.SharedMemory") -> None:
+    def _corrupt_for_injection(registry: str) -> None:
         """Injected ``corrupt-segment`` fault: scribble the first data segment.
 
         Reads the (still healthy) handle out of the registry, overwrites
         the head of its first data segment, and lets the normal
         verification path discover the damage — the test proves detection,
-        not the scribble.
+        not the scribble. An already unreadable registry is scribbled
+        directly instead.
         """
         try:
-            header = _read_header(reg)
-            blob = bytes(reg.buf[_REG_BLOB_OFFSET : _REG_BLOB_OFFSET + header.blob_len])
-            handle = pickle.loads(blob)
-            seg = attach_segment_untracked(handle.segment_names[0])
-        except (PlaneCorruptError, FileNotFoundError, OSError, pickle.PickleError):
-            # Registry already unreadable — corrupt it directly instead.
-            reg.buf[:8] = b"SCRIBBLE"
-            return
+            reg = read_segment(registry)
+            handle = pickle.loads(_registry_blob(reg, _read_header(registry, reg)))
+            seg = attach_segment(handle.segment_names[0])
+        except (PlaneCorruptError, OSError, pickle.PickleError):
+            seg = attach_segment(registry)
         try:
             seg.buf[: min(seg.size, 64)] = b"\xa5" * min(seg.size, 64)
         finally:
@@ -1427,14 +1396,9 @@ class PlaneRegistry:
         handle, segments = _publish_database_segments(
             database, k, sketch_size, digest, generation
         )
-        reg: Optional["_shm_module.SharedMemory"] = None
+        registry = _registry_name(digest)
         ok = False
         try:
-            # From here the segments must be tracker-invisible in every
-            # session (see the module docstring); create registered them,
-            # this balances it.
-            for seg in segments:
-                untrack_segment(seg)
             if injector is not None:
                 # kill-creator-mid-publish: data segments exist, registry
                 # does not — the orphan shape only the /dev/shm scan finds.
@@ -1443,11 +1407,7 @@ class PlaneRegistry:
             meta_sha = _meta_sha(
                 blob, (bytes(seg.buf[:_PLANE_HEAD_BYTES]) for seg in segments)
             )
-            reg = create_segment(_REG_BLOB_OFFSET + len(blob), name=_registry_name(digest))
-            untrack_segment(reg)
-            _REG_HEADER.pack_into(
-                reg.buf,
-                0,
+            header = _REG_HEADER.pack(
                 PLANE_MAGIC,
                 PLANE_LAYOUT_VERSION,
                 generation,
@@ -1455,7 +1415,7 @@ class PlaneRegistry:
                 meta_sha,
                 len(blob),
             )
-            reg.buf[_REG_BLOB_OFFSET : _REG_BLOB_OFFSET + len(blob)] = blob
+            write_segment(registry, (header, blob))
             lease = PlaneLease(
                 handle, digest, _hold(digest), created=True, generation=generation
             )
@@ -1466,13 +1426,12 @@ class PlaneRegistry:
             # attach on demand, and the lease (not this process) owns the
             # plane's lifetime.
             for seg in segments:
-                try:
-                    seg.close()
-                except BufferError:  # orionlint: disable=ORL006 # pragma: no cover
-                    pass
-                if not ok:
-                    _unlink_untracked(seg)
-            if reg is not None:
-                reg.close()
-                if not ok:
-                    _unlink_untracked(reg)
+                if ok:
+                    try:
+                        seg.close()
+                    except BufferError:  # orionlint: disable=ORL006 # pragma: no cover
+                        pass
+                else:
+                    destroy_segment(seg)
+            if not ok:
+                sweep_segment(registry)

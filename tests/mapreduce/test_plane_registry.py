@@ -16,6 +16,7 @@ import subprocess
 import sys
 import textwrap
 import warnings
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from repro.mapreduce.shm import (
     PLANE_PREFIX,
     PlaneCorruptError,
     PlaneRegistry,
-    attach_segment_untracked,
+    attach_segment,
     attach_view,
     list_planes,
     reap_orphan_planes,
@@ -101,15 +102,36 @@ _HOLDER_SCRIPT = textwrap.dedent(
 )
 
 
-def _spawn_holder(**env):
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _HOLDER_SCRIPT],
+#: The same holder, but paused at the plane's ``publish`` fault point — data
+#: segments written, registry not yet — until the parent says go.
+_PAUSED_PUBLISHER = _HOLDER_SCRIPT.replace(
+    "lease = PlaneRegistry.attach_or_create(db, 9)",
+    textwrap.dedent(
+        """\
+        class PauseAtPublish:
+            def fire_plane(self, point):
+                if point == "publish":
+                    print("PAUSED", flush=True)
+                    sys.stdin.readline()
+
+        lease = PlaneRegistry.attach_or_create(db, 9, injector=PauseAtPublish())"""
+    ),
+)
+
+
+def _start(script, **env):
+    return subprocess.Popen(
+        [sys.executable, "-c", script],
         stdin=subprocess.PIPE,
         stdout=subprocess.PIPE,
         text=True,
         env={**_subprocess_env(), **env},
         start_new_session=True,  # killpg must never reach the test runner
     )
+
+
+def _spawn_holder(**env):
+    proc = _start(_HOLDER_SCRIPT, **env)
     ready = proc.stdout.readline().split()
     assert ready[0] == "READY", ready
     return proc, bool(int(ready[1])), ready[2]
@@ -237,7 +259,7 @@ class TestLeaseLifecycle:
 class TestIntegrity:
     def test_corrupt_data_segment_detected_when_pinned(self, db):
         with PlaneRegistry.attach_or_create(db, K) as lease:
-            seg = attach_segment_untracked(lease.handle.segment_names[0])
+            seg = attach_segment(lease.handle.segment_names[0])
             try:
                 seg.buf[:32] = b"\xa5" * 32
             finally:
@@ -247,7 +269,7 @@ class TestIntegrity:
 
     def test_layout_version_gate(self, db):
         with PlaneRegistry.attach_or_create(db, K) as lease:
-            reg = attach_segment_untracked(lease.handle.registry_segment)
+            reg = attach_segment(lease.handle.registry_segment)
             try:
                 reg.buf[8:12] = (999).to_bytes(4, "little")  # layout_version
             finally:
@@ -259,7 +281,7 @@ class TestIntegrity:
         self, db, monkeypatch
     ):
         lease = PlaneRegistry.attach_or_create(db, K)
-        seg = attach_segment_untracked(lease.handle.segment_names[0])
+        seg = attach_segment(lease.handle.segment_names[0])
         try:
             seg.buf[:32] = b"\xff" * 32
         finally:
@@ -269,7 +291,7 @@ class TestIntegrity:
         # way to force the attach path itself to handle the corrupt orphan.
         digest = lease.digest
         lease._abandon()
-        monkeypatch.setattr(shm_mod, "reap_orphan_planes", lambda: [])
+        monkeypatch.setattr(shm_mod, "_reap_locked", lambda: [])
         with PlaneRegistry.attach_or_create(db, K) as rebuilt:
             assert rebuilt.created
             assert rebuilt.generation == 2
@@ -330,6 +352,36 @@ class TestCrossProcess:
         finally:
             _release_holder(proc)
         assert not shm_mod.segment_exists(registry_name)
+
+    def test_publisher_with_another_temp_dir_keeps_its_half_published_plane(
+        self, tmp_path
+    ):
+        """The plane mutex is machine-wide, not per TMPDIR: our reaper
+        waits for a publisher under another temp directory, paused between
+        writing its data segments and its registry, instead of sweeping
+        the half-published plane."""
+        before = _plane_segments()
+        proc = _start(_PAUSED_PUBLISHER, TMPDIR=str(tmp_path))
+        try:
+            assert proc.stdout.readline().strip() == "PAUSED"
+            half = _plane_segments() - before
+            assert half and not any(n.endswith("_reg") for n in half)
+            with futures.ThreadPoolExecutor(max_workers=1) as pool:
+                reap = pool.submit(reap_orphan_planes)
+                done, _ = futures.wait([reap], timeout=0.5)
+                assert not done, "the reaper must wait for the publisher"
+                assert half <= _plane_segments()
+                proc.stdin.write("go\n")
+                proc.stdin.flush()
+                ready = proc.stdout.readline().split()
+                assert ready[:2] == ["READY", "1"], ready
+                assert not half & set(reap.result(timeout=60))
+            assert half <= _plane_segments()
+        except BaseException:
+            _kill_holder(proc)
+            raise
+        _release_holder(proc)
+        assert not half & _plane_segments()
 
     def test_racing_attachers_create_exactly_once(self, db):
         procs = [_spawn_holder() for _ in range(3)]

@@ -33,18 +33,6 @@ def _sum_reducer(key, values):
     yield key, sum(values)
 
 
-_SETUP_STATE = {"offset": 0}
-
-
-def _install_offset():
-    _SETUP_STATE["offset"] = 1000
-
-
-def _offset_mapper(split):
-    for x in split.payload:
-        yield x % 5, x + _SETUP_STATE["offset"]
-
-
 #: Long enough that one reduce wave vs two is visible over pool startup
 #: noise (sleeps need no CPU, so this is robust on single-core CI too).
 _REDUCE_SLEEP = 1.5
@@ -77,12 +65,12 @@ def _blob_overhead():
 
 
 def _log_segment_calls(monkeypatch, path):
-    """Make create/attach_segment append their name to ``path``.
+    """Make write/read_segment append their name to ``path``.
 
     Worker processes forked after this call inherit the patch; appends
     from several processes to one ``O_APPEND`` file do not interleave.
     """
-    for fn_name in ("create_segment", "attach_segment"):
+    for fn_name in ("write_segment", "read_segment"):
         original = getattr(shm_mod, fn_name)
 
         def logged(*args, _original=original, _fn_name=fn_name, **kwargs):
@@ -224,25 +212,6 @@ class TestProcessPool:
         assert all(r.executor == "serial" for r in result.records)
         assert captured  # the closure really ran, in this process
 
-    def test_setup_hook_runs_per_worker(self):
-        """The per-worker setup hook runs before any task in that process
-        (Orion warms its k-mer cache there); in-process executors skip it."""
-        _SETUP_STATE["offset"] = 0
-        job = MapReduceJob(
-            mapper=_offset_mapper,
-            reducer=_sum_reducer,
-            num_reducers=2,
-            name="s",
-            setup=_install_offset,
-        )
-        splits = make_splits(2, width=5)
-        proc = run_pool(job, splits)
-        offsets = dict(proc.flat_outputs())
-        base = SerialExecutor().run(make_job(2), splits)
-        assert sum(offsets.values()) == sum(dict(base.flat_outputs()).values()) + 1000 * 10
-        # Serial execution never calls setup (the caller's objects are live).
-        assert _SETUP_STATE["offset"] == 0
-
     def test_empty_splits(self):
         result = run_pool(make_job(), [])
         assert result.flat_outputs() == []
@@ -355,7 +324,7 @@ class TestStreamingShuffle:
             mapper=_blob_mapper, reducer=_blob_reducer, num_reducers=1, name="b"
         )
         fits = mmap.PAGESIZE - _blob_overhead()
-        with shm_mod.SpillSet(2) as spills:
+        with shm_mod.SpillSet() as spills:
             inline = runtime_mod._spill_map_output(
                 job, [(0, bytes(fits))], spills.name_for(0)
             )
@@ -388,9 +357,9 @@ class TestStreamingShuffle:
         # The same harness does see an above-page job's segments.
         run(make_splits(2, width=2000))
         calls = log.read_text().split()
-        assert calls.count("create_segment") == 2  # one per map task
-        # Every segment is fetched by at least one reducer and swept once.
-        assert calls.count("attach_segment") >= 2 + 2
+        assert calls.count("write_segment") == 2  # one per map task
+        # Every segment is fetched by at least one reducer.
+        assert calls.count("read_segment") >= 2 + 2
 
     def test_transport_does_not_change_shuffle_bytes(self, monkeypatch):
         """``shuffle_bytes_out/in`` count pickled run bytes, whichever way
@@ -463,22 +432,16 @@ class TestDeclaredPartitions:
             InputSplit(2, None, partitions=(1,)),
         ]
         service = self._service(splits)
-        try:
-            assert service.commit(1, _inline_commit(1, 3, (0, 1)), 1) == []
-            assert service.commit(0, _inline_commit(0, 3, (0,)), 1) == [0]
-            # Partition 2 is declared by no split: ready at the last commit.
-            assert service.commit(2, _inline_commit(2, 3, (1,)), 1) == [1, 2]
-        finally:
-            service.close()
+        assert service.commit(1, _inline_commit(1, 3, (0, 1)), 1) == []
+        assert service.commit(0, _inline_commit(0, 3, (0,)), 1) == [0]
+        # Partition 2 is declared by no split: ready at the last commit.
+        assert service.commit(2, _inline_commit(2, 3, (1,)), 1) == [1, 2]
 
     def test_undeclared_split_feeds_every_partition(self):
         splits = [InputSplit(0, None), InputSplit(1, None, partitions=(0,))]
         service = self._service(splits)
-        try:
-            assert service.commit(0, _inline_commit(0, 3, (0, 1, 2)), 1) == [1, 2]
-            assert service.commit(1, _inline_commit(1, 3, (0,)), 1) == [0]
-        finally:
-            service.close()
+        assert service.commit(0, _inline_commit(0, 3, (0, 1, 2)), 1) == [1, 2]
+        assert service.commit(1, _inline_commit(1, 3, (0,)), 1) == [0]
 
     def test_locators_come_in_split_index_order(self):
         splits = [
@@ -487,15 +450,10 @@ class TestDeclaredPartitions:
             InputSplit(1, None, partitions=(1,)),
         ]
         service = self._service(splits)
-        try:
-            service.commit(2, _inline_commit(2, 3, (0,)), 1)
-            service.commit(1, _inline_commit(1, 3, (1,)), 1)
-            service.commit(0, _inline_commit(0, 3, (0, 1)), 1)
-            runs = [
-                [pickle.loads(loc) for loc in service.locators(p)] for p in range(3)
-            ]
-        finally:
-            service.close()
+        service.commit(2, _inline_commit(2, 3, (0,)), 1)
+        service.commit(1, _inline_commit(1, 3, (1,)), 1)
+        service.commit(0, _inline_commit(0, 3, (0, 1)), 1)
+        runs = [[pickle.loads(loc) for loc in service.locators(p)] for p in range(3)]
         assert runs[0] == [[(0, 0)], [(0, 2)]]
         assert runs[1] == [[(1, 0)], [(1, 1)]]
         assert runs[2] == []

@@ -8,12 +8,16 @@ plane lifecycle; ``test_plane_registry.py`` covers the leases themselves.
 """
 
 import functools
+import itertools
 import mmap
 import multiprocessing
 import os
 import pickle
+import signal
 import subprocess
 import sys
+import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -32,9 +36,10 @@ from repro.mapreduce.shm import (
     create_segment,
     destroy_segment,
     detach_cached_views,
-    publish_bytes,
-    read_bytes,
+    read_segment,
+    reap_orphan_planes,
     segment_exists,
+    write_segment,
 )
 from repro.mapreduce.types import InputSplit
 from repro.sequence.generator import make_database
@@ -103,21 +108,6 @@ def make_above_page_job():
     return job
 
 
-# Worker-side observable for the setup-runs-once test: the offset a setup
-# run installs is baked into every mapped value, so a re-run of setup in a
-# worker shows up as shifted sums in that worker's output.
-_POOL_SETUP = {"offset": 0}
-
-
-def _accumulating_setup():
-    _POOL_SETUP["offset"] += 1000
-
-
-def _setup_offset_mapper(split):
-    for x in split.payload:
-        yield x % 5, x + _POOL_SETUP["offset"]
-
-
 def make_splits(n=6, width=10):
     return [
         InputSplit(index=i, payload=list(range(i * width, (i + 1) * width)))
@@ -133,27 +123,30 @@ def make_splits(n=6, width=10):
 class TestSegments:
     def test_publish_read_roundtrip(self):
         data = b"orion shared bytes"
-        seg = publish_bytes(data)
-        try:
-            assert read_bytes(seg.name, len(data)) == data
-            assert segment_exists(seg.name)
-        finally:
-            destroy_segment(seg)
-        assert not segment_exists(seg.name)
+        with shm_mod.SpillSet() as spills:
+            name = spills.publish_job(data)
+            assert read_segment(name) == data
+            assert read_segment(name, 6, 6) == b"shared"
+            assert segment_exists(name)
+        assert not segment_exists(name)
 
     def test_destroy_is_idempotent(self):
-        seg = create_segment(16)
-        destroy_segment(seg)
-        destroy_segment(seg)  # second unlink: FileNotFoundError swallowed
-        assert not segment_exists(seg.name)
+        with shm_mod.SpillSet() as spills:
+            seg = create_segment(spills.name_for(0), 16)
+            destroy_segment(seg)
+            destroy_segment(seg)  # second unlink: FileNotFoundError swallowed
+            assert not segment_exists(seg.name)
 
     def test_failed_create_does_not_leak(self):
-        before = _psm_segments()
-        with pytest.raises(ValueError):
-            # data larger than the segment: the copy-in fails after creation
-            # and the paired finally must close+unlink.
-            create_segment(4, b"way more than four bytes")
-        assert _psm_segments() - before == set()
+        before = _shm_names("orion") | _psm_segments()
+        with shm_mod.SpillSet() as spills:
+            name = spills.name_for(0)
+            with pytest.raises(TypeError):
+                # The second chunk is no buffer: the write fails after
+                # creation and the paired finally must unlink.
+                write_segment(name, [b"way more than four bytes", object()])
+            assert not segment_exists(name)
+        assert (_shm_names("orion") | _psm_segments()) - before == set()
 
 
 # --------------------------------------------------------------------------- #
@@ -343,14 +336,14 @@ class TestWorkerPool:
 
     def test_job_blob_segment_is_destroyed_after_run(self, monkeypatch):
         published = []
-        real_publish = shm_mod.publish_bytes
+        real_publish = shm_mod.SpillSet.publish_job
 
-        def spying_publish(data):
-            seg = real_publish(data)
-            published.append(seg.name)
-            return seg
+        def spying_publish(spills, data):
+            name = real_publish(spills, data)
+            published.append(name)
+            return name
 
-        monkeypatch.setattr(shm_mod, "publish_bytes", spying_publish)
+        monkeypatch.setattr(shm_mod.SpillSet, "publish_job", spying_publish)
         with WorkerPool(max_workers=2) as pool:
             result = pool.run(make_above_page_job(), make_splits())
             assert dict(result.flat_outputs()) == _expected_totals()
@@ -423,68 +416,6 @@ class TestWorkerPool:
         with pytest.raises(ValueError):
             WorkerPool(max_workers=0)
 
-    def test_repeated_job_runs_setup_once_per_worker(self):
-        """Re-submitting a pickled-identical job must hit the per-worker job
-        cache, not re-publish under a fresh key and re-run ``setup``.
-
-        The setup hook shifts every mapped value by 1000, so a second setup
-        run in any worker would show up as inflated sums on the re-run.
-        """
-        _POOL_SETUP["offset"] = 0
-        job = MapReduceJob(
-            mapper=_setup_offset_mapper,
-            reducer=_sum_reducer,
-            num_reducers=2,
-            setup=_accumulating_setup,
-            name="t",
-        )
-        with WorkerPool(max_workers=2) as pool:
-            r1 = pool.run(job, make_splits())
-            r2 = pool.run(job, make_splits())
-        totals = dict(kv for out in r1.outputs for kv in out)
-        # 60 inputs, each shifted by exactly one setup run's 1000.
-        assert sum(totals.values()) == sum(range(60)) + 1000 * 60
-        assert r1.outputs == r2.outputs
-        assert _POOL_SETUP["offset"] == 0, "setup must run in workers only"
-
-    def test_prewarmed_fork_workers_share_the_driver_tracker(self, tmp_path):
-        """A pool forked before any shm activity must still hand its workers
-        the driver's resource tracker: otherwise each worker that attaches
-        an above-page job blob starts a private tracker, which at exit
-        reports the driver's (already destroyed) segments as leaked."""
-        script = tmp_path / "prewarmed.py"
-        script.write_text(
-            "import functools, mmap\n"
-            "from repro.mapreduce.job import MapReduceJob\n"
-            "from repro.mapreduce.runtime import WorkerPool\n"
-            "from repro.mapreduce.types import InputSplit\n"
-            "def mapper(padding, split):\n"
-            "    for x in split.payload:\n"
-            "        yield x % 5, x\n"
-            "def reducer(key, values):\n"
-            "    yield key, sum(values)\n"
-            "if __name__ == '__main__':\n"
-            "    pool = WorkerPool(max_workers=2, start_method='fork')\n"
-            "    pool.prewarm()\n"
-            "    splits = [InputSplit(index=i, payload=list(range(i * 10, i * 10 + 10)))\n"
-            "              for i in range(6)]\n"
-            "    for j in range(3):\n"
-            "        padding = bytes(2 * mmap.PAGESIZE + j)  # a fresh blob per job\n"
-            "        job = MapReduceJob(mapper=functools.partial(mapper, padding),\n"
-            "                           reducer=reducer, num_reducers=2, name='t')\n"
-            "        pool.run(job, splits)\n"
-            "    pool.shutdown()\n"
-        )
-        env = dict(os.environ)
-        src = os.path.join(os.path.dirname(shm_mod.__file__), "..", "..")
-        env["PYTHONPATH"] = os.path.abspath(src)
-        out = subprocess.run(
-            [sys.executable, str(script)],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
-        assert out.returncode == 0, out.stderr
-        assert "resource_tracker" not in out.stderr
-
 
 # --------------------------------------------------------------------------- #
 # streaming-shuffle spill sets
@@ -493,7 +424,7 @@ class TestWorkerPool:
 
 class TestSpillSet:
     def test_names_are_deterministic_and_driver_owned(self):
-        with shm_mod.SpillSet(3) as spills:
+        with shm_mod.SpillSet() as spills:
             assert spills.name_for(2) == f"{spills.set_id}_00002_a01"
             assert spills.name_for(2, attempt=3) == f"{spills.set_id}_00002_a03"
             # Minting records every name handed out, exactly once.
@@ -503,7 +434,7 @@ class TestSpillSet:
             )
             assert spills.set_id.startswith(f"orionspill_{os.getpid()}_")
         # Distinct sets in one process must never collide.
-        s1, s2 = shm_mod.SpillSet(1), shm_mod.SpillSet(1)
+        s1, s2 = shm_mod.SpillSet(), shm_mod.SpillSet()
         try:
             assert s1.name_for(0) != s2.name_for(0)
         finally:
@@ -514,13 +445,13 @@ class TestSpillSet:
         """A retried map task's new attempt never collides with the old
         attempt's segment, and the dead attempt is swept without touching
         the winner's run."""
-        spills = shm_mod.SpillSet(1)
+        spills = shm_mod.SpillSet()
         try:
             first = spills.name_for(0, attempt=1)
             second = spills.name_for(0, attempt=2)
             assert first != second
-            create_segment(4, b"dead", name=first).close()
-            create_segment(4, b"live", name=second).close()
+            write_segment(first, [b"dead"])
+            write_segment(second, [b"live"])
             assert spills.sweep(0, attempt=1) is True
             assert not segment_exists(first)
             assert segment_exists(second)
@@ -530,44 +461,330 @@ class TestSpillSet:
         assert not segment_exists(second)
 
     def test_release_sweeps_created_segments_and_is_idempotent(self):
-        spills = shm_mod.SpillSet(3)
+        spills = shm_mod.SpillSet()
         # Simulate two workers spilling (one name intentionally minted but
         # never created: the inline-fallback / crashed-worker case).
         names = [spills.name_for(i) for i in range(3)]
         for i in (0, 2):
-            seg = create_segment(8, b"run-data", name=names[i])
-            seg.close()
+            write_segment(names[i], [b"run-data"])
         assert segment_exists(names[0])
         spills.release()
         assert not any(segment_exists(n) for n in names)
         spills.release()  # second release: no-op, no error
 
     def test_read_segment_slice_pulls_one_run(self):
-        spills = shm_mod.SpillSet(1)
+        spills = shm_mod.SpillSet()
         try:
             name = spills.name_for(0)
-            create_segment(12, b"aaaabbbbcccc", name=name).close()
-            assert shm_mod.read_segment_slice(name, 4, 4) == b"bbbb"
-            assert shm_mod.read_segment_slice(name, 0, 0) == b""
+            write_segment(name, [b"aaaa", b"bbbbcccc"])
+            assert read_segment(name, 4, 4) == b"bbbb"
+            assert read_segment(name, 0, 0) == b""
         finally:
             spills.release()
 
     def test_cleanup_hook_reclaims_unreleased_sets(self):
-        spills = shm_mod.SpillSet(2)
+        spills = shm_mod.SpillSet()
         leftover = spills.name_for(1)
-        create_segment(4, b"left", name=leftover).close()
+        write_segment(leftover, [b"left"])
         assert spills.set_id in shm_mod._LIVE_SPILL_SETS
         shm_mod._cleanup_live_spill_sets()
         assert spills.set_id not in shm_mod._LIVE_SPILL_SETS
         assert not segment_exists(leftover)
 
+    def test_same_pid_and_counter_mint_disjoint_names(self, monkeypatch):
+        """Drivers in separate PID namespaces can share one /dev/shm with
+        the same pid and counter (two containers of a pod, each PID 1); the
+        random token in the run prefix keeps their segments apart."""
+        monkeypatch.setattr(shm_mod, "_SPILL_COUNTER", itertools.count())
+        first = shm_mod.SpillSet()
+        monkeypatch.setattr(shm_mod, "_SPILL_COUNTER", itertools.count())
+        second = shm_mod.SpillSet()
+        try:
+            assert first.set_id.split("_")[3] == second.set_id.split("_")[3] == "0"
+
+            def names(spills):
+                minted = {spills.name_for(i, a) for i in range(3) for a in (1, 2)}
+                return minted | {spills.set_id, f"{spills.set_id}_job"}
+
+            assert not names(first) & names(second)
+        finally:
+            first.release()
+            second.release()
+
     def test_sweep_segment_reports_removal(self):
-        spills = shm_mod.SpillSet(1)
+        spills = shm_mod.SpillSet()
         try:
             name = spills.name_for(0)
             assert shm_mod.sweep_segment(name) is False
-            create_segment(4, b"data", name=name).close()
+            write_segment(name, [b"data"])
             assert shm_mod.sweep_segment(name) is True
             assert shm_mod.sweep_segment(name) is False
         finally:
             spills.release()
+
+
+# --------------------------------------------------------------------------- #
+# the one-owner rule: every segment has a lock-holding owner, one reaper
+# --------------------------------------------------------------------------- #
+
+
+def _subprocess_env(**extra):
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(shm_mod.__file__), "..", "..")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    env.update(extra)
+    return env
+
+
+def _owned_entries():
+    """Every entry this program could have created: planes, runs, psm_ blobs."""
+    return _shm_names("orion") | _psm_segments()
+
+
+def _wait_for(predicate, timeout=60.0):
+    """Poll ``predicate`` until it holds (True) or ``timeout`` passes (False)."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _group_alive(pgid):
+    """Whether any non-zombie process is left in process group ``pgid``."""
+    for pid in os.listdir("/proc"):
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            return True
+    return False
+
+
+#: A driver that searches one long query after another on a process pool,
+#: so at any moment a run with an above-page job blob is likely in flight.
+_SEARCH_DRIVER = textwrap.dedent(
+    """\
+    import sys
+    from repro.core.orion import OrionSearch
+    from repro.mapreduce.runtime import WorkerPool
+    from repro.sequence.generator import (
+        HomologySpec, make_database, make_query_with_homologies,
+    )
+
+    if __name__ == "__main__":
+        db = make_database(7, num_sequences=5, mean_length=400)
+        search = OrionSearch(
+            db, num_shards=4,
+            executor=WorkerPool(max_workers=2, start_method=sys.argv[1]),
+        )
+        search.warmup()
+        print("READY", flush=True)
+        for seed in range(11, 10_000):
+            query, _ = make_query_with_homologies(
+                seed, 8000, db, [HomologySpec(length=120)]
+            )
+            search.run(query)
+    """
+)
+
+
+#: A driver whose one pool run stays in flight until a gate file appears:
+#: split 0 spills above a page and commits, split 1 waits on the gate.
+_GATED_RUN = textwrap.dedent(
+    """\
+    import functools, mmap, os, sys, time
+    from repro.mapreduce.job import MapReduceJob
+    from repro.mapreduce.runtime import WorkerPool
+    from repro.mapreduce.types import InputSplit
+
+    def mapper(padding, gate, split):
+        while split.index == 1 and not os.path.exists(gate):
+            time.sleep(0.01)
+        for x in split.payload:
+            yield x % 2, bytes(1000)
+
+    def reducer(key, values):
+        yield key, len(values)
+
+    if __name__ == "__main__":
+        job = MapReduceJob(
+            mapper=functools.partial(mapper, bytes(2 * mmap.PAGESIZE), sys.argv[1]),
+            reducer=reducer, num_reducers=2, name="gated",
+        )
+        splits = [InputSplit(index=i, payload=list(range(10))) for i in range(2)]
+        with WorkerPool(max_workers=2) as pool:
+            print(sorted(pool.run(job, splits).flat_outputs()), flush=True)
+    """
+)
+
+
+class TestOneOwnerRule:
+    """Planes, job blobs and spills all live under a lock-holding owner,
+    and :func:`reap_orphan_planes` sweeps whatever no lock holds."""
+
+    def test_reaper_sweeps_a_run_whose_owner_is_gone(self):
+        spills = shm_mod.SpillSet()
+        blob = spills.publish_job(b"job bytes")
+        spill = spills.name_for(0)
+        write_segment(spill, [b"run"])
+        assert spills.set_id not in reap_orphan_planes()  # held: kept
+        assert segment_exists(blob) and segment_exists(spill)
+        spills._abandon()  # a crashed driver: lock gone, nothing unlinked
+        removed = reap_orphan_planes()
+        assert {spills.set_id, blob, spill} <= set(removed)
+        assert not any(segment_exists(n) for n in (spills.set_id, blob, spill))
+
+    def test_forked_child_does_not_pin_a_run(self):
+        """A forked child shares the anchor's open file description; the
+        at-fork hook closes the child's copy, so once the driver lets go
+        the reaper sweeps the run while the child lives on."""
+        spills = shm_mod.SpillSet()
+        blob = spills.publish_job(b"job bytes")
+        started_r, started_w = os.pipe()
+        exit_r, exit_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: inherits the set and its anchor fd
+            try:
+                os.write(started_w, b"started")
+                os.read(exit_r, 1)  # stay alive until the parent is done
+            finally:
+                os._exit(0)
+        try:
+            assert os.read(started_r, 16) == b"started"
+            spills._abandon()  # the driver's lock goes, nothing unlinked
+            assert {spills.set_id, blob} <= set(reap_orphan_planes())
+        finally:
+            os.write(exit_w, b"x")
+            _, status = os.waitpid(pid, 0)
+            for fd in (started_r, started_w, exit_r, exit_w):
+                os.close(fd)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_anchor_swept_before_its_lock_lands_is_replaced(self, monkeypatch):
+        """A reaper that sweeps a fresh anchor between its create and its
+        lock must not leave the run ownerless: the set sees its path no
+        longer names the locked inode and re-anchors under a new name."""
+        import fcntl
+
+        real_flock = fcntl.flock
+        raced = []
+
+        def racing_flock(fd, op):
+            if op == fcntl.LOCK_SH and not raced:
+                raced.append(reap_orphan_planes())
+            return real_flock(fd, op)
+
+        monkeypatch.setattr(fcntl, "flock", racing_flock)
+        with shm_mod.SpillSet() as spills:
+            mine = f"orionspill_{os.getpid()}_"
+            swept = [n for n in raced[0] if n.startswith(mine)]
+            assert swept and spills.set_id not in swept
+            spill = spills.name_for(0)
+            write_segment(spill, [b"live"])
+            assert spill not in reap_orphan_planes()
+            assert segment_exists(spills.set_id) and segment_exists(spill)
+        assert not segment_exists(spills.set_id) and not segment_exists(spill)
+
+    @pytest.mark.parametrize("scope", ["driver", "group"])
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_sigkilled_driver_leaves_nothing_after_reap(
+        self, tmp_path, start_method, scope
+    ):
+        """SIGKILL a driver while its above-page job blob is published —
+        alone (its workers live on) or with its whole process group — and
+        reaping leaves no plane, run, blob or spill of it behind."""
+        script = tmp_path / "driver.py"
+        script.write_text(_SEARCH_DRIVER)
+        before = _owned_entries()
+        semaphores_before = _shm_names("sem.mp-")
+        proc = subprocess.Popen(
+            [sys.executable, str(script), start_method],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=_subprocess_env(),
+            start_new_session=True,  # killpg must never reach the test runner
+        )
+        try:
+            assert proc.stdout.readline().strip() == "READY"
+
+            def blob_published():
+                new = _owned_entries() - before
+                return any(n.startswith("psm_") or n.endswith("_job") for n in new)
+
+            assert _wait_for(blob_published)
+            if scope == "driver":
+                os.kill(proc.pid, signal.SIGKILL)
+            else:
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            at_kill = _owned_entries() - before
+
+            def reaped(names):
+                reap_orphan_planes()
+                return not names & _owned_entries()
+
+            # The kernel drops a dead process's locks as its exit completes,
+            # which can trail its reaping by a moment: poll rather than race.
+            # Orphaned workers may still be alive and map the segments, but
+            # they hold no lock: everything the dead driver owned goes.
+            _wait_for(lambda: reaped(at_kill), timeout=10)
+            assert not at_kill & _owned_entries()
+            assert _psm_segments() - before == set()
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:  # the whole group is gone already
+                pass
+            assert _wait_for(lambda: not _group_alive(proc.pid), timeout=30)
+            proc.stdout.close()
+            # A spawn pool's semaphores are its dead resource tracker's to
+            # unlink; only the killed group's are new.
+            for name in _shm_names("sem.mp-") - semaphores_before:
+                os.unlink(os.path.join("/dev/shm", name))
+        # Spills a live orphan worker wrote after the kill go too.
+        _wait_for(lambda: reaped(_owned_entries() - before), timeout=10)
+        assert _owned_entries() - before == set()
+
+    def test_run_in_another_temp_dir_keeps_its_blob_and_spills(self, tmp_path):
+        """A pool run in flight in another process, under another TMPDIR,
+        keeps its job blob and spills when this process reaps."""
+        script = tmp_path / "gated.py"
+        script.write_text(_GATED_RUN)
+        gate = tmp_path / "gate"
+        private_tmp = tmp_path / "tmp"
+        private_tmp.mkdir()
+        proc = subprocess.Popen(
+            [sys.executable, str(script), str(gate)],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=_subprocess_env(TMPDIR=str(private_tmp)),
+            start_new_session=True,
+        )
+        run = f"orionspill_{proc.pid}_"
+        try:
+
+            def in_flight():
+                names = _shm_names(run)
+                return any(n.endswith("_job") for n in names) and any(
+                    n.endswith("_00000_a01") for n in names
+                )
+
+            assert _wait_for(in_flight)
+            live = _shm_names(run)
+            assert len(live) == 3  # anchor, job blob, split 0's spill
+            removed = reap_orphan_planes()
+            assert not live & set(removed)
+            assert live <= _shm_names(run)
+            gate.touch()
+            out, _ = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+        assert proc.returncode == 0
+        assert out.strip() == "[(0, 10), (1, 10)]"
+        assert _shm_names(run) == set()

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blast.lookup import kmer_codes
-from repro.mapreduce.shm import PlaneRegistry, attach_segment_untracked
+from repro.mapreduce.shm import PlaneRegistry, attach_segment
 from repro.sequence.alphabet import UNKNOWN_CODE, random_bases
 from repro.sequence.generator import make_database
 from repro.sequence.records import Database, SequenceRecord
@@ -233,7 +233,7 @@ def test_golden_plane_sketches():
     for (k, size), want in GOLDEN.items():
         with PlaneRegistry.attach_or_create(db, k, sketch_size=size) as lease:
             h = lease.handle
-            seg = attach_segment_untracked(h.sketch_segment)
+            seg = attach_segment(h.sketch_segment)
             try:
                 raw = bytes(seg.buf[: h.total_sketch_hashes * 8])
             finally:
