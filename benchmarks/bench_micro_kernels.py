@@ -10,6 +10,7 @@ experiment harness. These run with real pytest-benchmark statistics
 import numpy as np
 import pytest
 
+from repro.blast.engine import BlastEngine, SearchCounters
 from repro.blast.gapped import extend_gapped
 from repro.blast.hsp import SeedHits
 from repro.blast.lookup import QueryIndex, kmer_codes, sorted_kmers
@@ -45,14 +46,15 @@ def test_query_index_build(benchmark, seqs):
 
 def raw_seeds(idx, subject):
     """One subject's unthinned hits."""
-    return SeedHits(*idx.lookup(subject), idx.k)
+    return find_seeds(idx, [SequenceRecord("s", subject)])
 
 
 def test_seed_lookup(benchmark, seqs):
+    """One subject's k-mers packed on the fly and joined (no k-mer cache)."""
     query, subject = seqs
     idx = QueryIndex(query, 11)
-    q_pos, _ = benchmark(idx.lookup, subject)
-    assert len(q_pos) > 0
+    hits = benchmark(raw_seeds, idx, subject)
+    assert len(hits) > 0
 
 
 def pooled_shard(subjects, k=11):
@@ -60,19 +62,25 @@ def pooled_shard(subjects, k=11):
     return records, {r.seq_id: sorted_kmers(r.codes, k) for r in records}
 
 
-def test_pooled_seeding_many_short_subjects(benchmark, seqs):
-    """One map task of a many-short-subject shard: 125 pre-indexed ~500 bp
-    subjects (a few of them homologous) against one 2.7 kbp fragment."""
+def many_short_subjects(seqs):
+    """One map task of a many-short-subject shard: 125 ~500 bp subjects (a
+    few of them homologous) and one 2.7 kbp fragment."""
     query, _ = seqs
     rng = np.random.default_rng(7)
     fragment = query[20_000:22_700]
     subjects = [random_bases(rng, int(n)) for n in rng.integers(250, 750, 125)]
     for i in (3, 60, 110):
         subjects[i] = np.concatenate([subjects[i], fragment[500 * (i % 4):][:200]])
+    return fragment, subjects
+
+
+def test_pooled_seeding_many_short_subjects(benchmark, seqs):
+    """Seeding 125 pre-indexed ~500 bp subjects against one 2.7 kbp fragment."""
+    fragment, subjects = many_short_subjects(seqs)
     records, cache = pooled_shard(subjects)
     idx = QueryIndex(fragment, 11)
     found = benchmark(find_seeds, idx, records, cache)
-    assert {3, 60, 110} <= {ordinal for ordinal, _ in found}
+    assert {3, 60, 110} <= set(found.owner.tolist())
 
 
 def test_pooled_seeding_one_long_subject(benchmark, seqs):
@@ -82,7 +90,7 @@ def test_pooled_seeding_one_long_subject(benchmark, seqs):
     records, cache = pooled_shard([subject])
     idx = QueryIndex(query[20_000:21_600], 11)
     found = benchmark(find_seeds, idx, records, cache)
-    assert len(found) == 1 and len(found[0][1]) > 0
+    assert len(found) > 0 and not found.owner.any()
 
 
 def test_ungapped_extension(benchmark, seqs):
@@ -91,6 +99,62 @@ def test_ungapped_extension(benchmark, seqs):
     hits = thin_seeds(raw_seeds(idx, subject))
     batch = benchmark(extend_seeds_ungapped, query, subject, hits, 1, -3, 20)
     assert len(batch) > 0
+
+
+def test_pooled_ungapped_many_short_subjects(seqs):
+    """Gate: the pooled ungapped pass (thin, extend and cull every subject's
+    hits at once) must equal the per-subject oracle byte for byte and be
+    ≥3× faster on one map task of 125 ~500 bp subjects.
+
+    Best-of-N wall times, as in the gapped gate; both sides get the same
+    raw hits, split per subject outside the timed region for the oracle.
+    """
+    import time
+
+    from tests.conftest import ungapped_subject
+
+    fragment, subjects = many_short_subjects(seqs)
+    records, cache = pooled_shard(subjects)
+    engine = BlastEngine()
+    hits = find_seeds(QueryIndex(fragment, 11), records, cache)
+    per_subject = []
+    for o in np.unique(hits.owner).tolist():
+        mine = hits.owner == o
+        per_subject.append((o, SeedHits(hits.q_pos[mine], hits.s_pos[mine], hits.k)))
+
+    def pooled():
+        counters = SearchCounters()
+        return engine._ungapped_pass(fragment, hits, records, counters), counters
+
+    def oracle():
+        counters = SearchCounters()
+        batches = [
+            (o, ungapped_subject(engine, fragment, own, records[o].codes, counters))
+            for o, own in per_subject
+        ]
+        return batches, counters
+
+    def best_of(run, rounds=7):
+        best = float("inf")
+        result = None
+        for _ in range(rounds):
+            t0 = time.perf_counter()
+            result = run()
+            best = min(best, time.perf_counter() - t0)
+        return best, result
+
+    t_pooled, (batch, c_pooled) = best_of(pooled)
+    t_oracle, (batches, c_oracle) = best_of(oracle)
+    assert c_pooled == c_oracle
+    for field in ("q_start", "q_end", "s_start", "s_end", "score"):
+        want = np.concatenate([getattr(b, field) for _, b in batches])
+        assert getattr(batch, field).tobytes() == want.tobytes(), field
+    owners = np.concatenate([np.full(len(b), o) for o, b in batches])
+    assert batch.owner.tobytes() == owners.astype(np.int64).tobytes()
+    ratio = t_oracle / t_pooled
+    print(f"\nungapped pass, {len(per_subject)} subjects with hits: per-subject "
+          f"{t_oracle*1e3:.2f}ms / pooled {t_pooled*1e3:.2f}ms = {ratio:.2f}x")
+    assert ratio >= 3.0, f"pooled ungapped speedup {ratio:.2f}x below the 3x floor"
 
 
 def test_thin_seeds(benchmark, seqs):

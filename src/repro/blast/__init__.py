@@ -26,7 +26,7 @@ from repro.blast.statistics import (
     karlin_altschul,
     minimum_significant_score,
 )
-from repro.blast.hsp import Alignment, SeedHits, UngappedHSP
+from repro.blast.hsp import Alignment, SeedHits
 from repro.blast.lookup import QueryIndex, kmer_codes
 from repro.blast.seeds import find_seeds, two_hit_filter
 from repro.blast.dust import low_complexity_intervals, mask_low_complexity
@@ -50,7 +50,6 @@ __all__ = [
     "minimum_significant_score",
     "Alignment",
     "SeedHits",
-    "UngappedHSP",
     "QueryIndex",
     "kmer_codes",
     "find_seeds",

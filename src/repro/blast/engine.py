@@ -13,7 +13,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from repro.blast.statistics import (
     karlin_altschul,
     minimum_significant_score,
 )
-from repro.blast.ungapped import extend_seeds_ungapped
+from repro.blast.ungapped import UngappedBatch, extend_seeds_ungapped
 from repro.sequence.alphabet import reverse_complement
 from repro.sequence.records import Database, SequenceRecord
 from repro.util.timers import Stopwatch
@@ -204,15 +204,16 @@ class BlastEngine:
                 seed_codes, _ = mask_low_complexity(codes)
             index = _query_index(seed_codes, self.params.k)
             # One join seeds the whole database (a shard, for Orion's map
-            # tasks); only subjects owning a hit go any further.
+            # tasks) and one pooled pass thins, extends and culls every
+            # subject's hits; only subjects owning a gapped candidate loop.
             subjects = database.records
-            for ordinal, hits in find_seeds(index, subjects, subject_kmer_cache):
-                alignments.extend(
-                    self._search_subject(
-                        query.seq_id, codes, hits, subjects[ordinal], space, t_u,
-                        options, counters, strand,
-                    )
+            hits = find_seeds(index, subjects, subject_kmer_cache)
+            alignments.extend(
+                self._search_pooled(
+                    query.seq_id, codes, hits, subjects, space, t_u,
+                    options, counters, strand,
                 )
+            )
             counters.subjects_scanned += len(subjects)
         counters.elapsed_seconds = sw.stop()
         counters.alignments_reported = len(alignments)
@@ -229,38 +230,21 @@ class BlastEngine:
     # internals
     # ------------------------------------------------------------------ #
 
-    def _search_subject(
+    def _search_pooled(
         self,
         query_id: str,
         q_codes: np.ndarray,
         hits: SeedHits,
-        subject: SequenceRecord,
+        subjects: Sequence[SequenceRecord],
         space: SearchSpace,
         t_u: int,
         options: SearchOptions,
         counters: SearchCounters,
         strand: int,
     ) -> List[Alignment]:
-        """Everything after seeding for one subject's raw (unthinned) hits."""
-        p = self.params
-        if p.two_hit_window is None:
-            hits = thin_seeds(hits)
-            counters.seeds += len(hits)
-        else:
-            # Two-hit pairing must see the raw hits — thinning collapses an
-            # exact run to its head, which would hide the run's later hits.
-            counters.seeds += len(hits)
-            hits = thin_seeds(two_hit_filter(hits, p.two_hit_window))
-        if len(hits) == 0:
-            return []
-
-        batch = extend_seeds_ungapped(
-            q_codes, subject.codes, hits, p.reward, p.penalty, p.x_drop_ungapped
-        )
-        counters.ungapped_extensions += len(batch)
-        if len(batch) == 0:
-            return []
-
+        """Everything after seeding for the pooled raw (unthinned) hits of
+        ``subjects``; ``hits.owner`` indexes ``subjects``."""
+        batch = self._ungapped_pass(q_codes, hits, subjects, counters)
         qlen = int(q_codes.shape[0])
         passing = batch.score >= t_u
         counters.hsps_passing_threshold += int(np.count_nonzero(passing))
@@ -271,13 +255,79 @@ class BlastEngine:
                 batch.q_end > qlen - options.boundary_margin
             )
             speculative = (~passing) & (near_left | near_right)
-        candidates = passing | speculative
-
-        if not candidates.any():
+        sel = np.flatnonzero(passing | speculative)
+        if sel.size == 0:
             return []
-        sel = np.flatnonzero(candidates)
-        order = sel[np.argsort(-batch.score[sel], kind="stable")]
+        # Candidates by owner (database order), then by descending score;
+        # the sort is stable, so ties keep their batch order.
+        sel = sel[np.lexsort((-batch.score[sel], batch.owner[sel]))]
+        cand_owner = batch.owner[sel]
+        cuts = np.flatnonzero(cand_owner[1:] != cand_owner[:-1]) + 1
+        reported: List[Alignment] = []
+        for order in np.split(sel, cuts):
+            subject = subjects[int(batch.owner[order[0]])]
+            reported.extend(
+                self._gapped_subject(
+                    query_id, q_codes, subject, batch, order, speculative,
+                    space, options, counters, strand,
+                )
+            )
+        return reported
 
+    def _ungapped_pass(
+        self,
+        q_codes: np.ndarray,
+        hits: SeedHits,
+        subjects: Sequence[SequenceRecord],
+        counters: SearchCounters,
+    ) -> UngappedBatch:
+        """Thin (two-hit filter first, when on), extend and cull the pooled
+        raw hits of ``subjects`` in one pass; the batch's ``owner`` column
+        indexes ``subjects``."""
+        p = self.params
+        if p.two_hit_window is None:
+            hits = thin_seeds(hits)
+            counters.seeds += len(hits)
+        else:
+            # Two-hit pairing must see the raw hits — thinning collapses an
+            # exact run to its head, which would hide the run's later hits.
+            counters.seeds += len(hits)
+            hits = thin_seeds(two_hit_filter(hits, p.two_hit_window))
+        if len(hits) == 0:
+            return UngappedBatch.empty()
+
+        # The owners' codes, concatenated: every subject owning a hit has a
+        # [s_offsets[o], s_offsets[o + 1]) slice; every other one is empty.
+        owned = np.zeros(len(subjects), dtype=bool)
+        owned[hits.owner] = True
+        parts = [subjects[o].codes for o in np.flatnonzero(owned).tolist()]
+        s_offsets = np.zeros(len(subjects) + 1, dtype=np.int64)
+        s_offsets[1:][owned] = [part.shape[0] for part in parts]
+        np.cumsum(s_offsets, out=s_offsets)
+        s_codes = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        batch = extend_seeds_ungapped(
+            q_codes, s_codes, hits, p.reward, p.penalty, p.x_drop_ungapped, s_offsets
+        )
+        counters.ungapped_extensions += len(batch)
+        return batch
+
+    def _gapped_subject(
+        self,
+        query_id: str,
+        q_codes: np.ndarray,
+        subject: SequenceRecord,
+        batch: UngappedBatch,
+        order: np.ndarray,
+        speculative: np.ndarray,
+        space: SearchSpace,
+        options: SearchOptions,
+        counters: SearchCounters,
+        strand: int,
+    ) -> List[Alignment]:
+        """Gapped extension of one subject's candidate HSPs, ``order`` being
+        their batch indexes by descending ungapped score."""
+        p = self.params
+        qlen = int(q_codes.shape[0])
         reported: List[Alignment] = []
         covered: List[Tuple[int, int, int, int]] = []  # q/s intervals of alignments
         for idx in order:

@@ -1,4 +1,4 @@
-"""Data model for seeds, ungapped HSPs and final alignments.
+"""Data model for seeds and final alignments.
 
 Coordinates are **0-based half-open** throughout the library (converted to
 BLAST's 1-based inclusive convention only at the formatting boundary in
@@ -29,21 +29,31 @@ MINUS_STRAND = -1
 
 @dataclass
 class SeedHits:
-    """A batch of k-mer seed hits between one query and one subject.
+    """A batch of k-mer seed hits between one query and a set of subjects.
 
     Struct-of-arrays layout: ``q_pos[i]``/``s_pos[i]`` is the start of the
-    i-th exact k-mer match in query/subject coordinates.
+    i-th exact k-mer match in query/subject coordinates, and ``owner[i]``
+    is the ordinal of the subject it lies in (all zeros — one subject —
+    when not given). Subject coordinates are local to the owner.
     """
 
     q_pos: np.ndarray
     s_pos: np.ndarray
     k: int
+    owner: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
         self.q_pos = np.asarray(self.q_pos, dtype=np.int64)
         self.s_pos = np.asarray(self.s_pos, dtype=np.int64)
-        if self.q_pos.shape != self.s_pos.shape or self.q_pos.ndim != 1:
-            raise ValueError("q_pos and s_pos must be 1-D arrays of equal length")
+        if self.owner is None:
+            self.owner = np.zeros(self.q_pos.shape, dtype=np.int64)
+        self.owner = np.asarray(self.owner, dtype=np.int64)
+        if (
+            self.q_pos.shape != self.s_pos.shape
+            or self.q_pos.shape != self.owner.shape
+            or self.q_pos.ndim != 1
+        ):
+            raise ValueError("q_pos, s_pos and owner must be 1-D arrays of equal length")
         if self.k <= 0:
             raise ValueError(f"k must be positive, got {self.k}")
 
@@ -52,58 +62,19 @@ class SeedHits:
 
     @property
     def diagonals(self) -> np.ndarray:
-        """Diagonal index of each hit (``s_pos − q_pos``)."""
+        """Diagonal index of each hit (``s_pos − q_pos``) within its owner."""
         return self.s_pos - self.q_pos
 
     def take(self, mask_or_index: np.ndarray) -> "SeedHits":
         """Subset of hits selected by a boolean mask or index array."""
-        return SeedHits(self.q_pos[mask_or_index], self.s_pos[mask_or_index], self.k)
+        return SeedHits(
+            self.q_pos[mask_or_index], self.s_pos[mask_or_index], self.k,
+            self.owner[mask_or_index],
+        )
 
     @classmethod
     def empty(cls, k: int) -> "SeedHits":
         return cls(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), k)
-
-
-@dataclass(frozen=True)
-class UngappedHSP:
-    """One ungapped high-scoring segment pair on a single diagonal."""
-
-    q_start: int
-    q_end: int
-    s_start: int
-    s_end: int
-    score: int
-
-    def __post_init__(self) -> None:
-        if self.q_end - self.q_start != self.s_end - self.s_start:
-            raise ValueError(
-                f"ungapped HSP spans differ: query {self.q_end - self.q_start} "
-                f"vs subject {self.s_end - self.s_start}"
-            )
-        if self.q_start < 0 or self.s_start < 0 or self.q_end < self.q_start:
-            raise ValueError(f"invalid HSP coordinates: {self}")
-
-    @property
-    def length(self) -> int:
-        return self.q_end - self.q_start
-
-    @property
-    def diagonal(self) -> int:
-        return self.s_start - self.q_start
-
-    @property
-    def anchor(self) -> Tuple[int, int]:
-        """Midpoint position pair used to seed gapped extension."""
-        mid = (self.q_start + self.q_end) // 2
-        return mid, mid + self.diagonal
-
-    def contains(self, other: "UngappedHSP") -> bool:
-        """True when ``other`` lies within this HSP on the same diagonal."""
-        return (
-            self.diagonal == other.diagonal
-            and self.q_start <= other.q_start
-            and other.q_end <= self.q_end
-        )
 
 
 @dataclass(frozen=True)

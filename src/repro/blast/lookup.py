@@ -211,16 +211,3 @@ class QueryIndex:
             needle_keys[survivors], survivors,
             self._sorted_keys, self._sorted_positions,
         )
-
-    def lookup(self, subject_codes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """All exact k-mer matches against one subject sequence.
-
-        Returns ``(q_pos, s_pos)`` int64 arrays of equal length.
-        """
-        keys, positions = valid_kmers(subject_codes, self.k)
-        needle, q_pos = self.join(keys)
-        return q_pos, positions[needle]
-
-    def estimated_hits_per_subject_base(self) -> float:
-        """Expected seed hits per subject position (workload modelling aid)."""
-        return self.num_words / float(4**self.k)

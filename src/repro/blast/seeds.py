@@ -2,9 +2,11 @@
 
 Raw lookup hits are heavily redundant: a run of r consecutive matching bases
 produces ``r − k + 1`` seeds on the same diagonal that would all extend to
-the same HSP. We keep, per diagonal, only seeds that start a new run (the
-previous window on that diagonal did not hit), which preserves every distinct
-maximal match while shrinking the extension workload dramatically.
+the same HSP. We keep, per subject and diagonal, only seeds that start a new
+run (the previous window on that diagonal did not hit), which preserves every
+distinct maximal match while shrinking the extension workload dramatically.
+Seeding returns every subject's hits in one pool, each tagged with the
+subject that owns it, so thinning and the two-hit filter run once per search.
 """
 
 from __future__ import annotations
@@ -22,20 +24,20 @@ def find_seeds(
     index: QueryIndex,
     subjects: Sequence[SequenceRecord],
     kmer_cache: Optional[Mapping[str, Tuple[np.ndarray, np.ndarray]]] = None,
-) -> List[Tuple[int, SeedHits]]:
+) -> SeedHits:
     """Raw k-mer seed hits of the indexed query in every subject, one join.
 
     The subjects' k-mers are pooled into one needle array — the pre-built
     ``(keys, positions)`` pair of ``kmer_cache`` (subject id →
     :func:`repro.blast.lookup.sorted_kmers`) where it has one, packed from
     the subject's codes otherwise — and go through :meth:`QueryIndex.join`
-    together; the hit list is then cut at subject boundaries. Returns
-    ``(ordinal in subjects, hits)`` for the subjects owning at least one
-    hit, in ``subjects`` order. Hits are unthinned and their order within
-    a subject is unspecified: :func:`thin_seeds` sorts.
+    together. Returns the pooled hits: ``s_pos`` is local to the subject
+    and ``owner`` is the subject's ordinal in ``subjects``, non-decreasing.
+    Hits are unthinned and their order within a subject is unspecified:
+    :func:`thin_seeds` sorts.
     """
     if index.num_words == 0 or not subjects:
-        return []
+        return SeedHits.empty(index.k)
     keys_parts: List[np.ndarray] = []
     pos_parts: List[np.ndarray] = []
     for subject in subjects:
@@ -49,50 +51,48 @@ def find_seeds(
     else:
         keys, positions = np.concatenate(keys_parts), np.concatenate(pos_parts)
     needle, q_pos = index.join(keys)
-    if needle.shape[0] == 0:
-        return []
-    s_pos = positions[needle]
     ends = np.cumsum([part.shape[0] for part in keys_parts])
-    cuts = np.searchsorted(needle, ends).tolist()
-    out: List[Tuple[int, SeedHits]] = []
-    lo = 0
-    for ordinal, hi in enumerate(cuts):
-        if hi > lo:
-            out.append((ordinal, SeedHits(q_pos[lo:hi], s_pos[lo:hi], index.k)))
-            lo = hi
-    return out
+    owner = np.searchsorted(ends, needle, side="right")
+    return SeedHits(q_pos, positions[needle], index.k, owner)
 
 
 def thin_seeds(hits: SeedHits) -> SeedHits:
     """Collapse runs of consecutive hits along each diagonal to their head.
 
-    A hit (q, s) is redundant when (q−1, s−1) is also a hit: both lie in one
-    maximal exact match. Sorting by (diagonal, q) makes the predecessor check
-    a single vectorized comparison against the previous row.
+    A hit (q, s) is redundant when (q−1, s−1) is also a hit of the same
+    subject: both lie in one maximal exact match. Sorting by (owner,
+    diagonal, q) makes the predecessor check a single vectorized comparison
+    against the previous row, and no run crosses from one subject into the
+    next.
     """
     if len(hits) <= 1:
         return hits
     diag = hits.diagonals
-    order = np.lexsort((hits.q_pos, diag))
+    order = np.lexsort((hits.q_pos, diag, hits.owner))
+    o_sorted = hits.owner[order]
     d_sorted = diag[order]
     q_sorted = hits.q_pos[order]
     keep = np.empty(len(hits), dtype=bool)
     keep[0] = True
-    keep[1:] = (d_sorted[1:] != d_sorted[:-1]) | (q_sorted[1:] != q_sorted[:-1] + 1)
+    keep[1:] = (
+        (o_sorted[1:] != o_sorted[:-1])
+        | (d_sorted[1:] != d_sorted[:-1])
+        | (q_sorted[1:] != q_sorted[:-1] + 1)
+    )
     return hits.take(order[keep])
 
 
 def two_hit_filter(hits: SeedHits, window: int) -> SeedHits:
     """NCBI's two-hit heuristic: extend only where a diagonal has two hits.
 
-    A seed survives when another seed sits on the *same diagonal* within
-    ``window`` query positions (ahead or behind, non-identical: a pairing
-    partner must satisfy ``0 < Δq <= window``, so a zero-distance duplicate
-    of a hit never vouches for it). Isolated random hits — the vast
-    majority in low-similarity scans — are discarded before the
-    (comparatively expensive) ungapped extension, trading a little
-    sensitivity for a large constant-factor speedup, exactly as in gapped
-    BLAST [Altschul et al. 1997]. One-hit seeding remains the nucleotide
+    A seed survives when another seed sits on the *same diagonal of the
+    same subject* within ``window`` query positions (ahead or behind,
+    non-identical: a pairing partner must satisfy ``0 < Δq <= window``, so
+    a zero-distance duplicate of a hit never vouches for it). Isolated
+    random hits — the vast majority in low-similarity scans — are
+    discarded before the (comparatively expensive) ungapped extension,
+    trading a little sensitivity for a large constant-factor speedup,
+    exactly as in gapped BLAST [Altschul et al. 1997]. One-hit seeding remains the nucleotide
     default (paper Table I uses classic blastn behaviour).
 
     Thinned hits (:func:`thin_seeds`) are duplicate-free by construction;
@@ -106,30 +106,25 @@ def two_hit_filter(hits: SeedHits, window: int) -> SeedHits:
     if len(hits) <= 1:
         return hits.take(np.zeros(len(hits), dtype=bool))
     diag = hits.diagonals
-    order = np.lexsort((hits.q_pos, diag))
+    order = np.lexsort((hits.q_pos, diag, hits.owner))
+    o = hits.owner[order]
     d = diag[order]
     q = hits.q_pos[order]
-    # Collapse exact duplicates (same diagonal, same q ⇒ same hit): a
+    # Collapse exact duplicates (same owner, diagonal and q ⇒ same hit): a
     # Δq = 0 neighbour is the hit itself, not a second hit, so it neither
     # counts as a partner nor may it sit between a hit and its real
     # partner and break the adjacent-pair check.
     new = np.empty(len(hits), dtype=bool)
     new[0] = True
-    new[1:] = (d[1:] != d[:-1]) | (q[1:] != q[:-1])
+    new[1:] = (o[1:] != o[:-1]) | (d[1:] != d[:-1]) | (q[1:] != q[:-1])
     rep = np.cumsum(new) - 1
+    ou = o[new]
     du = d[new]
     qu = q[new]
     same_prev = np.zeros(len(qu), dtype=bool)
     same_next = np.zeros(len(qu), dtype=bool)
-    same_prev[1:] = (du[1:] == du[:-1]) & (qu[1:] - qu[:-1] <= window)
+    same_prev[1:] = (ou[1:] == ou[:-1]) & (du[1:] == du[:-1]) & (qu[1:] - qu[:-1] <= window)
     same_next[:-1] = same_prev[1:]
     keep = (same_prev | same_next)[rep]
     return hits.take(np.sort(order[keep]))
 
-
-def seeds_per_diagonal(hits: SeedHits) -> np.ndarray:
-    """Histogram of hit counts per occupied diagonal (diagnostics)."""
-    if len(hits) == 0:
-        return np.empty(0, dtype=np.int64)
-    _, counts = np.unique(hits.diagonals, return_counts=True)
-    return counts

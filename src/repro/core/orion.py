@@ -529,7 +529,7 @@ class OrionSearch:
             view = shm_mod.attach_cached_view(self._shm_handle)
             self._db_view = view
             self.database = view.database()
-            self.shards = shard_database(self.database, self._num_shards)
+            self.shards = shm_mod.cached_shards(self._shm_handle, self._num_shards)
 
     def close(self) -> None:
         """Release the worker pool and the plane lease (idempotent).

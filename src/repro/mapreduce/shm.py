@@ -85,6 +85,7 @@ from typing import (
 import numpy as np
 
 if TYPE_CHECKING:  # import would be cycle-free but is kept lazy at runtime
+    from repro.mpiblast.formatdb import DatabaseShard
     from repro.sequence.records import Database
     from repro.sketch import KmerSketch
 
@@ -871,8 +872,28 @@ def attach_cached_view(handle: SharedDatabaseHandle) -> SharedDatabaseView:
     return view
 
 
+#: Shard lists over the cached views' databases, keyed by (plane id, shard
+#: count): every job a worker loads for one search shares one list instead
+#: of re-sharding the database per query.
+_ATTACHED_SHARDS: Dict[Tuple[str, int], List["DatabaseShard"]] = {}
+
+
+def cached_shards(handle: SharedDatabaseHandle, num_shards: int) -> List["DatabaseShard"]:
+    """This process's shard list of a plane's database (built once)."""
+    key = (handle.plane_id, num_shards)
+    shards = _ATTACHED_SHARDS.get(key)
+    if shards is None:
+        from repro.mpiblast.formatdb import shard_database
+
+        shards = shard_database(attach_cached_view(handle).database(), num_shards)
+        _ATTACHED_SHARDS[key] = shards
+    return shards
+
+
 def detach_cached_views() -> None:
-    """Close every cached view (test isolation / explicit worker teardown)."""
+    """Close every cached view and drop the shard lists built over them
+    (test isolation / explicit worker teardown)."""
+    _ATTACHED_SHARDS.clear()
     # Close order is immaterial (views are independent attachments).
     for view in list(_ATTACHED_VIEWS.values()):  # orionlint: disable=ORL004
         view.close()

@@ -9,7 +9,6 @@ from repro.blast.hsp import (
     OP_SGAP,
     Alignment,
     SeedHits,
-    UngappedHSP,
     cigar_to_path,
     path_composition,
     path_to_cigar,
@@ -31,25 +30,6 @@ class TestSeedHits:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             SeedHits(np.array([0, 1]), np.array([0]), k=3)
-
-
-class TestUngappedHSP:
-    def test_properties(self):
-        h = UngappedHSP(q_start=10, q_end=30, s_start=15, s_end=35, score=18)
-        assert h.length == 20
-        assert h.diagonal == 5
-        assert h.anchor == (20, 25)
-
-    def test_span_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            UngappedHSP(q_start=0, q_end=10, s_start=0, s_end=11, score=5)
-
-    def test_contains(self):
-        outer = UngappedHSP(q_start=0, q_end=30, s_start=5, s_end=35, score=20)
-        inner = UngappedHSP(q_start=10, q_end=20, s_start=15, s_end=25, score=8)
-        off_diag = UngappedHSP(q_start=10, q_end=20, s_start=16, s_end=26, score=8)
-        assert outer.contains(inner)
-        assert not outer.contains(off_diag)
 
 
 def _aln(**kw):

@@ -5,6 +5,7 @@ import pytest
 
 from repro.blast.lookup import QueryIndex, kmer_codes
 from repro.sequence.alphabet import encode, random_bases
+from tests.conftest import lookup
 
 
 def brute_force_matches(q: str, s: str, k: int):
@@ -80,30 +81,30 @@ class TestQueryIndex:
         q = "ACGTACGGTACGT"
         s = "TTACGTACGTTT"
         idx = QueryIndex(encode(q), 4)
-        qp, sp = idx.lookup(encode(s))
+        qp, sp = lookup(idx, encode(s))
         assert sorted(zip(qp.tolist(), sp.tolist())) == brute_force_matches(q, s, 4)
 
     def test_multi_hit_kmers_expand(self):
         q = "AAAAA"  # AAA at positions 0,1,2
         s = "CAAAC"  # AAA at position 1
         idx = QueryIndex(encode(q), 3)
-        qp, sp = idx.lookup(encode(s))
+        qp, sp = lookup(idx, encode(s))
         assert sorted(zip(qp.tolist(), sp.tolist())) == [(0, 1), (1, 1), (2, 1)]
 
     def test_no_matches(self):
         idx = QueryIndex(encode("AAAA"), 3)
-        qp, sp = idx.lookup(encode("CCCC"))
+        qp, sp = lookup(idx, encode("CCCC"))
         assert qp.size == 0 and sp.size == 0
 
     def test_empty_query(self):
         idx = QueryIndex(encode("AC"), 4)
         assert idx.num_words == 0
-        qp, sp = idx.lookup(encode("ACGTACGT"))
+        qp, sp = lookup(idx, encode("ACGTACGT"))
         assert qp.size == 0
 
     def test_n_in_subject_skipped(self):
         idx = QueryIndex(encode("ACGT"), 4)
-        qp, _ = idx.lookup(encode("ACNT" + "ACGT"))
+        qp, _ = lookup(idx, encode("ACNT" + "ACGT"))
         assert qp.size == 1
 
     def test_num_words(self):
@@ -116,11 +117,7 @@ class TestQueryIndex:
         from repro.sequence.alphabet import decode
 
         idx = QueryIndex(q, 5)
-        qp, sp = idx.lookup(s)
+        qp, sp = lookup(idx, s)
         assert sorted(zip(qp.tolist(), sp.tolist())) == brute_force_matches(
             decode(q), decode(s), 5
         )
-
-    def test_estimated_hit_rate(self):
-        idx = QueryIndex(encode("ACGTACGTACGT"), 11)
-        assert 0 <= idx.estimated_hits_per_subject_base() < 1

@@ -3,7 +3,7 @@
 ``find_seeds`` pools every subject's k-mers into one needle array, runs it
 through the query index's presence filter and joins the survivors. The
 references here do none of that: a dictionary over literal k-windows for
-the hit sets, and a per-subject loop around ``QueryIndex.lookup`` — the
+the hit sets, and the per-subject oracle of ``tests/conftest.py`` — the
 shape of the engine before the pooled join — for alignments and counters.
 """
 
@@ -15,14 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.blast import lookup as lookup_mod
-from repro.blast.engine import BlastEngine, SearchCounters
-from repro.blast.dust import mask_low_complexity
-from repro.blast.hsp import MINUS_STRAND, PLUS_STRAND, Alignment, SeedHits
+from repro.blast.engine import BlastEngine
+from repro.blast.hsp import SeedHits
 from repro.blast.lookup import QueryIndex, sorted_kmers
 from repro.blast.params import BlastParams, SearchOptions
 from repro.blast.seeds import find_seeds, thin_seeds
 from repro.sequence.alphabet import UNKNOWN_CODE, random_bases, reverse_complement
 from repro.sequence.records import Database, SequenceRecord
+from tests.conftest import lookup, reference_search
 
 KS = [7, 11, 16, 31]
 
@@ -112,16 +112,13 @@ class TestPooledHitSets:
                 if cached == "all" or i % 2 == 0
             }
         found = find_seeds(index, subjects, cache)
-        ordinals = [ordinal for ordinal, _ in found]
-        assert ordinals == sorted(set(ordinals))  # database order, once each
-        by_ordinal = dict(found)
+        assert (np.diff(found.owner) >= 0).all()  # database order
         for ordinal, subject in enumerate(subjects):
             want = brute_hits(query, subject.codes, k)
-            got = by_ordinal.get(ordinal, SeedHits.empty(k))
-            assert (ordinal in by_ordinal) == bool(want)  # owners only
+            got = found.take(found.owner == ordinal)
             assert pairs(got) == want
             # ... and hit for hit after thinning, against the one-subject path.
-            reference = SeedHits(*index.lookup(subject.codes), k)
+            reference = SeedHits(*lookup(index, subject.codes), k)
             assert pairs(reference) == want
             thinned, ref_thinned = thin_seeds(got), thin_seeds(reference)
             assert thinned.q_pos.tolist() == ref_thinned.q_pos.tolist()
@@ -131,12 +128,12 @@ class TestPooledHitSets:
     def test_empty_shard_and_empty_index(self, k):
         rng = np.random.default_rng(k)
         subject = SequenceRecord("s", random_bases(rng, 80))
-        assert find_seeds(QueryIndex(random_bases(rng, 60), k), []) == []
+        assert len(find_seeds(QueryIndex(random_bases(rng, 60), k), [])) == 0
         for empty_query in (random_bases(rng, k - 1), np.full(50, UNKNOWN_CODE, np.uint8)):
             index = QueryIndex(empty_query, k)
             assert index.num_words == 0
-            assert find_seeds(index, [subject]) == []
-            assert [a.size for a in index.lookup(subject.codes)] == [0, 0]
+            assert len(find_seeds(index, [subject])) == 0
+            assert [a.size for a in lookup(index, subject.codes)] == [0, 0]
 
     def test_false_positives_are_dropped_by_the_exact_join(self):
         """Disjoint k-mer sets behind a saturated table: every needle
@@ -145,7 +142,7 @@ class TestPooledHitSets:
         subject = SequenceRecord("s", np.full(60, 1, dtype=np.uint8))  # only CCCC…
         index = QueryIndex(query, 11)
         saturate(index)
-        assert find_seeds(index, [subject, subject]) == []
+        assert len(find_seeds(index, [subject, subject])) == 0
 
     def test_presence_table_sizing(self):
         for n in (1, 15, 16, 17, 2700, 7490):
@@ -153,34 +150,6 @@ class TestPooledHitSets:
             slots = index._presence.shape[0]
             assert 16 * index.num_words < slots <= 32 * index.num_words
             assert int(index._presence.sum()) <= index.num_words
-
-
-def reference_search(engine, query, database, options, strands, space=None):
-    """The engine's search as a per-subject loop over ``QueryIndex.lookup``."""
-    space = space or engine.search_space(
-        len(query), database.total_length, database.num_sequences
-    )
-    t_u = engine.ungapped_threshold(space)
-    counters = SearchCounters()
-    alignments = []
-    frames = [(query.codes, PLUS_STRAND)]
-    if strands == "both":
-        frames.append((reverse_complement(query.codes), MINUS_STRAND))
-    for codes, strand in frames:
-        seed_codes = mask_low_complexity(codes)[0] if engine.params.dust else codes
-        index = QueryIndex(seed_codes, engine.params.k)
-        for subject in database:
-            hits = SeedHits(*index.lookup(subject.codes), index.k)
-            alignments.extend(
-                engine._search_subject(
-                    query.seq_id, codes, hits, subject, space, t_u,
-                    options, counters, strand,
-                )
-            )
-            counters.subjects_scanned += 1
-    counters.alignments_reported = len(alignments)
-    alignments.sort(key=Alignment.sort_key)
-    return alignments, counters
 
 
 def canonical(alignments):

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.blast.hsp import SeedHits
 from repro.blast.lookup import QueryIndex
-from repro.blast.seeds import seeds_per_diagonal, thin_seeds
+from repro.blast.seeds import thin_seeds
 from repro.sequence.alphabet import encode, random_bases
 from tests.conftest import seeds_of
 
@@ -69,10 +69,3 @@ class TestFindSeeds:
         raw = seeds_of(idx, s, thin=False)
         expected = 1000 * 1000 / 4**8
         assert 0 <= len(raw) < 12 * expected + 20
-
-    def test_seeds_per_diagonal(self):
-        q = encode("AAAA")
-        idx = QueryIndex(q, 3)
-        hits = seeds_of(idx, q, thin=False)
-        counts = seeds_per_diagonal(hits)
-        assert counts.sum() == len(hits)

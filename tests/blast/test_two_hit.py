@@ -22,6 +22,17 @@ def hits_from(pairs, k=11):
 
 
 class TestTwoHitFilter:
+    def test_never_pairs_hits_in_different_subjects(self):
+        """Same diagonal, 20 apart, but two owners: isolated in each."""
+        q = np.array([100, 120, 300, 310], dtype=np.int64)
+        s = np.array([500, 520, 50, 60], dtype=np.int64)
+        hits = SeedHits(q, s, 11, owner=np.array([0, 1, 1, 1]))
+        out = two_hit_filter(hits, 40)
+        assert out.owner.tolist() == [1, 1]
+        assert out.q_pos.tolist() == [300, 310]
+        same = SeedHits(q[:2], s[:2], 11, owner=np.array([4, 4]))
+        assert len(two_hit_filter(same, 40)) == 2
+
     def test_isolated_hit_dropped(self):
         hits = hits_from([(100, 500)])
         assert len(two_hit_filter(hits, 40)) == 0

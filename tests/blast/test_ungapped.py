@@ -77,6 +77,31 @@ class TestExtendDirection:
         assert scores[0] == 5000
         assert lengths[0] == 5000
 
+    @pytest.mark.parametrize("direction", [1, -1])
+    def test_stops_exactly_at_per_anchor_bounds(self, direction):
+        """Three anchors on one all-matching concatenation, each clamped to
+        its own ``[s_lo, s_hi)``: a walk consumes exactly the bases left in
+        its slice, never one of its neighbour's."""
+        q = np.zeros(200, dtype=np.uint8)
+        s = np.zeros(150, dtype=np.uint8)
+        s_lo = np.array([0, 40, 90], dtype=np.int64)
+        s_hi = np.array([40, 90, 150], dtype=np.int64)
+        s0 = np.array([10, 50, 100], dtype=np.int64)
+        q0 = np.full(3, 100, dtype=np.int64)
+        scores, lengths = _extend_direction(
+            q, s, q0, s0, direction, 1, -3, 20, s_lo, s_hi
+        )
+        want = s_hi - s0 if direction == 1 else s0 - s_lo + 1
+        assert lengths.tolist() == want.tolist()
+        assert scores.tolist() == want.tolist()
+        # The same anchors against each subject alone agree hit for hit.
+        for i in range(3):
+            alone = s[s_lo[i]:s_hi[i]]
+            one = _extend_direction(
+                q, alone, q0[i:i + 1], s0[i:i + 1] - s_lo[i], direction, 1, -3, 20
+            )
+            assert (one[0][0], one[1][0]) == (scores[i], lengths[i])
+
     def test_empty_anchors(self):
         q = encode("ACGT")
         scores, lengths = _extend_direction(
@@ -118,6 +143,30 @@ class TestExtendSeedsUngapped:
         batch = extend_seeds_ungapped(q, q, SeedHits.empty(3), 1, -3, 20)
         assert len(batch) == 0
 
+    def test_pooled_owners_extend_within_their_own_subject(self):
+        """Two subjects that continue each other's match when concatenated:
+        each HSP stops at its owner's edge, exactly as when extended alone."""
+        rng = np.random.default_rng(23)
+        q = random_bases(rng, 300)
+        first = np.concatenate([random_bases(rng, 20), q[100:160]])
+        second = np.concatenate([q[160:220], random_bases(rng, 20)])
+        hits = SeedHits(
+            np.array([140, 160]), np.array([60, 0]), 11, owner=np.array([0, 1])
+        )
+        batch = extend_seeds_ungapped(
+            q, np.concatenate([first, second]), hits, 1, -3, 20,
+            s_offsets=np.array([0, 80, 160]),
+        )
+        assert batch.owner.tolist() == [0, 1]
+        assert batch.q_end[0] == 160 and batch.s_end[0] == 80  # first's right edge
+        assert batch.q_start[1] == 160 and batch.s_start[1] == 0  # second's left edge
+        for o, subject in enumerate((first, second)):
+            one = SeedHits(hits.q_pos[o:o + 1], hits.s_pos[o:o + 1], 11)
+            alone = extend_seeds_ungapped(q, subject, one, 1, -3, 20)
+            got = batch.take(np.array([o]))
+            for field in ("q_start", "q_end", "s_start", "s_end", "score"):
+                assert getattr(alone, field).tolist() == getattr(got, field).tolist()
+
     def test_score_includes_seed(self):
         q = encode("ACGTACGTACG")  # 11-mer
         idx = QueryIndex(q, 11)
@@ -149,6 +198,20 @@ class TestCullContained:
     def test_overlapping_not_contained_kept(self):
         batch = self._batch([[5, 30, 15, 40, 25], [10, 40, 20, 50, 30]])
         assert len(cull_contained(batch)) == 2
+
+    def test_no_culling_across_owners(self):
+        """The same intervals in two subjects: one is contained, the other
+        an exact copy — neither culls nor dedupes across owners."""
+        rows = np.array([[5, 30, 15, 40, 25], [10, 20, 20, 30, 10], [5, 30, 15, 40, 25]])
+        batch = UngappedBatch(*rows.T, owner=np.array([0, 1, 1]))
+        out = cull_contained(batch)
+        assert out.owner.tolist() == [0, 1]
+        assert out.q_start.tolist() == [5, 5]
+        same = UngappedBatch(*rows[[0, 2]].T, owner=np.array([3, 4]))
+        assert cull_contained(same).owner.tolist() == [3, 4]
+        # ... and within one owner both rules still apply.
+        one = UngappedBatch(*rows.T, owner=np.array([2, 2, 2]))
+        assert len(cull_contained(one)) == 1
 
     def test_empty_and_single(self):
         assert len(cull_contained(UngappedBatch.empty())) == 0

@@ -347,6 +347,37 @@ class TestShardScopedCache:
         second = s2._kmer_cache_for_shard(s2.shards[0])
         assert first is second  # the module-level store itself
 
+    def test_plane_jobs_in_one_worker_share_one_shard_list(self):
+        """Every job a worker loads for a plane-backed search reuses the
+        shard list built by the first; detaching the views drops it."""
+        import pickle
+
+        from repro.mapreduce import shm
+        from repro.mpiblast.formatdb import shard_database
+        from repro.sequence.generator import make_database
+
+        if not shm.HAVE_SHARED_MEMORY:  # pragma: no cover - platform
+            pytest.skip("no POSIX shared memory")
+        db = make_database(911, num_sequences=9, mean_length=300, name="sharddb")
+        search = OrionSearch(
+            database=db, num_shards=3, executor="processes", num_workers=1,
+        )
+        try:
+            search._ensure_plane()
+            blob = pickle.dumps(search)
+            first, second = pickle.loads(blob), pickle.loads(blob)
+            assert first.shards is second.shards
+            want = shard_database(db, 3)
+            assert [[r.seq_id for r in s.database] for s in first.shards] == [
+                [r.seq_id for r in s.database] for s in want
+            ]
+            shm.detach_cached_views()
+            third = pickle.loads(blob)
+            assert third.shards is not first.shards
+        finally:
+            shm.detach_cached_views()
+            search.close()
+
 
 def _canonical(alignments):
     """Alignments as comparable tuples: every field, traceback bytes included."""

@@ -16,7 +16,7 @@ from repro.blast.smith_waterman import smith_waterman_score
 from repro.blast.ungapped import _extend_direction
 from repro.blast.gapped import extend_gapped
 from repro.sequence.alphabet import decode, encode
-from tests.conftest import score_path
+from tests.conftest import lookup, score_path
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=120)
 short_dna = st.text(alphabet="ACGT", min_size=1, max_size=40)
@@ -28,7 +28,7 @@ class TestLookupProperties:
     @settings(max_examples=60)
     def test_lookup_equals_brute_force(self, q, s, k):
         idx = QueryIndex(encode(q), k)
-        qp, sp = idx.lookup(encode(s))
+        qp, sp = lookup(idx, encode(s))
         got = sorted(zip(qp.tolist(), sp.tolist()))
         expected = [
             (i, j)
