@@ -152,7 +152,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 strands=args.strands,
                 executor=executor,
                 num_workers=args.workers,
-                shared_db=args.shared_db,
                 retries=args.retries,
                 task_timeout=args.task_timeout,
                 speculative_tasks=args.speculative,
@@ -232,7 +231,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             strands=args.strands,
             executor=args.executor,
             num_workers=args.workers,
-            shared_db=args.shared_db,
             retries=args.retries,
             prune_threshold=_prune_threshold_from(args),
         )
@@ -402,15 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
         "per core)",
     )
     p.add_argument(
-        "--shared-db",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="ship the database to process workers via one shared-memory "
-        "copy per machine (default: auto — on for --executor processes "
-        "when the platform supports it); --no-shared-db pickles a private "
-        "copy per worker instead",
-    )
-    p.add_argument(
         "--retries",
         type=int,
         default=3,
@@ -482,10 +471,6 @@ def build_parser() -> argparse.ArgumentParser:
         "to keep one process pool busy across queries)",
     )
     p.add_argument("--workers", type=int, default=None, help="worker pool size")
-    p.add_argument(
-        "--shared-db", action=argparse.BooleanOptionalAction, default=None,
-        help="shared-memory database plane (default: auto)",
-    )
     p.add_argument("--retries", type=int, default=3, help="attempt budget per task")
     p.add_argument(
         "--max-inflight",

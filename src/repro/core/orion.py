@@ -213,8 +213,14 @@ class OrionSearch:
         tasks in parallel across cores, on one persistent
         :class:`~repro.mapreduce.runtime.WorkerPool` shared by every
         :meth:`run` / :meth:`run_many` call — workers keep attached database
-        views and k-mer caches warm between queries. Alignments are
-        identical for every backend (property-tested).
+        views and k-mer caches warm between queries. Workers reach the
+        database only through a shared-memory data plane (2-bit codes +
+        prebuilt k-mer indexes, one copy per machine, zero-copy worker
+        views); a query that cannot lease the plane runs serially in the
+        driver instead (see :meth:`run`). Call :meth:`close` (or use the
+        search as a context manager) to release the pool and the plane
+        promptly; an ``atexit`` backstop reclaims stragglers. Alignments
+        are identical for every backend (property-tested).
     num_workers:
         Pool size for the ``"processes"`` executor (``None`` = one process
         per core).
@@ -223,17 +229,6 @@ class OrionSearch:
         raises :class:`ValueError` for anything else. It exists only for
         ``benchmarks/ledger/workloads.py::build_search``, which still
         passes it, and goes once that caller drops it.
-    shared_db:
-        Ship the database to process workers through a shared-memory data
-        plane (2-bit codes + prebuilt k-mer indexes, one copy per machine,
-        zero-copy worker views) instead of pickling a private copy into
-        every worker. ``None`` (default) enables it automatically for
-        process-backed executors when the platform supports it; ``True``
-        insists (degrading with a warning if shared memory is missing);
-        ``False`` forces the pickled path. In-process backends read
-        the in-process arrays directly and ignore this. Call
-        :meth:`close` (or use the search as a context manager) to release
-        the segments promptly; an ``atexit`` backstop reclaims stragglers.
     retries:
         Attempt budget per map/reduce task on process-backed executors
         (CLI ``--retries``): a failed, crashed or timed-out task is
@@ -281,7 +276,6 @@ class OrionSearch:
         executor: Union[str, Executor, None] = "serial",
         num_workers: Optional[int] = None,
         shuffle: str = "streaming",
-        shared_db: Optional[bool] = None,
         retries: int = 3,
         task_timeout: Optional[float] = None,
         speculative_tasks: bool = False,
@@ -323,7 +317,6 @@ class OrionSearch:
             retry=self.retry_policy,
             injector=fault_injector,
         )
-        self.shared_db = shared_db
         # Guards lazy creation of the shared plane and the sketch index: the
         # always-on service calls run() from one thread per in-flight query,
         # and exactly one plane lease must ever exist per search.
@@ -387,42 +380,28 @@ class OrionSearch:
     # process-pool + shared-plane support
     # ------------------------------------------------------------------ #
 
-    def _shared_db_enabled(self) -> bool:
-        """Whether this search ships the database through the shared plane."""
-        if self.shared_db is False:
-            return False
-        if self.executor.kind != "processes":
-            return False  # in-process backends read self.database directly
-        if not shm_mod.HAVE_SHARED_MEMORY:  # pragma: no cover - platform
-            if self.shared_db:
-                warnings.warn(
-                    "shared_db requested but /dev/shm is unavailable; "
-                    "falling back to pickling the database",
-                    RuntimeWarning,
-                    stacklevel=3,
-                )
-            return False
-        return True
-
     def _ensure_plane(self) -> None:
         """Lease the machine-wide plane on first (process-backed) use.
 
         Goes through :meth:`shm.PlaneRegistry.attach_or_create`, so two
         searches (or service replicas) for the same database on one host
         share a single set of segments, and a crashed previous session's
-        orphans are reaped on the way in. Degrades to the in-process
-        database path — never fails the query — when the plane is corrupt
-        while other holders pin it, or shm (or ``flock``) is unusable; the
-        reason is stamped onto every subsequent result.
+        orphans are reaped on the way in. When the plane is corrupt while
+        other holders pin it, or shm (or ``flock``) is unusable, the search
+        degrades — never fails the query: :meth:`run` executes queries
+        serially in the driver and stamps the reason onto every result.
+        The failure is sticky until :meth:`close`, so a degraded search
+        does not retry the registry on every query; the first run after
+        ``close`` retries the lease.
 
         Thread-safe: concurrent :meth:`run` calls race to first use and
         exactly one lease is held per search (a loser's duplicate would
         leak a hold that ``close`` never releases).
         """
-        if self._lease is not None or not self._shared_db_enabled():
-            return
+        if self.executor.kind != "processes" or self._lease is not None:
+            return  # in-process backends read self.database directly
         with self._setup_lock:
-            if self._lease is not None or not self._shared_db_enabled():
+            if self._lease is not None or self._plane_mode == "fallback":
                 return
             try:
                 # Held on self for the search's lifetime; close() releases.
@@ -438,11 +417,10 @@ class OrionSearch:
             ) as exc:
                 warnings.warn(
                     f"could not lease the shared database plane ({exc}); "
-                    f"falling back to pickling the database per worker",
+                    f"falling back to a serial search in the driver",
                     RuntimeWarning,
                     stacklevel=3,
                 )
-                self.shared_db = False
                 self._plane_mode = "fallback"
                 self._plane_fallback_reason = f"{type(exc).__name__}: {exc}"
                 return
@@ -451,16 +429,25 @@ class OrionSearch:
             self._plane_mode = "created" if lease.created else "attached"
             self._plane_fallback_reason = None
 
+    def _query_executor(self) -> Executor:
+        """The executor a query runs on: this search's own, or the serial
+        oracle in the driver when a process-backed search has no plane —
+        workers never get the database any other way."""
+        if self._plane_mode == "fallback":
+            return SerialExecutor()
+        return self.executor
+
     def _ensure_sketch_index(self) -> ShardSketchIndex:
         """Build the per-shard sketch index on first pruned ``prepare``.
 
         Prefers the shared plane's per-sequence sketches (zero extra
         hashing — they were built at plane-publish time; the shard merge
         *copies*, so the index outlives the plane) and falls back to
-        sketching each sequence in-process when the plane is off, absent,
-        or was published without sketches. Both paths produce bit-identical
-        sketches (the hash is deterministic), so pruning decisions do not
-        depend on the executor or ``shared_db``. Thread-safe.
+        sketching each sequence in-process when the search is in-process,
+        fell back to serial, or the plane was published without sketches.
+        Both paths produce bit-identical sketches (the hash is
+        deterministic), so pruning decisions do not depend on the executor
+        or on whether the plane was leased. Thread-safe.
         """
         if self._sketch_index is not None:
             return self._sketch_index
@@ -506,7 +493,9 @@ class OrionSearch:
         """Pickle for worker shipment: no executor (workers run tasks, they
         never dispatch), no plane object (the picklable handle travels
         instead), and — when the plane is active — no database or shards:
-        workers rebuild both zero-copy from the attached plane view."""
+        workers rebuild both zero-copy from the attached plane view. An
+        in-process search keeps its database (the sanitizer's fingerprint
+        pickles it)."""
         state = self.__dict__.copy()
         state["executor"] = None
         state["_lease"] = None  # leases are per-process claims, never shipped
@@ -534,7 +523,8 @@ class OrionSearch:
     def close(self) -> None:
         """Release the worker pool and the plane lease (idempotent).
 
-        The next :meth:`run` transparently rebuilds both (a
+        The next :meth:`run` transparently rebuilds both, retrying the
+        lease even after a plane fallback (a
         :class:`WorkerPool` passed in as ``executor`` is shut down too and
         restarts the same way); use the search as a context manager for
         prompt cleanup in many-query scripts. The pool goes first, so no
@@ -680,8 +670,8 @@ class OrionSearch:
             name=f"orion/{query.seq_id}",
         )
         # Payloads carry the shard *index*, not the shard: process workers
-        # hold the sharded database already (it ships once with the job), so
-        # tasks only move a fragment descriptor.
+        # attach the sharded database from the plane, so tasks only move a
+        # fragment descriptor.
         pairs = self._plan_pairs(fragments)
         splits = [
             InputSplit(index=i, payload=pair, partitions=self._shard_partitions[pair[1]])
@@ -789,7 +779,7 @@ class OrionSearch:
             num_shards=len(self.shards),
             merged_pairs=agg_stats.merged_pairs,
             dropped_partials=agg_stats.dropped_partials,
-            executor_kind=self.executor.kind,
+            executor_kind=self._query_executor().kind,
             simulator_safe=all(r.simulator_safe for r in mr.records),
             mapreduce_wall_seconds=mapreduce_wall,
             shards_searched=plan.shards_searched,
@@ -813,6 +803,11 @@ class OrionSearch:
         submissions on one shared :class:`WorkerPool` while keeping each
         query's result byte-identical to calling :meth:`run` alone —
         property-tested. Safe to call concurrently from multiple threads.
+
+        A process-backed search whose plane lease failed runs the query on
+        a :class:`SerialExecutor` here in the driver: slower, never wrong —
+        serial is the oracle. The result says so (``executor_kind ==
+        "serial"``, ``plane_fallback == 1`` and its reason).
         """
         # Plane first: with pruning enabled, prepare()'s sketch index can
         # then merge the plane's prebuilt per-sequence sketches instead of
@@ -820,7 +815,7 @@ class OrionSearch:
         self._ensure_plane()
         plan = self.prepare(query, fragment_length)
         mr_wall = Stopwatch().start()
-        mr = self.executor.run(plan.job, plan.splits)
+        mr = self._query_executor().run(plan.job, plan.splits)
         mapreduce_wall = mr_wall.stop()
         return self.assemble(plan, mr, mapreduce_wall)
 

@@ -97,10 +97,12 @@ class OrionResult:
     pruned_map_tasks: int = 0
     #: Shared-plane lifecycle accounting (see ``repro.mapreduce.shm``):
     #: whether this search's process published the machine-wide plane,
-    #: attached to one another process published, or fell back to the
-    #: in-process database path (``plane_fallback_reason`` says why —
-    #: corruption, slot exhaustion, shm unavailable). One of the three is 1
-    #: for a process-backed search; all 0 for in-process executors.
+    #: attached to one another process published, or could not lease one
+    #: and ran the query serially in the driver (``executor_kind ==
+    #: "serial"``; ``plane_fallback_reason`` says why — a corrupt plane
+    #: another holder pins, shm or ``flock`` unusable). One of the three is
+    #: 1 for a search built on a process-backed executor; all 0 for
+    #: in-process executors.
     plane_created: int = 0
     plane_attached: int = 0
     plane_fallback: int = 0

@@ -18,7 +18,7 @@ everything else is property-tested against. The process pool's
 shuffle is **streaming** and push-based: each map task partitions (and
 combines) its own output worker-side, commits the per-partition pickled
 runs — inline on its result when they fit in one page, spilled into a
-shared-memory segment otherwise (inline again when shm is unavailable) —
+shared-memory segment otherwise (inline again when the spill write fails) —
 and the driver consumes completions as they land so reduce task *p*
 launches the moment every map task that can write partition *p* has
 committed — Hadoop's reduce slowstart, per partition. See
@@ -176,7 +176,7 @@ class SerialExecutor:
 # --------------------------------------------------------------------------- #
 
 #: Where one reduce task finds one map task's partition-p run: the pickled
-#: run bytes themselves (sub-page outputs, and the no-shm fallback), or a
+#: run bytes themselves (sub-page outputs, and failed spill writes), or a
 #: ``(segment_name, start, length)`` triple into a shared-memory spill
 #: segment. An empty run is ``b""`` / length 0 — never pickled, never
 #: attached.
@@ -197,9 +197,9 @@ class _RunCommit:
     The run format: the map task partitions (and combines) its output
     worker-side, key-sorts each run and pickles each non-empty run
     separately. Runs totalling at most :data:`_INLINE_BYTES` ride in
-    ``inline`` and ``segment`` is ``None`` — as they do when shared memory
-    is unavailable or the spill write fails. Larger outputs concatenate
-    the blobs into one spill segment — ``offsets[p]`` is the
+    ``inline`` and ``segment`` is ``None`` — as they do when the spill
+    write fails. Larger outputs concatenate the blobs into one spill
+    segment — ``offsets[p]`` is the
     ``(start, length)`` of partition ``p``'s run, so a reduce task attaches
     the segment and unpickles *only its own slice*.
     """
@@ -232,8 +232,8 @@ def _spill_map_output(
     driver reserved under ``spill_name`` — the driver's
     :class:`~repro.mapreduce.shm.SpillSet` owns the unlink, so even a
     worker that dies right after creating the segment cannot leak it. Any
-    ``OSError`` (``/dev/shm`` exhausted, a stale segment squatting on the
-    name) degrades to shipping the runs inline
+    ``OSError`` (``/dev/shm`` exhausted or missing, a stale segment
+    squatting on the name) degrades to shipping the runs inline
     through the result pipe. ``shm_fault`` is the fault injector's hook
     into exactly that path: it fires (or not) where the real spill write
     would fail, so injected shm faults exercise the same degrade.
@@ -246,11 +246,7 @@ def _spill_map_output(
         for run in runs
     ]
     total = sum(len(b) for b in blobs)
-    if (
-        total > _INLINE_BYTES
-        and spill_name is not None
-        and shm_mod.HAVE_SHARED_MEMORY
-    ):
+    if total > _INLINE_BYTES and spill_name is not None:
         try:
             if shm_fault is not None:
                 shm_fault()
@@ -477,8 +473,8 @@ class _JobRef:
     """Where a pool worker fetches one job's pickle from.
 
     A blob that fits in one page (:data:`_INLINE_BYTES`) rides inline in
-    every task item, as does any blob when shared memory is unavailable.
-    A larger blob travels once per machine through a segment the run's
+    every task item, as does any blob when the run's segments cannot be
+    created. A larger blob travels once per machine through a segment the run's
     :class:`~repro.mapreduce.shm.SpillSet` owns (``inline`` is ``None``;
     workers copy it out on first use). ``key`` identifies the job in the
     per-worker cache so a job's bytes are loaded at most once per worker.
@@ -717,8 +713,8 @@ class WorkerPool:
 
         The :class:`~repro.mapreduce.shm.SpillSet` holds the run's anchor
         lock, so its job blob and spills are reaped whatever kills this
-        driver. Without ``/dev/shm``, or when it fails (e.g. exhausted),
-        the job and the runs ride inline.
+        driver. When shared memory fails (``/dev/shm`` missing or
+        exhausted: an ``OSError``), the job and the runs ride inline.
         """
         # Content-addressed: re-submitting the same job (a pickled-identical
         # blob) hits the per-worker LRU for the whole pool lifetime — not
@@ -727,19 +723,18 @@ class WorkerPool:
         # for different jobs.
         key = hashlib.sha256(job_bytes).hexdigest()
         spills: Optional[shm_mod.SpillSet] = None
-        if shm_mod.HAVE_SHARED_MEMORY:
-            try:
-                spills = shm_mod.SpillSet()
-                if len(job_bytes) > _INLINE_BYTES:
-                    name = spills.publish_job(job_bytes)
-                    return _JobRef(key, name, len(job_bytes), None), spills
-            except OSError as exc:
-                warnings.warn(
-                    f"WorkerPool could not publish job blob via shared "
-                    f"memory ({exc}); shipping inline per task",
-                    RuntimeWarning,
-                    stacklevel=4,
-                )
+        try:
+            spills = shm_mod.SpillSet()
+            if len(job_bytes) > _INLINE_BYTES:
+                name = spills.publish_job(job_bytes)
+                return _JobRef(key, name, len(job_bytes), None), spills
+        except OSError as exc:
+            warnings.warn(
+                f"WorkerPool could not publish job blob via shared "
+                f"memory ({exc}); shipping inline per task",
+                RuntimeWarning,
+                stacklevel=4,
+            )
         return _JobRef(key, None, 0, job_bytes), spills
 
     def run(self, job: MapReduceJob, splits: Sequence[InputSplit]) -> JobResult:

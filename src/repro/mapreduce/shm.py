@@ -1,8 +1,8 @@
 """Zero-copy shared-memory data plane for process workers.
 
-Pickling the database into the job ships a private copy to *every*
+Pickling the database into the job would ship a private copy to *every*
 :class:`~repro.mapreduce.runtime.WorkerPool` worker, so per-worker warmup
-memory and time scale with ``num_workers`` — exactly the overhead the
+memory and time would scale with ``num_workers`` — exactly the overhead the
 paper's fine-grained design must keep small (Section V). This module places the database's 2-bit sequence
 codes and its per-sequence sorted k-mer arrays into shared-memory
 segments: one copy per machine, with workers attaching zero-copy NumPy
@@ -14,10 +14,10 @@ Segments
 A segment is a plain file in ``/dev/shm`` (Linux tmpfs) that this module
 opens, ``mmap``s or ``pread``s, and unlinks itself: :func:`create_segment`,
 :func:`attach_segment`, :func:`write_segment`, :func:`read_segment`,
-:func:`sweep_segment`. Without a ``/dev/shm`` directory
-(:data:`HAVE_SHARED_MEMORY` false) every segment kind takes its
-fallback: planes the in-process database, job blobs and spills the
-inline bytes of the task message.
+:func:`sweep_segment`. Without a usable ``/dev/shm`` a plane lease
+raises and the search runs serially in the driver; a pool run's job blob
+and spills, whose writes raise ``OSError``, ride inline in the task
+messages.
 
 One owner rule
 --------------
@@ -51,7 +51,7 @@ meets at the same segments — several service replicas, a benchmark and a
 notebook share one copy. The first caller publishes; the rest verify
 (layout version gate, per-segment size checks, a checksum over the handle
 blob and every segment's head) and attach, or get a typed
-:class:`PlaneCorruptError` so they can fall back to the in-process path.
+:class:`PlaneCorruptError` so their search can run serially in the driver.
 Every caller gets a :class:`PlaneLease`. *Workers* attach through
 :func:`attach_view` (or the per-process-cached :func:`attach_cached_view`)
 and get a :class:`SharedDatabaseView`, whose arrays alias the shared
@@ -441,8 +441,8 @@ class SpillSet:
 
     Names are minted lazily — :meth:`name_for` records every name it
     hands out — and :meth:`release` sweeps all that remain, then the
-    anchor. An attempt that commits inline (sub-page output, or the no-shm
-    fallback) created nothing and is struck off via :meth:`forget`; names
+    anchor. An attempt that commits inline (sub-page output, or a failed
+    spill write) created nothing and is struck off via :meth:`forget`; names
     whose fate is unknown — already swept, or orphaned by a worker that
     crashed between create and report — are all covered by the same
     idempotent :func:`sweep_segment` call. Until released, the set sits in
@@ -936,9 +936,10 @@ class PlaneCorruptError(RuntimeError):
 
     Raised instead of silently searching bad bytes: bad magic, layout
     version mismatch, fingerprint mismatch, truncated/undersized segments,
-    an unreadable handle blob, or a head-checksum mismatch. Callers degrade
-    to the in-process database path (``fallback_reason`` stamped on the
-    result) — the plane is rebuilt once no lease holds it.
+    an unreadable handle blob, or a head-checksum mismatch. A search that
+    gets it runs its queries serially in the driver (``plane_fallback`` and
+    its reason stamped on the result) — the plane is rebuilt once no lease
+    holds it.
     """
 
 
@@ -1300,8 +1301,8 @@ class PlaneRegistry:
 
         Raises :class:`PlaneCorruptError` when the existing plane fails
         verification *and* another lease holds it (rebuilding would yank
-        it from under that holder — the caller falls back to the
-        in-process path); a corrupt plane nobody holds is swept and rebuilt
+        it from under that holder — the caller's search runs serially in
+        the driver); a corrupt plane nobody holds is swept and rebuilt
         with a bumped generation. Raises :class:`SharedMemoryUnavailable`
         on platforms without ``fcntl.flock`` or a ``/dev/shm`` directory.
 

@@ -182,9 +182,9 @@ class ServiceStats:
     pruned_map_tasks: int = 0
     #: Shared-plane lifecycle totals across completed queries (see
     #: :mod:`repro.mapreduce.shm`): how many ran with a plane this replica
-    #: published vs. attached from another process, and how many fell back
-    #: to the in-process database path. Replica sharing and degradation are
-    #: directly observable here.
+    #: published vs. attached from another process, and how many could not
+    #: lease a plane and ran serially in the driver. Replica sharing and
+    #: degradation are directly observable here.
     plane_created: int = 0
     plane_attached: int = 0
     plane_fallback: int = 0

@@ -6,11 +6,12 @@ release unlinks every segment, a lease is a kernel-held ``flock`` that dies
 with its holder and never passes to a forked child, SIGKILLed holders
 (creator included, under fork and spawn) leave orphans the reaper reclaims,
 corrupt planes are detected — never silently searched — and the search
-degrades to the in-process database path with the reason stamped on the
+degrades to a serial run in the driver with the reason stamped on the
 result.
 """
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -520,21 +521,27 @@ class TestCreatorCrashMatrix:
 # --------------------------------------------------------------------------- #
 
 
+def _corrupt_attach_search(db):
+    """A process-backed search whose every plane attach sees corruption."""
+    inj = FaultInjector(
+        specs=(FaultSpec(phase="plane", kind="corrupt-segment", point="attach"),)
+    )
+    return OrionSearch(
+        db, num_shards=4, executor="processes", num_workers=2,
+        fault_injector=inj,
+    )
+
+
 class TestSearchFallback:
     def test_corrupt_plane_falls_back_with_reason(self, db):
         query, _ = make_query_with_homologies(
             11, 600, db, [HomologySpec(length=120)]
         )
         serial = OrionSearch(db, num_shards=4, executor="serial").run(query)
-        inj = FaultInjector(
-            specs=(FaultSpec(phase="plane", kind="corrupt-segment", point="attach"),)
-        )
-        search = OrionSearch(
-            db, num_shards=4, executor="processes", num_workers=2,
-            fault_injector=inj,
-        )
+        search = _corrupt_attach_search(db)
         # A live holder pins the corrupted plane, so the search cannot
-        # rebuild it — it must degrade, not fail, and must say why.
+        # rebuild it — it must degrade to a serial run in the driver, not
+        # fail, and must say why.
         holder = PlaneRegistry.attach_or_create(db, search.params.k)
         try:
             with warnings.catch_warnings(record=True) as caught:
@@ -544,12 +551,43 @@ class TestSearchFallback:
             assert res.plane_created == 0 and res.plane_attached == 0
             assert "PlaneCorruptError" in res.plane_fallback_reason
             assert any("falling back" in str(w.message) for w in caught)
-            assert [str(a) for a in res.alignments] == [
-                str(a) for a in serial.alignments
-            ]
+            assert res.executor_kind == "serial"
+            # Only records the serial executor produced are simulator-safe.
+            assert res.simulator_safe
+            assert all(r.simulator_safe for r in res.map_records)
+            assert pickle.dumps(res.alignments) == pickle.dumps(serial.alignments)
+            assert search.executor.started is False  # the pool never ran
         finally:
             search.close()
             holder.release()
+
+    def test_close_retries_the_lease(self, db):
+        """A fallback is sticky until ``close``; the run after it leases
+        again — degrading again while the corrupt plane is pinned, and
+        publishing a fresh plane once it is not."""
+        query, _ = make_query_with_homologies(
+            11, 600, db, [HomologySpec(length=120)]
+        )
+        search = _corrupt_attach_search(db)
+        holder = PlaneRegistry.attach_or_create(db, search.params.k)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert search.run(query).plane_fallback == 1
+                search.close()
+                again = search.run(query)
+            assert again.plane_fallback == 1
+            assert "PlaneCorruptError" in again.plane_fallback_reason
+            search.close()
+            holder.release()
+            holder = None
+            fresh = search.run(query)
+            assert fresh.plane_created == 1 and fresh.plane_fallback == 0
+            assert fresh.executor_kind == "processes"
+        finally:
+            search.close()
+            if holder is not None:
+                holder.release()
 
     def test_fresh_plane_stamps_created(self, db):
         query, _ = make_query_with_homologies(

@@ -11,7 +11,12 @@ import pytest
 
 from repro.mapreduce import runtime as runtime_mod
 from repro.mapreduce import shm as shm_mod
-from repro.mapreduce.faults import RetryPolicy, TaskFailedError
+from repro.mapreduce.faults import (
+    FaultInjector,
+    FaultSpec,
+    RetryPolicy,
+    TaskFailedError,
+)
 from repro.mapreduce.job import MapReduceJob, UndeclaredPartitionError
 from repro.mapreduce.runtime import (
     EXECUTOR_KINDS,
@@ -114,6 +119,10 @@ def run_pool(job, splits, **kwargs):
     kwargs.setdefault("max_workers", 2)
     with WorkerPool(**kwargs) as pool:
         return pool.run(job, splits)
+
+
+#: Fails every map task's spill write, so every run commits inline.
+_EVERY_SPILL_FAILS = FaultInjector(specs=(FaultSpec(phase="map", kind="shm"),))
 
 
 def expected_totals(n=6, width=10):
@@ -307,15 +316,39 @@ class TestStreamingShuffle:
         stream = run_pool(job, splits)
         assert stream.outputs == serial.outputs
 
-    def test_inline_fallback_without_shm(self, monkeypatch):
-        """With shared memory unavailable, runs ride inline through the
-        result pipe — same outputs, bytes still accounted."""
-        monkeypatch.setattr(shm_mod, "HAVE_SHARED_MEMORY", False)
-        job = make_job(2)
-        splits = make_splits(4)
-        stream = run_pool(job, splits)
-        assert dict(stream.flat_outputs()) == expected_totals(4)
-        assert sum(r.shuffle_bytes_out for r in stream.map_records()) > 0
+    def test_inline_fallback_without_shm(self, monkeypatch, tmp_path):
+        """When every spill write fails, above-page runs ride inline
+        through the result pipe — same outputs, bytes still accounted,
+        no segment read."""
+        log = tmp_path / "segment_calls"
+        _log_segment_calls(monkeypatch, str(log))
+        splits = make_splits(4, width=2000)
+        stream = run_pool(
+            make_job(2), splits, start_method="fork", injector=_EVERY_SPILL_FAILS
+        )
+        assert dict(stream.flat_outputs()) == expected_totals(4, width=2000)
+        assert all(
+            r.shuffle_bytes_out > mmap.PAGESIZE for r in stream.map_records()
+        )
+        assert all(r.attempts == 1 for r in stream.map_records())
+        assert not log.exists() or log.read_text() == ""
+
+    def test_inline_fallback_without_spill_set(self, monkeypatch, tmp_path):
+        """When the run's segment owner cannot be created, the job blob
+        and every run ride inline — with a warning, exact outputs."""
+
+        def no_anchor():
+            raise OSError("injected: no /dev/shm")
+
+        log = tmp_path / "segment_calls"
+        _log_segment_calls(monkeypatch, str(log))
+        monkeypatch.setattr(shm_mod, "_create_anchor", no_anchor)
+        splits = make_splits(4, width=2000)
+        with pytest.warns(RuntimeWarning, match="shipping inline per task"):
+            stream = run_pool(make_job(3), splits, start_method="fork")
+        assert dict(stream.flat_outputs()) == expected_totals(4, width=2000)
+        assert all(r.executor == "processes" for r in stream.records)
+        assert not log.exists() or log.read_text() == ""
 
     def test_page_rule_is_inclusive(self):
         """Runs totalling exactly one page commit inline; one byte more
@@ -361,13 +394,14 @@ class TestStreamingShuffle:
         # Every segment is fetched by at least one reducer.
         assert calls.count("read_segment") >= 2 + 2
 
-    def test_transport_does_not_change_shuffle_bytes(self, monkeypatch):
+    def test_transport_does_not_change_shuffle_bytes(self):
         """``shuffle_bytes_out/in`` count pickled run bytes, whichever way
         they travelled: spilled and inline runs of one job account alike."""
         job, splits = make_job(3), make_splits(4, width=2000)
         spilled = run_pool(job, splits, start_method="fork")
-        monkeypatch.setattr(shm_mod, "HAVE_SHARED_MEMORY", False)
-        inline = run_pool(job, splits, start_method="fork")
+        inline = run_pool(
+            job, splits, start_method="fork", injector=_EVERY_SPILL_FAILS
+        )
         assert inline.outputs == spilled.outputs
         for a, b in zip(spilled.records, inline.records):
             assert a.task_id == b.task_id

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.orion import OrionSearch
-from repro.mapreduce import shm as shm_mod
+from repro.mapreduce.faults import FaultInjector, FaultSpec
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import SerialExecutor, WorkerPool
 from repro.mapreduce.types import InputSplit
@@ -61,7 +61,6 @@ def run_orion(
     query,
     executor,
     strands="plus",
-    shared_db=None,
     prune_threshold=None,
 ):
     search = OrionSearch(
@@ -71,7 +70,6 @@ def run_orion(
         strands=strands,
         executor=executor,
         num_workers=2,
-        shared_db=shared_db,
         prune_threshold=prune_threshold,
     )
     try:
@@ -97,23 +95,19 @@ class TestOrionExecutorEquivalence:
         output: serial == processes+shm, field-identical."""
         pytest.importorskip("multiprocessing.shared_memory")
         serial = run_orion(tiny_db, tiny_query, "serial", strands)
-        shm = run_orion(tiny_db, tiny_query, "processes", strands, shared_db=True)
+        shm = run_orion(tiny_db, tiny_query, "processes", strands)
+        assert shm.plane_created + shm.plane_attached == 1
+        assert shm.plane_fallback == 0
         assert canonical(shm.alignments) == canonical(serial.alignments)
         assert shm.executor_kind == "processes"
         assert shm.merged_pairs == serial.merged_pairs
-
-    def test_processes_pickled_db_equal_serial(self, tiny_db, tiny_query, strands):
-        """--no-shared-db path: the pickled-database fallback stays exact."""
-        serial = run_orion(tiny_db, tiny_query, "serial", strands)
-        pickled = run_orion(tiny_db, tiny_query, "processes", strands, shared_db=False)
-        assert canonical(pickled.alignments) == canonical(serial.alignments)
 
 
 @pytest.mark.parametrize("strands", ["plus", "both"])
 class TestPruningEquivalence:
     """Threshold-0 pruning probes every (fragment × shard) pair but keeps
     them all — so it must be byte-identical to never probing, on every
-    executor, both strands, shared plane on and off. This is the safety
+    executor and both strands. This is the safety
     rail under ``prune_threshold``: the probe machinery itself cannot
     perturb results; only the keep/skip decision can (gated separately by
     ``benchmarks/bench_pruning.py``)."""
@@ -141,26 +135,10 @@ class TestPruningEquivalence:
             tiny_query,
             "processes",
             strands=strands,
-            shared_db=True,
             prune_threshold=0.0,
         )
         assert canonical(zero.alignments) == canonical(base.alignments)
         assert zero.pruned_map_tasks == 0
-
-    def test_processes_pickled_threshold_zero_identical(
-        self, tiny_db, tiny_query, strands
-    ):
-        """Shared plane off: the in-process sketch path — still identical."""
-        base = run_orion(tiny_db, tiny_query, "serial", strands=strands)
-        zero = run_orion(
-            tiny_db,
-            tiny_query,
-            "processes",
-            strands=strands,
-            shared_db=False,
-            prune_threshold=0.0,
-        )
-        assert canonical(zero.alignments) == canonical(base.alignments)
 
 
 def test_serial_records_simulator_safe_processes_not(tiny_db, tiny_query):
@@ -299,13 +277,15 @@ class TestStreamingShuffleEquivalence:
         assert all(r.executor == "serial" for r in result.records)
         assert _orionspill_segments() - before == set()
 
-    def test_streaming_without_shm_matches(self, monkeypatch):
-        """Inline-fallback locators (no shared memory at all) stay exact."""
-        monkeypatch.setattr(shm_mod, "HAVE_SHARED_MEMORY", False)
-        serial = SerialExecutor().run(_wc_job(True), _word_splits())
-        with WorkerPool(max_workers=2) as pool:
-            streaming = pool.run(_wc_job(True), _word_splits())
+    def test_streaming_without_shm_matches(self):
+        """Inline-fallback locators (every spill write fails) stay exact."""
+        splits = _word_splits(lines=_SPILLING_LINES)
+        serial = SerialExecutor().run(_wc_job(), splits)
+        injector = FaultInjector(specs=(FaultSpec(phase="map", kind="shm"),))
+        with WorkerPool(max_workers=2, injector=injector) as pool:
+            streaming = pool.run(_wc_job(), splits)
         assert streaming.outputs == serial.outputs
+        assert all(r.executor == "processes" for r in streaming.records)
 
 
 def _straddle_mapper(split):

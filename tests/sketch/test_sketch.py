@@ -254,7 +254,7 @@ class TestShardSketchIndex:
     def test_in_process_matches_callback_path(self):
         """The plane's per-sequence-sketch path and the in-process path
         must produce bit-identical shard sketches (pruning decisions may
-        not depend on shared_db)."""
+        not depend on whether the search leased a plane)."""
         from repro.mpiblast.formatdb import shard_database
         from repro.sequence.generator import make_database
         from repro.sketch import SKETCH_SIZE_DEFAULT
