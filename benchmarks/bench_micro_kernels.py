@@ -216,10 +216,11 @@ def test_gapped_extension(benchmark, seqs):
 
 def test_gapped_extension_rowloop_oracle(benchmark, seqs):
     """Same workload on the row-loop reference oracle, for comparison."""
+    from tests.conftest import extend_gapped_rowloop
+
     query, subject = seqs
     ext = benchmark(
-        extend_gapped, query, subject, 30_000, 60_000, 1, -3, 5, 2, 15,
-        kernel="rowloop",
+        extend_gapped_rowloop, query, subject, 30_000, 60_000, 1, -3, 5, 2, 15
     )
     assert ext.score > 1000
 
@@ -232,22 +233,22 @@ def test_gapped_wavefront_speedup_ratio(seqs):
     """
     import time
 
+    from tests.conftest import extend_gapped_rowloop
+
     query, subject = seqs
     anchor = (30_000, 60_000)
 
-    def best_of(kernel, rounds=3):
+    def best_of(extend, rounds=3):
         best = float("inf")
         result = None
         for _ in range(rounds):
             t0 = time.perf_counter()
-            result = extend_gapped(
-                query, subject, *anchor, 1, -3, 5, 2, 15, kernel=kernel
-            )
+            result = extend(query, subject, *anchor, 1, -3, 5, 2, 15)
             best = min(best, time.perf_counter() - t0)
         return best, result
 
-    t_wave, r_wave = best_of("wavefront")
-    t_row, r_row = best_of("rowloop")
+    t_wave, r_wave = best_of(extend_gapped)
+    t_row, r_row = best_of(extend_gapped_rowloop)
     assert r_wave.score == r_row.score
     assert np.array_equal(r_wave.path, r_row.path)
     ratio = t_row / t_wave

@@ -23,6 +23,7 @@ import os
 
 from benchmarks.conftest import run_once
 from repro.core.orion import OrionSearch
+from repro.core.results import OrionResult
 from repro.sequence.generator import (
     HomologySpec,
     make_database,
@@ -169,6 +170,9 @@ class _FakeClock:
 class _FakeQuery:
     seq_id = "overload"
 
+    def __len__(self):
+        return 1
+
 
 class _FlakyBackend:
     """Fails its first ``fail_first`` runs, then serves normally."""
@@ -181,7 +185,14 @@ class _FlakyBackend:
         self.runs += 1
         if self.runs <= self.fail_first:
             raise RuntimeError("backend overloaded")
-        return ("ok", query.seq_id)
+        return OrionResult(
+            query_id=query.seq_id, alignments=[], map_records=[],
+            reduce_seconds=[], sort_seconds=0.0, fragment_length=len(query),
+            overlap=0, num_fragments=1, num_shards=1,
+        )
+
+    def warmup(self):
+        return None
 
     def close(self):
         return None
@@ -225,7 +236,7 @@ def test_service_overload_sheds_and_recovers(benchmark):
                     "failures": failures,
                     "breaker_opened": opened,
                     "typed_rejections": shed,
-                    "probe_ok": probe[0] == "ok",
+                    "probe_ok": probe.query_id == "overload",
                     "served_after_recovery": served_after,
                     "breaker_state_after": service.breaker_for("db").state,
                     "rejected_circuit_open": service.stats.rejected_circuit_open,

@@ -25,7 +25,7 @@ Quickstart::
     )
     result = OrionSearch(database=db).run(query)
     for aln in result.alignments[:5]:
-        print(aln.subject_id, aln.q_interval, aln.evalue)
+        print(aln.subject_id, aln.q_start, aln.q_end, aln.evalue)
 """
 
 __version__ = "1.0.0"

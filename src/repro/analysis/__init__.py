@@ -23,7 +23,6 @@ from repro.analysis.engine import (
 )
 from repro.analysis.findings import Finding, Severity, active
 from repro.analysis.reporter import (
-    findings_from_json,
     render_json,
     render_text,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "analyze_paths",
     "analyze_source",
     "default_rules",
-    "findings_from_json",
     "render_json",
     "render_text",
     "select_rules",

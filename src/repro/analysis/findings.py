@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Sequence
+from typing import Any, Dict, List, Sequence
 
 
 class Severity(enum.Enum):
@@ -58,18 +58,6 @@ class Finding:
             "message": self.message,
             "suppressed": self.suppressed,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Finding":
-        return cls(
-            path=str(data["path"]),
-            line=int(data["line"]),
-            col=int(data["col"]),
-            rule=str(data["rule"]),
-            severity=Severity(data["severity"]),
-            message=str(data["message"]),
-            suppressed=bool(data.get("suppressed", False)),
-        )
 
 
 def active(findings: Sequence[Finding]) -> List[Finding]:

@@ -1,8 +1,8 @@
 """Render orionlint findings as text or JSON.
 
-The JSON format is versioned and round-trips losslessly through
-:func:`findings_from_json` (property-tested), so CI output can be stored
-and diffed across commits.
+The JSON format is versioned and round-trips losslessly (property-tested
+against a decoder in the tests), so CI output can be stored and diffed
+across commits.
 """
 
 from __future__ import annotations
@@ -57,15 +57,3 @@ def render_json(findings: Sequence[Finding]) -> str:
         "suppressed": len(findings) - len(live),
     }
     return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def findings_from_json(text: str) -> List[Finding]:
-    """Inverse of :func:`render_json` (findings only)."""
-    doc = json.loads(text)
-    version = doc.get("version")
-    if version != JSON_FORMAT_VERSION:
-        raise ValueError(
-            f"unsupported orionlint JSON version {version!r}; "
-            f"expected {JSON_FORMAT_VERSION}"
-        )
-    return [Finding.from_dict(item) for item in doc["findings"]]

@@ -1,26 +1,32 @@
-"""ORL008/ORL010 — acquired machine resources need a paired release path.
+"""ORL008/ORL010 — acquired machine resources need an owner and a release path.
 
 Every shared-memory segment the program creates follows
-:mod:`repro.mapreduce.shm`'s one rule: it is a plain ``/dev/shm`` file with
-an owner file whose ``flock`` a live process holds, and one reaper,
-``reap_orphan_planes``, sweeps whatever no lock holds. A
-``multiprocessing.shared_memory.SharedMemory`` object sits outside that
-rule. It owns two resources — the process-local mapping (released by
-``close()``) and the named segment itself (released by ``unlink()``) — and
-no owner lock, so the reaper never learns its name and nothing reclaims it
-after a SIGKILL. A code path that creates or attaches one and then raises
-leaks the mapping for the process lifetime and, on the create side, the
-segment for the *machine* lifetime. The program creates none; ORL008
-requires any ``SharedMemory`` call that does appear to pair with
-``close``/``unlink`` on its failure paths.
+:mod:`repro.mapreduce.shm`'s one-owner rule: it is a plain ``/dev/shm`` file
+with an owner file whose ``flock`` a live process holds, and one reaper,
+``reap_orphan_planes``, sweeps whatever no lock holds. Only two owners make
+segments: a :class:`~repro.mapreduce.shm.SpillSet` (a pool run's job blob
+and spills, under the run's anchor) and the plane publisher
+(``_publish_database_segments`` and ``PlaneRegistry._create_locked``, under
+the plane's registry lock). ORL008 reports a ``create_segment`` /
+``write_segment`` call anywhere else: no lock would cover that segment, so
+after a SIGKILL nothing reclaims it. A worker that writes a spill under a
+name its driver's ``SpillSet`` minted carries a per-line waiver naming that
+owner.
+
+ORL008 also checks ``multiprocessing.shared_memory.SharedMemory``, which
+sits outside the one-owner rule altogether — it owns the process-local
+mapping (released by ``close()``) and the named segment (released by
+``unlink()``) and no owner lock — so any such call must pair with
+``close``/``unlink`` on its failure paths. The program creates none.
 
 Plane *leases* (ORL010) have the same shape one level up: a
 ``PlaneRegistry.attach_or_create`` call takes a shared ``flock`` on the
 plane's registry segment, and a scope that acquires a lease and raises before
 releasing it keeps the plane held until the process exits — correctness
 survives (the atexit drain, or after a crash the orphan reaper, reclaims
-it), but the plane outlives its last real user. Both rules share one scope-accounting engine and differ
-only in what counts as an acquisition and what counts as a release.
+it), but the plane outlives its last real user. Both pairing checks share
+one scope-accounting engine and differ only in what counts as an
+acquisition and what counts as a release.
 """
 
 from __future__ import annotations
@@ -32,13 +38,28 @@ from repro.analysis.engine import FileContext, Rule
 from repro.analysis.findings import Severity
 
 
-class SharedMemoryLifecycleRule(Rule):
-    """ORL008: SharedMemory create/attach needs a paired close/unlink.
+def _called_name(node: ast.AST) -> str:
+    """The callee's bare or attribute name when ``node`` is a call, else ""."""
+    if not isinstance(node, ast.Call):
+        return ""
+    func = node.func
+    if isinstance(func, ast.Name):
+        return func.id
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return ""
 
-    Such a segment has no owner lock, so the one reaper cannot reclaim it
-    (see the module docstring). An acquisition call is accepted when it
-    is the context expression of a ``with`` statement, or when its
-    enclosing function (or module toplevel) contains a ``try``/``finally`` whose ``finally`` calls a
+
+class SharedMemoryLifecycleRule(Rule):
+    """ORL008: segments are made by an owner; SharedMemory pairs close/unlink.
+
+    A ``create_segment``/``write_segment`` call is accepted only inside a
+    method of a class in :attr:`owner_classes` or a function in
+    :attr:`owner_functions` (see the module docstring).
+
+    A ``SharedMemory`` call is accepted when it is the context expression
+    of a ``with`` statement, or when its enclosing function (or module
+    toplevel) contains a ``try``/``finally`` whose ``finally`` calls a
     release method — the shapes under which an exception between acquire
     and release cannot leak the segment. Anything else is an unpaired
     acquisition. Subclasses redefine what acquires and what releases; the
@@ -47,11 +68,25 @@ class SharedMemoryLifecycleRule(Rule):
     """
 
     rule_id = "ORL008"
-    title = "SharedMemory without paired close/unlink"
+    title = "shared-memory segment outside an owner, or SharedMemory unpaired"
     severity = Severity.ERROR
     invariant = (
-        "every shared-memory segment acquired (create or attach) must have "
-        "a release path that runs on failure too, or /dev/shm leaks"
+        "every /dev/shm segment is made by its lock-holding owner (a "
+        "SpillSet or the plane publisher), and any SharedMemory acquired "
+        "has a release path that runs on failure too, or /dev/shm leaks"
+    )
+
+    #: Calls that make a ``/dev/shm`` segment.
+    segment_makers: Tuple[str, ...] = ("create_segment", "write_segment")
+    #: Classes whose methods may make segments (the owner holds the lock).
+    owner_classes: Tuple[str, ...] = ("SpillSet",)
+    #: Functions that may make segments: the plane publisher.
+    owner_functions: Tuple[str, ...] = ("_publish_database_segments", "_create_locked")
+    #: The finding message for a segment made outside an owner.
+    owner_message = (
+        "shared-memory segment made outside its owner (a SpillSet or the "
+        "plane publisher): no lock covers it, so the reaper cannot reclaim "
+        "it after a crash"
     )
 
     #: Method names (``obj.<name>()``) that release the resource.
@@ -67,14 +102,7 @@ class SharedMemoryLifecycleRule(Rule):
 
     def _is_acquisition(self, node: ast.AST) -> bool:
         """Whether ``node`` is a call of ``SharedMemory(...)`` (any spelling)."""
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        if isinstance(func, ast.Name):
-            return func.id == "SharedMemory"
-        if isinstance(func, ast.Attribute):
-            return func.attr == "SharedMemory"
-        return False
+        return _called_name(node) == "SharedMemory"
 
     def _releases(self, nodes: List[ast.stmt]) -> bool:
         """Whether any statement calls a release method or function."""
@@ -99,6 +127,22 @@ class SharedMemoryLifecycleRule(Rule):
 
     def check(self, ctx: FileContext) -> Iterator[Tuple[int, int, str]]:
         yield from self._check_scope(ctx.tree.body)
+        yield from self._check_owners(ctx.tree, owned=False)
+
+    def _check_owners(self, node: ast.AST, owned: bool) -> Iterator[Tuple[int, int, str]]:
+        """Segment makers outside every owner class and owner function."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from self._check_owners(child, owned or child.name in self.owner_classes)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from self._check_owners(
+                    child, owned or child.name in self.owner_functions
+                )
+                continue
+            if not owned and _called_name(child) in self.segment_makers:
+                yield (child.lineno, child.col_offset, self.owner_message)
+            yield from self._check_owners(child, owned)
 
     def _check_scope(self, body: List[ast.stmt]) -> Iterator[Tuple[int, int, str]]:
         """Check one function (or module) body, recursing into nested defs.
@@ -188,12 +232,8 @@ class PlaneLeaseLifecycleRule(SharedMemoryLifecycleRule):
         "manager, or justify the ownership transfer with a waiver"
     )
 
+    def check(self, ctx: FileContext) -> Iterator[Tuple[int, int, str]]:
+        yield from self._check_scope(ctx.tree.body)
+
     def _is_acquisition(self, node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        func = node.func
-        if isinstance(func, ast.Name):
-            return func.id in self.acquisition_names
-        if isinstance(func, ast.Attribute):
-            return func.attr in self.acquisition_names
-        return False
+        return _called_name(node) in self.acquisition_names

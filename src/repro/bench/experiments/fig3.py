@@ -21,7 +21,7 @@ from repro.mpiblast.runner import MpiBlastRunner, replay_mpiblast
 from repro.util.textio import render_series
 
 #: Paper configuration: 4 Gordon nodes (64 cores), 64 shards.
-FIG3_CLUSTER = ClusterSpec(nodes=4, cores_per_node=16, name="gordon-4")
+FIG3_CLUSTER = ClusterSpec.gordon(4)
 FIG3_SHARDS = 64
 
 

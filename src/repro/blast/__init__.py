@@ -11,7 +11,7 @@ Implements the three-phase pipeline the paper describes (Section II-B):
 
 Karlin–Altschul statistics (λ, K, effective lengths, E-values) live in
 :mod:`repro.blast.statistics`; the paper's Table II constants (λ=1.374,
-K=0.711) are reproduced by that module's solvers. A full Smith–Waterman
+K=0.711) are reproduced by that module's solvers. A Smith–Waterman score
 (:mod:`repro.blast.smith_waterman`) serves as the accuracy oracle.
 """
 
@@ -30,12 +30,12 @@ from repro.blast.hsp import Alignment, SeedHits
 from repro.blast.lookup import QueryIndex, kmer_codes
 from repro.blast.seeds import find_seeds, two_hit_filter
 from repro.blast.dust import low_complexity_intervals, mask_low_complexity
-from repro.blast.pairwise import format_pairwise, format_report
+from repro.blast.pairwise import format_pairwise
 from repro.blast.ungapped import extend_seeds_ungapped
 from repro.blast.gapped import GappedExtension, extend_gapped
 from repro.blast.engine import BlastEngine, SearchResult
-from repro.blast.smith_waterman import smith_waterman_score, smith_waterman
-from repro.blast.formatter import format_tabular, parse_tabular
+from repro.blast.smith_waterman import smith_waterman_score
+from repro.blast.formatter import format_tabular
 
 __all__ = [
     "BlastParams",
@@ -57,14 +57,11 @@ __all__ = [
     "low_complexity_intervals",
     "mask_low_complexity",
     "format_pairwise",
-    "format_report",
     "extend_seeds_ungapped",
     "GappedExtension",
     "extend_gapped",
     "BlastEngine",
     "SearchResult",
     "smith_waterman_score",
-    "smith_waterman",
     "format_tabular",
-    "parse_tabular",
 ]

@@ -93,11 +93,3 @@ def mask_low_complexity(
     for lo, hi in intervals:
         masked[lo:hi] = UNKNOWN_CODE
     return masked, intervals
-
-
-def masked_fraction(codes: np.ndarray, intervals: List[Tuple[int, int]]) -> float:
-    """Fraction of the sequence covered by mask intervals."""
-    n = int(np.asarray(codes).shape[0])
-    if n == 0:
-        return 0.0
-    return sum(hi - lo for lo, hi in intervals) / n

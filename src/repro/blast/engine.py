@@ -115,9 +115,6 @@ class SearchResult:
     def __len__(self) -> int:
         return len(self.alignments)
 
-    def top(self, n: int) -> List[Alignment]:
-        return self.alignments[:n]
-
 
 class BlastEngine:
     """Three-phase BLAST search with the paper's default parameters.
@@ -347,7 +344,6 @@ class BlastEngine:
                 p.x_drop_gapped,
                 absolute_drop=is_spec,
                 keep_traceback=options.keep_traceback,
-                kernel=p.dp_kernel,
             )
             if is_spec:
                 counters.speculative_extensions += 1

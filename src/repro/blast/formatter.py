@@ -3,23 +3,17 @@
 The paper's map tasks emit parsed BLAST reports — subject id, offsets,
 E-value, match/mismatch/gap counts — onto shared storage for the reduce
 phase. :func:`format_tabular` emits the classic 12-column ``-outfmt 6``
-layout (1-based inclusive coordinates at this boundary only);
-:func:`parse_tabular` reads it back, so results round-trip as plain text
-the way the paper's Hadoop-streaming implementation staged them.
+layout (qseqid sseqid pident length mismatch gapopen qstart qend sstart
+send evalue bitscore; 1-based inclusive coordinates at this boundary
+only), so results travel as plain text the way the paper's
+Hadoop-streaming implementation staged them.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.blast.hsp import Alignment, MINUS_STRAND
-
-#: Column names of the classic BLAST tabular format.
-TABULAR_COLUMNS = (
-    "qseqid", "sseqid", "pident", "length", "mismatch", "gapopen",
-    "qstart", "qend", "sstart", "send", "evalue", "bitscore",
-)
-
 
 def format_tabular_row(aln: Alignment) -> str:
     """One alignment as a 12-column tab-separated row.
@@ -52,33 +46,3 @@ def format_tabular_row(aln: Alignment) -> str:
 def format_tabular(alignments: Iterable[Alignment]) -> str:
     """Render alignments as tabular text (one row per alignment)."""
     return "\n".join(format_tabular_row(a) for a in alignments)
-
-
-def parse_tabular(text: str) -> List[dict]:
-    """Parse tabular text back into column dictionaries.
-
-    Numeric columns are converted; coordinates stay in the 1-based inclusive
-    convention of the format (callers needing half-open coordinates subtract
-    one from the starts). Raises on malformed rows.
-    """
-    rows: List[dict] = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(TABULAR_COLUMNS):
-            raise ValueError(
-                f"line {lineno}: expected {len(TABULAR_COLUMNS)} columns, got {len(parts)}"
-            )
-        row = dict(zip(TABULAR_COLUMNS, parts))
-        row["pident"] = float(row["pident"])
-        row["length"] = int(row["length"])
-        row["mismatch"] = int(row["mismatch"])
-        row["gapopen"] = int(row["gapopen"])
-        for key in ("qstart", "qend", "sstart", "send"):
-            row[key] = int(row[key])
-        row["evalue"] = float(row["evalue"])
-        row["bitscore"] = float(row["bitscore"])
-        rows.append(row)
-    return rows

@@ -5,30 +5,21 @@ in both directions. Each half is a dynamic program over rows (query) ×
 columns (subject) where only the *band* of columns scoring within ``x_drop``
 of the best score stays alive — exactly the pruning the paper describes.
 
-Two interchangeable kernels compute each half:
-
-* ``kernel="wavefront"`` (default) — the batched kernel in
-  :mod:`repro.blast.wavefront`: substitution scores are materialized in
-  block wavefront tiles, the band advances through preallocated buffers
-  with a handful of ``out=`` NumPy calls per row, and traceback runs over a
-  dense band plane in vectorized runs. This is the production path.
-* ``kernel="rowloop"`` — the original reference implementation kept in this
-  module: one interpreter iteration per query row, each row vectorized.
-  It serves as the differential-testing oracle
-  (``tests/blast/test_gapped_diff.py`` proves the two byte-identical:
-  same scores, endpoints, and op paths, under both drop rules).
-
-Both kernels use the same telescoped identity for the within-row horizontal
-affine dependency — a gap opened from a cell that itself ends in a
-horizontal gap is dominated by one longer gap (one ``gap_open`` instead of
-two), so
+Each half runs on the batched kernel in :mod:`repro.blast.wavefront`:
+substitution scores are materialized in block wavefront tiles, the band
+advances through preallocated buffers with a handful of ``out=`` NumPy calls
+per row, and traceback runs over a dense band plane in vectorized runs. The
+within-row horizontal affine dependency uses a telescoped identity — a gap
+opened from a cell that itself ends in a horizontal gap is dominated by one
+longer gap (one ``gap_open`` instead of two), so
 
     E[j] = max_{k<j} (base[k] − gap_open − gap_extend·(j−k))
          = cummax(base + gap_extend·k) − gap_open − gap_extend·j
 
 with ``base = max(diagonal term, vertical term)``, making a row two
-``np.maximum.accumulate``-class passes. Property tests check this row against
-a naive scalar DP.
+``np.maximum.accumulate``-class passes. The one-row-per-iteration reference
+DP lives in the test suite as an oracle (``tests/conftest.py``); the
+differential suite proves the kernel byte-identical to it.
 
 Speculative mode (paper Section III-B1): Orion extends boundary partials with
 the *absolute* drop rule — scoring starts at 0 and extension continues until
@@ -39,19 +30,11 @@ Pass ``absolute_drop=True``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.blast.hsp import OP_DIAG, OP_QGAP, OP_SGAP
 from repro.blast.wavefront import wavefront_half_extension
-
-#: "Minus infinity" for integer DP cells (large enough headroom that adding
-#: substitution scores can never wrap).
-NEG_INF = np.int64(-(2**40))
-
-#: Selectable DP kernels (see module docstring).
-KERNELS = ("wavefront", "rowloop")
 
 
 @dataclass(frozen=True)
@@ -78,210 +61,12 @@ class GappedExtension:
         return self.s_end - self.s_start
 
 
-@dataclass
-class _HalfResult:
-    score: int
-    qi: int  # rows consumed (query bases)
-    sj: int  # cols consumed (subject bases)
-    path: Optional[np.ndarray]
-
-
-def _window(arr: np.ndarray, arr_lo: int, lo: int, hi: int) -> np.ndarray:
-    """Values of a banded array over [lo, hi), padded with NEG_INF outside."""
-    out = np.full(hi - lo, NEG_INF, dtype=np.int64)
-    src_lo = max(lo, arr_lo)
-    src_hi = min(hi, arr_lo + arr.shape[0])
-    if src_hi > src_lo:
-        out[src_lo - lo : src_hi - lo] = arr[src_lo - arr_lo : src_hi - arr_lo]
-    return out
-
-
-def _half_extension(
-    q: np.ndarray,
-    s: np.ndarray,
-    reward: int,
-    penalty: int,
-    gap_open: int,
-    gap_extend: int,
-    x_drop: int,
-    absolute_drop: bool,
-    keep_traceback: bool,
-) -> _HalfResult:
-    """One-direction gapped x-drop DP from the implicit origin (0, 0)."""
-    m = int(q.shape[0])
-    n = int(s.shape[0])
-    best_score = 0
-    best_cell = (0, 0)
-
-    # Maximum columns a single gap can stretch from a score-0 cell while the
-    # row stays above the (initial) cutoff; bounds row widths.
-    def gap_reach(from_score: int, cutoff: int) -> int:
-        budget = from_score - cutoff - gap_open
-        return max(0, budget // gap_extend) if budget >= 0 else -1
-
-    cutoff = -x_drop
-    # Row 0: H[0][j] = -(gap_open + gap_extend*j) for j >= 1. Column 0 (the
-    # origin, score 0) always survives, even when x_drop is smaller than a
-    # single gap open (reach0 < 0).
-    reach0 = gap_reach(0, cutoff)
-    hi = min(n, max(reach0, 0)) + 1  # columns [0, hi)
-    lo = 0
-    j0 = np.arange(hi, dtype=np.int64)
-    h_prev = np.where(j0 == 0, np.int64(0), -(gap_open + gap_extend * j0))
-    f_prev = np.full(hi, NEG_INF, dtype=np.int64)
-    rows: List[Tuple[int, np.ndarray]] = [(lo, h_prev.copy())] if keep_traceback else []
-    lo_prev, hi_prev = lo, hi
-
-    for i in range(1, m + 1):
-        if not absolute_drop:
-            cutoff = best_score - x_drop
-        # base (diag + vertical) is defined on columns [lo_prev, hi_prev + 1);
-        # horizontal gaps can then push the row edge further right.
-        base_hi = min(n + 1, hi_prev + 1)
-        lo_i = lo_prev
-        width = base_hi - lo_i
-        if width <= 0:
-            break
-
-        h_up = _window(h_prev, lo_prev, lo_i, base_hi)  # H[i-1][j]
-        f_up = _window(f_prev, lo_prev, lo_i, base_hi)  # F[i-1][j]
-        h_diag = _window(h_prev, lo_prev, lo_i - 1, base_hi - 1)  # H[i-1][j-1]
-
-        qc = q[i - 1]
-        js = np.arange(lo_i, base_hi, dtype=np.int64)
-        # Substitution scores for columns j >= 1 (s[j-1] aligned to q[i-1]).
-        sub = np.full(width, NEG_INF, dtype=np.int64)
-        valid_j = js >= 1
-        if valid_j.any():
-            s_idx = js[valid_j] - 1
-            is_match = (s[s_idx] == qc) & (qc < 4) & (s[s_idx] < 4)
-            sub[valid_j] = np.where(is_match, np.int64(reward), np.int64(penalty))
-
-        diag = h_diag + sub
-        f_cur = np.maximum(f_up - gap_extend, h_up - gap_open - gap_extend)
-        base = np.maximum(diag, f_cur)
-
-        # Extend the row to the right as far as a horizontal gap could stay
-        # above the cutoff, then compute E by the telescoped cummax.
-        base_max = int(base.max()) if width else NEG_INF
-        extra = gap_reach(base_max, cutoff) if base_max > NEG_INF // 2 else -1
-        hi_i = min(n + 1, max(base_hi, lo_i + width + max(extra, 0)))
-        if hi_i > base_hi:
-            pad = hi_i - base_hi
-            base = np.concatenate([base, np.full(pad, NEG_INF, dtype=np.int64)])
-            f_cur = np.concatenate([f_cur, np.full(pad, NEG_INF, dtype=np.int64)])
-            js = np.arange(lo_i, hi_i, dtype=np.int64)
-        # A[k] = base[k] + extend*k ; E[j] = cummax(A)[j-1] - open - extend*j
-        a = base + gap_extend * js
-        cummax_a = np.maximum.accumulate(a)
-        e_cur = np.full(js.shape[0], NEG_INF, dtype=np.int64)
-        if js.shape[0] > 1:
-            e_cur[1:] = cummax_a[:-1] - gap_open - gap_extend * js[1:]
-        h_cur = np.maximum(base, e_cur)
-
-        row_best = int(h_cur.max())
-        if row_best > best_score:
-            best_score = row_best
-            best_cell = (i, lo_i + int(h_cur.argmax()))
-            if not absolute_drop:
-                cutoff = best_score - x_drop
-
-        alive = h_cur >= cutoff
-        if not alive.any():
-            if keep_traceback:
-                rows.append((lo_i, h_cur))
-            break
-        first = int(np.argmax(alive))
-        last = js.shape[0] - 1 - int(np.argmax(alive[::-1]))
-        new_lo = lo_i + first
-        new_hi = lo_i + last + 1
-        h_prev = h_cur[first : last + 1]
-        f_prev = f_cur[first : last + 1]
-        if keep_traceback:
-            rows.append((new_lo, h_prev.copy()))
-        lo_prev, hi_prev = new_lo, new_hi
-
-    bi, bj = best_cell
-    path = None
-    if keep_traceback:
-        path = _traceback(rows, bi, bj, q, s, reward, penalty, gap_open, gap_extend)
-    return _HalfResult(score=best_score, qi=bi, sj=bj, path=path)
-
-
-def _cell(rows: List[Tuple[int, np.ndarray]], i: int, j: int) -> int:
-    """Stored H[i][j], or NEG_INF when outside the surviving band."""
-    if i < 0 or i >= len(rows) or j < 0:
-        return int(NEG_INF)
-    lo, arr = rows[i]
-    if j < lo or j >= lo + arr.shape[0]:
-        return int(NEG_INF)
-    return int(arr[j - lo])
-
-
-def _traceback(
-    rows: List[Tuple[int, np.ndarray]],
-    bi: int,
-    bj: int,
-    q: np.ndarray,
-    s: np.ndarray,
-    reward: int,
-    penalty: int,
-    gap_open: int,
-    gap_extend: int,
-) -> np.ndarray:
-    """Reconstruct the op path from (0,0) to the best cell.
-
-    Works from stored H rows alone: at each cell the predecessor is found by
-    testing the three recurrence branches for exact equality (integer DP, so
-    equality is exact). Vertical and horizontal gaps are located by scanning
-    the telescoped chain — O(gap length), negligible against the forward DP.
-    """
-    ops: List[int] = []
-    i, j = bi, bj
-    while i > 0 or j > 0:
-        h_ij = _cell(rows, i, j)
-        if h_ij <= int(NEG_INF) // 2:  # pragma: no cover - defensive
-            raise RuntimeError(f"traceback entered a dead cell at ({i}, {j})")
-        if i > 0 and j > 0:
-            qc, sc = q[i - 1], s[j - 1]
-            sub = reward if (qc == sc and qc < 4 and sc < 4) else penalty
-            if h_ij == _cell(rows, i - 1, j - 1) + sub:
-                ops.append(OP_DIAG)
-                i -= 1
-                j -= 1
-                continue
-        moved = False
-        for g in range(1, i + 1):  # vertical: gap in subject, consumes query
-            prev = _cell(rows, i - g, j)
-            if prev <= int(NEG_INF) // 2:
-                continue
-            if h_ij == prev - gap_open - gap_extend * g:
-                ops.extend([OP_SGAP] * g)
-                i -= g
-                moved = True
-                break
-        if moved:
-            continue
-        for g in range(1, j + 1):  # horizontal: gap in query, consumes subject
-            prev = _cell(rows, i, j - g)
-            if prev <= int(NEG_INF) // 2:
-                continue
-            if h_ij == prev - gap_open - gap_extend * g:
-                ops.extend([OP_QGAP] * g)
-                j -= g
-                moved = True
-                break
-        if not moved:  # pragma: no cover - would indicate a DP bug
-            raise RuntimeError(f"no predecessor found for cell ({i}, {j})")
-    return np.array(ops[::-1], dtype=np.uint8)
-
-
 def _validate_affine(gap_open: int, gap_extend: int, x_drop: int) -> None:
     """Reject degenerate affine parameters with a typed error.
 
-    ``gap_extend == 0`` used to reach ``gap_reach``'s ``budget // gap_extend``
-    and die with a ``ZeroDivisionError`` deep inside the DP; negative costs
-    would silently *reward* gaps. Both kernels assume a strictly positive
+    ``gap_extend == 0`` used to reach the DP's ``budget // gap_extend`` and
+    die with a ``ZeroDivisionError`` deep inside the DP; negative costs
+    would silently *reward* gaps. The DP assumes a strictly positive
     extension cost, so fail fast at the API boundary instead.
     """
     if gap_extend <= 0:
@@ -290,30 +75,6 @@ def _validate_affine(gap_open: int, gap_extend: int, x_drop: int) -> None:
         raise ValueError(f"gap_open must be non-negative, got {gap_open}")
     if x_drop < 0:
         raise ValueError(f"x_drop must be non-negative, got {x_drop}")
-
-
-def _run_half(
-    kernel: str,
-    q: np.ndarray,
-    s: np.ndarray,
-    reward: int,
-    penalty: int,
-    gap_open: int,
-    gap_extend: int,
-    x_drop: int,
-    absolute_drop: bool,
-    keep_traceback: bool,
-) -> _HalfResult:
-    if kernel == "wavefront":
-        score, qi, sj, path = wavefront_half_extension(
-            q, s, reward, penalty, gap_open, gap_extend, x_drop,
-            absolute_drop, keep_traceback,
-        )
-        return _HalfResult(score=score, qi=qi, sj=sj, path=path)
-    return _half_extension(
-        q, s, reward, penalty, gap_open, gap_extend, x_drop,
-        absolute_drop, keep_traceback,
-    )
 
 
 def extend_gapped(
@@ -328,7 +89,6 @@ def extend_gapped(
     x_drop: int,
     absolute_drop: bool = False,
     keep_traceback: bool = True,
-    kernel: str = "wavefront",
 ) -> GappedExtension:
     """Gapped x-drop extension around the anchor pair (both directions).
 
@@ -336,41 +96,35 @@ def extend_gapped(
     half aligns the reversed prefixes; results are stitched at the anchor.
     The returned score is the sum of both halves (the anchor itself is a DP
     origin, not an aligned column, so nothing is double-counted).
-
-    ``kernel`` selects the DP implementation (see module docstring):
-    ``"wavefront"`` (batched, default) or ``"rowloop"`` (reference oracle).
-    Both produce byte-identical results.
     """
     if not (0 <= anchor_q <= q_codes.shape[0] and 0 <= anchor_s <= s_codes.shape[0]):
         raise ValueError(
             f"anchor ({anchor_q}, {anchor_s}) outside sequences "
             f"({q_codes.shape[0]}, {s_codes.shape[0]})"
         )
-    if kernel not in KERNELS:
-        raise ValueError(f"unknown DP kernel {kernel!r}; expected one of {KERNELS}")
     _validate_affine(gap_open, gap_extend, x_drop)
     # Materialize the reversed prefixes once per extension: a negative-stride
     # view would otherwise force a hidden copy inside every windowing /
     # tile-gather operation of the DP below.
     q_left = np.ascontiguousarray(q_codes[:anchor_q][::-1])
     s_left = np.ascontiguousarray(s_codes[:anchor_s][::-1])
-    right = _run_half(
-        kernel, q_codes[anchor_q:], s_codes[anchor_s:], reward, penalty,
+    r_score, r_qi, r_sj, r_path = wavefront_half_extension(
+        q_codes[anchor_q:], s_codes[anchor_s:], reward, penalty,
         gap_open, gap_extend, x_drop, absolute_drop, keep_traceback,
     )
-    left = _run_half(
-        kernel, q_left, s_left, reward, penalty,
+    l_score, l_qi, l_sj, l_path = wavefront_half_extension(
+        q_left, s_left, reward, penalty,
         gap_open, gap_extend, x_drop, absolute_drop, keep_traceback,
     )
     path = None
     if keep_traceback:
-        assert left.path is not None and right.path is not None
-        path = np.concatenate([left.path[::-1], right.path])
+        assert l_path is not None and r_path is not None
+        path = np.concatenate([l_path[::-1], r_path])
     return GappedExtension(
-        score=left.score + right.score,
-        q_start=anchor_q - left.qi,
-        q_end=anchor_q + right.qi,
-        s_start=anchor_s - left.sj,
-        s_end=anchor_s + right.sj,
+        score=l_score + r_score,
+        q_start=anchor_q - l_qi,
+        q_end=anchor_q + r_qi,
+        s_start=anchor_s - l_sj,
+        s_end=anchor_s + r_sj,
         path=path,
     )

@@ -15,7 +15,7 @@ Alignment paths are stored as ``uint8`` op arrays:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -142,14 +142,6 @@ class Alignment:
                 )
 
     @property
-    def q_interval(self) -> Tuple[int, int]:
-        return (self.q_start, self.q_end)
-
-    @property
-    def s_interval(self) -> Tuple[int, int]:
-        return (self.s_start, self.s_end)
-
-    @property
     def q_span(self) -> int:
         return self.q_end - self.q_start
 
@@ -181,58 +173,9 @@ class Alignment:
             s_end=self.s_end + s_offset,
         )
 
-    def same_location(self, other: "Alignment") -> bool:
-        """True when both describe the same aligned region (dedup key)."""
-        return (
-            self.subject_id == other.subject_id
-            and self.strand == other.strand
-            and self.q_interval == other.q_interval
-            and self.s_interval == other.s_interval
-        )
-
     def sort_key(self) -> Tuple[float, float, str, int, int]:
         """Canonical report order: ascending E-value, then descending score."""
         return (self.evalue, -self.score, self.subject_id, self.q_start, self.s_start)
-
-
-#: CIGAR op letters by path op, query-centric convention: M consumes both,
-#: I (insertion in the query) consumes query only, D (deletion) subject only.
-_CIGAR_LETTER = {OP_DIAG: "M", OP_SGAP: "I", OP_QGAP: "D"}
-_CIGAR_OP = {"M": OP_DIAG, "I": OP_SGAP, "D": OP_QGAP}
-
-
-def path_to_cigar(path: np.ndarray) -> str:
-    """Compact run-length CIGAR string of an op path (``120M2D30M``)."""
-    path = np.asarray(path, dtype=np.uint8)
-    if path.size == 0:
-        return ""
-    change = np.flatnonzero(path[1:] != path[:-1]) + 1
-    starts = np.concatenate(([0], change))
-    ends = np.concatenate((change, [path.size]))
-    return "".join(
-        f"{e - s}{_CIGAR_LETTER[int(path[s])]}" for s, e in zip(starts, ends)
-    )
-
-
-def cigar_to_path(cigar: str) -> np.ndarray:
-    """Inverse of :func:`path_to_cigar`; raises on malformed strings."""
-    if not cigar:
-        return np.zeros(0, dtype=np.uint8)
-    parts: List[np.ndarray] = []
-    count = ""
-    for ch in cigar:
-        if ch.isdigit():
-            count += ch
-        elif ch in _CIGAR_OP:
-            if not count:
-                raise ValueError(f"CIGAR op {ch!r} without a count in {cigar!r}")
-            parts.append(np.full(int(count), _CIGAR_OP[ch], dtype=np.uint8))
-            count = ""
-        else:
-            raise ValueError(f"invalid CIGAR character {ch!r} in {cigar!r}")
-    if count:
-        raise ValueError(f"trailing count in CIGAR {cigar!r}")
-    return np.concatenate(parts)
 
 
 def path_composition(path: np.ndarray, q_codes: np.ndarray, s_codes: np.ndarray,

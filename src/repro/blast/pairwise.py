@@ -92,18 +92,3 @@ def format_pairwise(
         qpos += q_consumed
         spos += s_consumed
     return "\n".join(lines).rstrip() + "\n"
-
-
-def format_report(
-    alignments,
-    q_codes: np.ndarray,
-    subject_lookup,
-    line_width: int = LINE_WIDTH,
-) -> str:
-    """A multi-alignment report (``subject_lookup``: id → codes array)."""
-    blocks = [
-        format_pairwise(aln, q_codes, subject_lookup(aln.subject_id), line_width)
-        for aln in alignments
-        if aln.path is not None
-    ]
-    return "\n".join(blocks)

@@ -44,10 +44,6 @@ class BlastParams:
     dust:
         Mask low-complexity query regions (DUST-like) before seeding.
         Disabled by default; see :mod:`repro.blast.dust`.
-    dp_kernel:
-        Gapped-extension DP kernel: ``"wavefront"`` (default, batched) or
-        ``"rowloop"`` (the reference oracle). Both are byte-identical; the
-        oracle exists for differential testing and debugging.
     """
 
     k: int = 11
@@ -61,7 +57,6 @@ class BlastParams:
     ungapped_threshold: Optional[int] = None
     two_hit_window: Optional[int] = None
     dust: bool = False
-    dp_kernel: str = "wavefront"
 
     def __post_init__(self) -> None:
         check_positive("k", self.k)
@@ -79,10 +74,6 @@ class BlastParams:
             check_positive("ungapped_threshold", self.ungapped_threshold)
         if self.two_hit_window is not None:
             check_positive("two_hit_window", self.two_hit_window)
-        if self.dp_kernel not in ("wavefront", "rowloop"):
-            raise ValueError(
-                f"dp_kernel must be 'wavefront' or 'rowloop', got {self.dp_kernel!r}"
-            )
         # The Karlin–Altschul model requires negative expected score per
         # aligned pair; for uniform bases that is reward/4 + 3*|penalty|/4... <0.
         if self.reward + 3 * self.penalty >= 0:
@@ -94,11 +85,6 @@ class BlastParams:
     def with_overrides(self, **kwargs) -> "BlastParams":
         """Return a copy with the given fields replaced."""
         return replace(self, **kwargs)
-
-    @classmethod
-    def blastn(cls) -> "BlastParams":
-        """Classic ``blastall -p blastn``: the paper's Table I defaults."""
-        return cls()
 
     @classmethod
     def megablast(cls) -> "BlastParams":

@@ -70,17 +70,3 @@ class ScoringScheme:
     def expected_score(self) -> float:
         """Mean per-pair score; must be negative for the statistics to hold."""
         return float(sum(s * p for s, p in self.score_pmf().items()))
-
-    def pair_scores(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized per-position scores for two equal-length code arrays.
-
-        Positions where either side is an invalid base (``N`` sentinel) score
-        the mismatch penalty — an N never matches anything, matching how the
-        engine treats ambiguity codes throughout.
-        """
-        a = np.asarray(a)
-        b = np.asarray(b)
-        if a.shape != b.shape:
-            raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-        match = (a == b) & (a < ALPHABET_SIZE)
-        return np.where(match, np.int32(self.reward), np.int32(self.penalty))

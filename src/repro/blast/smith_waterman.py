@@ -1,4 +1,4 @@
-"""Full Smith–Waterman local alignment (the paper's Section II-A baseline).
+"""Smith–Waterman local alignment score (the paper's Section II-A baseline).
 
 O(m·n) affine-gap local alignment, used as the exactness oracle for the
 heuristic engine: BLAST can only miss or under-extend relative to this DP
@@ -9,50 +9,30 @@ zero floor folded into the base term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
-
 import numpy as np
-
-from repro.blast.hsp import OP_DIAG, OP_QGAP, OP_SGAP
 
 NEG_INF = np.int64(-(2**40))
 
 
-@dataclass(frozen=True)
-class LocalAlignment:
-    """Best local alignment between two sequences."""
-
-    score: int
-    q_start: int
-    q_end: int
-    s_start: int
-    s_end: int
-    path: Optional[np.ndarray] = None
-
-
-def _rows(
-    q: np.ndarray,
-    s: np.ndarray,
-    reward: int,
-    penalty: int,
-    gap_open: int,
-    gap_extend: int,
-    keep_rows: bool,
-) -> Tuple[int, Tuple[int, int], List[np.ndarray]]:
-    """Forward DP; returns (best score, best cell, stored H rows)."""
-    m = int(q.shape[0])
-    n = int(s.shape[0])
+def smith_waterman_score(
+    q_codes: np.ndarray,
+    s_codes: np.ndarray,
+    reward: int = 1,
+    penalty: int = -3,
+    gap_open: int = 5,
+    gap_extend: int = 2,
+) -> int:
+    """Best local alignment score (O(n) memory: one DP row at a time)."""
+    m = int(q_codes.shape[0])
+    n = int(s_codes.shape[0])
     js = np.arange(n + 1, dtype=np.int64)
     h_prev = np.zeros(n + 1, dtype=np.int64)
     f_prev = np.full(n + 1, NEG_INF, dtype=np.int64)
-    stored: List[np.ndarray] = [h_prev.copy()] if keep_rows else []
     best = 0
-    best_cell = (0, 0)
     for i in range(1, m + 1):
-        qc = q[i - 1]
+        qc = q_codes[i - 1]
         sub = np.full(n + 1, NEG_INF, dtype=np.int64)
-        is_match = (s == qc) & (qc < 4) & (s < 4)
+        is_match = (s_codes == qc) & (qc < 4) & (s_codes < 4)
         sub[1:] = np.where(is_match, np.int64(reward), np.int64(penalty))
         diag = np.empty(n + 1, dtype=np.int64)
         diag[0] = NEG_INF
@@ -64,80 +44,6 @@ def _rows(
         e_cur = np.full(n + 1, NEG_INF, dtype=np.int64)
         e_cur[1:] = cummax_a[:-1] - gap_open - gap_extend * js[1:]
         h_cur = np.maximum(base, e_cur)
-        row_best = int(h_cur.max())
-        if row_best > best:
-            best = row_best
-            best_cell = (i, int(h_cur.argmax()))
-        if keep_rows:
-            stored.append(h_cur.copy())
+        best = max(best, int(h_cur.max()))
         h_prev, f_prev = h_cur, f_cur
-    return best, best_cell, stored
-
-
-def smith_waterman_score(
-    q_codes: np.ndarray,
-    s_codes: np.ndarray,
-    reward: int = 1,
-    penalty: int = -3,
-    gap_open: int = 5,
-    gap_extend: int = 2,
-) -> int:
-    """Best local alignment score only (O(n) memory)."""
-    best, _, _ = _rows(q_codes, s_codes, reward, penalty, gap_open, gap_extend, False)
     return best
-
-
-def smith_waterman(
-    q_codes: np.ndarray,
-    s_codes: np.ndarray,
-    reward: int = 1,
-    penalty: int = -3,
-    gap_open: int = 5,
-    gap_extend: int = 2,
-) -> LocalAlignment:
-    """Best local alignment with endpoints and op path (O(m·n) memory).
-
-    Traceback tests each recurrence branch for exact integer equality against
-    the stored H matrix and stops at the first zero-scoring cell (the local
-    alignment's start).
-    """
-    best, (bi, bj), rows = _rows(
-        q_codes, s_codes, reward, penalty, gap_open, gap_extend, True
-    )
-    ops: List[int] = []
-    i, j = bi, bj
-    while rows[i][j] > 0:
-        h_ij = int(rows[i][j])
-        if i > 0 and j > 0:
-            qc, sc = q_codes[i - 1], s_codes[j - 1]
-            sub = reward if (qc == sc and qc < 4 and sc < 4) else penalty
-            if h_ij == int(rows[i - 1][j - 1]) + sub:
-                ops.append(OP_DIAG)
-                i -= 1
-                j -= 1
-                continue
-        moved = False
-        for g in range(1, i + 1):
-            if h_ij == int(rows[i - g][j]) - gap_open - gap_extend * g:
-                ops.extend([OP_SGAP] * g)
-                i -= g
-                moved = True
-                break
-        if moved:
-            continue
-        for g in range(1, j + 1):
-            if h_ij == int(rows[i][j - g]) - gap_open - gap_extend * g:
-                ops.extend([OP_QGAP] * g)
-                j -= g
-                moved = True
-                break
-        if not moved:  # pragma: no cover - would indicate a DP bug
-            raise RuntimeError(f"Smith-Waterman traceback stuck at ({i}, {j})")
-    return LocalAlignment(
-        score=best,
-        q_start=i,
-        q_end=bi,
-        s_start=j,
-        s_end=bj,
-        path=np.array(ops[::-1], dtype=np.uint8),
-    )

@@ -1,11 +1,10 @@
 """Batched wavefront kernel for gapped x-drop extension.
 
-This module is the optimized engine behind :func:`repro.blast.gapped.
-extend_gapped` (``kernel="wavefront"``, the default). It computes *exactly*
-the same banded affine x-drop DP as the reference row-loop kernel retained
-in :mod:`repro.blast.gapped` — same scores, same best-cell endpoints, same
-op paths, for both the peak-relative and absolute drop rules — but removes
-nearly all interpreter overhead from the hot loop:
+This module is the engine behind :func:`repro.blast.gapped.extend_gapped`.
+It computes *exactly* the same banded affine x-drop DP as the row-loop
+reference oracle kept in ``tests/conftest.py`` — same scores, same best-cell
+endpoints, same op paths, for both the peak-relative and absolute drop
+rules — but removes nearly all interpreter overhead from the hot loop:
 
 * **Wavefront-batched substitution scores.** Instead of gathering and
   comparing ``q[i-1]`` against the subject window once per row (half a
@@ -48,7 +47,8 @@ import numpy as np
 
 from repro.blast.hsp import OP_DIAG, OP_QGAP, OP_SGAP
 
-#: Must match :data:`repro.blast.gapped.NEG_INF` (import cycle avoided).
+#: "Minus infinity" for integer DP cells (large enough headroom that adding
+#: substitution scores can never wrap).
 NEG_INF = np.int64(-(2**40))
 _DEAD = int(NEG_INF) // 2
 
@@ -178,7 +178,7 @@ def wavefront_half_extension(
     """One-direction gapped x-drop DP from the implicit origin (0, 0).
 
     Returns ``(score, rows_consumed, cols_consumed, path)`` — the same
-    contract as the reference row-loop kernel's ``_HalfResult`` fields.
+    contract as the row-loop reference oracle's half extension.
     """
     m = int(q.shape[0])
     n = int(s.shape[0])

@@ -46,6 +46,7 @@ from repro.sequence.generator import (
     make_query_with_homologies,
 )
 from repro.sequence.records import Database, SequenceRecord
+from repro.util.validation import check_positive
 
 
 class _InputError(Exception):
@@ -116,6 +117,10 @@ def _prune_threshold_from(args: argparse.Namespace) -> Optional[float]:
 
 
 def _params_from(args: argparse.Namespace) -> BlastParams:
+    """BLAST parameters from the shared options; a bad value raises
+    ``ValueError`` (``--evalue 0``, ``--max-alignments 0``)."""
+    if args.max_alignments is not None:
+        check_positive("--max-alignments", args.max_alignments)
     overrides = {}
     if args.evalue is not None:
         overrides["evalue_threshold"] = args.evalue
@@ -129,21 +134,21 @@ def _params_from(args: argparse.Namespace) -> BlastParams:
 
 def _cmd_search(args: argparse.Namespace) -> int:
     db, queries = _load_inputs(args.db, args.query)
-    params = _params_from(args)
 
     # One OrionSearch serves the whole query set: with a process-backed
     # executor it holds the persistent worker pool and the shared-memory
     # database plane, so per-query warmup is paid once, not per query.
     orion = None
     sanitizer = None
-    if args.mode == "orion":
-        executor = args.executor
-        if args.sanitize:
-            from repro.analysis.sanitizer import SanitizerExecutor
+    try:
+        params = _params_from(args)
+        if args.mode == "orion":
+            executor = args.executor
+            if args.sanitize:
+                from repro.analysis.sanitizer import SanitizerExecutor
 
-            sanitizer = SanitizerExecutor(on_mutation="record")
-            executor = sanitizer
-        try:
+                sanitizer = SanitizerExecutor(on_mutation="record")
+                executor = sanitizer
             orion = OrionSearch(
                 database=db,
                 params=params,
@@ -157,8 +162,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 speculative_tasks=args.speculative,
                 prune_threshold=_prune_threshold_from(args),
             )
-        except ValueError as exc:
-            raise _InputError(str(exc)) from exc
+    except ValueError as exc:
+        raise _InputError(str(exc)) from exc
 
     all_alignments = []
     try:
@@ -221,7 +226,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             breaker_failures=args.breaker_failures,
             breaker_reset_seconds=args.breaker_reset_seconds,
             breaker_probes=args.breaker_probes,
-            prune_threshold=_prune_threshold_from(args),
         )
         search = OrionSearch(
             database=db,
@@ -266,10 +270,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         f"breaker {stats.rejected_circuit_open}); failed {stats.failed}",
         file=sys.stderr,
     )
-    if config.prune_threshold is not None:
+    if search.prune_threshold is not None:
         total_visits = stats.shards_searched + stats.shards_pruned
         print(
-            f"pruning (threshold {config.prune_threshold}): searched "
+            f"pruning (threshold {search.prune_threshold}): searched "
             f"{stats.shards_searched}/{total_visits} shard visits, skipped "
             f"{stats.pruned_map_tasks} map tasks",
             file=sys.stderr,
@@ -353,6 +357,73 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
+def _shared_options() -> argparse.ArgumentParser:
+    """The options `search` and `serve` share, as an argparse parent.
+
+    Built afresh per command: argparse hands a parent's actions to each
+    child by reference, so ``serve``'s ``set_defaults(executor=...)`` would
+    otherwise change ``search``'s default too.
+    """
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--db", required=True)
+    shared.add_argument("--query", required=True, help="FASTA of queries")
+    shared.add_argument("--shards", type=int, default=8)
+    shared.add_argument("--fragment-length", type=int, default=None)
+    shared.add_argument("--strands", choices=("plus", "both"), default="plus")
+    shared.add_argument(
+        "--executor",
+        choices=EXECUTOR_KINDS,
+        default="serial",
+        help="MapReduce backend for orion mode (serial keeps simulator-safe "
+        "timings; processes uses real multi-core parallelism). Default: "
+        "serial for search, processes for serve — the service exists to "
+        "keep one process pool busy across queries",
+    )
+    shared.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker count for --executor processes (default: one process "
+        "per core)",
+    )
+    shared.add_argument(
+        "--retries",
+        type=int,
+        default=3,
+        help="attempt budget per map/reduce task on --executor processes: "
+        "a failed, crashed or hung task is retried individually (with "
+        "backoff, on a respawned pool if a worker crash broke it) instead "
+        "of rerunning the whole job serially; 1 disables per-task retries "
+        "(default: 3)",
+    )
+    shared.add_argument(
+        "--prune-threshold",
+        type=float,
+        default=None,
+        help="sketch-based shard pruning for orion mode: skip (fragment x "
+        "shard) map tasks whose estimated k-mer containment is below this "
+        "fraction (try 0.02; E-value statistics stay whole-database, and "
+        "0 probes without pruning — byte-identical output; default: off)",
+    )
+    shared.add_argument(
+        "--no-prune",
+        action="store_true",
+        help="force shard pruning off (overrides --prune-threshold)",
+    )
+    shared.add_argument("--evalue", type=float, default=None)
+    shared.add_argument("--task", choices=("blastn", "megablast"), default="blastn")
+    shared.add_argument("--two-hit", action="store_true", help="two-hit seeding (window 40)")
+    shared.add_argument("--dust", action="store_true", help="mask low-complexity query regions")
+    shared.add_argument(
+        "--max-alignments",
+        type=int,
+        default=None,
+        help="print at most this many alignments per query (positive; "
+        "default: all)",
+    )
+    return shared
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -378,37 +449,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_make_query)
 
-    p = sub.add_parser("search", help="search a query against a database")
-    p.add_argument("--db", required=True)
-    p.add_argument("--query", required=True)
+    p = sub.add_parser(
+        "search", parents=[_shared_options()], help="search a query against a database"
+    )
     p.add_argument("--mode", choices=("serial", "orion", "mpiblast"), default="orion")
-    p.add_argument("--shards", type=int, default=8)
-    p.add_argument("--fragment-length", type=int, default=None)
-    p.add_argument("--strands", choices=("plus", "both"), default="plus")
-    p.add_argument(
-        "--executor",
-        choices=EXECUTOR_KINDS,
-        default="serial",
-        help="MapReduce backend for orion mode (serial keeps simulator-safe "
-        "timings; processes uses real multi-core parallelism)",
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker count for --executor processes (default: one process "
-        "per core)",
-    )
-    p.add_argument(
-        "--retries",
-        type=int,
-        default=3,
-        help="attempt budget per map/reduce task on --executor processes: "
-        "a failed, crashed or hung task is retried individually (with "
-        "backoff, on a respawned pool if a worker crash broke it) instead "
-        "of rerunning the whole job serially; 1 disables per-task retries "
-        "(default: 3)",
-    )
     p.add_argument(
         "--task-timeout",
         type=float,
@@ -425,20 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
         "first commit wins (results are identical either way)",
     )
     p.add_argument(
-        "--prune-threshold",
-        type=float,
-        default=None,
-        help="sketch-based shard pruning for orion mode: skip (fragment x "
-        "shard) map tasks whose estimated k-mer containment is below this "
-        "fraction (try 0.02; E-value statistics stay whole-database, and "
-        "0 probes without pruning — byte-identical output; default: off)",
-    )
-    p.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="force shard pruning off (overrides --prune-threshold)",
-    )
-    p.add_argument(
         "--sanitize",
         action="store_true",
         help="run the MapReduce job under the race sanitizer instead of the "
@@ -446,32 +476,14 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 3 if any is found)",
     )
     p.add_argument("--outfmt", choices=("tabular", "pairwise"), default="tabular")
-    p.add_argument("--evalue", type=float, default=None)
-    p.add_argument("--task", choices=("blastn", "megablast"), default="blastn")
-    p.add_argument("--two-hit", action="store_true", help="two-hit seeding (window 40)")
-    p.add_argument("--dust", action="store_true", help="mask low-complexity query regions")
-    p.add_argument("--max-alignments", type=int, default=None)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser(
         "serve",
+        parents=[_shared_options()],
         help="serve a query set through the always-on service "
         "(concurrent admission over one persistent worker pool)",
     )
-    p.add_argument("--db", required=True)
-    p.add_argument("--query", required=True, help="FASTA of queries to serve")
-    p.add_argument("--shards", type=int, default=8)
-    p.add_argument("--fragment-length", type=int, default=None)
-    p.add_argument("--strands", choices=("plus", "both"), default="plus")
-    p.add_argument(
-        "--executor",
-        choices=EXECUTOR_KINDS,
-        default="processes",
-        help="MapReduce backend (default: processes — the service exists "
-        "to keep one process pool busy across queries)",
-    )
-    p.add_argument("--workers", type=int, default=None, help="worker pool size")
-    p.add_argument("--retries", type=int, default=3, help="attempt budget per task")
     p.add_argument(
         "--max-inflight",
         type=int,
@@ -505,24 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         help="concurrent probe queries admitted while half-open (default: 1)",
     )
-    p.add_argument(
-        "--prune-threshold",
-        type=float,
-        default=None,
-        help="sketch-based shard pruning for every served query (see "
-        "search --prune-threshold; default: off)",
-    )
-    p.add_argument(
-        "--no-prune",
-        action="store_true",
-        help="force shard pruning off (overrides --prune-threshold)",
-    )
-    p.add_argument("--evalue", type=float, default=None)
-    p.add_argument("--task", choices=("blastn", "megablast"), default="blastn")
-    p.add_argument("--two-hit", action="store_true", help="two-hit seeding (window 40)")
-    p.add_argument("--dust", action="store_true", help="mask low-complexity query regions")
-    p.add_argument("--max-alignments", type=int, default=None)
-    p.set_defaults(func=_cmd_serve)
+    p.set_defaults(func=_cmd_serve, executor="processes")
 
     p = sub.add_parser("overlap", help="print the Eq.-1 fragment overlap")
     p.add_argument("--query-length", type=int, required=True)

@@ -119,9 +119,6 @@ class DPMemoryModel:
         check_positive("longest_subject", longest_subject)
         return self.bytes_per_cell * float(query_length) * float(longest_subject)
 
-    def fits(self, query_length: int, longest_subject: int) -> bool:
-        return self.required_bytes(query_length, longest_subject) <= self.node_memory_bytes
-
     def check(self, query_length: int, longest_subject: int) -> None:
         req = self.required_bytes(query_length, longest_subject)
         if req > self.node_memory_bytes:
@@ -130,11 +127,6 @@ class DPMemoryModel:
                 f"subject requires about {req / 1024**3:.0f} Gb of memory for "
                 f"dynamic programming (node has {self.node_memory_bytes / 1024**3:.0f} Gb)"
             )
-
-    def max_query_length(self, longest_subject: int) -> int:
-        """Longest query that still fits (the paper's ~96 Mbp ceiling)."""
-        check_positive("longest_subject", longest_subject)
-        return int(self.node_memory_bytes / (self.bytes_per_cell * longest_subject))
 
 
 @dataclass(frozen=True)

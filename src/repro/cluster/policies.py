@@ -9,8 +9,8 @@ free slot *in queue order*, so the policy is just the queue order:
 * ``lpt`` — longest processing time first, the classic makespan heuristic;
   used by ablation benchmarks to separate "more parallelism" from "smarter
   ordering" effects.
-* ``spt`` — shortest first (a deliberately bad straggler policy, for tests).
-* ``random`` — seeded shuffle, for robustness property tests.
+
+Any other order is a ``fifo`` schedule of the tasks submitted in that order.
 """
 
 from __future__ import annotations
@@ -18,22 +18,15 @@ from __future__ import annotations
 from typing import List, Sequence
 
 from repro.cluster.tasks import SimTask
-from repro.util.rng import derive_rng
 
-POLICIES = ("fifo", "lpt", "spt", "random")
+POLICIES = ("fifo", "lpt")
 
 
-def order_tasks(tasks: Sequence[SimTask], policy: str = "fifo", seed: int = 0) -> List[SimTask]:
+def order_tasks(tasks: Sequence[SimTask], policy: str = "fifo") -> List[SimTask]:
     """Return tasks in the order the scheduler should consider them."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; choose from {POLICIES}")
     tasks = list(tasks)
-    if policy == "fifo":
-        return tasks
     if policy == "lpt":
         return sorted(tasks, key=lambda t: (-t.duration, t.task_id))
-    if policy == "spt":
-        return sorted(tasks, key=lambda t: (t.duration, t.task_id))
-    rng = derive_rng(seed, "policy.random")
-    idx = rng.permutation(len(tasks))
-    return [tasks[i] for i in idx]
+    return tasks

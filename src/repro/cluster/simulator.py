@@ -67,19 +67,12 @@ class Schedule:
         """Total simulated time including setup/teardown."""
         return self.end_time - self.start_time
 
-    def completed_tasks(self) -> List[ScheduledTask]:
-        return [s for s in self.scheduled if s.completed]
-
     def per_slot_busy(self) -> np.ndarray:
         """Busy seconds per slot (includes failed attempts: the slot worked)."""
         busy = np.zeros(self.cluster.total_slots, dtype=np.float64)
         for s in self.scheduled:
             busy[s.slot] += s.end - s.start
         return busy
-
-    def per_node_busy(self) -> np.ndarray:
-        busy = self.per_slot_busy()
-        return busy.reshape(self.cluster.nodes, self.cluster.cores_per_node).sum(axis=1)
 
 
 def simulate_phase(

@@ -7,11 +7,7 @@ configures those switches per fragment: only *interior* edges (shared with a
 neighbouring fragment) get boundary treatment; the true ends of the original
 query behave exactly like serial BLAST.
 
-Speculative extension runs the same gapped DP with the absolute drop rule;
-which kernel executes it (the batched wavefront or the row-loop oracle) is
-selected by :attr:`repro.blast.params.BlastParams.dp_kernel` and threaded
-through the engine — both kernels are byte-identical, so fragment results
-never depend on the choice.
+Speculative extension runs the same gapped DP with the absolute drop rule.
 """
 
 from __future__ import annotations

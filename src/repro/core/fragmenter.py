@@ -47,12 +47,6 @@ class QueryFragment:
         """Global end (exclusive)."""
         return self.offset + self.length
 
-    def to_global(self, local_pos: int) -> int:
-        """Translate a fragment-local query position to global coordinates."""
-        if not 0 <= local_pos <= self.length:
-            raise ValueError(f"local position {local_pos} outside fragment of {self.length}")
-        return self.offset + local_pos
-
 
 def fragment_query(
     query: SequenceRecord, fragment_length: int, overlap: int

@@ -443,8 +443,8 @@ class OrionSearch:
         Prefers the shared plane's per-sequence sketches (zero extra
         hashing — they were built at plane-publish time; the shard merge
         *copies*, so the index outlives the plane) and falls back to
-        sketching each sequence in-process when the search is in-process,
-        fell back to serial, or the plane was published without sketches.
+        sketching each sequence in-process when the search is in-process or
+        fell back to serial.
         Both paths produce bit-identical sketches (the hash is
         deterministic), so pruning decisions do not depend on the executor
         or on whether the plane was leased. Thread-safe.
@@ -457,7 +457,7 @@ class OrionSearch:
                 return self._sketch_index
             sequence_sketch = None
             view: Optional[shm_mod.SharedDatabaseView] = None
-            if self._shm_handle is not None and self._shm_handle.has_sketches:
+            if self._shm_handle is not None:
                 view = shm_mod.attach_view(self._shm_handle)
                 sequence_sketch = view.sequence_sketch
             try:

@@ -23,7 +23,6 @@ from repro.blast.statistics import (
     SearchSpace,
     minimum_significant_score,
 )
-from repro.util.validation import check_positive
 
 
 def shortest_significant_alignment(
@@ -46,19 +45,3 @@ def overlap_length(
     s_lb = shortest_significant_alignment(ka, params, space)
     bases = ceil(s_lb / params.reward)
     return max(params.k, bases)
-
-
-def overlap_for_lengths(
-    ka: KarlinAltschulParams,
-    params: BlastParams,
-    query_length: int,
-    db_length: int,
-    num_db_sequences: int = 1,
-) -> int:
-    """Convenience wrapper: compute the effective space, then Equation 1."""
-    check_positive("query_length", query_length)
-    check_positive("db_length", db_length)
-    from repro.blast.statistics import effective_lengths
-
-    space = effective_lengths(ka, query_length, db_length, num_db_sequences)
-    return overlap_length(ka, params, space)

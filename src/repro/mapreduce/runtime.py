@@ -250,7 +250,8 @@ def _spill_map_output(
         try:
             if shm_fault is not None:
                 shm_fault()
-            shm_mod.write_segment(spill_name, blobs)
+            # The driver's SpillSet minted spill_name and sweeps it.
+            shm_mod.write_segment(spill_name, blobs)  # orionlint: disable=ORL008
         except OSError:  # orionlint: disable=ORL006
             pass  # deliberate degrade: the inline commit below loses nothing
         else:
@@ -919,10 +920,9 @@ def resolve_executor(
     ``None`` and ``"serial"`` give a :class:`SerialExecutor` (the default
     everywhere — its measurements feed the cluster simulator);
     ``"processes"`` builds a :class:`WorkerPool` with ``max_workers``
-    workers; ``"sanitizer"``
-    builds the race-detecting
-    :class:`repro.analysis.sanitizer.SanitizerExecutor`; an object with a
-    ``run`` method passes through unchanged. ``retry`` is the
+    workers; an object with a ``run`` method (such as the race-detecting
+    :class:`repro.analysis.sanitizer.SanitizerExecutor` that ``search
+    --sanitize`` builds) passes through unchanged. ``retry`` is the
     fault-tolerance policy and ``injector`` an optional fault plan
     (in-process executors run tasks in the driver, where a failure is
     already surfaced directly, so they ignore both).
@@ -931,16 +931,8 @@ def resolve_executor(
         return SerialExecutor()
     if spec == "processes":
         return WorkerPool(max_workers=max_workers, retry=retry, injector=injector)
-    if spec == "sanitizer":
-        # Imported lazily: repro.analysis depends on this module.
-        from repro.analysis.sanitizer import SanitizerExecutor
-
-        return SanitizerExecutor()
     if isinstance(spec, str):
-        raise ValueError(
-            f"unknown executor {spec!r}; expected one of "
-            f"{EXECUTOR_KINDS + ('sanitizer',)}"
-        )
+        raise ValueError(f"unknown executor {spec!r}; expected one of {EXECUTOR_KINDS}")
     if hasattr(spec, "run"):
         return spec
     raise TypeError(f"executor must be a name or an Executor, got {type(spec).__name__}")

@@ -542,13 +542,11 @@ class SharedDatabaseHandle:
     keys/positions at ``kmer_offsets[i]:kmer_offsets[i+1]`` of the two
     k-mer segments.
 
-    ``sketch_segment`` (optional fourth segment) holds per-sequence
-    bottom-k k-mer sketches (sorted uint64 hashes; sequence ``i``'s at
+    ``sketch_segment`` (the fourth segment) holds per-sequence bottom-k
+    k-mer sketches (sorted uint64 hashes; sequence ``i``'s at
     ``sketch_offsets[i]:sketch_offsets[i+1]``), with the per-sequence
     inclusive thresholds in ``sketch_thresholds``. The driver's shard-
-    pruning probe (:mod:`repro.sketch`) merges these per shard; planes
-    published by older layouts (``sketch_segment=None``) simply fall back
-    to the in-process sketch build.
+    pruning probe (:mod:`repro.sketch`) merges these per shard.
     """
 
     plane_id: str
@@ -561,25 +559,19 @@ class SharedDatabaseHandle:
     kmer_keys_segment: str
     kmer_positions_segment: str
     kmer_offsets: Tuple[int, ...]
-    sketch_segment: Optional[str] = None
-    sketch_offsets: Tuple[int, ...] = (0,)
-    sketch_thresholds: Tuple[int, ...] = ()
-    sketch_size: int = 0
+    sketch_segment: str
+    sketch_offsets: Tuple[int, ...]
+    sketch_thresholds: Tuple[int, ...]
+    sketch_size: int
     #: Name of the plane's registry segment (set on every published plane).
     registry_segment: Optional[str] = None
 
     @property
     def segment_names(self) -> Tuple[str, ...]:
-        names: Tuple[str, ...] = (
-            self.codes_segment, self.kmer_keys_segment, self.kmer_positions_segment
+        return (
+            self.codes_segment, self.kmer_keys_segment,
+            self.kmer_positions_segment, self.sketch_segment,
         )
-        if self.sketch_segment is not None:
-            names = names + (self.sketch_segment,)
-        return names
-
-    @property
-    def has_sketches(self) -> bool:
-        return self.sketch_segment is not None
 
     @property
     def total_sketch_hashes(self) -> int:
@@ -612,15 +604,11 @@ class SharedDatabaseView:
     ) -> None:
         self.handle = handle
         self._segments = list(segments)
-        codes_seg, keys_seg, pos_seg = self._segments[:3]
+        codes_seg, keys_seg, pos_seg, sketch_seg = self._segments
         self._codes = _wrap_array(codes_seg, np.uint8, handle.total_codes)
         self._keys = _wrap_array(keys_seg, np.int64, handle.total_kmers)
         self._positions = _wrap_array(pos_seg, np.int64, handle.total_kmers)
-        self._sketches: Optional[np.ndarray] = None
-        if handle.has_sketches and len(self._segments) > 3:
-            self._sketches = _wrap_array(
-                self._segments[3], np.uint64, handle.total_sketch_hashes
-            )
+        self._sketches = _wrap_array(sketch_seg, np.uint64, handle.total_sketch_hashes)
         self._index = {seq_id: i for i, seq_id in enumerate(handle.seq_ids)}
         self._database: Optional["Database"] = None
         self._closed = False
@@ -653,22 +641,8 @@ class SharedDatabaseView:
         """
         return {seq_id: self.sorted_kmers(seq_id) for seq_id in seq_ids}
 
-    @property
-    def has_sketches(self) -> bool:
-        """Whether this plane was published with the sketch segment."""
-        return self._sketches is not None
-
     def sequence_sketch(self, seq_id: str) -> "KmerSketch":
-        """One sequence's bottom-k k-mer sketch (hashes are a view).
-
-        Raises :class:`SharedMemoryUnavailable` when the plane was
-        published without sketches — callers fall back to the in-process
-        build (see :meth:`repro.sketch.ShardSketchIndex.build`).
-        """
-        if self._sketches is None:
-            raise SharedMemoryUnavailable(
-                f"plane {self.handle.plane_id} was published without sketches"
-            )
+        """One sequence's bottom-k k-mer sketch (hashes are a view)."""
         from repro.sketch import KmerSketch
 
         i = self._index[seq_id]
@@ -703,7 +677,7 @@ class SharedDatabaseView:
         self._closed = True
         self._database = None
         self._codes = self._keys = self._positions = np.empty(0, dtype=np.uint8)
-        self._sketches = None
+        self._sketches = np.empty(0, dtype=np.uint64)
         for seg in self._segments:
             try:
                 seg.close()
@@ -736,7 +710,7 @@ def _publish_database_segments(
     whole database's: valid k-mer counts first size the segments exactly,
     then each sequence's sorted index is built straight into its slice of
     the shared buffers (:func:`repro.blast.lookup.sorted_kmers_into`).
-    ``sketch_size=0`` omits the sketch segment. Segment names derive from
+    Segment names derive from
     ``digest`` so independent sessions meet at the same segments. On any
     failure every created segment is destroyed before re-raising.
     """
@@ -781,32 +755,24 @@ def _publish_database_segments(
                 keys_arr[kmer_offsets[i] : kmer_offsets[i + 1]],
                 pos_arr[kmer_offsets[i] : kmer_offsets[i + 1]],
             )
-            if sketch_size > 0:
-                # Sketch straight off the keys just written: one sort and
-                # one neighbour scan (no hash table), a fraction of the
-                # index build above.
-                sketches.append(
-                    KmerSketch.from_kmer_keys(
-                        keys_arr[kmer_offsets[i] : kmer_offsets[i + 1]],
-                        sketch_size,
-                    )
+            # Sketch straight off the keys just written: one sort and one
+            # neighbour scan (no hash table), a fraction of the index build
+            # above.
+            sketches.append(
+                KmerSketch.from_kmer_keys(
+                    keys_arr[kmer_offsets[i] : kmer_offsets[i + 1]], sketch_size
                 )
-
-        sketch_segment: Optional[str] = None
-        sketch_offsets: Tuple[int, ...] = (0,)
-        sketch_thresholds: Tuple[int, ...] = ()
-        if sketch_size > 0:
-            sketch_offsets = _prefix_sums(s.num_hashes for s in sketches)
-            sketch_thresholds = tuple(s.threshold for s in sketches)
-            sketch_seg = create_segment(names["sketches"], sketch_offsets[-1] * 8)
-            segments.append(sketch_seg)
-            sketch_segment = sketch_seg.name
-            sketch_arr: np.ndarray = np.ndarray(
-                (sketch_offsets[-1],), dtype=np.uint64, buffer=sketch_seg.buf
             )
-            for i, sk in enumerate(sketches):
-                sketch_arr[sketch_offsets[i] : sketch_offsets[i + 1]] = sk.hashes
-            del sketch_arr
+
+        sketch_offsets = _prefix_sums(s.num_hashes for s in sketches)
+        sketch_seg = create_segment(names["sketches"], sketch_offsets[-1] * 8)
+        segments.append(sketch_seg)
+        sketch_arr: np.ndarray = np.ndarray(
+            (sketch_offsets[-1],), dtype=np.uint64, buffer=sketch_seg.buf
+        )
+        for i, sk in enumerate(sketches):
+            sketch_arr[sketch_offsets[i] : sketch_offsets[i + 1]] = sk.hashes
+        del sketch_arr
         # Drop the creator-side array aliases so close() can unmap later.
         del codes_arr, keys_arr, pos_arr
 
@@ -821,9 +787,9 @@ def _publish_database_segments(
             kmer_keys_segment=keys_seg.name,
             kmer_positions_segment=pos_seg.name,
             kmer_offsets=kmer_offsets,
-            sketch_segment=sketch_segment,
+            sketch_segment=sketch_seg.name,
             sketch_offsets=sketch_offsets,
-            sketch_thresholds=sketch_thresholds,
+            sketch_thresholds=tuple(s.threshold for s in sketches),
             sketch_size=sketch_size,
             registry_segment=_registry_name(digest),
         )
@@ -1045,9 +1011,8 @@ def _expected_segment_sizes(handle: SharedDatabaseHandle) -> Dict[str, int]:
         handle.codes_segment: max(1, handle.total_codes),
         handle.kmer_keys_segment: max(1, handle.total_kmers * 8),
         handle.kmer_positions_segment: max(1, handle.total_kmers * 8),
+        handle.sketch_segment: max(1, handle.total_sketch_hashes * 8),
     }
-    if handle.sketch_segment is not None:
-        sizes[handle.sketch_segment] = max(1, handle.total_sketch_hashes * 8)
     return sizes
 
 
@@ -1140,10 +1105,6 @@ class PlaneLease:
         self._released = False
         _LIVE_LEASES[fd] = self
 
-    @property
-    def released(self) -> bool:
-        return self._released
-
     def _abandon(self) -> None:
         """Close the lease fd without the last-holder test (never unlinks)."""
         if self._released:
@@ -1213,10 +1174,6 @@ class PlaneStatus:
     held: bool
     healthy: bool
     detail: str = ""
-
-    @property
-    def reapable(self) -> bool:
-        return not self.held
 
 
 def list_planes() -> List[PlaneStatus]:
@@ -1309,13 +1266,17 @@ class PlaneRegistry:
         ``injector`` is a :class:`repro.mapreduce.faults.FaultInjector`
         consulted at the lifecycle points (``attach``, ``create``,
         ``publish``) — the fault-matrix tests drive crashes and segment
-        corruption through it.
+        corruption through it. ``sketch_size`` defaults to
+        :data:`repro.sketch.SKETCH_SIZE_DEFAULT` and must be positive:
+        every plane carries its sketch segment.
         """
-        _require_shm()
         if sketch_size is None:
             from repro.sketch import SKETCH_SIZE_DEFAULT
 
             sketch_size = SKETCH_SIZE_DEFAULT
+        if sketch_size <= 0:
+            raise ValueError(f"sketch_size must be positive, got {sketch_size}")
+        _require_shm()
         fingerprint = database_fingerprint(database)
         digest = plane_digest(fingerprint, k, sketch_size)
         registry = _registry_name(digest)

@@ -76,11 +76,3 @@ def shard_database(database: Database, num_shards: int) -> List[DatabaseShard]:
         close_current()
     assert len(shards) == effective, (len(shards), effective)
     return shards
-
-
-def sharding_balance(shards: List[DatabaseShard]) -> float:
-    """max/mean shard residue size (1.0 = perfectly balanced)."""
-    if not shards:
-        raise ValueError("no shards")
-    sizes = [s.total_length for s in shards]
-    return max(sizes) / (sum(sizes) / len(sizes))

@@ -95,8 +95,3 @@ def random_bases(rng: np.random.Generator, length: int, gc: float = 0.5) -> np.n
     return rng.choice(
         np.arange(4, dtype=np.uint8), size=length, p=[at, cg, cg, at]
     ).astype(np.uint8)
-
-
-def is_valid(codes: np.ndarray) -> bool:
-    """True when every position is a concrete base (no N/sentinel codes)."""
-    return bool(np.all(np.asarray(codes) < ALPHABET_SIZE))

@@ -7,7 +7,6 @@ collections through the format, including the line-wrapping NCBI tools emit.
 
 from __future__ import annotations
 
-import io
 import os
 from typing import Iterable, Iterator, List, TextIO, Union
 
@@ -56,11 +55,6 @@ def read_fasta(path: PathLike) -> List[SequenceRecord]:
         return list(_parse_stream(fh))
 
 
-def read_fasta_str(text: str) -> List[SequenceRecord]:
-    """Read records from FASTA-formatted text."""
-    return list(_parse_stream(io.StringIO(text)))
-
-
 def _write_stream(records: Iterable[SequenceRecord], stream: TextIO, wrap: int) -> int:
     if wrap <= 0:
         raise ValueError(f"wrap must be positive, got {wrap}")
@@ -84,10 +78,3 @@ def write_fasta(records: Iterable[SequenceRecord], path: PathLike, wrap: int = D
     """Write records to a FASTA file; returns the record count."""
     with open(path, "w", encoding="ascii") as fh:
         return _write_stream(records, fh, wrap)
-
-
-def write_fasta_str(records: Iterable[SequenceRecord], wrap: int = DEFAULT_WRAP) -> str:
-    """Render records as FASTA text."""
-    buf = io.StringIO()
-    _write_stream(records, buf, wrap)
-    return buf.getvalue()

@@ -93,10 +93,6 @@ class PlantedHomology:
     def query_length(self) -> int:
         return self.query_interval[1] - self.query_interval[0]
 
-    @property
-    def subject_length(self) -> int:
-        return self.subject_interval[1] - self.subject_interval[0]
-
 
 @dataclass(frozen=True)
 class SyntheticGenome:

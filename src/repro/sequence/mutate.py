@@ -47,11 +47,6 @@ class MutationModel:
         if self.insertion_rate + self.deletion_rate > 0.5:
             raise ValueError("combined indel rate above 0.5 is not a homology")
 
-    @property
-    def divergence(self) -> float:
-        """Rough total per-base divergence (for reporting)."""
-        return self.substitution_rate + self.insertion_rate + self.deletion_rate
-
     @classmethod
     def identity(cls) -> "MutationModel":
         """No mutation at all (exact copy)."""
@@ -113,17 +108,3 @@ def _apply_indels(
         cursor = pos + 1
     pieces.append(codes[cursor:][keep[cursor:]])
     return np.concatenate(pieces) if pieces else codes[:0]
-
-
-def expected_identity(model: MutationModel) -> float:
-    """Expected fraction of matching columns in an optimal alignment.
-
-    A substituted base mismatches; an indel column has no match. This is a
-    first-order estimate used by tests to sanity-check generated homologies.
-    """
-    return max(
-        0.0,
-        1.0
-        - model.substitution_rate
-        - 0.5 * (model.insertion_rate + model.deletion_rate) * (1 + model.max_indel_length),
-    )

@@ -133,15 +133,6 @@ class Database:
         """Per-record lengths, in record order."""
         return self._lengths.copy()
 
-    def subset(self, seq_ids: Sequence[str], name: Optional[str] = None) -> "Database":
-        """A database restricted to the given ids (order preserved)."""
-        missing = [s for s in seq_ids if s not in self._by_id]
-        if missing:
-            raise KeyError(f"ids not in database: {missing}")
-        return Database(
-            [self._by_id[s] for s in seq_ids], name=name or f"{self.name}:subset"
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Database(name={self.name!r}, sequences={self.num_sequences}, "

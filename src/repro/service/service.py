@@ -54,7 +54,6 @@ from repro.service.errors import (
     ServiceClosedError,
     UnknownDatabaseError,
 )
-from repro.sketch import validate_prune_threshold
 from repro.util.validation import check_positive
 
 
@@ -65,14 +64,9 @@ class ServiceConfig:
     ``max_inflight`` queries execute concurrently (each on its own worker
     thread, all feeding the shared worker pool); up to ``queue_depth``
     more wait in the bounded admission queue; beyond that, load is shed.
-    The ``breaker_*`` knobs configure each database's circuit breaker.
-    ``prune_threshold`` (``None`` = leave each search's own setting alone)
-    overrides sketch-based shard pruning on every served search — see
-    :mod:`repro.sketch` and ``OrionSearch(prune_threshold=...)``.
-    ``reap_on_start`` runs :func:`repro.mapreduce.shm.reap_orphan_planes`
-    during :meth:`OrionService.start`, reclaiming ``/dev/shm`` segments a
-    crashed previous replica left behind before this one publishes or
-    attaches its planes.
+    The ``breaker_*`` knobs configure each database's circuit breaker and
+    are validated here, at the configuration boundary. Each served search
+    prunes exactly as it was built (``OrionSearch(prune_threshold=...)``).
     """
 
     max_inflight: int = 4
@@ -80,23 +74,13 @@ class ServiceConfig:
     breaker_failures: int = 5
     breaker_reset_seconds: float = 30.0
     breaker_probes: int = 1
-    prune_threshold: Optional[float] = None
-    reap_on_start: bool = True
 
     def __post_init__(self) -> None:
-        if self.max_inflight <= 0:
-            raise ValueError(
-                f"max_inflight must be positive, got {self.max_inflight}"
-            )
-        if self.queue_depth <= 0:
-            raise ValueError(
-                f"queue_depth must be positive, got {self.queue_depth}"
-            )
-        object.__setattr__(
-            self,
-            "prune_threshold",
-            validate_prune_threshold(self.prune_threshold),
-        )
+        check_positive("max_inflight", self.max_inflight)
+        check_positive("queue_depth", self.queue_depth)
+        check_positive("breaker_failures", self.breaker_failures)
+        check_positive("breaker_reset_seconds", self.breaker_reset_seconds)
+        check_positive("breaker_probes", self.breaker_probes)
 
 
 class LatencyHistogram:
@@ -305,19 +289,13 @@ class OrionService:
         # Deferring this to the first queries would fork the workers
         # while sibling threads run — a forked child can inherit a lock
         # held at that instant and deadlock (see WorkerPool.prewarm).
-        if self.config.reap_on_start:
-            # Reclaim any plane a crashed previous replica orphaned before
-            # warmup publishes (or attaches) this replica's planes.
-            from repro.mapreduce.shm import reap_orphan_planes
+        # First reclaim any plane a crashed previous replica orphaned, before
+        # warmup publishes (or attaches) this replica's planes.
+        from repro.mapreduce.shm import reap_orphan_planes
 
-            reap_orphan_planes()
-        if self.config.prune_threshold is not None:
-            for search in self._searches.values():
-                search.prune_threshold = self.config.prune_threshold
+        reap_orphan_planes()
         for search in self._searches.values():
-            warmup = getattr(search, "warmup", None)
-            if callable(warmup):
-                warmup()
+            search.warmup()
         self._threads = ThreadPoolExecutor(
             max_workers=self.config.max_inflight,
             thread_name_prefix="orion-service",
@@ -464,22 +442,12 @@ class OrionService:
                 self.stats.latencies.record(
                     self._clock() - admission.admitted_at
                 )
-                # getattr: stub searches in tests return bare objects
-                # without pruning counters.
-                self.stats.shards_searched += getattr(
-                    result, "shards_searched", 0
-                )
-                self.stats.shards_pruned += getattr(result, "shards_pruned", 0)
-                self.stats.pruned_map_tasks += getattr(
-                    result, "pruned_map_tasks", 0
-                )
-                self.stats.plane_created += getattr(result, "plane_created", 0)
-                self.stats.plane_attached += getattr(
-                    result, "plane_attached", 0
-                )
-                self.stats.plane_fallback += getattr(
-                    result, "plane_fallback", 0
-                )
+                self.stats.shards_searched += result.shards_searched
+                self.stats.shards_pruned += result.shards_pruned
+                self.stats.pruned_map_tasks += result.pruned_map_tasks
+                self.stats.plane_created += result.plane_created
+                self.stats.plane_attached += result.plane_attached
+                self.stats.plane_fallback += result.plane_fallback
                 if not admission.future.done():
                     admission.future.set_result(result)
             self._queue.task_done()

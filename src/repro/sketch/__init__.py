@@ -21,7 +21,6 @@ from repro.sketch.minhash import (
     hash_codes,
     merge_sketches,
     probe_hashes,
-    sketch_bytes,
     validate_prune_threshold,
 )
 
@@ -36,6 +35,5 @@ __all__ = [
     "hash_codes",
     "merge_sketches",
     "probe_hashes",
-    "sketch_bytes",
     "validate_prune_threshold",
 ]

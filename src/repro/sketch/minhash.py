@@ -314,8 +314,3 @@ def validate_prune_threshold(value: Optional[float]) -> Optional[float]:
             f"got {value}"
         )
     return value
-
-
-def sketch_bytes(num_sequences: int, size: int = SKETCH_SIZE_DEFAULT) -> int:
-    """Upper bound on sketch storage for a database (sizing helper)."""
-    return num_sequences * size * 8

@@ -5,25 +5,19 @@ package so that experiments are reproducible and simulated time never mixes
 with wall-clock time by accident.
 """
 
-from repro.util.rng import RngStream, derive_rng, spawn_rngs
-from repro.util.timers import Stopwatch, format_seconds
+from repro.util.rng import RngStream, derive_rng
+from repro.util.timers import Stopwatch
 from repro.util.validation import (
     check_fraction,
-    check_in,
     check_nonnegative,
     check_positive,
-    check_type,
 )
 
 __all__ = [
     "RngStream",
     "derive_rng",
-    "spawn_rngs",
     "Stopwatch",
-    "format_seconds",
     "check_fraction",
-    "check_in",
     "check_nonnegative",
     "check_positive",
-    "check_type",
 ]

@@ -9,7 +9,7 @@ consumer never perturbs the stream an existing consumer sees.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -53,10 +53,6 @@ class RngStream:
         """Derive an independent child stream keyed by ``salt``."""
         return RngStream(_mix(self.seed, salt), name=f"{self.name}/{salt}")
 
-    def children(self, salt: str, count: int) -> List["RngStream"]:
-        """Derive ``count`` independent children keyed by ``salt`` + index."""
-        return [self.child(f"{salt}[{i}]") for i in range(count)]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream(seed={self.seed}, name={self.name!r})"
 
@@ -73,28 +69,3 @@ def derive_rng(seed: Seedish, salt: str = "") -> np.random.Generator:
         return (seed.child(salt) if salt else seed).generator
     base = RngStream(seed if seed is not None else 0)
     return (base.child(salt) if salt else base).generator
-
-
-def spawn_rngs(seed: Seedish, count: int, salt: str = "task") -> Iterator[np.random.Generator]:
-    """Yield ``count`` independent generators derived from one seed.
-
-    Used when fanning work out to parallel tasks: each task gets its own
-    stream so per-task results do not depend on scheduling order.
-    """
-    if isinstance(seed, np.random.Generator):
-        # Use numpy's spawning for generator inputs.
-        for child in seed.spawn(count):
-            yield child
-        return
-    stream = seed if isinstance(seed, RngStream) else RngStream(seed if seed is not None else 0)
-    for i in range(count):
-        yield stream.child(f"{salt}[{i}]").generator
-
-
-def choice_without_replacement(
-    rng: np.random.Generator, pool: Sequence[int], size: int
-) -> np.ndarray:
-    """Sample ``size`` distinct elements of ``pool`` (helper for samplers)."""
-    if size > len(pool):
-        raise ValueError(f"cannot sample {size} items from pool of {len(pool)}")
-    return rng.choice(np.asarray(pool), size=size, replace=False)

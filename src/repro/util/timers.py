@@ -41,11 +41,6 @@ class Stopwatch:
         self._start = None
         return self._elapsed
 
-    def reset(self) -> None:
-        self._start = None
-        self._elapsed = 0.0
-        self.running = False
-
     @property
     def elapsed(self) -> float:
         """Total accumulated seconds (includes the live segment if running)."""
@@ -59,18 +54,3 @@ class Stopwatch:
     def __exit__(self, *exc) -> None:
         if self.running:
             self.stop()
-
-
-def format_seconds(seconds: float) -> str:
-    """Human format: ``950ms``, ``12.3s``, ``4m32s``, ``2h05m``."""
-    if seconds < 0:
-        raise ValueError(f"negative duration: {seconds}")
-    if seconds < 1.0:
-        return f"{seconds * 1e3:.0f}ms"
-    if seconds < 120.0:
-        return f"{seconds:.1f}s"
-    minutes, secs = divmod(seconds, 60.0)
-    if minutes < 120.0:
-        return f"{int(minutes)}m{int(secs):02d}s"
-    hours, mins = divmod(minutes, 60.0)
-    return f"{int(hours)}h{int(mins):02d}m"

@@ -6,7 +6,7 @@ without littering every function with ad-hoc ``if`` chains.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Type, Union
+from typing import Union
 
 Number = Union[int, float]
 
@@ -33,20 +33,4 @@ def check_fraction(name: str, value: Number, inclusive: bool = True) -> Number:
     else:
         if not 0.0 < value < 1.0:
             raise ValueError(f"{name} must be in (0, 1), got {value!r}")
-    return value
-
-
-def check_in(name: str, value: Any, allowed: Iterable[Any]) -> Any:
-    """Require membership in an allowed set."""
-    allowed = tuple(allowed)
-    if value not in allowed:
-        raise ValueError(f"{name} must be one of {allowed!r}, got {value!r}")
-    return value
-
-
-def check_type(name: str, value: Any, types: Union[Type, tuple]) -> Any:
-    """Require isinstance, with a readable error."""
-    if not isinstance(value, types):
-        expect = getattr(types, "__name__", str(types))
-        raise TypeError(f"{name} must be {expect}, got {type(value).__name__}")
     return value

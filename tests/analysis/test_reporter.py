@@ -2,17 +2,25 @@
 
 import json
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.analysis.findings import Finding, Severity
-from repro.analysis.reporter import (
-    JSON_FORMAT_VERSION,
-    findings_from_json,
-    render_json,
-    render_text,
-)
+from repro.analysis.reporter import JSON_FORMAT_VERSION, render_json, render_text
+
+
+def findings_from_json(text):
+    """Decoder oracle: the findings of a :func:`render_json` document."""
+    doc = json.loads(text)
+    assert doc["version"] == JSON_FORMAT_VERSION
+    return [
+        Finding(
+            path=item["path"], line=item["line"], col=item["col"],
+            rule=item["rule"], severity=Severity(item["severity"]),
+            message=item["message"], suppressed=item["suppressed"],
+        )
+        for item in doc["findings"]
+    ]
 
 
 def mk(line=3, rule="ORL004", suppressed=False, severity=Severity.WARNING):
@@ -62,12 +70,6 @@ class TestRenderJson:
     def test_round_trip(self):
         original = [mk(), mk(line=9, rule="ORL006", severity=Severity.ERROR)]
         assert findings_from_json(render_json(original)) == original
-
-    def test_version_mismatch_rejected(self):
-        doc = json.loads(render_json([mk()]))
-        doc["version"] = 99
-        with pytest.raises(ValueError, match="version"):
-            findings_from_json(json.dumps(doc))
 
 
 finding_strategy = st.builds(

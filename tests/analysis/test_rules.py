@@ -551,6 +551,39 @@ class TestORL008SharedMemoryLifecycle:
         )
         assert findings == []
 
+    def test_segment_made_outside_an_owner_flagged(self):
+        findings = run_rule(
+            SharedMemoryLifecycleRule(),
+            """\
+            from repro.mapreduce import shm
+
+            def stash(data):
+                shm.write_segment("orionspill_stash", (data,))
+                return shm.create_segment("orionplane_x_codes", len(data))
+            """,
+        )
+        assert rule_ids(findings) == ["ORL008", "ORL008"]
+        assert "outside its owner" in findings[0].message
+
+    def test_segment_made_by_an_owner_ok(self):
+        findings = run_rule(
+            SharedMemoryLifecycleRule(),
+            """\
+            class SpillSet:
+                def publish_job(self, data):
+                    write_segment(self.name, (data,))
+
+            def _publish_database_segments(names, size):
+                return [create_segment(name, size) for name in names]
+
+            class PlaneRegistry:
+                @classmethod
+                def _create_locked(cls, registry, blob):
+                    write_segment(registry, (blob,))
+            """,
+        )
+        assert findings == []
+
 
 class TestORL010PlaneLeaseLifecycle:
     def test_unpaired_attach_or_create_flagged(self):

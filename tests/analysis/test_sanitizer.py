@@ -117,9 +117,13 @@ class TestSanitizerExecutor:
             SanitizerExecutor(on_mutation="explode")
 
     def test_resolve_executor_spec(self):
-        executor = resolve_executor("sanitizer")
-        assert isinstance(executor, SanitizerExecutor)
+        """The sanitizer is passed as an instance (``search --sanitize``
+        builds one); it is not an executor name."""
+        executor = SanitizerExecutor()
+        assert resolve_executor(executor) is executor
         assert executor.kind == "sanitizer"
+        with pytest.raises(ValueError, match="unknown executor"):
+            resolve_executor("sanitizer")
 
 
 class TestOrionUnderSanitizer:

@@ -7,7 +7,6 @@ from repro.blast.dust import (
     dust_score,
     low_complexity_intervals,
     mask_low_complexity,
-    masked_fraction,
 )
 from repro.blast.engine import BlastEngine
 from repro.blast.params import BlastParams
@@ -76,13 +75,6 @@ class TestMaskLowComplexity:
         masked, intervals = mask_low_complexity(codes)
         assert intervals == []
         assert np.array_equal(masked, codes)
-
-    def test_masked_fraction(self):
-        codes = np.concatenate([encode("A" * 100), encode("ACGT" * 25)])
-        _, intervals = mask_low_complexity(codes)
-        frac = masked_fraction(codes, intervals)
-        assert 0.3 < frac <= 1.0
-
 
 class TestDustInEngine:
     def test_poly_a_match_suppressed_but_real_homology_kept(self):

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from repro.blast.engine import BlastEngine
-from repro.blast.hsp import MINUS_STRAND, PLUS_STRAND
+from repro.blast.hsp import MINUS_STRAND
 from repro.blast.params import BlastParams, SearchOptions
 from repro.sequence.alphabet import reverse_complement
 from repro.sequence.records import Database, SequenceRecord
-from repro.sequence.generator import HomologySpec, make_query_with_homologies
 from tests.conftest import alignment_keys
 
 
@@ -70,12 +69,15 @@ class TestStatsSpaceOverride:
         query, _ = query_with_truth
         whole = engine.search(query, small_db)
         target = whole.alignments[0]
-        shard = small_db.subset([target.subject_id])
+        shard = Database([small_db[target.subject_id]])
         space = engine.search_space(
             len(query), small_db.total_length, small_db.num_sequences
         )
         shard_res = engine.search(query, shard, stats_space=space)
-        match = [a for a in shard_res.alignments if a.same_location(target)]
+        def location(a):
+            return (a.subject_id, a.strand, a.q_start, a.q_end, a.s_start, a.s_end)
+
+        match = [a for a in shard_res.alignments if location(a) == location(target)]
         assert match
         assert match[0].evalue == pytest.approx(target.evalue)
 
@@ -129,7 +131,7 @@ class TestBoundaryOptions:
         options = SearchOptions(
             boundary_right=True, boundary_margin=60, speculative=True
         )
-        res = engine.search(query, small_db.subset([donor.seq_id]), options=options)
+        res = engine.search(query, Database([small_db[donor.seq_id]]), options=options)
         touching = [a for a in res.alignments if a.q_end >= len(query) - 60]
         assert touching  # kept even though a 30 bp match may fail E on its own
 

@@ -1,7 +1,6 @@
 """Engine robustness: degenerate and boundary inputs."""
 
 import numpy as np
-import pytest
 
 from repro.blast.engine import BlastEngine
 from repro.blast.params import BlastParams
@@ -35,7 +34,7 @@ class TestDegenerateQueries:
         subject = SequenceRecord(seq_id="s", codes=shared.copy())
         res = engine.search(query, Database([subject]))
         assert res.alignments
-        assert res.alignments[0].q_interval == (50, 150)
+        assert (res.alignments[0].q_start, res.alignments[0].q_end) == (50, 150)
 
     def test_identical_query_and_subject(self, engine):
         rng = np.random.default_rng(1)
@@ -44,7 +43,7 @@ class TestDegenerateQueries:
         res = engine.search(query, Database([SequenceRecord(seq_id="s", codes=seq.copy())]))
         best = res.alignments[0]
         assert best.score == 500
-        assert best.q_interval == (0, 500)
+        assert (best.q_start, best.q_end) == (0, 500)
         assert best.identity == 1.0
 
     def test_single_base_subject(self, engine):
@@ -111,7 +110,7 @@ class TestSubjectEdgeCases:
         )
         res = engine.search(query, Database([SequenceRecord(seq_id="s", codes=shared.copy())]))
         best = res.alignments[0]
-        assert best.s_interval == (0, 200)
+        assert (best.s_start, best.s_end) == (0, 200)
 
     def test_repeat_rich_subject_with_cap(self, engine, small_db):
         from repro.blast.params import SearchOptions

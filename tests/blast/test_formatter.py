@@ -3,13 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.blast.formatter import (
-    TABULAR_COLUMNS,
-    format_tabular,
-    format_tabular_row,
-    parse_tabular,
-)
+from repro.blast.formatter import format_tabular, format_tabular_row
 from repro.blast.hsp import MINUS_STRAND, Alignment
+from tests.conftest import TABULAR_COLUMNS, parse_tabular
 
 
 def _aln(**kw):
@@ -55,14 +51,6 @@ class TestParse:
         assert row["send"] == 119
         assert row["mismatch"] == 2
         assert row["evalue"] == pytest.approx(1.5e-8)
-
-    def test_comments_and_blanks_skipped(self):
-        text = "# header\n\n" + format_tabular_row(_aln())
-        assert len(parse_tabular(text)) == 1
-
-    def test_malformed_row_rejected(self):
-        with pytest.raises(ValueError, match="expected 12 columns"):
-            parse_tabular("a\tb\tc")
 
     def test_pident_from_identity(self):
         from repro.blast.hsp import OP_DIAG

@@ -10,8 +10,15 @@ import pytest
 
 from repro.blast.gapped import extend_gapped
 from repro.blast.hsp import OP_DIAG
+from repro.blast.wavefront import wavefront_half_extension
 from repro.sequence.alphabet import encode, random_bases
-from tests.conftest import score_path
+from tests.conftest import extend_gapped_rowloop, rowloop_half_extension, score_path
+
+#: The production kernel and the row-loop oracle, by name.
+KERNELS = {
+    "wavefront": (extend_gapped, wavefront_half_extension),
+    "rowloop": (extend_gapped_rowloop, rowloop_half_extension),
+}
 
 PARAMS = dict(reward=1, penalty=-3, gap_open=5, gap_extend=2)
 
@@ -161,12 +168,9 @@ class TestParameterValidation:
 
     @pytest.mark.parametrize("kernel", ["rowloop", "wavefront"])
     def test_validation_applies_to_both_kernels(self, kernel):
+        extend = KERNELS[kernel][0]
         with pytest.raises(ValueError, match="gap_extend"):
-            extend_gapped(self.q, self.q, 4, 4, 1, -3, 5, 0, 15, kernel=kernel)
-
-    def test_unknown_kernel_raises_value_error(self):
-        with pytest.raises(ValueError, match="kernel"):
-            extend_gapped(self.q, self.q, 4, 4, 1, -3, 5, 2, 15, kernel="simd")
+            extend(self.q, self.q, 4, 4, 1, -3, 5, 0, 15)
 
     def test_zero_gap_open_is_legal(self):
         ext = extend_gapped(self.q, self.q, 4, 4, 1, -3, 0, 2, 15)
@@ -183,30 +187,29 @@ class TestReversedHalfMaterialization:
 
     @pytest.mark.parametrize("kernel", ["rowloop", "wavefront"])
     def test_every_anchor_matches_negative_stride_views(self, kernel):
-        from repro.blast.gapped import _run_half
-
+        extend, half = KERNELS[kernel]
         rng = np.random.default_rng(11)
         base = random_bases(rng, 64)
         q, s = base.copy(), base.copy()
         s[20] = (s[20] + 1) % 4
         for anchor in range(0, 65, 8):
-            ext = extend_gapped(q, s, anchor, anchor, x_drop=15, kernel=kernel, **PARAMS)
+            ext = extend(q, s, anchor, anchor, x_drop=15, **PARAMS)
             # Reference: the pre-fix behaviour — feed the raw negative-stride
             # reversed views straight into the half kernel.
-            left = _run_half(
-                kernel, q[:anchor][::-1], s[:anchor][::-1],
+            l_score, l_qi, l_sj, l_path = half(
+                q[:anchor][::-1], s[:anchor][::-1],
                 PARAMS["reward"], PARAMS["penalty"],
                 PARAMS["gap_open"], PARAMS["gap_extend"], 15, False, True,
             )
-            right = _run_half(
-                kernel, q[anchor:], s[anchor:],
+            r_score, r_qi, r_sj, r_path = half(
+                q[anchor:], s[anchor:],
                 PARAMS["reward"], PARAMS["penalty"],
                 PARAMS["gap_open"], PARAMS["gap_extend"], 15, False, True,
             )
-            assert ext.score == left.score + right.score
-            assert (ext.q_start, ext.q_end) == (anchor - left.qi, anchor + right.qi)
-            assert (ext.s_start, ext.s_end) == (anchor - left.sj, anchor + right.sj)
-            expected_path = np.concatenate([left.path[::-1], right.path])
+            assert ext.score == l_score + r_score
+            assert (ext.q_start, ext.q_end) == (anchor - l_qi, anchor + r_qi)
+            assert (ext.s_start, ext.s_end) == (anchor - l_sj, anchor + r_sj)
+            expected_path = np.concatenate([l_path[::-1], r_path])
             assert np.array_equal(ext.path, expected_path)
 
     def test_non_contiguous_input_accepted(self):

@@ -1,11 +1,12 @@
 """Differential suite: wavefront kernel vs the row-loop reference oracle.
 
 The batched wavefront kernel (``repro.blast.wavefront``) must be
-*byte-identical* to the retained row-loop implementation — same scores, same
-endpoints, same op paths — under both drop rules, across random scoring
-schemes, x-drop values, anchor positions (including the sequence edges, which
-make a half empty), and adversarial sequence shapes. Every test here runs
-both kernels on the same input and asserts full equality of the result.
+*byte-identical* to the row-loop oracle in ``tests/conftest.py`` — same
+scores, same endpoints, same op paths — under both drop rules, across random
+scoring schemes, x-drop values, anchor positions (including the sequence
+edges, which make a half empty), and adversarial sequence shapes. Every test
+here runs both kernels on the same input and asserts full equality of the
+result.
 """
 
 import numpy as np
@@ -15,19 +16,18 @@ from hypothesis import strategies as st
 
 from repro.blast.gapped import extend_gapped
 from repro.sequence.alphabet import encode, random_bases
+from tests.conftest import extend_gapped_rowloop
 
 dna = st.text(alphabet="ACGTN", min_size=0, max_size=80)
 seeds = st.integers(min_value=0, max_value=2**31)
 
 
 def assert_kernels_identical(q, s, aq, as_, reward, penalty, go, ge, xd, absolute_drop):
-    a = extend_gapped(
-        q, s, aq, as_, reward, penalty, go, ge, xd,
-        absolute_drop=absolute_drop, kernel="rowloop",
+    a = extend_gapped_rowloop(
+        q, s, aq, as_, reward, penalty, go, ge, xd, absolute_drop=absolute_drop,
     )
     b = extend_gapped(
-        q, s, aq, as_, reward, penalty, go, ge, xd,
-        absolute_drop=absolute_drop, kernel="wavefront",
+        q, s, aq, as_, reward, penalty, go, ge, xd, absolute_drop=absolute_drop,
     )
     assert a.score == b.score
     assert (a.q_start, a.q_end, a.s_start, a.s_end) == (

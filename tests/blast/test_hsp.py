@@ -9,9 +9,7 @@ from repro.blast.hsp import (
     OP_SGAP,
     Alignment,
     SeedHits,
-    cigar_to_path,
     path_composition,
-    path_to_cigar,
 )
 from repro.sequence.alphabet import encode
 from tests.conftest import score_path
@@ -44,7 +42,7 @@ def _aln(**kw):
 class TestAlignment:
     def test_intervals_and_spans(self):
         a = _aln(q_start=2, q_end=10, s_start=3, s_end=11)
-        assert a.q_interval == (2, 10)
+        assert (a.q_start, a.q_end) == (2, 10)
         assert a.q_span == 8
 
     def test_path_consumption_validated(self):
@@ -57,8 +55,8 @@ class TestAlignment:
 
     def test_shifted(self):
         a = _aln().shifted(q_offset=100, s_offset=10)
-        assert a.q_interval == (100, 104)
-        assert a.s_interval == (10, 14)
+        assert (a.q_start, a.q_end) == (100, 104)
+        assert (a.s_start, a.s_end) == (10, 14)
 
     def test_identity(self):
         a = _aln(matches=3, mismatches=1, path=np.array([OP_DIAG] * 4, dtype=np.uint8))
@@ -72,10 +70,6 @@ class TestAlignment:
         good = _aln(evalue=1e-10, score=50)
         bad = _aln(evalue=1e-2, score=10)
         assert good.sort_key() < bad.sort_key()
-
-    def test_same_location(self):
-        assert _aln().same_location(_aln(score=99))
-        assert not _aln().same_location(_aln(q_start=1, q_end=5))
 
 
 class TestPathComposition:
@@ -123,24 +117,3 @@ class TestScorePath:
 
     def test_empty(self):
         assert score_path(np.zeros(0, dtype=np.uint8), encode("A"), encode("A"), 0, 0, 1, -3, 5, 2) == 0
-
-
-class TestCigar:
-    def test_round_trip(self):
-        path = np.array([OP_DIAG] * 5 + [OP_QGAP] * 2 + [OP_DIAG] * 3 + [OP_SGAP], dtype=np.uint8)
-        cigar = path_to_cigar(path)
-        assert cigar == "5M2D3M1I"
-        assert np.array_equal(cigar_to_path(cigar), path)
-
-    def test_empty(self):
-        assert path_to_cigar(np.zeros(0, dtype=np.uint8)) == ""
-        assert cigar_to_path("").size == 0
-
-    def test_long_runs_compact(self):
-        path = np.full(10_000, OP_DIAG, dtype=np.uint8)
-        assert path_to_cigar(path) == "10000M"
-
-    @pytest.mark.parametrize("bad", ["M", "3X", "12", "3M4"])
-    def test_malformed_rejected(self, bad):
-        with pytest.raises(ValueError):
-            cigar_to_path(bad)

@@ -17,7 +17,7 @@ from repro.sequence.generator import (
     make_database,
     make_query_with_homologies,
 )
-from repro.sequence.records import SequenceRecord
+from repro.sequence.records import Database, SequenceRecord
 from tests.properties.test_executor_props import canonical
 
 
@@ -95,7 +95,7 @@ def test_cache_stays_within_its_bound(db):
     engine = BlastEngine()
     limit = engine_mod._QUERY_INDEX_LIMIT
     rng = np.random.default_rng(5)
-    small = db.subset([db.records[0].seq_id])
+    small = Database([db.records[0]])
     for i in range(200):
         codes = rng.integers(0, 4, size=300, dtype=np.uint8)
         engine.search(SequenceRecord(seq_id=f"q{i}", codes=codes), small, strands="both")

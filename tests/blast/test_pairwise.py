@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.blast.hsp import OP_DIAG, OP_QGAP, OP_SGAP, Alignment
-from repro.blast.pairwise import alignment_rows, format_pairwise, format_report
+from repro.blast.pairwise import alignment_rows, format_pairwise
 from repro.sequence.alphabet import encode
 
 
@@ -101,10 +101,9 @@ class TestFormatPairwise:
 class TestFormatReport:
     def test_engine_output_renders(self, engine, small_db, query_with_truth, serial_result):
         query, _ = query_with_truth
-        report = format_report(
-            serial_result.alignments[:3],
-            query.codes,
-            lambda sid: small_db[sid].codes,
+        report = "\n".join(
+            format_pairwise(aln, query.codes, small_db[aln.subject_id].codes)
+            for aln in serial_result.alignments[:3]
         )
         assert report.count("> ") == 3
         assert "Query" in report and "Sbjct" in report

@@ -1,11 +1,9 @@
 """Tests for the scoring scheme."""
 
-import numpy as np
 import pytest
 
 from repro.blast.params import BlastParams
 from repro.blast.scoring import ScoringScheme
-from repro.sequence.alphabet import encode
 
 
 class TestScoringScheme:
@@ -34,19 +32,3 @@ class TestScoringScheme:
             ScoringScheme(1, 3)
         with pytest.raises(ValueError):
             ScoringScheme(1, -3, base_freqs=(0.5, 0.5, 0.0, 0.0))
-
-
-class TestPairScores:
-    def test_match_mismatch(self):
-        s = ScoringScheme(1, -3)
-        out = s.pair_scores(encode("ACGT"), encode("AGGA"))
-        assert out.tolist() == [1, -3, 1, -3]
-
-    def test_n_never_matches(self):
-        s = ScoringScheme(1, -3)
-        out = s.pair_scores(encode("NN"), encode("NA"))
-        assert out.tolist() == [-3, -3]
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            ScoringScheme(1, -3).pair_scores(encode("AC"), encode("ACG"))

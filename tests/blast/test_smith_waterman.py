@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.blast.smith_waterman import smith_waterman, smith_waterman_score
+from repro.blast.smith_waterman import smith_waterman_score
 from repro.sequence.alphabet import encode, random_bases
-from tests.conftest import score_path
+from repro.sequence.records import Database
 
 PARAMS = dict(reward=1, penalty=-3, gap_open=5, gap_extend=2)
 
@@ -63,32 +63,6 @@ class TestScore:
         assert smith_waterman_score(q, s, **PARAMS) == naive_sw(q, s, **PARAMS)
 
 
-class TestFullAlignment:
-    def test_endpoints_and_path(self):
-        q = encode("TTTTACGTACGTTTTT")
-        s = encode("GGGGACGTACGTGGGG")
-        aln = smith_waterman(q, s, **PARAMS)
-        assert aln.score == 8
-        assert (aln.q_start, aln.q_end) == (4, 12)
-        assert (aln.s_start, aln.s_end) == (4, 12)
-        assert aln.path is not None and aln.path.size == 8
-
-    def test_path_rescoring_matches(self):
-        rng = np.random.default_rng(8)
-        base = random_bases(rng, 80)
-        q = np.concatenate([random_bases(rng, 20), base, random_bases(rng, 20)])
-        s = base.copy()
-        s[40] = (s[40] + 2) % 4
-        aln = smith_waterman(q, s, **PARAMS)
-        rescored = score_path(aln.path, q, s, aln.q_start, aln.s_start, **PARAMS)
-        assert rescored == aln.score
-
-    def test_empty_alignment(self):
-        aln = smith_waterman(encode("AAAA"), encode("CCCC"), **PARAMS)
-        assert aln.score == 0
-        assert aln.path.size == 0
-
-
 class TestOracleProperty:
     def test_sw_upper_bounds_engine_alignments(self, engine, small_db, query_with_truth):
         """Smith-Waterman is exact; no engine alignment can beat it."""
@@ -100,7 +74,7 @@ class TestOracleProperty:
         sw = smith_waterman_score(window_q, subject, **PARAMS)
         res = engine.search(
             type(query)(seq_id="w", codes=window_q),
-            small_db.subset([t.subject_id]),
+            Database([small_db[t.subject_id]]),
         )
         best_engine = max((a.score for a in res.alignments), default=0)
         assert best_engine <= sw

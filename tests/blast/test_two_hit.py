@@ -178,9 +178,6 @@ class TestTwoHitInEngine:
 
 
 class TestPresets:
-    def test_blastn_is_default(self):
-        assert BlastParams.blastn() == BlastParams()
-
     def test_megablast_longer_seeds(self):
         mb = BlastParams.megablast()
         assert mb.k == 28

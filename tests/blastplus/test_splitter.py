@@ -64,7 +64,7 @@ class TestMergeChunkAlignments:
         merged = merge_chunk_alignments(
             [(self._chunk(0, 100), [_aln(5, 15, 0, 10, 10)])], "query"
         )
-        assert merged[0].q_interval == (105, 115)
+        assert (merged[0].q_start, merged[0].q_end) == (105, 115)
         assert merged[0].query_id == "query"
 
     def test_duplicate_from_overlap_collapses(self):

@@ -53,8 +53,9 @@ class TestDPMemoryModel:
 
     def test_fits_boundary(self):
         m = DPMemoryModel(node_memory_bytes=1000, bytes_per_cell=1.0)
-        assert m.fits(10, 100)
-        assert not m.fits(10, 101)
+        m.check(10, 100)
+        with pytest.raises(OutOfMemoryError):
+            m.check(10, 101)
 
     def test_check_raises_with_paper_style_message(self):
         m = DPMemoryModel()
@@ -66,16 +67,10 @@ class TestDPMemoryModel:
         longest scaffold — 71 Mbp queries run, >96 Mbp abort (Section V-C)."""
         m = DPMemoryModel()
         longest_scaffold = 25_000_000  # Drosophila chromosome-arm scale
-        ceiling = m.max_query_length(longest_scaffold)
-        assert 90_000_000 < ceiling < 100_000_000
-        assert m.fits(71_000_000, longest_scaffold)
-        assert not m.fits(97_000_000, longest_scaffold)
-
-    def test_max_query_length_consistent(self):
-        m = DPMemoryModel(node_memory_bytes=10_000, bytes_per_cell=1.0)
-        ceiling = m.max_query_length(100)
-        assert m.fits(ceiling, 100)
-        assert not m.fits(ceiling + 1, 100)
+        m.check(71_000_000, longest_scaffold)
+        m.check(90_000_000, longest_scaffold)  # the ceiling sits above 90 Mbp
+        with pytest.raises(OutOfMemoryError):
+            m.check(97_000_000, longest_scaffold)
 
     def test_validation(self):
         with pytest.raises(ValueError):

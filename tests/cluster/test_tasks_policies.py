@@ -49,18 +49,6 @@ class TestOrderTasks:
     def test_lpt_descending(self):
         assert [t.duration for t in order_tasks(self._tasks(), "lpt")] == [3.0, 2.0, 1.0]
 
-    def test_spt_ascending(self):
-        assert [t.duration for t in order_tasks(self._tasks(), "spt")] == [1.0, 2.0, 3.0]
-
-    def test_random_deterministic_per_seed(self):
-        a = order_tasks(self._tasks(), "random", seed=5)
-        b = order_tasks(self._tasks(), "random", seed=5)
-        assert [t.task_id for t in a] == [t.task_id for t in b]
-
-    def test_random_is_permutation(self):
-        out = order_tasks(self._tasks(), "random", seed=1)
-        assert sorted(t.task_id for t in out) == ["t0", "t1", "t2"]
-
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             order_tasks(self._tasks(), "nope")

@@ -58,13 +58,6 @@ class TestFragmentQuery:
         assert frags[0].record.seq_id == "q.frag0000"
         assert frags[2].record.seq_id == "q.frag0002"
 
-    def test_to_global(self):
-        frags = fragment_query(q(5000), 1200, 16)
-        f = frags[1]
-        assert f.to_global(0) == f.offset
-        with pytest.raises(ValueError):
-            f.to_global(f.length + 1)
-
     def test_exact_multiple_boundary(self):
         """Query length exactly landing on a stride boundary."""
         frags = fragment_query(q(2970), 1000, 10)  # stride 990: 0, 990, 1980 (ends 2980>2970)

@@ -7,11 +7,13 @@ import pytest
 from repro.blast.params import BlastParams
 from repro.blast.scoring import ScoringScheme
 from repro.blast.statistics import effective_lengths, evalue, karlin_altschul
-from repro.core.overlap import (
-    overlap_for_lengths,
-    overlap_length,
-    shortest_significant_alignment,
-)
+from repro.core.overlap import overlap_length, shortest_significant_alignment
+
+
+def overlap_for_lengths(ka, params, query_length, db_length, num_db_sequences):
+    """Equation 1 for raw lengths: effective search space, then the overlap."""
+    space = effective_lengths(ka, query_length, db_length, num_db_sequences)
+    return overlap_length(ka, params, space)
 
 
 @pytest.fixture(scope="module")

@@ -4,22 +4,20 @@ Exercises the seams between packages: the sequence layer feeding the
 engine, and the simulator consuming real runner records.
 """
 
-import pytest
-
-from repro.blast.engine import BlastEngine
 from repro.cluster.simulator import NodeFailure, simulate_phase
 from repro.cluster.tasks import SimTask
 from repro.cluster.topology import ClusterSpec
 from repro.core.orion import OrionSearch
-from repro.sequence.fasta import read_fasta_str, write_fasta_str
+from repro.sequence.fasta import read_fasta, write_fasta
 
 
 class TestFastaThroughEngine:
     def test_round_tripped_query_gives_identical_results(
-        self, engine, small_db, query_with_truth, serial_result
+        self, engine, small_db, query_with_truth, serial_result, tmp_path
     ):
         query, _ = query_with_truth
-        back = read_fasta_str(write_fasta_str([query]))[0]
+        write_fasta([query], tmp_path / "q.fa")
+        back = read_fasta(tmp_path / "q.fa")[0]
         res = engine.search(back, small_db)
         from tests.conftest import alignment_keys
 
@@ -42,6 +40,6 @@ class TestSimulatedFailureRecovery:
         failed = simulate_phase(
             tasks, cluster, failures=[NodeFailure(node=0, time=clean.end_time / 4)]
         )
-        done = {s.task.task_id for s in failed.completed_tasks()}
+        done = {s.task.task_id for s in failed.scheduled if s.completed}
         assert done == {t.task_id for t in tasks}
         assert failed.end_time >= clean.end_time - 1e-9

@@ -200,7 +200,7 @@ class TestLeaseLifecycle:
         lease = PlaneRegistry.attach_or_create(db, K)
         lease.release()
         lease.release()  # no raise, no tracker noise
-        assert lease.released
+        assert lease._released
 
     def test_distinct_parameters_get_distinct_planes(self, db):
         with PlaneRegistry.attach_or_create(db, K) as a:
@@ -221,7 +221,6 @@ class TestLeaseLifecycle:
             assert status.k == K
             assert status.generation == 1
             assert status.held
-            assert not status.reapable
             assert status.num_segments == 5  # registry + 4 data segments
 
     def test_forked_child_does_not_pin_the_plane(self, db):
@@ -337,7 +336,7 @@ class TestCrossProcess:
             assert {s.digest: s for s in list_planes()}[digest].held
         finally:
             _kill_holder(proc)
-        assert {s.digest: s for s in list_planes()}[digest].reapable
+        assert not {s.digest: s for s in list_planes()}[digest].held
         assert registry_name in reap_orphan_planes()
 
     def test_holder_with_another_temp_dir_is_seen_held(self, db, tmp_path):

@@ -30,7 +30,6 @@ from repro.mapreduce.runtime import SerialExecutor, WorkerPool
 from repro.mapreduce.shm import (
     PLANE_PREFIX,
     PlaneRegistry,
-    SharedMemoryUnavailable,
     attach_cached_view,
     attach_view,
     create_segment,
@@ -200,21 +199,19 @@ class TestPlane:
         names = lease.handle.segment_names + (lease.handle.registry_segment,)
         assert lease in shm_mod._LIVE_LEASES.values()
         shm_mod._cleanup_live_leases()
-        assert lease.released
+        assert lease._released
         assert not any(segment_exists(n) for n in names)
         assert lease not in shm_mod._LIVE_LEASES.values()
 
 
 class TestPlaneSketches:
-    """The optional fourth segment: per-sequence bottom-k sketches."""
+    """The fourth segment: per-sequence bottom-k sketches."""
 
     def test_view_sketches_match_in_process(self, db):
         from repro.sketch import KmerSketch
 
         with PlaneRegistry.attach_or_create(db, K) as lease:
-            assert lease.handle.has_sketches
             view = attach_view(lease.handle)
-            assert view.has_sketches
             for rec in db:
                 got = view.sequence_sketch(rec.seq_id)
                 ref = KmerSketch.from_codes(rec.codes, K, lease.handle.sketch_size)
@@ -224,20 +221,12 @@ class TestPlaneSketches:
 
     def test_sketch_segment_in_segment_names(self, db):
         with PlaneRegistry.attach_or_create(db, K) as lease:
-            assert lease.handle.sketch_segment is not None
             assert lease.handle.sketch_segment in lease.handle.segment_names
             assert len(lease.handle.segment_names) == 4
 
-    def test_sketch_size_zero_omits_segment(self, db):
-        with PlaneRegistry.attach_or_create(db, K, sketch_size=0) as lease:
-            assert not lease.handle.has_sketches
-            assert lease.handle.sketch_segment is None
-            assert len(lease.handle.segment_names) == 3
-            view = attach_view(lease.handle)
-            assert not view.has_sketches
-            with pytest.raises(SharedMemoryUnavailable):
-                view.sequence_sketch(next(iter(db)).seq_id)
-            view.close()
+    def test_sketch_size_must_be_positive(self, db):
+        with pytest.raises(ValueError, match="sketch_size"):
+            PlaneRegistry.attach_or_create(db, K, sketch_size=0)
 
     def test_handle_with_sketches_pickles(self, db):
         import pickle
@@ -245,26 +234,7 @@ class TestPlaneSketches:
         with PlaneRegistry.attach_or_create(db, K) as lease:
             back = pickle.loads(pickle.dumps(lease.handle))
             assert back == lease.handle
-            assert back.has_sketches
             assert back.sketch_thresholds == lease.handle.sketch_thresholds
-
-    def test_old_style_handle_defaults_to_no_sketches(self, db):
-        """Handles pickled before the sketch segment existed (or built
-        without one) must keep working and report no sketches."""
-        handle = shm_mod.SharedDatabaseHandle(
-            plane_id="old",
-            db_name=db.name,
-            k=K,
-            seq_ids=("a",),
-            descriptions=("",),
-            codes_segment="x",
-            codes_offsets=(0, 1),
-            kmer_keys_segment="y",
-            kmer_positions_segment="z",
-            kmer_offsets=(0, 0),
-        )
-        assert not handle.has_sketches
-        assert len(handle.segment_names) == 3
 
     def test_no_segments_leak(self, db):
         before = _shm_names(PLANE_PREFIX)

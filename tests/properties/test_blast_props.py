@@ -7,7 +7,6 @@ one.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,8 +14,8 @@ from repro.blast.lookup import QueryIndex, kmer_codes
 from repro.blast.smith_waterman import smith_waterman_score
 from repro.blast.ungapped import _extend_direction
 from repro.blast.gapped import extend_gapped
-from repro.sequence.alphabet import decode, encode
-from tests.conftest import lookup, score_path
+from repro.sequence.alphabet import encode
+from tests.conftest import extend_gapped_rowloop, lookup, score_path
 
 dna = st.text(alphabet="ACGT", min_size=0, max_size=120)
 short_dna = st.text(alphabet="ACGT", min_size=1, max_size=40)
@@ -85,23 +84,22 @@ class TestGappedProperties:
         short_dna,
         seeds,
         st.booleans(),
-        st.sampled_from(["wavefront", "rowloop"]),
+        st.sampled_from([extend_gapped, extend_gapped_rowloop]),
     )
     @settings(max_examples=60)
-    def test_traceback_score_consistency(self, q, s, seed, absolute_drop, kernel):
+    def test_traceback_score_consistency(self, q, s, seed, absolute_drop, extend):
         """A returned path always rescores to GappedExtension.score.
 
         This is the guardrail that catches any drift in the batched
         traceback: it holds for both drop rules, across random anchors, and
-        for both DP kernels.
+        for the production kernel and the row-loop oracle alike.
         """
         rng = np.random.default_rng(seed)
         qc, sc = encode(q), encode(s)
         aq = int(rng.integers(0, len(q) + 1))
         as_ = int(rng.integers(0, len(s) + 1))
-        ext = extend_gapped(
-            qc, sc, aq, as_, 1, -3, 5, 2, x_drop=12,
-            absolute_drop=absolute_drop, kernel=kernel,
+        ext = extend(
+            qc, sc, aq, as_, 1, -3, 5, 2, x_drop=12, absolute_drop=absolute_drop,
         )
         assert ext.path is not None
         assert score_path(ext.path, qc, sc, ext.q_start, ext.s_start, 1, -3, 5, 2) == ext.score

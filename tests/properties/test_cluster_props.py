@@ -24,11 +24,12 @@ def mk_tasks(ds):
 
 
 class TestSchedulerBounds:
-    @given(durations, clusters, st.sampled_from(["fifo", "lpt", "spt", "random"]))
+    @given(durations.flatmap(st.permutations), clusters, st.sampled_from(["fifo", "lpt"]))
     @settings(max_examples=120)
     def test_graham_bounds(self, ds, cluster, policy):
         """List scheduling: LB = max(total/m, longest) ≤ makespan ≤
-        total/m + longest (Graham's bound for any list order)."""
+        total/m + longest (Graham's bound for any list order: hypothesis
+        draws the submission order, ``fifo`` keeps it)."""
         sched = simulate_phase(mk_tasks(ds), cluster, policy=policy)
         m = cluster.total_slots
         total = sum(ds)

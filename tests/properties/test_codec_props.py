@@ -1,44 +1,11 @@
-"""Property-based tests for the text codecs (CIGAR, tabular)."""
+"""Property-based tests for the tabular text codec."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blast.formatter import format_tabular_row, parse_tabular
-from repro.blast.hsp import (
-    OP_DIAG,
-    OP_QGAP,
-    OP_SGAP,
-    Alignment,
-    cigar_to_path,
-    path_to_cigar,
-)
-
-paths = st.lists(
-    st.sampled_from([OP_DIAG, OP_QGAP, OP_SGAP]), min_size=0, max_size=200
-).map(lambda ops: np.array(ops, dtype=np.uint8))
-
-
-class TestCigarProperties:
-    @given(paths)
-    def test_round_trip(self, path):
-        assert np.array_equal(cigar_to_path(path_to_cigar(path)), path)
-
-    @given(paths)
-    def test_cigar_counts_sum_to_length(self, path):
-        cigar = path_to_cigar(path)
-        total = sum(
-            int(n) for n in __import__("re").findall(r"(\d+)[MID]", cigar)
-        )
-        assert total == path.size
-
-    @given(paths)
-    def test_runs_alternate(self, path):
-        """No two consecutive CIGAR runs share an op letter."""
-        import re
-
-        letters = re.findall(r"\d+([MID])", path_to_cigar(path))
-        assert all(a != b for a, b in zip(letters, letters[1:]))
+from repro.blast.formatter import format_tabular_row
+from repro.blast.hsp import Alignment
+from tests.conftest import parse_tabular
 
 
 @st.composite

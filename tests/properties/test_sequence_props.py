@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sequence.alphabet import (
+    ALPHABET_SIZE,
     decode,
     encode,
-    is_valid,
     reverse_complement,
 )
 from repro.sequence.mutate import MutationModel, apply_mutations
@@ -31,7 +31,7 @@ class TestAlphabetProperties:
     def test_reverse_complement_reverses_length_and_validity(self, s):
         rc = reverse_complement(encode(s))
         assert rc.shape[0] == len(s)
-        assert is_valid(rc) or len(s) == 0
+        assert (rc < ALPHABET_SIZE).all()
 
     @given(dna)
     def test_rc_of_concatenation(self, s):
@@ -51,7 +51,7 @@ class TestMutationProperties:
         codes = encode(s)
         out = apply_mutations(rng, codes, MutationModel(substitution_rate=rate))
         assert out.shape == codes.shape
-        assert is_valid(out)
+        assert (out < ALPHABET_SIZE).all()
 
     @given(dna.filter(lambda s: len(s) >= 10), seeds)
     @settings(max_examples=50)

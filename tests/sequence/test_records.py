@@ -93,12 +93,3 @@ class TestDatabase:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Database([])
-
-    def test_subset(self):
-        db = self._db()
-        sub = db.subset(["s3", "s1"])
-        assert [r.seq_id for r in sub] == ["s3", "s1"]
-
-    def test_subset_missing_rejected(self):
-        with pytest.raises(KeyError):
-            self._db().subset(["s1", "zz"])

@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.core.orion import EmptyQueryError, OrionSearch
+from repro.core.results import OrionResult
 from repro.sequence.generator import make_database
 from repro.sequence.records import SequenceRecord
 from repro.service import (
@@ -54,6 +55,15 @@ class _FakeQuery:
         return 1
 
 
+def _stub_result(query):
+    """The empty result a fake search serves for ``query``."""
+    return OrionResult(
+        query_id=query.seq_id, alignments=[], map_records=[], reduce_seconds=[],
+        sort_seconds=0.0, fragment_length=len(query), overlap=0,
+        num_fragments=1, num_shards=1,
+    )
+
+
 class _BlockingSearch:
     """run() parks on an event — deterministic queue-occupancy control."""
 
@@ -67,7 +77,10 @@ class _BlockingSearch:
         self.runs += 1
         self.started.set()
         assert self.release.wait(timeout=30), "test never released the search"
-        return ("ok", query.seq_id)
+        return _stub_result(query)
+
+    def warmup(self):
+        pass
 
     def close(self):
         self.closed = True
@@ -85,7 +98,10 @@ class _FlakySearch:
         self.runs += 1
         if self.runs <= self.fail_first:
             raise RuntimeError("backend exploded")
-        return ("ok", query.seq_id)
+        return _stub_result(query)
+
+    def warmup(self):
+        pass
 
     def close(self):
         self.closed = True
@@ -114,7 +130,7 @@ class TestOverloadShedding:
                 assert service.stats.rejected_queue_full == 1
                 fake.release.set()
                 results = await asyncio.gather(first, second)
-            assert [r[0] for r in results] == ["ok", "ok"]  # no admitted work shed
+            assert [r.query_id for r in results] == ["fake", "fake"]  # no admitted work shed
             assert fake.runs == 2
             assert fake.closed
 
@@ -170,10 +186,10 @@ class TestBreakerIntegration:
                 assert service.stats.failed == 2
                 clock.advance(30.0)
                 result = await service.submit(_FakeQuery(), database="db")  # probe
-                assert result[0] == "ok"
+                assert result.query_id == "fake"
                 assert service.breaker_for("db").state == "closed"
                 result = await service.submit(_FakeQuery(), database="db")
-                assert result[0] == "ok"
+                assert result.query_id == "fake"
                 assert service.stats.completed == 2
 
         asyncio.run(main())
@@ -201,7 +217,7 @@ class TestBreakerIntegration:
                     await service.submit(_FakeQuery(), database="db")
                 clock.advance(30.0)
                 result = await service.submit(_FakeQuery(), database="db")
-                assert result[0] == "ok"
+                assert result.query_id == "fake"
 
         asyncio.run(main())
 
@@ -410,7 +426,7 @@ class TestServiceEquivalence:
             fake.release.set()
             await closer
             result = await pending
-            assert result[0] == "ok"
+            assert result.query_id == "fake"
             assert service.state == "closed"
             assert fake.closed
 
@@ -443,16 +459,12 @@ class TestPruningService:
             out.append(q)
         return out
 
-    def test_config_rejects_bad_threshold(self):
-        with pytest.raises(ValueError, match="prune_threshold"):
-            ServiceConfig(prune_threshold=1.5)
-
-    def test_config_threshold_overrides_searches(self, prune_db):
-        search = OrionSearch(database=prune_db, num_shards=8, fragment_length=2000)
-        assert search.prune_threshold is None
-        service = OrionService(
-            search, ServiceConfig(prune_threshold=0.02, max_inflight=1)
+    def test_served_search_prunes_as_built(self, prune_db):
+        search = OrionSearch(
+            database=prune_db, num_shards=8, fragment_length=2000,
+            prune_threshold=0.02,
         )
+        service = OrionService(search, ServiceConfig(max_inflight=1))
 
         async def main():
             async with service:
@@ -474,10 +486,13 @@ class TestPruningService:
         ) as direct:
             expected = {q.seq_id: direct.run(q) for q in prune_queries}
 
-        search = OrionSearch(database=prune_db, num_shards=8, fragment_length=2000)
-        service = OrionService(
-            search, ServiceConfig(prune_threshold=threshold, max_inflight=2)
+        search = OrionSearch(
+            database=prune_db,
+            num_shards=8,
+            fragment_length=2000,
+            prune_threshold=threshold,
         )
+        service = OrionService(search, ServiceConfig(max_inflight=2))
 
         async def main():
             async with service:
@@ -563,22 +578,3 @@ class TestPlaneLifecycleService:
 
         asyncio.run(main())
         assert calls == [1]
-
-    def test_reap_on_start_can_be_disabled(self, monkeypatch):
-        from repro.mapreduce import shm as shm_mod
-
-        calls = []
-        monkeypatch.setattr(
-            shm_mod, "reap_orphan_planes", lambda: calls.append(1) or []
-        )
-        fake = _BlockingSearch()
-
-        async def main():
-            service = OrionService(
-                {"db": fake}, ServiceConfig(max_inflight=1, reap_on_start=False)
-            )
-            await service.start()
-            await service.aclose()
-
-        asyncio.run(main())
-        assert calls == []

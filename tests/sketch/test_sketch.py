@@ -22,7 +22,6 @@ from repro.sketch import (
     hash_codes,
     merge_sketches,
     probe_hashes,
-    sketch_bytes,
     validate_prune_threshold,
 )
 
@@ -337,6 +336,3 @@ class TestValidation:
     def test_rejects(self, value):
         with pytest.raises(ValueError, match="prune_threshold"):
             validate_prune_threshold(value)
-
-    def test_sketch_bytes(self):
-        assert sketch_bytes(100, size=256) == 100 * 256 * 8

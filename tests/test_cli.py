@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -153,6 +153,14 @@ class TestBadInput:
             ("serve", ["--workers", "0"]),
             ("serve", ["--shards", "0"]),
             ("serve", ["--max-inflight", "0"]),
+            ("serve", ["--breaker-failures", "0"]),
+            ("serve", ["--breaker-reset-seconds", "-1"]),
+            ("serve", ["--breaker-probes", "0"]),
+            ("search", ["--evalue", "0"]),
+            ("search", ["--evalue", "-1"]),
+            ("search", ["--max-alignments", "-1"]),
+            ("search", ["--max-alignments", "0"]),
+            ("serve", ["--max-alignments", "-1"]),
         ],
     )
     def test_bad_option_value(self, command, option, db_file, query_file, capsys):
@@ -175,6 +183,23 @@ class TestBadInput:
         db.write_text("ACGT\n")
         assert main(["search", "--db", str(db), "--query", str(query_file)]) == 2
         _assert_one_error_line(capsys)
+
+
+class TestSharedOptions:
+    """`search` and `serve` declare their common options once."""
+
+    def test_shared_flags_parse_to_the_same_defaults(self):
+        parser = build_parser()
+        required = ["--db", "d.fa", "--query", "q.fa"]
+        search = vars(parser.parse_args(["search", *required]))
+        serve = vars(parser.parse_args(["serve", *required]))
+        shared = [
+            "db", "query", "shards", "fragment_length", "strands", "workers",
+            "retries", "prune_threshold", "no_prune", "evalue", "task",
+            "two_hit", "dust", "max_alignments",
+        ]
+        assert {k: search[k] for k in shared} == {k: serve[k] for k in shared}
+        assert (search["executor"], serve["executor"]) == ("serial", "processes")
 
 
 class TestOverlap:

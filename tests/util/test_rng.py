@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.util.rng import RngStream, choice_without_replacement, derive_rng, spawn_rngs
+from repro.util.rng import RngStream, derive_rng
 
 
 class TestRngStream:
@@ -38,12 +38,6 @@ class TestRngStream:
     def test_child_name_records_lineage(self):
         assert RngStream(0, name="root").child("gen").name == "root/gen"
 
-    def test_children_list(self):
-        kids = RngStream(3).children("task", 4)
-        assert len(kids) == 4
-        seeds = {k.seed for k in kids}
-        assert len(seeds) == 4
-
     def test_adding_consumer_does_not_shift_existing(self):
         """New salts must not perturb existing derived streams."""
         before = RngStream(9).child("existing").seed
@@ -75,31 +69,3 @@ class TestDeriveRng:
         a = derive_rng(11, "x").random(4)
         b = derive_rng(11, "y").random(4)
         assert not np.array_equal(a, b)
-
-
-class TestSpawnRngs:
-    def test_count_and_independence(self):
-        gens = list(spawn_rngs(3, 5))
-        assert len(gens) == 5
-        draws = [g.random(8).tobytes() for g in gens]
-        assert len(set(draws)) == 5
-
-    def test_deterministic(self):
-        a = [g.random(4).tobytes() for g in spawn_rngs(3, 3)]
-        b = [g.random(4).tobytes() for g in spawn_rngs(3, 3)]
-        assert a == b
-
-    def test_generator_input_spawns(self):
-        gens = list(spawn_rngs(np.random.default_rng(2), 3))
-        assert len(gens) == 3
-
-
-class TestChoiceWithoutReplacement:
-    def test_distinct(self):
-        rng = np.random.default_rng(0)
-        out = choice_without_replacement(rng, list(range(10)), 10)
-        assert sorted(out.tolist()) == list(range(10))
-
-    def test_oversample_rejected(self):
-        with pytest.raises(ValueError):
-            choice_without_replacement(np.random.default_rng(0), [1, 2], 3)

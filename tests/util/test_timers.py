@@ -1,10 +1,10 @@
-"""Tests for Stopwatch and duration formatting."""
+"""Tests for Stopwatch."""
 
 import time
 
 import pytest
 
-from repro.util.timers import Stopwatch, format_seconds
+from repro.util.timers import Stopwatch
 
 
 class TestStopwatch:
@@ -39,32 +39,8 @@ class TestStopwatch:
         with pytest.raises(RuntimeError):
             Stopwatch().stop()
 
-    def test_reset(self):
-        sw = Stopwatch().start()
-        sw.stop()
-        sw.reset()
-        assert sw.elapsed == 0.0
-
     def test_live_elapsed_while_running(self):
         sw = Stopwatch().start()
         time.sleep(0.005)
         assert sw.elapsed > 0.0
         sw.stop()
-
-
-class TestFormatSeconds:
-    def test_milliseconds(self):
-        assert format_seconds(0.95) == "950ms"
-
-    def test_seconds(self):
-        assert format_seconds(12.34) == "12.3s"
-
-    def test_minutes(self):
-        assert format_seconds(272) == "4m32s"
-
-    def test_hours(self):
-        assert format_seconds(2 * 3600 + 5 * 60) == "2h05m"
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            format_seconds(-1)

@@ -4,10 +4,8 @@ import pytest
 
 from repro.util.validation import (
     check_fraction,
-    check_in,
     check_nonnegative,
     check_positive,
-    check_type,
 )
 
 
@@ -44,21 +42,3 @@ class TestCheckFraction:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             check_fraction("f", 1.5)
-
-
-class TestCheckIn:
-    def test_accepts_member(self):
-        assert check_in("mode", "a", ("a", "b")) == "a"
-
-    def test_rejects_nonmember(self):
-        with pytest.raises(ValueError, match="mode"):
-            check_in("mode", "c", ("a", "b"))
-
-
-class TestCheckType:
-    def test_accepts(self):
-        assert check_type("n", 3, int) == 3
-
-    def test_rejects_with_names(self):
-        with pytest.raises(TypeError, match="n must be int, got str"):
-            check_type("n", "3", int)
