@@ -12,7 +12,6 @@ Not paper artifacts — these quantify the *mechanisms*:
   claim restated as a scheduling fact.
 """
 
-import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once

@@ -181,7 +181,7 @@ class _FlakyBackend:
         self.fail_first = fail_first
         self.runs = 0
 
-    def run(self, query, fragment_length=None):
+    def run(self, query):
         self.runs += 1
         if self.runs <= self.fail_first:
             raise RuntimeError("backend overloaded")
@@ -212,25 +212,25 @@ def test_service_overload_sheds_and_recovers(benchmark):
         )
 
         async def drive():
-            async with OrionService({"db": backend}, config, clock=clock) as service:
+            async with OrionService(backend, config, clock=clock) as service:
                 failures = 0
                 for _ in range(3):
                     try:
-                        await service.submit(_FakeQuery(), database="db")
+                        await service.submit(_FakeQuery())
                     except RuntimeError:
                         failures += 1
-                opened = service.breaker_for("db").state == "open"
+                opened = service.breaker.state == "open"
                 shed = 0
                 for _ in range(5):
                     try:
-                        await service.submit(_FakeQuery(), database="db")
+                        await service.submit(_FakeQuery())
                     except CircuitOpenError:
                         shed += 1
                 clock.advance(config.breaker_reset_seconds)
-                probe = await service.submit(_FakeQuery(), database="db")
+                probe = await service.submit(_FakeQuery())
                 served_after = 0
                 for _ in range(4):
-                    await service.submit(_FakeQuery(), database="db")
+                    await service.submit(_FakeQuery())
                     served_after += 1
                 return {
                     "failures": failures,
@@ -238,7 +238,7 @@ def test_service_overload_sheds_and_recovers(benchmark):
                     "typed_rejections": shed,
                     "probe_ok": probe.query_id == "overload",
                     "served_after_recovery": served_after,
-                    "breaker_state_after": service.breaker_for("db").state,
+                    "breaker_state_after": service.breaker.state,
                     "rejected_circuit_open": service.stats.rejected_circuit_open,
                 }
 

@@ -8,8 +8,6 @@ criteria (DESIGN.md §5). Run with::
     pytest benchmarks/ --benchmark-only
 """
 
-import pytest
-
 
 def run_once(benchmark, fn, **kwargs):
     """Run an experiment exactly once under pytest-benchmark."""

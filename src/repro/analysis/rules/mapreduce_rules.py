@@ -27,8 +27,6 @@ TASK_PARAMS: Dict[str, int] = {
     "mapper": 0,
     "reducer": 1,
     "partitioner": 3,
-    "combiner": 4,
-    "setup": 6,
 }
 _INDEX_TO_PARAM = {index: name for name, index in TASK_PARAMS.items()}
 

@@ -35,7 +35,7 @@ from repro.mapreduce.types import InputSplit, JobResult, TaskRecord
 
 #: Job attributes fingerprinted separately so a report names the component
 #: that mutated, not just "the job".
-_COMPONENTS = ("mapper", "reducer", "partitioner", "combiner")
+_COMPONENTS = ("mapper", "reducer", "partitioner")
 
 
 @dataclass(frozen=True)

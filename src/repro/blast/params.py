@@ -11,6 +11,7 @@ Karlin–Altschul statistics at search time (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -33,7 +34,8 @@ class BlastParams:
     x_drop_ungapped / x_drop_gapped:
         Termination thresholds for the two extension phases.
     evalue_threshold:
-        Final reporting threshold ``E`` (Table I default 10).
+        Final reporting threshold ``E`` (Table I default 10); finite and
+        positive.
     ungapped_threshold:
         Explicit ``t_u`` override; ``None`` (the default) means "derive from
         the search space", matching Table I's "N/A".
@@ -70,6 +72,10 @@ class BlastParams:
         check_positive("x_drop_ungapped", self.x_drop_ungapped)
         check_positive("x_drop_gapped", self.x_drop_gapped)
         check_positive("evalue_threshold", self.evalue_threshold)
+        if not math.isfinite(self.evalue_threshold):
+            raise ValueError(
+                f"evalue_threshold must be finite, got {self.evalue_threshold!r}"
+            )
         if self.ungapped_threshold is not None:
             check_positive("ungapped_threshold", self.ungapped_threshold)
         if self.two_hit_window is not None:

@@ -118,7 +118,7 @@ def _prune_threshold_from(args: argparse.Namespace) -> Optional[float]:
 
 def _params_from(args: argparse.Namespace) -> BlastParams:
     """BLAST parameters from the shared options; a bad value raises
-    ``ValueError`` (``--evalue 0``, ``--max-alignments 0``)."""
+    ``ValueError`` (``--evalue 0`` or ``inf``, ``--max-alignments 0``)."""
     if args.max_alignments is not None:
         check_positive("--max-alignments", args.max_alignments)
     overrides = {}
@@ -142,6 +142,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     sanitizer = None
     try:
         params = _params_from(args)
+        check_positive("--shards", args.shards)
         if args.mode == "orion":
             executor = args.executor
             if args.sanitize:

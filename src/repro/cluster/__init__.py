@@ -20,7 +20,6 @@ from repro.cluster.topology import ClusterSpec, ExecutionProfile
 from repro.cluster.tasks import SimTask, simulated_seconds, unit_tasks
 from repro.cluster.policies import order_tasks
 from repro.cluster.simulator import (
-    NodeFailure,
     Schedule,
     ScheduledTask,
     simulate_phase,
@@ -47,7 +46,6 @@ __all__ = [
     "simulated_seconds",
     "unit_tasks",
     "order_tasks",
-    "NodeFailure",
     "Schedule",
     "ScheduledTask",
     "simulate_phase",

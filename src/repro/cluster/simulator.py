@@ -6,11 +6,6 @@ greedy master do), with framework overheads from the
 :class:`~repro.cluster.topology.ExecutionProfile`. Phases (map, reduce) are
 separated by barriers, as in Hadoop.
 
-Node failures can be injected: a task running on a failed node at the
-failure instant is killed and re-executed on a surviving slot, and the
-node's slots are removed from service — a speculative-free re-execution
-model matching Hadoop 1.x task retry semantics.
-
 Everything is deterministic: ties in slot availability break by slot index.
 """
 
@@ -18,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -28,28 +23,14 @@ from repro.cluster.topology import ClusterSpec, ExecutionProfile
 
 
 @dataclass(frozen=True)
-class NodeFailure:
-    """Node ``node`` permanently fails at simulated time ``time``."""
-
-    node: int
-    time: float
-
-    def __post_init__(self) -> None:
-        if self.node < 0 or self.time < 0:
-            raise ValueError(f"invalid failure spec: {self}")
-
-
-@dataclass(frozen=True)
 class ScheduledTask:
-    """Placement of one task attempt."""
+    """Placement of one task."""
 
     task: SimTask
     start: float
     end: float
     slot: int
     node: int
-    attempt: int = 1
-    completed: bool = True
 
 
 @dataclass
@@ -68,7 +49,7 @@ class Schedule:
         return self.end_time - self.start_time
 
     def per_slot_busy(self) -> np.ndarray:
-        """Busy seconds per slot (includes failed attempts: the slot worked)."""
+        """Busy seconds per slot."""
         busy = np.zeros(self.cluster.total_slots, dtype=np.float64)
         for s in self.scheduled:
             busy[s.slot] += s.end - s.start
@@ -81,7 +62,6 @@ def simulate_phase(
     profile: Optional[ExecutionProfile] = None,
     policy: str = "fifo",
     start_time: float = 0.0,
-    failures: Sequence[NodeFailure] = (),
 ) -> Schedule:
     """List-schedule one phase of independent tasks.
 
@@ -90,64 +70,22 @@ def simulate_phase(
     """
     profile = profile or ExecutionProfile()
     ordered = order_tasks(tasks, policy)
-    failures = sorted(failures, key=lambda f: f.time)
-    for f in failures:
-        if f.node >= cluster.nodes:
-            raise ValueError(f"failure names node {f.node} outside cluster of {cluster.nodes}")
-    fail_time: Dict[int, float] = {}
-    for f in failures:
-        fail_time.setdefault(f.node, f.time)
-
     # Min-heap of (free_time, slot). Deterministic tie-break on slot index.
     slots: List[Tuple[float, int]] = [(start_time, s) for s in range(cluster.total_slots)]
     heapq.heapify(slots)
     scheduled: List[ScheduledTask] = []
     end_of_phase = start_time
-
-    queue: List[Tuple[SimTask, int]] = [(t, 1) for t in ordered]
-    qi = 0
-    while qi < len(queue):
-        task, attempt = queue[qi]
-        placed = False
-        skipped: List[Tuple[float, int]] = []
-        while slots:
-            free, slot = heapq.heappop(slots)
-            node = cluster.node_of_slot(slot)
-            t_fail = fail_time.get(node)
-            begin = max(free, start_time)
-            if t_fail is not None and begin >= t_fail:
-                continue  # slot's node already dead: drop it permanently
-            end = begin + profile.per_task_overhead_seconds + task.duration
-            if t_fail is not None and end > t_fail:
-                # Task would be killed mid-flight: record the failed attempt,
-                # retire the slot, and requeue the task.
-                scheduled.append(
-                    ScheduledTask(
-                        task=task, start=begin, end=t_fail, slot=slot,
-                        node=node, attempt=attempt, completed=False,
-                    )
-                )
-                queue.append((task, attempt + 1))
-                placed = True
-                break
-            scheduled.append(
-                ScheduledTask(
-                    task=task, start=begin, end=end, slot=slot,
-                    node=node, attempt=attempt, completed=True,
-                )
+    for task in ordered:
+        begin, slot = heapq.heappop(slots)
+        end = begin + profile.per_task_overhead_seconds + task.duration
+        scheduled.append(
+            ScheduledTask(
+                task=task, start=begin, end=end, slot=slot,
+                node=cluster.node_of_slot(slot),
             )
-            heapq.heappush(slots, (end, slot))
-            end_of_phase = max(end_of_phase, end)
-            placed = True
-            break
-        for item in skipped:  # pragma: no cover - no skip path currently
-            heapq.heappush(slots, item)
-        if not placed:
-            raise RuntimeError(
-                f"no surviving slots to run task {task.task_id!r} "
-                f"(all {cluster.nodes} nodes failed?)"
-            )
-        qi += 1
+        )
+        heapq.heappush(slots, (end, slot))
+        end_of_phase = max(end_of_phase, end)
     return Schedule(
         cluster=cluster,
         scheduled=scheduled,
@@ -162,7 +100,6 @@ def simulate_phases(
     cluster: ClusterSpec,
     profile: Optional[ExecutionProfile] = None,
     policy: str = "fifo",
-    failures: Sequence[NodeFailure] = (),
 ) -> Schedule:
     """Simulate barrier-separated phases with job setup/teardown.
 
@@ -179,8 +116,7 @@ def simulate_phases(
             phase_ends.append(clock)
             continue
         sched = simulate_phase(
-            phase_tasks, cluster, profile, policy=policy,
-            start_time=clock, failures=failures,
+            phase_tasks, cluster, profile, policy=policy, start_time=clock
         )
         all_scheduled.extend(sched.scheduled)
         clock = sched.end_time

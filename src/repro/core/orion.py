@@ -440,14 +440,12 @@ class OrionSearch:
     def _ensure_sketch_index(self) -> ShardSketchIndex:
         """Build the per-shard sketch index on first pruned ``prepare``.
 
-        Prefers the shared plane's per-sequence sketches (zero extra
-        hashing — they were built at plane-publish time; the shard merge
-        *copies*, so the index outlives the plane) and falls back to
-        sketching each sequence in-process when the search is in-process or
-        fell back to serial.
-        Both paths produce bit-identical sketches (the hash is
-        deterministic), so pruning decisions do not depend on the executor
-        or on whether the plane was leased. Thread-safe.
+        With a plane leased, each sequence is sketched from the plane's
+        sorted k-mer keys (read through a transient view; the index owns
+        its arrays, so it outlives the plane); otherwise from its codes.
+        Both give bit-identical sketches, so pruning decisions do not
+        depend on the executor or on whether the plane was leased.
+        Thread-safe.
         """
         if self._sketch_index is not None:
             return self._sketch_index
@@ -455,20 +453,18 @@ class OrionSearch:
         with self._setup_lock:
             if self._sketch_index is not None:
                 return self._sketch_index
-            sequence_sketch = None
-            view: Optional[shm_mod.SharedDatabaseView] = None
-            if self._shm_handle is not None:
-                view = shm_mod.attach_view(self._shm_handle)
-                sequence_sketch = view.sequence_sketch
+            if self._shm_handle is None:
+                self._sketch_index = ShardSketchIndex.build(self.shards, self.params.k)
+                return self._sketch_index
+            view = shm_mod.attach_view(self._shm_handle)
             try:
                 self._sketch_index = ShardSketchIndex.build(
                     self.shards,
                     self.params.k,
-                    sequence_sketch=sequence_sketch,
+                    kmer_cache=view.kmer_cache_for(self._shm_handle.seq_ids),
                 )
             finally:
-                if view is not None:
-                    view.close()
+                view.close()
             return self._sketch_index
 
     def warmup(self) -> None:
@@ -647,8 +643,8 @@ class OrionSearch:
         Pure with respect to execution — no tasks run, no pool is touched —
         so the always-on service can plan admissions cheaply and submit the
         resulting job whenever capacity allows. (With ``prune_threshold``
-        set, the first call does build the per-shard sketch index, reading
-        the shared plane's prebuilt sketches when the plane is already up —
+        set, the first call does build the per-shard sketch index, from
+        the shared plane's sorted k-mer keys when the plane is already up —
         :meth:`warmup` front-loads that.) Feed the plan to an executor
         (``executor.run(plan.job, plan.splits)``) and hand the raw job
         result to :meth:`assemble`; :meth:`run` is exactly that
@@ -810,8 +806,8 @@ class OrionSearch:
         "serial"``, ``plane_fallback == 1`` and its reason).
         """
         # Plane first: with pruning enabled, prepare()'s sketch index can
-        # then merge the plane's prebuilt per-sequence sketches instead of
-        # re-hashing the database in-process.
+        # then read the plane's sorted k-mer keys instead of re-deriving
+        # them from the codes.
         self._ensure_plane()
         plan = self.prepare(query, fragment_length)
         mr_wall = Stopwatch().start()

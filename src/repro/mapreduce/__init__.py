@@ -3,7 +3,7 @@
 Orion's search is "a natural fit for MapReduce": map tasks run BLAST on
 (query-fragment, database-shard) pairs; the shuffle keys alignments by
 database sequence id; reduce tasks aggregate and sort. This package provides
-that framework for real: input splits, mappers, combiners, partitioners, a
+that framework for real: input splits, mappers, partitioners, a
 sorted shuffle, reducers, pluggable executors that *measure* per-task
 durations (consumed later by :mod:`repro.cluster`'s simulator), and a
 shared-memory database plane that workers attach to instead of copying.

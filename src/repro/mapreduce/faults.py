@@ -168,17 +168,9 @@ class FaultSpec:
 class FaultInjector:
     """Deterministic, picklable fault plan threaded through the executors.
 
-    Two addressing modes compose:
-
-    * **Explicit specs** — ``specs`` fire whenever their (phase, index,
-      attempt) address matches. This is what the fault matrix uses.
-    * **Seeded random faults** — with ``rate > 0``, each (phase, index,
-      attempt) address draws one uniform variate from a generator seeded
-      by ``(seed, phase, index, attempt)`` and injects ``random_kind``
-      when the draw falls under ``rate``. Because the draw is keyed by the
-      task *address*, not by call order, the same faults fire regardless
-      of scheduling interleaving or which worker runs what — reruns are
-      exactly reproducible.
+    ``specs`` fire whenever their (phase, index, attempt) address matches
+    — keyed by the task *address*, not by call order, so the same faults
+    fire regardless of scheduling interleaving or which worker runs what.
 
     The injector travels to workers inside task items (it is a frozen
     dataclass of primitives), so the same object decides faults on both
@@ -186,18 +178,6 @@ class FaultInjector:
     """
 
     specs: Tuple[FaultSpec, ...] = ()
-    seed: int = 0
-    rate: float = 0.0
-    random_kind: str = "transient"
-    random_phase: str = "map"
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.rate <= 1.0:
-            raise ValueError(f"rate must be in [0, 1], got {self.rate}")
-        if self.random_kind not in FAULT_KINDS:
-            raise ValueError(
-                f"random_kind must be one of {FAULT_KINDS}, got {self.random_kind!r}"
-            )
 
     # ------------------------------------------------------------------ #
 
@@ -206,17 +186,6 @@ class FaultInjector:
         for spec in self.specs:
             if spec.matches(phase, index, attempt):
                 return spec
-        if self.rate > 0.0 and phase == self.random_phase:
-            # Salt-derived stream: deterministic per task address,
-            # independent of call order / scheduling interleaving.
-            draw = (
-                RngStream(self.seed)
-                .child(f"{phase}|{index}|{attempt}")
-                .generator.random()
-            )
-            if draw < self.rate:
-                return FaultSpec(phase=phase, kind=self.random_kind, index=index,
-                                 attempt=attempt)
         return None
 
     def fire(self, phase: str, index: int, attempt: int) -> None:

@@ -1,7 +1,7 @@
 """MapReduce job definition and the shuffle.
 
-A :class:`MapReduceJob` bundles the user code (mapper, optional combiner,
-reducer, partitioner); executors in :mod:`repro.mapreduce.runtime` drive it.
+A :class:`MapReduceJob` bundles the user code (mapper, reducer,
+partitioner); executors in :mod:`repro.mapreduce.runtime` drive it.
 The shuffle groups map output by key *within each partition* and sorts keys
 (Hadoop's sort-based shuffle), so reducers see keys in order and value lists
 in map-task order — deterministic end to end.
@@ -27,8 +27,6 @@ from repro.mapreduce.types import InputSplit
 Mapper = Callable[[InputSplit], Iterable[Tuple[Any, Any]]]
 #: reducer: (key, values) -> iterable of output items
 Reducer = Callable[[Any, List[Any]], Iterable[Any]]
-#: combiner: (key, values) -> iterable of combined values (same key)
-Combiner = Callable[[Any, List[Any]], Iterable[Any]]
 
 
 class UndeclaredPartitionError(ValueError):
@@ -52,8 +50,6 @@ class MapReduceJob:
         different database sequences / score ranges in parallel).
     partitioner:
         Key → reducer index; defaults to deterministic hashing.
-    combiner:
-        Optional map-side pre-aggregation, applied per map task.
     name:
         Label used in task ids and logs.
     """
@@ -62,7 +58,6 @@ class MapReduceJob:
     reducer: Reducer
     num_reducers: int = 1
     partitioner: Partitioner = hash_partitioner
-    combiner: Optional[Combiner] = None
     name: str = "job"
 
     def __post_init__(self) -> None:
@@ -74,16 +69,8 @@ class MapReduceJob:
     # ------------------------------------------------------------------ #
 
     def run_map_task(self, split: InputSplit) -> List[Tuple[Any, Any]]:
-        """Execute the mapper (and combiner) for one split."""
-        pairs = list(self.mapper(split))
-        if self.combiner is None:
-            return pairs
-        grouped = group_by_key(pairs)
-        combined: List[Tuple[Any, Any]] = []
-        for key, values in grouped:
-            for value in self.combiner(key, values):
-                combined.append((key, value))
-        return combined
+        """Execute the mapper for one split."""
+        return list(self.mapper(split))
 
     def partition_pairs(
         self,

@@ -45,8 +45,8 @@ Lifecycle of a plane
 --------------------
 :class:`PlaneRegistry` is the one way to get a plane.
 :meth:`PlaneRegistry.attach_or_create` names the plane's segments after a
-digest of the database fingerprint, word size, sketch size and layout
-version, so every session on a machine that searches the same database
+digest of the database fingerprint, word size and layout version, so
+every session on a machine that searches the same database
 meets at the same segments — several service replicas, a benchmark and a
 notebook share one copy. The first caller publishes; the rest verify
 (layout version gate, per-segment size checks, a checksum over the handle
@@ -87,7 +87,6 @@ import numpy as np
 if TYPE_CHECKING:  # import would be cycle-free but is kept lazy at runtime
     from repro.mpiblast.formatdb import DatabaseShard
     from repro.sequence.records import Database
-    from repro.sketch import KmerSketch
 
 try:
     import fcntl
@@ -535,18 +534,13 @@ class SpillSet:
 class SharedDatabaseHandle:
     """Picklable description of one shared database plane.
 
-    Workers receive this (a few hundred bytes plus the id strings) instead
-    of the pickled database, and attach with :func:`attach_view`. Offsets
-    are half-open prefix sums: sequence ``i``'s codes live at
+    Workers receive this (the segment names, the id and description
+    strings and two offset tables) instead of the pickled database, and
+    attach with :func:`attach_view`. Offsets are half-open prefix sums:
+    sequence ``i``'s codes live at
     ``codes[codes_offsets[i]:codes_offsets[i+1]]`` and its sorted k-mer
     keys/positions at ``kmer_offsets[i]:kmer_offsets[i+1]`` of the two
     k-mer segments.
-
-    ``sketch_segment`` (the fourth segment) holds per-sequence bottom-k
-    k-mer sketches (sorted uint64 hashes; sequence ``i``'s at
-    ``sketch_offsets[i]:sketch_offsets[i+1]``), with the per-sequence
-    inclusive thresholds in ``sketch_thresholds``. The driver's shard-
-    pruning probe (:mod:`repro.sketch`) merges these per shard.
     """
 
     plane_id: str
@@ -559,23 +553,10 @@ class SharedDatabaseHandle:
     kmer_keys_segment: str
     kmer_positions_segment: str
     kmer_offsets: Tuple[int, ...]
-    sketch_segment: str
-    sketch_offsets: Tuple[int, ...]
-    sketch_thresholds: Tuple[int, ...]
-    sketch_size: int
-    #: Name of the plane's registry segment (set on every published plane).
-    registry_segment: Optional[str] = None
 
     @property
     def segment_names(self) -> Tuple[str, ...]:
-        return (
-            self.codes_segment, self.kmer_keys_segment,
-            self.kmer_positions_segment, self.sketch_segment,
-        )
-
-    @property
-    def total_sketch_hashes(self) -> int:
-        return self.sketch_offsets[-1]
+        return (self.codes_segment, self.kmer_keys_segment, self.kmer_positions_segment)
 
     @property
     def total_codes(self) -> int:
@@ -604,11 +585,10 @@ class SharedDatabaseView:
     ) -> None:
         self.handle = handle
         self._segments = list(segments)
-        codes_seg, keys_seg, pos_seg, sketch_seg = self._segments
+        codes_seg, keys_seg, pos_seg = self._segments
         self._codes = _wrap_array(codes_seg, np.uint8, handle.total_codes)
         self._keys = _wrap_array(keys_seg, np.int64, handle.total_kmers)
         self._positions = _wrap_array(pos_seg, np.int64, handle.total_kmers)
-        self._sketches = _wrap_array(sketch_seg, np.uint64, handle.total_sketch_hashes)
         self._index = {seq_id: i for i, seq_id in enumerate(handle.seq_ids)}
         self._database: Optional["Database"] = None
         self._closed = False
@@ -641,17 +621,6 @@ class SharedDatabaseView:
         """
         return {seq_id: self.sorted_kmers(seq_id) for seq_id in seq_ids}
 
-    def sequence_sketch(self, seq_id: str) -> "KmerSketch":
-        """One sequence's bottom-k k-mer sketch (hashes are a view)."""
-        from repro.sketch import KmerSketch
-
-        i = self._index[seq_id]
-        off = self.handle.sketch_offsets
-        return KmerSketch.from_parts(
-            self._sketches[off[i] : off[i + 1]],
-            self.handle.sketch_thresholds[i],
-        )
-
     def database(self) -> "Database":
         """The full database, rebuilt from shared codes (records are views)."""
         if self._database is None:
@@ -677,7 +646,6 @@ class SharedDatabaseView:
         self._closed = True
         self._database = None
         self._codes = self._keys = self._positions = np.empty(0, dtype=np.uint8)
-        self._sketches = np.empty(0, dtype=np.uint64)
         for seg in self._segments:
             try:
                 seg.close()
@@ -702,7 +670,7 @@ def _prefix_sums(sizes: Iterable[int]) -> Tuple[int, ...]:
 
 
 def _publish_database_segments(
-    database: "Database", k: int, sketch_size: int, digest: str, generation: int
+    database: "Database", k: int, digest: str, generation: int
 ) -> Tuple[SharedDatabaseHandle, List[Segment]]:
     """Build one plane's data segments and its handle.
 
@@ -715,11 +683,9 @@ def _publish_database_segments(
     failure every created segment is destroyed before re-raising.
     """
     from repro.blast.lookup import count_valid_kmers, sorted_kmers_into
-    from repro.sketch import KmerSketch
 
     names = {
-        kind: f"{PLANE_PREFIX}{digest}_{kind}"
-        for kind in ("codes", "keys", "positions", "sketches")
+        kind: f"{PLANE_PREFIX}{digest}_{kind}" for kind in ("codes", "keys", "positions")
     }
     records = list(database)
     seq_ids = tuple(r.seq_id for r in records)
@@ -746,7 +712,6 @@ def _publish_database_segments(
         pos_arr: np.ndarray = np.ndarray(
             (kmer_offsets[-1],), dtype=np.int64, buffer=pos_seg.buf
         )
-        sketches: List["KmerSketch"] = []
         for i, rec in enumerate(records):
             codes_arr[codes_offsets[i] : codes_offsets[i + 1]] = rec.codes
             sorted_kmers_into(
@@ -755,24 +720,6 @@ def _publish_database_segments(
                 keys_arr[kmer_offsets[i] : kmer_offsets[i + 1]],
                 pos_arr[kmer_offsets[i] : kmer_offsets[i + 1]],
             )
-            # Sketch straight off the keys just written: one sort and one
-            # neighbour scan (no hash table), a fraction of the index build
-            # above.
-            sketches.append(
-                KmerSketch.from_kmer_keys(
-                    keys_arr[kmer_offsets[i] : kmer_offsets[i + 1]], sketch_size
-                )
-            )
-
-        sketch_offsets = _prefix_sums(s.num_hashes for s in sketches)
-        sketch_seg = create_segment(names["sketches"], sketch_offsets[-1] * 8)
-        segments.append(sketch_seg)
-        sketch_arr: np.ndarray = np.ndarray(
-            (sketch_offsets[-1],), dtype=np.uint64, buffer=sketch_seg.buf
-        )
-        for i, sk in enumerate(sketches):
-            sketch_arr[sketch_offsets[i] : sketch_offsets[i + 1]] = sk.hashes
-        del sketch_arr
         # Drop the creator-side array aliases so close() can unmap later.
         del codes_arr, keys_arr, pos_arr
 
@@ -787,11 +734,6 @@ def _publish_database_segments(
             kmer_keys_segment=keys_seg.name,
             kmer_positions_segment=pos_seg.name,
             kmer_offsets=kmer_offsets,
-            sketch_segment=sketch_seg.name,
-            sketch_offsets=sketch_offsets,
-            sketch_thresholds=tuple(s.threshold for s in sketches),
-            sketch_size=sketch_size,
-            registry_segment=_registry_name(digest),
         )
         ok = True
         return handle, segments
@@ -873,7 +815,7 @@ def detach_cached_views() -> None:
 #: Bump whenever the registry header layout below changes shape: an
 #: attacher seeing a different version must treat the plane as unusable
 #: (PlaneCorruptError) rather than misread its bytes.
-PLANE_LAYOUT_VERSION = 2
+PLANE_LAYOUT_VERSION = 3
 
 #: First 8 bytes of every registry segment.
 PLANE_MAGIC = b"ORIONPLN"
@@ -929,14 +871,14 @@ def database_fingerprint(database: "Database") -> str:
     return h.hexdigest()
 
 
-def plane_digest(fingerprint: str, k: int, sketch_size: int) -> str:
+def plane_digest(fingerprint: str, k: int) -> str:
     """The short digest that names one plane's segments.
 
     Derived from everything that shapes the plane's bytes — database
-    fingerprint, word size, sketch size, and the layout version (so a code
-    upgrade publishes under fresh names instead of fighting an old layout).
+    fingerprint, word size, and the layout version (so a code upgrade
+    publishes under fresh names instead of fighting an old layout).
     """
-    key = f"{fingerprint}|{int(k)}|{int(sketch_size)}|{PLANE_LAYOUT_VERSION}"
+    key = f"{fingerprint}|{int(k)}|{PLANE_LAYOUT_VERSION}"
     return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
@@ -1007,13 +949,11 @@ def _meta_sha(blob: bytes, heads: Iterable[bytes]) -> bytes:
 
 def _expected_segment_sizes(handle: SharedDatabaseHandle) -> Dict[str, int]:
     """Minimum byte size of each data segment (create_segment floors at 1)."""
-    sizes = {
+    return {
         handle.codes_segment: max(1, handle.total_codes),
         handle.kmer_keys_segment: max(1, handle.total_kmers * 8),
         handle.kmer_positions_segment: max(1, handle.total_kmers * 8),
-        handle.sketch_segment: max(1, handle.total_sketch_hashes * 8),
     }
-    return sizes
 
 
 def _verify_plane(handle: SharedDatabaseHandle, meta_sha: bytes, blob: bytes) -> None:
@@ -1137,9 +1077,9 @@ def _drop_inherited_locks() -> None:
     (never ``LOCK_UN``, which would drop the parent's lock too) and marking
     the child's copies released fixes that. A residual window remains: the
     child holds the locks for the few milliseconds before this hook runs,
-    so a lease release that races *any* fork in the process (a pool
-    starting or respawning a crashed worker, another search's pool in a
-    multi-database service) is not "last". That plane stays in
+    so a lease release that races *any* fork in the process (this or
+    another search's pool starting or respawning a crashed worker) is not
+    "last". That plane stays in
     ``/dev/shm`` until the next plane creation, service start or ``plane
     reap`` sweeps it — the outcome a SIGKILLed holder gets.
     ``OrionSearch.close`` shuts its own pool down before it releases.
@@ -1238,8 +1178,8 @@ class PlaneRegistry:
     """Machine-level catalogue of shared database planes.
 
     :meth:`attach_or_create` is the one entry point: it derives the plane
-    digest from the database fingerprint (word size, sketch size and
-    layout version included), then — under the machine mutex — reaps
+    digest from the database fingerprint (word size and layout version
+    included), then — under the machine mutex — reaps
     orphans and attaches to a healthy existing plane or publishes a fresh
     one, returning a :class:`PlaneLease` either way. All methods are
     classmethods; the registry's state *is* ``/dev/shm``, never this
@@ -1251,7 +1191,6 @@ class PlaneRegistry:
         cls,
         database: "Database",
         k: int,
-        sketch_size: Optional[int] = None,
         injector: Optional[object] = None,
     ) -> PlaneLease:
         """Share (or publish) the machine-wide plane for ``database``.
@@ -1266,19 +1205,11 @@ class PlaneRegistry:
         ``injector`` is a :class:`repro.mapreduce.faults.FaultInjector`
         consulted at the lifecycle points (``attach``, ``create``,
         ``publish``) — the fault-matrix tests drive crashes and segment
-        corruption through it. ``sketch_size`` defaults to
-        :data:`repro.sketch.SKETCH_SIZE_DEFAULT` and must be positive:
-        every plane carries its sketch segment.
+        corruption through it.
         """
-        if sketch_size is None:
-            from repro.sketch import SKETCH_SIZE_DEFAULT
-
-            sketch_size = SKETCH_SIZE_DEFAULT
-        if sketch_size <= 0:
-            raise ValueError(f"sketch_size must be positive, got {sketch_size}")
         _require_shm()
         fingerprint = database_fingerprint(database)
-        digest = plane_digest(fingerprint, k, sketch_size)
+        digest = plane_digest(fingerprint, k)
         registry = _registry_name(digest)
         with _machine_lock():
             # Creation is the natural moment to reclaim crashed sessions'
@@ -1295,7 +1226,7 @@ class PlaneRegistry:
                 # Corrupt and unheld: rebuild in place (mutex still held).
                 _sweep_plane(digest)
             return cls._create_locked(
-                database, k, sketch_size, fingerprint, digest, generation, injector
+                database, k, fingerprint, digest, generation, injector
             )
 
     # -- internals (machine mutex held) ---------------------------------- #
@@ -1368,7 +1299,6 @@ class PlaneRegistry:
         cls,
         database: "Database",
         k: int,
-        sketch_size: int,
         fingerprint: str,
         digest: str,
         generation: int,
@@ -1376,9 +1306,7 @@ class PlaneRegistry:
     ) -> PlaneLease:
         if injector is not None:
             injector.fire_plane("create")  # kill-creator-before-segments
-        handle, segments = _publish_database_segments(
-            database, k, sketch_size, digest, generation
-        )
+        handle, segments = _publish_database_segments(database, k, digest, generation)
         registry = _registry_name(digest)
         ok = False
         try:

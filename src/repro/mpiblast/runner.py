@@ -33,7 +33,6 @@ from repro.mpiblast.formatdb import shard_database
 from repro.mpiblast.scheduler import MasterScheduler, WorkAssignment, makespan, per_worker_busy
 from repro.sequence.records import Database, SequenceRecord
 from repro.units import WorkUnit, WorkUnitRecord
-from repro.util.validation import check_positive
 
 #: Ranks reserved for the master (mpiBLAST dedicates one).
 MASTER_RANKS = 1
@@ -92,72 +91,44 @@ class MpiBlastRunner:
         queries: Sequence[SequenceRecord],
         database: Database,
         num_shards: int,
-        enforce_memory: bool = True,
-        queries_per_segment: int = 1,
     ) -> MpiBlastResult:
         """Search every query against every shard; merge; record.
 
-        ``queries_per_segment`` batches queries into segments (mpiBLAST's
-        query segmentation - Fig. 1's coarsest granularity): one work unit
-        searches a whole segment against one shard, and its query span is
-        the segment's combined length (the lookup table covers the whole
-        segment). Larger segments mean fewer, coarser units - the
-        load-balance ablation knob.
+        One work unit searches one whole query against one shard.
         """
         if not queries:
             raise ValueError("query set must be non-empty")
-        check_positive("queries_per_segment", queries_per_segment)
         ids = [q.seq_id for q in queries]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate query ids in query set")
-        if enforce_memory:
-            for q in queries:
-                self.check_memory(q, database)
+        for q in queries:
+            self.check_memory(q, database)
 
         shards = shard_database(database, num_shards)
-        segments = [
-            list(queries[i : i + queries_per_segment])
-            for i in range(0, len(queries), queries_per_segment)
-        ]
         records: List[WorkUnitRecord] = []
-        merged: Dict[str, List[Alignment]] = {q.seq_id: [] for q in queries}
-        for seg_idx, segment in enumerate(segments):
-            spaces = {
-                q.seq_id: self.engine.search_space(
-                    len(q), database.total_length, database.num_sequences
-                )
-                for q in segment
-            }
-            seg_span = sum(len(q) for q in segment)
-            seg_id = (
-                segment[0].seq_id
-                if len(segment) == 1
-                else f"segment{seg_idx:03d}[{len(segment)}q]"
+        merged: Dict[str, List[Alignment]] = {}
+        for query in queries:
+            space = self.engine.search_space(
+                len(query), database.total_length, database.num_sequences
             )
+            alignments: List[Alignment] = []
             for shard in shards:
-                measured = 0.0
-                n_alignments = 0
-                for query in segment:
-                    res = self.engine.search(
-                        query, shard.database, stats_space=spaces[query.seq_id]
-                    )
-                    merged[query.seq_id].extend(res.alignments)
-                    n_alignments += len(res.alignments)
-                    measured += res.counters.elapsed_seconds
+                res = self.engine.search(query, shard.database, stats_space=space)
+                alignments.extend(res.alignments)
                 records.append(
                     WorkUnitRecord(
                         unit=WorkUnit(
-                            query_id=seg_id,
+                            query_id=query.seq_id,
                             shard_index=shard.index,
-                            query_span=seg_span,
+                            query_span=len(query),
                             subject_span=shard.total_length,
                         ),
-                        measured_seconds=measured,
-                        alignments=n_alignments,
+                        measured_seconds=res.counters.elapsed_seconds,
+                        alignments=len(res.alignments),
                     )
                 )
-        for qid in merged:
-            merged[qid].sort(key=Alignment.sort_key)
+            alignments.sort(key=Alignment.sort_key)
+            merged[query.seq_id] = alignments
 
         return MpiBlastResult(alignments=merged, records=records, num_shards=len(shards))
 

@@ -4,7 +4,7 @@ An asyncio front-end (:class:`OrionService`) that accepts queries
 concurrently, interleaves every in-flight query's (fragment × shard) map
 tasks on the one persistent worker pool (cross-query batching; the pool
 never drains between queries), and degrades gracefully under overload via
-a bounded admission queue and per-database circuit breakers. See
+a bounded admission queue and a circuit breaker. See
 DESIGN.md §4.7 and the ``serve`` CLI subcommand.
 """
 
@@ -14,7 +14,6 @@ from repro.service.errors import (
     QueueFullError,
     ServiceClosedError,
     ServiceError,
-    UnknownDatabaseError,
 )
 from repro.service.service import (
     LatencyHistogram,
@@ -36,5 +35,4 @@ __all__ = [
     "ServiceConfig",
     "ServiceError",
     "ServiceStats",
-    "UnknownDatabaseError",
 ]

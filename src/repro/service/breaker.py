@@ -1,6 +1,6 @@
 """Circuit breaker — graceful degradation for the always-on service.
 
-The classic three-state machine, one breaker per served database:
+The classic three-state machine, one breaker per service:
 
 - **closed** — requests flow; consecutive failures are counted and
   ``failure_threshold`` of them in a row trip the breaker open (a success

@@ -36,26 +36,15 @@ class QueueFullError(ServiceError):
 
 
 class CircuitOpenError(ServiceError):
-    """The database's circuit breaker is open — the backend is suspect.
+    """The service's circuit breaker is open — the backend is suspect.
 
     Raised at admission while the breaker holds requests off a failing
-    database; the breaker moves to half-open after its reset timeout and
+    search; the breaker moves to half-open after its reset timeout and
     recovery is probed automatically.
     """
 
-    def __init__(self, database: str) -> None:
+    def __init__(self) -> None:
         super().__init__(
-            f"circuit breaker open for database {database!r}; backend is "
-            f"failing, probes resume after the reset timeout"
+            "circuit breaker open; backend is failing, probes resume after "
+            "the reset timeout"
         )
-        self.database = database
-
-
-class UnknownDatabaseError(ServiceError):
-    """The submission named a database the service does not serve."""
-
-    def __init__(self, database: str, known: tuple) -> None:
-        super().__init__(
-            f"unknown database {database!r}; serving {sorted(known)}"
-        )
-        self.database = database

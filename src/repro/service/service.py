@@ -15,22 +15,21 @@ Admission checks, in order:
 
 1. **closed?** — a draining/closed service raises
    :class:`~repro.service.errors.ServiceClosedError`;
-2. **valid?** — an unknown database, an empty query
-   (:class:`~repro.core.orion.EmptyQueryError`) or a ``fragment_length``
-   that is not positive (``ValueError``) is the client's mistake: it takes
-   no queue slot and never reaches the breaker, which records only what
-   the backend did with admitted work;
+2. **valid?** — an empty query
+   (:class:`~repro.core.orion.EmptyQueryError`) is the client's mistake:
+   it takes no queue slot and never reaches the breaker, which records
+   only what the backend did with admitted work;
 3. **bounded queue** — a full admission queue sheds the query with
    :class:`~repro.service.errors.QueueFullError` *before* enqueueing, so
    the event loop never blocks and admitted work is never dropped;
-4. **circuit breaker** — each database has a closed/open/half-open
-   :class:`~repro.service.breaker.CircuitBreaker`; while it is open the
-   query is rejected with
+4. **circuit breaker** — the service's one closed/open/half-open
+   :class:`~repro.service.breaker.CircuitBreaker` guards its search; while
+   it is open the query is rejected with
    :class:`~repro.service.errors.CircuitOpenError` and the backend is
    left alone until the reset timeout admits recovery probes.
 
 Shutdown is a drain: no new admissions, every admitted query completes,
-worker threads stop, and each search's shared-memory plane and worker pool
+worker threads stop, and the search's shared-memory plane and worker pool
 are released (spill segments are swept per job by the runtime; the plane
 teardown here is what frees ``/dev/shm``).
 """
@@ -42,7 +41,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from math import ceil, floor, inf, log2
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, List, Optional
 
 from repro.core.orion import EmptyQueryError, OrionSearch
 from repro.core.results import OrionResult
@@ -52,7 +51,6 @@ from repro.service.errors import (
     CircuitOpenError,
     QueueFullError,
     ServiceClosedError,
-    UnknownDatabaseError,
 )
 from repro.util.validation import check_positive
 
@@ -64,8 +62,8 @@ class ServiceConfig:
     ``max_inflight`` queries execute concurrently (each on its own worker
     thread, all feeding the shared worker pool); up to ``queue_depth``
     more wait in the bounded admission queue; beyond that, load is shed.
-    The ``breaker_*`` knobs configure each database's circuit breaker and
-    are validated here, at the configuration boundary. Each served search
+    The ``breaker_*`` knobs configure the service's circuit breaker and
+    are validated here, at the configuration boundary. The served search
     prunes exactly as it was built (``OrionSearch(prune_threshold=...)``).
     """
 
@@ -195,21 +193,17 @@ class _Admission:
     """One admitted query waiting in (or drained from) the queue."""
 
     query: SequenceRecord
-    fragment_length: Optional[int]
-    database: str
     future: "asyncio.Future[OrionResult]"
     admitted_at: float
 
 
 class OrionService:
-    """Serve Orion queries concurrently over persistent worker pools.
+    """Serve Orion queries concurrently over one search's worker pool.
 
     Parameters
     ----------
-    searches:
-        One :class:`OrionSearch`, or a mapping of database name to search
-        for a multi-database service. Each database gets its own circuit
-        breaker; all share the admission queue and in-flight budget.
+    search:
+        The :class:`OrionSearch` every admitted query runs on.
     config:
         :class:`ServiceConfig` tuning knobs.
     clock:
@@ -230,29 +224,19 @@ class OrionService:
 
     def __init__(
         self,
-        searches: Union[OrionSearch, Mapping[str, OrionSearch]],
+        search: OrionSearch,
         config: Optional[ServiceConfig] = None,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
-        if isinstance(searches, OrionSearch):
-            searches = {searches.database.name: searches}
-        if not searches:
-            raise ValueError("OrionService needs at least one search to serve")
+        self.search = search
         self.config = config if config is not None else ServiceConfig()
         self._clock = clock
-        self._searches: Dict[str, OrionSearch] = dict(searches)
-        self._default_database = (
-            next(iter(self._searches)) if len(self._searches) == 1 else None
+        self.breaker = CircuitBreaker(
+            failure_threshold=self.config.breaker_failures,
+            reset_timeout=self.config.breaker_reset_seconds,
+            half_open_probes=self.config.breaker_probes,
+            clock=clock,
         )
-        self._breakers: Dict[str, CircuitBreaker] = {
-            name: CircuitBreaker(
-                failure_threshold=self.config.breaker_failures,
-                reset_timeout=self.config.breaker_reset_seconds,
-                half_open_probes=self.config.breaker_probes,
-                clock=clock,
-            )
-            for name in self._searches
-        }
         self.stats = ServiceStats()
         self._state = "new"  # new → running → draining → closed
         self._queue: "asyncio.Queue[_Admission]" = asyncio.Queue(
@@ -269,33 +253,24 @@ class OrionService:
     def state(self) -> str:
         return self._state
 
-    @property
-    def databases(self) -> Tuple[str, ...]:
-        return tuple(self._searches)
-
-    def breaker_for(self, database: str) -> CircuitBreaker:
-        """The named database's circuit breaker (tests and introspection)."""
-        return self._breakers[database]
-
     async def start(self) -> None:
         """Spawn the worker coroutines and their thread pool (idempotent)."""
         if self._state == "running":
             return
         if self._state in ("draining", "closed"):
             raise ServiceClosedError("cannot restart a drained service")
-        # Warm every search now, while this is still effectively a
+        # Warm the search now, while this is still effectively a
         # single-threaded process: the shared plane is published and the
         # pool's workers are forked before any query thread exists.
         # Deferring this to the first queries would fork the workers
         # while sibling threads run — a forked child can inherit a lock
         # held at that instant and deadlock (see WorkerPool.prewarm).
         # First reclaim any plane a crashed previous replica orphaned, before
-        # warmup publishes (or attaches) this replica's planes.
+        # warmup publishes (or attaches) this replica's plane.
         from repro.mapreduce.shm import reap_orphan_planes
 
         reap_orphan_planes()
-        for search in self._searches.values():
-            search.warmup()
+        self.search.warmup()
         self._threads = ThreadPoolExecutor(
             max_workers=self.config.max_inflight,
             thread_name_prefix="orion-service",
@@ -314,12 +289,12 @@ class OrionService:
             await self._queue.join()
 
     async def aclose(self) -> None:
-        """Drain, stop the workers, and release every search's resources.
+        """Drain, stop the workers, and release the search's resources.
 
         Admitted work is never shed: the queue is drained to completion
-        before the workers stop. Each search's shared-memory database
-        plane and persistent worker pool are released (``/dev/shm`` is
-        left clean); the searches rebuild both transparently if reused.
+        before the workers stop. The search's shared-memory database plane
+        and persistent worker pool are released (``/dev/shm`` is left
+        clean); the search rebuilds both transparently if reused.
         """
         if self._state == "closed":
             return
@@ -333,8 +308,7 @@ class OrionService:
         if self._threads is not None:
             self._threads.shutdown(wait=True)
             self._threads = None
-        for search in self._searches.values():
-            search.close()
+        self.search.close()
 
     async def __aenter__(self) -> "OrionService":
         await self.start()
@@ -347,17 +321,11 @@ class OrionService:
     # admission
     # ------------------------------------------------------------------ #
 
-    async def submit(
-        self,
-        query: SequenceRecord,
-        database: Optional[str] = None,
-        fragment_length: Optional[int] = None,
-    ) -> OrionResult:
+    async def submit(self, query: SequenceRecord) -> OrionResult:
         """Admit one query and await its result.
 
-        Raises the typed admission errors on overload,
+        Raises the typed admission errors on overload and
         :class:`~repro.core.orion.EmptyQueryError` for a zero-length query
-        and ``ValueError`` for a ``fragment_length`` that is not positive
         — see the module docstring for the order. Unlike ``run_many``, duplicate
         ``seq_id`` submissions are fine: every submission resolves to its
         own result object.
@@ -366,30 +334,20 @@ class OrionService:
             raise ServiceClosedError(
                 f"service is {self._state}; no new queries admitted"
             )
-        if database is None:
-            if self._default_database is None:
-                raise UnknownDatabaseError("<unspecified>", self.databases)
-            database = self._default_database
-        if database not in self._searches:
-            raise UnknownDatabaseError(database, self.databases)
         if len(query) == 0:
             self.stats.rejected_empty_query += 1
             raise EmptyQueryError(query.seq_id)
-        if fragment_length is not None:
-            check_positive("fragment_length", fragment_length)
         # Shed *before* touching the breaker: a rejected query must not
         # consume a half-open probe slot. full() → put_nowait is race-free
         # on the single-threaded event loop (no await in between).
         if self._queue.full():
             self.stats.rejected_queue_full += 1
             raise QueueFullError(self.config.queue_depth)
-        if not self._breakers[database].allow():
+        if not self.breaker.allow():
             self.stats.rejected_circuit_open += 1
-            raise CircuitOpenError(database)
+            raise CircuitOpenError()
         admission = _Admission(
             query=query,
-            fragment_length=fragment_length,
-            database=database,
             future=asyncio.get_running_loop().create_future(),
             admitted_at=self._clock(),
         )
@@ -401,13 +359,6 @@ class OrionService:
     # execution
     # ------------------------------------------------------------------ #
 
-    def _run_one(self, admission: _Admission) -> OrionResult:
-        """Execute one admitted query (worker thread; blocking)."""
-        search = self._searches[admission.database]
-        return search.run(
-            admission.query, fragment_length=admission.fragment_length
-        )
-
     async def _worker(self) -> None:
         """One in-flight slot: pull admissions, run them on a thread."""
         loop = asyncio.get_running_loop()
@@ -416,10 +367,9 @@ class OrionService:
         # breaker), never swallowed. The loop ends by cancellation.
         while True:  # orionlint: disable=ORL009
             admission = await self._queue.get()
-            breaker = self._breakers[admission.database]
             try:
                 result = await loop.run_in_executor(
-                    self._threads, self._run_one, admission
+                    self._threads, self.search.run, admission.query
                 )
             except asyncio.CancelledError:
                 # aclose() cancels workers only after the queue is
@@ -432,12 +382,12 @@ class OrionService:
                 self._queue.task_done()
                 raise
             except Exception as exc:
-                breaker.record_failure()
+                self.breaker.record_failure()
                 self.stats.failed += 1
                 if not admission.future.done():
                     admission.future.set_exception(exc)
             else:
-                breaker.record_success()
+                self.breaker.record_success()
                 self.stats.completed += 1
                 self.stats.latencies.record(
                     self._clock() - admission.admitted_at

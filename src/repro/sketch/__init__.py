@@ -5,9 +5,9 @@ At millions-of-users scale the biggest win is searching *less*:
 against a per-shard bottom-k sketch of k-mer content and emits
 (fragment × shard) map tasks only for shards whose estimated containment
 clears a threshold. Sketches are a sort and linear scans over the k-mer keys
-the engine already builds, are mergeable (a shard sketch is the merge of
-its member sequences' sketches), and ride in the shared-memory database
-plane so they are built once per machine. See DESIGN.md §4.8.
+the engine already builds (read from the shared-memory database plane
+when the search holds one) and are mergeable: a shard sketch is the merge
+of its member sequences' sketches. See DESIGN.md §4.8.
 """
 
 from repro.sketch.minhash import (

@@ -22,9 +22,8 @@ out") when fewer than ``min_probe`` probe hashes fall below the threshold.
 Merging: bottom-k sketches are unionable. ``merge_sketches`` takes the
 union of member hashes clipped to the *minimum* member threshold — below
 that bound every member's membership is exact, hence so is the union's.
-This is what lets the shared-memory plane store one sketch per *sequence*
-(sharding-agnostic) while :class:`ShardSketchIndex` derives per-*shard*
-sketches for any ``num_shards``.
+This is how :class:`ShardSketchIndex` derives a per-*shard* sketch from
+its member sequences' sketches for any ``num_shards``.
 
 Recall bound (Kucherov & Noé's seed-sensitivity view): an alignment of
 length ℓ at identity p shares ≈ ``(ℓ − k + 1)·p^k`` k-mers with its
@@ -38,7 +37,7 @@ the benchmark-gated default (:data:`DEFAULT_PRUNE_THRESHOLD`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -150,13 +149,6 @@ class KmerSketch:
         packed, valid = kmer_codes(codes, k)
         return cls.from_kmer_keys(packed[valid], size)
 
-    @classmethod
-    def from_parts(
-        cls, hashes: np.ndarray, threshold: int
-    ) -> "KmerSketch":
-        """Rewrap stored sketch data (e.g. a shared-plane segment slice)."""
-        return cls(hashes=np.asarray(hashes, dtype=np.uint64), threshold=int(threshold))
-
 
 def merge_sketches(parts: Sequence[KmerSketch]) -> KmerSketch:
     """The sketch of the union of the sketched sets.
@@ -164,9 +156,7 @@ def merge_sketches(parts: Sequence[KmerSketch]) -> KmerSketch:
     Valid below ``min(part thresholds)``: each part contains all of its
     set's hashes up to its own threshold, so the union's membership is
     exact up to the smallest one. Entries above that bound are dropped
-    (they are not guaranteed complete for the union). The merge *copies*
-    (``concatenate``/``sort``), so merged sketches never alias shared-
-    memory segments and survive the plane's teardown.
+    (they are not guaranteed complete for the union).
     """
     if not parts:
         return KmerSketch(
@@ -220,12 +210,11 @@ def containment(
 class ShardSketchIndex:
     """Per-shard sketches plus the vectorized fragment probe.
 
-    Built once per :class:`~repro.core.orion.OrionSearch` (driver side):
-    either in-process from the shards' codes, or — when the shared
-    database plane carries per-sequence sketches — by merging zero-copy
-    slices of the plane's sketch segment (``sequence_sketch`` callback).
-    Merged sketches own their arrays either way, so the index outlives the
-    plane. Probing is read-only and thread-safe.
+    Built once per :class:`~repro.core.orion.OrionSearch` (driver side),
+    by merging its member sequences' sketches per shard. The index owns
+    every array it holds (sketching sorts, merging concatenates), so it
+    outlives whatever the k-mer keys were read from. Probing is read-only
+    and thread-safe.
     """
 
     def __init__(self, sketches: List[KmerSketch], k: int) -> None:
@@ -256,24 +245,25 @@ class ShardSketchIndex:
         cls,
         shards: Sequence[object],
         k: int,
-        size: int = SKETCH_SIZE_DEFAULT,
-        sequence_sketch: Optional[Callable[[str], KmerSketch]] = None,
+        kmer_cache: Optional[Mapping[str, Tuple[np.ndarray, np.ndarray]]] = None,
     ) -> "ShardSketchIndex":
         """Index a sharding (``repro.mpiblast.formatdb.DatabaseShard`` list).
 
-        ``sequence_sketch`` — a ``seq_id -> KmerSketch`` callback (the
-        shared plane's :meth:`~repro.mapreduce.shm.SharedDatabaseView.
-        sequence_sketch`) — switches to merging prebuilt per-sequence
-        sketches; ``None`` sketches each sequence's codes in-process.
+        Each sequence is sketched (:data:`SKETCH_SIZE_DEFAULT` hashes) from
+        its ``kmer_cache`` entry's keys when it has one — a ``seq_id ->
+        (sorted keys, positions)`` dict, as
+        :func:`repro.blast.seeds.find_seeds` takes — and from its codes
+        otherwise. Both give the same key set, hence the same sketch.
         """
         sketches: List[KmerSketch] = []
         for shard in shards:
             parts: List[KmerSketch] = []
             for rec in shard.database:  # type: ignore[attr-defined]
-                if sequence_sketch is not None:
-                    parts.append(sequence_sketch(rec.seq_id))
+                entry = kmer_cache.get(rec.seq_id) if kmer_cache is not None else None
+                if entry is not None:
+                    parts.append(KmerSketch.from_kmer_keys(entry[0], SKETCH_SIZE_DEFAULT))
                 else:
-                    parts.append(KmerSketch.from_codes(rec.codes, k, size))
+                    parts.append(KmerSketch.from_codes(rec.codes, k, SKETCH_SIZE_DEFAULT))
             sketches.append(merge_sketches(parts))
         return cls(sketches, k)
 

@@ -1,5 +1,6 @@
 """Per-rule fixture tests: each ORL rule on minimal positive/negative snippets."""
 
+import ast
 import textwrap
 
 from repro.analysis.engine import analyze_source
@@ -17,6 +18,7 @@ from repro.analysis.rules.hygiene_rules import (
 from repro.analysis.rules.mapreduce_rules import (
     TaskCallableMutationRule,
     TaskCallablePicklableRule,
+    _JobCallCollector,
 )
 from repro.analysis.rules.resource_rules import (
     PlaneLeaseLifecycleRule,
@@ -123,6 +125,21 @@ class TestORL001Picklable:
             """,
         )
         assert rule_ids(findings) == ["ORL001", "ORL001"]
+
+    def test_positional_job_name_is_not_a_task_callable(self):
+        """Positional index 4 of ``MapReduceJob`` is ``name``, a string."""
+        source = textwrap.dedent(
+            """\
+            from repro.mapreduce.job import MapReduceJob
+            job = MapReduceJob(mapper, reducer, 2, partitioner, "orion/q")
+            """
+        )
+        collector = _JobCallCollector()
+        collector.visit(ast.parse(source))
+        assert [param for _, param, *_ in collector.sites] == [
+            "mapper", "reducer", "partitioner"
+        ]
+        assert run_rule(TaskCallablePicklableRule(), source) == []
 
 
 class TestORL002SharedMutation:

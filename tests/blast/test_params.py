@@ -42,6 +42,11 @@ class TestBlastParamsValidation:
         with pytest.raises(ValueError, match="expected per-base score"):
             BlastParams(reward=9, penalty=-1)
 
+    @pytest.mark.parametrize("evalue", [0.0, -1.0, float("inf"), float("nan")])
+    def test_evalue_threshold_finite_and_positive(self, evalue):
+        with pytest.raises(ValueError, match="evalue_threshold"):
+            BlastParams(evalue_threshold=evalue)
+
     def test_with_overrides(self):
         p = BlastParams().with_overrides(k=13)
         assert p.k == 13

@@ -70,8 +70,6 @@ class TestExecutionModel:
         assert all(r.unit.query_span <= 20_000 for r in bp_result.records)
 
     def test_small_query_single_chunk(self, small_db):
-        from repro.sequence.records import SequenceRecord
-
         q = small_db.records[0].slice(0, 2000, seq_id="tiny")
         res = BlastPlusRunner(chunk_size=50_000, chunk_overlap=1000).run(q, small_db, threads=2)
         assert res.num_chunks == 1

@@ -1,6 +1,5 @@
 """Tests for load-balance and speedup metrics."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.metrics import (

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.cluster.simulator import (
-    NodeFailure,
-    simulate_phase,
-    simulate_phases,
-)
+from repro.cluster.simulator import simulate_phase, simulate_phases
 from repro.cluster.tasks import SimTask
 from repro.cluster.topology import ClusterSpec, ExecutionProfile
 
@@ -78,34 +74,6 @@ class TestPolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             simulate_phase(tasks_of([1]), ClusterSpec(nodes=1, cores_per_node=1), policy="magic")
-
-
-class TestFailures:
-    def test_task_reruns_after_failure(self):
-        cluster = ClusterSpec(nodes=2, cores_per_node=1)
-        sched = simulate_phase(
-            tasks_of([10, 1]), cluster, failures=[NodeFailure(node=0, time=3.0)]
-        )
-        done = [s for s in sched.scheduled if s.completed]
-        completed = {s.task.task_id for s in done}
-        assert completed == {"t0", "t1"}
-        failed = [s for s in sched.scheduled if not s.completed]
-        assert len(failed) == 1
-        assert failed[0].end == 3.0
-        # t0 re-ran on node 1 after its first attempt died
-        rerun = [s for s in done if s.task.task_id == "t0"]
-        assert rerun[0].node == 1
-        assert rerun[0].attempt == 2
-
-    def test_all_nodes_failed_raises(self):
-        cluster = ClusterSpec(nodes=1, cores_per_node=1)
-        with pytest.raises(RuntimeError, match="no surviving slots"):
-            simulate_phase(tasks_of([10, 10]), cluster, failures=[NodeFailure(0, 1.0)])
-
-    def test_failure_validation(self):
-        cluster = ClusterSpec(nodes=1, cores_per_node=1)
-        with pytest.raises(ValueError):
-            simulate_phase(tasks_of([1]), cluster, failures=[NodeFailure(5, 1.0)])
 
 
 class TestSimulatePhases:

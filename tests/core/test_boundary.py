@@ -1,7 +1,5 @@
 """Tests for per-fragment boundary options."""
 
-import pytest
-
 from repro.core.boundary import options_for_fragment
 from repro.core.fragmenter import fragment_query
 from repro.sequence.records import SequenceRecord

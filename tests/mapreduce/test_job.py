@@ -3,7 +3,6 @@
 import pytest
 
 from repro.mapreduce.job import MapReduceJob, group_by_key
-from repro.mapreduce.types import InputSplit
 
 
 def word_mapper(split):
@@ -71,23 +70,6 @@ class TestShuffle:
         )
         with pytest.raises(ValueError, match="partitioner returned"):
             job.shuffle([[("a", 1)]])
-
-
-class TestCombiner:
-    def test_combiner_pre_aggregates(self):
-        def combiner(key, values):
-            yield sum(values)
-
-        job = MapReduceJob(
-            mapper=word_mapper, reducer=count_reducer, combiner=combiner
-        )
-        pairs = job.run_map_task(InputSplit(0, ["a", "a", "b"]))
-        assert sorted(pairs) == [("a", 2), ("b", 1)]
-
-    def test_no_combiner_passthrough(self):
-        job = MapReduceJob(mapper=word_mapper, reducer=count_reducer)
-        pairs = job.run_map_task(InputSplit(0, ["a", "a"]))
-        assert pairs == [("a", 1), ("a", 1)]
 
 
 class TestReduceTask:

@@ -89,12 +89,12 @@ def _subprocess_env():
 _HOLDER_SCRIPT = textwrap.dedent(
     """\
     import os, sys
-    from repro.mapreduce.shm import PlaneRegistry
+    from repro.mapreduce.shm import PlaneRegistry, _registry_name
     from repro.sequence.generator import make_database
 
     db = make_database(101, num_sequences=5, mean_length=400)
     lease = PlaneRegistry.attach_or_create(db, 9)
-    print(f"READY {int(lease.created)} {lease.handle.registry_segment}", flush=True)
+    print(f"READY {int(lease.created)} {_registry_name(lease.digest)}", flush=True)
     line = sys.stdin.readline()  # park until the parent speaks (or kills us)
     if line.strip() == "release":
         lease.release()
@@ -176,7 +176,7 @@ class TestLeaseLifecycle:
     def test_last_release_unlinks_any_order(self, db):
         first = PlaneRegistry.attach_or_create(db, K)
         second = PlaneRegistry.attach_or_create(db, K)
-        names = set(first.handle.segment_names) | {first.handle.registry_segment}
+        names = set(first.handle.segment_names) | {shm_mod._registry_name(first.digest)}
         # Creator releases first: attacher keeps the plane alive.
         first.release()
         assert names <= _plane_segments()
@@ -188,7 +188,7 @@ class TestLeaseLifecycle:
         one process conflict like two processes: dropping one is not last."""
         first = PlaneRegistry.attach_or_create(db, K)
         second = PlaneRegistry.attach_or_create(db, K)
-        names = set(first.handle.segment_names) | {first.handle.registry_segment}
+        names = set(first.handle.segment_names) | {shm_mod._registry_name(first.digest)}
         # The attacher releases first this time; the creator still holds.
         second.release()
         assert names <= _plane_segments()
@@ -211,7 +211,7 @@ class TestLeaseLifecycle:
     def test_reap_skips_planes_with_live_leases(self, db):
         with PlaneRegistry.attach_or_create(db, K) as lease:
             assert reap_orphan_planes() == []
-            assert shm_mod.segment_exists(lease.handle.registry_segment)
+            assert shm_mod.segment_exists(shm_mod._registry_name(lease.digest))
 
     def test_list_planes_reports_health_and_holders(self, db):
         with PlaneRegistry.attach_or_create(db, K) as lease:
@@ -221,14 +221,14 @@ class TestLeaseLifecycle:
             assert status.k == K
             assert status.generation == 1
             assert status.held
-            assert status.num_segments == 5  # registry + 4 data segments
+            assert status.num_segments == 4  # registry + 3 data segments
 
     def test_forked_child_does_not_pin_the_plane(self, db):
         """A forked child shares the lease's open file description; the
         at-fork hook closes the child's copy, so the parent's release is
         still the last one while the child lives on."""
         lease = PlaneRegistry.attach_or_create(db, K)
-        names = set(lease.handle.segment_names) | {lease.handle.registry_segment}
+        names = set(lease.handle.segment_names) | {shm_mod._registry_name(lease.digest)}
         started_r, started_w = os.pipe()
         exit_r, exit_w = os.pipe()
         pid = os.fork()
@@ -269,7 +269,7 @@ class TestIntegrity:
 
     def test_layout_version_gate(self, db):
         with PlaneRegistry.attach_or_create(db, K) as lease:
-            reg = attach_segment(lease.handle.registry_segment)
+            reg = attach_segment(shm_mod._registry_name(lease.digest))
             try:
                 reg.buf[8:12] = (999).to_bytes(4, "little")  # layout_version
             finally:
@@ -310,7 +310,7 @@ class TestCrossProcess:
         try:
             with PlaneRegistry.attach_or_create(db, K) as lease:
                 assert not lease.created
-                assert lease.handle.registry_segment == registry_name
+                assert shm_mod._registry_name(lease.digest) == registry_name
         finally:
             _release_holder(proc)
         assert not shm_mod.segment_exists(registry_name)
@@ -321,7 +321,7 @@ class TestCrossProcess:
         assert shm_mod.segment_exists(registry_name)  # the orphan persists
         removed = reap_orphan_planes()
         assert registry_name in removed
-        assert len([n for n in removed if registry_name[:-4] in n]) == 5
+        assert len([n for n in removed if registry_name[:-4] in n]) == 4  # 3 data + registry
         assert not shm_mod.segment_exists(registry_name)
         # A fresh attach_or_create rebuilds a healthy plane.
         with PlaneRegistry.attach_or_create(db, K) as lease:
@@ -402,6 +402,7 @@ def _search_script(start_method):
         import sys
         from repro.core.orion import OrionSearch
         from repro.mapreduce.runtime import WorkerPool
+        from repro.mapreduce.shm import _registry_name
         from repro.sequence.generator import (
             HomologySpec, make_database, make_query_with_homologies,
         )
@@ -415,7 +416,7 @@ def _search_script(start_method):
             executor=WorkerPool(max_workers=2, start_method={start_method!r}),
         )
         search.warmup()  # plane published, workers forked/spawned
-        print("READY " + search._shm_handle.registry_segment, flush=True)
+        print("READY " + _registry_name(search._lease.digest), flush=True)
         res = search.run(query)  # the parent SIGKILLs us in here
         print("DONE", flush=True)
         sys.stdin.readline()
@@ -463,7 +464,7 @@ class TestCreatorCrashMatrix:
         )
         try:
             survivor._ensure_plane()
-            assert survivor._shm_handle.registry_segment == registry_name
+            assert shm_mod._registry_name(survivor._lease.digest) == registry_name
             assert survivor._plane_mode == "attached"
             _kill_holder(creator)
             # A spawn-method pool names its queue semaphores in /dev/shm and

@@ -196,50 +196,25 @@ class TestPlane:
 
     def test_cleanup_hook_reclaims_unreleased_planes(self, db):
         lease = PlaneRegistry.attach_or_create(db, K)
-        names = lease.handle.segment_names + (lease.handle.registry_segment,)
+        names = lease.handle.segment_names + (shm_mod._registry_name(lease.digest),)
         assert lease in shm_mod._LIVE_LEASES.values()
         shm_mod._cleanup_live_leases()
         assert lease._released
         assert not any(segment_exists(n) for n in names)
         assert lease not in shm_mod._LIVE_LEASES.values()
 
-
-class TestPlaneSketches:
-    """The fourth segment: per-sequence bottom-k sketches."""
-
-    def test_view_sketches_match_in_process(self, db):
-        from repro.sketch import KmerSketch
-
+    def test_handle_carries_only_the_database(self, db):
         with PlaneRegistry.attach_or_create(db, K) as lease:
-            view = attach_view(lease.handle)
-            for rec in db:
-                got = view.sequence_sketch(rec.seq_id)
-                ref = KmerSketch.from_codes(rec.codes, K, lease.handle.sketch_size)
-                assert np.array_equal(got.hashes, ref.hashes)
-                assert got.threshold == ref.threshold
-            view.close()
-
-    def test_sketch_segment_in_segment_names(self, db):
-        with PlaneRegistry.attach_or_create(db, K) as lease:
-            assert lease.handle.sketch_segment in lease.handle.segment_names
-            assert len(lease.handle.segment_names) == 4
-
-    def test_sketch_size_must_be_positive(self, db):
-        with pytest.raises(ValueError, match="sketch_size"):
-            PlaneRegistry.attach_or_create(db, K, sketch_size=0)
-
-    def test_handle_with_sketches_pickles(self, db):
-        import pickle
-
-        with PlaneRegistry.attach_or_create(db, K) as lease:
-            back = pickle.loads(pickle.dumps(lease.handle))
-            assert back == lease.handle
-            assert back.sketch_thresholds == lease.handle.sketch_thresholds
+            names = lease.handle.segment_names
+            assert [n.rsplit("_", 1)[1] for n in names] == ["codes", "keys", "positions"]
+            fields = set(vars(lease.handle))
+            assert not any(f.startswith("sketch") for f in fields)
+            assert "registry_segment" not in fields
 
     def test_no_segments_leak(self, db):
         before = _shm_names(PLANE_PREFIX)
         lease = PlaneRegistry.attach_or_create(db, K)
-        assert len(_shm_names(PLANE_PREFIX) - before) == 5  # 4 data + registry
+        assert len(_shm_names(PLANE_PREFIX) - before) == 4  # 3 data + registry
         lease.release()
         assert _shm_names(PLANE_PREFIX) <= before
 
@@ -251,12 +226,12 @@ class TestLeakOnExit:
         script = tmp_path / "leaky.py"
         script.write_text(
             "import sys\n"
-            "from repro.mapreduce.shm import PlaneRegistry\n"
+            "from repro.mapreduce.shm import PlaneRegistry, _registry_name\n"
             "from repro.sequence.generator import make_database\n"
             "db = make_database(7, num_sequences=3, mean_length=300)\n"
             "lease = PlaneRegistry.attach_or_create(db, 9)\n"
             "print('\\n'.join(lease.handle.segment_names))\n"
-            "print(lease.handle.registry_segment)\n"
+            "print(_registry_name(lease.digest))\n"
             "# exits without release\n"
         )
         env = dict(os.environ)
@@ -267,7 +242,7 @@ class TestLeakOnExit:
             capture_output=True, text=True, env=env, check=True,
         )
         names = [n for n in out.stdout.splitlines() if n]
-        assert len(names) == 5  # codes, kmer keys, kmer positions, sketches, registry
+        assert len(names) == 4  # codes, kmer keys, kmer positions, registry
         assert not any(segment_exists(n) for n in names)
         assert "Traceback" not in out.stderr
 

@@ -62,18 +62,10 @@ class TestCorrectness:
 class TestMemoryModel:
     def test_long_query_rejected(self, small_db, query_with_truth):
         query, _ = query_with_truth
-        longest = int(small_db.lengths().max())
         model = DPMemoryModel(node_memory_bytes=1, bytes_per_cell=1.0)
         runner = MpiBlastRunner(hardware=HardwareModel(memory=model))
         with pytest.raises(OutOfMemoryError, match="dynamic programming"):
             runner.run([query], small_db, num_shards=2)
-
-    def test_enforcement_can_be_disabled(self, small_db, query_with_truth):
-        query, _ = query_with_truth
-        model = DPMemoryModel(node_memory_bytes=1, bytes_per_cell=1.0)
-        runner = MpiBlastRunner(hardware=HardwareModel(memory=model))
-        res = runner.run([query], small_db, num_shards=2, enforce_memory=False)
-        assert len(res.records) == 2
 
 
 class TestReplay:

@@ -126,8 +126,8 @@ class TestPruningEquivalence:
     def test_processes_shm_threshold_zero_identical(
         self, tiny_db, tiny_query, strands
     ):
-        """Shared plane on: the sketch index merges the plane's prebuilt
-        per-sequence sketches — results still identical."""
+        """Shared plane on: the sketch index reads the plane's sorted k-mer
+        keys — results still identical."""
         pytest.importorskip("multiprocessing.shared_memory")
         base = run_orion(tiny_db, tiny_query, "serial", strands=strands)
         zero = run_orion(
@@ -176,10 +176,6 @@ def _count_reducer(key, values):
     yield key, sum(values)
 
 
-def _sum_combiner(key, values):
-    yield sum(values)
-
-
 class _CrashInWorkerReducer:
     """Kills every pool worker mid-reduce; harmless in the parent, so the
     serial fallback completes (mirrors test_shm's crashing mapper)."""
@@ -206,20 +202,14 @@ def _word_splits(n=6, lines=8):
     ]
 
 
-#: Lines per split past which an uncombined word-count map output pickles
-#: to more than one page and is spilled to a segment instead of riding
+#: Lines per split past which a word-count map output pickles to more
+#: than one page and is spilled to a segment instead of riding
 #: inline (asserted by ``test_streaming_equals_serial``).
 _SPILLING_LINES = 400
 
 
-def _wc_job(with_combiner=False, reducer=_count_reducer):
-    return MapReduceJob(
-        mapper=_wc_mapper,
-        reducer=reducer,
-        num_reducers=3,
-        combiner=_sum_combiner if with_combiner else None,
-        name="wc",
-    )
+def _wc_job(reducer=_count_reducer):
+    return MapReduceJob(mapper=_wc_mapper, reducer=reducer, num_reducers=3, name="wc")
 
 
 class TestStreamingShuffleEquivalence:
@@ -227,14 +217,13 @@ class TestStreamingShuffleEquivalence:
     they produce — and must never leave a spill segment behind."""
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    @pytest.mark.parametrize("with_combiner", [False, True])
     @pytest.mark.parametrize("lines", [8, _SPILLING_LINES])
-    def test_streaming_equals_serial(self, start_method, with_combiner, lines):
+    def test_streaming_equals_serial(self, start_method, lines):
         before = _orionspill_segments()
         splits = _word_splits(lines=lines)
-        serial = SerialExecutor().run(_wc_job(with_combiner), splits)
+        serial = SerialExecutor().run(_wc_job(), splits)
         with WorkerPool(max_workers=2, start_method=start_method) as pool:
-            streaming = pool.run(_wc_job(with_combiner), splits)
+            streaming = pool.run(_wc_job(), splits)
         assert streaming.outputs == serial.outputs
         assert streaming.shuffle_keys == serial.shuffle_keys
         assert all(r.executor == "processes" for r in streaming.records)
@@ -242,22 +231,22 @@ class TestStreamingShuffleEquivalence:
         out_bytes = sum(r.shuffle_bytes_out for r in streaming.map_records())
         in_bytes = sum(r.shuffle_bytes_in for r in streaming.reduce_records())
         assert out_bytes == in_bytes > 0
-        # Both transports are covered: combined or short outputs fit in a
-        # page and ride inline, long uncombined ones spill to segments.
+        # Both transports are covered: short outputs fit in a page and ride
+        # inline, long ones spill to segments.
         spilled = [
             r.shuffle_bytes_out > mmap.PAGESIZE for r in streaming.map_records()
         ]
-        assert all(spilled) == (lines == _SPILLING_LINES and not with_combiner)
+        assert all(spilled) == (lines == _SPILLING_LINES)
         assert any(spilled) == all(spilled)
         assert _orionspill_segments() - before == set()
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_worker_pool_streaming_repeat_runs(self, start_method):
         before = _orionspill_segments()
-        serial = SerialExecutor().run(_wc_job(True), _word_splits())
+        serial = SerialExecutor().run(_wc_job(), _word_splits())
         with WorkerPool(max_workers=2, start_method=start_method) as pool:
-            r1 = pool.run(_wc_job(True), _word_splits())
-            r2 = pool.run(_wc_job(True), _word_splits())
+            r1 = pool.run(_wc_job(), _word_splits())
+            r2 = pool.run(_wc_job(), _word_splits())
         assert r1.outputs == r2.outputs == serial.outputs
         assert all(r.executor == "processes" for r in r1.records)
         assert _orionspill_segments() - before == set()

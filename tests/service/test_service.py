@@ -1,8 +1,8 @@
 """OrionService: overload shedding, breaker integration, equivalence, drain.
 
 No pytest-asyncio in the toolchain — each test drives its own event loop
-with ``asyncio.run``. Fake searches (mapping constructor path) make the
-shedding and breaker scenarios deterministic; the equivalence and shutdown
+with ``asyncio.run``. Fake searches, passed in as the service's search, make
+the shedding and breaker scenarios deterministic; the equivalence and shutdown
 tests run the real ``OrionSearch`` over a process pool.
 """
 
@@ -26,7 +26,6 @@ from repro.service import (
     QueueFullError,
     ServiceClosedError,
     ServiceConfig,
-    UnknownDatabaseError,
 )
 from tests.service.test_breaker import FakeClock
 
@@ -73,7 +72,7 @@ class _BlockingSearch:
         self.runs = 0
         self.closed = False
 
-    def run(self, query, fragment_length=None):
+    def run(self, query):
         self.runs += 1
         self.started.set()
         assert self.release.wait(timeout=30), "test never released the search"
@@ -94,7 +93,7 @@ class _FlakySearch:
         self.runs = 0
         self.closed = False
 
-    def run(self, query, fragment_length=None):
+    def run(self, query):
         self.runs += 1
         if self.runs <= self.fail_first:
             raise RuntimeError("backend exploded")
@@ -115,17 +114,17 @@ class TestOverloadShedding:
         async def main():
             fake = _BlockingSearch()
             config = ServiceConfig(max_inflight=1, queue_depth=1)
-            async with OrionService({"db": fake}, config) as service:
+            async with OrionService(fake, config) as service:
                 loop = asyncio.get_running_loop()
-                first = asyncio.create_task(service.submit(_FakeQuery(), database="db"))
+                first = asyncio.create_task(service.submit(_FakeQuery()))
                 # Let the single worker pull `first` off the queue.
                 await loop.run_in_executor(None, fake.started.wait, 10)
-                second = asyncio.create_task(service.submit(_FakeQuery(), database="db"))
+                second = asyncio.create_task(service.submit(_FakeQuery()))
                 await asyncio.sleep(0)  # run `second` up to its await: queue now full
                 with pytest.raises(QueueFullError):
                     # wait_for bounds the test; the rejection must be immediate.
                     await asyncio.wait_for(
-                        service.submit(_FakeQuery(), database="db"), timeout=5
+                        service.submit(_FakeQuery()), timeout=5
                     )
                 assert service.stats.rejected_queue_full == 1
                 fake.release.set()
@@ -143,16 +142,16 @@ class TestOverloadShedding:
         async def main():
             fake = _BlockingSearch()
             config = ServiceConfig(max_inflight=1, queue_depth=1)
-            async with OrionService({"db": fake}, config) as service:
+            async with OrionService(fake, config) as service:
                 loop = asyncio.get_running_loop()
-                first = asyncio.create_task(service.submit(_FakeQuery(), database="db"))
+                first = asyncio.create_task(service.submit(_FakeQuery()))
                 await loop.run_in_executor(None, fake.started.wait, 10)
-                second = asyncio.create_task(service.submit(_FakeQuery(), database="db"))
+                second = asyncio.create_task(service.submit(_FakeQuery()))
                 await asyncio.sleep(0)
                 with pytest.raises(QueueFullError):
-                    await service.submit(_FakeQuery(), database="db")
-                assert service.breaker_for("db").state == "closed"
-                assert service.breaker_for("db").allow()  # untouched by the shed
+                    await service.submit(_FakeQuery())
+                assert service.breaker.state == "closed"
+                assert service.breaker.allow()  # untouched by the shed
                 fake.release.set()
                 await asyncio.gather(first, second)
 
@@ -175,20 +174,20 @@ class TestBreakerIntegration:
         )
 
         async def main():
-            async with OrionService({"db": fake}, config, clock=clock) as service:
+            async with OrionService(fake, config, clock=clock) as service:
                 for _ in range(2):
                     with pytest.raises(RuntimeError, match="backend exploded"):
-                        await service.submit(_FakeQuery(), database="db")
-                assert service.breaker_for("db").state == "open"
+                        await service.submit(_FakeQuery())
+                assert service.breaker.state == "open"
                 with pytest.raises(CircuitOpenError):
-                    await service.submit(_FakeQuery(), database="db")
+                    await service.submit(_FakeQuery())
                 assert service.stats.rejected_circuit_open == 1
                 assert service.stats.failed == 2
                 clock.advance(30.0)
-                result = await service.submit(_FakeQuery(), database="db")  # probe
+                result = await service.submit(_FakeQuery())  # probe
                 assert result.query_id == "fake"
-                assert service.breaker_for("db").state == "closed"
-                result = await service.submit(_FakeQuery(), database="db")
+                assert service.breaker.state == "closed"
+                result = await service.submit(_FakeQuery())
                 assert result.query_id == "fake"
                 assert service.stats.completed == 2
 
@@ -205,18 +204,18 @@ class TestBreakerIntegration:
         )
 
         async def main():
-            async with OrionService({"db": fake}, config, clock=clock) as service:
+            async with OrionService(fake, config, clock=clock) as service:
                 for _ in range(2):
                     with pytest.raises(RuntimeError):
-                        await service.submit(_FakeQuery(), database="db")
+                        await service.submit(_FakeQuery())
                 clock.advance(30.0)
                 with pytest.raises(RuntimeError):  # the failing probe
-                    await service.submit(_FakeQuery(), database="db")
-                assert service.breaker_for("db").state == "open"
+                    await service.submit(_FakeQuery())
+                assert service.breaker.state == "open"
                 with pytest.raises(CircuitOpenError):
-                    await service.submit(_FakeQuery(), database="db")
+                    await service.submit(_FakeQuery())
                 clock.advance(30.0)
-                result = await service.submit(_FakeQuery(), database="db")
+                result = await service.submit(_FakeQuery())
                 assert result.query_id == "fake"
 
         asyncio.run(main())
@@ -265,24 +264,15 @@ class TestLatencyHistogram:
 
 
 class TestAdmissionValidation:
-    def test_unknown_database_rejected(self):
-        async def main():
-            fake = _FlakySearch(fail_first=0)
-            async with OrionService({"db": fake}) as service:
-                with pytest.raises(UnknownDatabaseError):
-                    await service.submit(_FakeQuery(), database="nope")
-
-        asyncio.run(main())
-
     def test_submit_after_close_raises(self):
         async def main():
             fake = _FlakySearch(fail_first=0)
-            service = OrionService({"db": fake})
+            service = OrionService(fake)
             async with service:
                 pass
             assert service.state == "closed"
             with pytest.raises(ServiceClosedError):
-                await service.submit(_FakeQuery(), database="db")
+                await service.submit(_FakeQuery())
             with pytest.raises(ServiceClosedError):
                 await service.start()  # a drained service cannot restart
 
@@ -291,9 +281,7 @@ class TestAdmissionValidation:
     def test_empty_queries_never_reach_the_breaker(self):
         """Regression: five empty submissions used to die in
         ``effective_lengths``, count as backend failures and open the
-        breaker, so the next *valid* query got ``CircuitOpenError``. A
-        ``fragment_length`` that is not positive is the same kind of client
-        mistake: rejected before the queue, never a backend failure."""
+        breaker, so the next *valid* query got ``CircuitOpenError``."""
         db = make_database(seed=31, num_sequences=3, mean_length=1200, name="emptyq")
         good = db.records[0].slice(100, 700, seq_id="good")
         empty = SequenceRecord(seq_id="nothing", codes=good.codes[:0])
@@ -307,11 +295,8 @@ class TestAdmissionValidation:
                 for _ in range(5):
                     with pytest.raises(EmptyQueryError, match="nothing"):
                         await service.submit(empty)
-                for bad in (0, -5) * 3:
-                    with pytest.raises(ValueError, match="fragment_length"):
-                        await service.submit(good, fragment_length=bad)
                 result = await service.submit(good)
-                return result, service.stats, service.breaker_for("emptyq")
+                return result, service.stats, service.breaker
 
         result, stats, breaker = asyncio.run(main())
         assert _canonical(result.alignments) == expected
@@ -333,8 +318,6 @@ class TestAdmissionValidation:
             ServiceConfig(max_inflight=0)
         with pytest.raises(ValueError):
             ServiceConfig(queue_depth=0)
-        with pytest.raises(ValueError):
-            OrionService({})
 
 
 class TestServiceEquivalence:
@@ -414,10 +397,10 @@ class TestServiceEquivalence:
     def test_drain_waits_for_inflight_work(self):
         async def main():
             fake = _BlockingSearch()
-            service = OrionService({"db": fake}, ServiceConfig(max_inflight=1, queue_depth=2))
+            service = OrionService(fake, ServiceConfig(max_inflight=1, queue_depth=2))
             await service.start()
             loop = asyncio.get_running_loop()
-            pending = asyncio.create_task(service.submit(_FakeQuery(), database="db"))
+            pending = asyncio.create_task(service.submit(_FakeQuery()))
             await loop.run_in_executor(None, fake.started.wait, 10)
             closer = asyncio.create_task(service.aclose())
             await asyncio.sleep(0)
@@ -572,7 +555,7 @@ class TestPlaneLifecycleService:
         fake = _BlockingSearch()
 
         async def main():
-            service = OrionService({"db": fake}, ServiceConfig(max_inflight=1))
+            service = OrionService(fake, ServiceConfig(max_inflight=1))
             await service.start()
             await service.aclose()
 

@@ -114,12 +114,6 @@ class TestKmerSketch:
         with pytest.raises(ValueError, match="size"):
             KmerSketch.from_kmer_keys(np.arange(5, dtype=np.int64), 0)
 
-    def test_from_parts_roundtrip(self):
-        sk = KmerSketch.from_kmer_keys(np.arange(5000, dtype=np.int64), 64)
-        back = KmerSketch.from_parts(sk.hashes, sk.threshold)
-        assert np.array_equal(back.hashes, sk.hashes)
-        assert back.threshold == sk.threshold
-
 
 # --------------------------------------------------------------------------- #
 # merging
@@ -250,28 +244,28 @@ class TestShardSketchIndex:
         assert cont[home] == max(cont)
         assert cont[home] > 0.9
 
-    def test_in_process_matches_callback_path(self):
-        """The plane's per-sequence-sketch path and the in-process path
-        must produce bit-identical shard sketches (pruning decisions may
-        not depend on whether the search leased a plane)."""
-        from repro.mpiblast.formatdb import shard_database
+    @pytest.mark.parametrize("strands", ["plus", "both"])
+    def test_plane_leased_matches_serial(self, strands):
+        """A search that leased the plane sketches from the plane's k-mer
+        keys, a serial one from the codes; pruning decisions may not
+        depend on which, so the probe tables must be byte-identical."""
+        from repro.core.orion import OrionSearch
         from repro.sequence.generator import make_database
-        from repro.sketch import SKETCH_SIZE_DEFAULT
 
         db = make_database(10, num_sequences=6, mean_length=400)
-        shards = shard_database(db, 3)
-        per_seq = {
-            rec.seq_id: KmerSketch.from_codes(rec.codes, K, SKETCH_SIZE_DEFAULT)
-            for rec in db
-        }
-        a = ShardSketchIndex.build(shards, K)
-        b = ShardSketchIndex.build(
-            shards, K, sequence_sketch=lambda sid: per_seq[sid]
-        )
-        for sa, sb in zip(a.sketches, b.sketches):
-            assert np.array_equal(sa.hashes, sb.hashes)
-            assert sa.threshold == sb.threshold
-
+        tables = []
+        for executor in ("serial", "processes"):
+            with OrionSearch(
+                db, num_shards=3, executor=executor, num_workers=1,
+                strands=strands, prune_threshold=0.02,
+            ) as search:
+                index = search._ensure_sketch_index()
+                assert (search._shm_handle is not None) == (executor == "processes")
+                tables.append(
+                    [a.tobytes() for a in
+                     (index._table_hashes, index._table_shards, index._thresholds)]
+                )
+        assert tables[0] == tables[1]
 
     @given(
         seed=st.integers(0, 2**16),
@@ -302,7 +296,7 @@ class TestShardSketchIndex:
                 member = np.concatenate([piece(), random_bases(rng, 60), piece()])
                 sketches.append(KmerSketch.from_codes(member, K, size))
         # A truncated sketch whose threshold admits nothing it holds.
-        sketches.append(KmerSketch.from_parts(np.empty(0, dtype=np.uint64), 2**40))
+        sketches.append(KmerSketch(hashes=np.empty(0, dtype=np.uint64), threshold=2**40))
         index = ShardSketchIndex(sketches, K)
         lo = int(rng.integers(0, 600))
         codes = base[lo : lo + probe_len]
@@ -319,7 +313,7 @@ class TestShardSketchIndex:
         from repro.sequence.generator import make_database
 
         db = make_database(12, num_sequences=40, mean_length=900)
-        index = ShardSketchIndex.build(shard_database(db, 8), K, size=64)
+        index = ShardSketchIndex.build(shard_database(db, 8), K)
         for rec in list(db)[:6]:
             frag = rec.codes[100:700]
             want = [containment(probe_hashes(frag, K), sk) for sk in index.sketches]

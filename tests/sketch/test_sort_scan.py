@@ -15,14 +15,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.blast.lookup import kmer_codes
-from repro.mapreduce.shm import PlaneRegistry, attach_segment
+from repro.blast.lookup import kmer_codes, sorted_kmers
+from repro.mpiblast.formatdb import shard_database
 from repro.sequence.alphabet import UNKNOWN_CODE, random_bases
 from repro.sequence.generator import make_database
 from repro.sequence.records import Database, SequenceRecord
 from repro.sketch import (
     COMPLETE_THRESHOLD,
     KmerSketch,
+    ShardSketchIndex,
     hash_codes,
     merge_sketches,
     probe_hashes,
@@ -187,7 +188,7 @@ class TestBijection:
 
 
 # --------------------------------------------------------------------------- #
-# golden plane: sketch segment bytes recorded before the sort-and-scan build
+# golden sketches: bytes recorded before the sort-and-scan build
 # --------------------------------------------------------------------------- #
 
 
@@ -207,8 +208,9 @@ def golden_database():
     return Database(list(base) + extra, name="golden")
 
 
-#: (k, sketch_size) -> SHA-256 of (sketch segment bytes, repr(sketch_offsets),
-#: repr(sketch_thresholds)), as published by the ``np.unique`` build.
+#: (k, sketch_size) -> SHA-256 of (every sequence's sketch hashes
+#: concatenated in database order, repr of their prefix-sum offsets, repr
+#: of their thresholds), as the ``np.unique`` build produced them.
 GOLDEN = {
     (11, 256): (
         "c6a51a0be38cba62b7a150007aa576568790fb1723f8bb6ebe7c37dd51e06ec1",
@@ -228,19 +230,66 @@ GOLDEN = {
 }
 
 
+def _sequence_digests(sketches):
+    offsets = [0]
+    for sk in sketches:
+        offsets.append(offsets[-1] + sk.num_hashes)
+    return (
+        hashlib.sha256(b"".join(sk.hashes.tobytes() for sk in sketches)).hexdigest(),
+        hashlib.sha256(repr(tuple(offsets)).encode()).hexdigest(),
+        hashlib.sha256(repr(tuple(sk.threshold for sk in sketches)).encode()).hexdigest(),
+    )
+
+
 def test_golden_plane_sketches():
+    """The per-sequence sketches the plane's sketch segment used to hold,
+    rebuilt without a plane: both derivations — from the codes, and from
+    the sorted k-mer keys a k-mer cache holds — give the recorded bytes."""
     db = golden_database()
     for (k, size), want in GOLDEN.items():
-        with PlaneRegistry.attach_or_create(db, k, sketch_size=size) as lease:
-            h = lease.handle
-            seg = attach_segment(h.sketch_segment)
-            try:
-                raw = bytes(seg.buf[: h.total_sketch_hashes * 8])
-            finally:
-                seg.close()
-            got = (
-                hashlib.sha256(raw).hexdigest(),
-                hashlib.sha256(repr(h.sketch_offsets).encode()).hexdigest(),
-                hashlib.sha256(repr(h.sketch_thresholds).encode()).hexdigest(),
-            )
-        assert got == want, (k, size)
+        from_codes = [KmerSketch.from_codes(rec.codes, k, size) for rec in db]
+        from_keys = [
+            KmerSketch.from_kmer_keys(sorted_kmers(rec.codes, k)[0], size) for rec in db
+        ]
+        assert _sequence_digests(from_codes) == want, (k, size)
+        assert _sequence_digests(from_keys) == want, (k, size)
+
+
+#: (k, num_shards) -> SHA-256 of the ShardSketchIndex probe table (hashes,
+#: shards) and its per-shard thresholds, at the default sketch size, as
+#: recorded when per-sequence sketches were still read from the plane.
+GOLDEN_SHARDS = {
+    (11, 4): (
+        "1033e72196546304219e17f0a09913ec24734da9e066f9cad4db801c795983a9",
+        "bcb9681125afedeb8537d370999b202785d125cce52f266849f3aaafd7f07db3",
+        "c33307e3ceb6d94309b64376e295d9a183b93037de9bf6ffe43ccc7b95160b97",
+    ),
+    (11, 7): (
+        "397a05acfe15fb442a3242c57942ceb5672149a9fd77476d0807f5bdf8fb3c79",
+        "8c0eeb1ff248b1eeff8167882187d4c614e939ca884cea518be6a528b2ee678d",
+        "97b49838844741651855ed7dd5a3d509067f299b9a12be76fb523b1b1025ddb0",
+    ),
+    (28, 3): (
+        "0ff9d5d5c390dde6ae947377812b22dc8feca291f3f1b48b9d4bb204cca44e0f",
+        "bddc90a0c22c29019d3320c7354461658e8631f6a0d5b7dc614147ef03a6f459",
+        "bdfc2f7e412ba299977521b159f428e612bf99b50b26886b5e432a2044ab660f",
+    ),
+}
+
+
+def _index_digests(index):
+    return tuple(
+        hashlib.sha256(arr.tobytes()).hexdigest()
+        for arr in (index._table_hashes, index._table_shards, index._thresholds)
+    )
+
+
+def test_golden_shard_sketch_index():
+    """A shard's sketch is the merge of its members' sketches, read from
+    the codes or from a k-mer cache."""
+    db = golden_database()
+    for (k, num_shards), want in GOLDEN_SHARDS.items():
+        shards = shard_database(db, num_shards)
+        cache = {rec.seq_id: sorted_kmers(rec.codes, k) for rec in db}
+        assert _index_digests(ShardSketchIndex.build(shards, k)) == want, (k, num_shards)
+        assert _index_digests(ShardSketchIndex.build(shards, k, kmer_cache=cache)) == want

@@ -161,6 +161,12 @@ class TestBadInput:
             ("search", ["--max-alignments", "-1"]),
             ("search", ["--max-alignments", "0"]),
             ("serve", ["--max-alignments", "-1"]),
+            ("search", ["--evalue", "inf"]),
+            ("search", ["--mode", "serial", "--evalue", "inf"]),
+            ("search", ["--mode", "mpiblast", "--evalue", "inf"]),
+            ("serve", ["--evalue", "inf"]),
+            ("search", ["--mode", "mpiblast", "--shards", "0"]),
+            ("search", ["--mode", "mpiblast", "--shards", "-3"]),
         ],
     )
     def test_bad_option_value(self, command, option, db_file, query_file, capsys):
