@@ -4,14 +4,12 @@ Every shared-memory segment the program creates follows
 :mod:`repro.mapreduce.shm`'s one-owner rule: it is a plain ``/dev/shm`` file
 with an owner file whose ``flock`` a live process holds, and one reaper,
 ``reap_orphan_planes``, sweeps whatever no lock holds. Only two owners make
-segments: a :class:`~repro.mapreduce.shm.SpillSet` (a pool run's job blob
-and spills, under the run's anchor) and the plane publisher
+segments: a :class:`~repro.mapreduce.shm.SpillSet` (a pool run's job blob,
+under the run's anchor) and the plane publisher
 (``_publish_database_segments`` and ``PlaneRegistry._create_locked``, under
 the plane's registry lock). ORL008 reports a ``create_segment`` /
 ``write_segment`` call anywhere else: no lock would cover that segment, so
-after a SIGKILL nothing reclaims it. A worker that writes a spill under a
-name its driver's ``SpillSet`` minted carries a per-line waiver naming that
-owner.
+after a SIGKILL nothing reclaims it. Pool workers make no segment at all.
 
 ORL008 also checks ``multiprocessing.shared_memory.SharedMemory``, which
 sits outside the one-owner rule altogether — it owns the process-local

@@ -192,7 +192,7 @@ class SanitizerExecutor:
             records.append(rec)
             state = self._compare(rec.task_id, state, self._snapshot(job, splits))
 
-        partitions = job.shuffle(map_outputs, splits)
+        partitions = job.shuffle(map_outputs)
         state = self._compare(
             f"{job.name}/shuffle", state, self._snapshot(job, splits)
         )
@@ -204,4 +204,4 @@ class SanitizerExecutor:
             records.append(rec)
             state = self._compare(rec.task_id, state, self._snapshot(job, splits))
 
-        return self._finish(_assemble(job, partitions, outputs, records))
+        return self._finish(_assemble(partitions, outputs, records))

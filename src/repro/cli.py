@@ -391,8 +391,8 @@ def _shared_options() -> argparse.ArgumentParser:
         "--retries",
         type=int,
         default=3,
-        help="attempt budget per map/reduce task on --executor processes: "
-        "a failed, crashed or hung task is retried individually (with "
+        help="attempt budget per map task on --executor processes: "
+        "a failed, crashed or hung map task is retried individually (with "
         "backoff, on a respawned pool if a worker crash broke it) instead "
         "of rerunning the whole job serially; 1 disables per-task retries "
         "(default: 3)",

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.blast.engine import BlastEngine
-from repro.blast.hsp import MINUS_STRAND, PLUS_STRAND, Alignment
+from repro.blast.hsp import PLUS_STRAND, Alignment
 from repro.blast.params import BlastParams
 from repro.blast.statistics import SearchSpace
 from repro.core.aggregator import AggregationStats, aggregate_subject_alignments
@@ -31,7 +31,6 @@ from repro.core.results import FragmentAlignment, OrionResult
 from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.faults import FaultInjector, RetryPolicy
 from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.partitioner import hash_partitioner
 from repro.mapreduce.runtime import (
     Executor,
     SerialExecutor,
@@ -225,13 +224,14 @@ class OrionSearch:
         Pool size for the ``"processes"`` executor (``None`` = one process
         per core).
     shuffle:
-        Accepts only ``"streaming"`` — the worker pool's one shuffle — and
-        raises :class:`ValueError` for anything else. It exists only for
+        Accepts only ``"streaming"`` and raises :class:`ValueError` for
+        anything else; it selects nothing, because every executor shuffles
+        and reduces in the driver. It exists only for
         ``benchmarks/ledger/workloads.py::build_search``, which still
         passes it, and goes once that caller drops it.
     retries:
-        Attempt budget per map/reduce task on process-backed executors
-        (CLI ``--retries``): a failed, crashed or timed-out task is
+        Attempt budget per map task on process-backed executors
+        (CLI ``--retries``): a failed, crashed or timed-out map task is
         retried individually — with backoff, on a respawned pool if the
         worker crash broke it — instead of rerunning the whole job
         serially. ``1`` restores the old fail-straight-to-serial
@@ -243,13 +243,13 @@ class OrionSearch:
         if it finishes first.
     speculative_tasks:
         Hadoop-style speculative execution of straggler tasks (CLI
-        ``--speculative``): near the end of a phase the slowest
+        ``--speculative``): near the end of the map phase the slowest
         outstanding task gets a duplicate attempt, first commit wins.
         Distinct from ``speculative`` (the paper's gapped *extension* at
         fragment boundaries, an alignment-semantics knob).
     fault_injector:
         Optional :class:`repro.mapreduce.faults.FaultInjector` threaded
-        into every task attempt (tests/benchmarks only).
+        into every map attempt (tests/benchmarks only).
     prune_threshold:
         Sketch-based shard pruning (see :mod:`repro.sketch`): ``None``
         (default) emits every (fragment × shard) map task unconditionally
@@ -301,10 +301,6 @@ class OrionSearch:
         self.drop_left_overlap = drop_left_overlap
         self.strands = strands
         self.num_reducers = num_reducers
-        # Per shard, the reduce partitions its (subject, strand) keys hash to;
-        # prepare() declares them on the shard's splits, so each reducer
-        # waits only for the tasks that feed it.
-        self._shard_partitions = [self._partitions_of(shard) for shard in self.shards]
         self.retry_policy = RetryPolicy(
             max_attempts=retries,
             task_timeout=task_timeout,
@@ -552,11 +548,6 @@ class OrionSearch:
             # gone; the atexit plane registry is the backstop then.
             pass
 
-    def _partitions_of(self, shard: DatabaseShard) -> Tuple[int, ...]:
-        strands = (PLUS_STRAND, MINUS_STRAND) if self.strands == "both" else (PLUS_STRAND,)
-        keys = [(rec.seq_id, st) for rec in shard.database for st in strands]
-        return tuple(sorted({hash_partitioner(key, self.num_reducers) for key in keys}))
-
     def _resolve_fragment_length(
         self, query: SequenceRecord, overlap: int, override: Optional[int]
     ) -> int:
@@ -669,10 +660,7 @@ class OrionSearch:
         # attach the sharded database from the plane, so tasks only move a
         # fragment descriptor.
         pairs = self._plan_pairs(fragments)
-        splits = [
-            InputSplit(index=i, payload=pair, partitions=self._shard_partitions[pair[1]])
-            for i, pair in enumerate(pairs)
-        ]
+        splits = [InputSplit(index=i, payload=pair) for i, pair in enumerate(pairs)]
         searched = {shard_index for _, shard_index in pairs}
         return QueryPlan(
             query=query,

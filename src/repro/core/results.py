@@ -84,9 +84,9 @@ class OrionResult:
     #: Whether every map and reduce duration is a serial measurement;
     #: :func:`replay_orion` refuses a result where it is not.
     simulator_safe: bool = True
-    #: Real wall-clock of the map+shuffle+reduce job on this machine —
-    #: the number the executor benchmark tracks (parallel backends should
-    #: shrink it while leaving ``alignments`` bit-identical).
+    #: Real wall-clock of the map+shuffle+reduce job on this machine
+    #: (parallel backends should shrink it while leaving ``alignments``
+    #: bit-identical; the perf ledger's ``parallel_efficiency`` tracks it).
     mapreduce_wall_seconds: float = 0.0
     #: Sketch-based shard pruning accounting (see :mod:`repro.sketch`):
     #: shards that received at least one map task vs. shards every fragment

@@ -7,6 +7,9 @@ that framework for real: input splits, mappers, partitioners, a
 sorted shuffle, reducers, pluggable executors that *measure* per-task
 durations (consumed later by :mod:`repro.cluster`'s simulator), and a
 shared-memory database plane that workers attach to instead of copying.
+The process pool runs the map tasks on workers; the shuffle and every
+reducer run in the driver, under every executor, where the serial oracle
+runs them.
 """
 
 from repro.mapreduce.types import InputSplit, JobResult, TaskKind, TaskRecord

@@ -14,8 +14,8 @@ module holds the *policy* half of that story for our runtime:
   invariant orionlint rule ORL009 enforces.
 * :class:`FaultInjector` — a picklable, deterministic description of
   faults to inject into task attempts, addressable by phase, task index
-  and attempt number. Executors thread it to workers so every recovery
-  path (crash, hang, transient exception, shm ``OSError``) is exercised on
+  and attempt number. The worker pool threads it to its map tasks so
+  every recovery path (crash, hang, transient exception) is exercised on
   purpose by the fault-matrix tests, not by ad-hoc ``os._exit`` mappers.
 * The exception vocabulary: :class:`TransientTaskError` (what injected
   transient faults raise) and :class:`TaskFailedError` (what the scheduler
@@ -35,7 +35,7 @@ from typing import Callable, Optional, Tuple
 from repro.util.rng import RngStream
 
 #: Fault kinds the injector understands (see :class:`FaultSpec`).
-FAULT_KINDS = ("crash", "hang", "transient", "shm")
+FAULT_KINDS = ("crash", "hang", "transient")
 
 #: Fault kinds valid for the ``plane`` pseudo-phase: lifecycle faults the
 #: plane registry consults at its attach/create/publish points.
@@ -89,6 +89,8 @@ class TaskFailedError(RuntimeError):
 class FaultSpec:
     """One injected fault, addressed to (phase, task index, attempt).
 
+    Task faults address ``phase="map"``: the worker pool runs only map
+    tasks, and reducers run in the driver as they do serially.
     ``index=ANY`` / ``attempt=ANY`` wildcard their dimension, so a single
     spec can poison a whole phase (every attempt of every task) or exactly
     one attempt of one task — the shape the acceptance tests use to prove
@@ -98,18 +100,13 @@ class FaultSpec:
     -----
     ``crash``
         ``os._exit(13)`` in the executing worker — kills the process
-        mid-task, breaking the pool (lost in-flight attempts, orphaned
-        spill runs).
+        mid-task, breaking the pool (lost in-flight attempts).
     ``hang``
         Sleep ``hang_seconds`` before running the task. Against a
         ``task_timeout`` this exercises deadline-triggered retries; against
         speculation it is the straggler a duplicate attempt races.
     ``transient``
         Raise :class:`TransientTaskError` instead of running the task.
-    ``shm``
-        Fail the task's shared-memory touch point with an ``OSError``: a
-        map task's spill write (which degrades to the inline-bytes path) or
-        a reduce task's run fetch (which fails the attempt and retries).
     ``delay``
         Seconds to wait before firing (all kinds). Lets a crash be timed
         past the commit of its wave-mates so exactly one task is in flight
@@ -151,8 +148,8 @@ class FaultSpec:
             return
         if self.point is not None:
             raise ValueError("point is only valid for phase='plane' faults")
-        if self.phase not in ("map", "reduce"):
-            raise ValueError(f"phase must be 'map' or 'reduce', got {self.phase!r}")
+        if self.phase != "map":
+            raise ValueError(f"phase must be 'map' or 'plane', got {self.phase!r}")
         if self.kind not in FAULT_KINDS:
             raise ValueError(f"kind must be one of {FAULT_KINDS}, got {self.kind!r}")
 
@@ -191,12 +188,10 @@ class FaultInjector:
     def fire(self, phase: str, index: int, attempt: int) -> None:
         """Execute the task-entry fault for this attempt, if one matches.
 
-        Called worker-side at the top of every guarded task. ``shm`` faults
-        do nothing here — they fire at the shared-memory touch point via
-        :meth:`shm_fault`.
+        Called worker-side at the top of every map attempt.
         """
         spec = self.fault_for(phase, index, attempt)
-        if spec is None or spec.kind == "shm":
+        if spec is None:
             return
         if spec.delay > 0.0:
             # Worker-side fault timing, not a retry backoff: the injected
@@ -211,14 +206,6 @@ class FaultInjector:
         raise TransientTaskError(
             f"injected transient fault at {phase}/{index} attempt {attempt}"
         )
-
-    def shm_fault(self, phase: str, index: int, attempt: int) -> None:
-        """Raise the injected ``OSError`` at a shared-memory touch point."""
-        spec = self.fault_for(phase, index, attempt)
-        if spec is not None and spec.kind == "shm":
-            raise OSError(
-                f"injected shm fault at {phase}/{index} attempt {attempt}"
-            )
 
     # -- plane lifecycle faults ---------------------------------------- #
 
@@ -261,9 +248,16 @@ def _default_sleep(seconds: float) -> None:
     time.sleep(seconds)  # orionlint: disable=ORL009
 
 
+#: Growth factor of the backoff between attempts of one task.
+BACKOFF_MULTIPLIER = 2.0
+
+#: Seed of the deterministic backoff jitter.
+BACKOFF_SEED = 0
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Per-task attempt budget, deadlines, backoff and speculation knobs.
+    """Per-task attempt budget, deadlines, backoff and speculation switch.
 
     Attributes
     ----------
@@ -276,25 +270,22 @@ class RetryPolicy:
         wait timeouts. A timed-out attempt is *retried*, but its future is
         kept as a zombie — if the straggler finishes first it still wins
         (first commit wins), its duplicate is discarded.
-    backoff_base / backoff_multiplier / backoff_jitter / seed:
+    backoff_base / backoff_jitter:
         Exponential backoff between attempts of one task:
-        ``base * multiplier**(attempt-1)``, plus-or-minus a jitter
-        fraction drawn deterministically from ``(seed, token, attempt)``.
-        The scheduler turns these into wait deadlines — no wall-clock
-        sleeps — so tests set ``backoff_base`` to microseconds and never
-        wait (orionlint ORL009's invariant).
+        ``base * BACKOFF_MULTIPLIER**(attempt-2)``, plus-or-minus a jitter
+        fraction drawn deterministically from ``(BACKOFF_SEED, token,
+        attempt)``. The scheduler turns these into wait deadlines — no
+        wall-clock sleeps — so tests set ``backoff_base`` to microseconds
+        and never wait (orionlint ORL009's invariant).
     speculative:
         Enable Hadoop-style speculative execution: once
-        ``speculative_fraction`` of a phase's tasks have committed, the
-        slowest outstanding task (running longer than
-        ``speculative_multiplier`` × the mean committed duration) gets a
-        duplicate attempt. First commit wins; the loser is cancelled and
-        its spill swept. Safe because tasks are pure — output is
-        byte-identical to serial regardless of which attempt wins.
-    zombie_grace:
-        Seconds to wait, after the job resolves, for straggler attempts
-        (timed-out zombies, speculation losers) to land so their spill
-        segments can be swept before the job's spill set is released.
+        :data:`~repro.mapreduce.scheduler.SPECULATIVE_FRACTION` of the
+        tasks have committed, the slowest outstanding task (running longer
+        than :data:`~repro.mapreduce.scheduler.SPECULATIVE_MULTIPLIER` ×
+        the mean committed duration) gets a duplicate attempt. First commit
+        wins; the loser is cancelled, or ignored when it lands. Safe
+        because tasks are pure — output is byte-identical to serial
+        regardless of which attempt wins.
     sleep:
         Injectable blocking-sleep hook. The scheduler blocks through this
         only when no attempt is in flight and every pending retry is
@@ -306,13 +297,8 @@ class RetryPolicy:
     max_attempts: int = 3
     task_timeout: Optional[float] = None
     backoff_base: float = 0.02
-    backoff_multiplier: float = 2.0
     backoff_jitter: float = 0.25
-    seed: int = 0
     speculative: bool = False
-    speculative_fraction: float = 0.75
-    speculative_multiplier: float = 2.0
-    zombie_grace: float = 30.0
     sleep: Callable[[float], None] = field(default=_default_sleep, repr=False)
 
     def __post_init__(self) -> None:
@@ -320,14 +306,10 @@ class RetryPolicy:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError(f"task_timeout must be positive, got {self.task_timeout}")
-        if self.backoff_base < 0 or self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_base must be >= 0 and multiplier >= 1")
+        if self.backoff_base < 0:
+            raise ValueError("backoff_base must be >= 0")
         if not 0.0 <= self.backoff_jitter < 1.0:
             raise ValueError(f"backoff_jitter must be in [0, 1), got {self.backoff_jitter}")
-        if not 0.0 < self.speculative_fraction <= 1.0:
-            raise ValueError(
-                f"speculative_fraction must be in (0, 1], got {self.speculative_fraction}"
-            )
 
     def backoff_seconds(self, attempt: int, token: str = "") -> float:
         """Deterministic jittered backoff before attempt ``attempt`` (>= 2).
@@ -338,11 +320,11 @@ class RetryPolicy:
         """
         if attempt <= 1:
             return 0.0
-        base = self.backoff_base * self.backoff_multiplier ** (attempt - 2)
+        base = self.backoff_base * BACKOFF_MULTIPLIER ** (attempt - 2)
         if self.backoff_jitter == 0.0:
             return base
         spread = (
-            RngStream(self.seed)
+            RngStream(BACKOFF_SEED)
             .child(f"{token}|{attempt}")
             .generator.uniform(-self.backoff_jitter, self.backoff_jitter)
         )

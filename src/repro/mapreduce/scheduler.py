@@ -2,10 +2,10 @@
 
 The paper's recovery claim — fine granularity makes re-execution *cheap* —
 only holds if a failed or straggling task is redone alone. This module is
-the driver-side machinery that makes that true for the process-backed
-executors: each task runs as a sequence of *attempts*, and one attempt
-failing (exception, worker crash, missed deadline) triggers a bounded,
-backed-off retry of that one task while every committed result is kept.
+the driver-side machinery that makes that true for the worker pool's map
+tasks: each task runs as a sequence of *attempts*, and one attempt failing
+(exception, worker crash, missed deadline) triggers a bounded, backed-off
+retry of that one task while every committed result is kept.
 
 Task lifecycle (the §4.6 state machine)::
 
@@ -15,7 +15,7 @@ Task lifecycle (the §4.6 state machine)::
        +------failure-----+                       |
        |                                          +--late success--> wins
        +---pool broken (attempt lost)             |    iff still uncommitted
-                                                  +--loses--> DISCARDED
+                                                  +--loses--> ignored
     attempts exhausted --> FAILED (TaskFailedError -> serial-fallback ladder)
 
 Three recovery mechanisms share the one event loop:
@@ -29,29 +29,26 @@ Three recovery mechanisms share the one event loop:
   ``ProcessPoolExecutor`` (every in-flight and queued future raises
   ``BrokenProcessPool``). The scheduler counts each lost attempt against
   its task, asks the executor to respawn the pool once, and re-dispatches
-  only the tasks that never committed; committed results (including
-  streaming-shuffle spill runs in shared memory, which live outside the
-  pool) are kept.
+  only the tasks that never committed; committed results, already back
+  in the driver, are kept.
 * **Speculative execution** — Hadoop-style: once
-  ``speculative_fraction`` of a phase's tasks have committed, the slowest
+  :data:`SPECULATIVE_FRACTION` of the tasks have committed, the slowest
   outstanding task gets one duplicate attempt. First commit wins; the
-  loser is cancelled if still queued, or discarded (and its spill swept)
-  when it eventually lands. Safe because tasks are pure functions of
-  their split, so the job's output is byte-identical regardless of which
-  attempt wins.
+  loser is cancelled if still queued, or ignored when it lands. Safe
+  because tasks are pure functions of their split, so the job's output is
+  byte-identical regardless of which attempt wins.
 
 Timed-out attempts become *zombies*: their futures stay watched, because a
-straggler that finishes before its replacement still wins. On loop exit the
-scheduler drains zombies (bounded by ``zombie_grace``) so the streaming
-shuffle can sweep every straggler's spill segment before releasing the
-spill set.
+straggler that finishes before its replacement still wins. Once every task
+has committed the loop returns; a zombie or loser still running leaves
+nothing behind but its worker's time, because attempts return their
+output instead of writing it anywhere.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-import warnings
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -63,8 +60,16 @@ try:  # BrokenProcessPool subclasses this; thread pools raise BrokenThreadPool
 except ImportError:  # pragma: no cover - very old pythons
     BrokenExecutor = RuntimeError  # type: ignore[assignment,misc]
 
-#: A task's identity: (phase, index) — e.g. ("map", 3) or ("reduce", 0).
+#: A task's identity: (phase, index) — e.g. ("map", 3).
 TaskKey = Tuple[str, int]
+
+#: Share of the tasks that must have committed before a straggler gets a
+#: speculative duplicate.
+SPECULATIVE_FRACTION = 0.75
+
+#: How many times the mean committed duration an attempt must have run
+#: before it counts as a straggler.
+SPECULATIVE_MULTIPLIER = 2.0
 
 #: How long the loop waits between housekeeping passes when a deadline or
 #: speculation scan could fire with no future completing: short enough to
@@ -124,11 +129,6 @@ class TaskScheduler:
         and build a fresh one; subsequent ``submit`` closures must target
         the new pool. ``None`` means the substrate cannot respawn (a pool
         break then fails every lost attempt and likely exhausts budgets).
-    on_attempt_dead:
-        Called with ``(phase, index, attempt)`` whenever an attempt is
-        known to produce no usable output — it failed, was lost with the
-        pool, got cancelled, or landed after another attempt won. The
-        streaming shuffle sweeps that attempt's spill segment here.
     clock:
         Injectable monotonic clock (tests drive deadlines without waiting).
     job_id:
@@ -146,14 +146,12 @@ class TaskScheduler:
         self,
         policy: RetryPolicy,
         respawn: Optional[Callable[[], None]] = None,
-        on_attempt_dead: Optional[Callable[[str, int, int], None]] = None,
         clock: Callable[[], float] = time.monotonic,
         job_id: Optional[str] = None,
     ) -> None:
         self.policy = policy
         self.job_id = job_id
         self._respawn = respawn
-        self._on_attempt_dead = on_attempt_dead
         self._clock = clock
         self._tasks: Dict[TaskKey, _TaskState] = {}
         self._futures: Dict["Future[Any]", TaskKey] = {}
@@ -161,10 +159,9 @@ class TaskScheduler:
         self._retry_seq = 0
         self._unresolved = 0
         self._needs_respawn = False
-        # Per-phase commit stats feeding the speculation rule.
-        self._phase_total: Dict[str, int] = {}
-        self._phase_committed: Dict[str, int] = {}
-        self._phase_duration_sum: Dict[str, float] = {}
+        # Commit stats feeding the speculation rule.
+        self._committed = 0
+        self._duration_sum = 0.0
 
     # ------------------------------------------------------------------ #
     # task registration / results
@@ -174,9 +171,7 @@ class TaskScheduler:
         """Register one task and launch its first attempt immediately.
 
         ``submit(attempt)`` must dispatch attempt number ``attempt`` of the
-        task to the *current* pool and return its future. Tasks may be
-        added while :meth:`run` is draining completions (the streaming
-        scheduler adds reduce tasks from map-commit callbacks).
+        task to the *current* pool and return its future.
         """
         key = (phase, index)
         if key in self._tasks:
@@ -184,7 +179,6 @@ class TaskScheduler:
         state = _TaskState(phase=phase, index=index, submit=submit)
         self._tasks[key] = state
         self._unresolved += 1
-        self._phase_total[phase] = self._phase_total.get(phase, 0) + 1
         self._launch(state)
 
     def result(self, phase: str, index: int) -> Any:
@@ -206,46 +200,37 @@ class TaskScheduler:
     # the event loop
     # ------------------------------------------------------------------ #
 
-    def run(
-        self, on_complete: Optional[Callable[[str, int, Any], None]] = None
-    ) -> None:
+    def run(self) -> None:
         """Drive every registered task to COMMITTED (or raise).
 
-        ``on_complete(phase, index, value)`` fires exactly once per task,
-        in completion order; it may call :meth:`add` to extend the task
-        set (reduce slowstart). Raises
-        :class:`~repro.mapreduce.faults.TaskFailedError` when any task
-        exhausts its attempt budget — after first draining straggler
-        attempts so the caller's ``finally`` can sweep safely.
+        Raises :class:`~repro.mapreduce.faults.TaskFailedError` when any
+        task exhausts its attempt budget.
         """
-        try:
-            while self._unresolved:
-                if self._needs_respawn:
-                    self._needs_respawn = False
-                    if self._respawn is not None:
-                        self._respawn()
-                now = self._clock()
-                self._launch_due_retries(now)
-                if not self._futures:
-                    delay = self._next_retry_delay(now)
-                    if delay is None:
-                        # No futures, no queued retries, tasks unresolved:
-                        # every budget is spent.
-                        self._raise_exhausted()
-                    self.policy.sleep(delay)
-                    continue
-                done, _ = wait(
-                    list(self._futures),
-                    timeout=self._wait_timeout(now),
-                    return_when=FIRST_COMPLETED,
-                )
-                for fut in done:
-                    self._handle_settled(fut, on_complete)
-                now = self._clock()
-                self._check_deadlines(now)
-                self._maybe_speculate(now)
-        finally:
-            self._drain_stragglers()
+        while self._unresolved:
+            if self._needs_respawn:
+                self._needs_respawn = False
+                if self._respawn is not None:
+                    self._respawn()
+            now = self._clock()
+            self._launch_due_retries(now)
+            if not self._futures:
+                delay = self._next_retry_delay(now)
+                if delay is None:
+                    # No futures, no queued retries, tasks unresolved:
+                    # every budget is spent.
+                    self._raise_exhausted()
+                self.policy.sleep(delay)
+                continue
+            done, _ = wait(
+                list(self._futures),
+                timeout=self._wait_timeout(now),
+                return_when=FIRST_COMPLETED,
+            )
+            for fut in done:
+                self._handle_settled(fut)
+            now = self._clock()
+            self._check_deadlines(now)
+            self._maybe_speculate(now)
 
     # ------------------------------------------------------------------ #
     # launches
@@ -319,11 +304,7 @@ class TaskScheduler:
     # completions
     # ------------------------------------------------------------------ #
 
-    def _handle_settled(
-        self,
-        fut: "Future[Any]",
-        on_complete: Optional[Callable[[str, int, Any], None]],
-    ) -> None:
+    def _handle_settled(self, fut: "Future[Any]") -> None:
         key = self._futures.pop(fut)
         state = self._tasks[key]
         attempt = state.running.pop(fut)
@@ -335,7 +316,6 @@ class TaskScheduler:
             # job's respawn swept the shared pool's queue) must requeue,
             # or the task would sit attempt-less until misreported as
             # budget-exhausted.
-            self._attempt_dead(state, attempt)
             if not state.resolved:
                 if state.last_error is None:
                     state.last_error = CancelledError(
@@ -348,38 +328,24 @@ class TaskScheduler:
             # The attempt was lost with the pool, not failed by the task;
             # it still consumed budget (it may be the one that crashed).
             state.last_error = exc
-            self._attempt_dead(state, attempt)
             self._needs_respawn = True
             self._queue_retry(state, self._clock())
             return
         except Exception as exc:
             state.last_error = exc
-            self._attempt_dead(state, attempt)
             self._queue_retry(state, self._clock())
             return
         if state.resolved:
-            # First commit won already; this straggler's output is unusable.
-            self._attempt_dead(state, attempt)
-            return
+            return  # first commit won already; this straggler's output is unused
         state.resolved = True
         state.value = value
         state.winner = attempt.number
         self._unresolved -= 1
-        self._phase_committed[state.phase] = (
-            self._phase_committed.get(state.phase, 0) + 1
-        )
-        self._phase_duration_sum[state.phase] = self._phase_duration_sum.get(
-            state.phase, 0.0
-        ) + max(0.0, self._clock() - attempt.started)
+        self._committed += 1
+        self._duration_sum += max(0.0, self._clock() - attempt.started)
         # Cancel duplicates still queued; running ones become watched losers.
         for other in list(state.running):
             other.cancel()
-        if on_complete is not None:
-            on_complete(state.phase, state.index, value)
-
-    def _attempt_dead(self, state: _TaskState, attempt: _Attempt) -> None:
-        if self._on_attempt_dead is not None:
-            self._on_attempt_dead(state.phase, state.index, attempt.number)
 
     # ------------------------------------------------------------------ #
     # deadlines and speculation
@@ -405,25 +371,23 @@ class TaskScheduler:
                 self._queue_retry(state, now)
 
     def _maybe_speculate(self, now: float) -> None:
-        if not self.policy.speculative:
+        if not self.policy.speculative or self._committed == 0:
             return
-        for phase, total in self._phase_total.items():
-            committed = self._phase_committed.get(phase, 0)
-            if committed == 0 or committed / total < self.policy.speculative_fraction:
+        if self._committed / len(self._tasks) < SPECULATIVE_FRACTION:
+            return
+        mean = self._duration_sum / self._committed
+        floor = SPECULATIVE_MULTIPLIER * max(mean, 1e-6)
+        for state in self._tasks.values():
+            if state.resolved or state.speculated:
                 continue
-            mean = self._phase_duration_sum.get(phase, 0.0) / committed
-            floor = self.policy.speculative_multiplier * max(mean, 1e-6)
-            for state in self._tasks.values():
-                if state.phase != phase or state.resolved or state.speculated:
-                    continue
-                live = state.live_attempts()
-                if len(live) != 1 or state.retry_queued:
-                    continue
-                if now - live[0].started > floor:
-                    self._launch(state, speculative=True)
+            live = state.live_attempts()
+            if len(live) != 1 or state.retry_queued:
+                continue
+            if now - live[0].started > floor:
+                self._launch(state, speculative=True)
 
     # ------------------------------------------------------------------ #
-    # wait timing / drain
+    # wait timing
     # ------------------------------------------------------------------ #
 
     def _wait_timeout(self, now: float) -> Optional[float]:
@@ -445,30 +409,3 @@ class TaskScheduler:
         if not candidates:
             return None
         return max(min(candidates), 0.001)
-
-    def _drain_stragglers(self) -> None:
-        """Settle zombies/losers so spill sweeps can run before close().
-
-        A timed-out or superseded attempt may still be writing its spill
-        segment; sweeping while it writes would re-leak the name the
-        moment the write lands. Bounded by ``zombie_grace`` — a truly hung
-        attempt past that is abandoned with a warning (the spill set's
-        release and the atexit registry remain the backstop).
-        """
-        if not self._futures:
-            return
-        done, not_done = wait(list(self._futures), timeout=self.policy.zombie_grace)
-        for fut in done:
-            key = self._futures.pop(fut)
-            state = self._tasks[key]
-            attempt = state.running.pop(fut, None)
-            if attempt is not None:
-                self._attempt_dead(state, attempt)
-        if not_done:
-            warnings.warn(
-                f"{len(not_done)} straggler task attempt(s) still running "
-                f"after zombie_grace={self.policy.zombie_grace}s; their spill "
-                f"output may outlive the job's sweep",
-                RuntimeWarning,
-                stacklevel=2,
-            )

@@ -7,7 +7,7 @@ paper's fine-grained design must keep small (Section V). This module places the 
 codes and its per-sequence sorted k-mer arrays into shared-memory
 segments: one copy per machine, with workers attaching zero-copy NumPy
 views instead of unpickling a private copy. The same segments carry each
-pool run's above-page job blob and its streaming-shuffle spills.
+pool run's above-page job blob.
 
 Segments
 --------
@@ -15,9 +15,8 @@ A segment is a plain file in ``/dev/shm`` (Linux tmpfs) that this module
 opens, ``mmap``s or ``pread``s, and unlinks itself: :func:`create_segment`,
 :func:`attach_segment`, :func:`write_segment`, :func:`read_segment`,
 :func:`sweep_segment`. Without a usable ``/dev/shm`` a plane lease
-raises and the search runs serially in the driver; a pool run's job blob
-and spills, whose writes raise ``OSError``, ride inline in the task
-messages.
+raises and the search runs serially in the driver; a pool run's job blob,
+whose write raises ``OSError``, rides inline in the task messages.
 
 One owner rule
 --------------
@@ -32,7 +31,9 @@ There are two kinds of owner:
   release unlinks the plane.
 * A **pool run**'s owner is its anchor ``orionspill_<pid>_<token>_<n>``,
   which :class:`SpillSet` creates and share-locks for the run's lifetime;
-  the run's job blob and spills are named under it and unlinked with it.
+  the run's job blob is named under it and unlinked with it. Only the
+  driver makes segments: pool workers read the job blob and the plane,
+  and return their map output through the result pipe.
 
 The reaper runs at plane creation, ``OrionService.start`` and the ``plane
 reap`` CLI. Plane create, attach, release and reaping serialize on one
@@ -190,9 +191,7 @@ def write_segment(name: str, chunks: Iterable[bytes]) -> None:
 def read_segment(name: str, start: int = 0, length: Optional[int] = None) -> bytes:
     """Copy ``length`` bytes at ``start`` out of segment ``name``.
 
-    ``length=None`` reads to the end. The streaming shuffle's reduce tasks
-    use this to pull exactly their partition's run out of a map task's
-    spill, without touching the other partitions' bytes.
+    ``length=None`` reads to the end.
     """
     fd = os.open(_path(name), os.O_RDONLY | os.O_CLOEXEC)
     try:
@@ -370,10 +369,10 @@ def _reap_locked() -> List[str]:
 
 
 # --------------------------------------------------------------------------- #
-# pool runs: the job blob and streaming-shuffle spills
+# pool runs: the job blob
 # --------------------------------------------------------------------------- #
 
-#: Every pool run's anchor, job blob and spill segment name starts with this.
+#: Every pool run's anchor and job blob name starts with this.
 SPILL_PREFIX = "orionspill_"
 
 #: Runs opened (and not yet released) by this process; drained by the
@@ -419,86 +418,27 @@ def _create_anchor() -> Tuple[str, int]:
 
 
 class SpillSet:
-    """The owner of one pool run's segments: its job blob and its spills.
+    """The owner of one pool run's segments: its anchor and its job blob.
 
     Creating the set creates the run's anchor (:func:`_create_anchor`) and
-    holds a shared ``flock`` on it until :meth:`release`. Every segment of
-    the run is named under the anchor's ``set_id``: the job blob as
-    ``{set_id}_job`` (:meth:`publish_job`) and each map task *attempt*'s
-    spill as ``{set_id}_{split:05d}_a{attempt:02d}``. So whatever kills
-    the driver, :func:`reap_orphan_planes` sweeps the whole run once the
-    lock is free.
-
-    Workers create spills *under the names the driver minted* via
-    :func:`write_segment`, so ownership of every possible segment rests
-    with the driver from the start. Attempt-scoped names are what make
-    per-task retries and speculative duplicates safe: two attempts of the
-    same map task never collide on a segment name, the losing attempt's
-    run is swept individually (:meth:`sweep`) without touching the
-    winner's, and a retry never trips over a stale segment squatting on
-    its name.
-
-    Names are minted lazily — :meth:`name_for` records every name it
-    hands out — and :meth:`release` sweeps all that remain, then the
-    anchor. An attempt that commits inline (sub-page output, or a failed
-    spill write) created nothing and is struck off via :meth:`forget`; names
-    whose fate is unknown — already swept, or orphaned by a worker that
-    crashed between create and report — are all covered by the same
-    idempotent :func:`sweep_segment` call. Until released, the set sits in
-    a module registry drained at interpreter exit.
+    holds a shared ``flock`` on it until :meth:`release`. The job blob is
+    named ``{set_id}_job`` under the anchor (:meth:`publish_job`), so
+    whatever kills the driver, :func:`reap_orphan_planes` sweeps the whole
+    run once the lock is free. :meth:`release` sweeps the blob, then the
+    anchor. Until released, the set sits in a module registry drained at
+    interpreter exit.
     """
 
     def __init__(self) -> None:
         self.set_id, self._fd = _create_anchor()
-        # Insertion-ordered so release() sweeps in minting order (determinism
-        # for tests; sweeping itself is order-independent).
-        self._minted: Dict[str, None] = {}
         self._released = False
         _LIVE_SPILL_SETS[self.set_id] = self
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        """Every name minted so far and not yet swept or forgotten."""
-        return tuple(self._minted)
-
-    def _name(self, split_index: int, attempt: int) -> str:
-        return f"{self.set_id}_{split_index:05d}_a{attempt:02d}"
-
-    def name_for(self, split_index: int, attempt: int = 1) -> str:
-        """Reserve the spill segment name for one map task attempt.
-
-        Minting records the name, so :meth:`release` sweeps everything
-        ever handed out — including attempts that died before reporting.
-        """
-        name = self._name(split_index, attempt)
-        self._minted[name] = None
-        return name
 
     def publish_job(self, data: bytes) -> str:
         """Write the run's job blob under the anchor; its segment name."""
         name = f"{self.set_id}_job"
-        self._minted[name] = None
         write_segment(name, (data,))
         return name
-
-    def forget(self, split_index: int, attempt: int = 1) -> None:
-        """Strike off an attempt that reported creating no segment.
-
-        Only for attempts that *returned* an inline commit: a failed or
-        lost attempt may have died after creating its segment and must be
-        swept instead.
-        """
-        self._minted.pop(self._name(split_index, attempt), None)
-
-    def sweep(self, split_index: int, attempt: int = 1) -> bool:
-        """Sweep one attempt's segment now (failed/superseded attempts).
-
-        Idempotent and safe for never-created segments; ``True`` when a
-        segment was actually removed.
-        """
-        name = self._name(split_index, attempt)
-        self._minted.pop(name, None)
-        return sweep_segment(name)
 
     def _abandon(self) -> None:
         """Close the anchor's lock fd without sweeping (a forked child's copy)."""
@@ -509,12 +449,10 @@ class SpillSet:
         _close_lock_fd(self._fd)
 
     def release(self) -> None:
-        """Sweep every minted segment, then the anchor (idempotent)."""
+        """Sweep the job blob, then the anchor (idempotent)."""
         if self._released:
             return
-        for name in self._minted:
-            sweep_segment(name)
-        self._minted = {}
+        sweep_segment(f"{self.set_id}_job")
         sweep_segment(self.set_id)
         self._abandon()
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, List, Optional, Tuple
+from typing import Any, List
 
 
 class TaskKind(enum.Enum):
@@ -19,26 +19,15 @@ class InputSplit:
     """One unit of map input (Hadoop's InputSplit).
 
     ``payload`` is arbitrary — for Orion it is a (fragment, shard) work
-    descriptor. ``size_hint`` feeds storage/locality modelling.
-    ``partitions`` declares the reduce partitions this split's map output
-    may reach; ``None`` means any. A reducer waits only for the splits
-    that declare its partition (DESIGN.md §4.5), and a map task whose
-    output strays outside its declaration fails with
-    :class:`~repro.mapreduce.job.UndeclaredPartitionError`.
+    descriptor.
     """
 
     index: int
     payload: Any
-    size_hint: int = 0
-    partitions: Optional[Tuple[int, ...]] = None
 
     def __post_init__(self) -> None:
         if self.index < 0:
             raise ValueError(f"split index must be non-negative, got {self.index}")
-        if self.size_hint < 0:
-            raise ValueError(f"size_hint must be non-negative, got {self.size_hint}")
-        if self.partitions is not None and any(p < 0 for p in self.partitions):
-            raise ValueError(f"partitions must be non-negative, got {self.partitions}")
 
 
 @dataclass(frozen=True)
@@ -54,12 +43,10 @@ class TaskRecord:
     serial measurements are valid simulator inputs — see
     :attr:`simulator_safe`.
 
-    ``shuffle_bytes_out`` (map tasks) and ``shuffle_bytes_in`` (reduce
-    tasks) count the pickled intermediate bytes this task pushed into /
-    pulled out of the shuffle. The worker pool's streaming shuffle
-    populates them so benchmarks can report moved bytes alongside wall
-    time; the serial executor leaves them 0 (its shuffle happens in the
-    calling process, outside any task).
+    ``shuffle_bytes_out`` (map tasks) counts the pickled output bytes a
+    worker-pool map task returned to the driver's shuffle, so benchmarks
+    can report moved bytes alongside wall time; in-process executors leave
+    it 0 (their map output never leaves the calling process).
 
     ``attempts`` / ``winner`` / ``speculative`` are the fault-tolerance
     trail stamped by the task scheduler: how many attempts the task
@@ -78,7 +65,6 @@ class TaskRecord:
     input_records: int = 0
     output_records: int = 0
     executor: str = "serial"
-    shuffle_bytes_in: int = 0
     shuffle_bytes_out: int = 0
     attempts: int = 1
     winner: int = 1
@@ -90,7 +76,7 @@ class TaskRecord:
             raise ValueError(f"duration must be non-negative, got {self.duration}")
         if not self.task_id:
             raise ValueError("task_id must be non-empty")
-        if self.shuffle_bytes_in < 0 or self.shuffle_bytes_out < 0:
+        if self.shuffle_bytes_out < 0:
             raise ValueError("shuffle byte counts must be non-negative")
         if self.attempts < 1 or not 1 <= self.winner <= self.attempts:
             raise ValueError(

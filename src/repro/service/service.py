@@ -5,10 +5,10 @@ The runtime executes one query's (fragment × shard) tasks in parallel, but
 tail-idle gap the paper closes at task granularity reappears at query
 granularity. The service closes it: queries are accepted concurrently, each
 in-flight query drives :meth:`OrionSearch.run` on its own thread, and all
-of their map/reduce attempts interleave in the one persistent
-:class:`~repro.mapreduce.runtime.WorkerPool` — one query's reduce tasks
-slow-start (streaming shuffle) while the next query's map tasks fill the
-gaps, so the pool never idles between queries. Per-query results are
+of their map attempts interleave in the one persistent
+:class:`~repro.mapreduce.runtime.WorkerPool` — while one query shuffles
+and reduces in its own driver thread, the next query's map tasks keep the
+workers busy, so the pool never idles between queries. Per-query results are
 byte-identical to calling ``run()`` alone (property-tested).
 
 Admission checks, in order:
@@ -30,7 +30,7 @@ Admission checks, in order:
 
 Shutdown is a drain: no new admissions, every admitted query completes,
 worker threads stop, and the search's shared-memory plane and worker pool
-are released (spill segments are swept per job by the runtime; the plane
+are released (job blobs are swept per job by the runtime; the plane
 teardown here is what frees ``/dev/shm``).
 """
 

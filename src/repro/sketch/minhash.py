@@ -17,7 +17,8 @@ the containment ``|P ∩ S| / |P|`` of P in the sketched set S, because the
 sub-threshold region is a uniform random slice of hash space. The variance
 is that of a binomial over the sub-threshold probe count, so
 :func:`containment` refuses to judge (returns 1.0 — "cannot rule the shard
-out") when fewer than ``min_probe`` probe hashes fall below the threshold.
+out") when fewer than :data:`MIN_PROBE_DEFAULT` probe hashes fall below
+the threshold.
 
 Merging: bottom-k sketches are unionable. ``merge_sketches`` takes the
 union of member hashes clipped to the *minimum* member threshold — below
@@ -30,8 +31,8 @@ length ℓ at identity p shares ≈ ``(ℓ − k + 1)·p^k`` k-mers with its
 subject, so a fragment of F bases carrying it has true containment at
 least ``(ℓ − k + 1)·p^k / F``. Choosing ``prune_threshold`` below that for
 the shortest alignment one must keep bounds the recall loss to the
-binomial tail of the probe — driven to ~0 by the ``min_probe`` floor and
-the benchmark-gated default (:data:`DEFAULT_PRUNE_THRESHOLD`).
+binomial tail of the probe — driven to ~0 by the :data:`MIN_PROBE_DEFAULT`
+floor and the benchmark-gated default (:data:`DEFAULT_PRUNE_THRESHOLD`).
 """
 
 from __future__ import annotations
@@ -176,16 +177,13 @@ def probe_hashes(codes: np.ndarray, k: int) -> np.ndarray:
     return np.sort(hash_codes(distinct_sorted(np.sort(packed[valid]))))
 
 
-def containment(
-    probe: np.ndarray,
-    sketch: KmerSketch,
-    min_probe: int = MIN_PROBE_DEFAULT,
-) -> float:
+def containment(probe: np.ndarray, sketch: KmerSketch) -> float:
     """Estimated fraction of the probe's k-mers present in the sketched set.
 
     ``probe`` is the output of :func:`probe_hashes`. Errs on the side of
     **not pruning**: returns 1.0 when the probe is empty or too few probe
-    hashes fall below the sketch threshold to judge (``min_probe``; a
+    hashes fall below the sketch threshold to judge
+    (:data:`MIN_PROBE_DEFAULT`; a
     complete sketch is exact and judged regardless). A return of 0.0
     against a complete sketch is a certainty, not an estimate — the shard
     shares no k-mer with the probe and cannot seed an alignment.
@@ -196,7 +194,7 @@ def containment(
         below = probe
     else:
         below = probe[probe <= np.uint64(sketch.threshold)]
-        if below.shape[0] < min_probe:
+        if below.shape[0] < MIN_PROBE_DEFAULT:
             return 1.0
     if below.shape[0] == 0:
         return 1.0
@@ -267,9 +265,7 @@ class ShardSketchIndex:
             sketches.append(merge_sketches(parts))
         return cls(sketches, k)
 
-    def probe(
-        self, codes: np.ndarray, min_probe: int = MIN_PROBE_DEFAULT
-    ) -> np.ndarray:
+    def probe(self, codes: np.ndarray) -> np.ndarray:
         """Estimated containment of a fragment in every shard (float64 array).
 
         Bit-equal to :func:`containment` against each shard's sketch, in one
@@ -286,7 +282,7 @@ class ShardSketchIndex:
         _, shards = join_sorted(probe, probe, self._table_hashes, self._table_shards)
         found = np.bincount(shards, minlength=self.num_shards)
         below = np.searchsorted(probe, self._thresholds, side="right")
-        judged = (self._complete | (below >= min_probe)) & (below > 0)
+        judged = (self._complete | (below >= MIN_PROBE_DEFAULT)) & (below > 0)
         out[judged & self._empty] = 0.0
         ratio = judged & ~self._empty
         out[ratio] = found[ratio] / below[ratio]

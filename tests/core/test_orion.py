@@ -134,6 +134,20 @@ class TestMeasurementDiscipline:
         with pytest.raises(ValueError, match="contention"):
             replay_orion([res], ClusterSpec(nodes=1), HardwareModel())
 
+    def test_pool_reduce_records_keep_the_pool_kind(self, small_db, query_with_truth):
+        """The pool's reducers run in the driver, yet their records carry the
+        pool's kind: a process-backed result is unsafe in every phase."""
+        query, _ = query_with_truth
+        with OrionSearch(
+            database=small_db, num_shards=4, fragment_length=9000,
+            executor="processes", num_workers=2,
+        ) as search:
+            plan = search.prepare(query)
+            mr = search.executor.run(plan.job, plan.splits)
+        assert len(mr.reduce_records()) == search.num_reducers
+        assert all(r.executor == "processes" for r in mr.reduce_records())
+        assert not any(r.simulator_safe for r in mr.records)
+
 
 class TestFragmentLengthResolution:
     def test_explicit_override_wins(self, orion, query_with_truth):
@@ -391,25 +405,8 @@ def _canonical(alignments):
 
 
 class TestDeclaredPartitions:
-    """Each (fragment, shard) split declares the reduce partitions of its
-    shard's keys, so a reducer starts once the splits feeding it commit."""
-
-    def test_splits_declare_their_shards_key_partitions(self, small_db, query_with_truth):
-        from repro.mapreduce.partitioner import hash_partitioner
-
-        query, _ = query_with_truth
-        search = OrionSearch(
-            small_db, num_shards=4, fragment_length=9000, strands="both",
-            num_reducers=5,
-        )
-        for split in search.prepare(query).splits:
-            _, shard_index = split.payload
-            expected = {
-                hash_partitioner((rec.seq_id, strand), 5)
-                for rec in search.shards[shard_index].database
-                for strand in (1, -1)
-            }
-            assert split.partitions == tuple(sorted(expected))
+    """Any reducer count, both strands: the pool's map tasks feed the
+    driver's shuffle exactly what the serial executor's do."""
 
     @pytest.mark.parametrize("num_reducers", [1, 3, 8])
     def test_processes_equal_serial_on_both_strands(

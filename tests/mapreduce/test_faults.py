@@ -1,34 +1,43 @@
 """Fault-tolerance tests: injector, retry policy, scheduler, fault matrix.
 
 The matrix at the bottom is the load-bearing part: every fault kind is
-injected into every phase under every start method on the worker pool, and
-the job must recover *in place* — byte-identical output, no whole-job serial
+injected into the map phase (the only phase the worker pool runs) under
+every start method, cold and warm, and the job must recover *in place* — byte-identical output, no whole-job serial
 fallback, the targeted task's retry visible in its TaskRecord, and nothing
 left behind in ``/dev/shm``.
 """
 
+import dataclasses
+import functools
 import mmap
 import os
 import pickle
+import threading
 import time
 import warnings
 from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 
 import pytest
 
+from repro.mapreduce import faults as faults_mod
 from repro.mapreduce.faults import (
     ANY,
+    FAULT_KINDS,
     FaultInjector,
     FaultSpec,
     RetryPolicy,
     TaskFailedError,
     TransientTaskError,
 )
+from repro.mapreduce import scheduler as scheduler_mod
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import SerialExecutor, WorkerPool
 from repro.mapreduce.scheduler import TaskScheduler
 from repro.mapreduce.types import TaskKind
 from tests.mapreduce.test_runtime import (
+    _mod5_mapper,
+    _padded_mapper,
+    _raising_reducer,
     _sum_reducer,
     make_job,
     make_splits,
@@ -72,6 +81,18 @@ class TestFaultSpec:
         with pytest.raises(ValueError, match="kind"):
             FaultSpec(phase="map", kind="explode")
 
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_reduce_phase_is_rejected(self, kind):
+        # Reducers run in the driver, as they do serially: no task to fault.
+        with pytest.raises(ValueError, match="phase"):
+            FaultSpec(phase="reduce", kind=kind)
+
+    def test_fault_kinds_are_task_entry_faults(self):
+        # No task touches shared memory, so there is no shm fault to inject.
+        assert FAULT_KINDS == ("crash", "hang", "transient")
+        with pytest.raises(ValueError, match="kind"):
+            FaultSpec(phase="map", kind="shm")
+
     def test_plane_phase_validates_kind_and_point(self):
         spec = FaultSpec(phase="plane", kind="corrupt-segment", point="attach")
         assert spec.point == "attach"
@@ -107,10 +128,10 @@ class TestFaultSpec:
         assert not spec.matches("reduce", 3, 2)
 
     def test_wildcards(self):
-        spec = FaultSpec(phase="reduce", kind="shm")  # index=ANY, attempt=ANY
-        assert spec.matches("reduce", 0, 1)
-        assert spec.matches("reduce", 7, 4)
-        assert not spec.matches("map", 0, 1)
+        spec = FaultSpec(phase="map", kind="transient")  # index=ANY, attempt=ANY
+        assert spec.matches("map", 0, 1)
+        assert spec.matches("map", 7, 4)
+        assert not spec.matches("plane", 0, 1)
         only_first_attempt = FaultSpec(phase="map", kind="crash", attempt=1)
         assert only_first_attempt.matches("map", 5, 1)
         assert not only_first_attempt.matches("map", 5, 2)
@@ -136,13 +157,6 @@ class TestFaultInjector:
             inj.fire("map", 0, 1)
         inj.fire("map", 0, 2)  # address miss: no fault
 
-    def test_shm_faults_fire_only_at_shm_touch_points(self):
-        inj = FaultInjector(specs=(FaultSpec(phase="reduce", kind="shm"),))
-        inj.fire("reduce", 0, 1)  # task entry: shm faults do nothing here
-        with pytest.raises(OSError, match="injected shm fault"):
-            inj.shm_fault("reduce", 0, 1)
-        inj.shm_fault("map", 0, 1)  # address miss: no fault
-
     def test_picklable(self):
         inj = FaultInjector(
             specs=(FaultSpec(phase="map", kind="crash", index=1),)
@@ -163,24 +177,41 @@ class TestRetryPolicy:
             RetryPolicy(task_timeout=0.0)
         with pytest.raises(ValueError, match="jitter"):
             RetryPolicy(backoff_jitter=1.0)
-        with pytest.raises(ValueError, match="multiplier"):
-            RetryPolicy(backoff_multiplier=0.5)
-        with pytest.raises(ValueError, match="speculative_fraction"):
-            RetryPolicy(speculative_fraction=0.0)
+        with pytest.raises(ValueError, match="backoff_base"):
+            RetryPolicy(backoff_base=-1.0)
+
+    def test_settable_fields(self):
+        assert [f.name for f in dataclasses.fields(RetryPolicy)] == [
+            "max_attempts", "task_timeout", "backoff_base", "backoff_jitter",
+            "speculative", "sleep",
+        ]
+
+    def test_backoff_multiplier_is_a_module_constant(self, monkeypatch):
+        monkeypatch.setattr(faults_mod, "BACKOFF_MULTIPLIER", 3.0)
+        policy = RetryPolicy(backoff_base=0.01, backoff_jitter=0.0)
+        assert policy.backoff_seconds(3, "map/0") == pytest.approx(0.03)
+        assert policy.backoff_seconds(4, "map/0") == pytest.approx(0.09)
+
+    def test_jitter_seed_is_a_module_constant(self, monkeypatch):
+        policy = RetryPolicy(backoff_base=0.1, backoff_jitter=0.25)
+        default = [policy.backoff_seconds(2, f"map/{i}") for i in range(4)]
+        monkeypatch.setattr(faults_mod, "BACKOFF_SEED", 5)
+        reseeded = [policy.backoff_seconds(2, f"map/{i}") for i in range(4)]
+        assert reseeded != default
+        assert reseeded == [policy.backoff_seconds(2, f"map/{i}") for i in range(4)]
+        assert all(0.075 <= b <= 0.125 for b in reseeded)
 
     def test_first_attempt_never_waits(self):
         assert RetryPolicy().backoff_seconds(1, "map/0") == 0.0
 
     def test_exponential_schedule_without_jitter(self):
-        policy = RetryPolicy(
-            backoff_base=0.02, backoff_multiplier=2.0, backoff_jitter=0.0
-        )
+        policy = RetryPolicy(backoff_base=0.02, backoff_jitter=0.0)
         assert policy.backoff_seconds(2, "map/0") == pytest.approx(0.02)
         assert policy.backoff_seconds(3, "map/0") == pytest.approx(0.04)
         assert policy.backoff_seconds(4, "map/0") == pytest.approx(0.08)
 
     def test_jitter_is_bounded_and_deterministic(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_jitter=0.25, seed=5)
+        policy = RetryPolicy(backoff_base=0.1, backoff_jitter=0.25)
         first = policy.backoff_seconds(2, "map/3")
         assert first == policy.backoff_seconds(2, "map/3")
         assert 0.075 <= first <= 0.125
@@ -223,20 +254,14 @@ class TestTaskScheduler:
         sched = TaskScheduler(fast_policy(sleep=_noop_sleep))
         for i in range(4):
             sched.add("map", i, lambda a, i=i: thread_pool.submit(lambda: i * 10))
-        completed = []
-        sched.run(on_complete=lambda ph, idx, val: completed.append((ph, idx, val)))
-        assert sorted(completed) == [("map", i, i * 10) for i in range(4)]
+        sched.run()
         for i in range(4):
             assert sched.result("map", i) == i * 10
             meta = sched.meta("map", i)
             assert (meta.attempts, meta.winner, meta.speculative) == (1, 1, False)
 
     def test_failed_attempt_retries_and_reports_the_dead_attempt(self, thread_pool):
-        dead = []
-        sched = TaskScheduler(
-            fast_policy(sleep=_noop_sleep),
-            on_attempt_dead=lambda ph, idx, att: dead.append((ph, idx, att)),
-        )
+        sched = TaskScheduler(fast_policy(sleep=_noop_sleep))
 
         def work(attempt):
             if attempt == 1:
@@ -246,9 +271,9 @@ class TestTaskScheduler:
         sched.add("map", 0, lambda a: thread_pool.submit(work, a))
         sched.run()
         assert sched.result("map", 0) == "recovered"
+        # The trail shows the dead first attempt and the winning second.
         meta = sched.meta("map", 0)
         assert (meta.attempts, meta.winner) == (2, 2)
-        assert dead == [("map", 0, 1)]
 
     def test_exhausted_budget_raises_named_chained_error(self, thread_pool):
         sched = TaskScheduler(fast_policy(max_attempts=2, sleep=_noop_sleep))
@@ -256,18 +281,14 @@ class TestTaskScheduler:
         def work(_attempt):
             raise ValueError("persistent")
 
-        sched.add("reduce", 3, lambda a: thread_pool.submit(work, a))
+        sched.add("map", 3, lambda a: thread_pool.submit(work, a))
         with pytest.raises(TaskFailedError) as ei:
             sched.run()
-        assert (ei.value.phase, ei.value.index, ei.value.attempts) == ("reduce", 3, 2)
+        assert (ei.value.phase, ei.value.index, ei.value.attempts) == ("map", 3, 2)
         assert isinstance(ei.value.__cause__, ValueError)
 
     def test_deadline_retry_beats_the_zombie(self, thread_pool):
-        dead = []
-        sched = TaskScheduler(
-            fast_policy(task_timeout=0.15, zombie_grace=5.0, sleep=_noop_sleep),
-            on_attempt_dead=lambda ph, idx, att: dead.append((ph, idx, att)),
-        )
+        sched = TaskScheduler(fast_policy(task_timeout=0.15, sleep=_noop_sleep))
 
         def work(attempt):
             if attempt == 1:
@@ -279,14 +300,10 @@ class TestTaskScheduler:
         assert sched.result("map", 0) == "attempt-2"
         meta = sched.meta("map", 0)
         assert (meta.attempts, meta.winner) == (2, 2)
-        # The zombie was drained and reported dead so spills can be swept.
-        assert ("map", 0, 1) in dead
 
     def test_zombie_that_finishes_first_still_wins(self, thread_pool):
         sched = TaskScheduler(
-            fast_policy(
-                max_attempts=2, task_timeout=0.3, zombie_grace=5.0, sleep=_noop_sleep
-            )
+            fast_policy(max_attempts=2, task_timeout=0.3, sleep=_noop_sleep)
         )
 
         def work(attempt):
@@ -301,15 +318,10 @@ class TestTaskScheduler:
         meta = sched.meta("map", 0)
         assert (meta.attempts, meta.winner) == (2, 1)
 
-    def test_speculation_duplicates_the_straggler(self, thread_pool):
-        sched = TaskScheduler(
-            fast_policy(
-                speculative=True,
-                speculative_fraction=0.5,
-                speculative_multiplier=1.5,
-                sleep=_noop_sleep,
-            )
-        )
+    def test_speculation_duplicates_the_straggler(self, thread_pool, monkeypatch):
+        monkeypatch.setattr(scheduler_mod, "SPECULATIVE_FRACTION", 0.5)
+        monkeypatch.setattr(scheduler_mod, "SPECULATIVE_MULTIPLIER", 1.5)
+        sched = TaskScheduler(fast_policy(speculative=True, sleep=_noop_sleep))
 
         def work(index, attempt):
             if index == 3 and attempt == 1:
@@ -324,6 +336,52 @@ class TestTaskScheduler:
         assert meta.attempts == 2
         assert sched.result("map", 3) == (3, 2)  # the duplicate won
         assert all(not sched.meta("map", i).speculative for i in range(3))
+
+    def test_run_returns_without_draining_a_zombie(self, thread_pool):
+        # Attempts return their output rather than write it anywhere, so
+        # nothing waits for a timed-out straggler once its task committed.
+        sched = TaskScheduler(fast_policy(task_timeout=0.1, sleep=_noop_sleep))
+
+        def work(attempt):
+            if attempt == 1:
+                time.sleep(1.5)
+            return attempt
+
+        sched.add("map", 0, lambda a: thread_pool.submit(work, a))
+        start = time.monotonic()
+        sched.run()
+        assert time.monotonic() - start < 1.0
+        assert sched.result("map", 0) == 2
+
+    def test_no_speculation_below_the_fraction(self, thread_pool):
+        # Half the tasks straggle far past 2x the mean committed duration,
+        # but at 2 of 4 committed the default SPECULATIVE_FRACTION (0.75) is
+        # not reached: nothing is duplicated until the stragglers are released.
+        assert scheduler_mod.SPECULATIVE_FRACTION == 0.75
+        release = threading.Event()
+        early_duplicates = []
+
+        def work(index):
+            if index >= 2:
+                release.wait(5.0)
+            return index
+
+        def submit(index, attempt):
+            if attempt > 1 and not release.is_set():
+                early_duplicates.append((index, attempt))
+            return thread_pool.submit(work, index)
+
+        sched = TaskScheduler(fast_policy(speculative=True, sleep=_noop_sleep))
+        for i in range(4):
+            sched.add("map", i, lambda a, i=i: submit(i, a))
+        timer = threading.Timer(0.4, release.set)
+        timer.start()
+        try:
+            sched.run()
+        finally:
+            timer.join(5.0)
+        assert [sched.result("map", i) for i in range(4)] == [0, 1, 2, 3]
+        assert early_duplicates == []
 
     def test_broken_future_respawns_pool_once_and_retries(self):
         respawns = []
@@ -367,21 +425,6 @@ class TestTaskScheduler:
         assert sched.meta("map", 0).attempts == 1
         assert len(respawns) == 1
 
-    def test_on_complete_may_add_tasks(self, thread_pool):
-        # Reduce slowstart rides on this: map commits schedule reduce tasks.
-        sched = TaskScheduler(fast_policy(sleep=_noop_sleep))
-
-        def on_complete(phase, index, _value):
-            if phase == "map":
-                sched.add(
-                    "reduce", index, lambda a, i=index: thread_pool.submit(lambda: -i)
-                )
-
-        for i in range(3):
-            sched.add("map", i, lambda a, i=i: thread_pool.submit(lambda: i))
-        sched.run(on_complete=on_complete)
-        assert [sched.result("reduce", i) for i in range(3)] == [0, -1, -2]
-
     def test_backoff_waits_route_through_the_injectable_sleep(self):
         slept = []
 
@@ -407,7 +450,7 @@ class TestTaskScheduler:
 
 
 # --------------------------------------------------------------------------- #
-# the fault matrix: every kind x phase x start method recovers
+# the fault matrix: every kind x start method x lifecycle recovers
 # --------------------------------------------------------------------------- #
 
 
@@ -415,6 +458,18 @@ class TestTaskScheduler:
 def serial_output():
     result = SerialExecutor().run(make_job(), make_splits(4))
     return sorted(result.flat_outputs())
+
+
+def _job_summary(result):
+    """Outputs, shuffle keys and each record's position, id, kind and counts."""
+    return (
+        result.outputs,
+        result.shuffle_keys,
+        [
+            (i, r.task_id, r.kind, r.input_records, r.output_records)
+            for i, r in enumerate(result.records)
+        ],
+    )
 
 
 def _record_for(result, phase, index):
@@ -426,12 +481,6 @@ def _record_for(result, phase, index):
     ]
     assert len(matches) == 1, matches
     return matches[0]
-
-
-#: Records per split whose pickled map output exceeds one page, so the
-#: streaming shuffle spills it to a segment — the only place an shm fault
-#: can strike a task.
-_SPILLING_WIDTH = 2000
 
 
 def run_faulted(job, splits, lifecycle, injector, **kwargs):
@@ -454,8 +503,8 @@ def run_faulted(job, splits, lifecycle, injector, **kwargs):
 class TestFaultMatrix:
     @pytest.mark.parametrize("lifecycle", ["cold", "warm"])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    @pytest.mark.parametrize("phase", ["map", "reduce"])
-    @pytest.mark.parametrize("kind", ["crash", "hang", "transient", "shm"])
+    @pytest.mark.parametrize("phase", ["map"])
+    @pytest.mark.parametrize("kind", ["crash", "hang", "transient"])
     def test_one_fault_recovers_in_place(self, kind, phase, start_method, lifecycle):
         spec = FaultSpec(
             phase=phase, kind=kind, index=1, attempt=1, hang_seconds=1.5
@@ -467,7 +516,7 @@ class TestFaultMatrix:
             policy = fast_policy(task_timeout=0.35, max_attempts=8)
         else:
             policy = fast_policy()
-        splits = make_splits(4, width=_SPILLING_WIDTH if kind == "shm" else 10)
+        splits = make_splits(4)
         expected = sorted(SerialExecutor().run(make_job(), splits).flat_outputs())
         before = _shm_segments()
         with warnings.catch_warnings():
@@ -481,17 +530,9 @@ class TestFaultMatrix:
         assert sorted(result.flat_outputs()) == expected
         assert all(r.executor == "processes" for r in result.records)
         assert all(r.fallback_reason == "" for r in result.records)
-        if kind == "shm":
-            assert all(
-                r.shuffle_bytes_out > mmap.PAGESIZE for r in result.map_records()
-            )
 
         target = _record_for(result, phase, 1)
-        if (kind, phase) == ("shm", "map"):
-            # A failed spill write degrades to the inline-bytes path inside
-            # the same attempt; nothing retries.
-            assert all(r.attempts == 1 for r in result.records)
-        elif kind == "hang":
+        if kind == "hang":
             # The hung first attempt never wins, but on a cold spawn worker
             # the replacement can outlive the deadline too and be replaced
             # in turn, so only a lower bound on the winner is exact.
@@ -502,35 +543,39 @@ class TestFaultMatrix:
             assert target.winner == 2
         assert _shm_segments() - before == set()
 
-    @pytest.mark.parametrize("phase", ["map", "reduce"])
-    def test_sub_page_task_is_immune_to_shm_faults(
-        self, phase, serial_output
-    ):
-        # The fault is armed for every task and every attempt: a task that
-        # touched a segment would burn its whole budget and fall back. Runs
-        # that fit in a page travel inline and never reach a touch point.
-        spec = FaultSpec(phase=phase, kind="shm", index=ANY, attempt=ANY)
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
+    def test_recovered_job_result_equals_serial(self, kind, start_method):
+        """After a map task recovers in place, the driver's shuffle and
+        reducers see what the serial ones see: the ``JobResult`` equals the
+        serial one field by field, reduce records included."""
+        job, splits = make_job(3), make_splits(6)
+        spec = FaultSpec(phase="map", kind=kind, index=2, attempt=1, hang_seconds=1.5)
+        if kind == "hang":
+            policy = fast_policy(task_timeout=0.35, max_attempts=8)
+        else:
+            policy = fast_policy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_pool(
-                make_job(), make_splits(4),
-                retry=fast_policy(),
+                job, splits, start_method=start_method, retry=policy,
                 injector=FaultInjector(specs=(spec,)),
             )
-        assert sorted(result.flat_outputs()) == serial_output
-        assert all(r.attempts == 1 for r in result.records)
-        assert all(
-            0 < r.shuffle_bytes_out <= mmap.PAGESIZE for r in result.map_records()
-        )
+        assert _job_summary(result) == _job_summary(SerialExecutor().run(job, splits))
+        assert all(r.executor == "processes" for r in result.records)
+        assert _record_for(result, "map", 2).attempts >= 2
+        assert all(r.attempts == 1 for r in result.reduce_records())
 
-    def test_speculative_duplicate_races_an_injected_straggler(self, serial_output):
+    def test_speculative_duplicate_races_an_injected_straggler(
+        self, serial_output, monkeypatch
+    ):
         # No deadline here: speculation alone must rescue the hung task.
+        monkeypatch.setattr(scheduler_mod, "SPECULATIVE_FRACTION", 0.5)
+        monkeypatch.setattr(scheduler_mod, "SPECULATIVE_MULTIPLIER", 1.5)
         spec = FaultSpec(
             phase="map", kind="hang", index=1, attempt=1, hang_seconds=1.5
         )
-        policy = fast_policy(
-            speculative=True, speculative_fraction=0.5, speculative_multiplier=1.5
-        )
+        policy = fast_policy(speculative=True)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_pool(
@@ -566,6 +611,22 @@ class TestWorkerPoolFaults:
         assert sorted(second.flat_outputs()) == serial_output
         assert _record_for(first, "map", 1).attempts == 2
         assert _shm_segments() - before == set()
+
+    def test_recovered_map_crash_then_reducer_exception_propagates(self):
+        # The map phase recovers in place; the reducer's own exception then
+        # propagates, neither retried nor turned into a serial fallback.
+        job = MapReduceJob(
+            mapper=_mod5_mapper, reducer=_raising_reducer, num_reducers=2, name="r"
+        )
+        spec = FaultSpec(phase="map", kind="crash", index=1, attempt=1)
+        with WorkerPool(
+            max_workers=2, retry=fast_policy(), injector=FaultInjector(specs=(spec,))
+        ) as pool:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(KeyError, match="reducer refuses key"):
+                    pool.run(job, make_splits(4))
+            assert pool.started
 
 
 # --------------------------------------------------------------------------- #
@@ -627,16 +688,34 @@ class TestFallbackLadder:
     def test_exhaustion_sweeps_spills_before_serial_rerun(
         self, lifecycle, serial_output
     ):
-        spec = FaultSpec(phase="reduce", kind="transient", index=0, attempt=ANY)
+        # An above-page job: its blob is a segment the run must sweep.
+        job = MapReduceJob(
+            mapper=functools.partial(_padded_mapper, bytes(2 * mmap.PAGESIZE)),
+            reducer=_sum_reducer, num_reducers=2, name="t",
+        )
+        assert len(pickle.dumps(job)) > mmap.PAGESIZE
+        spec = FaultSpec(phase="map", kind="transient", index=0, attempt=ANY)
         before = _shm_segments()
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = run_faulted(
-                make_job(), make_splits(4), lifecycle,
+                job, make_splits(4), lifecycle,
                 FaultInjector(specs=(spec,)),
                 retry=fast_policy(max_attempts=2),
             )
         assert sorted(result.flat_outputs()) == serial_output
         assert _shm_segments() - before == set()
+
+    @pytest.mark.parametrize("lifecycle", ["cold", "warm"])
+    def test_fallback_result_equals_serial_field_by_field(self, lifecycle):
+        job, splits = make_job(3), make_splits(5)
+        spec = FaultSpec(phase="map", kind="transient", index=3, attempt=ANY)
+        with pytest.warns(RuntimeWarning, match="falling back to serial"):
+            result = run_faulted(
+                job, splits, lifecycle, FaultInjector(specs=(spec,)),
+                retry=fast_policy(max_attempts=2),
+            )
+        assert _job_summary(result) == _job_summary(SerialExecutor().run(job, splits))
+        assert all(r.executor == "serial" for r in result.records)
 
     def test_serial_failure_does_not_mask_the_original_task_error(self):
         job = MapReduceJob(

@@ -72,6 +72,23 @@ class TestShuffle:
             job.shuffle([[("a", 1)]])
 
 
+    def test_values_keep_map_task_order(self):
+        job = self._job(n_red=1)
+        partitions = job.shuffle([[("k", "t0a"), ("k", "t0b")], [("k", "t1")], [("k", "t2")]])
+        assert partitions == [[("k", ["t0a", "t0b", "t1", "t2"])]]
+
+    def test_keys_sorted_within_each_partition(self):
+        job = self._job(n_red=2)
+        partitions = job.shuffle([[(k, 1) for k in "zyxwvutsr"]])
+        for part in partitions:
+            keys = [key for key, _ in part]
+            assert keys == sorted(keys)
+
+    def test_no_output_gives_empty_partitions(self):
+        assert self._job(n_red=3).shuffle([]) == [[], [], []]
+        assert self._job(n_red=2).shuffle([[], []]) == [[], []]
+
+
 class TestReduceTask:
     def test_runs_reducer_per_key(self):
         job = MapReduceJob(mapper=word_mapper, reducer=count_reducer)

@@ -1,23 +1,20 @@
 """Tests for executors: correctness, determinism, task records."""
 
+import dataclasses
 import functools
 import mmap
 import multiprocessing
 import os
 import pickle
-import time
+import threading
+import warnings
 
 import pytest
 
 from repro.mapreduce import runtime as runtime_mod
 from repro.mapreduce import shm as shm_mod
-from repro.mapreduce.faults import (
-    FaultInjector,
-    FaultSpec,
-    RetryPolicy,
-    TaskFailedError,
-)
-from repro.mapreduce.job import MapReduceJob, UndeclaredPartitionError
+from repro.mapreduce.faults import RetryPolicy
+from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import (
     EXECUTOR_KINDS,
     SerialExecutor,
@@ -38,39 +35,13 @@ def _sum_reducer(key, values):
     yield key, sum(values)
 
 
-#: Long enough that one reduce wave vs two is visible over pool startup
-#: noise (sleeps need no CPU, so this is robust on single-core CI too).
-_REDUCE_SLEEP = 1.5
-
-
-def _sleeping_reducer(key, values):
-    time.sleep(_REDUCE_SLEEP)
-    yield key, sum(values)
-
-
 def _mod4_mapper(split):
     for x in split.payload:
         yield x % 4, x
 
 
-def _blob_mapper(split):
-    # One pair per task whose value is ``payload`` zero bytes: the pickled
-    # run's size is the payload plus a constant.
-    yield 0, bytes(split.payload)
-
-
-def _blob_reducer(key, values):
-    yield key, [len(v) for v in values]
-
-
-def _blob_overhead():
-    """Pickled-run bytes beyond the blob itself (constant from 256 B up)."""
-    run = [(0, bytes(1000))]
-    return len(pickle.dumps(run, protocol=pickle.HIGHEST_PROTOCOL)) - 1000
-
-
 def _log_segment_calls(monkeypatch, path):
-    """Make write/read_segment append their name to ``path``.
+    """Make write/read_segment append their name and caller's pid to ``path``.
 
     Worker processes forked after this call inherit the patch; appends
     from several processes to one ``O_APPEND`` file do not interleave.
@@ -81,7 +52,7 @@ def _log_segment_calls(monkeypatch, path):
         def logged(*args, _original=original, _fn_name=fn_name, **kwargs):
             fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
             try:
-                os.write(fd, f"{_fn_name}\n".encode())
+                os.write(fd, f"{_fn_name} {os.getpid()}\n".encode())
             finally:
                 os.close(fd)
             return _original(*args, **kwargs)
@@ -95,10 +66,13 @@ def _padded_mapper(padding, split):
         yield x % 5, x
 
 
-def _identity_partitioner(key, num_reducers):
-    # One key per partition: every reduce task sleeps exactly once, making
-    # the number of reduce waves directly readable from the wall clock.
-    return key % num_reducers
+def _pid_reducer(key, values):
+    yield key, os.getpid()
+
+
+def _raising_reducer(key, values):
+    raise KeyError(f"reducer refuses key {key}")
+    yield  # pragma: no cover - makes this a generator function
 
 
 def make_job(n_red=2):
@@ -119,10 +93,6 @@ def run_pool(job, splits, **kwargs):
     kwargs.setdefault("max_workers", 2)
     with WorkerPool(**kwargs) as pool:
         return pool.run(job, splits)
-
-
-#: Fails every map task's spill write, so every run commits inline.
-_EVERY_SPILL_FAILS = FaultInjector(specs=(FaultSpec(phase="map", kind="shm"),))
 
 
 def expected_totals(n=6, width=10):
@@ -253,7 +223,7 @@ class TestProcessPool:
             result = run_pool(job, make_splits(3))
             assert dict(result.flat_outputs()) == expected_totals(3)
             refs = {item[0] for item in submitted}
-            assert len(submitted) == 3 + 2 and len(refs) == 1
+            assert len(submitted) == 3 and len(refs) == 1  # map tasks only
             (ref,) = refs
             assert not any(isinstance(part, MapReduceJob) for part in submitted[0])
             if job is small:
@@ -262,80 +232,119 @@ class TestProcessPool:
                 assert ref.segment is not None and ref.inline is None
                 assert ref.size == len(pickle.dumps(large))
 
-    def test_pool_sized_for_reduce_phase(self):
-        """Regression: one pool serves both phases, so a reduce phase wider
-        than the map phase must still run in one wave — sizing the pool by
-        splits alone silently serializes it."""
-        job = MapReduceJob(
-            mapper=_mod4_mapper,
-            reducer=_sleeping_reducer,
-            num_reducers=4,
-            partitioner=_identity_partitioner,
-            name="w",
-        )
-        start = time.monotonic()
-        result = run_pool(job, make_splits(2), max_workers=8)
-        wall = time.monotonic() - start
-        totals = dict(result.flat_outputs())
-        assert totals == {k: sum(x for x in range(20) if x % 4 == k) for k in range(4)}
-        # Each partition holds exactly one key, so all four reduce tasks
-        # sleep once and ran in one wave. A pool capped at len(splits)=2
-        # needs two waves, so its reduce phase alone takes ≥ 2×_REDUCE_SLEEP.
-        assert wall < 2 * _REDUCE_SLEEP
 
 
 class TestStreamingShuffle:
+    """A pool run's shuffle: the pool runs only map tasks, whose outputs
+    return to the driver, which shuffles and reduces as the serial executor
+    does."""
+
     def test_matches_serial(self):
         job = make_job(3)
         splits = make_splits(8)
         serial = SerialExecutor().run(job, splits)
-        stream = run_pool(job, splits)
-        assert stream.outputs == serial.outputs
-        assert stream.shuffle_keys == serial.shuffle_keys
+        pooled = run_pool(job, splits)
+        assert pooled.outputs == serial.outputs
+        assert pooled.shuffle_keys == serial.shuffle_keys
 
     def test_record_order_and_shuffle_bytes(self):
-        """Records stay in split/partition order despite as_completed
-        scheduling, and map spill bytes balance reduce fetch bytes."""
-        result = run_pool(make_job(3), make_splits(6))
+        """Records stay in split/partition order whatever the completion
+        order, and each map record counts the pickled output it returned."""
+        job, splits = make_job(3), make_splits(6)
+        result = run_pool(job, splits)
         assert [r.task_id for r in result.map_records()] == [
             f"t/map/{i:05d}" for i in range(6)
         ]
         assert [r.task_id for r in result.reduce_records()] == [
             f"t/reduce/{i:05d}" for i in range(3)
         ]
-        out_bytes = sum(r.shuffle_bytes_out for r in result.map_records())
-        in_bytes = sum(r.shuffle_bytes_in for r in result.reduce_records())
-        assert out_bytes == in_bytes > 0
+        assert [r.shuffle_bytes_out for r in result.map_records()] == [
+            len(pickle.dumps(job.run_map_task(s), protocol=pickle.HIGHEST_PROTOCOL))
+            for s in splits
+        ]
+        assert all(r.shuffle_bytes_out == 0 for r in result.reduce_records())
 
     def test_empty_partitions(self):
-        """More reducers than keys: empty runs (zero-length slices) flow
-        through the streaming shuffle without pickling or attaching."""
+        """More reducers than keys: empty partitions still get a reduce."""
         job = make_job(8)  # only 5 distinct keys exist
         splits = make_splits(1)
         serial = SerialExecutor().run(job, splits)
-        stream = run_pool(job, splits)
-        assert stream.outputs == serial.outputs
+        pooled = run_pool(job, splits)
+        assert pooled.outputs == serial.outputs
+        assert len(pooled.reduce_records()) == 8
 
-    def test_inline_fallback_without_shm(self, monkeypatch, tmp_path):
-        """When every spill write fails, above-page runs ride inline
-        through the result pipe — same outputs, bytes still accounted,
-        no segment read."""
-        log = tmp_path / "segment_calls"
-        _log_segment_calls(monkeypatch, str(log))
-        splits = make_splits(4, width=2000)
-        stream = run_pool(
-            make_job(2), splits, start_method="fork", injector=_EVERY_SPILL_FAILS
+    @pytest.mark.parametrize("num_reducers", [1, 4])
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_reducers_run_in_the_driver(self, start_method, num_reducers):
+        job = MapReduceJob(
+            mapper=_mod5_mapper, reducer=_pid_reducer,
+            num_reducers=num_reducers, name="pid",
         )
-        assert dict(stream.flat_outputs()) == expected_totals(4, width=2000)
-        assert all(
-            r.shuffle_bytes_out > mmap.PAGESIZE for r in stream.map_records()
+        result = run_pool(job, make_splits(4), start_method=start_method)
+        assert dict(result.flat_outputs()) == {k: os.getpid() for k in range(5)}
+        assert len(result.reduce_records()) == num_reducers
+        assert all(r.executor == "processes" for r in result.records)
+
+    @pytest.mark.parametrize("lifecycle", ["cold", "warm"])
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_reducer_exception_propagates_without_fallback(
+        self, start_method, lifecycle
+    ):
+        job = MapReduceJob(
+            mapper=_mod5_mapper, reducer=_raising_reducer, num_reducers=2, name="r"
         )
-        assert all(r.attempts == 1 for r in stream.map_records())
-        assert not log.exists() or log.read_text() == ""
+        with WorkerPool(
+            max_workers=2, start_method=start_method, retry=RetryPolicy(max_attempts=3)
+        ) as pool:
+            if lifecycle == "warm":
+                assert dict(pool.run(make_job(), make_splits()).flat_outputs()) == (
+                    expected_totals()
+                )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a serial fallback warns
+                with pytest.raises(KeyError, match="reducer refuses key"):
+                    pool.run(job, make_splits(4))
+            assert pool.started  # the pool was not discarded
+            # ...and still serves the next job on the same workers.
+            assert dict(pool.run(make_job(), make_splits()).flat_outputs()) == (
+                expected_totals()
+            )
+
+    def test_reducer_exception_leaves_a_concurrent_job_alone(self):
+        """Two jobs share one pool from two threads; one reducer raises.
+        The other job completes on the pool, with no fallback."""
+        bad = MapReduceJob(
+            mapper=_mod5_mapper, reducer=_raising_reducer, num_reducers=2, name="r"
+        )
+        outcomes = {}
+        with WorkerPool(max_workers=2) as pool:
+            pool.prewarm()
+
+            def run(name, job):
+                try:
+                    outcomes[name] = pool.run(job, make_splits(8))
+                except KeyError as exc:
+                    outcomes[name] = exc
+
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                threads = [
+                    threading.Thread(target=run, args=("bad", bad)),
+                    threading.Thread(target=run, args=("good", make_job())),
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+            assert pool.started
+        assert isinstance(outcomes["bad"], KeyError)
+        good = outcomes["good"]
+        assert dict(good.flat_outputs()) == expected_totals(8)
+        assert all(r.executor == "processes" for r in good.records)
 
     def test_inline_fallback_without_spill_set(self, monkeypatch, tmp_path):
-        """When the run's segment owner cannot be created, the job blob
-        and every run ride inline — with a warning, exact outputs."""
+        """When the run's segment owner cannot be created, an above-page
+        job blob rides inline — with a warning, exact outputs."""
 
         def no_anchor():
             raise OSError("injected: no /dev/shm")
@@ -343,206 +352,34 @@ class TestStreamingShuffle:
         log = tmp_path / "segment_calls"
         _log_segment_calls(monkeypatch, str(log))
         monkeypatch.setattr(shm_mod, "_create_anchor", no_anchor)
-        splits = make_splits(4, width=2000)
-        with pytest.warns(RuntimeWarning, match="shipping inline per task"):
-            stream = run_pool(make_job(3), splits, start_method="fork")
-        assert dict(stream.flat_outputs()) == expected_totals(4, width=2000)
-        assert all(r.executor == "processes" for r in stream.records)
-        assert not log.exists() or log.read_text() == ""
-
-    def test_page_rule_is_inclusive(self):
-        """Runs totalling exactly one page commit inline; one byte more
-        spills (the rule is ``total > mmap.PAGESIZE``, no tunable)."""
         job = MapReduceJob(
-            mapper=_blob_mapper, reducer=_blob_reducer, num_reducers=1, name="b"
+            mapper=functools.partial(_padded_mapper, bytes(2 * mmap.PAGESIZE)),
+            reducer=_sum_reducer, num_reducers=3, name="t",
         )
-        fits = mmap.PAGESIZE - _blob_overhead()
-        with shm_mod.SpillSet() as spills:
-            inline = runtime_mod._spill_map_output(
-                job, [(0, bytes(fits))], spills.name_for(0)
-            )
-            assert inline.total_bytes == mmap.PAGESIZE
-            assert inline.segment is None and inline.inline is not None
-            assert not shm_mod.segment_exists(spills.name_for(0))
-
-            spilled = runtime_mod._spill_map_output(
-                job, [(0, bytes(fits + 1))], spills.name_for(1)
-            )
-            assert spilled.total_bytes == mmap.PAGESIZE + 1
-            assert spilled.segment == spills.name_for(1) and spilled.inline is None
-            assert shm_mod.segment_exists(spills.name_for(1))
-        assert not shm_mod.segment_exists(spilled.segment)
-
-    def test_sub_page_job_touches_no_segment(self, monkeypatch, tmp_path):
-        """A job whose every map output fits in a page never creates,
-        attaches or sweeps a spill segment — in the workers or the driver."""
-        log = tmp_path / "segment_calls"
-        _log_segment_calls(monkeypatch, str(log))
-
-        def run(splits):
-            return run_pool(make_job(3), splits, start_method="fork")
-
-        result = run(make_splits(6))
-        assert dict(result.flat_outputs()) == expected_totals(6)
+        with pytest.warns(RuntimeWarning, match="shipping inline per task"):
+            result = run_pool(job, make_splits(4), start_method="fork")
+        assert dict(result.flat_outputs()) == expected_totals(4)
         assert all(r.executor == "processes" for r in result.records)
         assert not log.exists() or log.read_text() == ""
 
-        # The same harness does see an above-page job's segments.
-        run(make_splits(2, width=2000))
-        calls = log.read_text().split()
-        assert calls.count("write_segment") == 2  # one per map task
-        # Every segment is fetched by at least one reducer.
-        assert calls.count("read_segment") >= 2 + 2
-
-    def test_transport_does_not_change_shuffle_bytes(self):
-        """``shuffle_bytes_out/in`` count pickled run bytes, whichever way
-        they travelled: spilled and inline runs of one job account alike."""
-        job, splits = make_job(3), make_splits(4, width=2000)
-        spilled = run_pool(job, splits, start_method="fork")
-        inline = run_pool(
-            job, splits, start_method="fork", injector=_EVERY_SPILL_FAILS
+    def test_sub_page_job_touches_no_segment(self, monkeypatch, tmp_path):
+        """A sub-page job touches no segment, however large its map
+        output: outputs return through the result pipe. No worker ever
+        writes a segment; only the driver does, for an above-page job blob."""
+        log = tmp_path / "segment_calls"
+        _log_segment_calls(monkeypatch, str(log))
+        large_job = MapReduceJob(
+            mapper=functools.partial(_padded_mapper, bytes(2 * mmap.PAGESIZE)),
+            reducer=_sum_reducer, num_reducers=3, name="t",
         )
-        assert inline.outputs == spilled.outputs
-        for a, b in zip(spilled.records, inline.records):
-            assert a.task_id == b.task_id
-            assert a.shuffle_bytes_out == b.shuffle_bytes_out
-            assert a.shuffle_bytes_in == b.shuffle_bytes_in
-        assert all(
-            r.shuffle_bytes_out > mmap.PAGESIZE for r in spilled.map_records()
-        )
-        expected = [
-            runtime_mod._spill_map_output(
-                job, job.run_map_task(split), None
-            ).total_bytes
-            for split in splits
-        ]
-        assert [r.shuffle_bytes_out for r in spilled.map_records()] == expected
-
-
-def _inline_commit(split_index, num_partitions, fed):
-    """A sub-page commit whose partition-p run names its split and p."""
-    blobs = tuple(
-        pickle.dumps([(p, split_index)]) if p in fed else b""
-        for p in range(num_partitions)
-    )
-    return runtime_mod._RunCommit(
-        segment=None, offsets=(), inline=blobs, total_bytes=sum(map(len, blobs))
-    )
-
-
-#: How long the declared-partition pool test's slow map task sleeps.
-_SLOW_MAP = 1.0
-
-
-def _slow_first_mapper(split):
-    # Split 0 alone feeds partition 1 and commits last; the rest feed 0.
-    if split.index == 0:
-        time.sleep(_SLOW_MAP)
-        yield 1, time.monotonic()
-    else:
-        yield 0, split.index
-
-
-def _stamp_reducer(key, values):
-    yield key, time.monotonic(), values
-
-
-def _stray_mapper(split):
-    yield 1, split.index
-
-
-class TestDeclaredPartitions:
-    """Splits that declare their partitions let each reducer start at its
-    own feeders' last commit (ShuffleService); a run outside a declaration
-    fails the map task under every executor."""
-
-    def _service(self, splits, n_red=3):
-        return runtime_mod.ShuffleService(make_job(n_red), splits)
-
-    def test_partition_ready_at_its_last_feeders_commit(self):
-        splits = [
-            InputSplit(0, None, partitions=(0,)),
-            InputSplit(1, None, partitions=(0, 1)),
-            InputSplit(2, None, partitions=(1,)),
-        ]
-        service = self._service(splits)
-        assert service.commit(1, _inline_commit(1, 3, (0, 1)), 1) == []
-        assert service.commit(0, _inline_commit(0, 3, (0,)), 1) == [0]
-        # Partition 2 is declared by no split: ready at the last commit.
-        assert service.commit(2, _inline_commit(2, 3, (1,)), 1) == [1, 2]
-
-    def test_undeclared_split_feeds_every_partition(self):
-        splits = [InputSplit(0, None), InputSplit(1, None, partitions=(0,))]
-        service = self._service(splits)
-        assert service.commit(0, _inline_commit(0, 3, (0, 1, 2)), 1) == [1, 2]
-        assert service.commit(1, _inline_commit(1, 3, (0,)), 1) == [0]
-
-    def test_locators_come_in_split_index_order(self):
-        splits = [
-            InputSplit(2, None, partitions=(0,)),
-            InputSplit(0, None, partitions=(0, 1)),
-            InputSplit(1, None, partitions=(1,)),
-        ]
-        service = self._service(splits)
-        service.commit(2, _inline_commit(2, 3, (0,)), 1)
-        service.commit(1, _inline_commit(1, 3, (1,)), 1)
-        service.commit(0, _inline_commit(0, 3, (0, 1)), 1)
-        runs = [[pickle.loads(loc) for loc in service.locators(p)] for p in range(3)]
-        assert runs[0] == [[(0, 0)], [(0, 2)]]
-        assert runs[1] == [[(1, 0)], [(1, 1)]]
-        assert runs[2] == []
-
-    def test_reduce_starts_before_a_delayed_final_map_commits(self):
-        job = MapReduceJob(
-            mapper=_slow_first_mapper, reducer=_stamp_reducer, num_reducers=2,
-            partitioner=_identity_partitioner, name="declared",
-        )
-        splits = [InputSplit(0, None, partitions=(1,))] + [
-            InputSplit(i, None, partitions=(0,)) for i in range(1, 4)
-        ]
-        result = run_pool(job, splits, start_method="fork")
-        (fast_key, fast_reduced_at, fast_values), = result.outputs[0]
-        (slow_key, _, slow_values), = result.outputs[1]
-        assert (fast_key, fast_values) == (0, [1, 2, 3])
-        assert slow_key == 1
-        slow_map_done = slow_values[0]
-        assert fast_reduced_at < slow_map_done
-
-    def test_undeclared_partitions_get_empty_reduces(self):
-        job = MapReduceJob(
-            mapper=_mod4_mapper, reducer=_sum_reducer, num_reducers=4,
-            partitioner=_identity_partitioner, name="narrow",
-        )
-        splits = [
-            InputSplit(i, [4 * j + i % 2 for j in range(5)], partitions=(i % 2,))
-            for i in range(4)
-        ]
-        serial = SerialExecutor().run(job, splits)
-        assert serial.outputs[2:] == [[], []]
-        assert run_pool(job, splits).outputs == serial.outputs
-
-    def test_stray_run_raises_under_serial(self):
-        job = MapReduceJob(
-            mapper=_stray_mapper, reducer=_sum_reducer, num_reducers=2,
-            partitioner=_identity_partitioner, name="stray",
-        )
-        splits = [InputSplit(i, None, partitions=(0,)) for i in range(3)]
-        with pytest.raises(UndeclaredPartitionError, match=r"partition\(s\) \[1\]"):
-            SerialExecutor().run(job, splits)
-
-    def test_stray_run_raises_under_worker_pool(self):
-        job = MapReduceJob(
-            mapper=_stray_mapper, reducer=_sum_reducer, num_reducers=2,
-            partitioner=_identity_partitioner, name="stray",
-        )
-        splits = [InputSplit(i, None, partitions=(0,)) for i in range(3)]
-        with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            with pytest.raises(RuntimeError, match="UndeclaredPartitionError") as info:
-                run_pool(job, splits, retry=RetryPolicy(max_attempts=1))
-        # The pool's own attempt failed on the guard, not on anything else.
-        cause = info.value.__cause__
-        assert isinstance(cause, TaskFailedError) and cause.phase == "map"
-        assert "UndeclaredPartitionError" in str(cause)
+        for job in (make_job(3), large_job):
+            result = run_pool(job, make_splits(4, width=2000), start_method="fork")
+            assert dict(result.flat_outputs()) == expected_totals(4, width=2000)
+            assert all(r.shuffle_bytes_out > mmap.PAGESIZE for r in result.map_records())
+        calls = [line.split() for line in log.read_text().splitlines()]
+        writes = [pid for name, pid in calls if name == "write_segment"]
+        assert writes == [str(os.getpid())]  # the large job's blob, by the driver
+        assert any(name == "read_segment" for name, _ in calls)
 
 
 class TestResolveExecutor:
@@ -600,6 +437,14 @@ class TestOneShotLifetime:
 
 
 class TestTaskRecordScaling:
+    def test_input_split_is_index_and_payload(self):
+        assert [f.name for f in dataclasses.fields(InputSplit)] == ["index", "payload"]
+        assert InputSplit(3, ("frag", 1)) == InputSplit(index=3, payload=("frag", 1))
+
+    def test_negative_split_index_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            InputSplit(-1, None)
+
     def test_negative_duration_rejected(self):
         from repro.mapreduce.types import TaskRecord
 

@@ -79,6 +79,23 @@ def _sum_reducer(key, values):
     yield key, sum(values)
 
 
+def _listing_mapper(padding, driver_pid, split):
+    """Map ``x % 5 -> x``; the last two splits also emit what the driver's
+    runs hold in ``/dev/shm`` at that moment."""
+    for x in split.payload:
+        yield f"k{x % 5}", x
+    if split.index >= 4:
+        prefix = f"orionspill_{driver_pid}_"
+        yield "seen", sorted(n for n in os.listdir("/dev/shm") if n.startswith(prefix))
+
+
+def _listing_reducer(key, values):
+    if key == "seen":
+        yield key, [name for names in values for name in names]
+    else:
+        yield key, sum(values)
+
+
 class _CrashInWorkerMapper:
     """Crashes the hosting process — but only when it is NOT the parent.
 
@@ -131,7 +148,7 @@ class TestSegments:
 
     def test_destroy_is_idempotent(self):
         with shm_mod.SpillSet() as spills:
-            seg = create_segment(spills.name_for(0), 16)
+            seg = create_segment(f"{spills.set_id}_seg", 16)
             destroy_segment(seg)
             destroy_segment(seg)  # second unlink: FileNotFoundError swallowed
             assert not segment_exists(seg.name)
@@ -139,7 +156,7 @@ class TestSegments:
     def test_failed_create_does_not_leak(self):
         before = _shm_names("orion") | _psm_segments()
         with shm_mod.SpillSet() as spills:
-            name = spills.name_for(0)
+            name = f"{spills.set_id}_seg"
             with pytest.raises(TypeError):
                 # The second chunk is no buffer: the write fails after
                 # creation and the paired finally must unlink.
@@ -357,80 +374,61 @@ class TestWorkerPool:
         pool.shutdown()
         assert r1.outputs == r2.outputs
 
+    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
+    def test_workers_create_no_segment(self, start_method):
+        """Late map tasks list the driver's run while earlier tasks' above-page
+        outputs are already back: the run holds only its anchor and job blob."""
+        job = MapReduceJob(
+            mapper=functools.partial(_listing_mapper, bytes(2 * mmap.PAGESIZE), os.getpid()),
+            reducer=_listing_reducer, num_reducers=2, name="listing",
+        )
+        splits = [InputSplit(index=i, payload=list(range(i, 3000, 6))) for i in range(6)]
+        with WorkerPool(max_workers=2, start_method=start_method) as pool:
+            result = pool.run(job, splits)
+        outputs = dict(result.flat_outputs())
+        assert [outputs[f"k{k}"] for k in range(5)] == [
+            sum(range(k, 3000, 5)) for k in range(5)
+        ]
+        assert outputs["seen"]  # the run's anchor at least
+        assert all(n.endswith("_job") or n.count("_") == 3 for n in outputs["seen"])
+
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
             WorkerPool(max_workers=0)
 
 
 # --------------------------------------------------------------------------- #
-# streaming-shuffle spill sets
+# spill sets: the owner of a pool run's anchor and job blob
 # --------------------------------------------------------------------------- #
 
 
 class TestSpillSet:
-    def test_names_are_deterministic_and_driver_owned(self):
-        with shm_mod.SpillSet() as spills:
-            assert spills.name_for(2) == f"{spills.set_id}_00002_a01"
-            assert spills.name_for(2, attempt=3) == f"{spills.set_id}_00002_a03"
-            # Minting records every name handed out, exactly once.
-            assert spills.names == (
-                f"{spills.set_id}_00002_a01",
-                f"{spills.set_id}_00002_a03",
-            )
-            assert spills.set_id.startswith(f"orionspill_{os.getpid()}_")
-        # Distinct sets in one process must never collide.
-        s1, s2 = shm_mod.SpillSet(), shm_mod.SpillSet()
-        try:
-            assert s1.name_for(0) != s2.name_for(0)
-        finally:
-            s1.release()
-            s2.release()
-
-    def test_attempts_get_distinct_names_and_individual_sweeps(self):
-        """A retried map task's new attempt never collides with the old
-        attempt's segment, and the dead attempt is swept without touching
-        the winner's run."""
-        spills = shm_mod.SpillSet()
-        try:
-            first = spills.name_for(0, attempt=1)
-            second = spills.name_for(0, attempt=2)
-            assert first != second
-            write_segment(first, [b"dead"])
-            write_segment(second, [b"live"])
-            assert spills.sweep(0, attempt=1) is True
-            assert not segment_exists(first)
-            assert segment_exists(second)
-            assert spills.sweep(0, attempt=1) is False  # idempotent
-        finally:
-            spills.release()
-        assert not segment_exists(second)
-
     def test_release_sweeps_created_segments_and_is_idempotent(self):
         spills = shm_mod.SpillSet()
-        # Simulate two workers spilling (one name intentionally minted but
-        # never created: the inline-fallback / crashed-worker case).
-        names = [spills.name_for(i) for i in range(3)]
-        for i in (0, 2):
-            write_segment(names[i], [b"run-data"])
-        assert segment_exists(names[0])
+        blob = spills.publish_job(b"job bytes")
+        assert segment_exists(blob) and segment_exists(spills.set_id)
         spills.release()
-        assert not any(segment_exists(n) for n in names)
+        assert not segment_exists(blob) and not segment_exists(spills.set_id)
         spills.release()  # second release: no-op, no error
+        # A run whose job rode inline published nothing; release still works.
+        with shm_mod.SpillSet() as inline_run:
+            assert segment_exists(inline_run.set_id)
+        assert not segment_exists(inline_run.set_id)
 
     def test_read_segment_slice_pulls_one_run(self):
         spills = shm_mod.SpillSet()
         try:
-            name = spills.name_for(0)
+            name = f"{spills.set_id}_seg"
             write_segment(name, [b"aaaa", b"bbbbcccc"])
             assert read_segment(name, 4, 4) == b"bbbb"
             assert read_segment(name, 0, 0) == b""
         finally:
             spills.release()
+            shm_mod.sweep_segment(f"{spills.set_id}_seg")
 
     def test_cleanup_hook_reclaims_unreleased_sets(self):
         spills = shm_mod.SpillSet()
-        leftover = spills.name_for(1)
-        write_segment(leftover, [b"left"])
+        leftover = spills.publish_job(b"left")
         assert spills.set_id in shm_mod._LIVE_SPILL_SETS
         shm_mod._cleanup_live_spill_sets()
         assert spills.set_id not in shm_mod._LIVE_SPILL_SETS
@@ -448,8 +446,7 @@ class TestSpillSet:
             assert first.set_id.split("_")[3] == second.set_id.split("_")[3] == "0"
 
             def names(spills):
-                minted = {spills.name_for(i, a) for i in range(3) for a in (1, 2)}
-                return minted | {spills.set_id, f"{spills.set_id}_job"}
+                return {spills.set_id, f"{spills.set_id}_job"}
 
             assert not names(first) & names(second)
         finally:
@@ -459,7 +456,7 @@ class TestSpillSet:
     def test_sweep_segment_reports_removal(self):
         spills = shm_mod.SpillSet()
         try:
-            name = spills.name_for(0)
+            name = f"{spills.set_id}_seg"
             assert shm_mod.sweep_segment(name) is False
             write_segment(name, [b"data"])
             assert shm_mod.sweep_segment(name) is True
@@ -537,8 +534,8 @@ _SEARCH_DRIVER = textwrap.dedent(
 )
 
 
-#: A driver whose one pool run stays in flight until a gate file appears:
-#: split 0 spills above a page and commits, split 1 waits on the gate.
+#: A driver whose one above-page pool run stays in flight until a gate
+#: file appears: split 0 commits, split 1 waits on the gate.
 _GATED_RUN = textwrap.dedent(
     """\
     import functools, mmap, os, sys, time
@@ -568,20 +565,18 @@ _GATED_RUN = textwrap.dedent(
 
 
 class TestOneOwnerRule:
-    """Planes, job blobs and spills all live under a lock-holding owner,
-    and :func:`reap_orphan_planes` sweeps whatever no lock holds."""
+    """Planes and job blobs all live under a lock-holding owner, and
+    :func:`reap_orphan_planes` sweeps whatever no lock holds."""
 
     def test_reaper_sweeps_a_run_whose_owner_is_gone(self):
         spills = shm_mod.SpillSet()
         blob = spills.publish_job(b"job bytes")
-        spill = spills.name_for(0)
-        write_segment(spill, [b"run"])
         assert spills.set_id not in reap_orphan_planes()  # held: kept
-        assert segment_exists(blob) and segment_exists(spill)
+        assert segment_exists(blob)
         spills._abandon()  # a crashed driver: lock gone, nothing unlinked
         removed = reap_orphan_planes()
-        assert {spills.set_id, blob, spill} <= set(removed)
-        assert not any(segment_exists(n) for n in (spills.set_id, blob, spill))
+        assert {spills.set_id, blob} <= set(removed)
+        assert not any(segment_exists(n) for n in (spills.set_id, blob))
 
     def test_forked_child_does_not_pin_a_run(self):
         """A forked child shares the anchor's open file description; the
@@ -628,11 +623,10 @@ class TestOneOwnerRule:
             mine = f"orionspill_{os.getpid()}_"
             swept = [n for n in raced[0] if n.startswith(mine)]
             assert swept and spills.set_id not in swept
-            spill = spills.name_for(0)
-            write_segment(spill, [b"live"])
-            assert spill not in reap_orphan_planes()
-            assert segment_exists(spills.set_id) and segment_exists(spill)
-        assert not segment_exists(spills.set_id) and not segment_exists(spill)
+            blob = spills.publish_job(b"live")
+            assert blob not in reap_orphan_planes()
+            assert segment_exists(spills.set_id) and segment_exists(blob)
+        assert not segment_exists(spills.set_id) and not segment_exists(blob)
 
     @pytest.mark.parametrize("scope", ["driver", "group"])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -641,7 +635,7 @@ class TestOneOwnerRule:
     ):
         """SIGKILL a driver while its above-page job blob is published —
         alone (its workers live on) or with its whole process group — and
-        reaping leaves no plane, run, blob or spill of it behind."""
+        reaping leaves no plane, run or blob of it behind."""
         script = tmp_path / "driver.py"
         script.write_text(_SEARCH_DRIVER)
         before = _owned_entries()
@@ -690,13 +684,13 @@ class TestOneOwnerRule:
             # unlink; only the killed group's are new.
             for name in _shm_names("sem.mp-") - semaphores_before:
                 os.unlink(os.path.join("/dev/shm", name))
-        # Spills a live orphan worker wrote after the kill go too.
+        # Anything an orphan worker's pool left after the kill goes too.
         _wait_for(lambda: reaped(_owned_entries() - before), timeout=10)
         assert _owned_entries() - before == set()
 
     def test_run_in_another_temp_dir_keeps_its_blob_and_spills(self, tmp_path):
         """A pool run in flight in another process, under another TMPDIR,
-        keeps its job blob and spills when this process reaps."""
+        keeps its anchor and job blob when this process reaps."""
         script = tmp_path / "gated.py"
         script.write_text(_GATED_RUN)
         gate = tmp_path / "gate"
@@ -713,14 +707,11 @@ class TestOneOwnerRule:
         try:
 
             def in_flight():
-                names = _shm_names(run)
-                return any(n.endswith("_job") for n in names) and any(
-                    n.endswith("_00000_a01") for n in names
-                )
+                return any(n.endswith("_job") for n in _shm_names(run))
 
             assert _wait_for(in_flight)
             live = _shm_names(run)
-            assert len(live) == 3  # anchor, job blob, split 0's spill
+            assert len(live) == 2  # anchor and job blob; workers write nothing
             removed = reap_orphan_planes()
             assert not live & set(removed)
             assert live <= _shm_names(run)

@@ -8,13 +8,13 @@ require field-identical output, down to the alignment paths.
 
 import mmap
 import os
+import pickle
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.orion import OrionSearch
-from repro.mapreduce.faults import FaultInjector, FaultSpec
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import SerialExecutor, WorkerPool
 from repro.mapreduce.types import InputSplit
@@ -150,12 +150,12 @@ def test_serial_records_simulator_safe_processes_not(tiny_db, tiny_query):
 
 
 # --------------------------------------------------------------------------- #
-# the worker pool's streaming shuffle == the serial oracle
+# a worker-pool job == the serial oracle
 # --------------------------------------------------------------------------- #
 
 
 def _orionspill_segments():
-    """Live streaming-shuffle spill segments (Linux probe; empty elsewhere)."""
+    """Live pool-run segments: anchors and job blobs (Linux probe; empty elsewhere)."""
     try:
         return {n for n in os.listdir("/dev/shm") if n.startswith("orionspill_")}
     except FileNotFoundError:  # pragma: no cover - non-Linux
@@ -176,19 +176,6 @@ def _count_reducer(key, values):
     yield key, sum(values)
 
 
-class _CrashInWorkerReducer:
-    """Kills every pool worker mid-reduce; harmless in the parent, so the
-    serial fallback completes (mirrors test_shm's crashing mapper)."""
-
-    def __init__(self, parent_pid):
-        self.parent_pid = parent_pid
-
-    def __call__(self, key, values):
-        if os.getpid() != self.parent_pid:
-            os._exit(13)
-        yield key, sum(values)
-
-
 def _word_splits(n=6, lines=8):
     return [
         InputSplit(
@@ -203,8 +190,7 @@ def _word_splits(n=6, lines=8):
 
 
 #: Lines per split past which a word-count map output pickles to more
-#: than one page and is spilled to a segment instead of riding
-#: inline (asserted by ``test_streaming_equals_serial``).
+#: than one page (asserted by ``test_streaming_equals_serial``).
 _SPILLING_LINES = 400
 
 
@@ -213,8 +199,8 @@ def _wc_job(reducer=_count_reducer):
 
 
 class TestStreamingShuffleEquivalence:
-    """The push-based shuffle changes *when* reduce tasks start, never what
-    they produce — and must never leave a spill segment behind."""
+    """Running the map tasks on workers changes *where* they run, never what
+    the driver's shuffle and reducers produce — and leaves no segment behind."""
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     @pytest.mark.parametrize("lines", [8, _SPILLING_LINES])
@@ -227,17 +213,13 @@ class TestStreamingShuffleEquivalence:
         assert streaming.outputs == serial.outputs
         assert streaming.shuffle_keys == serial.shuffle_keys
         assert all(r.executor == "processes" for r in streaming.records)
-        # Every shuffled byte must be accounted for on the reduce side.
-        out_bytes = sum(r.shuffle_bytes_out for r in streaming.map_records())
-        in_bytes = sum(r.shuffle_bytes_in for r in streaming.reduce_records())
-        assert out_bytes == in_bytes > 0
-        # Both transports are covered: short outputs fit in a page and ride
-        # inline, long ones spill to segments.
-        spilled = [
+        # Both sizes are covered: short outputs pickle within a page, long
+        # ones above it, and all of them return through the result pipe.
+        above_page = [
             r.shuffle_bytes_out > mmap.PAGESIZE for r in streaming.map_records()
         ]
-        assert all(spilled) == (lines == _SPILLING_LINES)
-        assert any(spilled) == all(spilled)
+        assert all(above_page) == (lines == _SPILLING_LINES)
+        assert any(above_page) == all(above_page)
         assert _orionspill_segments() - before == set()
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -251,31 +233,6 @@ class TestStreamingShuffleEquivalence:
         assert all(r.executor == "processes" for r in r1.records)
         assert _orionspill_segments() - before == set()
 
-    @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_reduce_crash_sweeps_spill_segments(self, start_method):
-        """Workers die *after* spilling map output; the driver must still
-        sweep every spill segment and recover via the serial fallback."""
-        before = _orionspill_segments()
-        job = _wc_job(reducer=_CrashInWorkerReducer(os.getpid()))
-        splits = _word_splits(lines=_SPILLING_LINES)
-        with WorkerPool(max_workers=2, start_method=start_method) as pool:
-            with pytest.warns(RuntimeWarning, match="falling back to serial"):
-                result = pool.run(job, splits)
-        serial = SerialExecutor().run(_wc_job(), splits)
-        assert result.outputs == serial.outputs
-        assert all(r.executor == "serial" for r in result.records)
-        assert _orionspill_segments() - before == set()
-
-    def test_streaming_without_shm_matches(self):
-        """Inline-fallback locators (every spill write fails) stay exact."""
-        splits = _word_splits(lines=_SPILLING_LINES)
-        serial = SerialExecutor().run(_wc_job(), splits)
-        injector = FaultInjector(specs=(FaultSpec(phase="map", kind="shm"),))
-        with WorkerPool(max_workers=2, injector=injector) as pool:
-            streaming = pool.run(_wc_job(), splits)
-        assert streaming.outputs == serial.outputs
-        assert all(r.executor == "processes" for r in streaming.records)
-
 
 def _straddle_mapper(split):
     """``payload`` records: ~6 pickled bytes each, so the drawn counts put a
@@ -285,12 +242,16 @@ def _straddle_mapper(split):
 
 
 def _job_summary(result):
+    """A ``JobResult`` field by field, leaving out what only timing and the
+    executor decide (durations, executor tags, attempt trails, byte counts):
+    outputs, ``shuffle_keys``, and each record's position, id, kind and
+    record counts."""
     return (
         result.outputs,
         result.shuffle_keys,
         [
-            (r.task_id, r.kind, r.input_records, r.output_records)
-            for r in result.records
+            (i, r.task_id, r.kind, r.input_records, r.output_records)
+            for i, r in enumerate(result.records)
         ],
     )
 
@@ -301,39 +262,78 @@ _ABOVE_PAGE = st.integers(min_value=1500, max_value=3000)
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_outputs_straddling_a_page_equal_serial(start_method):
-    """Some map tasks commit inline, some spill, in one job: the mixed
-    transport yields the serial ``JobResult``, byte counts included."""
-    job = MapReduceJob(
-        mapper=_straddle_mapper, reducer=_count_reducer, num_reducers=3, name="s"
-    )
+    """Map outputs under and over a page, any reducer count: the pool run
+    yields the serial ``JobResult`` field by field, and each map record
+    counts the pickled output its task returned."""
     before = _orionspill_segments()
     with WorkerPool(max_workers=2, start_method=start_method) as pool:
 
         @given(
             st.lists(st.one_of(_SUB_PAGE, _ABOVE_PAGE), max_size=4),
-            _SUB_PAGE, _ABOVE_PAGE, st.randoms(use_true_random=False),
+            _SUB_PAGE, _ABOVE_PAGE, st.integers(min_value=1, max_value=5),
+            st.randoms(use_true_random=False),
         )
         @settings(max_examples=12, deadline=None)
-        def check(sizes, small, large, rng):
+        def check(sizes, small, large, num_reducers, rng):
             sizes = sizes + [small, large]
             rng.shuffle(sizes)
+            job = MapReduceJob(
+                mapper=_straddle_mapper, reducer=_count_reducer,
+                num_reducers=num_reducers, name="s",
+            )
             splits = [InputSplit(index=i, payload=n) for i, n in enumerate(sizes)]
             serial = SerialExecutor().run(job, splits)
-            streaming = pool.run(job, splits)
-            assert _job_summary(streaming) == _job_summary(serial)
-            out = [r.shuffle_bytes_out for r in streaming.map_records()]
+            pooled = pool.run(job, splits)
+            assert _job_summary(pooled) == _job_summary(serial)
+            assert len(pooled.records) == len(splits) + num_reducers
+            assert all(r.executor == "processes" for r in pooled.records)
+            out = [r.shuffle_bytes_out for r in pooled.map_records()]
+            assert out == [
+                len(pickle.dumps(job.run_map_task(s), protocol=pickle.HIGHEST_PROTOCOL))
+                for s in splits
+            ]
             assert [b > mmap.PAGESIZE for b in out] == [n >= 1500 for n in sizes]
-            assert sum(out) == sum(
-                r.shuffle_bytes_in for r in streaming.reduce_records()
-            )
+            assert all(r.shuffle_bytes_out == 0 for r in pooled.reduce_records())
 
         check()
     assert _orionspill_segments() - before == set()
 
 
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_concurrent_pool_jobs_equal_serial(start_method):
+    """Jobs run from several threads on one pool each reduce in their own
+    driver thread: every ``JobResult`` equals its serial one field by field."""
+    import threading
+
+    jobs = [
+        MapReduceJob(mapper=_wc_mapper, reducer=_count_reducer, num_reducers=n, name=f"wc{n}")
+        for n in (1, 3, 5)
+    ]
+    splits = _word_splits(n=8)
+    results = {}
+    before = _orionspill_segments()
+    with WorkerPool(max_workers=2, start_method=start_method) as pool:
+        pool.prewarm()
+
+        def run(job):
+            results[job.name] = pool.run(job, splits)
+
+        threads = [threading.Thread(target=run, args=(job,)) for job in jobs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+    for job in jobs:
+        assert _job_summary(results[job.name]) == _job_summary(
+            SerialExecutor().run(job, splits)
+        )
+        assert all(r.executor == "processes" for r in results[job.name].records)
+    assert _orionspill_segments() - before == set()
+
+
 def test_orion_streaming_shuffle_equals_serial(tiny_db, tiny_query):
-    """End to end: OrionSearch over the streaming shuffle is field-identical
-    to the serial run, and sweeps its spill segments."""
+    """End to end: OrionSearch on the worker pool is field-identical to the
+    serial run, and sweeps its run's segments."""
     before = _orionspill_segments()
     serial = run_orion(tiny_db, tiny_query, "serial")
     streaming = run_orion(tiny_db, tiny_query, "processes")
@@ -347,7 +347,7 @@ def test_orion_streaming_shuffle_equals_serial(tiny_db, tiny_query):
 def test_orion_service_concurrent_equals_serial(tiny_db, tiny_query):
     """The always-on service path: concurrent admissions interleaving on
     one shared worker pool stay field-identical to the serial run, query
-    by query, and the drained shutdown sweeps every spill segment."""
+    by query, and the drained shutdown sweeps every run segment."""
     import asyncio
 
     from repro.service import OrionService, ServiceConfig

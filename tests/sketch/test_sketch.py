@@ -198,11 +198,11 @@ class TestContainment:
         """Too few sub-threshold probe hashes → 1.0 (cannot rule out)."""
         sk = KmerSketch.from_kmer_keys(np.arange(100_000, dtype=np.int64), 8)
         # A tiny disjoint probe: nearly all its hashes exceed the (small)
-        # sketch threshold, so the denominator misses min_probe.
+        # sketch threshold, so the denominator misses MIN_PROBE_DEFAULT.
         probe = np.sort(
             hash_codes(np.arange(1_000_000, 1_000_020, dtype=np.int64))
         )
-        assert containment(probe, sk, min_probe=16) == 1.0
+        assert containment(probe, sk) == 1.0
 
     def test_estimate_tracks_true_containment(self):
         """Half-overlapping key sets estimate containment near 0.5."""
@@ -271,11 +271,10 @@ class TestShardSketchIndex:
         seed=st.integers(0, 2**16),
         sizes=st.lists(st.sampled_from([0, 1, 8, 40, 256]), min_size=1, max_size=6),
         probe_len=st.sampled_from([0, 5, 30, 200, 900]),
-        min_probe=st.sampled_from([0, 1, 16, 64]),
     )
     @settings(max_examples=120, deadline=None)
     def test_one_pass_probe_is_bit_equal_to_scalar_containment(
-        self, seed, sizes, probe_len, min_probe
+        self, seed, sizes, probe_len
     ):
         """``probe`` answers every shard from one table lookup; the scalar
         :func:`containment` is the reference, to the last float bit. Shards
@@ -300,13 +299,27 @@ class TestShardSketchIndex:
         index = ShardSketchIndex(sketches, K)
         lo = int(rng.integers(0, 600))
         codes = base[lo : lo + probe_len]
-        got = index.probe(codes, min_probe=min_probe)
+        got = index.probe(codes)
         probe = probe_hashes(codes, K)
-        want = np.array(
-            [containment(probe, sk, min_probe) for sk in sketches], dtype=np.float64
-        )
+        want = np.array([containment(probe, sk) for sk in sketches], dtype=np.float64)
         assert got.dtype == np.float64
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("min_probe", [0, 1, 16, 64])
+    def test_probe_honours_the_min_probe_constant(self, min_probe, monkeypatch):
+        """``probe`` and :func:`containment` read one floor, the module's
+        ``MIN_PROBE_DEFAULT``: patched, both move together, bit for bit."""
+        from repro.mpiblast.formatdb import shard_database
+        from repro.sequence.generator import make_database
+        from repro.sketch import minhash
+
+        monkeypatch.setattr(minhash, "MIN_PROBE_DEFAULT", min_probe)
+        db = make_database(13, num_sequences=24, mean_length=700)
+        index = ShardSketchIndex.build(shard_database(db, 6), K)
+        for rec in list(db)[:4]:
+            for frag in (rec.codes[:40], rec.codes[100:600]):
+                want = [containment(probe_hashes(frag, K), sk) for sk in index.sketches]
+                assert index.probe(frag).tolist() == want
 
     def test_one_pass_probe_on_real_shards(self):
         from repro.mpiblast.formatdb import shard_database
