@@ -94,20 +94,18 @@ class _WarmupProbe:
 
 
 def _collect(key, values):
-    yield key, list(values)
+    return list(values)
 
 
 def _measure_probe(probe):
     pool = WorkerPool(max_workers=NUM_WORKERS)
     try:
-        job = MapReduceJob(
-            mapper=probe, reducer=_collect, num_reducers=1, name="warmup-probe"
-        )
+        job = MapReduceJob(mapper=probe, reducer=_collect, name="warmup-probe")
         splits = [InputSplit(index=i, payload=None) for i in range(NUM_WORKERS * 3)]
         result = pool.run(job, splits)
     finally:
         pool.shutdown()
-    per_pid = dict(kv for out in result.outputs for kv in out)
+    per_pid = dict(result.outputs)
     # First probe in a worker pays the cold warmup; later ones may hit the
     # module-level store, so the per-worker cost is the max over its tasks.
     return {

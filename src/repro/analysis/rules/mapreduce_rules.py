@@ -1,7 +1,7 @@
 """ORL001/ORL002 — invariants on callables handed to :class:`MapReduceJob`.
 
-The process-pool executor ships the whole job to workers by pickle, and the
-serial executor runs every task against one shared job object. Both demand
+The process-pool executor ships the job's mapper to workers by pickle, and
+the serial executor runs every task against one shared job object. Both demand
 the Hadoop contract the paper's design assumes: task callables are
 *module-level* (hence picklable by reference) and *pure* with respect to
 shared state (anything they mutate outside their own scope diverges across
@@ -26,7 +26,6 @@ from repro.analysis.scopes import (
 TASK_PARAMS: Dict[str, int] = {
     "mapper": 0,
     "reducer": 1,
-    "partitioner": 3,
 }
 _INDEX_TO_PARAM = {index: name for name, index in TASK_PARAMS.items()}
 
@@ -184,8 +183,8 @@ class TaskCallableMutationRule(Rule):
     dict produces different results per executor: serial tasks see each
     other's writes on the shared object, process tasks mutate a
     worker-local copy that silently vanishes (how reducer stats were once
-    lost). Route such state through the reduce output stream instead (see
-    ``_ReduceStats`` in :mod:`repro.core.orion`).
+    lost). Return such state from the task instead (Orion's reducer
+    returns its ``AggregationStats`` beside the alignments).
     """
 
     rule_id = "ORL002"

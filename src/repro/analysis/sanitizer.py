@@ -8,10 +8,10 @@ catch the statically visible shapes; :class:`SanitizerExecutor` catches the
 rest at runtime.
 
 It executes tasks one at a time against that one shared job object — the
-serial executor's semantics — and fingerprints the job's
-*shipped* state (its pickle, the exact bytes the process executor sends to
-workers) plus every split payload between tasks. Any fingerprint change is
-attributed to the task that just ran and reported as a
+serial executor's semantics — and fingerprints the mapper and the reducer
+(each one's pickle; the mapper's is the exact bytes the process executor
+sends to workers) plus every split payload between tasks. Any fingerprint
+change is attributed to the task that just ran and reported as a
 :class:`SharedStateMutation`. Per-worker transient caches that
 ``__getstate__`` excludes from the pickle (e.g. Orion's subject k-mer
 cache) are deliberately invisible: they never cross an executor boundary,
@@ -29,13 +29,13 @@ import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
-from repro.mapreduce.job import MapReduceJob
-from repro.mapreduce.runtime import _assemble, _measure_map, _measure_reduce
+from repro.mapreduce.job import MapReduceJob, shuffle
+from repro.mapreduce.runtime import _measure_map, _measure_reduce
 from repro.mapreduce.types import InputSplit, JobResult, TaskRecord
 
 #: Job attributes fingerprinted separately so a report names the component
 #: that mutated, not just "the job".
-_COMPONENTS = ("mapper", "reducer", "partitioner")
+_COMPONENTS = ("mapper", "reducer")
 
 
 @dataclass(frozen=True)
@@ -187,21 +187,21 @@ class SanitizerExecutor:
         map_outputs: List[List[Tuple[Any, Any]]] = []
         records: List[TaskRecord] = []
         for split in splits:
-            pairs, rec = _measure_map(job, split, executor=self.kind)
+            pairs, rec = _measure_map(job.mapper, job.name, split, executor=self.kind)
             map_outputs.append(pairs)
             records.append(rec)
             state = self._compare(rec.task_id, state, self._snapshot(job, splits))
 
-        partitions = job.shuffle(map_outputs)
+        groups = shuffle(map_outputs)
         state = self._compare(
             f"{job.name}/shuffle", state, self._snapshot(job, splits)
         )
 
-        outputs: List[List[Any]] = []
-        for p, groups in enumerate(partitions):
-            out, rec = _measure_reduce(job, p, groups, executor=self.kind)
-            outputs.append(out)
+        outputs: List[Tuple[Any, Any]] = []
+        for i, (key, values) in enumerate(groups):
+            out, rec = _measure_reduce(job, i, key, values, executor=self.kind)
+            outputs.append((key, out))
             records.append(rec)
             state = self._compare(rec.task_id, state, self._snapshot(job, splits))
 
-        return self._finish(_assemble(partitions, outputs, records))
+        return self._finish(JobResult(outputs=outputs, records=records))

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 import warnings
-from collections import Counter
+from collections import Counter, OrderedDict
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -27,7 +27,7 @@ from repro.core.aggregator import AggregationStats, aggregate_subject_alignments
 from repro.core.boundary import options_for_fragment
 from repro.core.fragmenter import QueryFragment, fragment_query, suggest_fragment_length
 from repro.core.overlap import overlap_length
-from repro.core.results import FragmentAlignment, OrionResult
+from repro.core.results import FragmentAlignment, OrionResult, reduce_task_seconds
 from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.faults import FaultInjector, RetryPolicy
 from repro.mapreduce.job import MapReduceJob
@@ -53,10 +53,14 @@ from repro.util.validation import check_positive
 #: across queries — each query ships a fresh job pickle, but the indexes the
 #: previous query built (or sliced out of the shared plane) are still here.
 #: Entries are built *lazily per shard*: a worker only ever indexes the
-#: sequences of shards its map tasks actually touch.
-_KMER_STORES: Dict[
+#: sequences of shards its map tasks actually touch. Bounded, least recently
+#: used database first out: a process that searches many databases in turn
+#: must not pin every past database's indexes.
+_KMER_STORES: OrderedDict[
     Tuple[str, int, str], Dict[str, Tuple[np.ndarray, np.ndarray]]
-] = {}
+] = OrderedDict()
+_KMER_STORE_LIMIT = 4
+_KMER_STORES_LOCK = threading.Lock()
 
 
 def parallel_sort_alignments(alignments: Sequence[Alignment]) -> List[Alignment]:
@@ -82,19 +86,6 @@ class EmptyQueryError(ValueError):
     def __init__(self, query_id: str) -> None:
         super().__init__(f"query {query_id!r} is empty (zero bases)")
         self.query_id = query_id
-
-
-@dataclass(frozen=True)
-class _ReduceStats:
-    """Aggregation bookkeeping smuggled through the reduce output stream.
-
-    Reducers may run in worker processes, where mutating a closed-over stats
-    object would update the worker's copy and silently vanish; emitting the
-    stats as a sentinel output item works identically on every executor.
-    ``OrionSearch.run`` filters these out of the alignment stream.
-    """
-
-    stats: AggregationStats
 
 
 @dataclass(frozen=True)
@@ -126,8 +117,8 @@ class QueryPlan:
 class _OrionMapper:
     """One (fragment × shard) map task, as a picklable callable.
 
-    Holds the search, the query and the precomputed search space so the job
-    can be shipped whole to worker processes (closures cannot be pickled).
+    Holds the search, the query and the precomputed search space so it can
+    be shipped to worker processes (closures cannot be pickled).
     The pickle of ``search`` deliberately omits the subject k-mer cache —
     each worker builds it lazily, only for the shards its tasks touch.
     """
@@ -144,10 +135,10 @@ class _OrionMapper:
 
 
 class _OrionReducer:
-    """Aggregate one (subject, strand) key's alignments; picklable callable.
+    """Aggregate one (subject, strand) key's alignments in the driver.
 
-    Emits the final alignments followed by one :class:`_ReduceStats` item
-    carrying the aggregation bookkeeping for this key.
+    Returns ``(final alignments, AggregationStats)`` for the key;
+    :meth:`OrionSearch.assemble` sums the stats.
     """
 
     def __init__(self, search: "OrionSearch", query: SequenceRecord, space: SearchSpace):
@@ -163,11 +154,9 @@ class _OrionReducer:
         subject_id, strand = key
         q_codes = self.q_codes_plus if strand == PLUS_STRAND else self.q_codes_minus
         s_codes = search.database[subject_id].codes
-        finals, stats = aggregate_subject_alignments(
+        return aggregate_subject_alignments(
             values, q_codes, s_codes, search.engine, self.space
         )
-        yield from finals
-        yield _ReduceStats(stats)
 
 
 class OrionSearch:
@@ -176,7 +165,10 @@ class OrionSearch:
     Map tasks emit ``(subject_id, strand)`` → :class:`FragmentAlignment`
     records, and each reduce key is resolved by
     :func:`repro.core.aggregator.aggregate_subject_alignments`, which
-    re-searches boundary clusters so the report equals serial BLAST's.
+    re-searches boundary clusters so the report equals serial BLAST's. The
+    driver calls it once per key and times each call; replay packs those
+    times into the paper's :data:`~repro.core.results.REDUCE_TASKS` reduce
+    tasks.
 
     Parameters
     ----------
@@ -201,8 +193,6 @@ class OrionSearch:
         dedup optimization — reduce-side dedup is the correctness backstop.
     strands:
         ``"plus"`` or ``"both"``.
-    num_reducers:
-        Reduce-phase parallelism.
     executor:
         MapReduce backend: ``"serial"`` (default), ``"processes"``, or any
         :class:`repro.mapreduce.runtime.Executor` instance. The serial
@@ -272,7 +262,6 @@ class OrionSearch:
         speculative: bool = True,
         drop_left_overlap: bool = True,
         strands: str = "plus",
-        num_reducers: int = 8,
         executor: Union[str, Executor, None] = "serial",
         num_workers: Optional[int] = None,
         shuffle: str = "streaming",
@@ -284,7 +273,6 @@ class OrionSearch:
     ) -> None:
         check_positive("num_shards", num_shards)
         check_positive("retries", retries)
-        check_positive("num_reducers", num_reducers)
         if strands not in ("plus", "both"):
             raise ValueError(f"strands must be 'plus' or 'both', got {strands!r}")
         if fragment_length is not None:
@@ -300,7 +288,6 @@ class OrionSearch:
         self.speculative = speculative
         self.drop_left_overlap = drop_left_overlap
         self.strands = strands
-        self.num_reducers = num_reducers
         self.retry_policy = RetryPolicy(
             max_attempts=retries,
             task_timeout=task_timeout,
@@ -344,7 +331,12 @@ class OrionSearch:
 
     def _kmer_store(self) -> Dict[str, Tuple[np.ndarray, np.ndarray]]:
         """This process's subject k-mer index store for this database."""
-        return _KMER_STORES.setdefault(self._db_key, {})
+        with _KMER_STORES_LOCK:
+            store = _KMER_STORES.setdefault(self._db_key, {})
+            _KMER_STORES.move_to_end(self._db_key)
+            while len(_KMER_STORES) > _KMER_STORE_LIMIT:
+                _KMER_STORES.popitem(last=False)
+            return store
 
     def _kmer_cache_for_shard(
         self, shard: DatabaseShard
@@ -653,7 +645,6 @@ class OrionSearch:
         job = MapReduceJob(
             mapper=_OrionMapper(self, query, space),
             reducer=_OrionReducer(self, query, space),
-            num_reducers=self.num_reducers,
             name=f"orion/{query.seq_id}",
         )
         # Payloads carry the shard *index*, not the shard: process workers
@@ -713,22 +704,21 @@ class OrionSearch:
     ) -> OrionResult:
         """Turn a plan's raw MapReduce output into an :class:`OrionResult`.
 
-        The second half of :meth:`run`: filters the aggregation-stats
-        sentinels out of the reduce stream, sorts the alignments into report
-        order in this thread (timed as ``sort_seconds``; see
-        :func:`parallel_sort_alignments`), and attaches the measured
-        work-unit records. Deterministic given the same plan and job result,
+        The second half of :meth:`run`: collects each key's alignments and
+        sums its aggregation stats, sorts the alignments into report order
+        in this thread (timed as ``sort_seconds``; see
+        :func:`parallel_sort_alignments`), packs the per-key reduce times
+        into the paper's reduce tasks, and attaches the measured work-unit
+        records. Deterministic given the same plan and job result,
         so a service thread may assemble one query's result while another
         query's tasks are still in flight.
         """
         query = plan.query
         agg_stats = AggregationStats()
         aggregated: List[Alignment] = []
-        for item in mr.flat_outputs():
-            if isinstance(item, _ReduceStats):
-                agg_stats.merge(item.stats)
-            else:
-                aggregated.append(item)
+        for _key, (finals, stats) in mr.outputs:
+            aggregated.extend(finals)
+            agg_stats.merge(stats)
         sort_watch = Stopwatch().start()
         ordered = parallel_sort_alignments(aggregated)
         sort_seconds = sort_watch.stop()
@@ -755,7 +745,10 @@ class OrionSearch:
             query_id=query.seq_id,
             alignments=ordered,
             map_records=records,
-            reduce_seconds=[r.duration for r in mr.reduce_records()],
+            reduce_seconds=reduce_task_seconds(
+                [key for key, _ in mr.outputs],
+                [r.duration for r in mr.reduce_records()],
+            ),
             sort_seconds=sort_seconds,
             fragment_length=plan.fragment_length,
             overlap=plan.overlap,

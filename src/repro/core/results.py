@@ -9,8 +9,9 @@ partial flags. The reduce phase consumes them; :class:`OrionResult` is what
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.blast.hsp import Alignment
 from repro.cluster.hardware import HardwareModel
@@ -24,6 +25,29 @@ from repro.units import WorkUnitRecord
 #: the paper's sample-sort job (Section IV-D) ranges the report over several
 #: reduce tasks. Each pays Hadoop's per-task overhead in replay.
 SORT_TASKS = 4
+
+#: How many reduce tasks replay packs each query's per-key aggregation
+#: into, as the paper's reducers each take a share of the database
+#: sequences (Section IV). The live driver reduces one key at a time; the
+#: count is a Hadoop knob that does not change the answer.
+REDUCE_TASKS = 8
+
+
+def reduce_task_seconds(
+    keys: Sequence[Tuple[str, int]], durations: Sequence[float]
+) -> List[float]:
+    """Pack per-key reduce durations into :data:`REDUCE_TASKS` groups.
+
+    A ``(subject_id, strand)`` key goes to group
+    ``crc32(b"<subject_id>\\x00<strand>") % REDUCE_TASKS``, Hadoop's
+    deterministic hash partitioning; a group no key lands in replays as an
+    empty reduce task.
+    """
+    groups = [0.0] * REDUCE_TASKS
+    for (subject_id, strand), seconds in zip(keys, durations):
+        crc = zlib.crc32(f"{subject_id}\x00{strand}".encode("utf-8"))
+        groups[crc % REDUCE_TASKS] += seconds
+    return groups
 
 
 @dataclass(frozen=True)
@@ -63,9 +87,10 @@ class OrionResult:
 
     ``alignments`` is the final, globally sorted report (ascending E-value),
     exactly what serial BLAST would print. Timing fields are measured
-    seconds only (``sort_seconds`` times the one in-process sort of the
-    report); :func:`replay_orion` turns them into a simulated schedule on
-    any cluster under any hardware model.
+    seconds only (``reduce_seconds`` holds the per-key aggregation times
+    packed by :func:`reduce_task_seconds`, ``sort_seconds`` times the one
+    in-process sort of the report); :func:`replay_orion` turns them into a
+    simulated schedule on any cluster under any hardware model.
     """
 
     query_id: str
@@ -129,10 +154,11 @@ def orion_phases(
 ) -> List[List[SimTask]]:
     """The map, reduce and sort phases of a query set as one Hadoop job.
 
-    Map durations come from ``hardware``; reduce durations are replayed as
-    measured (they are not (query × shard) work units). Each query's
-    measured sort becomes ``min(SORT_TASKS, len(alignments))`` equal sort
-    reducers, and an empty report sorts nothing.
+    Map durations come from ``hardware``; each query's
+    :data:`REDUCE_TASKS` reduce durations are replayed as measured (they
+    are not (query × shard) work units). Each query's measured sort
+    becomes ``min(SORT_TASKS, len(alignments))`` equal sort reducers, and
+    an empty report sorts nothing.
     """
     for res in results:
         if not res.simulator_safe:

@@ -3,17 +3,16 @@
 Orion's search is "a natural fit for MapReduce": map tasks run BLAST on
 (query-fragment, database-shard) pairs; the shuffle keys alignments by
 database sequence id; reduce tasks aggregate and sort. This package provides
-that framework for real: input splits, mappers, partitioners, a
-sorted shuffle, reducers, pluggable executors that *measure* per-task
-durations (consumed later by :mod:`repro.cluster`'s simulator), and a
-shared-memory database plane that workers attach to instead of copying.
-The process pool runs the map tasks on workers; the shuffle and every
-reducer run in the driver, under every executor, where the serial oracle
-runs them.
+that framework for real: input splits, mappers, a sorted shuffle,
+reducers, pluggable executors that *measure* per-task durations (consumed
+later by :mod:`repro.cluster`'s simulator), and a shared-memory database
+plane that workers attach to instead of copying. The process pool runs the
+map tasks on workers; the shuffle and the reducer run in the driver, once
+per key in key order, under every executor, where the serial oracle runs
+them.
 """
 
 from repro.mapreduce.types import InputSplit, JobResult, TaskKind, TaskRecord
-from repro.mapreduce.partitioner import hash_partitioner
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import (
     EXECUTOR_KINDS,
@@ -41,7 +40,6 @@ __all__ = [
     "JobResult",
     "TaskKind",
     "TaskRecord",
-    "hash_partitioner",
     "MapReduceJob",
     "EXECUTOR_KINDS",
     "Executor",

@@ -1,10 +1,10 @@
 """MapReduce job definition and the shuffle.
 
-A :class:`MapReduceJob` bundles the user code (mapper, reducer,
-partitioner); executors in :mod:`repro.mapreduce.runtime` drive it.
-The shuffle groups map output by key *within each partition* and sorts keys
-(Hadoop's sort-based shuffle), so reducers see keys in order and value lists
-in map-task order — deterministic end to end.
+A :class:`MapReduceJob` bundles the user code (mapper, reducer);
+executors in :mod:`repro.mapreduce.runtime` drive it. The shuffle groups
+all map output by key and sorts the keys (Hadoop's sort-based shuffle), so
+the driver reduces keys in order and each key's values keep map-task
+order — deterministic end to end.
 
 Task callables must be *pure functions of their input* (the invariants
 orionlint and the race sanitizer enforce, DESIGN.md §4.4). Fault tolerance
@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
-from repro.mapreduce.partitioner import Partitioner, hash_partitioner
 from repro.mapreduce.types import InputSplit
 
 #: mapper: InputSplit -> iterable of (key, value)
 Mapper = Callable[[InputSplit], Iterable[Tuple[Any, Any]]]
-#: reducer: (key, values) -> iterable of output items
-Reducer = Callable[[Any, List[Any]], Iterable[Any]]
+#: reducer: (key, values) -> that key's result
+Reducer = Callable[[Any, List[Any]], Any]
 
 
 @dataclass
@@ -36,63 +35,30 @@ class MapReduceJob:
     Attributes
     ----------
     mapper / reducer:
-        The user map and reduce functions.
-    num_reducers:
-        Reduce-side parallelism (paper: multiple reducers working on
-        different database sequences / score ranges in parallel).
-    partitioner:
-        Key → reducer index; defaults to deterministic hashing.
+        The user map and reduce functions. Only the mapper travels to
+        pool workers; the reducer runs in the driver, once per key.
     name:
         Label used in task ids and logs.
     """
 
     mapper: Mapper
     reducer: Reducer
-    num_reducers: int = 1
-    partitioner: Partitioner = hash_partitioner
     name: str = "job"
 
     def __post_init__(self) -> None:
-        if self.num_reducers <= 0:
-            raise ValueError(f"num_reducers must be positive, got {self.num_reducers}")
         if not callable(self.mapper) or not callable(self.reducer):
             raise TypeError("mapper and reducer must be callable")
 
-    # ------------------------------------------------------------------ #
 
-    def run_map_task(self, split: InputSplit) -> List[Tuple[Any, Any]]:
-        """Execute the mapper for one split."""
-        return list(self.mapper(split))
+def shuffle(
+    map_outputs: Sequence[Sequence[Tuple[Any, Any]]]
+) -> List[Tuple[Any, List[Any]]]:
+    """Group all map output by key (the driver-side shuffle).
 
-    def shuffle(
-        self, map_outputs: Sequence[Sequence[Tuple[Any, Any]]]
-    ) -> List[List[Tuple[Any, List[Any]]]]:
-        """Partition and group all map output (the driver-side shuffle).
-
-        ``map_outputs`` come in split order. Returns, per reducer
-        partition, a key-sorted list of ``(key, [values...])`` groups whose
-        values keep map-task order.
-        """
-        partitions: List[List[Tuple[Any, Any]]] = [[] for _ in range(self.num_reducers)]
-        for task_output in map_outputs:
-            for key, value in task_output:
-                p = self.partitioner(key, self.num_reducers)
-                if not 0 <= p < self.num_reducers:
-                    raise ValueError(
-                        f"partitioner returned {p} for key {key!r} "
-                        f"(num_reducers={self.num_reducers})"
-                    )
-                partitions[p].append((key, value))
-        return [group_by_key(part) for part in partitions]
-
-    def run_reduce_task(
-        self, groups: Sequence[Tuple[Any, List[Any]]]
-    ) -> List[Any]:
-        """Execute the reducer over one partition's key groups."""
-        out: List[Any] = []
-        for key, values in groups:
-            out.extend(self.reducer(key, values))
-        return out
+    ``map_outputs`` come in split order. Returns key-sorted
+    ``(key, [values...])`` groups whose values keep map-task order.
+    """
+    return group_by_key(pair for task_output in map_outputs for pair in task_output)
 
 
 def group_by_key(pairs: Iterable[Tuple[Any, Any]]) -> List[Tuple[Any, List[Any]]]:

@@ -8,18 +8,20 @@ Two executors with identical result semantics (DESIGN.md row 5's
   onto modelled clusters (DESIGN.md §2: measured work, simulated scheduling).
 * :class:`WorkerPool` — a process pool that persists across jobs; map
   tasks run on separate cores, which is the point of the paper's
-  fine-grained work units. Each job is loaded once per worker (not per
-  task). Jobs that close over unpicklable state (lambdas, local closures)
-  fall back to serial execution with a warning.
+  fine-grained work units. Only the job's mapper travels, loaded once
+  per worker (not per task). A mapper that closes over unpicklable state
+  (a lambda, a local closure) falls back to serial execution with a
+  warning; the reducer never leaves the driver, so it may be anything.
 
 Both executors end a job the same way, in the driver:
-:func:`_shuffle_and_reduce` groups the map outputs
-(:meth:`~repro.mapreduce.job.MapReduceJob.shuffle`) and runs every reducer
-in partition order. The serial executor is the oracle everything else is
-property-tested against; the pool differs from it only in where the map
-tasks run. Reduce-side aggregation is cheap next to the map tasks' BLAST
-work, and the paper's reduce tasks are replayed from serial records
-(DESIGN.md §2), so the pool does not farm reducers out.
+:func:`_shuffle_and_reduce` groups the map outputs by key
+(:func:`~repro.mapreduce.job.shuffle`) and calls the reducer once per key
+in sorted key order, timing each call as one reduce record. The serial
+executor is the oracle everything else is property-tested against; the
+pool differs from it only in where the map tasks run. Reduce-side
+aggregation is cheap next to the map tasks' BLAST work, and the paper's
+reduce tasks are replayed from serial records (DESIGN.md §2), so the pool
+does not farm reducers out.
 
 The process pool's map phase is fault tolerant (DESIGN.md §4.6): every
 map task runs as a sequence of *attempts* under a
@@ -38,8 +40,8 @@ task exhausts its attempt budget.
 
 All executors return the same :class:`~repro.mapreduce.types.JobResult` for
 the same job and splits, independent of scheduling order: map outputs are
-ordered by split index before the shuffle, and reducer outputs by
-partition index, so results are deterministic end to end — tasks are pure
+ordered by split index before the shuffle, and reducer outputs by key,
+so results are deterministic end to end — tasks are pure
 functions of their split, so retried and speculative attempts cannot
 change the output either. Every
 :class:`~repro.mapreduce.types.TaskRecord` is tagged with the executor kind
@@ -62,7 +64,7 @@ from typing import Any, List, Optional, Protocol, Sequence, Tuple, Union
 
 from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.faults import FaultInjector, RetryPolicy, TaskFailedError
-from repro.mapreduce.job import MapReduceJob
+from repro.mapreduce.job import Mapper, MapReduceJob, shuffle
 from repro.mapreduce.scheduler import TaskMeta, TaskScheduler
 from repro.mapreduce.types import InputSplit, JobResult, TaskKind, TaskRecord
 from repro.util.timers import Stopwatch
@@ -84,15 +86,16 @@ def _payload_records(payload: Any) -> int:
 
 
 def _measure_map(
-    job: MapReduceJob,
+    mapper: Mapper,
+    name: str,
     split: InputSplit,
     executor: str = "serial",
 ) -> Tuple[List[Tuple[Any, Any]], TaskRecord]:
     sw = Stopwatch().start()
-    pairs = job.run_map_task(split)
+    pairs = list(mapper(split))
     dur = sw.stop()
     rec = TaskRecord(
-        task_id=f"{job.name}/map/{split.index:05d}",
+        task_id=f"{name}/map/{split.index:05d}",
         kind=TaskKind.MAP,
         duration=dur,
         input_records=_payload_records(split.payload),
@@ -104,31 +107,23 @@ def _measure_map(
 
 def _measure_reduce(
     job: MapReduceJob,
-    partition_index: int,
-    groups: Sequence[Tuple[Any, List[Any]]],
+    index: int,
+    key: Any,
+    values: List[Any],
     executor: str = "serial",
-) -> Tuple[List[Any], TaskRecord]:
+) -> Tuple[Any, TaskRecord]:
+    """Call the reducer on the ``index``-th key in sorted order; time the call."""
     sw = Stopwatch().start()
-    out = job.run_reduce_task(groups)
+    out = job.reducer(key, values)
     dur = sw.stop()
     rec = TaskRecord(
-        task_id=f"{job.name}/reduce/{partition_index:05d}",
+        task_id=f"{job.name}/reduce/{index:05d}",
         kind=TaskKind.REDUCE,
         duration=dur,
-        input_records=sum(len(v) for _, v in groups),
-        output_records=len(out),
+        input_records=len(values),
         executor=executor,
     )
     return out, rec
-
-
-def _assemble(
-    partitions: Sequence[Sequence[Tuple[Any, List[Any]]]],
-    outputs: List[List[Any]],
-    records: List[TaskRecord],
-) -> JobResult:
-    distinct = len({key for part in partitions for key, _ in part})
-    return JobResult(outputs=outputs, records=records, shuffle_keys=distinct)
 
 
 def _shuffle_and_reduce(
@@ -137,19 +132,18 @@ def _shuffle_and_reduce(
     records: List[TaskRecord],
     executor: str,
 ) -> JobResult:
-    """The driver's half of every job: shuffle the map outputs, run the reducers.
+    """The driver's half of every job: shuffle the map outputs, reduce per key.
 
-    ``map_outputs`` and ``records`` are in split order; the reduce records
-    are appended in partition order and tagged ``executor``. A reducer's
+    ``map_outputs`` and ``records`` are in split order; one reduce record
+    per key is appended in key order, tagged ``executor``. A reducer's
     exception propagates unchanged.
     """
-    partitions = job.shuffle(map_outputs)
-    outputs: List[List[Any]] = []
-    for p, groups in enumerate(partitions):
-        out, rec = _measure_reduce(job, p, groups, executor=executor)
-        outputs.append(out)
+    outputs: List[Tuple[Any, Any]] = []
+    for i, (key, values) in enumerate(shuffle(map_outputs)):
+        out, rec = _measure_reduce(job, i, key, values, executor=executor)
+        outputs.append((key, out))
         records.append(rec)
-    return _assemble(partitions, outputs, records)
+    return JobResult(outputs=outputs, records=records)
 
 
 class Executor(Protocol):
@@ -176,7 +170,7 @@ class SerialExecutor:
         map_outputs: List[List[Tuple[Any, Any]]] = []
         records: List[TaskRecord] = []
         for split in splits:
-            pairs, rec = _measure_map(job, split, executor=self.kind)
+            pairs, rec = _measure_map(job.mapper, job.name, split, executor=self.kind)
             map_outputs.append(pairs)
             records.append(rec)
         return _shuffle_and_reduce(job, map_outputs, records, self.kind)
@@ -199,10 +193,11 @@ def _stamp_meta(rec: TaskRecord, meta: TaskMeta) -> TaskRecord:
 # --------------------------------------------------------------------------- #
 
 
-#: The page rule: a job blob of at most this many bytes rides inline in
-#: every task item. A segment occupies at least one page, and creating one
-#: costs an open and a write, every reader an open and a ``pread``, and the
-#: driver an unlink — all to move bytes that fit in the task message anyway.
+#: The page rule: a job blob (the pickled mapper) of at most this many bytes
+#: rides inline in every task item. A segment occupies at least one page, and
+#: creating one costs an open and a write, every reader an open and a
+#: ``pread``, and the driver an unlink — all to move bytes that fit in the
+#: task message anyway.
 _INLINE_BYTES = mmap.PAGESIZE
 
 
@@ -252,44 +247,46 @@ def _serial_fallback(
 
 @dataclass(frozen=True)
 class _JobRef:
-    """Where a pool worker fetches one job's pickle from.
+    """Where a pool worker fetches one job's pickled mapper from.
 
     A blob that fits in one page (:data:`_INLINE_BYTES`) rides inline in
     every task item, as does any blob when the run's segments cannot be
     created. A larger blob travels once per machine through a segment the run's
     :class:`~repro.mapreduce.shm.SpillSet` owns (``inline`` is ``None``;
-    workers copy it out on first use). ``key`` identifies the job in the
-    per-worker cache so a job's bytes are loaded at most once per worker.
+    workers copy it out on first use). ``key`` identifies the mapper in the
+    per-worker cache so its bytes are loaded at most once per worker;
+    ``name`` is the job's, for task ids.
     """
 
     key: str
+    name: str
     segment: Optional[str]
     size: int
     inline: Optional[bytes]
 
 
-#: Per-worker-process cache of live jobs, most recently used last. Bounded:
-#: a long-lived pool serving many queries must not pin every past job.
-_POOL_JOBS: "OrderedDict[str, MapReduceJob]" = OrderedDict()
+#: Per-worker-process cache of live mappers, most recently used last.
+#: Bounded: a long-lived pool serving many queries must not pin every past job.
+_POOL_MAPPERS: "OrderedDict[str, Mapper]" = OrderedDict()
 _POOL_JOB_LIMIT = 8
 
 
-def _pool_load_job(ref: _JobRef) -> MapReduceJob:
-    """Fetch/cache the job for ``ref`` in this worker."""
-    job = _POOL_JOBS.get(ref.key)
-    if job is not None:
-        _POOL_JOBS.move_to_end(ref.key)
-        return job
+def _pool_load_mapper(ref: _JobRef) -> Mapper:
+    """Fetch/cache the mapper for ``ref`` in this worker."""
+    mapper = _POOL_MAPPERS.get(ref.key)
+    if mapper is not None:
+        _POOL_MAPPERS.move_to_end(ref.key)
+        return mapper
     if ref.inline is not None:
         blob = ref.inline
     else:
         assert ref.segment is not None, "job ref carries neither segment nor bytes"
         blob = shm_mod.read_segment(ref.segment, 0, ref.size)
-    job = pickle.loads(blob)
-    _POOL_JOBS[ref.key] = job
-    while len(_POOL_JOBS) > _POOL_JOB_LIMIT:
-        _POOL_JOBS.popitem(last=False)
-    return job
+    mapper = pickle.loads(blob)
+    _POOL_MAPPERS[ref.key] = mapper
+    while len(_POOL_MAPPERS) > _POOL_JOB_LIMIT:
+        _POOL_MAPPERS.popitem(last=False)
+    return mapper
 
 
 def _pool_map_task(
@@ -301,10 +298,10 @@ def _pool_map_task(
     this task moves to the driver's shuffle.
     """
     ref, split, attempt, injector = item
-    job = _pool_load_job(ref)
+    mapper = _pool_load_mapper(ref)
     if injector is not None:
         injector.fire("map", split.index, attempt)
-    pairs, rec = _measure_map(job, split, executor=WorkerPool.kind)
+    pairs, rec = _measure_map(mapper, ref.name, split, executor=WorkerPool.kind)
     blob = pickle.dumps(pairs, protocol=pickle.HIGHEST_PROTOCOL)
     return replace(rec, shuffle_bytes_out=len(blob)), blob
 
@@ -322,29 +319,29 @@ class WorkerPool:
     (and per-worker warmup) once, not once per query — exactly the overhead
     the paper's fine-grained work units must amortize. Workers keep their
     module-level caches (attached shared-database views, warmed k-mer
-    indexes, cached jobs) warm between jobs. Each job's pickle is loaded
-    once per worker; see :class:`_JobRef` for how the blob travels. Task
-    dispatch relies only on module-level functions, so it is safe under
-    every multiprocessing start method, ``spawn`` included. A one-shot
-    caller uses the pool as a context manager (or calls :meth:`shutdown`)
-    so no worker outlives its job; an unclosed pool's workers are
-    reclaimed at interpreter exit.
+    indexes, cached mappers) warm between jobs. Only the job's mapper is
+    pickled and shipped, and each is loaded once per worker; see
+    :class:`_JobRef` for how the blob travels. Task dispatch relies only on
+    module-level functions, so it is safe under every multiprocessing start
+    method, ``spawn`` included. A one-shot caller uses the pool as a context
+    manager (or calls :meth:`shutdown`) so no worker outlives its job; an
+    unclosed pool's workers are reclaimed at interpreter exit.
 
     Only the map phase runs on workers. Each map task returns its output
-    pickled with its record, and the driver then shuffles and reduces
-    exactly as :class:`SerialExecutor` does, so every reducer runs where
-    the serial oracle runs it. Results and record order are identical to
-    :class:`SerialExecutor`'s for any job; every record, reduce records
+    pickled with its record, and the driver then shuffles and reduces per
+    key exactly as :class:`SerialExecutor` does, so every reducer call runs
+    where the serial oracle runs it. Results and record order are identical
+    to :class:`SerialExecutor`'s for any job; every record, reduce records
     included, is tagged ``executor="processes"``. A reducer's exception
     propagates from :meth:`run` as it does under :class:`SerialExecutor`:
     it is not retried and leaves the pool running.
 
-    Jobs that cannot be pickled (closures over local state) fall back to a
-    serial run with a :class:`RuntimeWarning`, its records tagged
-    ``executor="serial"`` — truthfully, since that is what produced the
-    measurements. Map scheduling is fault tolerant: a broken pool (crashed
-    worker) is respawned in place and only the uncommitted map tasks
-    re-dispatched; whole-job serial fallback happens only once a map task
+    A mapper that cannot be pickled (a closure over local state) makes the
+    job fall back to a serial run with a :class:`RuntimeWarning`, its
+    records tagged ``executor="serial"`` — truthfully, since that is what
+    produced the measurements. Map scheduling is fault tolerant: a broken
+    pool (crashed worker) is respawned in place and only the uncommitted map
+    tasks re-dispatched; whole-job serial fallback happens only once a map task
     exhausts its :class:`~repro.mapreduce.faults.RetryPolicy` budget, and
     then the broken pool is discarded so the next :meth:`run` starts
     fresh.
@@ -354,7 +351,7 @@ class WorkerPool:
     attempts are submitted into the *same* ``ProcessPoolExecutor`` queue,
     so while one query reduces in its driver thread the next query's map
     tasks keep the workers busy. Each concurrent job keeps its own
-    :class:`~repro.mapreduce.scheduler.TaskScheduler`, job blob and result
+    :class:`~repro.mapreduce.scheduler.TaskScheduler`, mapper blob and result
     assembly, so outputs stay byte-identical to running the jobs one at a
     time. Cross-job coordination is confined to the pool handle itself:
     creation is locked, a worker crash (which breaks the shared pool for
@@ -467,7 +464,7 @@ class WorkerPool:
             pool.submit(_prewarm_noop).result()
 
     def _open_run(
-        self, job_bytes: bytes
+        self, job_name: str, job_bytes: bytes
     ) -> Tuple[_JobRef, Optional[shm_mod.SpillSet]]:
         """Open the run's segment owner and ship its job blob through it.
 
@@ -476,7 +473,7 @@ class WorkerPool:
         shared memory fails (``/dev/shm`` missing or exhausted: an
         ``OSError``), the job rides inline.
         """
-        # Content-addressed: re-submitting the same job (a pickled-identical
+        # Content-addressed: re-submitting the same mapper (a pickled-identical
         # blob) hits the per-worker LRU for the whole pool lifetime — not
         # once per run. A per-instance counter key defeated the cache on
         # every run, and two pools in one process could mint colliding keys
@@ -486,8 +483,8 @@ class WorkerPool:
         try:
             spills = shm_mod.SpillSet()
             if len(job_bytes) > _INLINE_BYTES:
-                name = spills.publish_job(job_bytes)
-                return _JobRef(key, name, len(job_bytes), None), spills
+                segment = spills.publish_job(job_bytes)
+                return _JobRef(key, job_name, segment, len(job_bytes), None), spills
         except OSError as exc:
             warnings.warn(
                 f"WorkerPool could not publish job blob via shared "
@@ -495,13 +492,13 @@ class WorkerPool:
                 RuntimeWarning,
                 stacklevel=4,
             )
-        return _JobRef(key, None, 0, job_bytes), spills
+        return _JobRef(key, job_name, None, 0, job_bytes), spills
 
     def run(self, job: MapReduceJob, splits: Sequence[InputSplit]) -> JobResult:
         try:
-            job_bytes = pickle.dumps(job)
+            job_bytes = pickle.dumps(job.mapper)
         except Exception as exc:  # PicklingError/AttributeError/TypeError
-            return _serial_fallback(job, splits, f"job is not picklable ({exc})")
+            return _serial_fallback(job, splits, f"mapper is not picklable ({exc})")
         if not splits or self.max_workers == 1:
             # Nothing to parallelize — don't pay pool startup.
             return SerialExecutor().run(job, splits)
@@ -557,7 +554,7 @@ class WorkerPool:
         """
         self._ensure_pool()
         injector = self.injector
-        ref, spills = self._open_run(job_bytes)
+        ref, spills = self._open_run(job.name, job_bytes)
 
         def submit_map(split: InputSplit, attempt: int) -> "Future[Any]":
             return self._ensure_pool().submit(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, List
+from typing import Any, List, Tuple
 
 
 class TaskKind(enum.Enum):
@@ -101,20 +101,16 @@ class JobResult:
     Attributes
     ----------
     outputs:
-        Per-reducer output lists, indexed by partition.
+        One ``(key, reducer result)`` pair per distinct shuffle key, in
+        sorted key order.
     records:
-        One :class:`TaskRecord` per executed map/reduce task.
-    shuffle_keys:
-        Distinct keys seen in the shuffle (diagnostics / tests).
+        One :class:`TaskRecord` per executed task: the map tasks in split
+        order, then one reduce record per key, so ``reduce_records()[i]``
+        times ``outputs[i]``.
     """
 
-    outputs: List[List[Any]]
+    outputs: List[Tuple[Any, Any]]
     records: List[TaskRecord]
-    shuffle_keys: int = 0
-
-    def flat_outputs(self) -> List[Any]:
-        """All reducer outputs concatenated in partition order."""
-        return [item for part in self.outputs for item in part]
 
     def map_records(self) -> List[TaskRecord]:
         return [r for r in self.records if r.kind is TaskKind.MAP]

@@ -127,18 +127,16 @@ class TestORL001Picklable:
         assert rule_ids(findings) == ["ORL001", "ORL001"]
 
     def test_positional_job_name_is_not_a_task_callable(self):
-        """Positional index 4 of ``MapReduceJob`` is ``name``, a string."""
+        """Positional index 2 of ``MapReduceJob`` is ``name``, a string."""
         source = textwrap.dedent(
             """\
             from repro.mapreduce.job import MapReduceJob
-            job = MapReduceJob(mapper, reducer, 2, partitioner, "orion/q")
+            job = MapReduceJob(mapper, reducer, "orion/q")
             """
         )
         collector = _JobCallCollector()
         collector.visit(ast.parse(source))
-        assert [param for _, param, *_ in collector.sites] == [
-            "mapper", "reducer", "partitioner"
-        ]
+        assert [param for _, param, *_ in collector.sites] == ["mapper", "reducer"]
         assert run_rule(TaskCallablePicklableRule(), source) == []
 
 

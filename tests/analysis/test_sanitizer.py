@@ -22,7 +22,7 @@ def pure_mapper(split):
 
 
 def pure_reducer(key, values):
-    yield key, sorted(values)
+    return sorted(values)
 
 
 class LeakyMapper:
@@ -34,6 +34,17 @@ class LeakyMapper:
     def __call__(self, split):
         self.seen.append(split.index)
         yield split.index % 2, split.payload
+
+
+class LeakyReducer:
+    """Counts the keys it has seen: state carried from one key to the next."""
+
+    def __init__(self):
+        self.keys = 0
+
+    def __call__(self, key, values):
+        self.keys += 1
+        return sorted(values)
 
 
 def payload_mutating_mapper(split):
@@ -71,7 +82,7 @@ class TestFingerprint:
 
 class TestSanitizerExecutor:
     def test_clean_job_is_silent_and_matches_serial(self):
-        job = MapReduceJob(mapper=pure_mapper, reducer=pure_reducer, num_reducers=2)
+        job = MapReduceJob(mapper=pure_mapper, reducer=pure_reducer)
         sanitizer = SanitizerExecutor(on_mutation="raise")
         result = sanitizer.run(job, splits())
         assert sanitizer.reports == []
@@ -87,6 +98,16 @@ class TestSanitizerExecutor:
         first = sanitizer.reports[0]
         assert first.component == "mapper"
         assert first.task_id == "leaky/map/00000"
+
+    def test_leaky_reducer_detected_per_key(self):
+        job = MapReduceJob(mapper=pure_mapper, reducer=LeakyReducer(), name="leaky")
+        sanitizer = SanitizerExecutor(on_mutation="record")
+        result = sanitizer.run(job, splits())
+        assert [key for key, _ in result.outputs] == [0, 1]
+        assert [(m.task_id, m.component) for m in sanitizer.reports] == [
+            ("leaky/reduce/00000", "reducer"),
+            ("leaky/reduce/00001", "reducer"),
+        ]
 
     def test_raise_mode(self):
         job = MapReduceJob(mapper=LeakyMapper(), reducer=pure_reducer)

@@ -113,7 +113,7 @@ def test_long_query_builds_one_index_per_fragment_and_strand(db, count_builds):
     plan = search.prepare(query)
     assert len(plan.splits) == 3 * len(plan.fragments) >= 12
     for split in plan.splits:
-        plan.job.run_map_task(split)
+        list(plan.job.mapper(split))
     # One per (fragment, strand) — not one per (fragment, strand, shard).
     assert len(count_builds) == 2 * len(plan.fragments)
     assert len(set(count_builds)) == len(count_builds)

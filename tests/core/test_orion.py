@@ -7,7 +7,12 @@ import pytest
 from repro.cluster.hardware import HardwareModel
 from repro.cluster.topology import ClusterSpec, ExecutionProfile
 from repro.core.orion import OrionSearch
-from repro.core.results import orion_phases, replay_orion
+from repro.core.results import (
+    REDUCE_TASKS,
+    orion_phases,
+    reduce_task_seconds,
+    replay_orion,
+)
 from tests.conftest import alignment_keys
 
 
@@ -144,9 +149,45 @@ class TestMeasurementDiscipline:
         ) as search:
             plan = search.prepare(query)
             mr = search.executor.run(plan.job, plan.splits)
-        assert len(mr.reduce_records()) == search.num_reducers
+        assert len(mr.reduce_records()) == len(mr.outputs) > 0
         assert all(r.executor == "processes" for r in mr.reduce_records())
         assert not any(r.simulator_safe for r in mr.records)
+
+
+class TestReduceReplay:
+    """The driver times one reduce per (subject, strand) key; replay packs
+    those times into the paper's ``REDUCE_TASKS`` reduce tasks."""
+
+    def test_packing_rule_is_hadoop_crc32_partitioning(self):
+        # Group indices the deleted ``hash_partitioner(key, 8)`` gave.
+        groups = {
+            ("seq0", 1): 2, ("seq0", -1): 2, ("seq1", 1): 5, ("seq7", -1): 3,
+            ("subject.42", 1): 2, ("db_00012", -1): 7,
+            ("gi|5524211|gb|AAD44166.1|", 1): 6, ("chr\u00e9", -1): 0,
+            ("synthdb.seq00000", 1): 7, ("synthdb.seq00000", -1): 6,
+            ("synthdb.seq00001", 1): 0, ("synthdb.seq00001", -1): 3,
+            ("synthdb.seq00002", 1): 1, ("synthdb.seq00002", -1): 5,
+        }
+        assert REDUCE_TASKS == 8
+        for key, group in groups.items():
+            packed = reduce_task_seconds([key], [1.5])
+            assert packed == [1.5 if i == group else 0.0 for i in range(8)], key
+        keys = list(groups)
+        packed = reduce_task_seconds(keys, [1.0] * len(keys))
+        assert packed == [float(list(groups.values()).count(i)) for i in range(8)]
+
+    def test_replay_packs_the_per_key_records(self, orion, query_with_truth):
+        query, _ = query_with_truth
+        plan = orion.prepare(query)
+        mr = orion.executor.run(plan.job, plan.splits)
+        result = orion.assemble(plan, mr, 0.0)
+        keys = [key for key, _ in mr.outputs]
+        per_key = [r.duration for r in mr.reduce_records()]
+        assert len(per_key) == len(keys) > 1 and keys == sorted(keys)
+        assert result.reduce_seconds == reduce_task_seconds(keys, per_key)
+        _, reduces, _ = orion_phases([result], HardwareModel())
+        assert len(reduces) == REDUCE_TASKS
+        assert sum(t.duration for t in reduces) == pytest.approx(sum(per_key))
 
 
 class TestFragmentLengthResolution:
@@ -361,6 +402,37 @@ class TestShardScopedCache:
         second = s2._kmer_cache_for_shard(s2.shards[0])
         assert first is second  # the module-level store itself
 
+    def test_stores_are_bounded_least_recently_used_first(self):
+        """Serial searches over one database more than the limit leave at
+        most the limit's stores, the oldest database's gone."""
+        from repro.core import orion as orion_mod
+        from repro.sequence.generator import make_database
+
+        limit = orion_mod._KMER_STORE_LIMIT
+        keys = []
+        for i in range(limit + 1):
+            db = make_database(920 + i, num_sequences=2, mean_length=300, name=f"lru{i}")
+            search = OrionSearch(database=db, num_shards=1, fragment_length=None)
+            search.run(db.records[0].slice(0, 200, seq_id=f"q{i}"))
+            keys.append(search._db_key)
+            assert search._db_key in orion_mod._KMER_STORES
+        assert len(orion_mod._KMER_STORES) <= limit
+        assert keys[0] not in orion_mod._KMER_STORES
+        assert all(key in orion_mod._KMER_STORES for key in keys[1:])
+
+    def test_query_loop_over_one_database_never_evicts(self):
+        from repro.core import orion as orion_mod
+        from repro.sequence.generator import make_database
+
+        db = make_database(930, num_sequences=3, mean_length=300, name="loopdb")
+        search = OrionSearch(database=db, num_shards=2, fragment_length=None)
+        search.run(db.records[0].slice(0, 200, seq_id="q0"))
+        store = orion_mod._KMER_STORES[search._db_key]
+        for i in range(orion_mod._KMER_STORE_LIMIT + 2):
+            search.run(db.records[i % 3].slice(0, 200, seq_id=f"q{i}"))
+            assert orion_mod._KMER_STORES[search._db_key] is store
+        assert set(store) == {r.seq_id for r in db}
+
     def test_plane_jobs_in_one_worker_share_one_shard_list(self):
         """Every job a worker loads for a plane-backed search reuses the
         shard list built by the first; detaching the views drops it."""
@@ -404,20 +476,20 @@ def _canonical(alignments):
     return out
 
 
-class TestDeclaredPartitions:
-    """Any reducer count, both strands: the pool's map tasks feed the
-    driver's shuffle exactly what the serial executor's do."""
+class TestBothStrandsOnThePool:
+    """Any shard count, both strands: the pool's map tasks feed the driver's
+    shuffle exactly what the serial executor's do."""
 
-    @pytest.mark.parametrize("num_reducers", [1, 3, 8])
+    @pytest.mark.parametrize("num_shards", [1, 3, 8])
     def test_processes_equal_serial_on_both_strands(
-        self, small_db, query_with_truth, num_reducers
+        self, small_db, query_with_truth, num_shards
     ):
         query, _ = query_with_truth
         results = {}
         for executor in ("serial", "processes"):
             with OrionSearch(
-                small_db, num_shards=4, fragment_length=9000, strands="both",
-                num_reducers=num_reducers, executor=executor, num_workers=2,
+                small_db, num_shards=num_shards, fragment_length=9000, strands="both",
+                executor=executor, num_workers=2,
             ) as search:
                 results[executor] = search.run(query)
         assert _canonical(results["processes"].alignments) == _canonical(

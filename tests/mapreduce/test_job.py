@@ -1,8 +1,12 @@
 """Tests for MapReduce job definition and shuffle."""
 
+import dataclasses
+
 import pytest
 
-from repro.mapreduce.job import MapReduceJob, group_by_key
+from repro.mapreduce.job import MapReduceJob, group_by_key, shuffle
+from repro.mapreduce.runtime import SerialExecutor
+from repro.mapreduce.types import InputSplit
 
 
 def word_mapper(split):
@@ -11,7 +15,7 @@ def word_mapper(split):
 
 
 def count_reducer(key, values):
-    yield key, sum(values)
+    return sum(values)
 
 
 class TestGroupByKey:
@@ -28,69 +32,33 @@ class TestGroupByKey:
 
 
 class TestJobValidation:
-    def test_reducer_count_positive(self):
-        with pytest.raises(ValueError):
-            MapReduceJob(mapper=word_mapper, reducer=count_reducer, num_reducers=0)
-
     def test_callables_required(self):
         with pytest.raises(TypeError):
             MapReduceJob(mapper="not-callable", reducer=count_reducer)
 
+    def test_job_is_mapper_reducer_and_name(self):
+        assert [f.name for f in dataclasses.fields(MapReduceJob)] == [
+            "mapper", "reducer", "name"
+        ]
+
 
 class TestShuffle:
-    def _job(self, n_red=3):
-        return MapReduceJob(mapper=word_mapper, reducer=count_reducer, num_reducers=n_red)
-
-    def test_partition_disjoint_and_complete(self):
-        job = self._job()
-        outputs = [[("a", 1), ("b", 1)], [("c", 1), ("a", 1)]]
-        partitions = job.shuffle(outputs)
-        seen = {}
-        for part in partitions:
-            for key, values in part:
-                assert key not in seen
-                seen[key] = values
-        assert set(seen) == {"a", "b", "c"}
-        assert seen["a"] == [1, 1]
-
-    def test_same_key_same_partition(self):
-        job = self._job()
-        p1 = job.shuffle([[("x", 1)]])
-        p2 = job.shuffle([[("x", 2)]])
-        idx1 = next(i for i, part in enumerate(p1) if part)
-        idx2 = next(i for i, part in enumerate(p2) if part)
-        assert idx1 == idx2
-
-    def test_bad_partitioner_rejected(self):
-        job = MapReduceJob(
-            mapper=word_mapper,
-            reducer=count_reducer,
-            num_reducers=2,
-            partitioner=lambda k, n: 7,
-        )
-        with pytest.raises(ValueError, match="partitioner returned"):
-            job.shuffle([[("a", 1)]])
-
-
     def test_values_keep_map_task_order(self):
-        job = self._job(n_red=1)
-        partitions = job.shuffle([[("k", "t0a"), ("k", "t0b")], [("k", "t1")], [("k", "t2")]])
-        assert partitions == [[("k", ["t0a", "t0b", "t1", "t2"])]]
+        groups = shuffle([[("k", "t0a"), ("k", "t0b")], [("k", "t1")], [("k", "t2")]])
+        assert groups == [("k", ["t0a", "t0b", "t1", "t2"])]
 
-    def test_keys_sorted_within_each_partition(self):
-        job = self._job(n_red=2)
-        partitions = job.shuffle([[(k, 1) for k in "zyxwvutsr"]])
-        for part in partitions:
-            keys = [key for key, _ in part]
-            assert keys == sorted(keys)
+    def test_one_sorted_group_list_over_all_tasks(self):
+        groups = shuffle([[("z", 1), ("a", 2)], [("m", 3), ("a", 4)]])
+        assert groups == [("a", [2, 4]), ("m", [3]), ("z", [1])]
 
-    def test_no_output_gives_empty_partitions(self):
-        assert self._job(n_red=3).shuffle([]) == [[], [], []]
-        assert self._job(n_red=2).shuffle([[], []]) == [[], []]
+    def test_no_output_gives_no_groups(self):
+        assert shuffle([]) == []
+        assert shuffle([[], []]) == []
 
 
 class TestReduceTask:
     def test_runs_reducer_per_key(self):
         job = MapReduceJob(mapper=word_mapper, reducer=count_reducer)
-        out = job.run_reduce_task([("a", [1, 1]), ("b", [1])])
-        assert out == [("a", 2), ("b", 1)]
+        splits = [InputSplit(index=0, payload=["a", "b"]), InputSplit(index=1, payload=["a"])]
+        result = SerialExecutor().run(job, splits)
+        assert result.outputs == [("a", 2), ("b", 1)]

@@ -32,7 +32,7 @@ def _mod5_mapper(split):
 
 
 def _sum_reducer(key, values):
-    yield key, sum(values)
+    return sum(values)
 
 
 def _mod4_mapper(split):
@@ -67,18 +67,15 @@ def _padded_mapper(padding, split):
 
 
 def _pid_reducer(key, values):
-    yield key, os.getpid()
+    return os.getpid()
 
 
 def _raising_reducer(key, values):
     raise KeyError(f"reducer refuses key {key}")
-    yield  # pragma: no cover - makes this a generator function
 
 
-def make_job(n_red=2):
-    return MapReduceJob(
-        mapper=_mod5_mapper, reducer=_sum_reducer, num_reducers=n_red, name="t"
-    )
+def make_job():
+    return MapReduceJob(mapper=_mod5_mapper, reducer=_sum_reducer, name="t")
 
 
 def make_splits(n=6, width=10):
@@ -105,14 +102,13 @@ def expected_totals(n=6, width=10):
 class TestSerialExecutor:
     def test_outputs_correct(self):
         result = SerialExecutor().run(make_job(), make_splits())
-        assert dict(result.flat_outputs()) == expected_totals()
+        assert dict(result.outputs) == expected_totals()
 
     def test_task_records(self):
-        result = SerialExecutor().run(make_job(3), make_splits(4))
+        result = SerialExecutor().run(make_job(), make_splits(4))
         assert len(result.map_records()) == 4
-        assert len(result.reduce_records()) == 3
+        assert len(result.reduce_records()) == 5  # one per key
         assert all(r.duration >= 0 for r in result.records)
-        assert result.shuffle_keys == 5
 
     def test_task_ids_unique(self):
         result = SerialExecutor().run(make_job(), make_splits())
@@ -121,8 +117,8 @@ class TestSerialExecutor:
 
     def test_empty_splits(self):
         result = SerialExecutor().run(make_job(), [])
-        assert result.flat_outputs() == []
-        assert len(result.reduce_records()) == 2  # reducers still run (empty)
+        assert result.outputs == []
+        assert result.reduce_records() == []  # no key, no reduce
 
     def test_records_simulator_safe(self):
         """Serial measurements are the simulator's contract."""
@@ -150,32 +146,32 @@ class TestSerialExecutor:
 
 class TestProcessPool:
     def test_matches_serial(self):
-        job = make_job(3)
+        job = make_job()
         splits = make_splits(8)
         serial = SerialExecutor().run(job, splits)
         proc = run_pool(job, splits)
         assert serial.outputs == proc.outputs
-        assert serial.shuffle_keys == proc.shuffle_keys
 
     def test_records_tagged(self):
-        result = run_pool(make_job(2), make_splits(4))
+        result = run_pool(make_job(), make_splits(4))
         assert len(result.map_records()) == 4
-        assert len(result.reduce_records()) == 2
+        assert len(result.reduce_records()) == 5
         assert all(r.executor == "processes" for r in result.records)
         assert not any(r.simulator_safe for r in result.records)
 
     def test_deterministic_record_order(self):
-        """Map records come back in split order, reduce in partition order,
+        """Map records come back in split order, reduce in key order,
         regardless of which worker ran what."""
-        result = run_pool(make_job(3), make_splits(6))
+        result = run_pool(make_job(), make_splits(6))
         assert [r.task_id for r in result.map_records()] == [
             f"t/map/{i:05d}" for i in range(6)
         ]
         assert [r.task_id for r in result.reduce_records()] == [
-            f"t/reduce/{i:05d}" for i in range(3)
+            f"t/reduce/{i:05d}" for i in range(5)
         ]
 
     def test_unpicklable_job_falls_back_to_serial(self):
+        """A mapper that cannot be pickled cannot reach a worker."""
         captured = []
 
         def closure_mapper(split):  # local function: not picklable
@@ -186,23 +182,23 @@ class TestProcessPool:
         job = MapReduceJob(mapper=closure_mapper, reducer=_sum_reducer, name="c")
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = run_pool(job, make_splits(3))
-        assert dict(result.flat_outputs()) == expected_totals(3)
+        assert dict(result.outputs) == expected_totals(3)
         # The fallback truthfully tags its records as serial measurements.
         assert all(r.executor == "serial" for r in result.records)
         assert captured  # the closure really ran, in this process
 
     def test_empty_splits(self):
         result = run_pool(make_job(), [])
-        assert result.flat_outputs() == []
+        assert result.outputs == []
 
     def test_worker_count_validated(self):
         with pytest.raises(ValueError):
             WorkerPool(max_workers=0)
 
     def test_job_travels_by_the_page_rule(self, monkeypatch):
-        """Dispatch ships a job ref, never the job object: a blob of at
-        most one page rides inline in each task item, a larger one goes
-        once through a segment and the item carries only its name."""
+        """Dispatch ships a job ref, never the job object: the mapper's
+        blob of at most one page rides inline in each task item, a larger
+        one goes once through a segment and the item carries only its name."""
         submitted = []
         real_pool = runtime_mod.ProcessPoolExecutor
 
@@ -215,74 +211,104 @@ class TestProcessPool:
         small = make_job()
         large = MapReduceJob(
             mapper=functools.partial(_padded_mapper, bytes(2 * mmap.PAGESIZE)),
-            reducer=_sum_reducer, num_reducers=2, name="t",
+            reducer=_sum_reducer, name="t",
         )
-        assert len(pickle.dumps(small)) <= mmap.PAGESIZE < len(pickle.dumps(large))
+        assert len(pickle.dumps(small.mapper)) <= mmap.PAGESIZE < len(
+            pickle.dumps(large.mapper)
+        )
         for job in (small, large):
             submitted.clear()
             result = run_pool(job, make_splits(3))
-            assert dict(result.flat_outputs()) == expected_totals(3)
+            assert dict(result.outputs) == expected_totals(3)
             refs = {item[0] for item in submitted}
             assert len(submitted) == 3 and len(refs) == 1  # map tasks only
             (ref,) = refs
             assert not any(isinstance(part, MapReduceJob) for part in submitted[0])
             if job is small:
-                assert ref.segment is None and ref.inline == pickle.dumps(small)
+                assert ref.segment is None and ref.inline == pickle.dumps(small.mapper)
             else:
                 assert ref.segment is not None and ref.inline is None
-                assert ref.size == len(pickle.dumps(large))
+                assert ref.size == len(pickle.dumps(large.mapper))
 
 
 
-class TestStreamingShuffle:
+class TestReducePerKey:
+    """The driver calls the reducer once per key, in sorted key order, and
+    times each call as one reduce record."""
+
+    def test_keys_sorted_one_record_per_output(self):
+        splits = [
+            InputSplit(index=0, payload=[9, 3, 7]),
+            InputSplit(index=1, payload=[1, 8, 13]),
+        ]
+        result = SerialExecutor().run(make_job(), splits)
+        keys = [key for key, _ in result.outputs]
+        assert keys == sorted(keys) == [1, 2, 3, 4]
+        assert result.outputs == [(1, 1), (2, 7), (3, 3 + 8 + 13), (4, 9)]
+        reduces = result.reduce_records()
+        assert len(reduces) == len(result.outputs)
+        assert [r.task_id for r in reduces] == [f"t/reduce/{i:05d}" for i in range(4)]
+        assert [r.input_records for r in reduces] == [1, 1, 3, 1]
+
+    def test_no_map_output_gives_no_reduce_record(self):
+        splits = [InputSplit(index=i, payload=[]) for i in range(3)]
+        result = SerialExecutor().run(make_job(), splits)
+        assert result.outputs == []
+        assert result.reduce_records() == []
+        assert len(result.map_records()) == 3
+
+
+class TestDriverReduce:
     """A pool run's shuffle: the pool runs only map tasks, whose outputs
     return to the driver, which shuffles and reduces as the serial executor
     does."""
 
     def test_matches_serial(self):
-        job = make_job(3)
+        job = make_job()
         splits = make_splits(8)
         serial = SerialExecutor().run(job, splits)
         pooled = run_pool(job, splits)
         assert pooled.outputs == serial.outputs
-        assert pooled.shuffle_keys == serial.shuffle_keys
+
+    def test_local_closure_reducer_runs_on_the_pool(self):
+        """Only the mapper is shipped, so a reducer that cannot be pickled
+        still lets the map tasks run on workers, with no fallback."""
+        scale = 2
+
+        def closure_reducer(key, values):  # local function: not picklable
+            return scale * sum(values)
+
+        job = MapReduceJob(mapper=_mod5_mapper, reducer=closure_reducer, name="c")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a serial fallback warns
+            result = run_pool(job, make_splits(3))
+        assert dict(result.outputs) == {k: 2 * v for k, v in expected_totals(3).items()}
+        assert all(r.executor == "processes" for r in result.records)
 
     def test_record_order_and_shuffle_bytes(self):
-        """Records stay in split/partition order whatever the completion
-        order, and each map record counts the pickled output it returned."""
-        job, splits = make_job(3), make_splits(6)
+        """Records stay in split/key order whatever the completion order,
+        and each map record counts the pickled output it returned."""
+        job, splits = make_job(), make_splits(6)
         result = run_pool(job, splits)
         assert [r.task_id for r in result.map_records()] == [
             f"t/map/{i:05d}" for i in range(6)
         ]
         assert [r.task_id for r in result.reduce_records()] == [
-            f"t/reduce/{i:05d}" for i in range(3)
+            f"t/reduce/{i:05d}" for i in range(5)
         ]
         assert [r.shuffle_bytes_out for r in result.map_records()] == [
-            len(pickle.dumps(job.run_map_task(s), protocol=pickle.HIGHEST_PROTOCOL))
+            len(pickle.dumps(list(job.mapper(s)), protocol=pickle.HIGHEST_PROTOCOL))
             for s in splits
         ]
         assert all(r.shuffle_bytes_out == 0 for r in result.reduce_records())
 
-    def test_empty_partitions(self):
-        """More reducers than keys: empty partitions still get a reduce."""
-        job = make_job(8)  # only 5 distinct keys exist
-        splits = make_splits(1)
-        serial = SerialExecutor().run(job, splits)
-        pooled = run_pool(job, splits)
-        assert pooled.outputs == serial.outputs
-        assert len(pooled.reduce_records()) == 8
-
-    @pytest.mark.parametrize("num_reducers", [1, 4])
+    @pytest.mark.parametrize("num_splits", [1, 4])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_reducers_run_in_the_driver(self, start_method, num_reducers):
-        job = MapReduceJob(
-            mapper=_mod5_mapper, reducer=_pid_reducer,
-            num_reducers=num_reducers, name="pid",
-        )
-        result = run_pool(job, make_splits(4), start_method=start_method)
-        assert dict(result.flat_outputs()) == {k: os.getpid() for k in range(5)}
-        assert len(result.reduce_records()) == num_reducers
+    def test_reducers_run_in_the_driver(self, start_method, num_splits):
+        job = MapReduceJob(mapper=_mod5_mapper, reducer=_pid_reducer, name="pid")
+        result = run_pool(job, make_splits(num_splits), start_method=start_method)
+        assert dict(result.outputs) == {k: os.getpid() for k in range(5)}
+        assert len(result.reduce_records()) == 5
         assert all(r.executor == "processes" for r in result.records)
 
     @pytest.mark.parametrize("lifecycle", ["cold", "warm"])
@@ -291,13 +317,13 @@ class TestStreamingShuffle:
         self, start_method, lifecycle
     ):
         job = MapReduceJob(
-            mapper=_mod5_mapper, reducer=_raising_reducer, num_reducers=2, name="r"
+            mapper=_mod5_mapper, reducer=_raising_reducer, name="r"
         )
         with WorkerPool(
             max_workers=2, start_method=start_method, retry=RetryPolicy(max_attempts=3)
         ) as pool:
             if lifecycle == "warm":
-                assert dict(pool.run(make_job(), make_splits()).flat_outputs()) == (
+                assert dict(pool.run(make_job(), make_splits()).outputs) == (
                     expected_totals()
                 )
             with warnings.catch_warnings():
@@ -306,7 +332,7 @@ class TestStreamingShuffle:
                     pool.run(job, make_splits(4))
             assert pool.started  # the pool was not discarded
             # ...and still serves the next job on the same workers.
-            assert dict(pool.run(make_job(), make_splits()).flat_outputs()) == (
+            assert dict(pool.run(make_job(), make_splits()).outputs) == (
                 expected_totals()
             )
 
@@ -314,7 +340,7 @@ class TestStreamingShuffle:
         """Two jobs share one pool from two threads; one reducer raises.
         The other job completes on the pool, with no fallback."""
         bad = MapReduceJob(
-            mapper=_mod5_mapper, reducer=_raising_reducer, num_reducers=2, name="r"
+            mapper=_mod5_mapper, reducer=_raising_reducer, name="r"
         )
         outcomes = {}
         with WorkerPool(max_workers=2) as pool:
@@ -339,7 +365,7 @@ class TestStreamingShuffle:
             assert pool.started
         assert isinstance(outcomes["bad"], KeyError)
         good = outcomes["good"]
-        assert dict(good.flat_outputs()) == expected_totals(8)
+        assert dict(good.outputs) == expected_totals(8)
         assert all(r.executor == "processes" for r in good.records)
 
     def test_inline_fallback_without_spill_set(self, monkeypatch, tmp_path):
@@ -354,11 +380,11 @@ class TestStreamingShuffle:
         monkeypatch.setattr(shm_mod, "_create_anchor", no_anchor)
         job = MapReduceJob(
             mapper=functools.partial(_padded_mapper, bytes(2 * mmap.PAGESIZE)),
-            reducer=_sum_reducer, num_reducers=3, name="t",
+            reducer=_sum_reducer, name="t",
         )
         with pytest.warns(RuntimeWarning, match="shipping inline per task"):
             result = run_pool(job, make_splits(4), start_method="fork")
-        assert dict(result.flat_outputs()) == expected_totals(4)
+        assert dict(result.outputs) == expected_totals(4)
         assert all(r.executor == "processes" for r in result.records)
         assert not log.exists() or log.read_text() == ""
 
@@ -370,11 +396,11 @@ class TestStreamingShuffle:
         _log_segment_calls(monkeypatch, str(log))
         large_job = MapReduceJob(
             mapper=functools.partial(_padded_mapper, bytes(2 * mmap.PAGESIZE)),
-            reducer=_sum_reducer, num_reducers=3, name="t",
+            reducer=_sum_reducer, name="t",
         )
-        for job in (make_job(3), large_job):
+        for job in (make_job(), large_job):
             result = run_pool(job, make_splits(4, width=2000), start_method="fork")
-            assert dict(result.flat_outputs()) == expected_totals(4, width=2000)
+            assert dict(result.outputs) == expected_totals(4, width=2000)
             assert all(r.shuffle_bytes_out > mmap.PAGESIZE for r in result.map_records())
         calls = [line.split() for line in log.read_text().splitlines()]
         writes = [pid for name, pid in calls if name == "write_segment"]
@@ -416,7 +442,7 @@ class TestOneShotLifetime:
         before = set(multiprocessing.active_children())
         with WorkerPool(max_workers=2, start_method=start_method) as pool:
             result = pool.run(make_job(), make_splits())
-        assert dict(result.flat_outputs()) == expected_totals()
+        assert dict(result.outputs) == expected_totals()
         assert all(r.executor == "processes" for r in result.records)
         assert set(multiprocessing.active_children()) - before == set()
 
@@ -424,14 +450,13 @@ class TestOneShotLifetime:
         job = MapReduceJob(
             mapper=lambda split: ((x % 5, x) for x in split.payload),
             reducer=_sum_reducer,
-            num_reducers=2,
             name="closure",
         )
         before = set(multiprocessing.active_children())
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             with WorkerPool(max_workers=2, start_method=start_method) as pool:
                 result = pool.run(job, make_splits())
-        assert dict(result.flat_outputs()) == expected_totals()
+        assert dict(result.outputs) == expected_totals()
         assert all(r.executor == "serial" for r in result.records)
         assert set(multiprocessing.active_children()) - before == set()
 

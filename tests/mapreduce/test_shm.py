@@ -76,7 +76,7 @@ def _mod5_mapper(split):
 
 
 def _sum_reducer(key, values):
-    yield key, sum(values)
+    return sum(values)
 
 
 def _listing_mapper(padding, driver_pid, split):
@@ -91,9 +91,8 @@ def _listing_mapper(padding, driver_pid, split):
 
 def _listing_reducer(key, values):
     if key == "seen":
-        yield key, [name for names in values for name in names]
-    else:
-        yield key, sum(values)
+        return [name for names in values for name in names]
+    return sum(values)
 
 
 class _CrashInWorkerMapper:
@@ -113,14 +112,14 @@ class _CrashInWorkerMapper:
         yield from _mod5_mapper(split)
 
 
-def make_job(mapper=_mod5_mapper, n_red=2):
-    return MapReduceJob(mapper=mapper, reducer=_sum_reducer, num_reducers=n_red, name="t")
+def make_job(mapper=_mod5_mapper):
+    return MapReduceJob(mapper=mapper, reducer=_sum_reducer, name="t")
 
 
 def make_above_page_job():
-    """A job whose pickle outgrows one page, so its blob ships via shm."""
+    """A job whose mapper's pickle outgrows one page, so its blob ships via shm."""
     job = make_job(functools.partial(_padded_mapper, bytes(2 * mmap.PAGESIZE)))
-    assert len(pickle.dumps(job)) > mmap.PAGESIZE
+    assert len(pickle.dumps(job.mapper)) > mmap.PAGESIZE
     return job
 
 
@@ -308,7 +307,7 @@ class TestWorkerPool:
         monkeypatch.setattr(shm_mod.SpillSet, "publish_job", spying_publish)
         with WorkerPool(max_workers=2) as pool:
             result = pool.run(make_above_page_job(), make_splits())
-            assert dict(result.flat_outputs()) == _expected_totals()
+            assert dict(result.outputs) == _expected_totals()
             # A sub-page job rides inline: no blob segment at all.
             pool.run(make_job(), make_splits())
         assert len(published) == 1, "job blob was not shipped via shared memory"
@@ -318,14 +317,12 @@ class TestWorkerPool:
         job = MapReduceJob(
             mapper=lambda s: [(0, x) for x in s.payload],  # closure: unpicklable
             reducer=_sum_reducer,
-            num_reducers=2,
             name="t",
         )
         with WorkerPool(max_workers=2) as pool:
             with pytest.warns(RuntimeWarning, match="falling back to serial"):
                 result = pool.run(job, make_splits())
-        totals = dict(kv for out in result.outputs for kv in out)
-        assert totals == {0: sum(range(60))}
+        assert result.outputs == [(0, sum(range(60)))]
         assert all(r.executor == "serial" for r in result.records)
 
     def test_single_worker_runs_serial_without_pool(self):
@@ -355,8 +352,7 @@ class TestWorkerPool:
             with pytest.warns(RuntimeWarning, match="falling back to serial"):
                 result = pool.run(job, make_splits())
             assert not pool.started, "crashed pool must be discarded"
-            totals = dict(kv for out in result.outputs for kv in out)
-            assert totals == _expected_totals()
+            assert dict(result.outputs) == _expected_totals()
             # The pool rebuilds transparently on the next run.
             healthy = pool.run(make_job(), make_splits())
             assert all(r.executor == "processes" for r in healthy.records)
@@ -380,12 +376,12 @@ class TestWorkerPool:
         outputs are already back: the run holds only its anchor and job blob."""
         job = MapReduceJob(
             mapper=functools.partial(_listing_mapper, bytes(2 * mmap.PAGESIZE), os.getpid()),
-            reducer=_listing_reducer, num_reducers=2, name="listing",
+            reducer=_listing_reducer, name="listing",
         )
         splits = [InputSplit(index=i, payload=list(range(i, 3000, 6))) for i in range(6)]
         with WorkerPool(max_workers=2, start_method=start_method) as pool:
             result = pool.run(job, splits)
-        outputs = dict(result.flat_outputs())
+        outputs = dict(result.outputs)
         assert [outputs[f"k{k}"] for k in range(5)] == [
             sum(range(k, 3000, 5)) for k in range(5)
         ]
@@ -550,16 +546,16 @@ _GATED_RUN = textwrap.dedent(
             yield x % 2, bytes(1000)
 
     def reducer(key, values):
-        yield key, len(values)
+        return len(values)
 
     if __name__ == "__main__":
         job = MapReduceJob(
             mapper=functools.partial(mapper, bytes(2 * mmap.PAGESIZE), sys.argv[1]),
-            reducer=reducer, num_reducers=2, name="gated",
+            reducer=reducer, name="gated",
         )
         splits = [InputSplit(index=i, payload=list(range(10))) for i in range(2)]
         with WorkerPool(max_workers=2) as pool:
-            print(sorted(pool.run(job, splits).flat_outputs()), flush=True)
+            print(pool.run(job, splits).outputs, flush=True)
     """
 )
 
@@ -688,7 +684,7 @@ class TestOneOwnerRule:
         _wait_for(lambda: reaped(_owned_entries() - before), timeout=10)
         assert _owned_entries() - before == set()
 
-    def test_run_in_another_temp_dir_keeps_its_blob_and_spills(self, tmp_path):
+    def test_run_in_another_temp_dir_keeps_its_job_blob(self, tmp_path):
         """A pool run in flight in another process, under another TMPDIR,
         keeps its anchor and job blob when this process reaps."""
         script = tmp_path / "gated.py"

@@ -85,8 +85,8 @@ class TestOrionExecutorEquivalence:
         proc = run_orion(tiny_db, tiny_query, "processes", strands)
         assert canonical(proc.alignments) == canonical(serial.alignments)
         assert proc.executor_kind == "processes"
-        # Aggregation stats travel through the reduce output stream, so they
-        # must survive the process boundary too.
+        # Aggregation stats come back from the reducer beside the alignments,
+        # so they must match too.
         assert proc.merged_pairs == serial.merged_pairs
         assert proc.dropped_partials == serial.dropped_partials
 
@@ -173,7 +173,7 @@ def _wc_mapper(split):
 
 
 def _count_reducer(key, values):
-    yield key, sum(values)
+    return sum(values)
 
 
 def _word_splits(n=6, lines=8):
@@ -190,40 +190,39 @@ def _word_splits(n=6, lines=8):
 
 
 #: Lines per split past which a word-count map output pickles to more
-#: than one page (asserted by ``test_streaming_equals_serial``).
+#: than one page (asserted by ``test_pool_equals_serial``).
 _SPILLING_LINES = 400
 
 
 def _wc_job(reducer=_count_reducer):
-    return MapReduceJob(mapper=_wc_mapper, reducer=reducer, num_reducers=3, name="wc")
+    return MapReduceJob(mapper=_wc_mapper, reducer=reducer, name="wc")
 
 
-class TestStreamingShuffleEquivalence:
+class TestPoolMapEquivalence:
     """Running the map tasks on workers changes *where* they run, never what
     the driver's shuffle and reducers produce — and leaves no segment behind."""
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     @pytest.mark.parametrize("lines", [8, _SPILLING_LINES])
-    def test_streaming_equals_serial(self, start_method, lines):
+    def test_pool_equals_serial(self, start_method, lines):
         before = _orionspill_segments()
         splits = _word_splits(lines=lines)
         serial = SerialExecutor().run(_wc_job(), splits)
         with WorkerPool(max_workers=2, start_method=start_method) as pool:
-            streaming = pool.run(_wc_job(), splits)
-        assert streaming.outputs == serial.outputs
-        assert streaming.shuffle_keys == serial.shuffle_keys
-        assert all(r.executor == "processes" for r in streaming.records)
+            pooled = pool.run(_wc_job(), splits)
+        assert pooled.outputs == serial.outputs
+        assert all(r.executor == "processes" for r in pooled.records)
         # Both sizes are covered: short outputs pickle within a page, long
         # ones above it, and all of them return through the result pipe.
         above_page = [
-            r.shuffle_bytes_out > mmap.PAGESIZE for r in streaming.map_records()
+            r.shuffle_bytes_out > mmap.PAGESIZE for r in pooled.map_records()
         ]
         assert all(above_page) == (lines == _SPILLING_LINES)
         assert any(above_page) == all(above_page)
         assert _orionspill_segments() - before == set()
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
-    def test_worker_pool_streaming_repeat_runs(self, start_method):
+    def test_worker_pool_repeat_runs(self, start_method):
         before = _orionspill_segments()
         serial = SerialExecutor().run(_wc_job(), _word_splits())
         with WorkerPool(max_workers=2, start_method=start_method) as pool:
@@ -244,11 +243,9 @@ def _straddle_mapper(split):
 def _job_summary(result):
     """A ``JobResult`` field by field, leaving out what only timing and the
     executor decide (durations, executor tags, attempt trails, byte counts):
-    outputs, ``shuffle_keys``, and each record's position, id, kind and
-    record counts."""
+    outputs, and each record's position, id, kind and record counts."""
     return (
         result.outputs,
-        result.shuffle_keys,
         [
             (i, r.task_id, r.kind, r.input_records, r.output_records)
             for i, r in enumerate(result.records)
@@ -262,34 +259,32 @@ _ABOVE_PAGE = st.integers(min_value=1500, max_value=3000)
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_outputs_straddling_a_page_equal_serial(start_method):
-    """Map outputs under and over a page, any reducer count: the pool run
-    yields the serial ``JobResult`` field by field, and each map record
-    counts the pickled output its task returned."""
+    """Map outputs under and over a page: the pool run yields the serial
+    ``JobResult`` field by field, and each map record counts the pickled
+    output its task returned."""
     before = _orionspill_segments()
     with WorkerPool(max_workers=2, start_method=start_method) as pool:
 
         @given(
             st.lists(st.one_of(_SUB_PAGE, _ABOVE_PAGE), max_size=4),
-            _SUB_PAGE, _ABOVE_PAGE, st.integers(min_value=1, max_value=5),
-            st.randoms(use_true_random=False),
+            _SUB_PAGE, _ABOVE_PAGE, st.randoms(use_true_random=False),
         )
         @settings(max_examples=12, deadline=None)
-        def check(sizes, small, large, num_reducers, rng):
+        def check(sizes, small, large, rng):
             sizes = sizes + [small, large]
             rng.shuffle(sizes)
             job = MapReduceJob(
-                mapper=_straddle_mapper, reducer=_count_reducer,
-                num_reducers=num_reducers, name="s",
+                mapper=_straddle_mapper, reducer=_count_reducer, name="s",
             )
             splits = [InputSplit(index=i, payload=n) for i, n in enumerate(sizes)]
             serial = SerialExecutor().run(job, splits)
             pooled = pool.run(job, splits)
             assert _job_summary(pooled) == _job_summary(serial)
-            assert len(pooled.records) == len(splits) + num_reducers
+            assert len(pooled.records) == len(splits) + len(pooled.outputs)
             assert all(r.executor == "processes" for r in pooled.records)
             out = [r.shuffle_bytes_out for r in pooled.map_records()]
             assert out == [
-                len(pickle.dumps(job.run_map_task(s), protocol=pickle.HIGHEST_PROTOCOL))
+                len(pickle.dumps(list(job.mapper(s)), protocol=pickle.HIGHEST_PROTOCOL))
                 for s in splits
             ]
             assert [b > mmap.PAGESIZE for b in out] == [n >= 1500 for n in sizes]
@@ -306,7 +301,7 @@ def test_concurrent_pool_jobs_equal_serial(start_method):
     import threading
 
     jobs = [
-        MapReduceJob(mapper=_wc_mapper, reducer=_count_reducer, num_reducers=n, name=f"wc{n}")
+        MapReduceJob(mapper=_wc_mapper, reducer=_count_reducer, name=f"wc{n}")
         for n in (1, 3, 5)
     ]
     splits = _word_splits(n=8)
@@ -331,16 +326,16 @@ def test_concurrent_pool_jobs_equal_serial(start_method):
     assert _orionspill_segments() - before == set()
 
 
-def test_orion_streaming_shuffle_equals_serial(tiny_db, tiny_query):
+def test_orion_pool_equals_serial(tiny_db, tiny_query):
     """End to end: OrionSearch on the worker pool is field-identical to the
     serial run, and sweeps its run's segments."""
     before = _orionspill_segments()
     serial = run_orion(tiny_db, tiny_query, "serial")
-    streaming = run_orion(tiny_db, tiny_query, "processes")
-    assert canonical(streaming.alignments) == canonical(serial.alignments)
-    assert streaming.executor_kind == "processes"
-    assert streaming.merged_pairs == serial.merged_pairs
-    assert streaming.dropped_partials == serial.dropped_partials
+    pooled = run_orion(tiny_db, tiny_query, "processes")
+    assert canonical(pooled.alignments) == canonical(serial.alignments)
+    assert pooled.executor_kind == "processes"
+    assert pooled.merged_pairs == serial.merged_pairs
+    assert pooled.dropped_partials == serial.dropped_partials
     assert _orionspill_segments() - before == set()
 
 
