@@ -128,7 +128,7 @@ def _measure_plane(db):
     )
     try:
         search._ensure_plane()
-        assert search._shm_handle is not None, "the plane could not be leased"
+        assert search._lease is not None, "the plane could not be leased"
         return _measure_probe(_WarmupProbe(pickle.dumps(search), _index_plane_search))
     finally:
         search.close()

@@ -3,13 +3,12 @@
 Every shared-memory segment the program creates follows
 :mod:`repro.mapreduce.shm`'s one-owner rule: it is a plain ``/dev/shm`` file
 with an owner file whose ``flock`` a live process holds, and one reaper,
-``reap_orphan_planes``, sweeps whatever no lock holds. Only two owners make
-segments: a :class:`~repro.mapreduce.shm.SpillSet` (a pool run's job blob,
-under the run's anchor) and the plane publisher
-(``_publish_database_segments`` and ``PlaneRegistry._create_locked``, under
-the plane's registry lock). ORL008 reports a ``create_segment`` /
-``write_segment`` call anywhere else: no lock would cover that segment, so
-after a SIGKILL nothing reclaims it. Pool workers make no segment at all.
+``reap_orphan_planes``, sweeps whatever no lock holds. Only the plane
+publisher makes segments (``_publish_database_segments`` and
+``PlaneRegistry._create_locked``, under the plane's registry lock). ORL008
+reports a ``create_segment`` / ``write_segment`` call anywhere else: no
+lock would cover that segment, so after a SIGKILL nothing reclaims it. A
+pool run makes no segment at all.
 
 ORL008 also checks ``multiprocessing.shared_memory.SharedMemory``, which
 sits outside the one-owner rule altogether — it owns the process-local
@@ -52,8 +51,8 @@ class SharedMemoryLifecycleRule(Rule):
     """ORL008: segments are made by an owner; SharedMemory pairs close/unlink.
 
     A ``create_segment``/``write_segment`` call is accepted only inside a
-    method of a class in :attr:`owner_classes` or a function in
-    :attr:`owner_functions` (see the module docstring).
+    function in :attr:`owner_functions`, the plane publisher (see the
+    module docstring).
 
     A ``SharedMemory`` call is accepted when it is the context expression
     of a ``with`` statement, or when its enclosing function (or module
@@ -69,22 +68,20 @@ class SharedMemoryLifecycleRule(Rule):
     title = "shared-memory segment outside an owner, or SharedMemory unpaired"
     severity = Severity.ERROR
     invariant = (
-        "every /dev/shm segment is made by its lock-holding owner (a "
-        "SpillSet or the plane publisher), and any SharedMemory acquired "
-        "has a release path that runs on failure too, or /dev/shm leaks"
+        "every /dev/shm segment is made by the plane publisher under its "
+        "registry lock, and any SharedMemory acquired has a release path "
+        "that runs on failure too, or /dev/shm leaks"
     )
 
     #: Calls that make a ``/dev/shm`` segment.
     segment_makers: Tuple[str, ...] = ("create_segment", "write_segment")
-    #: Classes whose methods may make segments (the owner holds the lock).
-    owner_classes: Tuple[str, ...] = ("SpillSet",)
     #: Functions that may make segments: the plane publisher.
     owner_functions: Tuple[str, ...] = ("_publish_database_segments", "_create_locked")
     #: The finding message for a segment made outside an owner.
     owner_message = (
-        "shared-memory segment made outside its owner (a SpillSet or the "
-        "plane publisher): no lock covers it, so the reaper cannot reclaim "
-        "it after a crash"
+        "shared-memory segment made outside its owner (the plane "
+        "publisher): no lock covers it, so the reaper cannot reclaim it "
+        "after a crash"
     )
 
     #: Method names (``obj.<name>()``) that release the resource.
@@ -128,11 +125,8 @@ class SharedMemoryLifecycleRule(Rule):
         yield from self._check_owners(ctx.tree, owned=False)
 
     def _check_owners(self, node: ast.AST, owned: bool) -> Iterator[Tuple[int, int, str]]:
-        """Segment makers outside every owner class and owner function."""
+        """Segment makers outside every owner function."""
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                yield from self._check_owners(child, owned or child.name in self.owner_classes)
-                continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield from self._check_owners(
                     child, owned or child.name in self.owner_functions

@@ -19,16 +19,24 @@ Commands
 ``plane``
     Inspect (``plane ls``) the machine's shared database planes — the
     lease-registry ``/dev/shm`` segments sessions and service replicas
-    share — or reclaim (``plane reap``) every plane and pool run no lock
-    holds (``repro.mapreduce.shm``).
+    share — or reclaim (``plane reap``) every plane no lock holds
+    (``repro.mapreduce.shm``).
 ``experiment``
     Regenerate one of the paper's tables/figures (fig3, fig8, table3,
     fig9, fig10, fig11, largedb, accuracy).
+
+A SIGTERM (a plain ``kill``, a process manager's stop) makes a command exit
+with status 143 the way ``sys.exit`` does, so its ``finally`` blocks and
+``atexit`` hooks run and a search releases its plane lease. ``search``
+stops between queries, and ``serve`` drains the queries it has admitted
+and closes the service. Forked pool workers keep SIGTERM's default action.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
 from typing import List, Optional, Tuple
 
@@ -167,8 +175,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         raise _InputError(str(exc)) from exc
 
     all_alignments = []
+    args.sigterm.deferred = True  # stop between queries
     try:
         for query in queries:
+            args.sigterm.check()
             if args.mode == "serial":
                 res = BlastEngine(params).search(query, db, strands=args.strands)
                 alignments = res.alignments
@@ -193,6 +203,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     finally:
         if orion is not None:
             orion.close()
+        args.sigterm.deferred = False
+    args.sigterm.check()
 
     for query, alignments in all_alignments:
         if args.outfmt == "tabular":
@@ -245,6 +257,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = OrionService(search, config)
 
     async def run_set() -> List:
+        # SIGTERM cancels the set at the event loop's next step, so the
+        # service drains and closes (and releases the plane) before exit.
+        loop = asyncio.get_running_loop()
+        loop.add_signal_handler(signal.SIGTERM, asyncio.current_task().cancel)
         async with service:
             # Client-side backpressure: at most queue_depth submissions
             # outstanding, so admission never sheds this batch workload.
@@ -256,7 +272,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
             return await asyncio.gather(*(one(q) for q in queries))
 
-    results = asyncio.run(run_set())
+    try:
+        results = asyncio.run(run_set())
+    except asyncio.CancelledError:  # the SIGTERM above
+        raise SystemExit(128 + signal.SIGTERM) from None
     for query, result in zip(queries, results):
         alignments = result.alignments
         if args.max_alignments:
@@ -539,21 +558,63 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ls.set_defaults(func=_cmd_plane_ls)
     p_reap = plane_sub.add_parser(
-        "reap", help="unlink every plane and pool run no lock holds"
+        "reap", help="unlink every plane no lock holds"
     )
     p_reap.set_defaults(func=_cmd_plane_reap)
 
     return parser
 
 
+class _Sigterm:
+    """SIGTERM in the driver: unwind like ``sys.exit(143)``.
+
+    At once, unless :attr:`deferred` is set: then the signal only records
+    itself and :meth:`check` raises at the command's next safe point. A
+    ``search`` defers while it runs queries, because an exit raised
+    while the worker pool starts would orphan the workers forked so far.
+    """
+
+    def __init__(self) -> None:
+        self.deferred = False
+        self.pending = False
+
+    def __call__(self, signum: int, frame: object) -> None:
+        if self.deferred:
+            self.pending = True
+            return
+        raise SystemExit(128 + signum)
+
+    def check(self) -> None:
+        """A safe point: exit if a deferred SIGTERM is waiting."""
+        if self.pending:
+            raise SystemExit(128 + signal.SIGTERM)
+
+
+def _default_sigterm_in_child() -> None:
+    """At-fork hook, child side: a forked pool worker gets SIGTERM's default
+    action back, because ``ProcessPoolExecutor`` stops workers with it. The
+    driver's handler (a :class:`_Sigterm`, or asyncio's while ``serve``
+    runs its event loop) is the driver's alone."""
+    if callable(signal.getsignal(signal.SIGTERM)):
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+if hasattr(os, "register_at_fork"):  # POSIX
+    os.register_at_fork(after_in_child=_default_sigterm_in_child)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    args.sigterm = _Sigterm()
+    previous = signal.signal(signal.SIGTERM, args.sigterm)
     try:
         return args.func(args)
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -117,21 +117,26 @@ class QueryPlan:
 class _OrionMapper:
     """One (fragment × shard) map task, as a picklable callable.
 
-    Holds the search, the query and the precomputed search space so it can
-    be shipped to worker processes (closures cannot be pickled).
-    The pickle of ``search`` deliberately omits the subject k-mer cache —
-    each worker builds it lazily, only for the shards its tasks touch.
+    Holds the search, the query's id and length and the precomputed search
+    space so it can be shipped to worker processes (closures cannot be
+    pickled). It holds no query codes: each split carries its fragment.
+    The pickle of ``search`` omits the subject k-mer cache — each worker
+    builds it lazily, only for the shards its tasks touch — and, with a
+    plane leased, the database, which workers attach from the plane.
     """
 
     def __init__(self, search: "OrionSearch", query: SequenceRecord, space: SearchSpace):
         self.search = search
-        self.query = query
+        self.query_id = query.seq_id
+        self.query_length = len(query)
         self.space = space
 
     def __call__(self, split: InputSplit):
         fragment, shard_index = split.payload
         shard = self.search.shards[shard_index]
-        return self.search._map_fragment_shard(self.query, fragment, shard, self.space)
+        return self.search._map_fragment_shard(
+            self.query_id, self.query_length, fragment, shard, self.space
+        )
 
 
 class _OrionReducer:
@@ -305,7 +310,6 @@ class OrionSearch:
         # and exactly one plane lease must ever exist per search.
         self._setup_lock = threading.Lock()
         self._lease: Optional[shm_mod.PlaneLease] = None
-        self._shm_handle: Optional[shm_mod.SharedDatabaseHandle] = None
         self._db_view: Optional[shm_mod.SharedDatabaseView] = None
         # Plane lifecycle observability, stamped onto every OrionResult:
         # "created" / "attached" after _ensure_plane wins a lease,
@@ -412,7 +416,6 @@ class OrionSearch:
                 self._plane_mode = "fallback"
                 self._plane_fallback_reason = f"{type(exc).__name__}: {exc}"
                 return
-            self._shm_handle = lease.handle
             self._lease = lease
             self._plane_mode = "created" if lease.created else "attached"
             self._plane_fallback_reason = None
@@ -441,15 +444,16 @@ class OrionSearch:
         with self._setup_lock:
             if self._sketch_index is not None:
                 return self._sketch_index
-            if self._shm_handle is None:
+            if self._lease is None:
                 self._sketch_index = ShardSketchIndex.build(self.shards, self.params.k)
                 return self._sketch_index
-            view = shm_mod.attach_view(self._shm_handle)
+            handle = self._lease.handle
+            view = shm_mod.attach_view(handle)
             try:
                 self._sketch_index = ShardSketchIndex.build(
                     self.shards,
                     self.params.k,
-                    kmer_cache=view.kmer_cache_for(self._shm_handle.seq_ids),
+                    kmer_cache=view.kmer_cache_for(handle.seq_ids),
                 )
             finally:
                 view.close()
@@ -475,34 +479,36 @@ class OrionSearch:
 
     def __getstate__(self):
         """Pickle for worker shipment: no executor (workers run tasks, they
-        never dispatch), no plane object (the picklable handle travels
-        instead), and — when the plane is active — no database or shards:
-        workers rebuild both zero-copy from the attached plane view. An
-        in-process search keeps its database (the sanitizer's fingerprint
-        pickles it)."""
+        never dispatch) and no lease — with a plane leased, the pickle
+        names it by ``(digest, generation)`` and carries no database or
+        shards: workers read the plane's handle from its registry and
+        rebuild both zero-copy from the attached view. An in-process search
+        keeps its database (the sanitizer's fingerprint pickles it)."""
         state = self.__dict__.copy()
+        lease = state.pop("_lease")  # leases are per-process claims, never shipped
         state["executor"] = None
-        state["_lease"] = None  # leases are per-process claims, never shipped
         state["_db_view"] = None
         state["_sketch_index"] = None  # driver-side; workers never prepare()
         state["_setup_lock"] = None  # locks don't pickle; workers get a fresh one
-        if self._shm_handle is not None:
+        state["_plane"] = None
+        if lease is not None:
+            state["_plane"] = (lease.digest, lease.generation)
             state["database"] = None
             state["shards"] = None
         return state
 
     def __setstate__(self, state):
+        plane = state.pop("_plane")
         self.__dict__.update(state)
-        if self._setup_lock is None:
-            self._setup_lock = threading.Lock()
-        if self.executor is None:
-            self.executor = SerialExecutor()
-        if self.database is None and self._shm_handle is not None:
+        self._lease = None
+        self._setup_lock = threading.Lock()
+        self.executor = SerialExecutor()
+        if plane is not None:
             # One attachment per plane per process, kept warm across jobs.
-            view = shm_mod.attach_cached_view(self._shm_handle)
+            view = shm_mod.attach_cached_view(*plane)
             self._db_view = view
             self.database = view.database()
-            self.shards = shm_mod.cached_shards(self._shm_handle, self._num_shards)
+            self.shards = shm_mod.cached_shards(*plane, self._num_shards)
 
     def close(self) -> None:
         """Release the worker pool and the plane lease (idempotent).
@@ -518,7 +524,6 @@ class OrionSearch:
         """
         with self._setup_lock:
             lease, self._lease = self._lease, None
-            self._shm_handle = None
             self._plane_mode = ""
             self._plane_fallback_reason = None
         if isinstance(self.executor, WorkerPool):
@@ -561,12 +566,17 @@ class OrionSearch:
 
     def _map_fragment_shard(
         self,
-        query: SequenceRecord,
+        query_id: str,
+        qlen: int,
         fragment: QueryFragment,
         shard: DatabaseShard,
         space: SearchSpace,
     ) -> List[Tuple[Tuple[str, int], FragmentAlignment]]:
-        """Run one (fragment, shard) work unit; emit keyed fragment alignments."""
+        """Run one (fragment, shard) work unit; emit keyed fragment alignments.
+
+        Needs only the query's id and length (``qlen``): the fragment
+        carries its own codes.
+        """
         options = options_for_fragment(
             fragment, speculative=self.speculative, strands=self.strands
         )
@@ -575,7 +585,6 @@ class OrionSearch:
             options=options, stats_space=space, strands=self.strands,
             subject_kmer_cache=self._kmer_cache_for_shard(shard),
         )
-        qlen = len(query)
         flen = fragment.length
         margin = options.boundary_margin
         out: List[Tuple[Tuple[str, int], FragmentAlignment]] = []
@@ -600,7 +609,7 @@ class OrionSearch:
                 # Entirely inside the left overlap: the previous fragment
                 # sees (and reports) the whole alignment (paper III-B1).
                 continue
-            shifted = replace(aln.shifted(q_offset=offset), query_id=query.seq_id)
+            shifted = replace(aln.shifted(q_offset=offset), query_id=query_id)
             out.append(
                 (
                     (aln.subject_id, aln.strand),

@@ -8,10 +8,11 @@ Two executors with identical result semantics (DESIGN.md row 5's
   onto modelled clusters (DESIGN.md §2: measured work, simulated scheduling).
 * :class:`WorkerPool` — a process pool that persists across jobs; map
   tasks run on separate cores, which is the point of the paper's
-  fine-grained work units. Only the job's mapper travels, loaded once
-  per worker (not per task). A mapper that closes over unpicklable state
-  (a lambda, a local closure) falls back to serial execution with a
-  warning; the reducer never leaves the driver, so it may be anything.
+  fine-grained work units. Only the job's mapper travels: pickled once in
+  the driver, it rides in every task message and the worker unpickles it
+  per task. A mapper that closes over unpicklable state (a lambda, a local
+  closure) falls back to serial execution with a warning; the reducer
+  never leaves the driver, so it may be anything.
 
 Both executors end a job the same way, in the driver:
 :func:`_shuffle_and_reduce` groups the map outputs by key
@@ -50,19 +51,15 @@ that produced it; only serial records are ``simulator_safe``.
 
 from __future__ import annotations
 
-import hashlib
-import mmap
 import multiprocessing
 import os
 import pickle
 import threading
 import warnings
-from collections import OrderedDict
 from concurrent.futures import Future, ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Any, List, Optional, Protocol, Sequence, Tuple, Union
 
-from repro.mapreduce import shm as shm_mod
 from repro.mapreduce.faults import FaultInjector, RetryPolicy, TaskFailedError
 from repro.mapreduce.job import Mapper, MapReduceJob, shuffle
 from repro.mapreduce.scheduler import TaskMeta, TaskScheduler
@@ -193,14 +190,6 @@ def _stamp_meta(rec: TaskRecord, meta: TaskMeta) -> TaskRecord:
 # --------------------------------------------------------------------------- #
 
 
-#: The page rule: a job blob (the pickled mapper) of at most this many bytes
-#: rides inline in every task item. A segment occupies at least one page, and
-#: creating one costs an open and a write, every reader an open and a
-#: ``pread``, and the driver an unlink — all to move bytes that fit in the
-#: task message anyway.
-_INLINE_BYTES = mmap.PAGESIZE
-
-
 def _serial_fallback(
     job: MapReduceJob,
     splits: Sequence[InputSplit],
@@ -209,10 +198,8 @@ def _serial_fallback(
 ) -> JobResult:
     """Last resort after retries are exhausted: rerun the whole job serially.
 
-    The run's job blob is already swept before this runs —
-    :meth:`WorkerPool._run_maps`' ``finally`` releases the run's spill set
-    on the way out, so an abandoned parallel attempt leaves nothing in
-    ``/dev/shm``.
+    A pool run makes no segment (its job rides in the task messages), so
+    an abandoned parallel attempt leaves nothing in ``/dev/shm`` to sweep.
 
     On success, every record of the serial rerun is stamped with
     ``fallback_reason`` so operators can see why the job went serial. If
@@ -245,63 +232,21 @@ def _serial_fallback(
     return result
 
 
-@dataclass(frozen=True)
-class _JobRef:
-    """Where a pool worker fetches one job's pickled mapper from.
-
-    A blob that fits in one page (:data:`_INLINE_BYTES`) rides inline in
-    every task item, as does any blob when the run's segments cannot be
-    created. A larger blob travels once per machine through a segment the run's
-    :class:`~repro.mapreduce.shm.SpillSet` owns (``inline`` is ``None``;
-    workers copy it out on first use). ``key`` identifies the mapper in the
-    per-worker cache so its bytes are loaded at most once per worker;
-    ``name`` is the job's, for task ids.
-    """
-
-    key: str
-    name: str
-    segment: Optional[str]
-    size: int
-    inline: Optional[bytes]
-
-
-#: Per-worker-process cache of live mappers, most recently used last.
-#: Bounded: a long-lived pool serving many queries must not pin every past job.
-_POOL_MAPPERS: "OrderedDict[str, Mapper]" = OrderedDict()
-_POOL_JOB_LIMIT = 8
-
-
-def _pool_load_mapper(ref: _JobRef) -> Mapper:
-    """Fetch/cache the mapper for ``ref`` in this worker."""
-    mapper = _POOL_MAPPERS.get(ref.key)
-    if mapper is not None:
-        _POOL_MAPPERS.move_to_end(ref.key)
-        return mapper
-    if ref.inline is not None:
-        blob = ref.inline
-    else:
-        assert ref.segment is not None, "job ref carries neither segment nor bytes"
-        blob = shm_mod.read_segment(ref.segment, 0, ref.size)
-    mapper = pickle.loads(blob)
-    _POOL_MAPPERS[ref.key] = mapper
-    while len(_POOL_MAPPERS) > _POOL_JOB_LIMIT:
-        _POOL_MAPPERS.popitem(last=False)
-    return mapper
-
-
 def _pool_map_task(
-    item: Tuple[_JobRef, InputSplit, int, Optional[FaultInjector]]
+    item: Tuple[str, bytes, InputSplit, int, Optional[FaultInjector]]
 ) -> Tuple[TaskRecord, bytes]:
     """Worker entry point: run one map attempt; return its record and pickled output.
 
-    The pickle's length is the record's ``shuffle_bytes_out``: the bytes
-    this task moves to the driver's shuffle.
+    ``item`` is ``(job name, pickled mapper, split, attempt, injector)``;
+    the mapper is unpickled per task. The output pickle's length is the
+    record's ``shuffle_bytes_out``: the bytes this task moves to the
+    driver's shuffle.
     """
-    ref, split, attempt, injector = item
-    mapper = _pool_load_mapper(ref)
+    name, mapper_bytes, split, attempt, injector = item
+    mapper = pickle.loads(mapper_bytes)
     if injector is not None:
         injector.fire("map", split.index, attempt)
-    pairs, rec = _measure_map(mapper, ref.name, split, executor=WorkerPool.kind)
+    pairs, rec = _measure_map(mapper, name, split, executor=WorkerPool.kind)
     blob = pickle.dumps(pairs, protocol=pickle.HIGHEST_PROTOCOL)
     return replace(rec, shuffle_bytes_out=len(blob)), blob
 
@@ -319,9 +264,12 @@ class WorkerPool:
     (and per-worker warmup) once, not once per query — exactly the overhead
     the paper's fine-grained work units must amortize. Workers keep their
     module-level caches (attached shared-database views, warmed k-mer
-    indexes, cached mappers) warm between jobs. Only the job's mapper is
-    pickled and shipped, and each is loaded once per worker; see
-    :class:`_JobRef` for how the blob travels. Task dispatch relies only on
+    indexes) warm between jobs. Only the job's mapper is pickled, once per
+    run in the driver, and its bytes ride in every task message; a run
+    makes no ``/dev/shm`` segment. A mapper of any size runs, but a large
+    one is paid for in every message, so a job keeps its bulk out of the
+    mapper (Orion's names its database plane instead of carrying it).
+    Task dispatch relies only on
     module-level functions, so it is safe under every multiprocessing start
     method, ``spawn`` included. A one-shot caller uses the pool as a context
     manager (or calls :meth:`shutdown`) so no worker outlives its job; an
@@ -351,7 +299,7 @@ class WorkerPool:
     attempts are submitted into the *same* ``ProcessPoolExecutor`` queue,
     so while one query reduces in its driver thread the next query's map
     tasks keep the workers busy. Each concurrent job keeps its own
-    :class:`~repro.mapreduce.scheduler.TaskScheduler`, mapper blob and result
+    :class:`~repro.mapreduce.scheduler.TaskScheduler`, mapper bytes and result
     assembly, so outputs stay byte-identical to running the jobs one at a
     time. Cross-job coordination is confined to the pool handle itself:
     creation is locked, a worker crash (which breaks the shared pool for
@@ -463,37 +411,6 @@ class WorkerPool:
         else:  # pragma: no cover - internals moved: reach it via submit
             pool.submit(_prewarm_noop).result()
 
-    def _open_run(
-        self, job_name: str, job_bytes: bytes
-    ) -> Tuple[_JobRef, Optional[shm_mod.SpillSet]]:
-        """Open the run's segment owner and ship its job blob through it.
-
-        The :class:`~repro.mapreduce.shm.SpillSet` holds the run's anchor
-        lock, so its job blob is reaped whatever kills this driver. When
-        shared memory fails (``/dev/shm`` missing or exhausted: an
-        ``OSError``), the job rides inline.
-        """
-        # Content-addressed: re-submitting the same mapper (a pickled-identical
-        # blob) hits the per-worker LRU for the whole pool lifetime — not
-        # once per run. A per-instance counter key defeated the cache on
-        # every run, and two pools in one process could mint colliding keys
-        # for different jobs.
-        key = hashlib.sha256(job_bytes).hexdigest()
-        spills: Optional[shm_mod.SpillSet] = None
-        try:
-            spills = shm_mod.SpillSet()
-            if len(job_bytes) > _INLINE_BYTES:
-                segment = spills.publish_job(job_bytes)
-                return _JobRef(key, job_name, segment, len(job_bytes), None), spills
-        except OSError as exc:
-            warnings.warn(
-                f"WorkerPool could not publish job blob via shared "
-                f"memory ({exc}); shipping inline per task",
-                RuntimeWarning,
-                stacklevel=4,
-            )
-        return _JobRef(key, job_name, None, 0, job_bytes), spills
-
     def run(self, job: MapReduceJob, splits: Sequence[InputSplit]) -> JobResult:
         try:
             job_bytes = pickle.dumps(job.mapper)
@@ -548,27 +465,21 @@ class WorkerPool:
 
         A :class:`~repro.mapreduce.scheduler.TaskScheduler` drives the
         attempts, and submits go through :meth:`_ensure_pool` so they
-        track respawns. Releasing the run's spill set on the way out
-        unlinks the job blob. Outputs are ordered by split, not by
-        completion, so the driver's shuffle sees what the serial one sees.
+        track respawns. Outputs are ordered by split, not by completion, so
+        the driver's shuffle sees what the serial one sees.
         """
         self._ensure_pool()
         injector = self.injector
-        ref, spills = self._open_run(job.name, job_bytes)
 
         def submit_map(split: InputSplit, attempt: int) -> "Future[Any]":
             return self._ensure_pool().submit(
-                _pool_map_task, (ref, split, attempt, injector)
+                _pool_map_task, (job.name, job_bytes, split, attempt, injector)
             )
 
         sched = TaskScheduler(self.retry, respawn=self._respawn, job_id=job.name)
-        try:
-            for split in splits:
-                sched.add("map", split.index, lambda a, s=split: submit_map(s, a))
-            sched.run()
-        finally:
-            if spills is not None:
-                spills.release()
+        for split in splits:
+            sched.add("map", split.index, lambda a, s=split: submit_map(s, a))
+        sched.run()
         map_outputs: List[List[Tuple[Any, Any]]] = []
         records: List[TaskRecord] = []
         for split in splits:

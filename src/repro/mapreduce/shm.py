@@ -6,8 +6,13 @@ memory and time would scale with ``num_workers`` — exactly the overhead the
 paper's fine-grained design must keep small (Section V). This module places the database's 2-bit sequence
 codes and its per-sequence sorted k-mer arrays into shared-memory
 segments: one copy per machine, with workers attaching zero-copy NumPy
-views instead of unpickling a private copy. The same segments carry each
-pool run's above-page job blob.
+views instead of unpickling a private copy. The plane is the only thing
+this program puts in ``/dev/shm``: a pool run's job travels inline in its
+task messages (:class:`~repro.mapreduce.runtime.WorkerPool`).
+
+The module has two parts: segments and their owners (primitives, lock
+fds, the machine mutex, the reaper), and the plane built on them (its
+handle, worker views, the registry and its leases).
 
 Segments
 --------
@@ -15,8 +20,7 @@ A segment is a plain file in ``/dev/shm`` (Linux tmpfs) that this module
 opens, ``mmap``s or ``pread``s, and unlinks itself: :func:`create_segment`,
 :func:`attach_segment`, :func:`write_segment`, :func:`read_segment`,
 :func:`sweep_segment`. Without a usable ``/dev/shm`` a plane lease
-raises and the search runs serially in the driver; a pool run's job blob,
-whose write raises ``OSError``, rides inline in the task messages.
+raises and the search runs serially in the driver.
 
 One owner rule
 --------------
@@ -24,23 +28,18 @@ Every segment has an owner file whose ``flock`` a live process holds, and
 one reaper, :func:`reap_orphan_planes`, unlinks whatever no lock holds. The
 kernel drops a lock when its holder dies, SIGKILL included, so a crashed
 owner never pins its segments and a recycled pid cannot impersonate one.
-There are two kinds of owner:
-
-* A **plane**'s owner is its registry segment ``orionplane_<digest>_reg``;
-  every :class:`PlaneLease` is a shared ``flock`` on it. The last lease to
-  release unlinks the plane.
-* A **pool run**'s owner is its anchor ``orionspill_<pid>_<token>_<n>``,
-  which :class:`SpillSet` creates and share-locks for the run's lifetime;
-  the run's job blob is named under it and unlinked with it. Only the
-  driver makes segments: pool workers read the job blob and the plane,
-  and return their map output through the result pipe.
+There is one kind of owner: a **plane**'s registry segment
+``orionplane_<digest>_reg``. Every :class:`PlaneLease` is a shared
+``flock`` on it, and the last lease to release unlinks the plane. Only the
+driver makes segments: pool workers read the plane and return their map
+output through the result pipe.
 
 The reaper runs at plane creation, ``OrionService.start`` and the ``plane
 reap`` CLI. Plane create, attach, release and reaping serialize on one
 machine-wide mutex, an exclusive ``flock`` on the ``/dev/shm`` directory
 itself, so processes with different ``TMPDIR``s serialize too. A forked
 child closes every inherited lock fd at fork, so pool workers never pin
-the driver's plane or run.
+the driver's plane.
 
 Lifecycle of a plane
 --------------------
@@ -56,14 +55,14 @@ blob and every segment's head) and attach, or get a typed
 Every caller gets a :class:`PlaneLease`. *Workers* attach through
 :func:`attach_view` (or the per-process-cached :func:`attach_cached_view`)
 and get a :class:`SharedDatabaseView`, whose arrays alias the shared
-buffers.
+buffers; the cached variant reads the handle from the plane's registry
+segment, so a worker needs only the plane's digest and generation.
 """
 
 from __future__ import annotations
 
 import atexit
 import hashlib
-import itertools
 import mmap
 import os
 import pickle
@@ -171,8 +170,8 @@ def write_segment(name: str, chunks: Iterable[bytes]) -> None:
     """Create segment ``name`` holding ``chunks`` back to back.
 
     ``FileExistsError`` if the name is taken. A failed write (``ENOSPC`` on
-    a full ``/dev/shm``) unlinks the partial file before re-raising, so the
-    caller can degrade to inline bytes with nothing left behind.
+    a full ``/dev/shm``) unlinks the partial file before re-raising, so
+    nothing is left behind.
     """
     fd = os.open(_path(name), os.O_CREAT | os.O_EXCL | os.O_WRONLY | os.O_CLOEXEC, 0o600)
     ok = False
@@ -235,8 +234,8 @@ def segment_exists(name: str) -> bool:
 # owners: lock fds, the machine mutex, the reaper
 # --------------------------------------------------------------------------- #
 
-#: Every fd of this process whose ``flock`` carries ownership (leases, run
-#: anchors, the machine mutex, a reaper's probe). ``flock`` belongs to the
+#: Every fd of this process whose ``flock`` carries ownership (leases, the
+#: machine mutex, a reaper's probe). ``flock`` belongs to the
 #: open file description, which ``fork`` shares, so a forked child must
 #: close its copies or it would keep the parent's locks held.
 _LOCK_FDS: Set[int] = set()
@@ -282,9 +281,8 @@ def _owner_held(owner: str) -> bool:
     """Whether a live process holds owner file ``owner``'s lock (a probe).
 
     An exclusive non-blocking ``flock`` succeeds only when no shared lock
-    is left. A missing owner file holds nothing (a half-published plane or
-    run); so does one this user cannot open (its sweep then fails and
-    skips it).
+    is left. A missing owner file holds nothing (a half-published plane);
+    so does one this user cannot open (its sweep then fails and skips it).
     """
     try:
         fd = _open_lock_fd(_path(owner))
@@ -302,10 +300,10 @@ def _owner_held(owner: str) -> bool:
 def _sweep_unowned(owner: str, names: Iterable[str]) -> List[str]:
     """Unlink ``names`` unless owner file ``owner`` is held; the names removed.
 
-    The owner's exclusive lock is held across the sweep and the owner file
-    goes last, so an owner that locks a fresh anchor meanwhile finds it
-    unlinked and starts over (:func:`_create_anchor`). A missing owner file
-    holds nothing; one this user cannot open is not ours to judge.
+    Caller holds the machine mutex, so no lease lands mid-sweep. The
+    owner's exclusive lock is held across the sweep and the owner file goes
+    last. A missing owner file holds nothing; one this user cannot open is
+    not ours to judge.
     """
     fd: Optional[int]
     try:
@@ -331,8 +329,6 @@ def _owner_of(entry: str) -> Optional[str]:
     """The owner file whose lock keeps ``/dev/shm`` entry ``entry`` alive."""
     if entry.startswith(PLANE_PREFIX):
         return _registry_name(entry[len(PLANE_PREFIX) :].split("_", 1)[0])
-    if entry.startswith(SPILL_PREFIX):
-        return "_".join(entry.split("_", 4)[:4])
     return None  # not this program's
 
 
@@ -347,12 +343,12 @@ def _owned_entries() -> Dict[str, List[str]]:
 
 
 def reap_orphan_planes() -> List[str]:
-    """Sweep every plane and pool run no lock holds; the names reclaimed.
+    """Sweep every plane no lock holds; the names reclaimed.
 
     The crash backstop: a SIGKILLed last holder never runs its release,
     so its segments persist until someone sweeps them. Wired into plane
     creation, ``OrionService.start`` and ``python -m repro plane reap``. A
-    held plane is never swept, corrupt or not, and neither is a live run.
+    held plane is never swept, corrupt or not.
     """
     if not HAVE_SHARED_MEMORY:  # pragma: no cover - platform without shm
         return []
@@ -366,101 +362,6 @@ def _reap_locked() -> List[str]:
     for owner, names in _owned_entries().items():
         removed.extend(_sweep_unowned(owner, names))
     return removed
-
-
-# --------------------------------------------------------------------------- #
-# pool runs: the job blob
-# --------------------------------------------------------------------------- #
-
-#: Every pool run's anchor and job blob name starts with this.
-SPILL_PREFIX = "orionspill_"
-
-#: Runs opened (and not yet released) by this process; drained by the
-#: atexit hook below so an abandoned run never outlives the interpreter —
-#: the same discipline as ``_LIVE_LEASES``.
-_LIVE_SPILL_SETS: Dict[str, "SpillSet"] = {}
-_SPILL_COUNTER = itertools.count()
-
-
-def _cleanup_live_spill_sets() -> None:
-    # Release order is immaterial (sets are independent); the list() only
-    # guards against mutation while iterating.
-    for spill_set in list(_LIVE_SPILL_SETS.values()):  # orionlint: disable=ORL004
-        spill_set.release()
-
-
-atexit.register(_cleanup_live_spill_sets)
-
-
-def _create_anchor() -> Tuple[str, int]:
-    """Create and share-lock a fresh run anchor; its name and lock fd.
-
-    The name carries the pid, a random token and a per-process counter.
-    The token keeps names apart across PID namespaces that share one
-    ``/dev/shm`` (two containers of a pod, each driver PID 1). A reaper
-    that judged the fresh anchor unheld before our lock landed has unlinked
-    it (holding its exclusive lock until then), so after locking, the
-    locked inode must still be linked — nobody renames an anchor, so then
-    the path still names it; otherwise start over under a new name.
-    """
-    while True:
-        set_id = f"{SPILL_PREFIX}{os.getpid()}_{os.urandom(4).hex()}_{next(_SPILL_COUNTER)}"
-        fd = _open_lock_fd(_path(set_id), os.O_CREAT | os.O_EXCL | os.O_RDONLY)
-        ok = False
-        try:
-            fcntl.flock(fd, fcntl.LOCK_SH)
-            ok = os.fstat(fd).st_nlink > 0
-        finally:
-            if not ok:
-                _close_lock_fd(fd)
-        if ok:
-            return set_id, fd
-
-
-class SpillSet:
-    """The owner of one pool run's segments: its anchor and its job blob.
-
-    Creating the set creates the run's anchor (:func:`_create_anchor`) and
-    holds a shared ``flock`` on it until :meth:`release`. The job blob is
-    named ``{set_id}_job`` under the anchor (:meth:`publish_job`), so
-    whatever kills the driver, :func:`reap_orphan_planes` sweeps the whole
-    run once the lock is free. :meth:`release` sweeps the blob, then the
-    anchor. Until released, the set sits in a module registry drained at
-    interpreter exit.
-    """
-
-    def __init__(self) -> None:
-        self.set_id, self._fd = _create_anchor()
-        self._released = False
-        _LIVE_SPILL_SETS[self.set_id] = self
-
-    def publish_job(self, data: bytes) -> str:
-        """Write the run's job blob under the anchor; its segment name."""
-        name = f"{self.set_id}_job"
-        write_segment(name, (data,))
-        return name
-
-    def _abandon(self) -> None:
-        """Close the anchor's lock fd without sweeping (a forked child's copy)."""
-        if self._released:
-            return
-        self._released = True
-        _LIVE_SPILL_SETS.pop(self.set_id, None)
-        _close_lock_fd(self._fd)
-
-    def release(self) -> None:
-        """Sweep the job blob, then the anchor (idempotent)."""
-        if self._released:
-            return
-        sweep_segment(f"{self.set_id}_job")
-        sweep_segment(self.set_id)
-        self._abandon()
-
-    def __enter__(self) -> "SpillSet":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.release()
 
 
 # --------------------------------------------------------------------------- #
@@ -704,34 +605,43 @@ def attach_view(handle: SharedDatabaseHandle) -> SharedDatabaseView:
                 seg.close()
 
 
-#: Per-process cache of attached views, keyed by plane id — a worker
-#: attaches each plane once and keeps the view warm across queries/jobs.
-_ATTACHED_VIEWS: Dict[str, SharedDatabaseView] = {}
+#: Per-process cache of attached views, keyed by plane ``(digest,
+#: generation)`` — a worker reads each plane's registry and attaches once,
+#: and keeps the view warm across queries/jobs.
+_ATTACHED_VIEWS: Dict[Tuple[str, int], SharedDatabaseView] = {}
 
 
-def attach_cached_view(handle: SharedDatabaseHandle) -> SharedDatabaseView:
-    """Attach (or reuse this process's existing view of) a plane."""
-    view = _ATTACHED_VIEWS.get(handle.plane_id)
+def attach_cached_view(digest: str, generation: int) -> SharedDatabaseView:
+    """Attach (or reuse this process's existing view of) a plane.
+
+    The first call reads the handle from the plane's registry segment
+    (:func:`_read_registry`), so it raises :class:`PlaneCorruptError` when
+    the registry holds another generation than the one named.
+    """
+    key = (digest, generation)
+    view = _ATTACHED_VIEWS.get(key)
     if view is None:
+        _header, _blob, handle = _read_registry(digest, generation)
         view = attach_view(handle)
-        _ATTACHED_VIEWS[handle.plane_id] = view
+        _ATTACHED_VIEWS[key] = view
     return view
 
 
-#: Shard lists over the cached views' databases, keyed by (plane id, shard
-#: count): every job a worker loads for one search shares one list instead
-#: of re-sharding the database per query.
-_ATTACHED_SHARDS: Dict[Tuple[str, int], List["DatabaseShard"]] = {}
+#: Shard lists over the cached views' databases, keyed by (digest,
+#: generation, shard count): every job a worker loads for one search shares
+#: one list instead of re-sharding the database per query.
+_ATTACHED_SHARDS: Dict[Tuple[str, int, int], List["DatabaseShard"]] = {}
 
 
-def cached_shards(handle: SharedDatabaseHandle, num_shards: int) -> List["DatabaseShard"]:
+def cached_shards(digest: str, generation: int, num_shards: int) -> List["DatabaseShard"]:
     """This process's shard list of a plane's database (built once)."""
-    key = (handle.plane_id, num_shards)
+    key = (digest, generation, num_shards)
     shards = _ATTACHED_SHARDS.get(key)
     if shards is None:
         from repro.mpiblast.formatdb import shard_database
 
-        shards = shard_database(attach_cached_view(handle).database(), num_shards)
+        view = attach_cached_view(digest, generation)
+        shards = shard_database(view.database(), num_shards)
         _ATTACHED_SHARDS[key] = shards
     return shards
 
@@ -873,8 +783,37 @@ def _read_header(name: str, reg: bytes) -> _RegistryHeader:
     )
 
 
-def _registry_blob(reg: bytes, header: _RegistryHeader) -> bytes:
-    return reg[_REG_BLOB_OFFSET : _REG_BLOB_OFFSET + header.blob_len]
+def _read_registry(
+    digest: str, generation: Optional[int] = None
+) -> Tuple[_RegistryHeader, bytes, SharedDatabaseHandle]:
+    """Read plane ``digest``'s registry segment: its header, handle blob and handle.
+
+    The one parser of a registry. Raises :class:`PlaneCorruptError` for a
+    bad header (:func:`_read_header`), an unreadable handle blob, or — when
+    ``generation`` is given — a registry of another generation (the plane
+    was rebuilt since the caller named it); ``OSError`` when there is no
+    registry.
+    """
+    name = _registry_name(digest)
+    reg = read_segment(name)
+    header = _read_header(name, reg)
+    if generation is not None and header.generation != generation:
+        raise PlaneCorruptError(
+            f"plane {digest} is generation {header.generation}, "
+            f"not the generation {generation} its caller named"
+        )
+    blob = reg[_REG_BLOB_OFFSET : _REG_BLOB_OFFSET + header.blob_len]
+    try:
+        handle = pickle.loads(blob)
+    except Exception as exc:
+        raise PlaneCorruptError(
+            f"plane {digest} has an unreadable handle blob: {exc}"
+        ) from exc
+    if not isinstance(handle, SharedDatabaseHandle):
+        raise PlaneCorruptError(
+            f"plane {digest} registry blob is not a SharedDatabaseHandle"
+        )
+    return header, blob, handle
 
 
 def _meta_sha(blob: bytes, heads: Iterable[bytes]) -> bytes:
@@ -922,7 +861,8 @@ def _verify_plane(handle: SharedDatabaseHandle, meta_sha: bytes, blob: bytes) ->
 
 
 #: Leases held (and not yet released) by this process, keyed by their
-#: lease fd; drained at interpreter exit like ``_LIVE_SPILL_SETS``.
+#: lease fd; drained at interpreter exit so an abandoned lease never
+#: outlives the interpreter.
 _LIVE_LEASES: Dict[int, "PlaneLease"] = {}
 
 
@@ -1010,8 +950,8 @@ def _drop_inherited_locks() -> None:
     """At-fork hook, child side: close every lock fd inherited from the parent.
 
     A ``flock`` belongs to the open file description, which ``fork``
-    shares, so until the child closes its copy the parent's lease, run
-    anchor or mutex stays locked even after the parent lets go. Closing
+    shares, so until the child closes its copy the parent's lease or mutex
+    stays locked even after the parent lets go. Closing
     (never ``LOCK_UN``, which would drop the parent's lock too) and marking
     the child's copies released fixes that. A residual window remains: the
     child holds the locks for the few milliseconds before this hook runs,
@@ -1025,8 +965,6 @@ def _drop_inherited_locks() -> None:
     _FORK_GUARD.release()
     for lease in list(_LIVE_LEASES.values()):  # orionlint: disable=ORL004
         lease._abandon()
-    for spill_set in list(_LIVE_SPILL_SETS.values()):  # orionlint: disable=ORL004
-        spill_set._abandon()
     for fd in list(_LOCK_FDS):  # orionlint: disable=ORL004
         _close_lock_fd(fd)  # mutex or probe fds of the parent's other threads
 
@@ -1078,27 +1016,21 @@ def list_planes() -> List[PlaneStatus]:
         generation = 0
         healthy = False
         detail = ""
+        digest = owner[len(PLANE_PREFIX) : -len("_reg")]
         try:
-            reg = read_segment(owner)
+            header, blob, handle = _read_registry(digest)
+            generation = header.generation
+            db_name = handle.db_name
+            k = handle.k
+            _verify_plane(handle, header.meta_sha, blob)
+            healthy = True
+        except PlaneCorruptError as exc:
+            detail = str(exc)
         except OSError:
             detail = "no registry segment (half-published or mid-reap)"
-        else:
-            try:
-                header = _read_header(owner, reg)
-                generation = header.generation
-                blob = _registry_blob(reg, header)
-                handle = pickle.loads(blob)
-                db_name = handle.db_name
-                k = handle.k
-                _verify_plane(handle, header.meta_sha, blob)
-                healthy = True
-            except PlaneCorruptError as exc:
-                detail = str(exc)
-            except Exception as exc:  # unreadable blob and friends
-                detail = f"unreadable registry: {exc}"
         statuses.append(
             PlaneStatus(
-                digest=owner[len(PLANE_PREFIX) : -len("_reg")],
+                digest=digest,
                 db_name=db_name,
                 k=k,
                 generation=generation,
@@ -1151,7 +1083,7 @@ class PlaneRegistry:
         registry = _registry_name(digest)
         with _machine_lock():
             # Creation is the natural moment to reclaim crashed sessions'
-            # planes and runs; the mutex is already ours, so reap directly.
+            # planes; the mutex is already ours, so reap directly.
             _reap_locked()
             generation = 1
             if segment_exists(registry):
@@ -1182,29 +1114,16 @@ class PlaneRegistry:
     def _attach_locked(
         cls, fingerprint: str, digest: str, injector: Optional[object]
     ) -> PlaneLease:
-        registry = _registry_name(digest)
         if injector is not None:
             spec = injector.fire_plane("attach")
             if spec is not None and spec.kind == "corrupt-segment":
-                cls._corrupt_for_injection(registry)
-        reg = read_segment(registry)
-        header = _read_header(registry, reg)
+                cls._corrupt_for_injection(digest)
+        header, blob, handle = _read_registry(digest)
         if header.fingerprint != fingerprint:
             raise PlaneCorruptError(
                 f"plane {digest} was published for database fingerprint "
                 f"{header.fingerprint[:12]}…, not {fingerprint[:12]}… — "
                 f"digest collision or scribbled registry"
-            )
-        blob = _registry_blob(reg, header)
-        try:
-            handle = pickle.loads(blob)
-        except Exception as exc:
-            raise PlaneCorruptError(
-                f"plane {digest} has an unreadable handle blob: {exc}"
-            ) from exc
-        if not isinstance(handle, SharedDatabaseHandle):
-            raise PlaneCorruptError(
-                f"plane {digest} registry blob is not a SharedDatabaseHandle"
             )
         _verify_plane(handle, header.meta_sha, blob)
         return PlaneLease(
@@ -1212,7 +1131,7 @@ class PlaneRegistry:
         )
 
     @staticmethod
-    def _corrupt_for_injection(registry: str) -> None:
+    def _corrupt_for_injection(digest: str) -> None:
         """Injected ``corrupt-segment`` fault: scribble the first data segment.
 
         Reads the (still healthy) handle out of the registry, overwrites
@@ -1222,11 +1141,10 @@ class PlaneRegistry:
         directly instead.
         """
         try:
-            reg = read_segment(registry)
-            handle = pickle.loads(_registry_blob(reg, _read_header(registry, reg)))
+            _header, _blob, handle = _read_registry(digest)
             seg = attach_segment(handle.segment_names[0])
-        except (PlaneCorruptError, OSError, pickle.PickleError):
-            seg = attach_segment(registry)
+        except (PlaneCorruptError, OSError):
+            seg = attach_segment(_registry_name(digest))
         try:
             seg.buf[: min(seg.size, 64)] = b"\xa5" * min(seg.size, 64)
         finally:

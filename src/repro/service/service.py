@@ -30,8 +30,8 @@ Admission checks, in order:
 
 Shutdown is a drain: no new admissions, every admitted query completes,
 worker threads stop, and the search's shared-memory plane and worker pool
-are released (job blobs are swept per job by the runtime; the plane
-teardown here is what frees ``/dev/shm``).
+are released (pool runs make no segment; the plane teardown here is what
+frees ``/dev/shm``).
 """
 
 from __future__ import annotations

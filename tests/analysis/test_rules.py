@@ -573,21 +573,21 @@ class TestORL008SharedMemoryLifecycle:
             from repro.mapreduce import shm
 
             def stash(data):
-                shm.write_segment("orionspill_stash", (data,))
+                shm.write_segment("stash", (data,))
                 return shm.create_segment("orionplane_x_codes", len(data))
+
+            class Stash:
+                def publish(self, data):
+                    shm.write_segment(self.name, (data,))
             """,
         )
-        assert rule_ids(findings) == ["ORL008", "ORL008"]
+        assert rule_ids(findings) == ["ORL008", "ORL008", "ORL008"]
         assert "outside its owner" in findings[0].message
 
     def test_segment_made_by_an_owner_ok(self):
         findings = run_rule(
             SharedMemoryLifecycleRule(),
             """\
-            class SpillSet:
-                def publish_job(self, data):
-                    write_segment(self.name, (data,))
-
             def _publish_database_segments(names, size):
                 return [create_segment(name, size) for name in names]
 

@@ -242,7 +242,7 @@ class TestPlaneAttachedStore:
         )
         try:
             search._ensure_plane()
-            assert search._shm_handle is not None
+            assert search._lease is not None
             worker = pickle.loads(pickle.dumps(search))  # what a pool worker gets
             view = worker._db_view
             assert view is not None
@@ -253,7 +253,9 @@ class TestPlaneAttachedStore:
             fragment = fragment_query(query, len(query), overlap)[0]
             emitted = []
             for shard in worker.shards:
-                emitted += worker._map_fragment_shard(query, fragment, shard, space)
+                emitted += worker._map_fragment_shard(
+                    query.seq_id, len(query), fragment, shard, space
+                )
             assert emitted  # the query is a slice of the database
             assert set(store) == {rec.seq_id for rec in db}
             for seq_id, (keys, positions) in store.items():

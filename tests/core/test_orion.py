@@ -331,7 +331,7 @@ class TestPersistentPool:
         try:
             r1 = search.run(query)
             assert search._lease is not None
-            names = search._shm_handle.segment_names
+            names = search._lease.handle.segment_names
             search.close()
             assert not any(segment_exists(n) for n in names)
             r2 = search.run(query)  # transparently rebuilds plane + pool
@@ -373,7 +373,9 @@ class TestShardScopedCache:
 
         store = orion_mod._KMER_STORES.setdefault(worker._db_key, {})
         store.clear()
-        worker._map_fragment_shard(query, fragment, worker.shards[0], space)
+        worker._map_fragment_shard(
+            query.seq_id, len(query), fragment, worker.shards[0], space
+        )
 
         shard0_ids = {r.seq_id for r in worker.shards[0].database}
         all_ids = {r.seq_id for r in db}
@@ -381,7 +383,9 @@ class TestShardScopedCache:
         assert shard0_ids < all_ids  # the untouched shards exist and are absent
 
         # Touching a second shard extends the store incrementally.
-        worker._map_fragment_shard(query, fragment, worker.shards[1], space)
+        worker._map_fragment_shard(
+            query.seq_id, len(query), fragment, worker.shards[1], space
+        )
         shard1_ids = {r.seq_id for r in worker.shards[1].database}
         assert set(store) == shard0_ids | shard1_ids
 
@@ -463,6 +467,43 @@ class TestShardScopedCache:
         finally:
             shm.detach_cached_views()
             search.close()
+
+
+class TestJobFitsOnePage:
+    def test_mapper_pickles_within_one_page(self):
+        """A process-backed query's mapper names the plane by digest and
+        generation and the query by id and length: it carries neither the
+        query's codes nor the database, so it fits in one page even over
+        the perf ledger's ``short_subjects`` geometry (copied in)."""
+        import mmap
+        import pickle
+
+        from repro.mapreduce import shm
+        from repro.sequence.generator import (
+            HomologySpec,
+            make_database,
+            make_query_with_homologies,
+        )
+
+        if not shm.HAVE_SHARED_MEMORY:  # pragma: no cover - platform
+            pytest.skip("no POSIX shared memory")
+        db = make_database(
+            7001, num_sequences=500, mean_length=500,
+            name="ledger_short_subjects", length_cv=0.5,
+        )
+        query, _ = make_query_with_homologies(
+            7002, 8_000, db, [HomologySpec(length=200)], seq_id="timed00000"
+        )
+        with OrionSearch(
+            db, num_shards=4, fragment_length=2_700,
+            executor="processes", num_workers=2,
+        ) as search:
+            search._ensure_plane()
+            assert search._lease is not None
+            blob = pickle.dumps(search.prepare(query).job.mapper)
+        assert len(blob) <= mmap.PAGESIZE
+        assert query.codes.tobytes() not in blob
+        assert not [rec.seq_id for rec in db if rec.seq_id.encode() in blob]
 
 
 def _canonical(alignments):

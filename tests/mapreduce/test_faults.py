@@ -51,7 +51,7 @@ def _shm_segments():
         return {
             n
             for n in os.listdir("/dev/shm")
-            if n.startswith("orionspill_") or n.startswith("psm_")
+            if n.startswith("orion") or n.startswith("psm_")
         }
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
@@ -685,7 +685,8 @@ class TestFallbackLadder:
     def test_exhaustion_sweeps_blob_before_serial_rerun(
         self, lifecycle, serial_output
     ):
-        # An above-page job: its blob is a segment the run must sweep.
+        # An above-page job rides in every task message: neither the
+        # abandoned pool run nor the serial rerun leaves a segment.
         job = MapReduceJob(
             mapper=functools.partial(_padded_mapper, bytes(2 * mmap.PAGESIZE)),
             reducer=_sum_reducer, name="t",

@@ -74,6 +74,18 @@ def _raising_reducer(key, values):
     raise KeyError(f"reducer refuses key {key}")
 
 
+class _CallCountingMapper:
+    """Emits how often this object has been called: a mapper kept alive
+    between tasks would count past one."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, split):
+        self.calls += 1
+        yield "calls", self.calls
+
+
 def make_job():
     return MapReduceJob(mapper=_mod5_mapper, reducer=_sum_reducer, name="t")
 
@@ -195,10 +207,19 @@ class TestProcessPool:
         with pytest.raises(ValueError):
             WorkerPool(max_workers=0)
 
+    def test_mapper_is_unpickled_per_task(self):
+        """No worker keeps a mapper between tasks: each task unpickles the
+        driver's bytes afresh, so a (deliberately impure) counting mapper
+        sees one call per task."""
+        job = MapReduceJob(mapper=_CallCountingMapper(), reducer=_sum_reducer, name="t")
+        result = run_pool(job, make_splits(6))
+        assert result.outputs == [("calls", 6)]
+        assert all(r.executor == "processes" for r in result.records)
+
     def test_job_travels_by_the_page_rule(self, monkeypatch):
-        """Dispatch ships a job ref, never the job object: the mapper's
-        blob of at most one page rides inline in each task item, a larger
-        one goes once through a segment and the item carries only its name."""
+        """Dispatch ships the pickled mapper, never the job object: the
+        driver pickles it once, and every task item carries those bytes,
+        whether they fit in one page or not."""
         submitted = []
         real_pool = runtime_mod.ProcessPoolExecutor
 
@@ -220,15 +241,12 @@ class TestProcessPool:
             submitted.clear()
             result = run_pool(job, make_splits(3))
             assert dict(result.outputs) == expected_totals(3)
-            refs = {item[0] for item in submitted}
-            assert len(submitted) == 3 and len(refs) == 1  # map tasks only
-            (ref,) = refs
+            assert len(submitted) == 3  # map tasks only
+            assert {item[0] for item in submitted} == {job.name}
+            assert {item[1] for item in submitted} == {pickle.dumps(job.mapper)}
+            assert len({id(item[1]) for item in submitted}) == 1  # pickled once
+            assert [item[2].index for item in submitted] == [0, 1, 2]
             assert not any(isinstance(part, MapReduceJob) for part in submitted[0])
-            if job is small:
-                assert ref.segment is None and ref.inline == pickle.dumps(small.mapper)
-            else:
-                assert ref.segment is not None and ref.inline is None
-                assert ref.size == len(pickle.dumps(large.mapper))
 
 
 
@@ -368,30 +386,11 @@ class TestDriverReduce:
         assert dict(good.outputs) == expected_totals(8)
         assert all(r.executor == "processes" for r in good.records)
 
-    def test_inline_fallback_without_spill_set(self, monkeypatch, tmp_path):
-        """When the run's segment owner cannot be created, an above-page
-        job blob rides inline — with a warning, exact outputs."""
-
-        def no_anchor():
-            raise OSError("injected: no /dev/shm")
-
-        log = tmp_path / "segment_calls"
-        _log_segment_calls(monkeypatch, str(log))
-        monkeypatch.setattr(shm_mod, "_create_anchor", no_anchor)
-        job = MapReduceJob(
-            mapper=functools.partial(_padded_mapper, bytes(2 * mmap.PAGESIZE)),
-            reducer=_sum_reducer, name="t",
-        )
-        with pytest.warns(RuntimeWarning, match="shipping inline per task"):
-            result = run_pool(job, make_splits(4), start_method="fork")
-        assert dict(result.outputs) == expected_totals(4)
-        assert all(r.executor == "processes" for r in result.records)
-        assert not log.exists() or log.read_text() == ""
-
     def test_sub_page_job_touches_no_segment(self, monkeypatch, tmp_path):
-        """A sub-page job touches no segment, however large its map
-        output: outputs return through the result pipe. No worker ever
-        writes a segment; only the driver does, for an above-page job blob."""
+        """A pool run touches no segment, however large its mapper or its
+        map output: the mapper rides in every task message and outputs
+        return through the result pipe, so neither the driver nor a worker
+        writes or reads one."""
         log = tmp_path / "segment_calls"
         _log_segment_calls(monkeypatch, str(log))
         large_job = MapReduceJob(
@@ -402,10 +401,7 @@ class TestDriverReduce:
             result = run_pool(job, make_splits(4, width=2000), start_method="fork")
             assert dict(result.outputs) == expected_totals(4, width=2000)
             assert all(r.shuffle_bytes_out > mmap.PAGESIZE for r in result.map_records())
-        calls = [line.split() for line in log.read_text().splitlines()]
-        writes = [pid for name, pid in calls if name == "write_segment"]
-        assert writes == [str(os.getpid())]  # the large job's blob, by the driver
-        assert any(name == "read_segment" for name, _ in calls)
+        assert not log.exists(), log.read_text()
 
 
 class TestResolveExecutor:

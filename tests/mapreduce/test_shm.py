@@ -8,7 +8,6 @@ plane lifecycle; ``test_plane_registry.py`` covers the leases themselves.
 """
 
 import functools
-import itertools
 import mmap
 import multiprocessing
 import os
@@ -29,6 +28,7 @@ from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import SerialExecutor, WorkerPool
 from repro.mapreduce.shm import (
     PLANE_PREFIX,
+    PlaneCorruptError,
     PlaneRegistry,
     attach_cached_view,
     attach_view,
@@ -42,7 +42,6 @@ from repro.mapreduce.shm import (
 )
 from repro.mapreduce.types import InputSplit
 from repro.sequence.generator import make_database
-from tests.mapreduce.test_runtime import _padded_mapper
 
 pytestmark = pytest.mark.skipif(
     not shm_mod.HAVE_SHARED_MEMORY, reason="platform lacks POSIX shared memory"
@@ -79,14 +78,13 @@ def _sum_reducer(key, values):
     return sum(values)
 
 
-def _listing_mapper(padding, driver_pid, split):
-    """Map ``x % 5 -> x``; the last two splits also emit what the driver's
-    runs hold in ``/dev/shm`` at that moment."""
+def _listing_mapper(padding, split):
+    """Map ``x % 5 -> x``; the last two splits also emit what ``/dev/shm``
+    holds at that moment. ``padding`` rides in the mapper's pickle."""
     for x in split.payload:
         yield f"k{x % 5}", x
     if split.index >= 4:
-        prefix = f"orionspill_{driver_pid}_"
-        yield "seen", sorted(n for n in os.listdir("/dev/shm") if n.startswith(prefix))
+        yield "seen", sorted(os.listdir("/dev/shm"))
 
 
 def _listing_reducer(key, values):
@@ -116,13 +114,6 @@ def make_job(mapper=_mod5_mapper):
     return MapReduceJob(mapper=mapper, reducer=_sum_reducer, name="t")
 
 
-def make_above_page_job():
-    """A job whose mapper's pickle outgrows one page, so its blob ships via shm."""
-    job = make_job(functools.partial(_padded_mapper, bytes(2 * mmap.PAGESIZE)))
-    assert len(pickle.dumps(job.mapper)) > mmap.PAGESIZE
-    return job
-
-
 def make_splits(n=6, width=10):
     return [
         InputSplit(index=i, payload=list(range(i * width, (i + 1) * width)))
@@ -135,33 +126,52 @@ def make_splits(n=6, width=10):
 # --------------------------------------------------------------------------- #
 
 
+@pytest.fixture
+def segment_name():
+    """A fresh segment name no owner claims, swept after the test."""
+    name = f"oriontest_{os.getpid()}_{os.urandom(4).hex()}"
+    yield name
+    shm_mod.sweep_segment(name)
+
+
 class TestSegments:
-    def test_publish_read_roundtrip(self):
-        data = b"orion shared bytes"
-        with shm_mod.SpillSet() as spills:
-            name = spills.publish_job(data)
-            assert read_segment(name) == data
-            assert read_segment(name, 6, 6) == b"shared"
-            assert segment_exists(name)
-        assert not segment_exists(name)
+    def test_publish_read_roundtrip(self, segment_name):
+        write_segment(segment_name, [b"orion ", b"shared bytes"])
+        assert segment_exists(segment_name)
+        assert read_segment(segment_name) == b"orion shared bytes"
+        assert read_segment(segment_name, 6, 6) == b"shared"
+        shm_mod.sweep_segment(segment_name)
+        assert not segment_exists(segment_name)
 
-    def test_destroy_is_idempotent(self):
-        with shm_mod.SpillSet() as spills:
-            seg = create_segment(f"{spills.set_id}_seg", 16)
-            destroy_segment(seg)
-            destroy_segment(seg)  # second unlink: FileNotFoundError swallowed
-            assert not segment_exists(seg.name)
+    def test_destroy_is_idempotent(self, segment_name):
+        seg = create_segment(segment_name, 16)
+        destroy_segment(seg)
+        destroy_segment(seg)  # second unlink: FileNotFoundError swallowed
+        assert not segment_exists(seg.name)
 
-    def test_failed_create_does_not_leak(self):
+    def test_failed_create_does_not_leak(self, segment_name):
         before = _shm_names("orion") | _psm_segments()
-        with shm_mod.SpillSet() as spills:
-            name = f"{spills.set_id}_seg"
-            with pytest.raises(TypeError):
-                # The second chunk is no buffer: the write fails after
-                # creation and the paired finally must unlink.
-                write_segment(name, [b"way more than four bytes", object()])
-            assert not segment_exists(name)
+        with pytest.raises(TypeError):
+            # The second chunk is no buffer: the write fails after
+            # creation and the paired finally must unlink.
+            write_segment(segment_name, [b"way more than four bytes", object()])
+        assert not segment_exists(segment_name)
         assert (_shm_names("orion") | _psm_segments()) - before == set()
+
+
+class TestSpillSet:
+    """Reads of one run inside a multi-chunk segment, and sweeps."""
+
+    def test_read_segment_slice_pulls_one_run(self, segment_name):
+        write_segment(segment_name, [b"aaaa", b"bbbbcccc"])
+        assert read_segment(segment_name, 4, 4) == b"bbbb"
+        assert read_segment(segment_name, 0, 0) == b""
+
+    def test_sweep_segment_reports_removal(self, segment_name):
+        assert shm_mod.sweep_segment(segment_name) is False
+        write_segment(segment_name, [b"data"])
+        assert shm_mod.sweep_segment(segment_name) is True
+        assert shm_mod.sweep_segment(segment_name) is False
 
 
 # --------------------------------------------------------------------------- #
@@ -204,9 +214,23 @@ class TestPlane:
     def test_cached_view_attaches_once_per_process(self, db):
         with PlaneRegistry.attach_or_create(db, K) as lease:
             try:
-                v1 = attach_cached_view(lease.handle)
-                v2 = attach_cached_view(lease.handle)
+                v1 = attach_cached_view(lease.digest, lease.generation)
+                v2 = attach_cached_view(lease.digest, lease.generation)
                 assert v1 is v2
+                assert v1.handle == lease.handle  # read from the registry
+            finally:
+                detach_cached_views()
+
+    def test_cached_view_of_another_generation_is_corrupt(self, db):
+        """A worker named a plane generation the registry no longer holds
+        (the plane was rebuilt): attaching must refuse, not read new bytes
+        under an old name."""
+        with PlaneRegistry.attach_or_create(db, K) as lease:
+            try:
+                with pytest.raises(PlaneCorruptError, match="generation"):
+                    attach_cached_view(lease.digest, lease.generation + 1)
+                with pytest.raises(PlaneCorruptError, match="generation"):
+                    shm_mod.cached_shards(lease.digest, lease.generation + 1, 2)
             finally:
                 detach_cached_views()
 
@@ -295,24 +319,6 @@ class TestWorkerPool:
         assert all(r.executor == "processes" for r in r1.records)
         assert not any(r.simulator_safe for r in r1.records)
 
-    def test_job_blob_segment_is_destroyed_after_run(self, monkeypatch):
-        published = []
-        real_publish = shm_mod.SpillSet.publish_job
-
-        def spying_publish(spills, data):
-            name = real_publish(spills, data)
-            published.append(name)
-            return name
-
-        monkeypatch.setattr(shm_mod.SpillSet, "publish_job", spying_publish)
-        with WorkerPool(max_workers=2) as pool:
-            result = pool.run(make_above_page_job(), make_splits())
-            assert dict(result.outputs) == _expected_totals()
-            # A sub-page job rides inline: no blob segment at all.
-            pool.run(make_job(), make_splits())
-        assert len(published) == 1, "job blob was not shipped via shared memory"
-        assert not any(segment_exists(n) for n in published)
-
     def test_unpicklable_job_falls_back_to_serial(self):
         job = MapReduceJob(
             mapper=lambda s: [(0, x) for x in s.payload],  # closure: unpicklable
@@ -372,21 +378,32 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_workers_create_no_segment(self, start_method):
-        """Late map tasks list the driver's run while earlier tasks' above-page
-        outputs are already back: the run holds only its anchor and job blob."""
-        job = MapReduceJob(
-            mapper=functools.partial(_listing_mapper, bytes(2 * mmap.PAGESIZE), os.getpid()),
-            reducer=_listing_reducer, name="listing",
-        )
+        """A pool run makes no ``/dev/shm`` entry, whether its mapper pickles
+        within a page or above one: late map tasks list ``/dev/shm`` while
+        earlier tasks' above-page outputs are already back, and the driver
+        lists it once the run is over."""
+        jobs = [
+            MapReduceJob(
+                mapper=functools.partial(_listing_mapper, padding),
+                reducer=_listing_reducer, name="listing",
+            )
+            for padding in (b"", bytes(2 * mmap.PAGESIZE))
+        ]
+        sizes = [len(pickle.dumps(job.mapper)) for job in jobs]
+        assert sizes[0] <= mmap.PAGESIZE < sizes[1]
         splits = [InputSplit(index=i, payload=list(range(i, 3000, 6))) for i in range(6)]
         with WorkerPool(max_workers=2, start_method=start_method) as pool:
-            result = pool.run(job, splits)
-        outputs = dict(result.outputs)
-        assert [outputs[f"k{k}"] for k in range(5)] == [
-            sum(range(k, 3000, 5)) for k in range(5)
-        ]
-        assert outputs["seen"]  # the run's anchor at least
-        assert all(n.endswith("_job") or n.count("_") == 3 for n in outputs["seen"])
+            pool.prewarm()  # the pool's own semaphores predate the listing
+            before = set(os.listdir("/dev/shm"))
+            for job in jobs:
+                result = pool.run(job, splits)
+                outputs = dict(result.outputs)
+                assert [outputs[f"k{k}"] for k in range(5)] == [
+                    sum(range(k, 3000, 5)) for k in range(5)
+                ]
+                assert all(r.executor == "processes" for r in result.records)
+                assert set(outputs["seen"]) - before == set()
+                assert set(os.listdir("/dev/shm")) - before == set()
 
     def test_rejects_nonpositive_workers(self):
         with pytest.raises(ValueError):
@@ -394,88 +411,19 @@ class TestWorkerPool:
 
 
 # --------------------------------------------------------------------------- #
-# spill sets: the owner of a pool run's anchor and job blob
-# --------------------------------------------------------------------------- #
-
-
-class TestSpillSet:
-    def test_release_sweeps_created_segments_and_is_idempotent(self):
-        spills = shm_mod.SpillSet()
-        blob = spills.publish_job(b"job bytes")
-        assert segment_exists(blob) and segment_exists(spills.set_id)
-        spills.release()
-        assert not segment_exists(blob) and not segment_exists(spills.set_id)
-        spills.release()  # second release: no-op, no error
-        # A run whose job rode inline published nothing; release still works.
-        with shm_mod.SpillSet() as inline_run:
-            assert segment_exists(inline_run.set_id)
-        assert not segment_exists(inline_run.set_id)
-
-    def test_read_segment_slice_pulls_one_run(self):
-        spills = shm_mod.SpillSet()
-        try:
-            name = f"{spills.set_id}_seg"
-            write_segment(name, [b"aaaa", b"bbbbcccc"])
-            assert read_segment(name, 4, 4) == b"bbbb"
-            assert read_segment(name, 0, 0) == b""
-        finally:
-            spills.release()
-            shm_mod.sweep_segment(f"{spills.set_id}_seg")
-
-    def test_cleanup_hook_reclaims_unreleased_sets(self):
-        spills = shm_mod.SpillSet()
-        leftover = spills.publish_job(b"left")
-        assert spills.set_id in shm_mod._LIVE_SPILL_SETS
-        shm_mod._cleanup_live_spill_sets()
-        assert spills.set_id not in shm_mod._LIVE_SPILL_SETS
-        assert not segment_exists(leftover)
-
-    def test_same_pid_and_counter_mint_disjoint_names(self, monkeypatch):
-        """Drivers in separate PID namespaces can share one /dev/shm with
-        the same pid and counter (two containers of a pod, each PID 1); the
-        random token in the run prefix keeps their segments apart."""
-        monkeypatch.setattr(shm_mod, "_SPILL_COUNTER", itertools.count())
-        first = shm_mod.SpillSet()
-        monkeypatch.setattr(shm_mod, "_SPILL_COUNTER", itertools.count())
-        second = shm_mod.SpillSet()
-        try:
-            assert first.set_id.split("_")[3] == second.set_id.split("_")[3] == "0"
-
-            def names(spills):
-                return {spills.set_id, f"{spills.set_id}_job"}
-
-            assert not names(first) & names(second)
-        finally:
-            first.release()
-            second.release()
-
-    def test_sweep_segment_reports_removal(self):
-        spills = shm_mod.SpillSet()
-        try:
-            name = f"{spills.set_id}_seg"
-            assert shm_mod.sweep_segment(name) is False
-            write_segment(name, [b"data"])
-            assert shm_mod.sweep_segment(name) is True
-            assert shm_mod.sweep_segment(name) is False
-        finally:
-            spills.release()
-
-
-# --------------------------------------------------------------------------- #
 # the one-owner rule: every segment has a lock-holding owner, one reaper
 # --------------------------------------------------------------------------- #
 
 
-def _subprocess_env(**extra):
+def _subprocess_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(shm_mod.__file__), "..", "..")
     env["PYTHONPATH"] = os.path.abspath(src)
-    env.update(extra)
     return env
 
 
 def _owned_entries():
-    """Every entry this program could have created: planes, runs, psm_ blobs."""
+    """Every entry this program could have created: planes, psm_ blobs."""
     return _shm_names("orion") | _psm_segments()
 
 
@@ -502,8 +450,8 @@ def _group_alive(pgid):
     return False
 
 
-#: A driver that searches one long query after another on a process pool,
-#: so at any moment a run with an above-page job blob is likely in flight.
+#: A driver that leases a plane, then searches one long query after another
+#: on a process pool, so at any moment a run is likely in flight.
 _SEARCH_DRIVER = textwrap.dedent(
     """\
     import sys
@@ -530,108 +478,19 @@ _SEARCH_DRIVER = textwrap.dedent(
 )
 
 
-#: A driver whose one above-page pool run stays in flight until a gate
-#: file appears: split 0 commits, split 1 waits on the gate.
-_GATED_RUN = textwrap.dedent(
-    """\
-    import functools, mmap, os, sys, time
-    from repro.mapreduce.job import MapReduceJob
-    from repro.mapreduce.runtime import WorkerPool
-    from repro.mapreduce.types import InputSplit
-
-    def mapper(padding, gate, split):
-        while split.index == 1 and not os.path.exists(gate):
-            time.sleep(0.01)
-        for x in split.payload:
-            yield x % 2, bytes(1000)
-
-    def reducer(key, values):
-        return len(values)
-
-    if __name__ == "__main__":
-        job = MapReduceJob(
-            mapper=functools.partial(mapper, bytes(2 * mmap.PAGESIZE), sys.argv[1]),
-            reducer=reducer, name="gated",
-        )
-        splits = [InputSplit(index=i, payload=list(range(10))) for i in range(2)]
-        with WorkerPool(max_workers=2) as pool:
-            print(pool.run(job, splits).outputs, flush=True)
-    """
-)
-
-
 class TestOneOwnerRule:
-    """Planes and job blobs all live under a lock-holding owner, and
-    :func:`reap_orphan_planes` sweeps whatever no lock holds."""
-
-    def test_reaper_sweeps_a_run_whose_owner_is_gone(self):
-        spills = shm_mod.SpillSet()
-        blob = spills.publish_job(b"job bytes")
-        assert spills.set_id not in reap_orphan_planes()  # held: kept
-        assert segment_exists(blob)
-        spills._abandon()  # a crashed driver: lock gone, nothing unlinked
-        removed = reap_orphan_planes()
-        assert {spills.set_id, blob} <= set(removed)
-        assert not any(segment_exists(n) for n in (spills.set_id, blob))
-
-    def test_forked_child_does_not_pin_a_run(self):
-        """A forked child shares the anchor's open file description; the
-        at-fork hook closes the child's copy, so once the driver lets go
-        the reaper sweeps the run while the child lives on."""
-        spills = shm_mod.SpillSet()
-        blob = spills.publish_job(b"job bytes")
-        started_r, started_w = os.pipe()
-        exit_r, exit_w = os.pipe()
-        pid = os.fork()
-        if pid == 0:  # child: inherits the set and its anchor fd
-            try:
-                os.write(started_w, b"started")
-                os.read(exit_r, 1)  # stay alive until the parent is done
-            finally:
-                os._exit(0)
-        try:
-            assert os.read(started_r, 16) == b"started"
-            spills._abandon()  # the driver's lock goes, nothing unlinked
-            assert {spills.set_id, blob} <= set(reap_orphan_planes())
-        finally:
-            os.write(exit_w, b"x")
-            _, status = os.waitpid(pid, 0)
-            for fd in (started_r, started_w, exit_r, exit_w):
-                os.close(fd)
-        assert os.waitstatus_to_exitcode(status) == 0
-
-    def test_anchor_swept_before_its_lock_lands_is_replaced(self, monkeypatch):
-        """A reaper that sweeps a fresh anchor between its create and its
-        lock must not leave the run ownerless: the set sees its path no
-        longer names the locked inode and re-anchors under a new name."""
-        import fcntl
-
-        real_flock = fcntl.flock
-        raced = []
-
-        def racing_flock(fd, op):
-            if op == fcntl.LOCK_SH and not raced:
-                raced.append(reap_orphan_planes())
-            return real_flock(fd, op)
-
-        monkeypatch.setattr(fcntl, "flock", racing_flock)
-        with shm_mod.SpillSet() as spills:
-            mine = f"orionspill_{os.getpid()}_"
-            swept = [n for n in raced[0] if n.startswith(mine)]
-            assert swept and spills.set_id not in swept
-            blob = spills.publish_job(b"live")
-            assert blob not in reap_orphan_planes()
-            assert segment_exists(spills.set_id) and segment_exists(blob)
-        assert not segment_exists(spills.set_id) and not segment_exists(blob)
+    """A plane is the only thing in ``/dev/shm``, it lives under its
+    lock-holding registry, and :func:`reap_orphan_planes` sweeps whatever
+    no lock holds."""
 
     @pytest.mark.parametrize("scope", ["driver", "group"])
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_sigkilled_driver_leaves_nothing_after_reap(
         self, tmp_path, start_method, scope
     ):
-        """SIGKILL a driver while its above-page job blob is published —
-        alone (its workers live on) or with its whole process group — and
-        reaping leaves no plane, run or blob of it behind."""
+        """SIGKILL a driver once its plane is published — alone (its
+        workers live on) or with its whole process group — and reaping
+        leaves no plane of it behind."""
         script = tmp_path / "driver.py"
         script.write_text(_SEARCH_DRIVER)
         before = _owned_entries()
@@ -646,11 +505,11 @@ class TestOneOwnerRule:
         try:
             assert proc.stdout.readline().strip() == "READY"
 
-            def blob_published():
+            def plane_published():
                 new = _owned_entries() - before
-                return any(n.startswith("psm_") or n.endswith("_job") for n in new)
+                return any(n.startswith(PLANE_PREFIX) and n.endswith("_reg") for n in new)
 
-            assert _wait_for(blob_published)
+            assert _wait_for(plane_published)
             if scope == "driver":
                 os.kill(proc.pid, signal.SIGKILL)
             else:
@@ -683,40 +542,3 @@ class TestOneOwnerRule:
         # Anything an orphan worker's pool left after the kill goes too.
         _wait_for(lambda: reaped(_owned_entries() - before), timeout=10)
         assert _owned_entries() - before == set()
-
-    def test_run_in_another_temp_dir_keeps_its_job_blob(self, tmp_path):
-        """A pool run in flight in another process, under another TMPDIR,
-        keeps its anchor and job blob when this process reaps."""
-        script = tmp_path / "gated.py"
-        script.write_text(_GATED_RUN)
-        gate = tmp_path / "gate"
-        private_tmp = tmp_path / "tmp"
-        private_tmp.mkdir()
-        proc = subprocess.Popen(
-            [sys.executable, str(script), str(gate)],
-            stdout=subprocess.PIPE,
-            text=True,
-            env=_subprocess_env(TMPDIR=str(private_tmp)),
-            start_new_session=True,
-        )
-        run = f"orionspill_{proc.pid}_"
-        try:
-
-            def in_flight():
-                return any(n.endswith("_job") for n in _shm_names(run))
-
-            assert _wait_for(in_flight)
-            live = _shm_names(run)
-            assert len(live) == 2  # anchor and job blob; workers write nothing
-            removed = reap_orphan_planes()
-            assert not live & set(removed)
-            assert live <= _shm_names(run)
-            gate.touch()
-            out, _ = proc.communicate(timeout=60)
-        finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
-        assert proc.returncode == 0
-        assert out.strip() == "[(0, 10), (1, 10)]"
-        assert _shm_names(run) == set()

@@ -154,10 +154,10 @@ def test_serial_records_simulator_safe_processes_not(tiny_db, tiny_query):
 # --------------------------------------------------------------------------- #
 
 
-def _orionspill_segments():
-    """Live pool-run segments: anchors and job blobs (Linux probe; empty elsewhere)."""
+def _orion_entries():
+    """Live ``/dev/shm`` entries this program names (Linux probe; empty elsewhere)."""
     try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("orionspill_")}
+        return {n for n in os.listdir("/dev/shm") if n.startswith("orion")}
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
 
@@ -205,7 +205,7 @@ class TestPoolMapEquivalence:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     @pytest.mark.parametrize("lines", [8, _SPILLING_LINES])
     def test_pool_equals_serial(self, start_method, lines):
-        before = _orionspill_segments()
+        before = _orion_entries()
         splits = _word_splits(lines=lines)
         serial = SerialExecutor().run(_wc_job(), splits)
         with WorkerPool(max_workers=2, start_method=start_method) as pool:
@@ -219,18 +219,18 @@ class TestPoolMapEquivalence:
         ]
         assert all(above_page) == (lines == _SPILLING_LINES)
         assert any(above_page) == all(above_page)
-        assert _orionspill_segments() - before == set()
+        assert _orion_entries() - before == set()
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     def test_worker_pool_repeat_runs(self, start_method):
-        before = _orionspill_segments()
+        before = _orion_entries()
         serial = SerialExecutor().run(_wc_job(), _word_splits())
         with WorkerPool(max_workers=2, start_method=start_method) as pool:
             r1 = pool.run(_wc_job(), _word_splits())
             r2 = pool.run(_wc_job(), _word_splits())
         assert r1.outputs == r2.outputs == serial.outputs
         assert all(r.executor == "processes" for r in r1.records)
-        assert _orionspill_segments() - before == set()
+        assert _orion_entries() - before == set()
 
 
 def _straddle_mapper(split):
@@ -262,7 +262,7 @@ def test_outputs_straddling_a_page_equal_serial(start_method):
     """Map outputs under and over a page: the pool run yields the serial
     ``JobResult`` field by field, and each map record counts the pickled
     output its task returned."""
-    before = _orionspill_segments()
+    before = _orion_entries()
     with WorkerPool(max_workers=2, start_method=start_method) as pool:
 
         @given(
@@ -291,7 +291,7 @@ def test_outputs_straddling_a_page_equal_serial(start_method):
             assert all(r.shuffle_bytes_out == 0 for r in pooled.reduce_records())
 
         check()
-    assert _orionspill_segments() - before == set()
+    assert _orion_entries() - before == set()
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
@@ -306,7 +306,7 @@ def test_concurrent_pool_jobs_equal_serial(start_method):
     ]
     splits = _word_splits(n=8)
     results = {}
-    before = _orionspill_segments()
+    before = _orion_entries()
     with WorkerPool(max_workers=2, start_method=start_method) as pool:
         pool.prewarm()
 
@@ -323,20 +323,20 @@ def test_concurrent_pool_jobs_equal_serial(start_method):
             SerialExecutor().run(job, splits)
         )
         assert all(r.executor == "processes" for r in results[job.name].records)
-    assert _orionspill_segments() - before == set()
+    assert _orion_entries() - before == set()
 
 
 def test_orion_pool_equals_serial(tiny_db, tiny_query):
     """End to end: OrionSearch on the worker pool is field-identical to the
     serial run, and sweeps its run's segments."""
-    before = _orionspill_segments()
+    before = _orion_entries()
     serial = run_orion(tiny_db, tiny_query, "serial")
     pooled = run_orion(tiny_db, tiny_query, "processes")
     assert canonical(pooled.alignments) == canonical(serial.alignments)
     assert pooled.executor_kind == "processes"
     assert pooled.merged_pairs == serial.merged_pairs
     assert pooled.dropped_partials == serial.dropped_partials
-    assert _orionspill_segments() - before == set()
+    assert _orion_entries() - before == set()
 
 
 def test_orion_service_concurrent_equals_serial(tiny_db, tiny_query):
@@ -347,7 +347,7 @@ def test_orion_service_concurrent_equals_serial(tiny_db, tiny_query):
 
     from repro.service import OrionService, ServiceConfig
 
-    before = _orionspill_segments()
+    before = _orion_entries()
     serial = run_orion(tiny_db, tiny_query, "serial")
     search = OrionSearch(
         database=tiny_db, num_shards=4, fragment_length=6000,
@@ -367,4 +367,4 @@ def test_orion_service_concurrent_equals_serial(tiny_db, tiny_query):
         assert canonical(result.alignments) == canonical(serial.alignments)
         assert result.executor_kind == "processes"
     assert service.stats.completed == 3
-    assert _orionspill_segments() - before == set()
+    assert _orion_entries() - before == set()

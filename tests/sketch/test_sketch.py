@@ -260,7 +260,7 @@ class TestShardSketchIndex:
                 strands=strands, prune_threshold=0.02,
             ) as search:
                 index = search._ensure_sketch_index()
-                assert (search._shm_handle is not None) == (executor == "processes")
+                assert (search._lease is not None) == (executor == "processes")
                 tables.append(
                     [a.tobytes() for a in
                      (index._table_hashes, index._table_shards, index._thresholds)]

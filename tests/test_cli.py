@@ -282,3 +282,128 @@ class TestPlane:
         assert "reaped" in out and "orionplane_" in out
         assert main(["plane", "ls"]) == 0
         assert "no shared database planes" in capsys.readouterr().out
+
+
+class TestSigterm:
+    """A plain ``kill`` (SIGTERM) of a process-backed ``search`` or
+    ``serve`` unwinds like ``sys.exit(143)``: the driver releases its plane
+    lease, so nothing is left for ``plane reap``."""
+
+    def test_deferred_sigterm_waits_for_a_safe_point(self):
+        import signal
+
+        from repro.cli import _Sigterm
+
+        handler = _Sigterm()
+        with pytest.raises(SystemExit) as exc:
+            handler(signal.SIGTERM, None)
+        assert exc.value.code == 143
+        handler.deferred = True
+        handler(signal.SIGTERM, None)  # recorded, not raised
+        handler.deferred = False
+        with pytest.raises(SystemExit) as exc:
+            handler.check()
+        assert exc.value.code == 143
+
+    def test_main_restores_the_sigterm_handler(self):
+        import signal
+
+        before = signal.getsignal(signal.SIGTERM)
+        assert main(["overlap", "--query-length", "1000",
+                     "--db-length", "100000", "--db-sequences", "10"]) == 0
+        assert signal.getsignal(signal.SIGTERM) is before
+
+    def test_forked_child_gets_the_default_action(self):
+        """Pool workers forked by the driver must die on SIGTERM, which is
+        how ``ProcessPoolExecutor`` stops them."""
+        import os
+        import signal
+
+        from repro.cli import _Sigterm
+
+        handler = _Sigterm()
+        previous = signal.signal(signal.SIGTERM, handler)
+        read_fd, write_fd = os.pipe()
+        try:
+            pid = os.fork()
+            if pid == 0:  # child: report its disposition, then leave
+                try:
+                    default = signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+                    os.write(write_fd, b"1" if default else b"0")
+                finally:
+                    os._exit(0)
+            assert os.read(read_fd, 1) == b"1"
+            os.waitpid(pid, 0)
+            assert signal.getsignal(signal.SIGTERM) is handler  # the parent's stays
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+            os.close(read_fd)
+            os.close(write_fd)
+
+    @pytest.mark.parametrize("command", ["search", "serve"])
+    def test_sigterm_releases_the_plane(self, command, tmp_path):
+        import os
+        import signal
+        import subprocess
+        import sys
+
+        from repro.mapreduce import shm
+        from repro.sequence.fasta import write_fasta
+        from repro.sequence.generator import (
+            HomologySpec,
+            make_database,
+            make_query_with_homologies,
+        )
+        from tests.mapreduce.test_shm import _group_alive, _wait_for
+
+        if not shm.HAVE_SHARED_MEMORY:  # pragma: no cover - platform
+            pytest.skip("no POSIX shared memory")
+        db = make_database(71, num_sequences=5, mean_length=400, name="db")
+        write_fasta(db, tmp_path / "db.fa")
+        # Enough queries that the run is still going when the signal lands.
+        queries = [
+            make_query_with_homologies(
+                seed, 8_000, db, [HomologySpec(length=120)], seq_id=f"q{seed}"
+            )[0]
+            for seed in range(200)
+        ]
+        write_fasta(queries, tmp_path / "q.fa")
+
+        def registries():
+            return {
+                n for n in os.listdir("/dev/shm")
+                if n.startswith(shm.PLANE_PREFIX) and n.endswith("_reg")
+            }
+
+        before = registries()
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(
+            os.path.join(os.path.dirname(shm.__file__), "..", "..")
+        )
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", command,
+                "--db", str(tmp_path / "db.fa"), "--query", str(tmp_path / "q.fa"),
+                "--executor", "processes", "--workers", "2",
+            ],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            start_new_session=True,  # its own group, so the check below is its alone
+        )
+        try:
+            assert _wait_for(lambda: registries() - before), "no plane was published"
+            (registry,) = registries() - before
+            plane = registry[: -len("reg")]
+            os.kill(proc.pid, signal.SIGTERM)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 143, err
+            assert "Traceback" not in err, err
+            assert not [n for n in os.listdir("/dev/shm") if n.startswith(plane)]
+            assert _wait_for(lambda: not _group_alive(proc.pid), timeout=30)
+        finally:
+            if proc.poll() is None:
+                os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+            shm.reap_orphan_planes()
