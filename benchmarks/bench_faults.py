@@ -24,6 +24,7 @@ import time
 import warnings
 
 from benchmarks.conftest import run_once
+from repro.mapreduce import faults as faults_mod
 from repro.mapreduce.faults import FaultInjector, FaultSpec, RetryPolicy
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import SerialExecutor, WorkerPool
@@ -67,9 +68,12 @@ def _crash_at_half():
     )
 
 
-def test_crash_recovery_cost(benchmark):
+def test_crash_recovery_cost(benchmark, monkeypatch):
     expected = SerialExecutor().run(_job(), _splits()).outputs
-    policy = RetryPolicy(backoff_base=0.001, backoff_jitter=0.0)
+    # Backoff is computed in the driver, so patching the module constant
+    # shrinks every retry's wait for this run.
+    monkeypatch.setattr(faults_mod, "BACKOFF_BASE", 0.001)
+    policy = RetryPolicy()
 
     def experiment():
         # Each run pays its own pool startup, as a one-shot job would.

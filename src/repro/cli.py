@@ -168,7 +168,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 num_workers=args.workers,
                 retries=args.retries,
                 task_timeout=args.task_timeout,
-                speculative_tasks=args.speculative,
                 prune_threshold=_prune_threshold_from(args),
             )
     except ValueError as exc:
@@ -479,14 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-attempt deadline in seconds for --executor processes; a "
         "straggling attempt past it is retried (it may still win if it "
-        "finishes first; default: no deadline)",
-    )
-    p.add_argument(
-        "--speculative",
-        action="store_true",
-        help="Hadoop-style speculative execution for --executor processes: "
-        "near the end of a phase, duplicate the slowest outstanding task; "
-        "first commit wins (results are identical either way)",
+        "finishes first). It counts from submit, so it includes the wait "
+        "behind the query's other map tasks: set it above a whole query's "
+        "wall, not one task's (default: no deadline)",
     )
     p.add_argument(
         "--sanitize",

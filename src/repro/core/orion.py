@@ -233,15 +233,14 @@ class OrionSearch:
         behaviour. Alignments are identical regardless (tasks are pure;
         property-tested under injected faults).
     task_timeout:
-        Optional per-attempt deadline in seconds (CLI ``--task-timeout``);
-        a straggling attempt past it is retried, though it may still win
-        if it finishes first.
-    speculative_tasks:
-        Hadoop-style speculative execution of straggler tasks (CLI
-        ``--speculative``): near the end of the map phase the slowest
-        outstanding task gets a duplicate attempt, first commit wins.
-        Distinct from ``speculative`` (the paper's gapped *extension* at
-        fragment boundaries, an alignment-semantics knob).
+        Optional per-attempt deadline in seconds (CLI ``--task-timeout``),
+        the one straggler mechanism: a straggling attempt past it is
+        retried, though it may still win if it finishes first. An
+        attempt's age counts from its submit, so the deadline includes
+        its wait in the pool's queue behind this query's other tasks (and,
+        under the service, behind other queries' tasks): size it above a
+        whole query's wall, not one task's, or healthy queued tasks spend
+        their attempt budget.
     fault_injector:
         Optional :class:`repro.mapreduce.faults.FaultInjector` threaded
         into every map attempt (tests/benchmarks only).
@@ -272,7 +271,6 @@ class OrionSearch:
         shuffle: str = "streaming",
         retries: int = 3,
         task_timeout: Optional[float] = None,
-        speculative_tasks: bool = False,
         fault_injector: Optional[FaultInjector] = None,
         prune_threshold: Optional[float] = None,
     ) -> None:
@@ -293,11 +291,7 @@ class OrionSearch:
         self.speculative = speculative
         self.drop_left_overlap = drop_left_overlap
         self.strands = strands
-        self.retry_policy = RetryPolicy(
-            max_attempts=retries,
-            task_timeout=task_timeout,
-            speculative=speculative_tasks,
-        )
+        self.retry_policy = RetryPolicy(max_attempts=retries, task_timeout=task_timeout)
         self.fault_injector = fault_injector
         self.executor: Executor = resolve_executor(
             executor,

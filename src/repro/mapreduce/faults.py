@@ -6,12 +6,13 @@ unit is redone, never the whole query (PAPER.md, design summary). This
 module holds the *policy* half of that story for our runtime:
 
 * :class:`RetryPolicy` — how many attempts a task gets, the per-attempt
-  deadline, the (injectable, seeded) exponential backoff between attempts,
-  and whether Hadoop-style speculative execution is enabled. The scheduler
-  (:mod:`repro.mapreduce.scheduler`) never calls ``time.sleep`` directly;
-  every wait is derived from :meth:`RetryPolicy.backoff_seconds` so tests
-  can shrink backoff to microseconds instead of wall-clock waiting — the
-  invariant orionlint rule ORL009 enforces.
+  deadline (the one straggler mechanism) and the injectable sleep hook;
+  the exponential backoff between attempts is fixed by module constants.
+  The scheduler (:mod:`repro.mapreduce.scheduler`) never calls
+  ``time.sleep`` directly; every wait is derived from
+  :meth:`RetryPolicy.backoff_seconds` so tests can shrink backoff to
+  microseconds instead of wall-clock waiting — the invariant orionlint
+  rule ORL009 enforces.
 * :class:`FaultInjector` — a picklable, deterministic description of
   faults to inject into task attempts, addressable by phase, task index
   and attempt number. The worker pool threads it to its map tasks so
@@ -31,8 +32,6 @@ import os
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
-
-from repro.util.rng import RngStream
 
 #: Fault kinds the injector understands (see :class:`FaultSpec`).
 FAULT_KINDS = ("crash", "hang", "transient")
@@ -57,9 +56,9 @@ class TransientTaskError(RuntimeError):
 
 
 class TaskFailedError(RuntimeError):
-    """One task exhausted every attempt the :class:`RetryPolicy` allows.
+    """One map task exhausted every attempt the :class:`RetryPolicy` allows.
 
-    Carries the task's phase and index — and, when the scheduler was
+    Carries the task's index — and, when the scheduler was
     tagged with one, the owning job's id — so fallback paths (and
     operators watching a multi-query service, where many jobs share one
     pool) can see exactly which unit of which job poisoned it, and chains
@@ -68,7 +67,6 @@ class TaskFailedError(RuntimeError):
 
     def __init__(
         self,
-        phase: str,
         index: int,
         attempts: int,
         last_error: str,
@@ -76,10 +74,9 @@ class TaskFailedError(RuntimeError):
     ):
         prefix = f"job {job_id!r}: " if job_id else ""
         super().__init__(
-            f"{prefix}{phase} task {index} failed after {attempts} "
+            f"{prefix}map task {index} failed after {attempts} "
             f"attempt(s): {last_error}"
         )
-        self.phase = phase
         self.index = index
         self.attempts = attempts
         self.job_id = job_id
@@ -102,9 +99,10 @@ class FaultSpec:
         ``os._exit(13)`` in the executing worker — kills the process
         mid-task, breaking the pool (lost in-flight attempts).
     ``hang``
-        Sleep ``hang_seconds`` before running the task. Against a
-        ``task_timeout`` this exercises deadline-triggered retries; against
-        speculation it is the straggler a duplicate attempt races.
+        Sleep ``hang_seconds`` before running the task: the straggler a
+        ``task_timeout`` deadline must beat. Against a deadline this
+        exercises deadline-triggered retries; on every attempt it spends
+        the budget and ends in the serial-fallback ladder.
     ``transient``
         Raise :class:`TransientTaskError` instead of running the task.
     ``delay``
@@ -188,7 +186,11 @@ class FaultInjector:
     def fire(self, phase: str, index: int, attempt: int) -> None:
         """Execute the task-entry fault for this attempt, if one matches.
 
-        Called worker-side at the top of every map attempt.
+        Called worker-side at the top of every map attempt. A ``crash``
+        never returns, a ``transient`` raises, and a ``hang`` returns after
+        ``hang_seconds`` — by then a ``task_timeout`` deadline has queued
+        the attempt's replacement, and the late output races it (first
+        commit wins).
         """
         spec = self.fault_for(phase, index, attempt)
         if spec is None:
@@ -200,7 +202,7 @@ class FaultInjector:
         if spec.kind == "crash":
             os._exit(13)
         if spec.kind == "hang":
-            # The injected straggler: deadline/speculation must beat this.
+            # The injected straggler: the deadline must beat this.
             time.sleep(spec.hang_seconds)  # orionlint: disable=ORL009
             return
         raise TransientTaskError(
@@ -248,16 +250,16 @@ def _default_sleep(seconds: float) -> None:
     time.sleep(seconds)  # orionlint: disable=ORL009
 
 
+#: Backoff before a task's second attempt, in seconds.
+BACKOFF_BASE = 0.02
+
 #: Growth factor of the backoff between attempts of one task.
 BACKOFF_MULTIPLIER = 2.0
-
-#: Seed of the deterministic backoff jitter.
-BACKOFF_SEED = 0
 
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Per-task attempt budget, deadlines, backoff and speculation switch.
+    """Per-task attempt budget, per-attempt deadline and sleep hook.
 
     Attributes
     ----------
@@ -267,38 +269,28 @@ class RetryPolicy:
         straight through to the serial-fallback ladder.
     task_timeout:
         Per-attempt deadline in seconds, enforced driver-side via future
-        wait timeouts. A timed-out attempt is *retried*, but its future is
-        kept as a zombie — if the straggler finishes first it still wins
-        (first commit wins), its duplicate is discarded.
-    backoff_base / backoff_jitter:
-        Exponential backoff between attempts of one task:
-        ``base * BACKOFF_MULTIPLIER**(attempt-2)``, plus-or-minus a jitter
-        fraction drawn deterministically from ``(BACKOFF_SEED, token,
-        attempt)``. The scheduler turns these into wait deadlines — no
-        wall-clock sleeps — so tests set ``backoff_base`` to microseconds
-        and never wait (orionlint ORL009's invariant).
-    speculative:
-        Enable Hadoop-style speculative execution: once
-        :data:`~repro.mapreduce.scheduler.SPECULATIVE_FRACTION` of the
-        tasks have committed, the slowest outstanding task (running longer
-        than :data:`~repro.mapreduce.scheduler.SPECULATIVE_MULTIPLIER` ×
-        the mean committed duration) gets a duplicate attempt. First commit
-        wins; the loser is cancelled, or ignored when it lands. Safe
-        because tasks are pure — output is byte-identical to serial
-        regardless of which attempt wins.
+        wait timeouts; the one straggler mechanism. A timed-out attempt is
+        *retried*, but its future is kept as a zombie — if the straggler
+        finishes first it still wins (first commit wins), its replacement
+        is discarded. An attempt's age counts from its *submit*, so the
+        deadline includes the time it waits in the pool's queue behind the
+        job's other tasks (and, under the service, behind other queries'
+        tasks): size it above a whole job's wall, not one task's.
     sleep:
         Injectable blocking-sleep hook. The scheduler blocks through this
         only when no attempt is in flight and every pending retry is
         waiting out its backoff; tests inject a no-op so nothing ever
         wall-clock waits (orionlint ORL009's invariant: raw ``time.sleep``
         is banned from runtime paths — waits go through this hook).
+
+    The backoff between attempts of one task is
+    ``BACKOFF_BASE * BACKOFF_MULTIPLIER**(attempt-2)``, fixed by those
+    module constants; the scheduler turns it into wait deadlines, not
+    wall-clock sleeps.
     """
 
     max_attempts: int = 3
     task_timeout: Optional[float] = None
-    backoff_base: float = 0.02
-    backoff_jitter: float = 0.25
-    speculative: bool = False
     sleep: Callable[[float], None] = field(default=_default_sleep, repr=False)
 
     def __post_init__(self) -> None:
@@ -306,26 +298,9 @@ class RetryPolicy:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError(f"task_timeout must be positive, got {self.task_timeout}")
-        if self.backoff_base < 0:
-            raise ValueError("backoff_base must be >= 0")
-        if not 0.0 <= self.backoff_jitter < 1.0:
-            raise ValueError(f"backoff_jitter must be in [0, 1), got {self.backoff_jitter}")
 
-    def backoff_seconds(self, attempt: int, token: str = "") -> float:
-        """Deterministic jittered backoff before attempt ``attempt`` (>= 2).
-
-        ``token`` keys the jitter (the scheduler passes ``phase/index``),
-        so two tasks retrying at once do not thunder in lockstep, yet every
-        rerun of the same job waits exactly the same amounts.
-        """
+    def backoff_seconds(self, attempt: int) -> float:
+        """The backoff before attempt ``attempt``: 0 for the first."""
         if attempt <= 1:
             return 0.0
-        base = self.backoff_base * BACKOFF_MULTIPLIER ** (attempt - 2)
-        if self.backoff_jitter == 0.0:
-            return base
-        spread = (
-            RngStream(BACKOFF_SEED)
-            .child(f"{token}|{attempt}")
-            .generator.uniform(-self.backoff_jitter, self.backoff_jitter)
-        )
-        return base * (1.0 + spread)
+        return BACKOFF_BASE * BACKOFF_MULTIPLIER ** (attempt - 2)

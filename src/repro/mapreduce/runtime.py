@@ -31,9 +31,10 @@ map task runs as a sequence of *attempts* under a
 (exception, crashed worker, missed deadline) retries that one task with
 backoff instead of poisoning the job; a crashed worker breaks the pool,
 which is respawned once and only the uncommitted tasks re-dispatched —
-committed map outputs, already back in the driver, are kept. Optional
-Hadoop-style speculative execution duplicates the slowest straggler near
-the end of the phase (first commit wins). All of it is exercised
+committed map outputs, already back in the driver, are kept. The
+per-attempt deadline is the one straggler mechanism: a timed-out attempt
+keeps running as a zombie and still wins if it commits before its
+replacement. All of it is exercised
 deterministically by threading a
 :class:`~repro.mapreduce.faults.FaultInjector` through the pool. The
 whole-job serial fallback remains only as the last resort after a map
@@ -43,7 +44,7 @@ All executors return the same :class:`~repro.mapreduce.types.JobResult` for
 the same job and splits, independent of scheduling order: map outputs are
 ordered by split index before the shuffle, and reducer outputs by key,
 so results are deterministic end to end — tasks are pure
-functions of their split, so retried and speculative attempts cannot
+functions of their split, so retried and zombie attempts cannot
 change the output either. Every
 :class:`~repro.mapreduce.types.TaskRecord` is tagged with the executor kind
 that produced it; only serial records are ``simulator_safe``.
@@ -175,14 +176,9 @@ class SerialExecutor:
 
 def _stamp_meta(rec: TaskRecord, meta: TaskMeta) -> TaskRecord:
     """Stamp a task's attempt trail onto its record (driver-side)."""
-    if meta.attempts <= 1 and not meta.speculative:
+    if meta.attempts <= 1:
         return rec
-    return replace(
-        rec,
-        attempts=meta.attempts,
-        winner=meta.winner,
-        speculative=meta.speculative,
-    )
+    return replace(rec, attempts=meta.attempts, winner=meta.winner)
 
 
 # --------------------------------------------------------------------------- #
@@ -204,7 +200,7 @@ def _serial_fallback(
     On success, every record of the serial rerun is stamped with
     ``fallback_reason`` so operators can see why the job went serial. If
     the serial rerun *also* fails, the original pool/task error is never
-    masked: the raised error names the failing task's phase and index when
+    masked: the raised error names the failing map task's index when
     known (:class:`~repro.mapreduce.faults.TaskFailedError`) and chains
     the original failure as ``__cause__``.
     """
@@ -222,7 +218,7 @@ def _serial_fallback(
         )
         if isinstance(cause, TaskFailedError):
             detail += (
-                f"; original failure was {cause.phase} task {cause.index} "
+                f"; original failure was map task {cause.index} "
                 f"after {cause.attempts} attempt(s)"
             )
         elif cause is not None:
@@ -478,14 +474,14 @@ class WorkerPool:
 
         sched = TaskScheduler(self.retry, respawn=self._respawn, job_id=job.name)
         for split in splits:
-            sched.add("map", split.index, lambda a, s=split: submit_map(s, a))
+            sched.add(split.index, lambda a, s=split: submit_map(s, a))
         sched.run()
         map_outputs: List[List[Tuple[Any, Any]]] = []
         records: List[TaskRecord] = []
         for split in splits:
-            rec, blob = sched.result("map", split.index)
+            rec, blob = sched.result(split.index)
             map_outputs.append(pickle.loads(blob))
-            records.append(_stamp_meta(rec, sched.meta("map", split.index)))
+            records.append(_stamp_meta(rec, sched.meta(split.index)))
         return map_outputs, records
 
     # ------------------------------------------------------------------ #

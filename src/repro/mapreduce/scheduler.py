@@ -22,7 +22,7 @@ Three recovery mechanisms share the one event loop:
 
 * **Retries** — a failed attempt consumes one unit of the
   :class:`~repro.mapreduce.faults.RetryPolicy` budget and requeues the
-  task after a deterministic jittered backoff. Backoff is expressed as
+  task after a deterministic exponential backoff. Backoff is expressed as
   *wait deadlines*, not sleeps: while anything is in flight the loop waits
   on futures with a timeout, so a retrying task never blocks the others.
 * **Pool respawn** — a crashed worker breaks the whole
@@ -31,18 +31,20 @@ Three recovery mechanisms share the one event loop:
   its task, asks the executor to respawn the pool once, and re-dispatches
   only the tasks that never committed; committed results, already back
   in the driver, are kept.
-* **Speculative execution** — Hadoop-style: once
-  :data:`SPECULATIVE_FRACTION` of the tasks have committed, the slowest
-  outstanding task gets one duplicate attempt. First commit wins; the
-  loser is cancelled if still queued, or ignored when it lands. Safe
+* **Deadlines** — the one straggler mechanism: an attempt older than the
+  policy's ``task_timeout`` becomes a *zombie* and its replacement is
+  queued. The zombie's future stays watched, because a straggler that
+  finishes before its replacement still wins (first commit wins; the
+  loser is cancelled if still queued, or ignored when it lands). Safe
   because tasks are pure functions of their split, so the job's output is
-  byte-identical regardless of which attempt wins.
+  byte-identical regardless of which attempt wins. Each timeout spends
+  budget, so an attempt that hangs every time ends in
+  :class:`~repro.mapreduce.faults.TaskFailedError`, never in a hang.
 
-Timed-out attempts become *zombies*: their futures stay watched, because a
-straggler that finishes before its replacement still wins. Once every task
-has committed the loop returns; a zombie or loser still running leaves
-nothing behind but its worker's time, because attempts return their
-output instead of writing it anywhere.
+An attempt's age counts from its submit, so the deadline includes the time
+it queued behind other tasks. Once every task has committed the loop
+returns; a zombie still running leaves nothing behind but its worker's
+time, because attempts return their output instead of writing it anywhere.
 """
 
 from __future__ import annotations
@@ -60,65 +62,41 @@ try:  # BrokenProcessPool subclasses this; thread pools raise BrokenThreadPool
 except ImportError:  # pragma: no cover - very old pythons
     BrokenExecutor = RuntimeError  # type: ignore[assignment,misc]
 
-#: A task's identity: (phase, index) — e.g. ("map", 3).
-TaskKey = Tuple[str, int]
-
-#: Share of the tasks that must have committed before a straggler gets a
-#: speculative duplicate.
-SPECULATIVE_FRACTION = 0.75
-
-#: How many times the mean committed duration an attempt must have run
-#: before it counts as a straggler.
-SPECULATIVE_MULTIPLIER = 2.0
-
-#: How long the loop waits between housekeeping passes when a deadline or
-#: speculation scan could fire with no future completing: short enough to
-#: notice a missed deadline promptly, long enough to cost nothing.
-_POLL_SECONDS = 0.05
-
-
 @dataclass
 class TaskMeta:
     """Attempt bookkeeping for one task, stamped onto its TaskRecord."""
 
     attempts: int = 0
     winner: int = 0
-    speculative: bool = False
 
 
 @dataclass
 class _Attempt:
     number: int
     started: float
-    speculative: bool = False
     timed_out: bool = False
 
 
 @dataclass
 class _TaskState:
-    phase: str
     index: int
     submit: Callable[[int], "Future[Any]"]
     attempts_launched: int = 0
     resolved: bool = False
     value: Any = None
     winner: int = 0
-    speculated: bool = False
     retry_queued: bool = False
     last_error: Optional[BaseException] = None
     running: Dict["Future[Any]", _Attempt] = field(default_factory=dict)
 
-    @property
-    def key(self) -> TaskKey:
-        return (self.phase, self.index)
-
-    def live_attempts(self) -> List[_Attempt]:
-        attempts = sorted(self.running.values(), key=lambda a: a.number)
-        return [a for a in attempts if not a.timed_out]
+    def has_live_attempt(self) -> bool:
+        return any(not a.timed_out for a in self.running.values())
 
 
 class TaskScheduler:
-    """Run tasks as bounded retried attempts over a (respawnable) pool.
+    """Run map tasks as bounded retried attempts over a (respawnable) pool.
+
+    A task is keyed by its split index.
 
     Parameters
     ----------
@@ -153,48 +131,40 @@ class TaskScheduler:
         self.job_id = job_id
         self._respawn = respawn
         self._clock = clock
-        self._tasks: Dict[TaskKey, _TaskState] = {}
-        self._futures: Dict["Future[Any]", TaskKey] = {}
-        self._retry_heap: List[Tuple[float, int, TaskKey]] = []
+        self._tasks: Dict[int, _TaskState] = {}
+        self._futures: Dict["Future[Any]", int] = {}
+        self._retry_heap: List[Tuple[float, int, int]] = []
         self._retry_seq = 0
         self._unresolved = 0
         self._needs_respawn = False
-        # Commit stats feeding the speculation rule.
-        self._committed = 0
-        self._duration_sum = 0.0
 
     # ------------------------------------------------------------------ #
     # task registration / results
     # ------------------------------------------------------------------ #
 
-    def add(self, phase: str, index: int, submit: Callable[[int], "Future[Any]"]) -> None:
-        """Register one task and launch its first attempt immediately.
+    def add(self, index: int, submit: Callable[[int], "Future[Any]"]) -> None:
+        """Register map task ``index`` and launch its first attempt immediately.
 
         ``submit(attempt)`` must dispatch attempt number ``attempt`` of the
         task to the *current* pool and return its future.
         """
-        key = (phase, index)
-        if key in self._tasks:
-            raise ValueError(f"task {phase}/{index} already scheduled")
-        state = _TaskState(phase=phase, index=index, submit=submit)
-        self._tasks[key] = state
+        if index in self._tasks:
+            raise ValueError(f"map task {index} already scheduled")
+        state = _TaskState(index=index, submit=submit)
+        self._tasks[index] = state
         self._unresolved += 1
         self._launch(state)
 
-    def result(self, phase: str, index: int) -> Any:
+    def result(self, index: int) -> Any:
         """The committed value of one task (after :meth:`run` returns)."""
-        state = self._tasks[(phase, index)]
-        assert state.resolved, f"task {phase}/{index} never resolved"
+        state = self._tasks[index]
+        assert state.resolved, f"map task {index} never resolved"
         return state.value
 
-    def meta(self, phase: str, index: int) -> TaskMeta:
+    def meta(self, index: int) -> TaskMeta:
         """Attempt bookkeeping for one task, for TaskRecord stamping."""
-        state = self._tasks[(phase, index)]
-        return TaskMeta(
-            attempts=state.attempts_launched,
-            winner=state.winner,
-            speculative=state.speculated,
-        )
+        state = self._tasks[index]
+        return TaskMeta(attempts=state.attempts_launched, winner=state.winner)
 
     # ------------------------------------------------------------------ #
     # the event loop
@@ -228,15 +198,13 @@ class TaskScheduler:
             )
             for fut in done:
                 self._handle_settled(fut)
-            now = self._clock()
-            self._check_deadlines(now)
-            self._maybe_speculate(now)
+            self._check_deadlines(self._clock())
 
     # ------------------------------------------------------------------ #
     # launches
     # ------------------------------------------------------------------ #
 
-    def _launch(self, state: _TaskState, speculative: bool = False) -> None:
+    def _launch(self, state: _TaskState) -> None:
         attempt = state.attempts_launched + 1
         try:
             fut = state.submit(attempt)
@@ -248,37 +216,31 @@ class TaskScheduler:
             self._needs_respawn = False
             fut = state.submit(attempt)
         state.attempts_launched = attempt
-        state.running[fut] = _Attempt(
-            number=attempt, started=self._clock(), speculative=speculative
-        )
-        if speculative:
-            state.speculated = True
-        self._futures[fut] = state.key
+        state.running[fut] = _Attempt(number=attempt, started=self._clock())
+        self._futures[fut] = state.index
 
     def _queue_retry(self, state: _TaskState, now: float) -> None:
         """Requeue after backoff, or raise when the budget is spent."""
         if state.retry_queued or state.resolved:
             return
         if state.attempts_launched >= self.policy.max_attempts:
-            if state.live_attempts():
+            if state.has_live_attempt():
                 return  # a live attempt may still commit; don't give up yet
             raise TaskFailedError(
-                state.phase,
                 state.index,
                 state.attempts_launched,
                 repr(state.last_error),
                 job_id=self.job_id,
             ) from state.last_error
-        token = f"{state.phase}/{state.index}"
-        due = now + self.policy.backoff_seconds(state.attempts_launched + 1, token)
+        due = now + self.policy.backoff_seconds(state.attempts_launched + 1)
         state.retry_queued = True
         self._retry_seq += 1
-        heapq.heappush(self._retry_heap, (due, self._retry_seq, state.key))
+        heapq.heappush(self._retry_heap, (due, self._retry_seq, state.index))
 
     def _launch_due_retries(self, now: float) -> None:
         while self._retry_heap and self._retry_heap[0][0] <= now:
-            _, _, key = heapq.heappop(self._retry_heap)
-            state = self._tasks[key]
+            _, _, index = heapq.heappop(self._retry_heap)
+            state = self._tasks[index]
             state.retry_queued = False
             if not state.resolved:
                 self._launch(state)
@@ -292,7 +254,6 @@ class TaskScheduler:
         for state in self._tasks.values():
             if not state.resolved:
                 raise TaskFailedError(
-                    state.phase,
                     state.index,
                     state.attempts_launched,
                     repr(state.last_error),
@@ -305,13 +266,12 @@ class TaskScheduler:
     # ------------------------------------------------------------------ #
 
     def _handle_settled(self, fut: "Future[Any]") -> None:
-        key = self._futures.pop(fut)
-        state = self._tasks[key]
+        state = self._tasks[self._futures.pop(fut)]
         attempt = state.running.pop(fut)
         try:
             value = fut.result(timeout=0)
         except CancelledError:
-            # Cancelled duplicates of a resolved task are expected; a
+            # Cancelled replacements of a resolved task are expected; a
             # cancelled attempt of an *unresolved* task (a concurrent
             # job's respawn swept the shared pool's queue) must requeue,
             # or the task would sit attempt-less until misreported as
@@ -319,7 +279,7 @@ class TaskScheduler:
             if not state.resolved:
                 if state.last_error is None:
                     state.last_error = CancelledError(
-                        f"{state.phase} task {state.index} attempt "
+                        f"map task {state.index} attempt "
                         f"{attempt.number} was cancelled before running"
                     )
                 self._queue_retry(state, self._clock())
@@ -341,14 +301,12 @@ class TaskScheduler:
         state.value = value
         state.winner = attempt.number
         self._unresolved -= 1
-        self._committed += 1
-        self._duration_sum += max(0.0, self._clock() - attempt.started)
-        # Cancel duplicates still queued; running ones become watched losers.
+        # Cancel replacements still queued; running ones become watched losers.
         for other in list(state.running):
             other.cancel()
 
     # ------------------------------------------------------------------ #
-    # deadlines and speculation
+    # deadlines
     # ------------------------------------------------------------------ #
 
     def _check_deadlines(self, now: float) -> None:
@@ -365,26 +323,10 @@ class TaskScheduler:
                 # consume budget and queue the replacement now.
                 attempt.timed_out = True
                 state.last_error = TimeoutError(
-                    f"{state.phase} task {state.index} attempt {attempt.number} "
+                    f"map task {state.index} attempt {attempt.number} "
                     f"exceeded task_timeout={timeout}s"
                 )
                 self._queue_retry(state, now)
-
-    def _maybe_speculate(self, now: float) -> None:
-        if not self.policy.speculative or self._committed == 0:
-            return
-        if self._committed / len(self._tasks) < SPECULATIVE_FRACTION:
-            return
-        mean = self._duration_sum / self._committed
-        floor = SPECULATIVE_MULTIPLIER * max(mean, 1e-6)
-        for state in self._tasks.values():
-            if state.resolved or state.speculated:
-                continue
-            live = state.live_attempts()
-            if len(live) != 1 or state.retry_queued:
-                continue
-            if now - live[0].started > floor:
-                self._launch(state, speculative=True)
 
     # ------------------------------------------------------------------ #
     # wait timing
@@ -402,10 +344,6 @@ class TaskScheduler:
                     if not attempt.timed_out:
                         remaining = self.policy.task_timeout - (now - attempt.started)
                         candidates.append(max(0.0, remaining))
-        if self.policy.speculative and any(
-            not s.resolved for s in self._tasks.values()
-        ):
-            candidates.append(_POLL_SECONDS)
         if not candidates:
             return None
         return max(min(candidates), 0.001)

@@ -48,10 +48,11 @@ class TaskRecord:
     can report moved bytes alongside wall time; in-process executors leave
     it 0 (their map output never leaves the calling process).
 
-    ``attempts`` / ``winner`` / ``speculative`` are the fault-tolerance
-    trail stamped by the task scheduler: how many attempts the task
-    consumed, which attempt's output was committed (first commit wins),
-    and whether a speculative duplicate was launched. ``duration`` is the
+    ``attempts`` / ``winner`` are the fault-tolerance trail stamped by the
+    task scheduler: how many attempts the task consumed (failed, lost with
+    a crashed pool, or timed out) and which attempt's output was committed
+    (first commit wins, so a timed-out straggler can still be the winner).
+    ``duration`` is the
     winning attempt's, so a record that retried is still one valid
     measurement of the work. ``fallback_reason`` is non-empty only on
     records produced by a whole-job serial fallback, naming why the job
@@ -68,7 +69,6 @@ class TaskRecord:
     shuffle_bytes_out: int = 0
     attempts: int = 1
     winner: int = 1
-    speculative: bool = False
     fallback_reason: str = ""
 
     def __post_init__(self) -> None:

@@ -31,7 +31,11 @@ Admission checks, in order:
 Shutdown is a drain: no new admissions, every admitted query completes,
 worker threads stop, and the search's shared-memory plane and worker pool
 are released (pool runs make no segment; the plane teardown here is what
-frees ``/dev/shm``).
+frees ``/dev/shm``). If the workers were cancelled from outside (as
+``asyncio.run`` does to every task when an exception escapes its loop),
+nothing is left to run the queue: the drain stops waiting, and every
+admission no worker took fails with
+:class:`~repro.service.errors.ServiceClosedError`.
 """
 
 from __future__ import annotations
@@ -282,19 +286,36 @@ class OrionService:
         self._state = "running"
 
     async def drain(self) -> None:
-        """Stop admitting; wait for every admitted query to complete."""
+        """Stop admitting; wait for every admitted query to complete.
+
+        Returns early once no worker is left to take the queue (every
+        worker cancelled); :meth:`aclose` then fails what is still queued.
+        """
         if self._state == "running":
             self._state = "draining"
-        if self._state == "draining":
-            await self._queue.join()
+        if self._state != "draining":
+            return
+        joined = asyncio.ensure_future(self._queue.join())
+        try:
+            live = [w for w in self._workers if not w.done()]
+            while live and not joined.done():
+                await asyncio.wait(
+                    [joined, *live], return_when=asyncio.FIRST_COMPLETED
+                )
+                live = [w for w in live if not w.done()]
+        finally:
+            joined.cancel()
 
     async def aclose(self) -> None:
         """Drain, stop the workers, and release the search's resources.
 
-        Admitted work is never shed: the queue is drained to completion
-        before the workers stop. The search's shared-memory database plane
-        and persistent worker pool are released (``/dev/shm`` is left
-        clean); the search rebuilds both transparently if reused.
+        Admitted work is never shed while a worker lives: the queue is
+        drained to completion before the workers stop. An admission left
+        queued because every worker was already cancelled fails with
+        :class:`~repro.service.errors.ServiceClosedError`. The search's
+        shared-memory database plane and persistent worker pool are
+        released (``/dev/shm`` is left clean); the search rebuilds both
+        transparently if reused.
         """
         if self._state == "closed":
             return
@@ -305,6 +326,13 @@ class OrionService:
         if self._workers:
             await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
+        while not self._queue.empty():
+            admission = self._queue.get_nowait()
+            if not admission.future.done():
+                admission.future.set_exception(
+                    ServiceClosedError("service closed before the query ran")
+                )
+            self._queue.task_done()
         if self._threads is not None:
             self._threads.shutdown(wait=True)
             self._threads = None

@@ -415,6 +415,32 @@ class TestServiceEquivalence:
 
         asyncio.run(main())
 
+    def test_aclose_returns_once_workers_are_cancelled(self):
+        """``asyncio.run`` cancels every task when an exception escapes
+        its loop, the service's workers included. ``aclose()`` must still
+        return, fail each admission no worker took, and close the search."""
+
+        async def main():
+            fake = _BlockingSearch()
+            service = OrionService(fake, ServiceConfig(max_inflight=1, queue_depth=8))
+            await service.start()
+            loop = asyncio.get_running_loop()
+            pending = [
+                asyncio.create_task(service.submit(_FakeQuery())) for _ in range(6)
+            ]
+            await loop.run_in_executor(None, fake.started.wait, 10)
+            for worker in service._workers:
+                worker.cancel()
+            fake.release.set()
+            await asyncio.wait_for(service.aclose(), 5)
+            outcomes = await asyncio.gather(*pending, return_exceptions=True)
+            assert all(isinstance(o, ServiceClosedError) for o in outcomes)
+            assert fake.runs == 1
+            assert service.state == "closed"
+            assert fake.closed
+
+        asyncio.run(main())
+
 
 class TestPruningService:
     """Service-level shard pruning: config override + stats accumulation."""
