@@ -24,7 +24,6 @@ import time
 import warnings
 
 from benchmarks.conftest import run_once
-from repro.mapreduce import faults as faults_mod
 from repro.mapreduce.faults import FaultInjector, FaultSpec, RetryPolicy
 from repro.mapreduce.job import MapReduceJob
 from repro.mapreduce.runtime import SerialExecutor, WorkerPool
@@ -68,11 +67,8 @@ def _crash_at_half():
     )
 
 
-def test_crash_recovery_cost(benchmark, monkeypatch):
+def test_crash_recovery_cost(benchmark):
     expected = SerialExecutor().run(_job(), _splits()).outputs
-    # Backoff is computed in the driver, so patching the module constant
-    # shrinks every retry's wait for this run.
-    monkeypatch.setattr(faults_mod, "BACKOFF_BASE", 0.001)
     policy = RetryPolicy()
 
     def experiment():

@@ -1,4 +1,4 @@
-"""ORL009 — retries must be bounded and backoff must be injectable.
+"""ORL009 — retries must be bounded and runtime paths must not sleep.
 
 The fault-tolerance layer (:mod:`repro.mapreduce.scheduler`) makes two
 promises that are easy to erode one convenience edit at a time:
@@ -8,17 +8,15 @@ promises that are easy to erode one convenience edit at a time:
   unbounded ``while True: try/except`` retry loop turns a persistent
   failure into a hang, which is strictly worse than the serial fallback it
   replaced.
-* No runtime path blocks in a raw ``time.sleep`` — backoff waits are
-  *data* (:meth:`~repro.mapreduce.faults.RetryPolicy.backoff_seconds`)
-  folded into future wait timeouts, and the one blocking wait goes through
-  the injectable :attr:`~repro.mapreduce.faults.RetryPolicy.sleep` hook so
-  tests shrink waits to microseconds instead of wall-clocking. A bare
-  ``time.sleep`` in a retry path silently re-introduces real minutes into
-  the test suite and cannot be faulted deterministically.
+* No runtime path blocks in a raw ``time.sleep`` — the scheduler's only
+  waits are on futures, bounded by the per-attempt deadlines, and a retry
+  is submitted at once to the pool's queue. A bare ``time.sleep`` in a
+  retry path stalls every other in-flight attempt's handling, silently
+  re-introduces real minutes into the test suite and cannot be faulted
+  deterministically.
 
 This rule flags both shapes. Deliberate sleeps (the injector's own fault
-delays, the blessed default hook) carry a justifying
-``# orionlint: disable=ORL009``.
+delays) carry a justifying ``# orionlint: disable=ORL009``.
 """
 
 from __future__ import annotations
@@ -62,23 +60,23 @@ def _handler_swallows(handler: ast.ExceptHandler) -> bool:
 
 
 class RetryBackoffRule(Rule):
-    """ORL009: unbounded retry loops and raw ``time.sleep`` backoff.
+    """ORL009: unbounded retry loops and raw ``time.sleep`` waits.
 
     Flags (a) ``while True`` loops containing a ``try`` whose handler
     swallows the exception without ``raise`` or ``break`` — a retry loop
     with no attempt bound — and (b) any call of ``time.sleep`` (either
     spelling: ``time.sleep(...)``, or ``sleep(...)`` after ``from time
     import sleep``). Bounded retries belong to
-    ``RetryPolicy``/``TaskScheduler``; waits belong to the policy's
-    injectable ``sleep`` hook.
+    ``RetryPolicy``/``TaskScheduler``, whose only waits are on futures
+    under the per-attempt deadline.
     """
 
     rule_id = "ORL009"
-    title = "unbounded retry loop or raw time.sleep backoff"
+    title = "unbounded retry loop or raw time.sleep wait"
     severity = Severity.ERROR
     invariant = (
-        "retries consume a bounded RetryPolicy attempt budget and every "
-        "wait goes through the injectable backoff hook, so a persistent "
+        "retries consume a bounded RetryPolicy attempt budget and runtime "
+        "paths wait only on futures, never in a raw sleep, so a persistent "
         "failure cannot hang a job and tests never wall-clock wait"
     )
 
@@ -99,8 +97,8 @@ class RetryBackoffRule(Rule):
                 yield (
                     node.lineno,
                     node.col_offset,
-                    "raw time.sleep in a runtime path: route waits through "
-                    "the injectable RetryPolicy.sleep/backoff_seconds hook "
+                    "raw time.sleep in a runtime path: wait on futures "
+                    "under a RetryPolicy.task_timeout deadline instead, "
                     "so tests never wall-clock wait",
                 )
 

@@ -290,11 +290,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         file=sys.stderr,
     )
     if search.prune_threshold is not None:
-        total_visits = stats.shards_searched + stats.shards_pruned
+        searched = sum(r.shards_searched for r in results)
+        total_visits = searched + sum(r.shards_pruned for r in results)
         print(
             f"pruning (threshold {search.prune_threshold}): searched "
-            f"{stats.shards_searched}/{total_visits} shard visits, skipped "
-            f"{stats.pruned_map_tasks} map tasks",
+            f"{searched}/{total_visits} shard visits, skipped "
+            f"{sum(r.pruned_map_tasks for r in results)} map tasks",
             file=sys.stderr,
         )
     return 0
@@ -410,9 +411,9 @@ def _shared_options() -> argparse.ArgumentParser:
         type=int,
         default=3,
         help="attempt budget per map task on --executor processes: "
-        "a failed, crashed or hung map task is retried individually (with "
-        "backoff, on a respawned pool if a worker crash broke it) instead "
-        "of rerunning the whole job serially; 1 disables per-task retries "
+        "a failed, crashed or hung map task is retried individually (on a "
+        "respawned pool if a worker crash broke it) instead of rerunning "
+        "the whole job serially; 1 disables per-task retries "
         "(default: 3)",
     )
     shared.add_argument(

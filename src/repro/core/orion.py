@@ -227,11 +227,11 @@ class OrionSearch:
     retries:
         Attempt budget per map task on process-backed executors
         (CLI ``--retries``): a failed, crashed or timed-out map task is
-        retried individually — with backoff, on a respawned pool if the
-        worker crash broke it — instead of rerunning the whole job
-        serially. ``1`` restores the old fail-straight-to-serial
-        behaviour. Alignments are identical regardless (tasks are pure;
-        property-tested under injected faults).
+        retried individually — on a respawned pool if the worker crash
+        broke it — instead of rerunning the whole job serially. ``1``
+        restores the old fail-straight-to-serial behaviour. Alignments
+        are identical regardless (tasks are pure; property-tested under
+        injected faults).
     task_timeout:
         Optional per-attempt deadline in seconds (CLI ``--task-timeout``),
         the one straggler mechanism: a straggling attempt past it is
@@ -741,6 +741,9 @@ class OrionSearch:
                     measured_seconds=rec.duration,
                     alignments=rec.output_records,
                     simulator_safe=rec.simulator_safe,
+                    attempts=rec.attempts,
+                    winner=rec.winner,
+                    fallback_reason=rec.fallback_reason,
                 )
             )
 

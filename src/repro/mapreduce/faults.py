@@ -5,14 +5,11 @@ are small, so when a task fails or straggles only that one fragment×shard
 unit is redone, never the whole query (PAPER.md, design summary). This
 module holds the *policy* half of that story for our runtime:
 
-* :class:`RetryPolicy` — how many attempts a task gets, the per-attempt
-  deadline (the one straggler mechanism) and the injectable sleep hook;
-  the exponential backoff between attempts is fixed by module constants.
-  The scheduler (:mod:`repro.mapreduce.scheduler`) never calls
-  ``time.sleep`` directly; every wait is derived from
-  :meth:`RetryPolicy.backoff_seconds` so tests can shrink backoff to
-  microseconds instead of wall-clock waiting — the invariant orionlint
-  rule ORL009 enforces.
+* :class:`RetryPolicy` — how many attempts a task gets and the
+  per-attempt deadline (the one straggler mechanism). A failed attempt's
+  replacement is submitted at once: every attempt waits in one FIFO pool
+  queue, which is the only wait, as in Hadoop, where a failed attempt goes
+  back to the queue for the next free slot.
 * :class:`FaultInjector` — a picklable, deterministic description of
   faults to inject into task attempts, addressable by phase, task index
   and attempt number. The worker pool threads it to its map tasks so
@@ -30,8 +27,8 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 #: Fault kinds the injector understands (see :class:`FaultSpec`).
 FAULT_KINDS = ("crash", "hang", "transient")
@@ -196,7 +193,7 @@ class FaultInjector:
         if spec is None:
             return
         if spec.delay > 0.0:
-            # Worker-side fault timing, not a retry backoff: the injected
+            # Worker-side fault timing, not a retry wait: the injected
             # delay is itself part of the fault being simulated.
             time.sleep(spec.delay)  # orionlint: disable=ORL009
         if spec.kind == "crash":
@@ -230,7 +227,7 @@ class FaultInjector:
         if spec is None:
             return None
         if spec.delay > 0.0:
-            # Fault timing, not a backoff: the delay is part of the fault
+            # Fault timing, not a retry wait: the delay is part of the fault
             # (e.g. die only after a racing attacher has seen the plane).
             time.sleep(spec.delay)  # orionlint: disable=ORL009
         if spec.kind == "crash":
@@ -238,28 +235,9 @@ class FaultInjector:
         return spec
 
 
-def _default_sleep(seconds: float) -> None:
-    """The one blessed blocking sleep behind :attr:`RetryPolicy.sleep`.
-
-    The scheduler folds backoff into future wait timeouts whenever any
-    attempt is in flight; only a fully drained pool (every pending retry
-    waiting out its backoff) blocks here. Tests inject a no-op or virtual
-    clock instead — which is exactly why orionlint ORL009 bans raw
-    ``time.sleep`` in runtime paths everywhere but this hook.
-    """
-    time.sleep(seconds)  # orionlint: disable=ORL009
-
-
-#: Backoff before a task's second attempt, in seconds.
-BACKOFF_BASE = 0.02
-
-#: Growth factor of the backoff between attempts of one task.
-BACKOFF_MULTIPLIER = 2.0
-
-
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Per-task attempt budget, per-attempt deadline and sleep hook.
+    """Per-task attempt budget and per-attempt deadline.
 
     Attributes
     ----------
@@ -276,31 +254,16 @@ class RetryPolicy:
         deadline includes the time it waits in the pool's queue behind the
         job's other tasks (and, under the service, behind other queries'
         tasks): size it above a whole job's wall, not one task's.
-    sleep:
-        Injectable blocking-sleep hook. The scheduler blocks through this
-        only when no attempt is in flight and every pending retry is
-        waiting out its backoff; tests inject a no-op so nothing ever
-        wall-clock waits (orionlint ORL009's invariant: raw ``time.sleep``
-        is banned from runtime paths — waits go through this hook).
 
-    The backoff between attempts of one task is
-    ``BACKOFF_BASE * BACKOFF_MULTIPLIER**(attempt-2)``, fixed by those
-    module constants; the scheduler turns it into wait deadlines, not
-    wall-clock sleeps.
+    A failed, lost or timed-out attempt's replacement is submitted at
+    once, with no backoff between attempts.
     """
 
     max_attempts: int = 3
     task_timeout: Optional[float] = None
-    sleep: Callable[[float], None] = field(default=_default_sleep, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError(f"task_timeout must be positive, got {self.task_timeout}")
-
-    def backoff_seconds(self, attempt: int) -> float:
-        """The backoff before attempt ``attempt``: 0 for the first."""
-        if attempt <= 1:
-            return 0.0
-        return BACKOFF_BASE * BACKOFF_MULTIPLIER ** (attempt - 2)

@@ -28,8 +28,8 @@ The process pool's map phase is fault tolerant (DESIGN.md §4.6): every
 map task runs as a sequence of *attempts* under a
 :class:`~repro.mapreduce.faults.RetryPolicy` driven by the
 :class:`~repro.mapreduce.scheduler.TaskScheduler`. A failed attempt
-(exception, crashed worker, missed deadline) retries that one task with
-backoff instead of poisoning the job; a crashed worker breaks the pool,
+(exception, crashed worker, missed deadline) retries that one task at
+once instead of poisoning the job; a crashed worker breaks the pool,
 which is respawned once and only the uncommitted tasks re-dispatched —
 committed map outputs, already back in the driver, are kept. The
 per-attempt deadline is the one straggler mechanism: a timed-out attempt
@@ -314,7 +314,7 @@ class WorkerPool:
         ``"forkserver"``); ``None`` uses the platform default.
     retry:
         The :class:`~repro.mapreduce.faults.RetryPolicy` in force for map
-        tasks; defaults to bounded retries with backoff.
+        tasks; defaults to three attempts per task and no deadline.
         ``RetryPolicy(max_attempts=1)`` reproduces the pre-fault-tolerance
         behaviour (any failure goes straight to the serial fallback).
     injector:
@@ -448,8 +448,8 @@ class WorkerPool:
         so every job's scheduler calls here — the broken check makes the
         replacement happen exactly once: whichever scheduler arrives
         first swaps in a fresh pool, the rest see a healthy pool and
-        leave it alone (their lost attempts are already queued for retry
-        and will resubmit through :meth:`_ensure_pool`).
+        leave it alone (their lost attempts resubmit through
+        :meth:`_ensure_pool`).
         """
         self._discard_pool(only_if_broken=True)
         self._ensure_pool()

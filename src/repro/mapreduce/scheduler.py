@@ -4,14 +4,14 @@ The paper's recovery claim — fine granularity makes re-execution *cheap* —
 only holds if a failed or straggling task is redone alone. This module is
 the driver-side machinery that makes that true for the worker pool's map
 tasks: each task runs as a sequence of *attempts*, and one attempt failing
-(exception, worker crash, missed deadline) triggers a bounded, backed-off
-retry of that one task while every committed result is kept.
+(exception, worker crash, missed deadline) triggers a bounded retry of
+that one task while every committed result is kept.
 
 Task lifecycle (the §4.6 state machine)::
 
     PENDING --launch--> RUNNING --success--> COMMITTED
        ^                  |  |
-       |   retry/backoff  |  +--deadline--> RUNNING (zombie) + retry
+       |       retry      |  +--deadline--> RUNNING (zombie) + retry
        +------failure-----+                       |
        |                                          +--late success--> wins
        +---pool broken (attempt lost)             |    iff still uncommitted
@@ -21,19 +21,19 @@ Task lifecycle (the §4.6 state machine)::
 Three recovery mechanisms share the one event loop:
 
 * **Retries** — a failed attempt consumes one unit of the
-  :class:`~repro.mapreduce.faults.RetryPolicy` budget and requeues the
-  task after a deterministic exponential backoff. Backoff is expressed as
-  *wait deadlines*, not sleeps: while anything is in flight the loop waits
-  on futures with a timeout, so a retrying task never blocks the others.
+  :class:`~repro.mapreduce.faults.RetryPolicy` budget and submits its
+  replacement at once. There is no backoff: every attempt waits in the
+  pool's one FIFO queue, which is the only wait, as in Hadoop, where a
+  failed attempt goes back to the queue for the next free slot.
 * **Pool respawn** — a crashed worker breaks the whole
   ``ProcessPoolExecutor`` (every in-flight and queued future raises
   ``BrokenProcessPool``). The scheduler counts each lost attempt against
-  its task, asks the executor to respawn the pool once, and re-dispatches
-  only the tasks that never committed; committed results, already back
-  in the driver, are kept.
+  its task, asks the executor to respawn the pool before it relaunches,
+  and re-dispatches only the tasks that never committed; committed
+  results, already back in the driver, are kept.
 * **Deadlines** — the one straggler mechanism: an attempt older than the
   policy's ``task_timeout`` becomes a *zombie* and its replacement is
-  queued. The zombie's future stays watched, because a straggler that
+  submitted. The zombie's future stays watched, because a straggler that
   finishes before its replacement still wins (first commit wins; the
   loser is cancelled if still queued, or ignored when it lands). Safe
   because tasks are pure functions of their split, so the job's output is
@@ -49,11 +49,10 @@ time, because attempts return their output instead of writing it anywhere.
 
 from __future__ import annotations
 
-import heapq
 import time
 from concurrent.futures import FIRST_COMPLETED, CancelledError, Future, wait
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional
 
 from repro.mapreduce.faults import RetryPolicy, TaskFailedError
 
@@ -85,7 +84,6 @@ class _TaskState:
     resolved: bool = False
     value: Any = None
     winner: int = 0
-    retry_queued: bool = False
     last_error: Optional[BaseException] = None
     running: Dict["Future[Any]", _Attempt] = field(default_factory=dict)
 
@@ -133,8 +131,6 @@ class TaskScheduler:
         self._clock = clock
         self._tasks: Dict[int, _TaskState] = {}
         self._futures: Dict["Future[Any]", int] = {}
-        self._retry_heap: List[Tuple[float, int, int]] = []
-        self._retry_seq = 0
         self._unresolved = 0
         self._needs_respawn = False
 
@@ -177,23 +173,16 @@ class TaskScheduler:
         task exhausts its attempt budget.
         """
         while self._unresolved:
-            if self._needs_respawn:
-                self._needs_respawn = False
-                if self._respawn is not None:
-                    self._respawn()
-            now = self._clock()
-            self._launch_due_retries(now)
             if not self._futures:
-                delay = self._next_retry_delay(now)
-                if delay is None:
-                    # No futures, no queued retries, tasks unresolved:
-                    # every budget is spent.
-                    self._raise_exhausted()
-                self.policy.sleep(delay)
-                continue
+                # Every unresolved task keeps an attempt in flight or has
+                # raised; wait([]) would return at once and spin.
+                raise RuntimeError(
+                    f"{self._unresolved} map task(s) unresolved with no "
+                    "attempt in flight"
+                )
             done, _ = wait(
                 list(self._futures),
-                timeout=self._wait_timeout(now),
+                timeout=self._wait_timeout(self._clock()),
                 return_when=FIRST_COMPLETED,
             )
             for fut in done:
@@ -219,9 +208,9 @@ class TaskScheduler:
         state.running[fut] = _Attempt(number=attempt, started=self._clock())
         self._futures[fut] = state.index
 
-    def _queue_retry(self, state: _TaskState, now: float) -> None:
-        """Requeue after backoff, or raise when the budget is spent."""
-        if state.retry_queued or state.resolved:
+    def _retry(self, state: _TaskState) -> None:
+        """Relaunch a task that lost an attempt, or raise when the budget is spent."""
+        if state.resolved:
             return
         if state.attempts_launched >= self.policy.max_attempts:
             if state.has_live_attempt():
@@ -232,34 +221,11 @@ class TaskScheduler:
                 repr(state.last_error),
                 job_id=self.job_id,
             ) from state.last_error
-        due = now + self.policy.backoff_seconds(state.attempts_launched + 1)
-        state.retry_queued = True
-        self._retry_seq += 1
-        heapq.heappush(self._retry_heap, (due, self._retry_seq, state.index))
-
-    def _launch_due_retries(self, now: float) -> None:
-        while self._retry_heap and self._retry_heap[0][0] <= now:
-            _, _, index = heapq.heappop(self._retry_heap)
-            state = self._tasks[index]
-            state.retry_queued = False
-            if not state.resolved:
-                self._launch(state)
-
-    def _next_retry_delay(self, now: float) -> Optional[float]:
-        if not self._retry_heap:
-            return None
-        return max(0.0, self._retry_heap[0][0] - now)
-
-    def _raise_exhausted(self) -> None:
-        for state in self._tasks.values():
-            if not state.resolved:
-                raise TaskFailedError(
-                    state.index,
-                    state.attempts_launched,
-                    repr(state.last_error),
-                    job_id=self.job_id,
-                ) from state.last_error
-        raise AssertionError("unresolved count drifted")  # pragma: no cover
+        if self._needs_respawn:
+            self._needs_respawn = False
+            if self._respawn is not None:
+                self._respawn()
+        self._launch(state)
 
     # ------------------------------------------------------------------ #
     # completions
@@ -273,7 +239,7 @@ class TaskScheduler:
         except CancelledError:
             # Cancelled replacements of a resolved task are expected; a
             # cancelled attempt of an *unresolved* task (a concurrent
-            # job's respawn swept the shared pool's queue) must requeue,
+            # job's respawn swept the shared pool's queue) must relaunch,
             # or the task would sit attempt-less until misreported as
             # budget-exhausted.
             if not state.resolved:
@@ -282,18 +248,18 @@ class TaskScheduler:
                         f"map task {state.index} attempt "
                         f"{attempt.number} was cancelled before running"
                     )
-                self._queue_retry(state, self._clock())
+                self._retry(state)
             return
         except BrokenExecutor as exc:
             # The attempt was lost with the pool, not failed by the task;
             # it still consumed budget (it may be the one that crashed).
             state.last_error = exc
             self._needs_respawn = True
-            self._queue_retry(state, self._clock())
+            self._retry(state)
             return
         except Exception as exc:
             state.last_error = exc
-            self._queue_retry(state, self._clock())
+            self._retry(state)
             return
         if state.resolved:
             return  # first commit won already; this straggler's output is unused
@@ -316,34 +282,37 @@ class TaskScheduler:
         for state in self._tasks.values():
             if state.resolved:
                 continue
-            for attempt in state.running.values():
+            # A snapshot: the retry below adds the replacement to running.
+            for attempt in sorted(state.running.values(), key=lambda a: a.number):
                 if attempt.timed_out or now - attempt.started <= timeout:
                     continue
                 # Zombie: keep watching (a late finish can still win) but
-                # consume budget and queue the replacement now.
+                # consume budget and launch the replacement now.
                 attempt.timed_out = True
                 state.last_error = TimeoutError(
                     f"map task {state.index} attempt {attempt.number} "
                     f"exceeded task_timeout={timeout}s"
                 )
-                self._queue_retry(state, now)
+                self._retry(state)
 
     # ------------------------------------------------------------------ #
     # wait timing
     # ------------------------------------------------------------------ #
 
     def _wait_timeout(self, now: float) -> Optional[float]:
-        """How long the loop may block on futures before housekeeping."""
-        candidates: List[float] = []
-        delay = self._next_retry_delay(now)
-        if delay is not None:
-            candidates.append(delay)
-        if self.policy.task_timeout is not None:
-            for state in self._tasks.values():
-                for attempt in state.running.values():
-                    if not attempt.timed_out:
-                        remaining = self.policy.task_timeout - (now - attempt.started)
-                        candidates.append(max(0.0, remaining))
-        if not candidates:
+        """How long the loop may block on futures before checking deadlines."""
+        timeout = self.policy.task_timeout
+        if timeout is None:
             return None
-        return max(min(candidates), 0.001)
+        oldest = min(
+            (
+                attempt.started
+                for state in self._tasks.values()
+                for attempt in state.running.values()
+                if not attempt.timed_out
+            ),
+            default=None,
+        )
+        if oldest is None:
+            return None
+        return max(timeout - (now - oldest), 0.001)

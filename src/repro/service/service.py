@@ -150,6 +150,8 @@ class ServiceStats:
     ``serve`` summary). Rejections are split by cause so overload (queue
     full) and breaker sheds are tallied separately; empty queries turned
     away at the door are counted on their own and are not load shedding.
+    Per-query counters (pruning, plane lifecycle) live on each
+    :class:`~repro.core.results.OrionResult` the service returns.
     """
 
     submitted: int = 0
@@ -159,21 +161,6 @@ class ServiceStats:
     rejected_circuit_open: int = 0
     rejected_empty_query: int = 0
     latencies: LatencyHistogram = field(default_factory=LatencyHistogram)
-    #: Sketch-pruning totals across completed queries (see
-    #: :mod:`repro.sketch`): shards actually searched, shards skipped, and
-    #: (fragment × shard) map tasks never dispatched. All zero when
-    #: pruning is off.
-    shards_searched: int = 0
-    shards_pruned: int = 0
-    pruned_map_tasks: int = 0
-    #: Shared-plane lifecycle totals across completed queries (see
-    #: :mod:`repro.mapreduce.shm`): how many ran with a plane this replica
-    #: published vs. attached from another process, and how many could not
-    #: lease a plane and ran serially in the driver. Replica sharing and
-    #: degradation are directly observable here.
-    plane_created: int = 0
-    plane_attached: int = 0
-    plane_fallback: int = 0
 
     @property
     def rejected(self) -> int:
@@ -420,12 +407,6 @@ class OrionService:
                 self.stats.latencies.record(
                     self._clock() - admission.admitted_at
                 )
-                self.stats.shards_searched += result.shards_searched
-                self.stats.shards_pruned += result.shards_pruned
-                self.stats.pruned_map_tasks += result.pruned_map_tasks
-                self.stats.plane_created += result.plane_created
-                self.stats.plane_attached += result.plane_attached
-                self.stats.plane_fallback += result.plane_fallback
                 if not admission.future.done():
                     admission.future.set_result(result)
             self._queue.task_done()

@@ -48,15 +48,29 @@ class WorkUnitRecord:
     contention (process workers); a
     replay refuses such records (see
     :attr:`repro.mapreduce.types.TaskRecord.simulator_safe`).
+
+    ``attempts``, ``winner`` and ``fallback_reason`` carry the unit's
+    fault-tolerance trail from its :class:`~repro.mapreduce.types.TaskRecord`:
+    how many attempts the unit consumed, which one's output was committed,
+    and, on a whole-job serial fallback, why the job went serial. Runners
+    without a retrying executor leave the defaults.
     """
 
     unit: WorkUnit
     measured_seconds: float
     alignments: int = 0
     simulator_safe: bool = True
+    attempts: int = 1
+    winner: int = 1
+    fallback_reason: str = ""
 
     def __post_init__(self) -> None:
         if self.measured_seconds < 0:
             raise ValueError(f"negative duration in {self}")
         if self.alignments < 0:
             raise ValueError(f"negative alignment count in {self}")
+        if self.attempts < 1 or not 1 <= self.winner <= self.attempts:
+            raise ValueError(
+                f"need attempts >= 1 and 1 <= winner <= attempts, "
+                f"got attempts={self.attempts}, winner={self.winner}"
+            )

@@ -13,6 +13,8 @@ from repro.core.results import (
     reduce_task_seconds,
     replay_orion,
 )
+from repro.mapreduce.faults import ANY, FaultInjector, FaultSpec
+from repro.units import WorkUnit, WorkUnitRecord
 from tests.conftest import alignment_keys
 
 
@@ -152,6 +154,45 @@ class TestMeasurementDiscipline:
         assert len(mr.reduce_records()) == len(mr.outputs) > 0
         assert all(r.executor == "processes" for r in mr.reduce_records())
         assert not any(r.simulator_safe for r in mr.records)
+
+
+class TestAttemptTrail:
+    """Each map record keeps its TaskRecord's attempts, winner and
+    fallback reason, so a caller sees which units retried and why a job
+    went serial."""
+
+    def test_map_records_carry_attempts_winner_and_fallback_reason(
+        self, small_db, query_with_truth
+    ):
+        query, _ = query_with_truth
+        once = FaultSpec(phase="map", kind="transient", index=1, attempt=1)
+        with OrionSearch(
+            database=small_db, num_shards=4, fragment_length=9000,
+            executor="processes", num_workers=2,
+            fault_injector=FaultInjector(specs=(once,)),
+        ) as search:
+            res = search.run(query)
+        trail = [(r.attempts, r.winner) for r in res.map_records]
+        assert len(trail) > 2
+        assert trail[1] == (2, 2)
+        assert trail[:1] + trail[2:] == [(1, 1)] * (len(trail) - 1)
+        assert all(r.fallback_reason == "" for r in res.map_records)
+
+        always = FaultSpec(phase="map", kind="transient", index=1, attempt=ANY)
+        with OrionSearch(
+            database=small_db, num_shards=4, fragment_length=9000,
+            executor="processes", num_workers=2, retries=2,
+            fault_injector=FaultInjector(specs=(always,)),
+        ) as search:
+            with pytest.warns(RuntimeWarning, match="falling back to serial"):
+                res = search.run(query)
+        assert all("TaskFailedError" in r.fallback_reason for r in res.map_records)
+
+    @pytest.mark.parametrize("attempts, winner", [(0, 1), (2, 3), (2, 0)])
+    def test_record_rejects_an_impossible_trail(self, attempts, winner):
+        unit = WorkUnit(query_id="q", shard_index=0)
+        with pytest.raises(ValueError, match="winner"):
+            WorkUnitRecord(unit, 0.0, attempts=attempts, winner=winner)
 
 
 class TestReduceReplay:

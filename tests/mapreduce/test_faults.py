@@ -18,7 +18,6 @@ from concurrent.futures import BrokenExecutor, Future, ThreadPoolExecutor
 
 import pytest
 
-from repro.mapreduce import faults as faults_mod
 from repro.mapreduce.faults import (
     ANY,
     FAULT_KINDS,
@@ -53,17 +52,6 @@ def _shm_segments():
         }
     except FileNotFoundError:  # pragma: no cover - non-Linux
         return set()
-
-
-@pytest.fixture
-def fast_policy(monkeypatch):
-    """Build RetryPolicies whose backoff never wall-clock waits in tests.
-
-    Backoff is computed in the driver, so shrinking the module constant
-    covers every retry of the test.
-    """
-    monkeypatch.setattr(faults_mod, "BACKOFF_BASE", 0.001)
-    return RetryPolicy
 
 
 def _poison_mapper(split):
@@ -180,30 +168,10 @@ class TestRetryPolicy:
 
     def test_settable_fields(self):
         assert [f.name for f in dataclasses.fields(RetryPolicy)] == [
-            "max_attempts", "task_timeout", "sleep",
+            "max_attempts", "task_timeout",
         ]
 
-    def test_backoff_multiplier_is_a_module_constant(self, monkeypatch):
-        monkeypatch.setattr(faults_mod, "BACKOFF_BASE", 0.01)
-        monkeypatch.setattr(faults_mod, "BACKOFF_MULTIPLIER", 3.0)
-        policy = RetryPolicy()
-        assert policy.backoff_seconds(3) == pytest.approx(0.03)
-        assert policy.backoff_seconds(4) == pytest.approx(0.09)
-
-    def test_first_attempt_never_waits(self):
-        assert RetryPolicy().backoff_seconds(1) == 0.0
-
-    def test_exponential_schedule_without_jitter(self):
-        # No jitter: every rerun of a job waits exactly these amounts.
-        assert faults_mod.BACKOFF_BASE == 0.02
-        policy = RetryPolicy()
-        assert [policy.backoff_seconds(n) for n in (2, 3, 4, 5)] == [
-            0.02, 0.04, 0.08, 0.16,
-        ]
-
-    def test_single_attempt_reproduces_pre_fault_tolerance_behaviour(
-        self, fast_policy
-    ):
+    def test_single_attempt_reproduces_pre_fault_tolerance_behaviour(self):
         # max_attempts=1 is the documented escape hatch: any failure goes
         # straight to the serial-fallback ladder, even a transient one a
         # retry would have absorbed.
@@ -211,7 +179,7 @@ class TestRetryPolicy:
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = run_pool(
                 make_job(), make_splits(4),
-                retry=fast_policy(max_attempts=1),
+                retry=RetryPolicy(max_attempts=1),
                 injector=FaultInjector(specs=(spec,)),
             )
         assert all(r.executor == "serial" for r in result.records)
@@ -229,13 +197,9 @@ def thread_pool():
     pool.shutdown(wait=True)
 
 
-def _noop_sleep(_seconds):
-    return None
-
-
 class TestTaskScheduler:
-    def test_all_tasks_commit_first_attempt(self, thread_pool, fast_policy):
-        sched = TaskScheduler(fast_policy(sleep=_noop_sleep))
+    def test_all_tasks_commit_first_attempt(self, thread_pool):
+        sched = TaskScheduler(RetryPolicy())
         for i in range(4):
             sched.add(i, lambda a, i=i: thread_pool.submit(lambda: i * 10))
         sched.run()
@@ -245,9 +209,9 @@ class TestTaskScheduler:
             assert (meta.attempts, meta.winner) == (1, 1)
 
     def test_failed_attempt_retries_and_reports_the_dead_attempt(
-        self, thread_pool, fast_policy
+        self, thread_pool
     ):
-        sched = TaskScheduler(fast_policy(sleep=_noop_sleep))
+        sched = TaskScheduler(RetryPolicy())
 
         def work(attempt):
             if attempt == 1:
@@ -262,9 +226,9 @@ class TestTaskScheduler:
         assert (meta.attempts, meta.winner) == (2, 2)
 
     def test_exhausted_budget_raises_named_chained_error(
-        self, thread_pool, fast_policy
+        self, thread_pool
     ):
-        sched = TaskScheduler(fast_policy(max_attempts=2, sleep=_noop_sleep))
+        sched = TaskScheduler(RetryPolicy(max_attempts=2))
 
         def work(_attempt):
             raise ValueError("persistent")
@@ -276,8 +240,8 @@ class TestTaskScheduler:
         assert str(ei.value).startswith("map task 3 failed after 2 attempt(s)")
         assert isinstance(ei.value.__cause__, ValueError)
 
-    def test_deadline_retry_beats_the_zombie(self, thread_pool, fast_policy):
-        sched = TaskScheduler(fast_policy(task_timeout=0.15, sleep=_noop_sleep))
+    def test_deadline_retry_beats_the_zombie(self, thread_pool):
+        sched = TaskScheduler(RetryPolicy(task_timeout=0.15))
 
         def work(attempt):
             if attempt == 1:
@@ -290,10 +254,8 @@ class TestTaskScheduler:
         meta = sched.meta(0)
         assert (meta.attempts, meta.winner) == (2, 2)
 
-    def test_zombie_that_finishes_first_still_wins(self, thread_pool, fast_policy):
-        sched = TaskScheduler(
-            fast_policy(max_attempts=2, task_timeout=0.3, sleep=_noop_sleep)
-        )
+    def test_zombie_that_finishes_first_still_wins(self, thread_pool):
+        sched = TaskScheduler(RetryPolicy(max_attempts=2, task_timeout=0.3))
 
         def work(attempt):
             # Attempt 1 misses the deadline but lands well before its
@@ -307,10 +269,10 @@ class TestTaskScheduler:
         meta = sched.meta(0)
         assert (meta.attempts, meta.winner) == (2, 1)
 
-    def test_run_returns_without_draining_a_zombie(self, thread_pool, fast_policy):
+    def test_run_returns_without_draining_a_zombie(self, thread_pool):
         # Attempts return their output rather than write it anywhere, so
         # nothing waits for a timed-out straggler once its task committed.
-        sched = TaskScheduler(fast_policy(task_timeout=0.1, sleep=_noop_sleep))
+        sched = TaskScheduler(RetryPolicy(task_timeout=0.1))
 
         def work(attempt):
             if attempt == 1:
@@ -323,7 +285,7 @@ class TestTaskScheduler:
         assert time.monotonic() - start < 1.0
         assert sched.result(0) == 2
 
-    def test_broken_future_respawns_pool_once_and_retries(self, fast_policy):
+    def test_broken_future_respawns_pool_once_and_retries(self):
         respawns = []
 
         def submit(attempt):
@@ -334,16 +296,14 @@ class TestTaskScheduler:
                 fut.set_result("after respawn")
             return fut
 
-        sched = TaskScheduler(
-            fast_policy(sleep=_noop_sleep), respawn=lambda: respawns.append(1)
-        )
+        sched = TaskScheduler(RetryPolicy(), respawn=lambda: respawns.append(1))
         sched.add(0, submit)
         sched.run()
         assert sched.result(0) == "after respawn"
         assert sched.meta(0).attempts == 2
         assert len(respawns) == 1
 
-    def test_submit_onto_broken_pool_respawns_and_resubmits(self, fast_policy):
+    def test_submit_onto_broken_pool_respawns_and_resubmits(self):
         respawns = []
         calls = []
 
@@ -355,9 +315,7 @@ class TestTaskScheduler:
             fut.set_result("ok")
             return fut
 
-        sched = TaskScheduler(
-            fast_policy(sleep=_noop_sleep), respawn=lambda: respawns.append(1)
-        )
+        sched = TaskScheduler(RetryPolicy(), respawn=lambda: respawns.append(1))
         sched.add(0, submit)
         sched.run()
         assert sched.result(0) == "ok"
@@ -365,25 +323,24 @@ class TestTaskScheduler:
         assert sched.meta(0).attempts == 1
         assert len(respawns) == 1
 
-    def test_backoff_waits_route_through_the_injectable_sleep(self, fast_policy):
-        slept = []
-
+    def test_retry_launches_without_waiting(self):
         def submit(attempt):
             fut = Future()
-            if attempt < 3:
+            if attempt < 4:
                 fut.set_exception(TransientTaskError(f"attempt {attempt}"))
             else:
-                fut.set_result("third time lucky")
+                fut.set_result("fourth time lucky")
             return fut
 
-        sched = TaskScheduler(fast_policy(sleep=slept.append))
+        sched = TaskScheduler(RetryPolicy(max_attempts=4))
         sched.add(0, submit)
+        start = time.monotonic()
         sched.run()
-        assert sched.result(0) == "third time lucky"
-        # Both backoffs blocked through the hook (no futures were in
-        # flight), with the exponential schedule's delays.
-        assert len(slept) >= 2
-        assert max(slept) <= 0.003
+        # Each replacement is submitted as its predecessor settles: the
+        # pool's queue is the only wait, so nothing sleeps between attempts.
+        assert time.monotonic() - start < 0.05
+        assert sched.result(0) == "fourth time lucky"
+        assert (sched.meta(0).attempts, sched.meta(0).winner) == (4, 4)
 
 
 # --------------------------------------------------------------------------- #
@@ -440,7 +397,7 @@ class TestFaultMatrix:
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     @pytest.mark.parametrize("kind", ["crash", "hang", "transient"])
     def test_one_fault_recovers_in_place(
-        self, kind, start_method, lifecycle, fast_policy
+        self, kind, start_method, lifecycle
     ):
         spec = FaultSpec(
             phase="map", kind=kind, index=1, attempt=1, hang_seconds=1.5
@@ -449,9 +406,9 @@ class TestFaultMatrix:
             # Deadlines run from submit, so while spawned workers boot (about
             # 1 s on a loaded 2-vCPU box) attempts of unfaulted tasks time
             # out too; eight attempts outlast a boot of ~2.5 s.
-            policy = fast_policy(task_timeout=0.35, max_attempts=8)
+            policy = RetryPolicy(task_timeout=0.35, max_attempts=8)
         else:
-            policy = fast_policy()
+            policy = RetryPolicy()
         splits = make_splits(4)
         expected = SerialExecutor().run(make_job(), splits).outputs
         before = _shm_segments()
@@ -481,16 +438,16 @@ class TestFaultMatrix:
 
     @pytest.mark.parametrize("start_method", ["fork", "spawn"])
     @pytest.mark.parametrize("kind", FAULT_KINDS)
-    def test_recovered_job_result_equals_serial(self, kind, start_method, fast_policy):
+    def test_recovered_job_result_equals_serial(self, kind, start_method):
         """After a map task recovers in place, the driver's shuffle and
         reducers see what the serial ones see: the ``JobResult`` equals the
         serial one field by field, reduce records included."""
         job, splits = make_job(), make_splits(6)
         spec = FaultSpec(phase="map", kind=kind, index=2, attempt=1, hang_seconds=1.5)
         if kind == "hang":
-            policy = fast_policy(task_timeout=0.35, max_attempts=8)
+            policy = RetryPolicy(task_timeout=0.35, max_attempts=8)
         else:
-            policy = fast_policy()
+            policy = RetryPolicy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             result = run_pool(
@@ -503,12 +460,12 @@ class TestFaultMatrix:
         assert all(r.attempts == 1 for r in result.reduce_records())
 
 class TestWorkerPoolFaults:
-    def test_crash_respawns_and_the_pool_stays_usable(self, serial_output, fast_policy):
+    def test_crash_respawns_and_the_pool_stays_usable(self, serial_output):
         spec = FaultSpec(phase="map", kind="crash", index=1, attempt=1)
         before = _shm_segments()
         pool = WorkerPool(
             max_workers=2,
-            retry=fast_policy(),
+            retry=RetryPolicy(),
             injector=FaultInjector(specs=(spec,)),
         )
         try:
@@ -523,7 +480,7 @@ class TestWorkerPoolFaults:
         assert _record_for(first, 1).attempts == 2
         assert _shm_segments() - before == set()
 
-    def test_recovered_map_crash_then_reducer_exception_propagates(self, fast_policy):
+    def test_recovered_map_crash_then_reducer_exception_propagates(self):
         # The map phase recovers in place; the reducer's own exception then
         # propagates, neither retried nor turned into a serial fallback.
         job = MapReduceJob(
@@ -531,7 +488,7 @@ class TestWorkerPoolFaults:
         )
         spec = FaultSpec(phase="map", kind="crash", index=1, attempt=1)
         with WorkerPool(
-            max_workers=2, retry=fast_policy(), injector=FaultInjector(specs=(spec,))
+            max_workers=2, retry=RetryPolicy(), injector=FaultInjector(specs=(spec,))
         ) as pool:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -546,7 +503,7 @@ class TestWorkerPoolFaults:
 
 
 class TestAcceptanceSingleCrash:
-    def test_crashed_map_task_is_redone_alone(self, serial_output, fast_policy):
+    def test_crashed_map_task_is_redone_alone(self, serial_output):
         """ISSUE 5 acceptance: a worker crash killing exactly one map task
         of a 4-worker streaming run is recovered by retrying that one task
         on a respawned pool — no serial fallback, byte-identical output,
@@ -560,7 +517,7 @@ class TestAcceptanceSingleCrash:
             result = run_pool(
                 make_job(), make_splits(4),
                 max_workers=4,
-                retry=fast_policy(),
+                retry=RetryPolicy(),
                 injector=FaultInjector(specs=(spec,)),
             )
 
@@ -583,7 +540,7 @@ class TestAcceptanceSingleCrash:
 class TestFallbackLadder:
     @pytest.mark.parametrize("kind", ["transient", "hang"])
     def test_exhausted_budget_falls_back_with_reason_stamped(
-        self, kind, serial_output, fast_policy
+        self, kind, serial_output
     ):
         # attempt=ANY: the fault outlives every retry, so the budget spends
         # out and the job reruns serially — correctly, with forensics. For
@@ -597,7 +554,7 @@ class TestFallbackLadder:
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = run_pool(
                 make_job(), make_splits(4),
-                retry=fast_policy(
+                retry=RetryPolicy(
                     max_attempts=2, task_timeout=0.25 if kind == "hang" else None
                 ),
                 injector=FaultInjector(specs=(spec,)),
@@ -608,8 +565,8 @@ class TestFallbackLadder:
         assert all("TaskFailedError" in r.fallback_reason for r in result.records)
 
     @pytest.mark.parametrize("lifecycle", ["cold", "warm"])
-    def test_exhaustion_sweeps_blob_before_serial_rerun(
-        self, lifecycle, serial_output, fast_policy
+    def test_exhaustion_leaves_no_segment_before_serial_rerun(
+        self, lifecycle, serial_output
     ):
         # An above-page job rides in every task message: neither the
         # abandoned pool run nor the serial rerun leaves a segment.
@@ -624,30 +581,30 @@ class TestFallbackLadder:
             result = run_faulted(
                 job, make_splits(4), lifecycle,
                 FaultInjector(specs=(spec,)),
-                retry=fast_policy(max_attempts=2),
+                retry=RetryPolicy(max_attempts=2),
             )
         assert result.outputs == serial_output
         assert _shm_segments() - before == set()
 
     @pytest.mark.parametrize("lifecycle", ["cold", "warm"])
-    def test_fallback_result_equals_serial_field_by_field(self, lifecycle, fast_policy):
+    def test_fallback_result_equals_serial_field_by_field(self, lifecycle):
         job, splits = make_job(), make_splits(5)
         spec = FaultSpec(phase="map", kind="transient", index=3, attempt=ANY)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             result = run_faulted(
                 job, splits, lifecycle, FaultInjector(specs=(spec,)),
-                retry=fast_policy(max_attempts=2),
+                retry=RetryPolicy(max_attempts=2),
             )
         assert _job_summary(result) == _job_summary(SerialExecutor().run(job, splits))
         assert all(r.executor == "serial" for r in result.records)
 
-    def test_serial_failure_does_not_mask_the_original_task_error(self, fast_policy):
+    def test_serial_failure_does_not_mask_the_original_task_error(self):
         job = MapReduceJob(
             mapper=_poison_mapper, reducer=_sum_reducer, name="t"
         )
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
             with pytest.raises(RuntimeError, match="also failed") as ei:
-                run_pool(job, make_splits(2), retry=fast_policy(max_attempts=2))
+                run_pool(job, make_splits(2), retry=RetryPolicy(max_attempts=2))
         # The raised error names the failing task and chains the original.
         assert "original failure was map task" in str(ei.value)
         assert isinstance(ei.value.__cause__, TaskFailedError)

@@ -216,7 +216,7 @@ class TestProcessPool:
         assert result.outputs == [("calls", 6)]
         assert all(r.executor == "processes" for r in result.records)
 
-    def test_job_travels_by_the_page_rule(self, monkeypatch):
+    def test_every_task_carries_the_once_pickled_mapper(self, monkeypatch):
         """Dispatch ships the pickled mapper, never the job object: the
         driver pickles it once, and every task item carries those bytes,
         whether they fit in one page or not."""

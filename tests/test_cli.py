@@ -99,6 +99,41 @@ class TestSearch:
         assert capsys.readouterr().out == base
 
 
+class TestServe:
+    def test_pruning_summary_sums_the_per_query_counts(
+        self, tmp_path, db_file, query_file, capsys
+    ):
+        from repro.core.orion import OrionSearch
+        from repro.sequence.fasta import read_fasta, write_fasta
+        from repro.sequence.records import Database
+
+        (query,) = read_fasta(query_file)
+        queries = [
+            query.slice(0, 12000, seq_id="qa"),
+            query.slice(8000, 20000, seq_id="qb"),
+        ]
+        queries_file = tmp_path / "two.fa"
+        write_fasta(queries, queries_file)
+        knobs = ["--shards", "4", "--fragment-length", "6000", "--prune-threshold", "0.02"]
+        assert main(["serve", "--db", str(db_file), "--query", str(queries_file),
+                     "--executor", "serial", *knobs]) == 0
+        summary = capsys.readouterr().err.splitlines()[-1]
+
+        with OrionSearch(
+            database=Database(read_fasta(db_file), name="db"),
+            num_shards=4, fragment_length=6000, prune_threshold=0.02,
+        ) as search:
+            results = [search.run(q) for q in queries]
+        searched = sum(r.shards_searched for r in results)
+        visits = searched + sum(r.shards_pruned for r in results)
+        skipped = sum(r.pruned_map_tasks for r in results)
+        assert skipped > 0
+        assert summary == (
+            f"pruning (threshold 0.02): searched {searched}/{visits} shard "
+            f"visits, skipped {skipped} map tasks"
+        )
+
+
 def _bad_input(kind, tmp_path, db_file, query_file):
     """(db, query) paths where exactly one input is unusable in ``kind``'s way."""
     db, query = str(db_file), str(query_file)
