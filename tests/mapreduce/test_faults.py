@@ -565,7 +565,7 @@ class TestFallbackLadder:
         assert all("TaskFailedError" in r.fallback_reason for r in result.records)
 
     @pytest.mark.parametrize("lifecycle", ["cold", "warm"])
-    def test_exhaustion_leaves_no_segment_before_serial_rerun(
+    def test_exhaustion_sweeps_blob_before_serial_rerun(
         self, lifecycle, serial_output
     ):
         # An above-page job rides in every task message: neither the
